@@ -13,9 +13,21 @@ Inequality rows get slack variables internally, so the core only ever sees
 equality rows plus box bounds.  Every solve is deterministic: identical inputs
 produce bit-identical reports.
 
+Each iteration solves one Newton system, on one of three paths.  The normal
+equations A D^-1 A' (sparse LU with one refinement step) serve problems
+whose columns are all short.  Problems with a near-dense column (a capacity
+coupling every period, as in the sizing LP) or a free variable without
+curvature take the regularized augmented (KKT) system instead; its pattern
+is assembled once per solve and its quasidefinite matrix is factored
+without pivoting, refined, and re-factored with pivoting only when the
+refined residual misses (_QuasidefiniteKkt).  Rank-one objectives use a
+dense LU of the augmented system.
+
 A report with status "optimal" carries residuals measured at the returned
 point against the original problem, so callers can verify the certificate
-instead of trusting the iteration log.
+instead of trusting the iteration log.  A solve that does not converge is
+classified by a phase-1 problem (infeasible) and a ray search (unbounded),
+both solved at 1e-9 whatever the caller's tolerance.
 """
 
 from dataclasses import dataclass
@@ -33,6 +45,8 @@ _SENSES = (LE, EQ, GE)
 
 _STEP_DAMP = 0.99995  # fraction-to-boundary
 _DIVERGE = 1e14
+_KKT_REFINE_STEPS = 3  # refinement steps on an unpivoted KKT solve
+_KKT_REFINE_TOL = 1e-10  # accepted residual, relative to 1 + |rhs|
 
 
 class NumericsError(ValueError):
@@ -237,6 +251,7 @@ class ProblemBuilder:
         self._qdiag = []
         self._row_idx = []
         self._row_coef = []
+        self._row_len = []
         self._senses = []
         self._rhs = []
         self._n = 0
@@ -256,10 +271,27 @@ class ProblemBuilder:
         return idx
 
     def add_row(self, indices, coeffs, sense, rhs):
-        self._row_idx.append(np.asarray(indices, dtype=np.int64))
+        idx = np.asarray(indices, dtype=np.int64)
+        self._row_idx.append(idx)
         self._row_coef.append(np.asarray(coeffs, dtype=np.float64))
+        self._row_len.append(len(idx))
         self._senses.append(sense)
         self._rhs.append(float(rhs))
+
+    def add_rows(self, indices, coeffs, sense, rhs):
+        """Append one row per line of the (k, w) index array `indices`.
+
+        coeffs broadcasts against indices (a length-w vector gives every
+        row the same coefficients) and rhs against k rows.
+        """
+        idx = np.asarray(indices, dtype=np.int64)
+        k, width = idx.shape
+        coef = np.broadcast_to(np.asarray(coeffs, dtype=np.float64), idx.shape)
+        self._row_idx.append(idx.ravel())
+        self._row_coef.append(coef.ravel())
+        self._row_len.extend([width] * k)
+        self._senses.extend([sense] * k)
+        self._rhs.extend(np.broadcast_to(np.asarray(rhs, dtype=np.float64), (k,)).tolist())
 
     def add_constraints(self, rows, offset=0):
         """Splice in LinearConstraint rows, shifting variable indices by offset."""
@@ -269,8 +301,7 @@ class ProblemBuilder:
     def _assemble(self):
         n = self._n
         m = len(self._rhs)
-        counts = [len(ix) for ix in self._row_idx]
-        ri = np.repeat(np.arange(m), counts)
+        ri = np.repeat(np.arange(m), self._row_len)
         ci = np.concatenate(self._row_idx) if m else np.zeros(0, dtype=np.int64)
         dat = np.concatenate(self._row_coef) if m else np.zeros(0)
         a = sp.csr_matrix((dat, (ri, ci)), shape=(m, n))
@@ -471,6 +502,76 @@ class _IpmResult:
         self.iters = iters
 
 
+class _QuasidefiniteKkt:
+    """The regularized augmented matrix [[D + delta I, A'], [A, -delta I]].
+
+    Its sparsity pattern is assembled once per solve; every factorization
+    only writes the diagonal.  With delta > 0 the matrix is quasidefinite,
+    so a symmetric factorization exists for every symmetric ordering
+    (Vanderbei, SIAM J. Optim. 1995): it is factored with diagonal pivots
+    in symmetric mode, and each solve is iteratively refined against the
+    matrix itself.  A solve whose refined residual still misses is redone
+    with a partially pivoted factorization of the same matrix.
+    """
+
+    def __init__(self, a, at):
+        m, n = a.shape
+        self.n = n
+        if m:
+            mat = sp.bmat([[sp.identity(n), at], [a, sp.identity(m)]],
+                          format="csc")
+        else:
+            mat = sp.identity(n, format="csc")
+        mat.sort_indices()
+        cols = np.repeat(np.arange(n + m), np.diff(mat.indptr))
+        # the identity blocks hold the only diagonal entries: A' sits
+        # strictly above it and A strictly below
+        self.diag_pos = np.flatnonzero(mat.indices == cols)
+        self.mat = mat
+        self.lu = None
+        self.pivoted = None
+
+    def factor(self, dtil, delta):
+        """Factor at diagonal dtil and regularization delta.
+
+        Raises RuntimeError when even the pivoted factorization is singular.
+        """
+        n = self.n
+        self.mat.data[self.diag_pos[:n]] = dtil + delta
+        self.mat.data[self.diag_pos[n:]] = -delta
+        self.pivoted = None
+        try:
+            self.lu = splu(self.mat, permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
+        except RuntimeError:
+            # a zero diagonal pivot: go straight to partial pivoting
+            self.lu = self.pivoted = splu(self.mat, permc_spec="MMD_AT_PLUS_A")
+
+    def solve(self, r1, r2):
+        rhs = np.concatenate([r1, r2])
+        sol = self.lu.solve(rhs)
+        if self.lu is not self.pivoted:
+            scale = _KKT_REFINE_TOL * (1.0 + float(np.abs(rhs).max()))
+            for step in range(_KKT_REFINE_STEPS + 1):
+                res = rhs - self.mat @ sol
+                if np.abs(res).max() <= scale:
+                    break
+                if step == _KKT_REFINE_STEPS:
+                    sol = self._pivoted_solve(rhs, sol)
+                    break
+                sol = sol + self.lu.solve(res)
+        return np.split(sol, [self.n])
+
+    def _pivoted_solve(self, rhs, fallback):
+        if self.pivoted is None:
+            try:
+                self.pivoted = splu(self.mat, permc_spec="MMD_AT_PLUS_A")
+            except RuntimeError:
+                return fallback
+        return self.pivoted.solve(rhs)
+
+
 def _ipm(std, tol, max_iter):
     """Mehrotra predictor-corrector on the standard form.
 
@@ -549,6 +650,7 @@ def _ipm_loop(std, tol, max_iter):
     best_score = np.inf
     stall = 0
     delta = 1e-10
+    kkt = None
 
     def residuals(x, y, zl, zu):
         qx = _q_matvec(qdiag, rank_ones, x)
@@ -608,19 +710,16 @@ def _ipm_loop(std, tol, max_iter):
                 except Exception:
                     break
             else:
-                kmat = sp.bmat([[sp.diags(dtil + delta), at],
-                                [a, -delta * sp.eye(m)]], format="csc") if m else sp.diags(dtil + delta).tocsc()
+                if kkt is None:
+                    kkt = _QuasidefiniteKkt(a, at)
                 try:
-                    lu = splu(kmat, permc_spec="MMD_AT_PLUS_A")
+                    kkt.factor(dtil, delta)
                 except RuntimeError:
                     if delta > 1.0:
                         break
                     delta *= 100.0
                     continue
-                if m:
-                    solve_kkt = lambda r1, r2: np.split(lu.solve(np.concatenate([r1, r2])), [n])
-                else:
-                    solve_kkt = lambda r1, r2: (lu.solve(r1), np.zeros(0))
+                solve_kkt = kkt.solve
         else:
             dinv = 1.0 / (dtil + delta)
             if m:
@@ -754,23 +853,28 @@ def _unbounded_ray(std):
     return ok_null and ok_box and float(std.c @ d) < -1e-7 * cscale
 
 
-def _phase1_feasible(std, tol):
-    """Minimize the l1 constraint violation; decides feasibility robustly."""
+def _phase1_feasible(std):
+    """Minimize the l1 constraint violation; decides feasibility robustly.
+
+    Always solved at 1e-9, whatever the caller's tolerance: the violation
+    it accepts (1e-7 relative) must lie above the solve's own residual, or
+    a loose tolerance turns a feasible problem into an "infeasible" one.
+    """
     m, n = std.a.shape
     if m == 0:
-        return True, None
+        return True
     a1 = sp.hstack([std.a, sp.eye(m), -sp.eye(m)], format="csr")
     c1 = np.concatenate([np.zeros(n), np.ones(2 * m)])
     q1 = np.zeros(n + 2 * m)
     lb1 = np.concatenate([std.lb, np.zeros(2 * m)])
     ub1 = np.concatenate([std.ub, np.full(2 * m, np.inf)])
     sub = _Standard(c1, q1, (), a1, np.asarray([EQ] * m, dtype="U2"), std.b.copy(), lb1, ub1)
-    res = _ipm(sub, max(tol, 1e-9), 500)
+    res = _ipm(sub, 1e-9, 500)
     if res.x is None:
-        return False, None
+        return False
     viol = float(c1 @ res.x)
     bscale = 1.0 + float(np.abs(std.b).max())
-    return viol <= 1e-7 * bscale, res.x[:n]
+    return viol <= 1e-7 * bscale
 
 
 def _finish(problem, std, res, tol, maximize, qdiag_orig, rank_ones, iters_extra=0):
@@ -868,8 +972,7 @@ def _solve(problem, qdiag, rank_ones, tol, max_iter, maximize):
         return report
 
     # did not converge: decide between infeasible, unbounded and plain failure
-    feasible, _ = _phase1_feasible(std, tol)
-    if not feasible:
+    if not _phase1_feasible(std):
         return SolveReport("infeasible", None, np.nan, report.primal_residual,
                            report.dual_residual, report.duality_gap,
                            report.complementarity, res.iters)

@@ -29,7 +29,15 @@ _OVERLAP_TOL = 1e-6  # import/export overlap beyond this is flagged
 
 
 class SizingError(RuntimeError):
-    """A planning subproblem failed to solve; carries the combination."""
+    """A planning subproblem failed to solve.
+
+    The message names the combination's capacity bounds and what the solver
+    tried; `report` is its SolveReport (None when no solve ran).
+    """
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 def pv_production(alpha, pv_capacity_kw, delta_hours):
@@ -161,8 +169,6 @@ def _economics_for(decision, dispatches, bundle):
     cap_pv = params.pv_rate(decision.pv_capacity_kw) * decision.pv_capacity_kw
     cap_es = params.beta_es * decision.es_energy_kwh
     cap_grid = params.grid_connection_cost if decision.builds_anything else 0.0
-    cap_total = (decision.pv_inverter_cost + decision.es_inverter_cost
-                 + cap_pv + cap_es + cap_grid)
 
     without = float(tariff.grid_energy_price @ l_agg) * ys + fixed_yearly
     with_sys = 0.0
@@ -188,7 +194,7 @@ def _economics_for(decision, dispatches, bundle):
         capex_pv=cap_pv,
         capex_es=cap_es,
         capex_grid=cap_grid,
-        capex_total=cap_total,
+        capex_total=capex(decision, params),
         annual_grid_cost_without=without,
         annual_grid_cost_with=with_sys,
         annual_local_energy=local,
@@ -242,6 +248,16 @@ def _snap(value, lo, hi, tol=1e-7):
 def _solve_combo(bundle, pv_lo, pv_hi, es_hi, tier_rate, sub_rate, es_lo=0.0):
     """One enumerated combination: an LP over capacities and dispatch.
 
+    Variables are the PV capacity p_pv, the storage power p_es (energy
+    capacity kappa * p_es) and, per scenario and period, charge c_t,
+    discharge d_t, grid import, surplus and the state of charge s_t after
+    the period.  Per scenario the rows are the energy balance, the power
+    caps c_t, d_t <= delta * p_es, the recursion
+    s_t - s_{t-1} - eta c_t + d_t / eta = 0 starting from
+    s_{-1} = kappa p_es / 2, the energy cap s_t <= kappa p_es and the
+    cyclic closure s_{T-1} = kappa p_es / 2 (the same recursion mpc_step
+    uses), so rows and nonzeros grow linearly in T.
+
     Returns (pv_capacity, es_power, [(charge, discharge) per scenario],
     [(raw import, raw surplus) per scenario]) at the optimum.
     """
@@ -263,6 +279,11 @@ def _solve_combo(bundle, pv_lo, pv_hi, es_hi, tier_rate, sub_rate, es_lo=0.0):
     p_pv = pb.add_vars(1, lb=pv_lo, ub=pv_hi,
                        cost=tier_rate + pvf * params.beta_mnt - sub_factor * sub_rate)
     p_es = pb.add_vars(1, lb=es_lo, ub=es_hi, cost=params.beta_es * kappa)
+    pv_col = np.full(t_len, p_pv[0])
+    es_col = np.full(t_len, p_es[0])
+    ones = np.ones(t_len)
+    # the period before the first is the half-full battery kappa p_es / 2
+    prev_coef = np.concatenate([[-0.5 * kappa], -ones[1:]])
     per_scenario = []
     for widx in range(scen.num_scenarios):
         prob = probs[widx]
@@ -274,28 +295,28 @@ def _solve_combo(bundle, pv_lo, pv_hi, es_hi, tier_rate, sub_rate, es_lo=0.0):
                          cost=prob * w * tariff.grid_energy_price)
         gs = pb.add_vars(t_len, lb=0.0,
                          cost=prob * w * (tariff.export_tax - tariff.export_price))
-        for t in range(t_len):
-            pb.add_row([gg[t], gs[t], c[t], d[t], p_pv[0]],
-                       [1.0, -1.0, -1.0, 1.0, delta * alpha[t]], "==", l_agg[t])
-            pb.add_row([c[t], p_es[0]], [1.0, -delta], "<=", 0.0)
-            pb.add_row([d[t], p_es[0]], [1.0, -delta], "<=", 0.0)
-        for t in range(1, t_len + 1):
-            idx = np.concatenate([c[:t], d[:t], p_es])
-            coef = np.concatenate([np.full(t, eta), np.full(t, -1.0 / eta),
-                                   [0.5 * kappa]])
-            pb.add_row(idx, coef.copy(), ">=", 0.0)
-            coef[-1] = -0.5 * kappa
-            pb.add_row(idx, coef, "<=", 0.0)
-        idx = np.concatenate([c, d])
-        coef = np.concatenate([np.full(t_len, eta), np.full(t_len, -1.0 / eta)])
-        pb.add_row(idx, coef, "==", 0.0)
+        soc = pb.add_vars(t_len, lb=0.0)
+        pb.add_rows(np.column_stack([gg, gs, c, d, pv_col]),
+                    np.column_stack([ones, -ones, -ones, ones, delta * alpha]),
+                    "==", l_agg)
+        pb.add_rows(np.column_stack([c, es_col]), [1.0, -delta], "<=", 0.0)
+        pb.add_rows(np.column_stack([d, es_col]), [1.0, -delta], "<=", 0.0)
+        prev = np.concatenate([p_es, soc[:-1]])
+        pb.add_rows(np.column_stack([soc, prev, c, d]),
+                    np.column_stack([ones, prev_coef, -eta * ones, ones / eta]),
+                    "==", 0.0)
+        pb.add_rows(np.column_stack([soc, es_col]), [1.0, -kappa], "<=", 0.0)
+        pb.add_row([soc[-1], p_es[0]], [1.0, -0.5 * kappa], "==", 0.0)
         per_scenario.append((c, d, gg, gs))
 
     rep = solve_lp(pb.lp(), tol=1e-9)
     if rep.status != "optimal":
         raise SizingError(
-            f"planning subproblem ended {rep.status} "
-            f"(pv in [{pv_lo:.6g}, {pv_hi:.6g}], es up to {es_hi:.6g})")
+            f"planning subproblem ended {rep.status} after {rep.iterations} "
+            f"iterations (primal residual {rep.primal_residual:.3g}, dual "
+            f"residual {rep.dual_residual:.3g}, gap {rep.duality_gap:.3g}; "
+            f"pv in [{pv_lo:.6g}, {pv_hi:.6g}], es in [{es_lo:.6g}, {es_hi:.6g}])",
+            rep)
     x = rep.x
     pv_cap = _snap(float(np.clip(x[p_pv[0]], pv_lo, pv_hi)), pv_lo, pv_hi)
     es_pow = _snap(float(np.clip(x[p_es[0]], es_lo, es_hi)), es_lo, es_hi)

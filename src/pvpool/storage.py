@@ -4,6 +4,14 @@ One linear storage model backs everything: the sizing LP, the rolling-horizon
 control problem and the simulation validator all use the same recursion
 SoC_{t+1} = SoC_t + eta_c * c_t - d_t / eta_d, so a dispatch declared feasible
 by one path is feasible for all of them.
+
+The two optimization models share its state-recursion form: the sizing LP
+(sizing._solve_combo) and the control problem (operation.mpc_step) carry the
+state of charge as variables tied by one equality row per period, so their
+rows and nonzeros grow linearly in the horizon.  lp_constraints below is the
+only remaining cumulative form, with every state-of-charge limit written as
+a running sum over [c; d] (quadratically many nonzeros); only the tests use
+it.
 """
 
 from __future__ import annotations

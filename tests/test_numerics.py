@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pvpool import numerics
 from pvpool.numerics import (
     ConvexQuadraticProgram,
     LinearConstraint,
@@ -269,6 +270,71 @@ def test_builder_offset_splice():
     rep = solve_lp(pb.lp())
     assert rep.status == "optimal"
     assert rep.x[1] == pytest.approx(2.0, abs=1e-8)
+
+
+def test_add_rows_matches_row_by_row():
+    rng = np.random.default_rng(5)
+    idx = rng.integers(0, 6, (4, 3))
+    coef = rng.normal(size=(4, 3))
+    rhs = rng.normal(size=4)
+    block, single = ProblemBuilder(), ProblemBuilder()
+    for pb in (block, single):
+        pb.add_vars(6, lb=0.0, ub=1.0, cost=1.0)
+        pb.add_row([0, 5], [1.0, 1.0], "<=", 1.5)
+    block.add_rows(idx, coef, ">=", rhs)
+    block.add_rows(idx[:2], [1.0, -1.0, 2.0], "==", 0.5)
+    for k in range(4):
+        single.add_row(idx[k], coef[k], ">=", rhs[k])
+    for k in range(2):
+        single.add_row(idx[k], [1.0, -1.0, 2.0], "==", 0.5)
+    got, want = block.lp(), single.lp()
+    assert (got.a != want.a).nnz == 0
+    assert list(got.senses) == list(want.senses)
+    assert got.rhs.tobytes() == want.rhs.tobytes()
+
+
+def test_kkt_pivoted_fallback_still_certifies(monkeypatch):
+    # a scaled duplicate row leaves the regularized KKT matrix nearly
+    # singular, so the unpivoted factorization misses even after
+    # refinement and the solve falls back to partial pivoting
+    fallbacks = []
+    pivoted_solve = numerics._QuasidefiniteKkt._pivoted_solve
+
+    def counted(self, rhs, fallback):
+        fallbacks.append(rhs.shape[0])
+        return pivoted_solve(self, rhs, fallback)
+
+    monkeypatch.setattr(numerics._QuasidefiniteKkt, "_pivoted_solve", counted)
+    pb = ProblemBuilder()
+    x = pb.add_vars(1, lb=-np.inf, ub=np.inf, cost=1.0)  # forces the kkt path
+    y = pb.add_vars(2, lb=[-3.0, 0.0], ub=[5.0, 4.0], cost=[0.0, 1.0])
+    xy = np.concatenate([x, y])
+    pb.add_row(xy, [1.0, -1.0, 1.0], "==", 1.0)
+    pb.add_row(xy, [2.0, -2.0, 2.0], "==", 2.0)
+    rep = solve_lp(pb.lp())
+    assert fallbacks
+    assert rep.status == "optimal"
+    assert rep.objective == pytest.approx(-2.0, abs=1e-7)
+    assert rep.x[1] == pytest.approx(-3.0, abs=1e-7)
+
+
+def test_iteration_limit_on_feasible_qp_is_not_infeasible():
+    # feasibility is decided at 1e-9 whatever the solve's tolerance; at the
+    # default 1e-6 a loose phase 1 used to call some of these infeasible
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 12))
+        lb = rng.uniform(-2.0, 0.0, n)
+        ub = lb + rng.uniform(0.5, 4.0, n)
+        x0 = lb + rng.uniform(0.0, 1.0, n) * (ub - lb)  # feasible point
+        pb = ProblemBuilder()
+        idx = pb.add_vars(n, lb=lb, ub=ub, cost=rng.normal(size=n),
+                          qdiag=rng.uniform(0.0, 2.0, n))
+        for _ in range(int(rng.integers(1, 5))):
+            a = rng.normal(size=n)
+            pb.add_row(idx, a, "==", float(a @ x0))
+        rep = solve_qp(pb.qp(), tol=1e-6, max_iter=2)
+        assert rep.status == "iteration_limit", seed
 
 
 def test_report_residuals_recomputable():

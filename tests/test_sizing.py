@@ -7,9 +7,11 @@ import pytest
 from pvpool.domain import (InputBundle, InverterCatalog, LoadMatrix,
                            SolarScenarioSet, SubsidyRule, Tariff,
                            TechEconParams, TimeGrid, check_dispatch)
-from pvpool.sizing import (SizingEconomics, capex, investor_profit, opex,
-                           pv_production, solve_sizing, split_flows,
-                           subsidy_present_value, welfare_objective)
+from pvpool import numerics, sizing
+from pvpool.sizing import (SizingEconomics, SizingError, capex,
+                           investor_profit, opex, pv_production, solve_sizing,
+                           split_flows, subsidy_present_value,
+                           welfare_objective)
 from pvpool.storage import StorageSpec, check_feasible
 
 from oracles import sizing_point_value
@@ -340,3 +342,51 @@ def test_expected_served_weights_scenarios():
     manual = sum(p * d.to_consumers for p, d in zip(res.probabilities,
                                                     res.dispatches))
     assert np.allclose(res.expected_served(), manual, atol=1e-12)
+
+
+def _sizing_lps(monkeypatch, bundle):
+    """Every LP solve_sizing hands to the solver, in call order."""
+    lps = []
+
+    def capture(lp, **kwargs):
+        lps.append(lp)
+        return numerics.solve_lp(lp, **kwargs)
+
+    monkeypatch.setattr(sizing, "solve_lp", capture)
+    solve_sizing(bundle, _TOY_CATALOG)
+    return lps
+
+
+def test_sizing_lp_grows_linearly_in_periods(monkeypatch):
+    short = _sizing_lps(monkeypatch, _toy_bundle(t_len=12))
+    long = _sizing_lps(monkeypatch, _toy_bundle(t_len=24))
+    assert len(short) == len(long) > 0
+    nnz_short = sum(lp.a.nnz for lp in short)
+    nnz_long = sum(lp.a.nnz for lp in long)
+    assert nnz_long <= 2.1 * nnz_short
+
+
+def test_sizing_error_reports_what_was_tried(monkeypatch):
+    # two interior-point iterations cannot reach the LP's 1e-9 tolerance
+    def starved(lp, **kwargs):
+        return numerics.solve_lp(lp, max_iter=2, **kwargs)
+
+    monkeypatch.setattr(sizing, "solve_lp", starved)
+    with pytest.raises(SizingError) as info:
+        solve_sizing(_toy_bundle(), _TOY_CATALOG)
+    rep = info.value.report
+    assert rep.status == "iteration_limit"
+    assert rep.iterations == 2
+    message = str(info.value)
+    for part in ("iteration_limit", "after 2 iterations",
+                 f"primal residual {rep.primal_residual:.3g}",
+                 f"dual residual {rep.dual_residual:.3g}",
+                 f"gap {rep.duality_gap:.3g}", "pv in [", "es in ["):
+        assert part in message
+
+
+def test_economics_capex_total_is_capex():
+    bundle = _toy_bundle()
+    res = solve_sizing(bundle, _TOY_CATALOG)
+    assert res.decision.builds_anything
+    assert res.economics.capex_total == capex(res.decision, bundle.params)
