@@ -117,22 +117,24 @@ def construct_feasible_key(served, loads):
 
 
 def _repair_rows(raw, served, values):
-    """Force exact row sums back onto a near-feasible key candidate."""
+    """Force exact row sums back onto a near-feasible key candidate.
+
+    A row short of its target is filled in proportion to the headroom left
+    below the loads (to the loads outright when there is none); a row over
+    its target is shrunk in proportion to its entries.
+    """
     out = np.clip(raw, 0.0, values)
     target = np.minimum(np.maximum(served, 0.0), values.sum(axis=1))
-    for t in range(out.shape[0]):
-        gap = target[t] - out[t].sum()
-        if gap > 0.0:
-            headroom = np.maximum(values[t] - out[t], 0.0)
-            total = headroom.sum()
-            if total <= 0.0:
-                out[t] = values[t]
-            else:
-                out[t] += gap * headroom / total
-        elif gap < 0.0:
-            total = out[t].sum()
-            if total > 0.0:
-                out[t] += gap * out[t] / total
+    totals = out.sum(axis=1)
+    gap = target - totals
+    headroom = np.maximum(values - out, 0.0)
+    room = headroom.sum(axis=1)
+    fill = (gap > 0.0) & (room > 0.0)
+    out[fill] += gap[fill, None] * headroom[fill] / room[fill, None]
+    full = (gap > 0.0) & (room <= 0.0)
+    out[full] = values[full]
+    shrink = (gap < 0.0) & (totals > 0.0)
+    out[shrink] += gap[shrink, None] * out[shrink] / totals[shrink, None]
     return np.clip(out, 0.0, values)
 
 

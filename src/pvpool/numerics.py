@@ -14,14 +14,20 @@ equality rows plus box bounds.  Every solve is deterministic: identical inputs
 produce bit-identical reports.
 
 Each iteration solves one Newton system, on one of three paths.  The normal
-equations A D^-1 A' (sparse LU with one refinement step) serve problems
-whose columns are all short.  Problems with a near-dense column (a capacity
-coupling every period, as in the sizing LP) or a free variable without
-curvature take the regularized augmented (KKT) system instead; its pattern
-is assembled once per solve and its quasidefinite matrix is factored
-without pivoting, refined, and re-factored with pivoting only when the
-refined residual misses (_QuasidefiniteKkt).  Rank-one objectives use a
-dense LU of the augmented system.
+equations A D^-1 A' serve problems whose columns are all short; their
+pattern and a map from D^-1 to their data are built once per solve
+(_NormalEquations).  Problems with a near-dense column (a capacity coupling
+every period, as in the sizing LP) or a free variable without curvature
+take the regularized augmented (KKT) system instead, whose pattern is also
+assembled once per solve (_QuasidefiniteKkt).  Both sparse paths share one
+fixed-pattern factorization (_SymmetricFactor): the matrix is positive
+definite or quasidefinite, so it is factored without pivoting, the first
+factorization's fill-reducing ordering is reused by every later one, each
+solve is refined, and a solve whose refined residual misses is redone with
+pivoting.  Rank-one objectives use a dense LU of the augmented system.
+
+The starting point's least-norm correction toward A x = b is solved on the
+system the iterations will use, so its factorization fixes their ordering.
 
 A report with status "optimal" carries residuals measured at the returned
 point against the original problem, so callers can verify the certificate
@@ -502,16 +508,111 @@ class _IpmResult:
         self.iters = iters
 
 
-class _QuasidefiniteKkt:
+_UNPIVOTED = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
+
+
+class _SymmetricFactor:
+    """A symmetric CSC matrix with a fixed pattern, factored without pivoting.
+
+    Subclasses write `mat.data` (every diagonal entry is stored, at
+    diag_pos) and call `factor`.  The first factorization picks a
+    fill-reducing symmetric ordering; every later one gathers the data into
+    the pattern permuted by that ordering and factors it in its natural
+    order, which skips the ordering and keeps the same fill.  The
+    matrices factored here are quasidefinite or positive definite, so a
+    factorization with diagonal pivots exists for every symmetric ordering
+    (Vanderbei, SIAM J. Optim. 1995).  Each solve is iteratively refined
+    against the matrix itself; a solve whose refined residual still misses
+    is redone with a partially pivoted factorization of the same matrix.
+    """
+
+    def __init__(self, mat):
+        mat.sort_indices()
+        self.mat = mat
+        cols = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+        self.diag_pos = np.flatnonzero(mat.indices == cols)
+        self.order = None  # position k of the ordering holds row order[k]
+        self._permuted = None
+        self._gather = None
+        self._perm = None  # the ordering the current lu factors in
+        self.lu = None
+        self.pivoted = None
+
+    def factor(self):
+        """Factor mat at its current data.
+
+        Raises RuntimeError when even the pivoted factorization is singular.
+        """
+        self.pivoted = None
+        try:
+            if self.order is None:
+                self.lu = splu(self.mat, permc_spec="MMD_AT_PLUS_A", **_UNPIVOTED)
+                self._perm = None
+                self._fix_order(self.lu.perm_c)
+            else:
+                self._permuted.data = self.mat.data[self._gather]
+                self.lu = splu(self._permuted, permc_spec="NATURAL", **_UNPIVOTED)
+                self._perm = self.order
+        except RuntimeError:
+            # a zero diagonal pivot: go straight to partial pivoting
+            self.lu = self.pivoted = splu(self.mat, permc_spec="MMD_AT_PLUS_A")
+            self._perm = None
+
+    def _fix_order(self, perm_c):
+        """Keep the permuted pattern and a gather index from mat.data into it.
+
+        splu factors mat[:, argsort(perm_c)]; with diagonal pivots in
+        symmetric mode the rows follow the same order.
+        """
+        mat = self.mat
+        size = mat.shape[0]
+        cols = np.repeat(np.arange(size), np.diff(mat.indptr))
+        new_rows = perm_c[mat.indices]
+        new_cols = perm_c[cols]
+        gather = np.argsort(new_cols.astype(np.int64) * size + new_rows)
+        indptr = np.zeros(size + 1, dtype=mat.indptr.dtype)
+        np.cumsum(np.bincount(new_cols, minlength=size), out=indptr[1:])
+        self._permuted = sp.csc_matrix(
+            (mat.data[gather], new_rows[gather].astype(mat.indices.dtype), indptr),
+            shape=mat.shape)
+        self._gather = gather
+        self.order = np.argsort(perm_c)
+
+    def _lu_solve(self, rhs):
+        if self._perm is None:
+            return self.lu.solve(rhs)
+        out = np.empty_like(rhs)
+        out[self._perm] = self.lu.solve(rhs[self._perm])
+        return out
+
+    def solve(self, rhs):
+        sol = self._lu_solve(rhs)
+        if self.lu is not self.pivoted:
+            scale = _KKT_REFINE_TOL * (1.0 + float(np.abs(rhs).max()))
+            for step in range(_KKT_REFINE_STEPS + 1):
+                res = rhs - self.mat @ sol
+                if np.abs(res).max() <= scale:
+                    break
+                if step == _KKT_REFINE_STEPS:
+                    sol = self._pivoted_solve(rhs, sol)
+                    break
+                sol = sol + self._lu_solve(res)
+        return sol
+
+    def _pivoted_solve(self, rhs, fallback):
+        if self.pivoted is None:
+            try:
+                self.pivoted = splu(self.mat, permc_spec="MMD_AT_PLUS_A")
+            except RuntimeError:
+                return fallback
+        return self.pivoted.solve(rhs)
+
+
+class _QuasidefiniteKkt(_SymmetricFactor):
     """The regularized augmented matrix [[D + delta I, A'], [A, -delta I]].
 
     Its sparsity pattern is assembled once per solve; every factorization
-    only writes the diagonal.  With delta > 0 the matrix is quasidefinite,
-    so a symmetric factorization exists for every symmetric ordering
-    (Vanderbei, SIAM J. Optim. 1995): it is factored with diagonal pivots
-    in symmetric mode, and each solve is iteratively refined against the
-    matrix itself.  A solve whose refined residual still misses is redone
-    with a partially pivoted factorization of the same matrix.
+    only writes the diagonal.  With delta > 0 the matrix is quasidefinite.
     """
 
     def __init__(self, a, at):
@@ -522,54 +623,70 @@ class _QuasidefiniteKkt:
                           format="csc")
         else:
             mat = sp.identity(n, format="csc")
-        mat.sort_indices()
-        cols = np.repeat(np.arange(n + m), np.diff(mat.indptr))
-        # the identity blocks hold the only diagonal entries: A' sits
-        # strictly above it and A strictly below
-        self.diag_pos = np.flatnonzero(mat.indices == cols)
-        self.mat = mat
-        self.lu = None
-        self.pivoted = None
+        super().__init__(mat)
 
     def factor(self, dtil, delta):
-        """Factor at diagonal dtil and regularization delta.
-
-        Raises RuntimeError when even the pivoted factorization is singular.
-        """
+        """Factor at diagonal dtil and regularization delta."""
         n = self.n
         self.mat.data[self.diag_pos[:n]] = dtil + delta
         self.mat.data[self.diag_pos[n:]] = -delta
-        self.pivoted = None
-        try:
-            self.lu = splu(self.mat, permc_spec="MMD_AT_PLUS_A",
-                           diag_pivot_thresh=0.0,
-                           options={"SymmetricMode": True})
-        except RuntimeError:
-            # a zero diagonal pivot: go straight to partial pivoting
-            self.lu = self.pivoted = splu(self.mat, permc_spec="MMD_AT_PLUS_A")
+        super().factor()
 
     def solve(self, r1, r2):
-        rhs = np.concatenate([r1, r2])
-        sol = self.lu.solve(rhs)
-        if self.lu is not self.pivoted:
-            scale = _KKT_REFINE_TOL * (1.0 + float(np.abs(rhs).max()))
-            for step in range(_KKT_REFINE_STEPS + 1):
-                res = rhs - self.mat @ sol
-                if np.abs(res).max() <= scale:
-                    break
-                if step == _KKT_REFINE_STEPS:
-                    sol = self._pivoted_solve(rhs, sol)
-                    break
-                sol = sol + self.lu.solve(res)
-        return np.split(sol, [self.n])
+        return np.split(super().solve(np.concatenate([r1, r2])), [self.n])
 
-    def _pivoted_solve(self, rhs, fallback):
-        if self.pivoted is None:
-            try:
-                self.pivoted = splu(self.mat, permc_spec="MMD_AT_PLUS_A")
-            except RuntimeError:
-                return fallback
-        return self.pivoted.solve(rhs)
+
+def _normal_product_map(at, m):
+    """Pattern of A D A' and the map from diag(D) to its stored data.
+
+    at is A' in CSR form, so its row k lists the nonzeros of column k of A.
+    Every pair (i, j) of nonzeros in column k adds a_ik a_jk d_k to entry
+    (i, j), so the map holds one entry per such pair: the sum of nnz(col k)^2,
+    the multiplications a sparse product would make.  Returns the pattern
+    (CSC, sorted, data zero, diagonal always present) and the map
+    (nnz(pattern) x n), so that the data for a diagonal d is map @ d.
+    """
+    n = at.shape[0]
+    cnt = np.diff(at.indptr)
+    col_of = np.repeat(np.arange(n), cnt)  # column of A behind each entry
+    reps = cnt[col_of]
+    first = np.repeat(np.arange(at.nnz), reps)
+    starts = np.cumsum(reps) - reps
+    second = np.repeat(at.indptr[:-1][col_of], reps) \
+        + np.arange(first.shape[0]) - np.repeat(starts, reps)
+    rows = at.indices[first].astype(np.int64)
+    cols = at.indices[second].astype(np.int64)
+    # the diagonal is always stored, so a regularization has a place to go
+    keys, slot = np.unique(np.concatenate([cols * m + rows,
+                                           np.arange(m) * (m + 1)]),
+                           return_inverse=True)
+    slot = slot[:first.shape[0]]
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // m, minlength=m), out=indptr[1:])
+    pattern = sp.csc_matrix((np.zeros(keys.shape[0]), keys % m, indptr),
+                            shape=(m, m))
+    # the pairs come column by column of A, so the map is built as CSC
+    map_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(cnt * cnt, out=map_ptr[1:])
+    pmap = sp.csc_matrix((at.data[first] * at.data[second], slot, map_ptr),
+                         shape=(keys.shape[0], n))
+    return pattern, pmap
+
+
+class _NormalEquations(_SymmetricFactor):
+    """The normal matrix A D A' + reg I, positive definite for reg > 0 or
+    A of full row rank; its pattern and product map are built once per
+    solve."""
+
+    def __init__(self, at, m):
+        pattern, self.pmap = _normal_product_map(at, m)
+        super().__init__(pattern)
+
+    def factor(self, dinv, reg=0.0):
+        self.mat.data[:] = self.pmap @ dinv
+        if reg:
+            self.mat.data[self.diag_pos] += reg
+        super().factor()
 
 
 def _ipm(std, tol, max_iter):
@@ -591,8 +708,6 @@ def _ipm_loop(std, tol, max_iter):
     has_ub = np.isfinite(ub)
     nu = int(has_lb.sum() + has_ub.sum())
     at = a.T.tocsr()
-    # row index of every stored entry of at, for per-iteration rescaling
-    at_rows = np.repeat(np.arange(n), np.diff(at.indptr)) if m else None
     b = std.b
     bscale = 1.0 + float(np.abs(b).max()) if m else 1.0
     cscale = 1.0 + float(np.abs(c).max()) if n else 1.0
@@ -627,14 +742,23 @@ def _ipm_loop(std, tol, max_iter):
     x[only_l] = lb[only_l] + 1.0
     only_u = ~has_lb & has_ub
     x[only_u] = ub[only_u] - 1.0
+    kkt = normal = None
     if m:
-        # one least-norm correction toward A x = b
+        # one least-norm correction toward A x = b, solved on the system the
+        # iterations use, so its factorization fixes their ordering:
+        # [[I, A'], [A, -1e-8 I]] on the KKT paths, and its block
+        # elimination (A A' + 1e-8 I) w = r, dx = A' w on the normal path
         try:
-            reg = sp.diags(np.ones(n))
-            kls = sp.bmat([[reg, at], [a, -1e-8 * sp.eye(m)]], format="csc")
-            lu0 = splu(kls, permc_spec="MMD_AT_PLUS_A")
-            sol = lu0.solve(np.concatenate([np.zeros(n), b - a @ x]))
-            x = x + sol[:n]
+            if kkt_path:
+                kkt = _QuasidefiniteKkt(a, at)
+                kkt.factor(1.0 - 1e-8, 1e-8)
+                dx = kkt.solve(np.zeros(n), b - a @ x)[0]
+            else:
+                normal = _NormalEquations(at, m)
+                normal.factor(np.ones(n), 1e-8)
+                dx = at @ normal.solve(b - a @ x)
+            if np.isfinite(dx).all():
+                x = x + dx
         except RuntimeError:
             pass
         width = np.where(both, ub - lb, np.inf)
@@ -650,7 +774,6 @@ def _ipm_loop(std, tol, max_iter):
     best_score = np.inf
     stall = 0
     delta = 1e-10
-    kkt = None
 
     def residuals(x, y, zl, zu):
         qx = _q_matvec(qdiag, rank_ones, x)
@@ -723,14 +846,8 @@ def _ipm_loop(std, tol, max_iter):
         else:
             dinv = 1.0 / (dtil + delta)
             if m:
-                # A D A' with the diagonal folded into at's stored data;
-                # saves a sparse-sparse product per iteration
-                at_scaled = sp.csr_matrix(
-                    (at.data * dinv[at_rows], at.indices, at.indptr),
-                    shape=at.shape)
-                smat = (a @ at_scaled).tocsc()
                 try:
-                    lu = splu(smat, permc_spec="MMD_AT_PLUS_A")
+                    normal.factor(dinv)
                 except RuntimeError:
                     # singular normal equations, e.g. linearly dependent rows
                     kkt_path = True
@@ -746,16 +863,13 @@ def _ipm_loop(std, tol, max_iter):
             else:
                 if m:
                     rhs_y = -rp + a @ (dinv * rhat)
-                    dy = lu.solve(rhs_y)
-                    res_y = rhs_y - smat @ dy
-                    rhs_scale = 1.0 + float(np.abs(rhs_y).max())
-                    if not np.isfinite(res_y).all() or np.abs(res_y).max() > 1e-10 * rhs_scale:
-                        # one refinement step; a solve that still misses means
-                        # the factorization is unusable (near-singular matrix)
-                        dy = dy + lu.solve(res_y) if np.isfinite(res_y).all() else dy
-                        res_y = rhs_y - smat @ dy
-                        if not np.isfinite(res_y).all() or np.abs(res_y).max() > 1e-6 * rhs_scale:
-                            raise _NormalPathFailure
+                    dy = normal.solve(rhs_y)
+                    res_y = rhs_y - normal.mat @ dy
+                    # a refined (or pivoted) solve that still misses means
+                    # the factorization is unusable (near-singular matrix)
+                    if not np.isfinite(res_y).all() or np.abs(res_y).max() \
+                            > 1e-6 * (1.0 + float(np.abs(rhs_y).max())):
+                        raise _NormalPathFailure
                     dx = dinv * (at @ dy - rhat)
                 else:
                     dy = np.zeros(0)
@@ -877,19 +991,21 @@ def _phase1_feasible(std):
     return viol <= 1e-7 * bscale
 
 
+def _row_violation(act, senses, rhs):
+    """Per-row violation of act (sense) rhs; a NaN activity on an
+    inequality row reads 0, as Python's max(0.0, nan) does."""
+    excess = act - rhs
+    return np.where(senses == LE, np.fmax(excess, 0.0),
+                    np.where(senses == GE, np.fmax(-excess, 0.0),
+                             np.abs(excess)))
+
+
 def _finish(problem, std, res, tol, maximize, qdiag_orig, rank_ones, iters_extra=0):
     """Map a core result back to the original problem and measure residuals."""
     x = std.expand(res.x)
     a, senses, rhs = problem.a, problem.senses, problem.rhs
     act = a @ x if a.shape[0] else np.zeros(0)
-    viol = np.zeros(len(rhs))
-    for i, s in enumerate(senses):
-        if s == LE:
-            viol[i] = max(0.0, act[i] - rhs[i])
-        elif s == GE:
-            viol[i] = max(0.0, rhs[i] - act[i])
-        else:
-            viol[i] = abs(act[i] - rhs[i])
+    viol = _row_violation(act, senses, rhs)
     bviol = np.maximum(np.maximum(problem.lb - x, x - problem.ub), 0.0)
     bviol = bviol[np.isfinite(bviol)]
     primal_residual = float(max(viol.max() if len(viol) else 0.0,

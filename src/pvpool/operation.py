@@ -228,6 +228,87 @@ def compute_mismatch(e_past, key, tail_allocations, e_future, promise,
     return probs @ (base + tails) - promise
 
 
+def _control_qp(state, window, spec, config, beta_es_use):
+    """The control QP of `mpc_step` and the index blocks of its variables.
+
+    Rows are added block by block: per branch (the head, then each tail
+    scenario) the energy balance, the state-of-charge recursion and the
+    served-energy rows, then one tracking row per consumer.  Returns the
+    QP and the (charge, discharge, import, export, split) index blocks of
+    the head and of each tail scenario.
+    """
+    tc, n = window.head_loads.shape
+    tt = window.tail_periods
+    w = window.probabilities.shape[0]
+    delta = window.delta_hours
+    cap_p = spec.power_cap_kw * delta
+    cap_e = spec.energy_cap_kwh
+    eta_c = spec.charge_efficiency
+    eta_d = spec.discharge_efficiency
+    soc0 = min(state.soc_kwh, cap_e)
+    head_agg = window.head_loads.sum(axis=1)
+    tail_agg = window.tail_loads.sum(axis=1) if tt else np.zeros(0)
+    balance = [1.0, -1.0, -1.0, 1.0]
+    recursion = [1.0, -1.0, -eta_c, 1.0 / eta_d]
+
+    pb = ProblemBuilder()
+    c = pb.add_vars(tc, lb=0.0, ub=cap_p, cost=beta_es_use)
+    d = pb.add_vars(tc, lb=0.0, ub=cap_p, cost=beta_es_use)
+    soc = pb.add_vars(tc, lb=0.0, ub=cap_e)
+    gg = pb.add_vars(tc, lb=0.0, ub=head_agg, cost=window.grid_price[:tc])
+    gs = pb.add_vars(tc, lb=0.0,
+                     cost=window.export_tax[:tc] - window.export_price[:tc])
+    ehat = pb.add_vars(tc * n, lb=0.0, ub=window.head_loads.ravel())
+    pb.add_rows(np.column_stack([gg, gs, c, d]), balance, "==",
+                head_agg - window.head_gen)
+    pb.add_row([soc[0], c[0], d[0]], [1.0, -eta_c, 1.0 / eta_d], "==", soc0)
+    pb.add_rows(np.column_stack([soc[1:], soc[:-1], c[1:], d[1:]]),
+                recursion, "==", 0.0)
+    # served energy is what the key must hand out: sum_i e_ti + gg_t = l_t
+    pb.add_rows(np.column_stack([ehat.reshape(tc, n), gg]), 1.0, "==",
+                head_agg)
+
+    tail_blocks = []
+    for widx in range(w if tt else 0):
+        pi = window.probabilities[widx]
+        cw = pb.add_vars(tt, lb=0.0, ub=cap_p, cost=pi * beta_es_use)
+        dw = pb.add_vars(tt, lb=0.0, ub=cap_p, cost=pi * beta_es_use)
+        socw = pb.add_vars(tt, lb=0.0, ub=cap_e)
+        ggw = pb.add_vars(tt, lb=0.0, ub=tail_agg,
+                          cost=pi * window.grid_price[tc:])
+        gsw = pb.add_vars(tt, lb=0.0,
+                          cost=pi * (window.export_tax[tc:]
+                                     - window.export_price[tc:]))
+        gw = pb.add_vars(tt * n, lb=0.0, ub=window.tail_loads.ravel())
+        pb.add_rows(np.column_stack([ggw, gsw, cw, dw]), balance, "==",
+                    tail_agg - window.tail_gen[:, widx])
+        prev = np.concatenate([soc[-1:], socw[:-1]])
+        pb.add_rows(np.column_stack([socw, prev, cw, dw]), recursion, "==",
+                    0.0)
+        pb.add_rows(np.column_stack([gw.reshape(tt, n), ggw]), 1.0, "==",
+                    tail_agg)
+        tail_blocks.append((cw, dw, ggw, gsw, gw))
+
+    theta = config.theta
+    if theta > 0.0:
+        # tracking distance: minimize theta * sum_i (deliver_i + rhs_i)^2
+        # with deliver_i the expected window allocation.  Written with the
+        # offset in the linear term so every variable stays at kWh scale;
+        # carrying rhs (cumulative promise gap, often hundreds of kWh)
+        # inside a variable stalls the solve short of tight tolerances.
+        rhs = state.e_past + state.e_future - state.promise
+        deliver = pb.add_vars(n, lb=-np.inf, ub=np.inf, qdiag=2.0 * theta,
+                              cost=2.0 * theta * rhs)
+        idx = np.column_stack([deliver, ehat.reshape(tc, n).T]
+                              + [blk[4].reshape(tt, n).T
+                                 for blk in tail_blocks])
+        coef = np.concatenate([[1.0], -np.ones(tc)]
+                              + [np.full(tt, -window.probabilities[widx])
+                                 for widx in range(len(tail_blocks))])
+        pb.add_rows(idx, coef, "==", 0.0)
+    return pb.qp(), (c, d, gg, gs, ehat), tail_blocks
+
+
 def mpc_step(state, window, spec, config, beta_es_use=0.0):
     """Solve one receding-horizon control problem.
 
@@ -246,80 +327,16 @@ def mpc_step(state, window, spec, config, beta_es_use=0.0):
     if tc + tt > config.prediction_periods:
         raise DomainError("window is longer than the prediction horizon")
 
-    delta = window.delta_hours
-    cap_p = spec.power_cap_kw * delta
-    cap_e = spec.energy_cap_kwh
-    eta_c = spec.charge_efficiency
-    eta_d = spec.discharge_efficiency
-    soc0 = min(state.soc_kwh, cap_e)
+    cap_p = spec.power_cap_kw * window.delta_hours
     head_agg = window.head_loads.sum(axis=1)
     tail_agg = window.tail_loads.sum(axis=1) if tt else np.zeros(0)
-
-    pb = ProblemBuilder()
-    c = pb.add_vars(tc, lb=0.0, ub=cap_p, cost=beta_es_use)
-    d = pb.add_vars(tc, lb=0.0, ub=cap_p, cost=beta_es_use)
-    soc = pb.add_vars(tc, lb=0.0, ub=cap_e)
-    gg = pb.add_vars(tc, lb=0.0, ub=head_agg, cost=window.grid_price[:tc])
-    gs = pb.add_vars(tc, lb=0.0,
-                     cost=window.export_tax[:tc] - window.export_price[:tc])
-    ehat = pb.add_vars(tc * n, lb=0.0, ub=window.head_loads.ravel())
-    for t in range(tc):
-        pb.add_row([gg[t], gs[t], c[t], d[t]], [1.0, -1.0, -1.0, 1.0],
-                   "==", head_agg[t] - window.head_gen[t])
-        if t == 0:
-            pb.add_row([soc[0], c[0], d[0]], [1.0, -eta_c, 1.0 / eta_d],
-                       "==", soc0)
-        else:
-            pb.add_row([soc[t], soc[t - 1], c[t], d[t]],
-                       [1.0, -1.0, -eta_c, 1.0 / eta_d], "==", 0.0)
-        # served energy is what the key must hand out: sum_i e_ti + gg_t = l_t
-        pb.add_row(np.concatenate([ehat[t * n:(t + 1) * n], [gg[t]]]),
-                   np.ones(n + 1), "==", head_agg[t])
-
-    tail_blocks = []
-    for widx in range(w if tt else 0):
-        pi = window.probabilities[widx]
-        cw = pb.add_vars(tt, lb=0.0, ub=cap_p, cost=pi * beta_es_use)
-        dw = pb.add_vars(tt, lb=0.0, ub=cap_p, cost=pi * beta_es_use)
-        socw = pb.add_vars(tt, lb=0.0, ub=cap_e)
-        ggw = pb.add_vars(tt, lb=0.0, ub=tail_agg,
-                          cost=pi * window.grid_price[tc:])
-        gsw = pb.add_vars(tt, lb=0.0,
-                          cost=pi * (window.export_tax[tc:]
-                                     - window.export_price[tc:]))
-        gw = pb.add_vars(tt * n, lb=0.0, ub=window.tail_loads.ravel())
-        for t in range(tt):
-            pb.add_row([ggw[t], gsw[t], cw[t], dw[t]], [1.0, -1.0, -1.0, 1.0],
-                       "==", tail_agg[t] - window.tail_gen[t, widx])
-            prev = soc[tc - 1] if t == 0 else socw[t - 1]
-            pb.add_row([socw[t], prev, cw[t], dw[t]],
-                       [1.0, -1.0, -eta_c, 1.0 / eta_d], "==", 0.0)
-            pb.add_row(np.concatenate([gw[t * n:(t + 1) * n], [ggw[t]]]),
-                       np.ones(n + 1), "==", tail_agg[t])
-        tail_blocks.append((cw, dw, ggw, gsw, gw))
-
     theta = config.theta
-    if theta > 0.0:
-        # tracking distance: minimize theta * sum_i (deliver_i + rhs_i)^2
-        # with deliver_i the expected window allocation.  Written with the
-        # offset in the linear term so every variable stays at kWh scale;
-        # carrying rhs (cumulative promise gap, often hundreds of kWh)
-        # inside a variable stalls the solve short of tight tolerances.
-        rhs = state.e_past + state.e_future - state.promise
-        deliver = pb.add_vars(n, lb=-np.inf, ub=np.inf, qdiag=2.0 * theta,
-                              cost=2.0 * theta * rhs)
-        for i in range(n):
-            idx = np.concatenate([[deliver[i]], ehat[i::n]] +
-                                 [blk[4][i::n] for blk in tail_blocks])
-            coef = np.concatenate(
-                [[1.0], -np.ones(tc)] +
-                [np.full(tt, -window.probabilities[widx])
-                 for widx, blk in enumerate(tail_blocks)])
-            pb.add_row(idx, coef, "==", 0.0)
+    qp, (c, d, gg, gs, ehat), tail_blocks = _control_qp(
+        state, window, spec, config, beta_es_use)
 
     # control accuracy: 1e-6 on kWh-scale decisions is micro-Wh; the split
     # itself is repaired to exact feasibility below either way
-    rep = solve_qp(pb.qp(), tol=1e-6)
+    rep = solve_qp(qp, tol=1e-6)
     if rep.status != "optimal":
         raise OperationError(f"control solve ended {rep.status}")
     x = rep.x

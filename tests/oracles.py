@@ -283,3 +283,112 @@ def sizing_point_value(bundle, pv_options, es_options, pv_cap, es_pow):
     return (-build + sub_pv
             - pvf * (params.beta_mnt * pv_cap + fixed_yearly)
             - pvf * ys * dispatch_cost)
+
+
+def repair_rows_loop(raw, served, values):
+    """Row-by-row reference for allocation._repair_rows."""
+    out = np.clip(raw, 0.0, values)
+    target = np.minimum(np.maximum(served, 0.0), values.sum(axis=1))
+    for t in range(out.shape[0]):
+        gap = target[t] - out[t].sum()
+        if gap > 0.0:
+            headroom = np.maximum(values[t] - out[t], 0.0)
+            total = headroom.sum()
+            if total <= 0.0:
+                out[t] = values[t]
+            else:
+                out[t] += gap * headroom / total
+        elif gap < 0.0:
+            total = out[t].sum()
+            if total > 0.0:
+                out[t] += gap * out[t] / total
+    return np.clip(out, 0.0, values)
+
+
+def row_violation_loop(act, senses, rhs):
+    """Sense-by-sense reference for numerics._row_violation."""
+    viol = np.zeros(len(rhs))
+    for i, s in enumerate(senses):
+        if s == "<=":
+            viol[i] = max(0.0, act[i] - rhs[i])
+        elif s == ">=":
+            viol[i] = max(0.0, rhs[i] - act[i])
+        else:
+            viol[i] = abs(act[i] - rhs[i])
+    return viol
+
+
+def control_qp_by_rows(state, window, spec, config, beta_es_use=0.0):
+    """Reference build of the control QP of operation.mpc_step, one row at
+    a time, interleaving each period's balance, state-of-charge and served
+    rows.  Variables come in the same order as in operation._control_qp."""
+    from pvpool.numerics import ProblemBuilder
+
+    tc, n = window.head_loads.shape
+    tt = window.tail_periods
+    w = window.probabilities.shape[0]
+    delta = window.delta_hours
+    cap_p = spec.power_cap_kw * delta
+    cap_e = spec.energy_cap_kwh
+    eta_c = spec.charge_efficiency
+    eta_d = spec.discharge_efficiency
+    soc0 = min(state.soc_kwh, cap_e)
+    head_agg = window.head_loads.sum(axis=1)
+    tail_agg = window.tail_loads.sum(axis=1) if tt else np.zeros(0)
+
+    pb = ProblemBuilder()
+    c = pb.add_vars(tc, lb=0.0, ub=cap_p, cost=beta_es_use)
+    d = pb.add_vars(tc, lb=0.0, ub=cap_p, cost=beta_es_use)
+    soc = pb.add_vars(tc, lb=0.0, ub=cap_e)
+    gg = pb.add_vars(tc, lb=0.0, ub=head_agg, cost=window.grid_price[:tc])
+    gs = pb.add_vars(tc, lb=0.0,
+                     cost=window.export_tax[:tc] - window.export_price[:tc])
+    ehat = pb.add_vars(tc * n, lb=0.0, ub=window.head_loads.ravel())
+    for t in range(tc):
+        pb.add_row([gg[t], gs[t], c[t], d[t]], [1.0, -1.0, -1.0, 1.0],
+                   "==", head_agg[t] - window.head_gen[t])
+        if t == 0:
+            pb.add_row([soc[0], c[0], d[0]], [1.0, -eta_c, 1.0 / eta_d],
+                       "==", soc0)
+        else:
+            pb.add_row([soc[t], soc[t - 1], c[t], d[t]],
+                       [1.0, -1.0, -eta_c, 1.0 / eta_d], "==", 0.0)
+        pb.add_row(np.concatenate([ehat[t * n:(t + 1) * n], [gg[t]]]),
+                   np.ones(n + 1), "==", head_agg[t])
+
+    tail_gw = []
+    for widx in range(w if tt else 0):
+        pi = window.probabilities[widx]
+        cw = pb.add_vars(tt, lb=0.0, ub=cap_p, cost=pi * beta_es_use)
+        dw = pb.add_vars(tt, lb=0.0, ub=cap_p, cost=pi * beta_es_use)
+        socw = pb.add_vars(tt, lb=0.0, ub=cap_e)
+        ggw = pb.add_vars(tt, lb=0.0, ub=tail_agg,
+                          cost=pi * window.grid_price[tc:])
+        gsw = pb.add_vars(tt, lb=0.0,
+                          cost=pi * (window.export_tax[tc:]
+                                     - window.export_price[tc:]))
+        gw = pb.add_vars(tt * n, lb=0.0, ub=window.tail_loads.ravel())
+        for t in range(tt):
+            pb.add_row([ggw[t], gsw[t], cw[t], dw[t]], [1.0, -1.0, -1.0, 1.0],
+                       "==", tail_agg[t] - window.tail_gen[t, widx])
+            prev = soc[tc - 1] if t == 0 else socw[t - 1]
+            pb.add_row([socw[t], prev, cw[t], dw[t]],
+                       [1.0, -1.0, -eta_c, 1.0 / eta_d], "==", 0.0)
+            pb.add_row(np.concatenate([gw[t * n:(t + 1) * n], [ggw[t]]]),
+                       np.ones(n + 1), "==", tail_agg[t])
+        tail_gw.append(gw)
+
+    theta = config.theta
+    if theta > 0.0:
+        rhs = state.e_past + state.e_future - state.promise
+        deliver = pb.add_vars(n, lb=-np.inf, ub=np.inf, qdiag=2.0 * theta,
+                              cost=2.0 * theta * rhs)
+        for i in range(n):
+            idx = np.concatenate([[deliver[i]], ehat[i::n]]
+                                 + [gw[i::n] for gw in tail_gw])
+            coef = np.concatenate(
+                [[1.0], -np.ones(tc)]
+                + [np.full(tt, -window.probabilities[widx])
+                   for widx in range(len(tail_gw))])
+            pb.add_row(idx, coef, "==", 0.0)
+    return pb.qp()

@@ -4,13 +4,13 @@ bisection on the profit curve and by brute-force active-set enumeration."""
 import numpy as np
 import pytest
 
-from pvpool.allocation import (AllocationError, breakeven_prices,
+from pvpool.allocation import (AllocationError, _repair_rows, breakeven_prices,
                                construct_feasible_key, gamma_price_map,
                                min_variance_key, net_benefit)
 from pvpool.domain import LoadMatrix, check_key
 from pvpool.sizing import SizingEconomics, SizingResult, investor_profit
 
-from oracles import qp_active_set_minimum
+from oracles import qp_active_set_minimum, repair_rows_loop
 
 from test_sizing import (_params, _tariff, _toy_bundle, _TOY_CATALOG,
                          _decision_stub, _econ_stub)
@@ -306,3 +306,22 @@ def test_plan_from_sizing_output():
                          res.dispatches[widx].to_consumers) == []
     assert plan.promise.sum() == pytest.approx(
         res.expected_served().sum(), abs=1e-8)
+
+
+def test_repair_rows_matches_row_loop():
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        t_len, n = int(rng.integers(3, 9)), int(rng.integers(1, 7))
+        values = rng.uniform(0.0, 2.0, (t_len, n))
+        values[rng.random((t_len, n)) < 0.2] = 0.0  # idle consumers
+        raw = values * rng.uniform(-0.3, 1.3, (t_len, n)) \
+            + rng.normal(0.0, 0.05, (t_len, n))
+        totals = values.sum(axis=1)
+        served = totals * rng.uniform(-0.2, 1.4, t_len)
+        raw[0] = values[0]  # a full row, served beyond the loads
+        served[0] = totals[0] + 1.0
+        raw[1] = 0.0  # an empty row that must be filled
+        values[2] = 0.0  # a row without load
+        want = repair_rows_loop(raw.copy(), served, values)
+        got = _repair_rows(raw.copy(), served, values)
+        np.testing.assert_array_equal(got, want)

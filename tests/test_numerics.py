@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from pvpool import numerics
 from pvpool.numerics import (
@@ -19,6 +21,7 @@ from oracles import (
     qp_active_set_minimum,
     random_bounded_lp,
     random_box_qp,
+    row_violation_loop,
 )
 
 
@@ -316,6 +319,111 @@ def test_kkt_pivoted_fallback_still_certifies(monkeypatch):
     assert rep.status == "optimal"
     assert rep.objective == pytest.approx(-2.0, abs=1e-7)
     assert rep.x[1] == pytest.approx(-3.0, abs=1e-7)
+
+
+def test_normal_product_map_matches_sparse_product():
+    rng = np.random.default_rng(12)
+    m, n = 40, 30
+    dense = np.where(rng.random((m, n)) < 0.08, rng.normal(size=(m, n)), 0.0)
+    dense[:, 0] = 0.0  # an empty column
+    dense[:36, 1] = rng.normal(size=36)  # a column of 36 nonzeros
+    dense[np.arange(m), 2 + np.arange(m) % (n - 2)] = rng.uniform(0.5, 2.0, m)
+    a = sp.csr_matrix(dense)
+    at = a.T.tocsr()
+    pattern, pmap = numerics._normal_product_map(at, m)
+    assert pmap.nnz == int((np.diff(at.indptr) ** 2).sum())
+    d = rng.uniform(0.1, 10.0, n)
+    want = (a @ sp.diags(d) @ a.T).tocsc()
+    want.sort_indices()
+    assert np.array_equal(pattern.indptr, want.indptr)
+    assert np.array_equal(pattern.indices, want.indices)
+    got = pmap @ d
+    assert np.abs(got - want.data).max() <= 1e-14 * np.abs(want.data).max()
+
+
+@pytest.mark.parametrize("system", ["kkt", "normal"])
+def test_factor_reuses_its_ordering_at_a_new_diagonal(system):
+    rng = np.random.default_rng(3)
+    m, n = 25, 60
+    dense = np.where(rng.random((m, n)) < 0.1, rng.normal(size=(m, n)), 0.0)
+    dense[np.arange(m), np.arange(m)] = 1.0  # full row rank
+    a = sp.csr_matrix(dense)
+    at = a.T.tocsr()
+    if system == "kkt":
+        fac = numerics._QuasidefiniteKkt(a, at)
+        size = n + m
+    else:
+        fac = numerics._NormalEquations(at, m)
+        size = m
+    fills = []
+    for _ in range(2):
+        diag = rng.uniform(0.01, 100.0, n)
+        rhs = rng.normal(size=size)
+        if system == "kkt":
+            fac.factor(diag, 1e-8)
+            got = np.concatenate(fac.solve(rhs[:n], rhs[n:]))
+        else:
+            fac.factor(diag)
+            got = fac.solve(rhs)
+        want = spsolve(fac.mat.tocsc(), rhs)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        assert fac.pivoted is None
+        fills.append(fac.lu.L.nnz + fac.lu.U.nnz)
+    # the second factorization ran in the first one's ordering, at its fill
+    assert np.array_equal(fac.lu.perm_c, np.arange(size))
+    assert fills[1] == fills[0]
+
+
+@pytest.mark.parametrize("eps, route, objective", [
+    (0.0, "switch", -0.25), (1e-6, "pivoted", 1.5)])
+def test_normal_path_fallbacks_still_certify(monkeypatch, eps, route,
+                                             objective):
+    # columns of three nonzeros keep the normal equations; a second row
+    # 2a + eps e_0 makes A D A' singular (eps = 0: the factorization fails
+    # and the solve switches to the KKT path) or nearly so (the refined
+    # unpivoted solve misses and is redone with pivoting)
+    fallbacks, kkts = [], []
+    pivoted_solve = numerics._SymmetricFactor._pivoted_solve
+    kkt_init = numerics._QuasidefiniteKkt.__init__
+
+    def counted_solve(self, rhs, fallback):
+        fallbacks.append(rhs.shape[0])
+        return pivoted_solve(self, rhs, fallback)
+
+    def counted_init(self, a, at):
+        kkts.append(a.shape)
+        kkt_init(self, a, at)
+
+    monkeypatch.setattr(numerics._SymmetricFactor, "_pivoted_solve",
+                        counted_solve)
+    monkeypatch.setattr(numerics._QuasidefiniteKkt, "__init__", counted_init)
+    a = np.array([1.0, 2.0, -1.0])
+    a2 = 2.0 * a + np.array([eps, 0.0, 0.0])
+    x0 = np.array([1.0, 0.5, 1.0])
+    pb = ProblemBuilder()
+    x = pb.add_vars(3, lb=[0.0, -1.0, 0.0], ub=[4.0, 3.0, 2.0],
+                    cost=[1.0, -1.0, 0.5], qdiag=[1.0, 2.0, 0.5])
+    pb.add_row(x, a, "==", float(a @ x0))
+    pb.add_row(x, a2, "==", float(a2 @ x0))
+    rep = solve_qp(pb.qp(), tol=1e-8)
+    assert rep.status == "optimal"
+    assert rep.objective == pytest.approx(objective, abs=1e-7)
+    if route == "switch":
+        assert kkts and not fallbacks
+    else:
+        assert fallbacks and not kkts
+
+
+def test_row_violation_matches_sense_loop():
+    rng = np.random.default_rng(9)
+    senses = rng.choice(["<=", "==", ">="], 50).astype("U2")
+    rhs = rng.normal(size=50)
+    act = rhs + rng.normal(size=50)
+    act[:3] = np.nan
+    senses[:3] = ["<=", "==", ">="]
+    want = row_violation_loop(act, senses, rhs)
+    np.testing.assert_array_equal(numerics._row_violation(act, senses, rhs),
+                                  want)
 
 
 def test_iteration_limit_on_feasible_qp_is_not_infeasible():

@@ -9,12 +9,14 @@ from pvpool.domain import (DomainError, InputBundle, InverterCatalog,
                            SolarScenarioSet, SubsidyRule, Tariff,
                            TechEconParams, TimeGrid, check_key)
 from pvpool.operation import (ALGORITHMS, ControlDecision, HorizonConfig,
-                              HorizonWindow, OperationState, compute_mismatch,
+                              HorizonWindow, OperationState, _control_qp,
+                              compute_mismatch,
                               mpc_step, myopic_settle, rule_based_control,
                               run_year, settle)
 from pvpool.sizing import solve_sizing, split_flows
 from pvpool.storage import StorageSpec, check_feasible
 
+from oracles import control_qp_by_rows
 from test_allocation import _oracle_variance
 
 
@@ -231,6 +233,43 @@ def test_mpc_matches_grid_search_oracle():
     grid_best = cost + theta * float((m1 ** 2 + m2 ** 2).min())
     assert achieved <= grid_best + 5e-6
     assert abs(achieved - grid_best) < 2e-3
+
+
+def _row_multiset(qp):
+    a = qp.a.tocsr()
+    rows = []
+    for i in range(a.shape[0]):
+        span = slice(a.indptr[i], a.indptr[i + 1])
+        order = np.argsort(a.indices[span])
+        rows.append((tuple(a.indices[span][order]),
+                     tuple(a.data[span][order]), str(qp.senses[i]),
+                     float(qp.rhs[i])))
+    return sorted(rows)
+
+
+@pytest.mark.parametrize("tc", [1, 3])
+@pytest.mark.parametrize("tt", [0, 4])
+@pytest.mark.parametrize("theta", [0.0, 1.0])
+def test_control_qp_blocks_match_row_loop(tc, tt, theta):
+    rng = np.random.default_rng(100 * tc + 10 * tt + int(theta))
+    n, probs = 3, np.array([0.6, 0.4])
+    spec = StorageSpec(3.0, 6.0, 0.93, 0.92, 0.4, cyclic=False)
+    loads = rng.uniform(0.2, 2.5, (tc + tt, n))
+    win = HorizonWindow(0.5, loads[:tc], rng.uniform(0.0, 3.0, tc),
+                        loads[tc:], rng.uniform(0.0, 3.0, (tt, 2)), probs,
+                        rng.uniform(0.1, 0.3, tc + tt),
+                        rng.uniform(0.0, 0.1, tc + tt),
+                        rng.uniform(0.0, 0.02, tc + tt))
+    st = OperationState(0, 2.5, rng.uniform(0.0, 3.0, n),
+                        rng.uniform(3.0, 6.0, n), rng.uniform(0.0, 1.0, n))
+    cfg = HorizonConfig(tc, tc + tt, theta=theta)
+    got, _, _ = _control_qp(st, win, spec, cfg, 1e-4)
+    want = control_qp_by_rows(st, win, spec, cfg, 1e-4)
+    for name in ("c", "q_diag", "lb", "ub"):
+        np.testing.assert_array_equal(getattr(got, name),
+                                      getattr(want, name))
+    assert got.a.shape == want.a.shape
+    assert _row_multiset(got) == _row_multiset(want)
 
 
 # ---------------------------------------------------------------------------
