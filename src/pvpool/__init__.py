@@ -8,13 +8,11 @@ LP/QP solver in numerics; io and cli handle files and the command line.
 """
 
 from .domain import (
-    AllocationVector,
     DispatchSeries,
     DomainError,
     InputBundle,
     InverterCatalog,
     LoadMatrix,
-    MismatchState,
     RealizedTrajectory,
     RepartitionKey,
     SizingDecision,
@@ -28,7 +26,7 @@ from .domain import (
     validate_inputs,
 )
 from .numerics import NumericsError, ProblemBuilder, solve_lp, solve_qp
-from .storage import StorageSpec, check_feasible, lp_constraints, soc_trajectory
+from .storage import StorageSpec, check_feasible, soc_trajectory
 from .sizing import (
     SizingError,
     SizingResult,
@@ -45,7 +43,6 @@ from .allocation import (
     AllocationPlan,
     PriceRange,
     breakeven_prices,
-    construct_feasible_key,
     gamma_price_map,
     min_variance_key,
     net_benefit,

@@ -101,21 +101,6 @@ def gamma_price_map(sizing, params, gamma=None, price=None):
     return (price - prices.investor_breakeven) * slope / benefit
 
 
-def construct_feasible_key(served, loads):
-    """Always-feasible proportional key: scale each period's loads down so
-    they sum to the served energy (or hand out the full loads on surplus)."""
-    served = np.asarray(served, dtype=np.float64)
-    values = np.asarray(loads.values if isinstance(loads, LoadMatrix) else loads,
-                        dtype=np.float64)
-    totals = values.sum(axis=1)
-    out = values.copy()
-    short = served < totals
-    for t in np.flatnonzero(short):
-        scale = served[t] / totals[t] if totals[t] > 0.0 else 0.0
-        out[t] *= max(scale, 0.0)
-    return RepartitionKey(out)
-
-
 def _repair_rows(raw, served, values):
     """Force exact row sums back onto a near-feasible key candidate.
 
@@ -138,6 +123,26 @@ def _repair_rows(raw, served, values):
     return np.clip(out, 0.0, values)
 
 
+def _split_qp(lo, hi, target, qdiag, cost, aux_rhs):
+    """A QP over a (T, n) split g with lo <= g <= hi and one free auxiliary
+    a_i per consumer, carrying the curvature qdiag and the linear cost.
+
+    Row t hands out target_t (sum_i g_ti = target_t); then row i ties the
+    auxiliary to consumer i's total (a_i - sum_t g_ti = aux_rhs).  The key
+    QP and the settlement QP (operation.settle) both take this form.
+    Returns the QP and the index block of g.
+    """
+    t_len, n = hi.shape
+    pb = ProblemBuilder()
+    gvars = pb.add_vars(t_len * n, lb=lo.ravel(), ub=hi.ravel())
+    aux = pb.add_vars(n, lb=-np.inf, ub=np.inf, qdiag=qdiag, cost=cost)
+    split = gvars.reshape(t_len, n)
+    pb.add_rows(split, 1.0, "==", target)
+    pb.add_rows(np.column_stack([aux, split.T]),
+                np.concatenate([[1.0], -np.ones(t_len)]), "==", aux_rhs)
+    return pb.qp(), gvars
+
+
 def _scenario_key(served, loads, tol):
     values = np.asarray(loads.values if isinstance(loads, LoadMatrix) else loads,
                         dtype=np.float64)
@@ -156,18 +161,9 @@ def _scenario_key(served, loads, tol):
     empty = target <= 1e-12
     hi[empty] = 0.0
     target[empty] = 0.0
-    mu = target.sum() / n
-
-    pb = ProblemBuilder()
-    gvars = pb.add_vars(t_len * n, lb=lo.ravel(), ub=hi.ravel())
-    spread = pb.add_vars(n, lb=-np.inf, ub=np.inf, qdiag=2.0 / n)
-    for t in range(t_len):
-        pb.add_row(gvars[t * n:(t + 1) * n], np.ones(n), "==", target[t])
-    for i in range(n):
-        # spread_i = (allocated to i) - mean allocation, the mean being fixed
-        pb.add_row(np.concatenate([[spread[i]], gvars[i::n]]),
-                   np.concatenate([[1.0], -np.ones(t_len)]), "==", -mu)
-    rep = solve_qp(pb.qp(), tol=tol)
+    # spread_i = (allocated to i) - mean allocation, the mean being fixed
+    qp, gvars = _split_qp(lo, hi, target, 2.0 / n, 0.0, -(target.sum() / n))
+    rep = solve_qp(qp, tol=tol)
     if rep.status != "optimal":
         raise AllocationError(f"key subproblem ended {rep.status}")
     return _repair_rows(rep.x[gvars].reshape(t_len, n), served, values)

@@ -516,50 +516,6 @@ def check_key(key, loads, served, tol=1e-8):
     return problems
 
 
-_ALLOCATION_KINDS = ("promise", "past", "horizon", "remainder", "future")
-
-
-@dataclass(frozen=True)
-class AllocationVector:
-    """Energy per consumer in kWh, tagged with which span it covers."""
-
-    values: np.ndarray
-    kind: str = "promise"
-
-    def __post_init__(self):
-        arr = _clamped_nonneg(np.atleast_1d(self.values), "allocation")
-        if arr.ndim != 1:
-            raise DomainError("allocation must be a vector")
-        if self.kind not in _ALLOCATION_KINDS:
-            raise DomainError(f"unknown allocation kind {self.kind!r}")
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def num_consumers(self):
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class MismatchState:
-    """Tracking state for the allocation promise during operation."""
-
-    expected_mismatch: np.ndarray
-    cumulative_delivered: np.ndarray
-    promise: np.ndarray
-
-    def __post_init__(self):
-        n = None
-        for name in ("expected_mismatch", "cumulative_delivered", "promise"):
-            arr = _frozen(np.atleast_1d(getattr(self, name)))
-            if not np.isfinite(arr).all():
-                raise DomainError(f"{name} entries must be finite")
-            if n is None:
-                n = arr.shape[0]
-            elif arr.shape != (n,):
-                raise DomainError("mismatch state vectors must share one length")
-            object.__setattr__(self, name, arr)
-
-
 @dataclass(frozen=True)
 class RealizedTrajectory:
     """What actually happened: realized per-unit solar and realized loads."""

@@ -7,24 +7,24 @@ solve_lp and solve_qp.  Problems are stated as
     s.t.                   a_i'x  (<=, ==, >=)  rhs_i
                            lb <= x <= ub
 
-with Q = diag(q) + sum_k rho_k v_k v_k', restricted to the positive
-semidefinite diagonal-plus-rank-one forms that variance objectives produce.
+with Q = diag(q), q >= 0.  Variance objectives reach this form through
+auxiliary spread variables tied to the allocations by equality rows.
 Inequality rows get slack variables internally, so the core only ever sees
 equality rows plus box bounds.  Every solve is deterministic: identical inputs
 produce bit-identical reports.
 
-Each iteration solves one Newton system, on one of three paths.  The normal
+Each iteration solves one Newton system, on one of two paths.  The normal
 equations A D^-1 A' serve problems whose columns are all short; their
 pattern and a map from D^-1 to their data are built once per solve
 (_NormalEquations).  Problems with a near-dense column (a capacity coupling
 every period, as in the sizing LP) or a free variable without curvature
 take the regularized augmented (KKT) system instead, whose pattern is also
-assembled once per solve (_QuasidefiniteKkt).  Both sparse paths share one
+assembled once per solve (_QuasidefiniteKkt).  Both paths share one
 fixed-pattern factorization (_SymmetricFactor): the matrix is positive
 definite or quasidefinite, so it is factored without pivoting, the first
 factorization's fill-reducing ordering is reused by every later one, each
 solve is refined, and a solve whose refined residual misses is redone with
-pivoting.  Rank-one objectives use a dense LU of the augmented system.
+pivoting.
 
 The starting point's least-norm correction toward A x = b is solved on the
 system the iterations will use, so its factorization fixes their ordering.
@@ -37,10 +37,8 @@ both solved at 1e-9 whatever the caller's tolerance.
 """
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
@@ -63,28 +61,6 @@ class _NormalPathFailure(Exception):
     """Internal: the normal-equations solve lost too much accuracy."""
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
-    """One sparse constraint row: coeffs @ x[indices]  sense  rhs."""
-
-    indices: np.ndarray
-    coeffs: np.ndarray
-    sense: str
-    rhs: float
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        co = np.asarray(self.coeffs, dtype=np.float64)
-        if idx.shape != co.shape or idx.ndim != 1:
-            raise NumericsError("constraint indices and coeffs must be 1-d and matching")
-        if self.sense not in _SENSES:
-            raise NumericsError(f"unknown sense {self.sense!r}")
-        if not np.isfinite(co).all() or not np.isfinite(self.rhs):
-            raise NumericsError("constraint coefficients must be finite")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "coeffs", co)
-
-
 def _as_bound(arr, n, default):
     if arr is None:
         return np.full(n, default, dtype=np.float64)
@@ -96,24 +72,19 @@ def _as_bound(arr, n, default):
     return out.copy()
 
 
-def _rows_to_matrix(rows: Sequence[LinearConstraint], n):
-    data, ri, ci = [], [], []
-    senses = np.empty(len(rows), dtype="U2")
-    rhs = np.empty(len(rows))
-    for k, row in enumerate(rows):
-        if len(row.indices) and (row.indices.min() < 0 or row.indices.max() >= n):
-            raise NumericsError("constraint references a variable out of range")
-        ri.extend([k] * len(row.indices))
-        ci.extend(row.indices.tolist())
-        data.extend(row.coeffs.tolist())
-        senses[k] = row.sense
-        rhs[k] = row.rhs
-    a = sp.csr_matrix((data, (ri, ci)), shape=(len(rows), n))
-    return a, senses, rhs
-
-
-def _check_common(c, a, senses, rhs, lb, ub):
+def _normalize(problem):
+    """Coerce the fields shared by both program types and check them."""
+    c = np.asarray(problem.c, dtype=np.float64)
     n = c.shape[0]
+    a = problem.a if sp.issparse(problem.a) else sp.csr_matrix(np.atleast_2d(problem.a))
+    a = a.tocsr().astype(np.float64)
+    senses = np.asarray(problem.senses, dtype="U2")
+    rhs = np.asarray(problem.rhs, dtype=np.float64)
+    lb = _as_bound(problem.lb, n, -np.inf)
+    ub = _as_bound(problem.ub, n, np.inf)
+    for name, value in (("c", c), ("a", a), ("senses", senses), ("rhs", rhs),
+                        ("lb", lb), ("ub", ub)):
+        object.__setattr__(problem, name, value)
     if a.shape[1] != n:
         raise NumericsError("constraint matrix and objective dimension mismatch")
     if senses.shape[0] != a.shape[0] or rhs.shape[0] != a.shape[0]:
@@ -142,33 +113,14 @@ class LinearProgram:
     maximize: bool = False
 
     def __post_init__(self):
-        c = np.asarray(self.c, dtype=np.float64)
-        object.__setattr__(self, "c", c)
-        n = c.shape[0]
-        a = self.a if sp.issparse(self.a) else sp.csr_matrix(np.atleast_2d(self.a))
-        object.__setattr__(self, "a", a.tocsr().astype(np.float64))
-        object.__setattr__(self, "senses", np.asarray(self.senses, dtype="U2"))
-        object.__setattr__(self, "rhs", np.asarray(self.rhs, dtype=np.float64))
-        object.__setattr__(self, "lb", _as_bound(self.lb, n, -np.inf))
-        object.__setattr__(self, "ub", _as_bound(self.ub, n, np.inf))
-        _check_common(self.c, self.a, self.senses, self.rhs, self.lb, self.ub)
-
-    @classmethod
-    def from_rows(cls, c, rows, lb=None, ub=None, maximize=False):
-        c = np.asarray(c, dtype=np.float64)
-        a, senses, rhs = _rows_to_matrix(rows, c.shape[0])
-        return cls(c, a, senses, rhs, _as_bound(lb, len(c), -np.inf),
-                   _as_bound(ub, len(c), np.inf), maximize)
+        _normalize(self)
 
 
 @dataclass(frozen=True)
 class ConvexQuadraticProgram:
-    """min 0.5 x'(diag(q) + sum rho_k v_k v_k')x + c'x over rows and bounds.
+    """min 0.5 x'diag(q)x + c'x over rows and bounds.
 
-    The quadratic form must be PSD by construction: q >= 0, and at most one
-    rank-one term may carry rho < 0, certified against the diagonal through
-    1 + rho * sum(v_i^2 / q_i) >= 0 on the support of v.  That covers the
-    variance forms this library produces (diag(1/N) - (1/N^2) 11').
+    The quadratic form is positive semidefinite because every q_i >= 0.
     """
 
     c: np.ndarray
@@ -178,49 +130,15 @@ class ConvexQuadraticProgram:
     rhs: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    rank_ones: tuple = ()
 
     def __post_init__(self):
-        c = np.asarray(self.c, dtype=np.float64)
-        object.__setattr__(self, "c", c)
-        n = c.shape[0]
+        _normalize(self)
         q = np.asarray(self.q_diag, dtype=np.float64)
-        if q.shape != (n,):
+        if q.shape != self.c.shape:
             raise NumericsError("q_diag must match the variable count")
         if not np.isfinite(q).all() or np.any(q < 0):
             raise NumericsError("q_diag entries must be finite and nonnegative")
         object.__setattr__(self, "q_diag", q)
-        a = self.a if sp.issparse(self.a) else sp.csr_matrix(np.atleast_2d(self.a))
-        object.__setattr__(self, "a", a.tocsr().astype(np.float64))
-        object.__setattr__(self, "senses", np.asarray(self.senses, dtype="U2"))
-        object.__setattr__(self, "rhs", np.asarray(self.rhs, dtype=np.float64))
-        object.__setattr__(self, "lb", _as_bound(self.lb, n, -np.inf))
-        object.__setattr__(self, "ub", _as_bound(self.ub, n, np.inf))
-        terms = []
-        negatives = 0
-        for rho, v in self.rank_ones:
-            v = np.asarray(v, dtype=np.float64)
-            if v.shape != (n,) or not np.isfinite(v).all() or not np.isfinite(rho):
-                raise NumericsError("rank-one term must be a finite n-vector with finite weight")
-            if rho < 0:
-                negatives += 1
-                if negatives > 1:
-                    raise NumericsError("at most one negative rank-one term is admitted")
-                support = v != 0.0
-                if np.any(q[support] <= 0):
-                    raise NumericsError("negative rank-one term needs positive diagonal on its support")
-                if 1.0 + rho * float(np.sum(v[support] ** 2 / q[support])) < -1e-12:
-                    raise NumericsError("quadratic form is not positive semidefinite")
-            terms.append((float(rho), v))
-        object.__setattr__(self, "rank_ones", tuple(terms))
-        _check_common(self.c, self.a, self.senses, self.rhs, self.lb, self.ub)
-
-    @classmethod
-    def from_rows(cls, c, q_diag, rows, lb=None, ub=None, rank_ones=()):
-        c = np.asarray(c, dtype=np.float64)
-        a, senses, rhs = _rows_to_matrix(rows, c.shape[0])
-        return cls(c, q_diag, a, senses, rhs, _as_bound(lb, len(c), -np.inf),
-                   _as_bound(ub, len(c), np.inf), rank_ones)
 
 
 @dataclass(frozen=True)
@@ -247,8 +165,24 @@ class SolveReport:
     iterations: int
 
 
+def _per_var(value, count):
+    """value as a new float vector of length count: a scalar fills it, an
+    array must already have that length."""
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.ndim == 0:
+        return np.full(count, arr)
+    if arr.shape != (count,):
+        raise NumericsError(f"per-variable vector has shape {arr.shape}, expected ({count},)")
+    return arr.copy()
+
+
 class ProblemBuilder:
-    """Incremental assembly of LPs/QPs with named variable blocks."""
+    """Incremental assembly of LPs/QPs with named variable blocks.
+
+    A row's indices and coefficients must match in length when it is added;
+    its indices must name existing variables when lp() or qp() assembles
+    the program, which also checks senses and finiteness.
+    """
 
     def __init__(self):
         self._lb = []
@@ -262,24 +196,23 @@ class ProblemBuilder:
         self._rhs = []
         self._n = 0
 
-    @property
-    def num_vars(self):
-        return self._n
-
     def add_vars(self, count, lb=0.0, ub=np.inf, cost=0.0, qdiag=0.0):
         """Append `count` variables; returns their index array."""
         idx = np.arange(self._n, self._n + count, dtype=np.int64)
-        self._lb.append(np.broadcast_to(np.asarray(lb, dtype=np.float64), (count,)).copy())
-        self._ub.append(np.broadcast_to(np.asarray(ub, dtype=np.float64), (count,)).copy())
-        self._cost.append(np.broadcast_to(np.asarray(cost, dtype=np.float64), (count,)).copy())
-        self._qdiag.append(np.broadcast_to(np.asarray(qdiag, dtype=np.float64), (count,)).copy())
+        self._lb.append(_per_var(lb, count))
+        self._ub.append(_per_var(ub, count))
+        self._cost.append(_per_var(cost, count))
+        self._qdiag.append(_per_var(qdiag, count))
         self._n += count
         return idx
 
     def add_row(self, indices, coeffs, sense, rhs):
         idx = np.asarray(indices, dtype=np.int64)
+        coef = np.asarray(coeffs, dtype=np.float64)
+        if idx.ndim != 1 or coef.shape != idx.shape:
+            raise NumericsError("row indices and coefficients must be 1-d and matching")
         self._row_idx.append(idx)
-        self._row_coef.append(np.asarray(coeffs, dtype=np.float64))
+        self._row_coef.append(coef)
         self._row_len.append(len(idx))
         self._senses.append(sense)
         self._rhs.append(float(rhs))
@@ -291,18 +224,19 @@ class ProblemBuilder:
         row the same coefficients) and rhs against k rows.
         """
         idx = np.asarray(indices, dtype=np.int64)
+        if idx.ndim != 2:
+            raise NumericsError("row block indices must be a (rows, width) array")
         k, width = idx.shape
-        coef = np.broadcast_to(np.asarray(coeffs, dtype=np.float64), idx.shape)
+        try:
+            coef = np.broadcast_to(np.asarray(coeffs, dtype=np.float64), idx.shape)
+            rhs = np.broadcast_to(np.asarray(rhs, dtype=np.float64), (k,))
+        except ValueError as exc:
+            raise NumericsError(f"row block coefficients or rhs do not fit: {exc}") from exc
         self._row_idx.append(idx.ravel())
         self._row_coef.append(coef.ravel())
         self._row_len.extend([width] * k)
         self._senses.extend([sense] * k)
-        self._rhs.extend(np.broadcast_to(np.asarray(rhs, dtype=np.float64), (k,)).tolist())
-
-    def add_constraints(self, rows, offset=0):
-        """Splice in LinearConstraint rows, shifting variable indices by offset."""
-        for row in rows:
-            self.add_row(row.indices + offset, row.coeffs, row.sense, row.rhs)
+        self._rhs.extend(rhs.tolist())
 
     def _assemble(self):
         n = self._n
@@ -310,6 +244,8 @@ class ProblemBuilder:
         ri = np.repeat(np.arange(m), self._row_len)
         ci = np.concatenate(self._row_idx) if m else np.zeros(0, dtype=np.int64)
         dat = np.concatenate(self._row_coef) if m else np.zeros(0)
+        if ci.size and (ci.min() < 0 or ci.max() >= n):
+            raise NumericsError("constraint references a variable out of range")
         a = sp.csr_matrix((dat, (ri, ci)), shape=(m, n))
         lb = np.concatenate(self._lb) if n else np.zeros(0)
         ub = np.concatenate(self._ub) if n else np.zeros(0)
@@ -323,9 +259,8 @@ class ProblemBuilder:
             raise NumericsError("quadratic costs present, build a qp() instead")
         return LinearProgram(cost, a, senses, rhs, lb, ub, maximize)
 
-    def qp(self, rank_ones=()):
-        cost, qd, a, senses, rhs, lb, ub = self._assemble()
-        return ConvexQuadraticProgram(cost, qd, a, senses, rhs, lb, ub, rank_ones)
+    def qp(self):
+        return ConvexQuadraticProgram(*self._assemble())
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +269,7 @@ class ProblemBuilder:
 class _Standard:
     """Equality-only form: min 0.5 x'Qx + c'x, A x = b, lb <= x <= ub."""
 
-    def __init__(self, c, qdiag, rank_ones, a, senses, rhs, lb, ub):
+    def __init__(self, c, qdiag, a, senses, rhs, lb, ub):
         m, n = a.shape
         n_slack = int(np.sum(senses != EQ))
         self.n_orig = n
@@ -356,10 +291,8 @@ class _Standard:
             qdiag = np.concatenate([qdiag, np.zeros(n_slack)])
             lb = np.concatenate([lb, np.zeros(n_slack)])
             ub = np.concatenate([ub, np.full(n_slack, np.inf)])
-            rank_ones = tuple((rho, np.concatenate([v, np.zeros(n_slack)])) for rho, v in rank_ones)
         self.c = c
         self.qdiag = qdiag
-        self.rank_ones = rank_ones
         self.a = a.tocsr()
         self.b = rhs.copy()
         self.lb = lb
@@ -435,16 +368,6 @@ class _Standard:
         keep = ~fixed
         self.obj_const += float(self.c[fixed] @ vals[fixed]) \
             + 0.5 * float((self.qdiag[fixed] * vals[fixed]) @ vals[fixed])
-        new_terms = []
-        for rho, v in self.rank_ones:
-            shift = float(v[fixed] @ vals[fixed])
-            self.obj_const += 0.5 * rho * shift * shift
-            vk = v[keep]
-            ck_adjust = rho * shift * vk
-            self.c = self.c.copy()
-            self.c[keep] += ck_adjust  # cross term from the substitution
-            new_terms.append((rho, vk))
-        self.rank_ones = tuple(new_terms)
         self.a = acsc[:, keep].tocsr()
         self.c = self.c[keep]
         self.qdiag = self.qdiag[keep]
@@ -462,22 +385,11 @@ class _Standard:
         return full[: self.n_orig]
 
 
-def _objective(c, qdiag, rank_ones, x):
-    val = float(c @ x) + 0.5 * float((qdiag * x) @ x)
-    for rho, v in rank_ones:
-        t = float(v @ x)
-        val += 0.5 * rho * t * t
-    return val
+def _objective(c, qdiag, x):
+    return float(c @ x) + 0.5 * float((qdiag * x) @ x)
 
 
-def _q_matvec(qdiag, rank_ones, x):
-    out = qdiag * x
-    for rho, v in rank_ones:
-        out = out + rho * float(v @ x) * v
-    return out
-
-
-def _solve_boxed_separable(std, maximize):
+def _solve_boxed_separable(std):
     """Closed-form solve when no equality rows remain (m == 0)."""
     c, q, lb, ub = std.c, std.qdiag, std.lb, std.ub
     n = c.shape[0]
@@ -703,7 +615,6 @@ def _ipm_loop(std, tol, max_iter):
     a = std.a
     m, n = a.shape
     c, qdiag, lb, ub = std.c, std.qdiag.copy(), std.lb, std.ub
-    rank_ones = std.rank_ones
     has_lb = np.isfinite(lb)
     has_ub = np.isfinite(ub)
     nu = int(has_lb.sum() + has_ub.sum())
@@ -712,12 +623,9 @@ def _ipm_loop(std, tol, max_iter):
     bscale = 1.0 + float(np.abs(b).max()) if m else 1.0
     cscale = 1.0 + float(np.abs(c).max()) if n else 1.0
 
-    dense_path = bool(rank_ones)
-    if dense_path and n + m > 6000:
-        raise NumericsError("rank-one quadratic terms supported only for small problems")
     # the normal-equations path needs a strictly positive diagonal for every
     # variable; free variables with zero curvature push us to the kkt path
-    kkt_path = dense_path or bool(np.any(~has_lb & ~has_ub & (qdiag == 0.0)))
+    kkt_path = bool(np.any(~has_lb & ~has_ub & (qdiag == 0.0)))
     if m and not kkt_path:
         # a few near-dense columns (e.g. a capacity variable coupling every
         # period) fill A D A' almost completely; the augmented system keeps
@@ -725,14 +633,6 @@ def _ipm_loop(std, tol, max_iter):
         col_nnz = np.diff(at.indptr)
         if int(col_nnz.max(initial=0)) > max(32, m // 8):
             kkt_path = True
-
-    def q_full():
-        qm = np.diag(qdiag)
-        for rho, v in rank_ones:
-            qm += rho * np.outer(v, v)
-        return qm
-
-    qdense = q_full() if dense_path else None
 
     # starting point: push a least-squares-ish point strictly inside the box
     x = np.zeros(n)
@@ -746,7 +646,7 @@ def _ipm_loop(std, tol, max_iter):
     if m:
         # one least-norm correction toward A x = b, solved on the system the
         # iterations use, so its factorization fixes their ordering:
-        # [[I, A'], [A, -1e-8 I]] on the KKT paths, and its block
+        # [[I, A'], [A, -1e-8 I]] on the KKT path, and its block
         # elimination (A A' + 1e-8 I) w = r, dx = A' w on the normal path
         try:
             if kkt_path:
@@ -776,7 +676,7 @@ def _ipm_loop(std, tol, max_iter):
     delta = 1e-10
 
     def residuals(x, y, zl, zu):
-        qx = _q_matvec(qdiag, rank_ones, x)
+        qx = qdiag * x
         rd = qx + c - (at @ y if m else 0.0) - zl + zu
         rp = (a @ x - b) if m else np.zeros(0)
         return rd, rp, qx
@@ -790,7 +690,7 @@ def _ipm_loop(std, tol, max_iter):
         comp = float((sl * zl * has_lb).sum() + (su * zu * has_ub).sum())
         mu = comp / nu if nu else 0.0
 
-        pobj = _objective(c, qdiag, rank_ones, x)
+        pobj = _objective(c, qdiag, x)
         dobj = (float(b @ y) if m else 0.0) \
             + float((lb[has_lb] * zl[has_lb]).sum()) - float((ub[has_ub] * zu[has_ub]).sum()) \
             - (pobj - float(c @ x))  # subtract the 0.5 x'Qx part
@@ -819,30 +719,15 @@ def _ipm_loop(std, tol, max_iter):
         dtil = qdiag + dvec
 
         if kkt_path:
-            if dense_path:
-                kmat = np.zeros((n + m, n + m))
-                kmat[:n, :n] = qdense + np.diag(dvec + delta)
-                if m:
-                    ad = a.toarray()
-                    kmat[:n, n:] = ad.T
-                    kmat[n:, :n] = ad
-                    kmat[n:, n:] = -delta * np.eye(m)
-                try:
-                    factor = sla.lu_factor(kmat)
-                    solve_kkt = lambda r1, r2: np.split(sla.lu_solve(factor, np.concatenate([r1, r2])), [n])
-                except Exception:
+            if kkt is None:
+                kkt = _QuasidefiniteKkt(a, at)
+            try:
+                kkt.factor(dtil, delta)
+            except RuntimeError:
+                if delta > 1.0:
                     break
-            else:
-                if kkt is None:
-                    kkt = _QuasidefiniteKkt(a, at)
-                try:
-                    kkt.factor(dtil, delta)
-                except RuntimeError:
-                    if delta > 1.0:
-                        break
-                    delta *= 100.0
-                    continue
-                solve_kkt = kkt.solve
+                delta *= 100.0
+                continue
         else:
             dinv = 1.0 / (dtil + delta)
             if m:
@@ -858,7 +743,7 @@ def _ipm_loop(std, tol, max_iter):
             rhat = rd - np.where(has_lb, kappa_l / sl, 0.0) + np.where(has_ub, kappa_u / su, 0.0)
             if kkt_path:
                 # block system solves for (dx, w) with w = -dy
-                dx, w = solve_kkt(-rhat, -rp if m else np.zeros(0))
+                dx, w = kkt.solve(-rhat, -rp if m else np.zeros(0))
                 dy = -w
             else:
                 if m:
@@ -935,9 +820,9 @@ def _unbounded_ray(std):
     """Look for a feasible descent ray; a certificate of unboundedness.
 
     The ray lives in the recession cone: A d = 0, d_i >= 0 below finite lower
-    bounds, d_i <= 0 below finite upper bounds, d_i = 0 wherever the quadratic
-    has curvature, and v'd = 0 for every rank-one term.  Scaling is fixed by a
-    unit box, so the search problem is always bounded and feasible (d = 0).
+    bounds, d_i <= 0 below finite upper bounds, and d_i = 0 wherever the
+    diagonal quadratic has curvature.  Scaling is fixed by a unit box, so the
+    search problem is always bounded and feasible (d = 0).
     """
     m, n = std.a.shape
     lb_ray = np.where(np.isfinite(std.lb), 0.0, -1.0)
@@ -945,16 +830,8 @@ def _unbounded_ray(std):
     curved = std.qdiag > 0
     lb_ray[curved] = 0.0
     ub_ray[curved] = 0.0
-    rows = [std.a] if m else []
-    rhs = [np.zeros(m)] if m else []
-    for _, v in std.rank_ones:
-        rows.append(sp.csr_matrix(v[None, :]))
-        rhs.append(np.zeros(1))
-    a_ray = sp.vstack(rows, format="csr") if rows else sp.csr_matrix((0, n))
-    b_ray = np.concatenate(rhs) if rhs else np.zeros(0)
-    mr = a_ray.shape[0]
-    sub = _Standard(std.c.copy(), np.zeros(n), (), a_ray,
-                    np.asarray([EQ] * mr, dtype="U2"), b_ray, lb_ray, ub_ray)
+    sub = _Standard(std.c.copy(), np.zeros(n), std.a,
+                    np.asarray([EQ] * m, dtype="U2"), np.zeros(m), lb_ray, ub_ray)
     if sub.a.shape[1] == 0:
         return False  # every direction pinned, no ray exists
     res = _ipm(sub, 1e-9, 500)
@@ -962,7 +839,7 @@ def _unbounded_ray(std):
         return False
     d = sub.expand(res.x)
     cscale = 1.0 + float(np.abs(std.c).max()) if n else 1.0
-    ok_null = float(np.abs(a_ray @ d).max()) <= 1e-7 if mr else True
+    ok_null = float(np.abs(std.a @ d).max()) <= 1e-7 if m else True
     ok_box = bool(np.all(d >= lb_ray - 1e-9) and np.all(d <= ub_ray + 1e-9))
     return ok_null and ok_box and float(std.c @ d) < -1e-7 * cscale
 
@@ -982,7 +859,7 @@ def _phase1_feasible(std):
     q1 = np.zeros(n + 2 * m)
     lb1 = np.concatenate([std.lb, np.zeros(2 * m)])
     ub1 = np.concatenate([std.ub, np.full(2 * m, np.inf)])
-    sub = _Standard(c1, q1, (), a1, np.asarray([EQ] * m, dtype="U2"), std.b.copy(), lb1, ub1)
+    sub = _Standard(c1, q1, a1, np.asarray([EQ] * m, dtype="U2"), std.b.copy(), lb1, ub1)
     res = _ipm(sub, 1e-9, 500)
     if res.x is None:
         return False
@@ -1000,7 +877,7 @@ def _row_violation(act, senses, rhs):
                              np.abs(excess)))
 
 
-def _finish(problem, std, res, tol, maximize, qdiag_orig, rank_ones, iters_extra=0):
+def _finish(problem, std, res, tol, maximize):
     """Map a core result back to the original problem and measure residuals."""
     x = std.expand(res.x)
     a, senses, rhs = problem.a, problem.senses, problem.rhs
@@ -1012,7 +889,7 @@ def _finish(problem, std, res, tol, maximize, qdiag_orig, rank_ones, iters_extra
                                 bviol.max() if len(bviol) else 0.0))
 
     c_int = std.c  # internal (sign-adjusted, slack-extended) objective
-    qx = _q_matvec(std.qdiag, std.rank_ones, res.x)
+    qx = std.qdiag * res.x
     m = std.a.shape[0]
     rd = qx + c_int - (std.a.T @ res.y if m else 0.0) - res.zl + res.zu
     dual_residual = float(np.abs(rd).max()) if len(rd) else 0.0
@@ -1020,7 +897,7 @@ def _finish(problem, std, res, tol, maximize, qdiag_orig, rank_ones, iters_extra
     su = np.where(np.isfinite(std.ub), std.ub - res.x, 0.0)
     complementarity = float(max(np.abs(sl * res.zl).max() if len(sl) else 0.0,
                                 np.abs(su * res.zu).max() if len(su) else 0.0))
-    pobj_int = _objective(c_int, std.qdiag, std.rank_ones, res.x)
+    pobj_int = _objective(c_int, std.qdiag, res.x)
     quad = pobj_int - float(c_int @ res.x)
     fl = np.isfinite(std.lb)
     fu = np.isfinite(std.ub)
@@ -1042,12 +919,12 @@ def _finish(problem, std, res, tol, maximize, qdiag_orig, rank_ones, iters_extra
                      and gap <= tol * (1.0 + abs(pobj_int)))
         status = "optimal" if converged else "iteration_limit"
     return SolveReport(status, x, objective, primal_residual, dual_residual,
-                       gap, complementarity, res.iters + iters_extra)
+                       gap, complementarity, res.iters)
 
 
-def _solve(problem, qdiag, rank_ones, tol, max_iter, maximize):
+def _solve(problem, qdiag, tol, max_iter, maximize):
     c = -problem.c if maximize else problem.c
-    std = _Standard(c, qdiag, rank_ones, problem.a, problem.senses, problem.rhs,
+    std = _Standard(c, qdiag, problem.a, problem.senses, problem.rhs,
                     problem.lb, problem.ub)
     if np.any(std.lb > std.ub):
         return SolveReport("infeasible", None, np.nan, np.inf, np.inf, np.inf, np.inf, 0)
@@ -1070,20 +947,19 @@ def _solve(problem, qdiag, rank_ones, tol, max_iter, maximize):
         obj = std.obj_const if not maximize else -std.obj_const
         x0 = std.expand(np.zeros(0))
         return SolveReport("optimal", x0, obj, 0.0, 0.0, 0.0, 0.0, 0)
-    if m == 0 and not std.rank_ones:
+    if m == 0:
         # coordinates decouple, so each one solves in closed form
-        x = _solve_boxed_separable(std, maximize)
+        x = _solve_boxed_separable(std)
         if x is None:
             return SolveReport("unbounded", None, np.nan, 0.0, np.inf, np.inf, np.inf, 0)
-        qx = _q_matvec(std.qdiag, std.rank_ones, x)
-        grad = qx + std.c
+        grad = std.qdiag * x + std.c
         zl = np.where(np.isfinite(std.lb) & np.isclose(x, std.lb), np.maximum(grad, 0.0), 0.0)
         zu = np.where(np.isfinite(std.ub) & np.isclose(x, std.ub), np.maximum(-grad, 0.0), 0.0)
         res = _IpmResult("optimal", x, np.zeros(0), zl, zu, 0)
-        return _finish(problem, std, res, tol, maximize, qdiag, rank_ones)
+        return _finish(problem, std, res, tol, maximize)
 
     res = _ipm(std, tol, max_iter)
-    report = _finish(problem, std, res, tol, maximize, qdiag, rank_ones)
+    report = _finish(problem, std, res, tol, maximize)
     if report.status == "optimal":
         return report
 
@@ -1103,11 +979,11 @@ def solve_lp(problem: LinearProgram, tol: float = 1e-8, max_iter: int = 10 ** 6)
     if not isinstance(problem, LinearProgram):
         raise NumericsError("solve_lp expects a LinearProgram")
     n = problem.c.shape[0]
-    return _solve(problem, np.zeros(n), (), tol, max_iter, problem.maximize)
+    return _solve(problem, np.zeros(n), tol, max_iter, problem.maximize)
 
 
 def solve_qp(problem: ConvexQuadraticProgram, tol: float = 1e-6, max_iter: int = 10 ** 6) -> SolveReport:
     """Solve a ConvexQuadraticProgram; "optimal" certifies the KKT residuals."""
     if not isinstance(problem, ConvexQuadraticProgram):
         raise NumericsError("solve_qp expects a ConvexQuadraticProgram")
-    return _solve(problem, problem.q_diag, problem.rank_ones, tol, max_iter, False)
+    return _solve(problem, problem.q_diag, tol, max_iter, False)

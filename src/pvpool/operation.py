@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import _repair_rows, min_variance_key
+from .allocation import _repair_rows, _split_qp, min_variance_key
 from .domain import DispatchSeries, DomainError, LoadMatrix
 from .numerics import ProblemBuilder, solve_qp
 from .sizing import pv_production, split_flows
@@ -402,16 +402,9 @@ def settle(decision, epsilon, realized_loads, state, config=None):
     # same offset trick as the control solve: the quadratic runs over
     # deliver_i + rhs_i but only deliver_i (kWh over the horizon) is a
     # variable, keeping the system well scaled late in the year
-    pb = ProblemBuilder()
-    evars = pb.add_vars(tc * n, lb=0.0, ub=values.ravel())
-    deliver = pb.add_vars(n, lb=-np.inf, ub=np.inf, qdiag=2.0,
-                          cost=2.0 * rhs)
-    for t in range(tc):
-        pb.add_row(evars[t * n:(t + 1) * n], np.ones(n), "==", target[t])
-    for i in range(n):
-        pb.add_row(np.concatenate([[deliver[i]], evars[i::n]]),
-                   np.concatenate([[1.0], -np.ones(tc)]), "==", 0.0)
-    rep = solve_qp(pb.qp(), tol=1e-8)
+    qp, evars = _split_qp(np.zeros_like(values), values, target, 2.0,
+                          2.0 * rhs, 0.0)
+    rep = solve_qp(qp, tol=1e-8)
     if rep.status != "optimal":
         raise OperationError(f"settlement solve ended {rep.status}")
     key = _repair_rows(rep.x[evars].reshape(tc, n), served, values)

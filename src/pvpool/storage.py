@@ -1,4 +1,4 @@
-"""Battery model: state-of-charge recursion, feasibility checks, LP rows.
+"""Battery model: state-of-charge recursion and feasibility checks.
 
 One linear storage model backs everything: the sizing LP, the rolling-horizon
 control problem and the simulation validator all use the same recursion
@@ -8,10 +8,9 @@ by one path is feasible for all of them.
 The two optimization models share its state-recursion form: the sizing LP
 (sizing._solve_combo) and the control problem (operation.mpc_step) carry the
 state of charge as variables tied by one equality row per period, so their
-rows and nonzeros grow linearly in the horizon.  lp_constraints below is the
-only remaining cumulative form, with every state-of-charge limit written as
-a running sum over [c; d] (quadratically many nonzeros); only the tests use
-it.
+rows and nonzeros grow linearly in the horizon.  No cumulative form, with
+state-of-charge limits written as running sums over charge and discharge,
+remains.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import DomainError
-from .numerics import LinearConstraint
 
 _DEFAULT_EFF = math.sqrt(0.9)  # split of a 90% round trip
 _CYCLIC_TOL = 1e-8
@@ -132,34 +130,3 @@ def check_feasible(spec, charge, discharge, delta_hours, tol=1e-9):
         problems.append(
             f"final state of charge {soc[-1]:.9g} differs from initial {soc[0]:.9g}")
     return problems
-
-
-def lp_constraints(spec, grid):
-    """Battery feasibility as LP rows over the stacked vector [c; d].
-
-    The caller supplies nonnegativity through variable bounds; these rows add
-    per-period power caps, the state-of-charge envelope written with
-    cumulative coefficients, and the cyclic closure when required: 4T+1 rows
-    for a cyclic spec, 4T otherwise.
-    """
-    t_len = grid.num_periods
-    limit = spec.power_cap_kw * grid.delta_hours
-    eta_c = spec.charge_efficiency
-    inv_eta_d = 1.0 / spec.discharge_efficiency
-    soc0 = spec.initial_soc_kwh
-    rows = []
-    for t in range(t_len):
-        rows.append(LinearConstraint(np.array([t]), np.array([1.0]), "<=", limit))
-    for t in range(t_len):
-        rows.append(LinearConstraint(np.array([t_len + t]), np.array([1.0]), "<=", limit))
-    for t in range(1, t_len + 1):
-        idx = np.concatenate([np.arange(t), t_len + np.arange(t)])
-        coef = np.concatenate([np.full(t, eta_c), np.full(t, -inv_eta_d)])
-        # soc0 + eta_c * sum(c) - sum(d)/eta_d within [0, energy cap]
-        rows.append(LinearConstraint(idx, coef.copy(), ">=", -soc0))
-        rows.append(LinearConstraint(idx, coef, "<=", spec.energy_cap_kwh - soc0))
-    if spec.cyclic:
-        idx = np.arange(2 * t_len)
-        coef = np.concatenate([np.full(t_len, eta_c), np.full(t_len, -inv_eta_d)])
-        rows.append(LinearConstraint(idx, coef, "==", 0.0))
-    return rows

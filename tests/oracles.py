@@ -65,8 +65,8 @@ def lp_vertex_minimum(c, rows, lb, ub):
     return best, best_x
 
 
-def qp_active_set_minimum(c, q_diag, rows, lb, ub, rank_ones=()):
-    """Minimize 0.5 x'Qx + c'x by enumerating every active set.
+def qp_active_set_minimum(c, q_diag, rows, lb, ub):
+    """Minimize 0.5 x'diag(q)x + c'x by enumerating every active set.
 
     Each variable is tried free / at its lower bound / at its upper bound and
     each inequality row active or inactive; equality rows are always active.
@@ -80,9 +80,6 @@ def qp_active_set_minimum(c, q_diag, rows, lb, ub, rank_ones=()):
     ub = np.asarray(ub, dtype=float)
     n = c.shape[0]
     qmat = np.diag(q_diag)
-    for rho, v in rank_ones:
-        v = np.asarray(v, dtype=float)
-        qmat = qmat + rho * np.outer(v, v)
 
     var_choices = []
     for j in range(n):
@@ -168,9 +165,11 @@ def random_bounded_lp(rng, max_vars=5, max_rows=4):
 
 
 def random_box_qp(rng, max_vars=3, max_rows=2):
-    """Random convex QP around an interior point; sometimes adds a rank-one.
+    """Random convex QP with a diagonal Q around an interior point.
 
-    Returns (c, q_diag, rows, lb, ub, rank_ones).
+    Returns (c, q_diag, rows, lb, ub), or None on about half of the draws
+    with n >= 2.  Those draws still consume the random numbers of a rank-one
+    term, so the diagonal instances a seed yields stay the same.
     """
     n = int(rng.integers(1, max_vars + 1))
     m = int(rng.integers(0, max_rows + 1))
@@ -191,11 +190,11 @@ def random_box_qp(rng, max_vars=3, max_rows=2):
         rows.append((a, sense, b))
     c = rng.normal(size=n)
     q = rng.uniform(0.1, 2.0, n)
-    rank_ones = ()
     if n >= 2 and rng.random() < 0.5:
-        v = rng.normal(size=n)
-        rank_ones = ((float(rng.uniform(0.1, 1.0)), v),)
-    return c, q, rows, lb, ub, rank_ones
+        rng.normal(size=n)
+        rng.uniform(0.1, 1.0)
+        return None
+    return c, q, rows, lb, ub
 
 
 def sizing_point_value(bundle, pv_options, es_options, pv_cap, es_pow):
@@ -392,3 +391,90 @@ def control_qp_by_rows(state, window, spec, config, beta_es_use=0.0):
                    for widx in range(len(tail_gw))])
             pb.add_row(idx, coef, "==", 0.0)
     return pb.qp()
+
+
+def construct_feasible_key(served, loads):
+    """Always-feasible proportional key: scale each period's loads down so
+    they sum to the served energy (or hand out the full loads on surplus).
+    A baseline that the min-variance key must never lose to."""
+    from pvpool.domain import LoadMatrix, RepartitionKey
+
+    served = np.asarray(served, dtype=np.float64)
+    values = np.asarray(loads.values if isinstance(loads, LoadMatrix) else loads,
+                        dtype=np.float64)
+    totals = values.sum(axis=1)
+    out = values.copy()
+    short = served < totals
+    for t in np.flatnonzero(short):
+        scale = served[t] / totals[t] if totals[t] > 0.0 else 0.0
+        out[t] *= max(scale, 0.0)
+    return RepartitionKey(out)
+
+
+def assert_same_qp(got, want):
+    """Bit-for-bit equality of two assembled QPs, rows in the same order."""
+    for name in ("c", "q_diag", "lb", "ub", "rhs"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert list(got.senses) == list(want.senses)
+    assert got.a.shape == want.a.shape
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got.a, name).tobytes() == getattr(want.a, name).tobytes(), name
+
+
+def _split_qp_by_rows(values, lb, ub, target, qdiag, cost, rhs):
+    from pvpool.numerics import ProblemBuilder
+
+    t_len, n = values.shape
+    pb = ProblemBuilder()
+    evars = pb.add_vars(t_len * n, lb=lb, ub=ub)
+    aux = pb.add_vars(n, lb=-np.inf, ub=np.inf, qdiag=qdiag, cost=cost)
+    for t in range(t_len):
+        pb.add_row(evars[t * n:(t + 1) * n], np.ones(n), "==", target[t])
+    for i in range(n):
+        pb.add_row(np.concatenate([[aux[i]], evars[i::n]]),
+                   np.concatenate([[1.0], -np.ones(t_len)]), "==", rhs)
+    return pb.qp()
+
+
+def settle_qp_by_rows(values, target, rhs):
+    """Row-by-row reference for the QP that operation.settle solves."""
+    return _split_qp_by_rows(values, 0.0, values.ravel(), target, 2.0,
+                             2.0 * rhs, 0.0)
+
+
+def key_qp_by_rows(lo, hi, target):
+    """Row-by-row reference for the per-scenario QP of
+    allocation.min_variance_key."""
+    n = lo.shape[1]
+    return _split_qp_by_rows(lo, lo.ravel(), hi.ravel(), target, 2.0 / n,
+                             0.0, -(target.sum() / n))
+
+
+def soc_recursion_rows(spec, t_len, delta_hours):
+    """The battery as the optimization models state it, over x = [c; d; s].
+
+    s_t is the state of charge after period t, tied to the one before by
+    s_t - s_{t-1} - eta_c c_t + d_t / eta_d = 0 from s_{-1} = the initial
+    charge; a cyclic spec adds s_{T-1} = the initial charge.  Returns dense
+    (coeffs, sense, rhs) rows plus the bounds 0 <= c, d <= power cap * delta
+    and 0 <= s <= energy cap.
+    """
+    n = 3 * t_len
+    soc0 = spec.initial_soc_kwh
+    rows = []
+    for t in range(t_len):
+        a = np.zeros(n)
+        a[2 * t_len + t] = 1.0
+        if t:
+            a[2 * t_len + t - 1] = -1.0
+        a[t] = -spec.charge_efficiency
+        a[t_len + t] = 1.0 / spec.discharge_efficiency
+        rows.append((a, "==", soc0 if t == 0 else 0.0))
+    if spec.cyclic:
+        a = np.zeros(n)
+        a[n - 1] = 1.0
+        rows.append((a, "==", soc0))
+    lb = np.zeros(n)
+    ub = np.concatenate([np.full(2 * t_len, spec.power_cap_kw * delta_hours),
+                         np.full(t_len, spec.energy_cap_kwh)])
+    return rows, lb, ub

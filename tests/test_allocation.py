@@ -4,13 +4,15 @@ bisection on the profit curve and by brute-force active-set enumeration."""
 import numpy as np
 import pytest
 
+from pvpool import allocation
 from pvpool.allocation import (AllocationError, _repair_rows, breakeven_prices,
-                               construct_feasible_key, gamma_price_map,
-                               min_variance_key, net_benefit)
+                               gamma_price_map, min_variance_key, net_benefit)
 from pvpool.domain import LoadMatrix, check_key
+from pvpool.numerics import solve_qp
 from pvpool.sizing import SizingEconomics, SizingResult, investor_profit
 
-from oracles import qp_active_set_minimum, repair_rows_loop
+from oracles import (assert_same_qp, construct_feasible_key, key_qp_by_rows,
+                     qp_active_set_minimum, repair_rows_loop)
 
 from test_sizing import (_params, _tariff, _toy_bundle, _TOY_CATALOG,
                          _decision_stub, _econ_stub)
@@ -210,6 +212,33 @@ def _oracle_variance(served, loads):
         rows.append((a, "==", -mu))
     obj, _ = qp_active_set_minimum(c, q, rows, lb, ub)
     return obj
+
+
+def capture_qps(monkeypatch, module):
+    """Record every QP that module hands to solve_qp, solving it as usual."""
+    seen = []
+
+    def solve(qp, **kwargs):
+        seen.append(qp)
+        return solve_qp(qp, **kwargs)
+
+    monkeypatch.setattr(module, "solve_qp", solve)
+    return seen
+
+
+def test_key_qp_blocks_match_row_loop(monkeypatch):
+    # one 5 x 4 instance with interior, surplus (pinned) and empty periods
+    rng = np.random.default_rng(61)
+    values = rng.uniform(0.2, 2.0, (5, 4))
+    totals = values.sum(axis=1)
+    served = np.array([0.5, 1.0, 2.0, 0.0, 0.7]) * totals
+    seen = capture_qps(monkeypatch, allocation)
+    min_variance_key([served], values, np.array([1.0]))
+    target = np.minimum(served, totals)
+    lo = np.where(target[:, None] >= totals[:, None], values, 0.0)
+    hi = np.where(target[:, None] <= 0.0, 0.0, values)
+    assert len(seen) == 1
+    assert_same_qp(seen[0], key_qp_by_rows(lo, hi, target))
 
 
 def test_min_variance_matches_active_set_oracle():

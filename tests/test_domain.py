@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from pvpool.domain import (
-    AllocationVector,
     DispatchSeries,
     DomainError,
     InverterCatalog,
     LoadMatrix,
-    MismatchState,
     RealizedTrajectory,
     RepartitionKey,
     SizingDecision,
@@ -168,22 +166,6 @@ def test_check_key_conditions():
     assert any("exceeds load" in m for m in check_key(too_much, loads, served))
     short_row = np.array([[2.0, 2.0], [0.6, 2.4]])
     assert any("row sum" in m for m in check_key(short_row, loads, served))
-
-
-def test_allocation_vector_kinds():
-    AllocationVector(np.array([1.0, 2.0]), kind="promise")
-    with pytest.raises(DomainError, match="unknown allocation kind"):
-        AllocationVector(np.array([1.0]), kind="banana")
-    with pytest.raises(DomainError, match="nonnegative"):
-        AllocationVector(np.array([-1.0]))
-
-
-def test_mismatch_state_accepts_any_sign():
-    state = MismatchState(np.array([-3.0, 2.0]), np.array([0.0, 0.0]),
-                          np.array([5.0, 5.0]))
-    assert state.expected_mismatch[0] == -3.0
-    with pytest.raises(DomainError, match="share one length"):
-        MismatchState(np.array([1.0]), np.array([1.0, 2.0]), np.array([1.0]))
 
 
 def test_realized_trajectory_validation():

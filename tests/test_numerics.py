@@ -8,7 +8,6 @@ from scipy.sparse.linalg import spsolve
 from pvpool import numerics
 from pvpool.numerics import (
     ConvexQuadraticProgram,
-    LinearConstraint,
     LinearProgram,
     NumericsError,
     ProblemBuilder,
@@ -25,10 +24,14 @@ from oracles import (
 )
 
 
+def _dense_rows(rows, n):
+    """Dense (coeffs, sense, rhs) triples as (matrix, senses, rhs)."""
+    a = np.array([r[0] for r in rows], dtype=float).reshape(len(rows), n)
+    return a, [r[1] for r in rows], [r[2] for r in rows]
+
+
 def _lp_from_dense(c, rows, lb, ub, maximize=False):
-    n = len(c)
-    lcs = [LinearConstraint(np.arange(n), a, s, b) for a, s, b in rows]
-    return LinearProgram.from_rows(c, lcs, lb=lb, ub=ub, maximize=maximize)
+    return LinearProgram(c, *_dense_rows(rows, len(c)), lb, ub, maximize)
 
 
 def test_lp_box_maximum():
@@ -129,9 +132,10 @@ def test_lp_free_variable_kkt_path():
 
 
 def test_lp_empty_row_consistency():
-    row = LinearConstraint(np.array([0]), np.array([0.0]), "==", 1.0)
-    lp = LinearProgram.from_rows(np.array([1.0]), [row], lb=[0.0], ub=[1.0])
-    assert solve_lp(lp).status == "infeasible"
+    pb = ProblemBuilder()
+    x = pb.add_vars(1, lb=0.0, ub=1.0, cost=1.0)
+    pb.add_row(x, [0.0], "==", 1.0)
+    assert solve_lp(pb.lp()).status == "infeasible"
 
 
 def test_lp_vertex_oracle_agreement():
@@ -177,38 +181,29 @@ def test_qp_box_clip():
 
 
 def test_qp_spread_penalty_hits_bound():
-    # 0.25 (x - y)^2 over x + y = 3 with x capped at 1
+    # 0.25 (x - y)^2 over x + y = 3 with x capped at 1, written as
+    # min_variance_key writes it: a free spread s = x - y with 0.25 s^2
     pb = ProblemBuilder()
-    idx = pb.add_vars(2, lb=0.0, ub=[1.0, 5.0], cost=0.0, qdiag=1.0)
+    idx = pb.add_vars(2, lb=0.0, ub=[1.0, 5.0], cost=0.0)
+    spread = pb.add_vars(1, lb=-np.inf, ub=np.inf, qdiag=0.5)
     pb.add_row(idx, [1.0, 1.0], "==", 3.0)
-    rep = solve_qp(pb.qp(rank_ones=((-0.5, np.array([1.0, 1.0])),)))
+    pb.add_row(np.concatenate([spread, idx]), [1.0, -1.0, 1.0], "==", 0.0)
+    rep = solve_qp(pb.qp())
     assert rep.status == "optimal"
-    np.testing.assert_allclose(rep.x, [1.0, 2.0], atol=1e-6)
+    np.testing.assert_allclose(rep.x[idx], [1.0, 2.0], atol=1e-6)
     assert rep.objective == pytest.approx(0.25, abs=1e-6)
-
-
-def test_qp_rank_one_without_rows():
-    # no constraint rows: must not take the separable shortcut
-    pb = ProblemBuilder()
-    pb.add_vars(2, lb=0.0, ub=2.0, cost=[-1.0, 0.0], qdiag=1.0)
-    rep = solve_qp(pb.qp(rank_ones=((1.0, np.array([1.0, 1.0])),)), tol=1e-9)
-    ref, _ = qp_active_set_minimum(
-        [-1.0, 0.0], [1.0, 1.0], [], [0.0, 0.0], [2.0, 2.0],
-        rank_ones=((1.0, np.array([1.0, 1.0])),))
-    assert rep.status == "optimal"
-    assert rep.objective == pytest.approx(ref, abs=1e-8)
 
 
 def test_qp_active_set_oracle_agreement():
     rng = np.random.default_rng(7)
     for _ in range(150):
-        c, q, rows, lb, ub, rank_ones = random_box_qp(rng)
-        n = len(c)
-        lcs = [LinearConstraint(np.arange(n), a, s, b) for a, s, b in rows]
-        qp = ConvexQuadraticProgram.from_rows(c, q, lcs, lb=lb, ub=ub,
-                                              rank_ones=rank_ones)
+        instance = random_box_qp(rng)
+        if instance is None:
+            continue
+        c, q, rows, lb, ub = instance
+        qp = ConvexQuadraticProgram(c, q, *_dense_rows(rows, len(c)), lb, ub)
         rep = solve_qp(qp, tol=1e-8)
-        ref, _ = qp_active_set_minimum(c, q, rows, lb, ub, rank_ones)
+        ref, _ = qp_active_set_minimum(c, q, rows, lb, ub)
         if ref is None:
             assert rep.status in ("optimal", "infeasible")
             continue
@@ -218,61 +213,89 @@ def test_qp_active_set_oracle_agreement():
 
 def test_qp_rejects_negative_diagonal():
     with pytest.raises(NumericsError):
-        ConvexQuadraticProgram.from_rows([0.0], [-1.0], [], lb=[0.0], ub=[1.0])
+        ConvexQuadraticProgram([0.0], [-1.0], np.zeros((0, 1)), [], [],
+                               lb=[0.0], ub=[1.0])
 
 
-def test_qp_rejects_indefinite_rank_one():
-    # q = 1 each, rho = -2 on [1, 1]: 1 - 2 * 2 < 0, not PSD
-    with pytest.raises(NumericsError):
-        ConvexQuadraticProgram.from_rows(
-            [0.0, 0.0], [1.0, 1.0], [], lb=[0.0, 0.0], ub=[1.0, 1.0],
-            rank_ones=((-2.0, np.array([1.0, 1.0])),))
-
-
-def test_qp_rejects_negative_rank_one_off_diagonal_support():
-    with pytest.raises(NumericsError):
-        ConvexQuadraticProgram.from_rows(
-            [0.0, 0.0], [1.0, 0.0], [], lb=[0.0, 0.0], ub=[1.0, 1.0],
-            rank_ones=((-0.5, np.array([1.0, 1.0])),))
-
-
-def test_qp_rejects_two_negative_rank_ones():
-    with pytest.raises(NumericsError):
-        ConvexQuadraticProgram.from_rows(
-            [0.0, 0.0], [4.0, 4.0], [], lb=[0.0, 0.0], ub=[1.0, 1.0],
-            rank_ones=((-0.5, np.array([1.0, 0.0])),
-                       (-0.5, np.array([0.0, 1.0]))))
+def _one_var_builder():
+    pb = ProblemBuilder()
+    pb.add_vars(1, lb=0.0, ub=1.0, cost=1.0)
+    return pb
 
 
 def test_constraint_validation():
+    # an unknown sense and a NaN coefficient are refused when the program
+    # is made, mismatched lengths as soon as the row is added
+    pb = _one_var_builder()
+    pb.add_row([0], [1.0], "<", 0.0)
     with pytest.raises(NumericsError):
-        LinearConstraint(np.array([0]), np.array([1.0]), "<", 0.0)
+        pb.lp()
     with pytest.raises(NumericsError):
-        LinearConstraint(np.array([0, 1]), np.array([1.0]), "<=", 0.0)
+        _one_var_builder().add_row([0, 1], [1.0], "<=", 0.0)
     with pytest.raises(NumericsError):
-        LinearConstraint(np.array([0]), np.array([np.nan]), "<=", 0.0)
+        _one_var_builder().add_rows([[0, 0]], [1.0, 2.0, 3.0], "<=", 0.0)
+    with pytest.raises(NumericsError):
+        _one_var_builder().add_rows([0, 0], [1.0], "<=", 0.0)
+    pb = _one_var_builder()
+    pb.add_row([0], [np.nan], "<=", 0.0)
+    with pytest.raises(NumericsError):
+        pb.lp()
+    with pytest.raises(NumericsError):
+        LinearProgram([1.0], [[1.0]], ["<"], [0.0], [0.0], [1.0])
+    with pytest.raises(NumericsError):
+        LinearProgram([1.0], [[np.nan]], ["<="], [0.0], [0.0], [1.0])
+    with pytest.raises(NumericsError):
+        LinearProgram([1.0], [[1.0]], ["<=", "<="], [0.0], [0.0], [1.0])
 
 
 def test_program_validation():
-    row = LinearConstraint(np.array([0]), np.array([1.0]), "<=", 1.0)
     with pytest.raises(NumericsError):
-        LinearProgram.from_rows([1.0], [row], lb=[2.0], ub=[1.0])
-    bad = LinearConstraint(np.array([3]), np.array([1.0]), "<=", 1.0)
+        LinearProgram([1.0], [[1.0]], ["<="], [1.0], lb=[2.0], ub=[1.0])
+    # a row on variable 3 of a one-variable program
     with pytest.raises(NumericsError):
-        LinearProgram.from_rows([1.0], [bad], lb=[0.0], ub=[1.0])
+        LinearProgram([1.0], np.zeros((1, 4)), ["<="], [1.0], [0.0], [1.0])
+    for bad in ([3], [-1]):
+        pb = _one_var_builder()
+        pb.add_row(bad, [1.0], "<=", 1.0)
+        with pytest.raises(NumericsError):
+            pb.lp()
+        pb = _one_var_builder()
+        pb.add_rows([bad], [1.0], "<=", 1.0)
+        with pytest.raises(NumericsError):
+            pb.qp()
     with pytest.raises(NumericsError):
-        solve_lp(ConvexQuadraticProgram.from_rows([1.0], [1.0], [row]))  # type: ignore[arg-type]
+        solve_lp(ConvexQuadraticProgram([1.0], [1.0], [[1.0]], ["<="], [1.0],
+                                        None, None))  # type: ignore[arg-type]
 
 
 def test_builder_offset_splice():
-    rows = [LinearConstraint(np.array([0]), np.array([1.0]), "<=", 2.0)]
+    # a row written against a later variable block lands on that block
     pb = ProblemBuilder()
     pb.add_vars(1, lb=0.0, ub=9.0, cost=0.0)
     block = pb.add_vars(1, lb=0.0, ub=9.0, cost=-1.0)
-    pb.add_constraints(rows, offset=int(block[0]))
+    pb.add_rows(block[:, None], [1.0], "<=", 2.0)
     rep = solve_lp(pb.lp())
     assert rep.status == "optimal"
     assert rep.x[1] == pytest.approx(2.0, abs=1e-8)
+
+
+def test_add_vars_fills_scalars_and_copies_arrays():
+    pb = ProblemBuilder()
+    ub = np.array([1.0, 2.0, 3.0])
+    pb.add_vars(3, lb=np.float64(-1.0), ub=ub, cost=2, qdiag=0.5)
+    pb.add_vars(2, lb=-np.inf, ub=np.inf, cost=[1, 2])
+    ub[0] = 99.0  # the builder keeps its own copy
+    qp = pb.qp()
+    for got, want in ((qp.lb, [-1.0] * 3 + [-np.inf] * 2),
+                      (qp.ub, [1.0, 2.0, 3.0, np.inf, np.inf]),
+                      (qp.c, [2.0, 2.0, 2.0, 1.0, 2.0]),
+                      (qp.q_diag, [0.5] * 3 + [0.0] * 2)):
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.array(want).tobytes()
+    with pytest.raises(NumericsError):
+        pb.add_vars(3, ub=[1.0, 2.0])
+    with pytest.raises(NumericsError):
+        pb.add_vars(2, cost=[[1.0, 2.0]])
 
 
 def test_add_rows_matches_row_by_row():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pvpool import operation
 from pvpool.allocation import min_variance_key
 from pvpool.domain import (DomainError, InputBundle, InverterCatalog,
                            LoadMatrix, RealizedTrajectory, RepartitionKey,
@@ -16,8 +17,8 @@ from pvpool.operation import (ALGORITHMS, ControlDecision, HorizonConfig,
 from pvpool.sizing import solve_sizing, split_flows
 from pvpool.storage import StorageSpec, check_feasible
 
-from oracles import control_qp_by_rows
-from test_allocation import _oracle_variance
+from oracles import assert_same_qp, control_qp_by_rows, settle_qp_by_rows
+from test_allocation import _oracle_variance, capture_qps
 
 
 def _state(soc=0.0, e_past=(0.0, 0.0), promise=(1.0, 1.0),
@@ -274,6 +275,23 @@ def test_control_qp_blocks_match_row_loop(tc, tt, theta):
 
 # ---------------------------------------------------------------------------
 # settlement
+
+@pytest.mark.parametrize("tc", [1, 3])
+def test_settle_qp_blocks_match_row_loop(tc, monkeypatch):
+    rng = np.random.default_rng(70 + tc)
+    n = 3
+    values = rng.uniform(0.2, 2.0, (tc, n))
+    served = rng.uniform(0.0, 1.0, tc) * values.sum(axis=1)
+    dec = _decision_stub(served, n, tail_expected=rng.uniform(0.0, 2.0, n))
+    st = _state(e_past=rng.uniform(0.0, 3.0, n),
+                promise=rng.uniform(3.0, 9.0, n),
+                e_future=rng.uniform(0.0, 2.0, n))
+    seen = capture_qps(monkeypatch, operation)
+    settle(dec, np.zeros(tc), values, st)
+    rhs = st.e_past + dec.tail_expected + st.e_future - st.promise
+    assert len(seen) == 1
+    assert_same_qp(seen[0], settle_qp_by_rows(values, served, rhs))
+
 
 def test_settle_reproduces_control_objective_on_exact_forecast():
     rng = np.random.default_rng(23)

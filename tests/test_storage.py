@@ -1,4 +1,5 @@
-"""Battery model tests: recursion values, checker, LP-row equivalence."""
+"""Battery model tests: recursion values, checker, and the state-of-charge
+rows of the optimization models against the checker."""
 
 import itertools
 import math
@@ -7,8 +8,12 @@ import numpy as np
 import pytest
 
 from pvpool.domain import DomainError, TimeGrid
-from pvpool.numerics import ProblemBuilder, solve_lp
-from pvpool.storage import StorageSpec, check_feasible, lp_constraints, soc_trajectory
+from pvpool.numerics import LinearProgram, solve_lp
+from pvpool.operation import (HorizonConfig, HorizonWindow, OperationState,
+                              _control_qp)
+from pvpool.storage import StorageSpec, check_feasible, soc_trajectory
+
+from oracles import soc_recursion_rows
 
 
 def _spec(**kwargs):
@@ -101,34 +106,69 @@ def test_check_feasible_matches_scalar_recheck():
 
 
 def test_lp_constraint_count():
-    grid1 = TimeGrid(0.5, 1)
-    assert len(lp_constraints(_spec(cyclic=True), grid1)) == 5
-    grid3 = TimeGrid(0.5, 3)
-    assert len(lp_constraints(_spec(cyclic=False), grid3)) == 12
-    assert len(lp_constraints(_spec(cyclic=True), grid3)) == 13
+    # one recursion row per period, plus the cyclic closure; each period
+    # holds 4 nonzeros (3 in the first), so rows and nonzeros grow as T
+    for t_len in (1, 3, 48):
+        for cyclic in (False, True):
+            rows, _, _ = soc_recursion_rows(_spec(cyclic=cyclic), t_len, 0.5)
+            assert len(rows) == t_len + cyclic
+            nnz = sum(int(np.count_nonzero(a)) for a, _, _ in rows)
+            assert nnz == 4 * t_len - 1 + cyclic
+
+
+def test_reference_rows_match_control_qp():
+    # the reference rows are the state-of-charge block that mpc_step solves
+    t_len, n = 3, 2
+    spec = StorageSpec(3.0, 6.0, 0.93, 0.92, 0.4, cyclic=False)
+    rng = np.random.default_rng(5)
+    loads = rng.uniform(0.2, 2.5, (t_len, n))
+    win = HorizonWindow(0.5, loads, rng.uniform(0.0, 3.0, t_len),
+                        np.zeros((0, n)), np.zeros((0, 1)), np.array([1.0]),
+                        np.full(t_len, 0.2), np.full(t_len, 0.05),
+                        np.zeros(t_len))
+    st = OperationState(0, spec.initial_soc_kwh, np.zeros(n), np.zeros(n),
+                        np.ones(n))
+    qp, _, _ = _control_qp(st, win, spec, HorizonConfig(t_len, t_len,
+                                                         theta=0.0), 0.0)
+    rows, lb, ub = soc_recursion_rows(spec, t_len, 0.5)
+    block = qp.a.toarray()[t_len:2 * t_len]  # after the balance rows
+    np.testing.assert_array_equal(block[:, 3 * t_len:], 0.0)
+    np.testing.assert_array_equal(block[:, :3 * t_len],
+                                  np.array([a for a, _, _ in rows]))
+    assert list(qp.senses[t_len:2 * t_len]) == [s for _, s, _ in rows]
+    np.testing.assert_array_equal(qp.rhs[t_len:2 * t_len],
+                                  [b for _, _, b in rows])
+    np.testing.assert_array_equal(qp.lb[:3 * t_len], lb)
+    np.testing.assert_array_equal(qp.ub[:3 * t_len], ub)
+
+
+def _recursion_lp(spec, t_len, delta_hours, cost_cd):
+    rows, lb, ub = soc_recursion_rows(spec, t_len, delta_hours)
+    cost = np.concatenate([cost_cd, np.zeros(t_len)])
+    return LinearProgram(cost, np.array([a for a, _, _ in rows]),
+                         [s for _, s, _ in rows], [b for _, _, b in rows],
+                         lb, ub)
 
 
 def test_zero_power_cap_pins_dispatch_to_zero():
-    grid = TimeGrid(1.0, 2)
     spec = _spec(power_cap_kw=0.0)
-    pb = ProblemBuilder()
-    idx = pb.add_vars(4, lb=0.0, ub=np.inf, cost=-1.0)
-    pb.add_constraints(lp_constraints(spec, grid), offset=0)
-    rep = solve_lp(pb.lp())
+    rep = solve_lp(_recursion_lp(spec, 2, 1.0, np.full(4, -1.0)))
     assert rep.status == "optimal"
-    np.testing.assert_allclose(rep.x[idx], 0.0, atol=1e-9)
+    np.testing.assert_allclose(rep.x[:4], 0.0, atol=1e-9)
 
 
-def _rows_satisfied(rows, x, tol=1e-9):
-    for row in rows:
-        v = float(row.coeffs @ x[row.indices])
-        if row.sense == "<=" and v > row.rhs + tol:
-            return False
-        if row.sense == ">=" and v < row.rhs - tol:
-            return False
-        if row.sense == "==" and abs(v - row.rhs) > tol:
-            return False
-    return True
+def _rows_satisfied(rows, lb, ub, c, d, tol=1e-9):
+    """Whether (c, d) is feasible for the reference rows: the recursion
+    rows, unit-triangular in s, fix s; then every row and bound must hold."""
+    t_len = c.shape[0]
+    amat = np.array([a for a, _, _ in rows])
+    rhs = np.array([b for _, _, b in rows])
+    cd = np.concatenate([c, d])
+    s = np.linalg.solve(amat[:t_len, 2 * t_len:],
+                        rhs[:t_len] - amat[:t_len, :2 * t_len] @ cd)
+    x = np.concatenate([cd, s])
+    return bool(np.all(np.abs(amat @ x - rhs) <= tol)
+                and np.all(x >= lb - tol) and np.all(x <= ub + tol))
 
 
 def test_rows_and_checker_agree_on_samples():
@@ -142,19 +182,19 @@ def test_rows_and_checker_agree_on_samples():
                            initial_soc_fraction=float(rng.uniform(0, 1)),
                            cyclic=bool(rng.random() < 0.5))
         grid = TimeGrid(float(rng.uniform(0.25, 1.0)), t)
-        rows = lp_constraints(spec, grid)
+        rows, lb, ub = soc_recursion_rows(spec, t, grid.delta_hours)
         limit = spec.power_cap_kw * grid.delta_hours
         for _ in range(25):
             c = rng.uniform(0, 1.3 * limit, t)
             d = rng.uniform(0, 1.3 * limit, t)
-            x = np.concatenate([c, d])
-            by_rows = _rows_satisfied(rows, x, tol=1e-8)
+            by_rows = _rows_satisfied(rows, lb, ub, c, d, tol=1e-8)
             by_check = check_feasible(spec, c, d, grid.delta_hours, tol=1e-8) == []
             assert by_rows == by_check
 
 
 def test_rows_and_checker_agree_on_vertices():
-    # every vertex of the row polytope must pass the checker exactly
+    # every vertex of the row polytope must pass the checker exactly: all
+    # equality rows active, the other faces picked among the bounds
     rng = np.random.default_rng(23)
     for _ in range(6):
         t = 2
@@ -165,29 +205,28 @@ def test_rows_and_checker_agree_on_vertices():
                            initial_soc_fraction=float(rng.uniform(0, 1)),
                            cyclic=bool(rng.random() < 0.5))
         grid = TimeGrid(0.5, t)
-        rows = lp_constraints(spec, grid)
-        n = 2 * t
+        rows, lb, ub = soc_recursion_rows(spec, t, grid.delta_hours)
+        n = 3 * t
+        eq = [(a, b) for a, _, b in rows]
         faces = []
-        for row in rows:
-            coef = np.zeros(n)
-            coef[row.indices] = row.coeffs
-            faces.append((coef, row.rhs))
         for j in range(n):
             e = np.zeros(n)
             e[j] = 1.0
-            faces.append((e, 0.0))
+            faces.append((e, lb[j]))
+            faces.append((e, ub[j]))
         found = 0
-        for comb in itertools.combinations(range(len(faces)), n):
-            amat = np.array([faces[k][0] for k in comb])
-            bvec = np.array([faces[k][1] for k in comb])
+        for comb in itertools.combinations(range(len(faces)), n - len(eq)):
+            picked = eq + [faces[k] for k in comb]
+            amat = np.array([f[0] for f in picked])
+            bvec = np.array([f[1] for f in picked])
             if np.linalg.matrix_rank(amat, tol=1e-10) < n:
                 continue
             x = np.linalg.solve(amat, bvec)
-            if np.any(x < -1e-9) or not _rows_satisfied(rows, x, tol=1e-8):
+            if not _rows_satisfied(rows, lb, ub, x[:t], x[t:2 * t], tol=1e-8):
                 continue
             found += 1
-            c, d = x[:t], x[t:]
-            assert check_feasible(spec, c, d, grid.delta_hours, tol=1e-7) == []
+            assert check_feasible(spec, x[:t], x[t:2 * t], grid.delta_hours,
+                                  tol=1e-7) == []
         assert found > 0
 
 
@@ -207,17 +246,12 @@ def test_enlarging_caps_never_shrinks_feasible_set():
 
 
 def test_lossless_cyclic_balances_charge_and_discharge():
-    grid = TimeGrid(1.0, 4)
     spec = StorageSpec(4.0, 8.0, 1.0, 1.0, 0.5, cyclic=True)
-    rows = lp_constraints(spec, grid)
     rng = np.random.default_rng(47)
     for _ in range(20):
-        pb = ProblemBuilder()
-        pb.add_vars(8, lb=0.0, ub=np.inf, cost=rng.normal(size=8))
-        pb.add_constraints(rows, offset=0)
-        rep = solve_lp(pb.lp())
+        rep = solve_lp(_recursion_lp(spec, 4, 1.0, rng.normal(size=8)))
         assert rep.status == "optimal"
-        c, d = rep.x[:4], rep.x[4:]
+        c, d = rep.x[:4], rep.x[4:8]
         assert c.sum() == pytest.approx(d.sum(), abs=1e-7)
 
 
