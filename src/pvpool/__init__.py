@@ -7,6 +7,8 @@ tracking those promises (operation).  Everything reduces to the embedded
 LP/QP solver in numerics; io and cli handle files and the command line.
 """
 
+__version__ = "0.1.0"  # set first: io puts it in the plan digest
+
 from .domain import (
     DispatchSeries,
     DomainError,
@@ -76,4 +78,3 @@ from .io import (
 )
 from .cli import cli_main
 
-__version__ = "0.1.0"

@@ -4,6 +4,15 @@ Run as `python -m pvpool <command> ...`.  Every command reads one JSON
 config (except gen, which writes one) and emits JSON reports plus CSV time
 series into the output directory.  Exit codes: 0 success, 1 runtime error
 with a diagnostic on stderr, 2 usage error.
+
+The plan (the sizing result with its per-scenario dispatches) is solved
+once and kept as `plan.json` in the output directory.  `size` always solves
+it and rewrites the file; running `size` again is how to refresh it.
+`allocate`, `simulate` and `sweep` reuse the file when its digest matches
+the loads, solar and catalog files and the config's grid, tariff and
+tech_econ settings; otherwise they solve the plan and write the file for
+the next command.  The horizon and the realized files do not enter the
+digest.  A plan whose digest matches but that cannot be read is an error.
 """
 
 import argparse
@@ -24,11 +33,13 @@ from .io import (
     ProjectConfig,
     dump_json,
     generate_synthetic,
+    load_plan_json,
     preset_config,
     write_catalog_json,
     write_key_csv,
     write_loads_csv,
     write_matrix_csv,
+    write_plan_json,
     write_realized_csv,
     write_solar_csv,
 )
@@ -43,10 +54,26 @@ def _out_dir(args):
     return out
 
 
-def _solve_from_config(config):
+def _plan(config, out, reuse=True):
+    """(bundle, catalog, sizing result) for a config.
+
+    With `reuse`, the plan stored in `out` is read when its digest matches
+    the config's inputs; otherwise it is solved and stored there.
+    """
     bundle, catalog = config.load_inputs()
-    sizing = solve_sizing(bundle, catalog)
+    path = out / "plan.json"
+    digest = config.plan_digest()
+    sizing = load_plan_json(path, digest, bundle) if reuse else None
+    if sizing is None:
+        sizing = solve_sizing(bundle, catalog)
+        write_plan_json(path, sizing, digest)
     return bundle, catalog, sizing
+
+
+def _promise(bundle, sizing):
+    """Min-variance keys and promise over the plan's served energy."""
+    served = [d.to_consumers for d in sizing.dispatches]
+    return min_variance_key(served, bundle.loads, sizing.probabilities)
 
 
 def _sizing_payload(config, sizing):
@@ -97,13 +124,14 @@ def _cmd_gen(args):
 def _cmd_size(args):
     config = ProjectConfig.from_file(args.config)
     out = _out_dir(args)
-    _, _, sizing = _solve_from_config(config)
+    _, _, sizing = _plan(config, out, reuse=False)
     dump_json(out / "sizing_report.json", _sizing_payload(config, sizing))
     d = sizing.decision
     print(f"pv {d.pv_capacity_kw:.1f} kW, storage {d.es_power_kw:.1f} kW /"
           f" {d.es_energy_kwh:.1f} kWh, objective {sizing.objective:.2f} EUR,"
           f" net benefit {net_benefit(sizing):.2f} EUR")
     print(f"report: {out / 'sizing_report.json'}")
+    print(f"plan: {out / 'plan.json'}")
     return 0
 
 
@@ -122,7 +150,7 @@ def _gamma_table(sizing, params, gammas=(0.0, 0.5, 1.0)):
 def _cmd_allocate(args):
     config = ProjectConfig.from_file(args.config)
     out = _out_dir(args)
-    bundle, _, sizing = _solve_from_config(config)
+    bundle, _, sizing = _plan(config, out)
     benefit = net_benefit(sizing)
     prices = breakeven_prices(sizing, bundle.params)
     table = _gamma_table(sizing, bundle.params)
@@ -134,8 +162,7 @@ def _cmd_allocate(args):
               f"  {row['investor_profit_eur']:>21.2f}"
               f"  {row['consumer_savings_eur']:>22.2f}")
 
-    served = [d.to_consumers for d in sizing.dispatches]
-    plan = min_variance_key(served, bundle.loads, sizing.probabilities)
+    plan = _promise(bundle, sizing)
     dump_json(out / "allocation_report.json", {
         "case": config.case,
         "seed": config.seed,
@@ -182,12 +209,10 @@ def _year_payload(config, report, consumer_ids):
 def _cmd_simulate(args):
     config = ProjectConfig.from_file(args.config)
     out = _out_dir(args)
-    bundle, _, sizing = _solve_from_config(config)
+    bundle, _, sizing = _plan(config, out)
     realized = config.load_realized()
-    served = [d.to_consumers for d in sizing.dispatches]
-    plan = min_variance_key(served, bundle.loads, sizing.probabilities)
-    report = run_year(bundle, plan, sizing.decision, realized, config.horizon,
-                      algorithm=args.algorithm)
+    report = run_year(bundle, _promise(bundle, sizing), sizing.decision,
+                      realized, config.horizon, algorithm=args.algorithm)
 
     ids = bundle.loads.consumer_ids
     alg = report.algorithm
@@ -222,7 +247,7 @@ def _parse_floats(text, flag):
 def _cmd_sweep(args):
     config = ProjectConfig.from_file(args.config)
     out = _out_dir(args)
-    bundle, catalog, sizing = _solve_from_config(config)
+    bundle, catalog, sizing = _plan(config, out)
     params = bundle.params
     months = 12 * params.horizon_years
     n = bundle.loads.num_consumers

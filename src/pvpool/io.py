@@ -7,21 +7,27 @@ a plausible collective when no metered data is at hand.
 
 Numbers are written at repr precision, so a write/read trip reproduces each
 float64 exactly and reports produced from the same config and seed are
-byte-identical.
+byte-identical.  The same holds for the plan file (`write_plan_json`), which
+stores a whole sizing result so later commands need not solve it again.
 """
 
 import csv
+import hashlib
 import json
-from dataclasses import dataclass
+import os
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .domain import (
+    DispatchSeries,
     DomainError,
     InverterCatalog,
     LoadMatrix,
     RealizedTrajectory,
+    SizingDecision,
     SolarScenarioSet,
     SubsidyRule,
     Tariff,
@@ -30,6 +36,7 @@ from .domain import (
     validate_inputs,
 )
 from .operation import HorizonConfig
+from .sizing import SizingEconomics, SizingResult
 
 
 class DataFileError(ValueError):
@@ -191,9 +198,20 @@ def _json_default(obj):
 
 def dump_json(path, payload):
     """Write a report; sorted keys and repr floats keep equal runs
-    byte-identical."""
+    byte-identical.
+
+    The text goes to a temporary file beside the target, which then
+    replaces it, so a killed command leaves the old file or the new one,
+    never half of one.
+    """
+    path = Path(path)
     text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default)
-    Path(path).write_text(text + "\n")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_catalog_json(path):
@@ -220,6 +238,73 @@ def load_catalog_json(path):
 def write_catalog_json(path, catalog):
     dump_json(path, {"pv_options": [list(o) for o in catalog.pv_options],
                      "es_options": [list(o) for o in catalog.es_options]})
+
+
+# ---------------------------------------------------------------------------
+# The plan: a sizing result with the digest of the inputs it was solved from
+
+PLAN_FORMAT = 1  # part of the digest; bump when the stored fields change
+
+
+def write_plan_json(path, sizing, digest):
+    """Store a SizingResult: decision, economics, objective, flags,
+    scenario probabilities and every dispatch array, at repr precision."""
+    dump_json(path, {
+        "digest": digest,
+        "decision": asdict(sizing.decision),
+        "economics": asdict(sizing.economics),
+        "objective": sizing.objective,
+        "flags": list(sizing.flags),
+        "probabilities": sizing.probabilities,
+        "dispatches": [asdict(d) for d in sizing.dispatches],
+    })
+
+
+def load_plan_json(path, digest, bundle):
+    """Inverse of write_plan_json for the inputs named by `digest`.
+
+    Returns None when there is no plan at `path` or it was solved from
+    other inputs (another digest).  A plan with the right digest that is
+    malformed or does not fit `bundle` (scenario count, period count,
+    probabilities) raises DataFileError.
+    """
+    path = Path(path)
+    try:
+        payload = json.loads(path.read_text())
+    except FileNotFoundError:
+        return None
+    except json.JSONDecodeError as exc:
+        raise DataFileError(f"{path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataFileError(f"{path}: a plan is a JSON object")
+    if payload.get("digest") != digest:
+        return None
+    scen, t_len = bundle.scenarios, bundle.grid.num_periods
+    try:
+        decision = SizingDecision(**payload["decision"])
+        economics = SizingEconomics(**{k: float(v) for k, v in
+                                       payload["economics"].items()})
+        dispatches = tuple(
+            DispatchSeries(**{name: np.array(values, dtype=np.float64)
+                              for name, values in d.items()})
+            for d in payload["dispatches"])
+        probabilities = np.array(payload["probabilities"], dtype=np.float64)
+        objective = float(payload["objective"])
+        flags = tuple(str(f) for f in payload["flags"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataFileError(
+            f"{path}: malformed plan: {type(exc).__name__}: {exc}") from exc
+    if len(dispatches) != scen.num_scenarios \
+            or not np.array_equal(probabilities, scen.probabilities):
+        raise DataFileError(
+            f"{path}: plan has {len(dispatches)} scenarios and probabilities"
+            f" {probabilities.tolist()}, the inputs have {scen.num_scenarios}"
+            f" and {scen.probabilities.tolist()}")
+    if any(d.num_periods != t_len for d in dispatches):
+        raise DataFileError(
+            f"{path}: plan dispatches do not span the {t_len} input periods")
+    return SizingResult(decision, dispatches, scen.probabilities, objective,
+                        economics, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +496,28 @@ class ProjectConfig:
         tariff = self.build_tariff(loads.num_periods)
         return validate_inputs(grid, loads, scenarios, tariff,
                                self.params), catalog
+
+    def plan_digest(self):
+        """SHA-256 naming the inputs a plan is solved from.
+
+        It covers the bytes of the loads, solar and catalog files, the
+        grid, tariff and tech_econ settings, the package version and the
+        plan format.  The horizon and the realized files do not enter
+        sizing and are left out.
+        """
+        settings = {
+            "files": [hashlib.sha256(p.read_bytes()).hexdigest()
+                      for p in (self.loads_path, self.solar_path,
+                                self.catalog_path)],
+            "delta_hours": self.delta_hours,
+            "periods_per_year": self.periods_per_year,
+            "tariff": self.tariff_fields,
+            "tech_econ": asdict(self.params),
+            "version": __version__,
+            "format": PLAN_FORMAT,
+        }
+        text = json.dumps(settings, sort_keys=True, default=_json_default)
+        return hashlib.sha256(text.encode()).hexdigest()
 
     def load_realized(self):
         if self.realized_alphas_path is None or self.realized_loads_path is None:

@@ -320,9 +320,16 @@ def _solve_combo(bundle, pv_lo, pv_hi, es_hi, tier_rate, sub_rate, es_lo=0.0):
     x = rep.x
     pv_cap = _snap(float(np.clip(x[p_pv[0]], pv_lo, pv_hi)), pv_lo, pv_hi)
     es_pow = _snap(float(np.clip(x[p_es[0]], es_lo, es_hi)), es_lo, es_hi)
+    limit = es_pow * delta
+    if pv_cap == 0.0:
+        # Without PV the battery has nothing to charge from (import is capped
+        # at the load), so the optimum leaves it idle at its smallest power.
+        # Solver fuzz there (power ~1e-7 kW, charge a hair above discharge)
+        # would make split_flows serve negative energy.
+        es_pow = es_lo
+        limit = 0.0
     dispatch_raw = []
     flows_raw = []
-    limit = es_pow * delta
     for c, d, gg, gs in per_scenario:
         cv = np.clip(x[c], 0.0, limit)
         dv = np.clip(x[d], 0.0, limit)

@@ -1,10 +1,17 @@
 """File format, config, synthetic data, and command line tests."""
 
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pvpool
+from pvpool import cli, io
 from pvpool.cli import cli_main
 from pvpool.domain import InverterCatalog, LoadMatrix, SolarScenarioSet, check_key
 from pvpool.io import (
@@ -16,15 +23,18 @@ from pvpool.io import (
     load_catalog_json,
     load_loads_csv,
     load_matrix_csv,
+    load_plan_json,
     load_realized_csv,
     load_solar_csv,
     preset_config,
     write_catalog_json,
     write_key_csv,
     write_loads_csv,
+    write_plan_json,
     write_realized_csv,
     write_solar_csv,
 )
+from pvpool.sizing import solve_sizing
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +170,21 @@ def test_dump_json_is_key_order_independent(tmp_path):
     dump_json(a, {"x": np.arange(3.0), "y": 1.5, "z": np.float64(2.0)})
     dump_json(b, {"z": np.float64(2.0), "y": 1.5, "x": np.arange(3.0)})
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_dump_json_never_leaves_half_a_file(tmp_path, monkeypatch):
+    path = tmp_path / "report.json"
+    dump_json(path, {"old": 1.0})
+    before = path.read_bytes()
+
+    def killed(src, dst):
+        raise OSError("killed before the rename")
+
+    monkeypatch.setattr(io.os, "replace", killed)
+    with pytest.raises(OSError, match="killed"):
+        dump_json(path, {"new": list(range(1000))})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 # ---------------------------------------------------------------------------
@@ -446,3 +471,169 @@ def test_cli_gen_deterministic_and_distinct_seeds(tmp_path):
                  "realized_loads.csv", "catalog.json", "config.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
     assert (a / "loads.csv").read_bytes() != (c / "loads.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# The plan artifact
+
+
+def _base_solves(monkeypatch):
+    """Count the unpinned solve_sizing calls the CLI makes (the base plan);
+    sweep's capacity points pin the PV size and are not counted."""
+    calls = []
+    real = cli.solve_sizing
+
+    def counting(bundle, catalog, **kwargs):
+        if kwargs.get("pv_capacity_fixed") is None:
+            calls.append(kwargs)
+        return real(bundle, catalog, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_sizing", counting)
+    return calls
+
+
+def test_plan_json_roundtrip_bit_exact(tmp_path):
+    out = _gen_dir(tmp_path, seed=17)
+    config = ProjectConfig.from_file(out / "config.json")
+    bundle, catalog = config.load_inputs()
+    sizing = dataclasses.replace(
+        solve_sizing(bundle, catalog),
+        flags=("scenario 0 period 3: import/export overlap 2e-06 kWh",))
+    path = tmp_path / "plan.json"
+    digest = config.plan_digest()
+    write_plan_json(path, sizing, digest)
+    back = load_plan_json(path, digest, bundle)
+
+    assert back.decision == sizing.decision
+    assert back.objective == sizing.objective
+    assert back.flags == sizing.flags
+    for field in dataclasses.fields(sizing.economics):
+        assert getattr(back.economics, field.name) \
+            == getattr(sizing.economics, field.name), field.name
+    assert back.probabilities.tobytes() == sizing.probabilities.tobytes()
+    assert len(back.dispatches) == len(sizing.dispatches) == 2
+    for got, want in zip(back.dispatches, sizing.dispatches):
+        for field in dataclasses.fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert np.array_equal(a, b), field.name
+            assert a.tobytes() == b.tobytes(), field.name
+
+    # another digest names other inputs; no file means no plan
+    assert load_plan_json(path, "0" * 64, bundle) is None
+    assert load_plan_json(tmp_path / "absent.json", digest, bundle) is None
+
+
+def test_cli_commands_reuse_the_sized_plan(tmp_path, monkeypatch):
+    out = _gen_dir(tmp_path, seed=13)
+    config = str(out / "config.json")
+    solves = _base_solves(monkeypatch)
+    assert cli_main(["size", "--config", config]) == 0
+    assert len(solves) == 1
+    assert (out / "plan.json").exists()
+    assert cli_main(["allocate", "--config", config]) == 0
+    assert cli_main(["simulate", "--config", config]) == 0
+    assert cli_main(["sweep", "--config", config,
+                     "--capacities", "0,12"]) == 0
+    assert len(solves) == 1
+    # size always solves again
+    assert cli_main(["size", "--config", config]) == 0
+    assert len(solves) == 2
+
+
+def test_plan_digest_follows_sizing_inputs_only(tmp_path, monkeypatch):
+    out = _gen_dir(tmp_path, seed=14)
+    config = out / "config.json"
+    solves = _base_solves(monkeypatch)
+    assert cli_main(["size", "--config", str(config)]) == 0
+
+    def edit(change):
+        cfg = json.loads(config.read_text())
+        change(cfg)
+        config.write_text(json.dumps(cfg, sort_keys=True))
+        before = len(solves)
+        assert cli_main(["allocate", "--config", str(config)]) == 0
+        return len(solves) - before
+
+    assert edit(lambda c: c["horizon"].update(prediction_periods=8)) == 0
+    assert edit(lambda c: c["tariff"].update(grid_energy_price=0.14)) == 1
+    assert edit(lambda c: c["tech_econ"].update(beta_es=150.0)) == 1
+    assert edit(lambda c: None) == 0
+    loads = out / "loads.csv"
+    loads.write_text(loads.read_text().replace("c01", "x01", 1))
+    assert edit(lambda c: None) == 1
+    assert edit(lambda c: None) == 0
+
+
+def test_cold_and_warm_commands_write_identical_reports(tmp_path):
+    out = _gen_dir(tmp_path, seed=15)
+    config = str(out / "config.json")
+    cold_alloc, cold_sim, warm = (tmp_path / n for n in ("ca", "cs", "warm"))
+    assert cli_main(["allocate", "--config", config,
+                     "--out", str(cold_alloc)]) == 0
+    assert cli_main(["simulate", "--config", config,
+                     "--out", str(cold_sim)]) == 0
+    for command in ("size", "allocate", "simulate"):
+        assert cli_main([command, "--config", config,
+                         "--out", str(warm)]) == 0
+    for cold in (cold_alloc, cold_sim):
+        names = sorted(p.name for p in cold.iterdir())
+        assert "plan.json" in names
+        for name in names:
+            assert (cold / name).read_bytes() == (warm / name).read_bytes(), name
+
+
+def test_malformed_plan_with_matching_digest_is_an_error(tmp_path, capsys):
+    out = _gen_dir(tmp_path, seed=16)
+    config = str(out / "config.json")
+    assert cli_main(["size", "--config", config]) == 0
+    plan_path = out / "plan.json"
+    good = json.loads(plan_path.read_text())
+
+    def drop_key(p):
+        del p["economics"]
+
+    def drop_scenario(p):
+        p["dispatches"].pop()
+
+    def short_series(p):
+        p["dispatches"][0]["charge"].pop()
+
+    def other_probabilities(p):
+        p["probabilities"] = [0.5, 0.5]
+
+    for corrupt in (drop_key, drop_scenario, short_series,
+                    other_probabilities):
+        bad = json.loads(json.dumps(good))
+        corrupt(bad)
+        plan_path.write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert cli_main(["allocate", "--config", config]) == 1, corrupt
+        err = capsys.readouterr().err
+        assert "error:" in err and "plan.json" in err, corrupt
+        assert "Traceback" not in err
+
+    plan_path.write_text('{"digest": ')
+    assert cli_main(["simulate", "--config", config]) == 1
+    assert "plan.json" in capsys.readouterr().err
+
+
+def test_size_then_allocate_as_separate_processes(tmp_path):
+    out = _gen_dir(tmp_path, seed=18)
+    config = str(out / "config.json")
+    src = str(Path(pvpool.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(command):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pvpool", command, "--config", config],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    run("size")
+    plan = out / "plan.json"
+    written = (plan.stat().st_mtime_ns, plan.read_bytes())
+    run("allocate")
+    # allocate read the plan and did not write it again
+    assert (plan.stat().st_mtime_ns, plan.read_bytes()) == written
+    assert (out / "allocation_report.json").exists()

@@ -390,3 +390,40 @@ def test_economics_capex_total_is_capex():
     res = solve_sizing(bundle, _TOY_CATALOG)
     assert res.decision.builds_anything
     assert res.economics.capex_total == capex(res.decision, bundle.params)
+
+
+def _baseline_bundle(seed, consumers, days, scenarios):
+    """A generated collective under the baseline preset, as `gen` writes it."""
+    from pvpool.domain import validate_inputs
+    from pvpool.io import generate_synthetic, params_from_mapping, preset_config
+    preset = preset_config("baseline")
+    loads, scen, _ = generate_synthetic(seed, consumers, days, scenarios)
+    t_len = loads.num_periods
+    fields = preset["tariff"]
+    tariff = Tariff(np.full(t_len, fields["grid_energy_price"]),
+                    fields["fixed_charge"], np.full(t_len, fields["export_price"]),
+                    np.full(t_len, fields["export_tax"]), fields["local_price"])
+    bundle = validate_inputs(TimeGrid(0.5, t_len, 17520), loads, scen, tariff,
+                             params_from_mapping(preset["tech_econ"]))
+    return bundle, InverterCatalog(**preset["catalog"])
+
+
+def test_storage_without_pv_stays_idle():
+    # Captured at seed 9001 (15 consumers, one day, two scenarios): the
+    # storage-only combination (no PV inverter, 50 kW storage inverter)
+    # ended with es_power 1.25e-7 kW, just above the snap threshold, and a
+    # charge up to 1.6e-9 kWh above the discharge with no PV.  split_flows
+    # then served negative energy and solve_sizing raised DomainError.
+    bundle, catalog = _baseline_bundle(9001, 15, 1, 2)
+    pv_cap, es_pow, draw, _ = sizing._solve_combo(
+        bundle, 0.0, 0.0, 50.0, 1100.0, 100.0)
+    assert pv_cap == 0.0 and es_pow == 0.0
+    for charge, discharge in draw:
+        assert not charge.any() and not discharge.any()
+
+    res = solve_sizing(bundle, catalog)
+    assert res.decision.pv_capacity_kw == 100.0
+    assert res.decision.es_inverter_index == 0
+    load = bundle.loads.aggregate()
+    for dispatch in res.dispatches:
+        assert check_dispatch(dispatch, load, tol=1e-6) == []
