@@ -33,8 +33,8 @@ from .sizing import (
     SizingError,
     SizingResult,
     capex,
+    dispatch_costs,
     investor_profit,
-    opex,
     pv_production,
     solve_sizing,
     split_flows,
@@ -61,7 +61,6 @@ from .operation import (
     compute_mismatch,
     mpc_step,
     myopic_settle,
-    rule_based_control,
     run_year,
     settle,
 )

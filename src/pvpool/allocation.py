@@ -4,7 +4,8 @@ Money side: the collective's net benefit is fixed by the sizing optimum; the
 local energy price p only moves it between the investor and the consumers.
 Both break-even prices have closed forms, and the share kept by the investor
 is affine in p, so the whole win-win analysis is arithmetic on the sizing
-economics.
+economics (whose dispatch bill is `sizing.dispatch_costs`), and the investor's
+break-even is the root of `sizing.investor_profit`.
 
 Energy side: the yearly promise to each consumer comes from the key of
 repartition that minimizes the expected variance of allocated energy.  The
@@ -20,6 +21,7 @@ import numpy as np
 
 from .domain import LoadMatrix, RepartitionKey
 from .numerics import ProblemBuilder, solve_qp
+from .sizing import investor_profit
 
 _TINY_ENERGY = 1e-12  # kWh/yr below which "local energy sold" is zero
 
@@ -69,15 +71,11 @@ def breakeven_prices(sizing, params):
     affine decreasing.  Their roots bracket the win-win range whenever the
     net benefit is positive.
     """
-    from .sizing import subsidy_present_value
-
     eco = sizing.economics
     slope = _price_slope(eco)
     if eco.annual_local_energy <= _TINY_ENERGY:
         raise AllocationError("no local energy sold")
-    fixed_income = eco.pvf * (eco.annual_export_revenue - eco.annual_opex) \
-        + subsidy_present_value(eco.subsidy_amount, params)
-    investor = (eco.capex_total - fixed_income) / slope
+    investor = -investor_profit(0.0, sizing, params) / slope
     consumer = (eco.annual_grid_cost_without - eco.annual_grid_cost_with) \
         / eco.annual_local_energy
     return PriceRange(investor_breakeven=investor, consumer_breakeven=consumer)
@@ -143,7 +141,7 @@ def _split_qp(lo, hi, target, qdiag, cost, aux_rhs):
     return pb.qp(), gvars
 
 
-def _scenario_key(served, loads, tol):
+def _scenario_key(served, loads):
     values = np.asarray(loads.values if isinstance(loads, LoadMatrix) else loads,
                         dtype=np.float64)
     t_len, n = values.shape
@@ -163,14 +161,13 @@ def _scenario_key(served, loads, tol):
     target[empty] = 0.0
     # spread_i = (allocated to i) - mean allocation, the mean being fixed
     qp, gvars = _split_qp(lo, hi, target, 2.0 / n, 0.0, -(target.sum() / n))
-    rep = solve_qp(qp, tol=tol)
+    rep = solve_qp(qp, tol=1e-8)
     if rep.status != "optimal":
         raise AllocationError(f"key subproblem ended {rep.status}")
     return _repair_rows(rep.x[gvars].reshape(t_len, n), served, values)
 
 
-def min_variance_key(served_by_scenario, loads_by_scenario, probabilities,
-                     tol=1e-8):
+def min_variance_key(served_by_scenario, loads_by_scenario, probabilities):
     """Key of repartition minimizing the expected variance of allocations.
 
     loads_by_scenario may be a single LoadMatrix shared by every scenario or
@@ -195,7 +192,7 @@ def min_variance_key(served_by_scenario, loads_by_scenario, probabilities,
     for widx in range(n_scen):
         try:
             rows = _scenario_key(served_by_scenario[widx],
-                                 loads_by_scenario[widx], tol)
+                                 loads_by_scenario[widx])
         except AllocationError as exc:
             raise AllocationError(f"scenario {widx}: {exc}") from exc
         key = RepartitionKey(rows)

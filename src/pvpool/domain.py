@@ -7,6 +7,7 @@ algorithms live here; planning, allocation and operation import these types.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,12 @@ class DomainError(ValueError):
             errors = [errors]
         self.errors = list(errors)
         super().__init__("; ".join(self.errors))
+
+
+def is_count(value):
+    """A period count: a whole number >= 1 given as a number, not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) \
+        and float(value).is_integer() and value >= 1
 
 
 def _frozen(values, dtype=np.float64):
@@ -56,10 +63,9 @@ class TimeGrid:
         errors = []
         if not (np.isfinite(self.delta_hours) and self.delta_hours > 0):
             errors.append("delta_hours must be positive")
-        if int(self.num_periods) != self.num_periods or self.num_periods < 1:
-            errors.append("num_periods must be a positive integer")
-        if int(self.periods_per_year) != self.periods_per_year or self.periods_per_year < 1:
-            errors.append("periods_per_year must be a positive integer")
+        for name in ("num_periods", "periods_per_year"):
+            if not is_count(getattr(self, name)):
+                errors.append(f"{name} must be a positive integer")
         if errors:
             raise DomainError(errors)
         object.__setattr__(self, "delta_hours", float(self.delta_hours))

@@ -14,6 +14,7 @@ stores a whole sizing result so later commands need not solve it again.
 import csv
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -33,6 +34,7 @@ from .domain import (
     Tariff,
     TechEconParams,
     TimeGrid,
+    is_count,
     validate_inputs,
 )
 from .operation import HorizonConfig
@@ -436,9 +438,15 @@ class ProjectConfig:
                 raise DataFileError(f"{path}: {key} -> {target} does not exist")
             return target
 
-        seed = payload.get("seed", 0)
-        if not isinstance(seed, int) or not 0 <= seed < 2**64:
-            raise DataFileError(f"{path}: seed must be an unsigned 64-bit integer")
+        def setting(key, default, valid, what):
+            value = payload.get(key, default)
+            if isinstance(value, bool) or not valid(value):
+                raise DataFileError(f"{path}: {key} must be {what},"
+                                    f" not {value!r}")
+            return value
+
+        seed = setting("seed", 0, lambda v: isinstance(v, int)
+                       and 0 <= v < 2**64, "an unsigned 64-bit integer")
         tariff = payload.get("tariff")
         if not isinstance(tariff, dict):
             raise DataFileError(f"{path}: missing tariff section")
@@ -455,8 +463,11 @@ class ProjectConfig:
         return cls(
             case=str(payload.get("case", "custom")),
             seed=seed,
-            delta_hours=float(payload.get("delta_hours", 0.5)),
-            periods_per_year=int(payload.get("periods_per_year", 17520)),
+            delta_hours=float(setting(
+                "delta_hours", 0.5, lambda v: isinstance(v, (int, float))
+                and math.isfinite(v) and v > 0, "a positive number of hours")),
+            periods_per_year=int(setting("periods_per_year", 17520, is_count,
+                                         "a positive integer")),
             loads_path=resolve("loads_csv"),
             solar_path=resolve("solar_csv"),
             catalog_path=resolve("catalog_json"),
@@ -534,14 +545,12 @@ class ProjectConfig:
 PERIODS_PER_DAY = 48  # 30-minute metering grid
 
 
-def generate_synthetic(seed, num_consumers, days, num_scenarios=10,
-                       daily_kwh=(8.0, 16.0), load_noise=0.2,
-                       cloud_range=(0.2, 1.0)):
+def generate_synthetic(seed, num_consumers, days, num_scenarios=10):
     """Fabricate a collective: loads, solar scenarios, and a realized year.
 
-    Loads follow a two-hump residential day scaled per consumer, with
-    multiplicative noise and clipped at zero.  Solar scenarios are a
-    clear-sky bell scaled by per-scenario daily cloudiness, in [0, 1].
+    Loads follow a two-hump residential day scaled per consumer to 8-16 kWh,
+    with 20% multiplicative noise and clipped at zero.  Solar scenarios are
+    a clear-sky bell scaled by per-scenario daily cloudiness in [0.2, 1].
     The realized trajectory picks one scenario per day from the scenario
     distribution and redraws the load noise.
 
@@ -558,9 +567,9 @@ def generate_synthetic(seed, num_consumers, days, num_scenarios=10,
     shape = (0.35 + 0.45 * np.exp(-0.5 * ((hours - 8.0) / 2.0) ** 2)
              + 0.85 * np.exp(-0.5 * ((hours - 19.5) / 2.8) ** 2))
     shape /= shape.sum()
-    daily = rng.uniform(daily_kwh[0], daily_kwh[1], size=num_consumers)
+    daily = rng.uniform(8.0, 16.0, size=num_consumers)
     base = np.tile(shape, days)[:, None] * daily[None, :]
-    wobble = 1.0 + load_noise * rng.standard_normal((t_total, num_consumers))
+    wobble = 1.0 + 0.2 * rng.standard_normal((t_total, num_consumers))
     ids = tuple(f"c{i + 1:02d}" for i in range(num_consumers))
     loads = LoadMatrix(np.maximum(base * wobble, 0.0), ids)
 
@@ -568,8 +577,7 @@ def generate_synthetic(seed, num_consumers, days, num_scenarios=10,
     frac = (hours - 6.5) / (20.0 - 6.5)
     bell = np.where((frac > 0.0) & (frac < 1.0),
                     np.sin(np.pi * np.clip(frac, 0.0, 1.0)) ** 1.3, 0.0)
-    cloud = rng.uniform(cloud_range[0], cloud_range[1],
-                        size=(days, num_scenarios))
+    cloud = rng.uniform(0.2, 1.0, size=(days, num_scenarios))
     ripple = 1.0 - 0.1 * np.abs(rng.standard_normal((t_total, num_scenarios)))
     alphas = np.clip(np.tile(bell, days)[:, None]
                      * np.repeat(cloud, PERIODS_PER_DAY, axis=0) * ripple,
@@ -581,7 +589,7 @@ def generate_synthetic(seed, num_consumers, days, num_scenarios=10,
     columns = np.repeat(picks, PERIODS_PER_DAY)
     drift = 1.0 - 0.05 * np.abs(rng.standard_normal(t_total))
     real_alpha = np.clip(alphas[np.arange(t_total), columns] * drift, 0.0, 1.0)
-    rewobble = 1.0 + load_noise * rng.standard_normal((t_total, num_consumers))
+    rewobble = 1.0 + 0.2 * rng.standard_normal((t_total, num_consumers))
     real_loads = np.maximum(base * rewobble, 0.0)
     realized = RealizedTrajectory(real_alpha, real_loads)
     return loads, scenarios, realized

@@ -3,7 +3,7 @@
 One primal-dual interior-point core (Mehrotra predictor-corrector) backs both
 solve_lp and solve_qp.  Problems are stated as
 
-    min (or max for LPs)   0.5 x'Qx + c'x
+    min                    0.5 x'Qx + c'x
     s.t.                   a_i'x  (<=, ==, >=)  rhs_i
                            lb <= x <= ub
 
@@ -91,9 +91,9 @@ def _normalize(problem):
         raise NumericsError("senses/rhs length must equal the number of rows")
     if not np.isfinite(c).all() or not np.isfinite(a.data).all() or not np.isfinite(rhs).all():
         raise NumericsError("objective, matrix and rhs entries must be finite")
-    for s in senses:
-        if s not in _SENSES:
-            raise NumericsError(f"unknown sense {s!r}")
+    unknown = senses[~np.isin(senses, _SENSES)]
+    if unknown.size:
+        raise NumericsError(f"unknown sense {unknown[0]!r}")
     if np.any(np.isnan(lb)) or np.any(np.isnan(ub)):
         raise NumericsError("bounds must not be NaN")
     if np.any(lb > ub):
@@ -102,7 +102,7 @@ def _normalize(problem):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min or max c'x subject to sparse rows and box bounds."""
+    """min c'x subject to sparse rows and box bounds."""
 
     c: np.ndarray
     a: sp.csr_matrix
@@ -110,7 +110,6 @@ class LinearProgram:
     rhs: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    maximize: bool = False
 
     def __post_init__(self):
         _normalize(self)
@@ -147,7 +146,7 @@ class SolveReport:
 
     status            "optimal", "infeasible", "unbounded" or "iteration_limit"
     x                 primal point (None when no meaningful point exists)
-    objective         objective value in the problem's own sense
+    objective         objective value
     primal_residual   max absolute violation over rows and bounds
     dual_residual     stationarity residual, inf-norm
     duality_gap       |primal objective - dual objective|
@@ -253,11 +252,11 @@ class ProblemBuilder:
         qd = np.concatenate(self._qdiag) if n else np.zeros(0)
         return cost, qd, a, np.asarray(self._senses, dtype="U2"), np.asarray(self._rhs), lb, ub
 
-    def lp(self, maximize=False):
+    def lp(self):
         cost, qd, a, senses, rhs, lb, ub = self._assemble()
         if np.any(qd != 0):
             raise NumericsError("quadratic costs present, build a qp() instead")
-        return LinearProgram(cost, a, senses, rhs, lb, ub, maximize)
+        return LinearProgram(cost, a, senses, rhs, lb, ub)
 
     def qp(self):
         return ConvexQuadraticProgram(*self._assemble())
@@ -275,17 +274,11 @@ class _Standard:
         self.n_orig = n
         self.obj_const = 0.0
         if n_slack:
-            data, ri, ci = [], [], []
-            slack_of_row = {}
-            j = n
-            for i in range(m):
-                if senses[i] == LE:
-                    data.append(1.0); ri.append(i); ci.append(j)
-                    slack_of_row[i] = j; j += 1
-                elif senses[i] == GE:
-                    data.append(-1.0); ri.append(i); ci.append(j)
-                    slack_of_row[i] = j; j += 1
-            s_block = sp.csr_matrix((data, (ri, ci)), shape=(m, n + n_slack))
+            # one slack per inequality row, in row order: +1 on <=, -1 on >=
+            rows = np.flatnonzero(senses != EQ)
+            s_block = sp.csr_matrix(
+                (np.where(senses[rows] == LE, 1.0, -1.0),
+                 (rows, n + np.arange(n_slack))), shape=(m, n + n_slack))
             a = sp.hstack([a, sp.csr_matrix((m, n_slack))], format="csr") + s_block
             c = np.concatenate([c, np.zeros(n_slack)])
             qdiag = np.concatenate([qdiag, np.zeros(n_slack)])
@@ -313,8 +306,6 @@ class _Standard:
         iteration has no central path to follow).
         """
         lb, ub = self.lb, self.ub
-        if np.any(lb > ub):
-            return  # _solve reports infeasibility from the raw bounds
         fixed = lb == ub
         vals = np.where(fixed, lb, 0.0)
         m = self.a.shape[0]
@@ -530,12 +521,8 @@ class _QuasidefiniteKkt(_SymmetricFactor):
     def __init__(self, a, at):
         m, n = a.shape
         self.n = n
-        if m:
-            mat = sp.bmat([[sp.identity(n), at], [a, sp.identity(m)]],
-                          format="csc")
-        else:
-            mat = sp.identity(n, format="csc")
-        super().__init__(mat)
+        super().__init__(sp.bmat([[sp.identity(n), at], [a, sp.identity(m)]],
+                                 format="csc"))
 
     def factor(self, dtil, delta):
         """Factor at diagonal dtil and regularization delta."""
@@ -612,6 +599,7 @@ def _ipm(std, tol, max_iter):
 
 
 def _ipm_loop(std, tol, max_iter):
+    # m >= 1 rows and n >= 1 columns: _solve settles m == 0 and n == 0 first
     a = std.a
     m, n = a.shape
     c, qdiag, lb, ub = std.c, std.qdiag.copy(), std.lb, std.ub
@@ -620,13 +608,13 @@ def _ipm_loop(std, tol, max_iter):
     nu = int(has_lb.sum() + has_ub.sum())
     at = a.T.tocsr()
     b = std.b
-    bscale = 1.0 + float(np.abs(b).max()) if m else 1.0
-    cscale = 1.0 + float(np.abs(c).max()) if n else 1.0
+    bscale = 1.0 + float(np.abs(b).max())
+    cscale = 1.0 + float(np.abs(c).max())
 
     # the normal-equations path needs a strictly positive diagonal for every
     # variable; free variables with zero curvature push us to the kkt path
     kkt_path = bool(np.any(~has_lb & ~has_ub & (qdiag == 0.0)))
-    if m and not kkt_path:
+    if not kkt_path:
         # a few near-dense columns (e.g. a capacity variable coupling every
         # period) fill A D A' almost completely; the augmented system keeps
         # them as single spiky rows that the ordering can push last
@@ -643,30 +631,29 @@ def _ipm_loop(std, tol, max_iter):
     only_u = ~has_lb & has_ub
     x[only_u] = ub[only_u] - 1.0
     kkt = normal = None
-    if m:
-        # one least-norm correction toward A x = b, solved on the system the
-        # iterations use, so its factorization fixes their ordering:
-        # [[I, A'], [A, -1e-8 I]] on the KKT path, and its block
-        # elimination (A A' + 1e-8 I) w = r, dx = A' w on the normal path
-        try:
-            if kkt_path:
-                kkt = _QuasidefiniteKkt(a, at)
-                kkt.factor(1.0 - 1e-8, 1e-8)
-                dx = kkt.solve(np.zeros(n), b - a @ x)[0]
-            else:
-                normal = _NormalEquations(at, m)
-                normal.factor(np.ones(n), 1e-8)
-                dx = at @ normal.solve(b - a @ x)
-            if np.isfinite(dx).all():
-                x = x + dx
-        except RuntimeError:
-            pass
-        width = np.where(both, ub - lb, np.inf)
-        margin = np.minimum(0.49 * width, np.maximum(1.0, 0.01 * (1.0 + np.abs(x))))
-        x = np.where(has_lb, np.maximum(x, lb + margin), x)
-        x = np.where(has_ub, np.minimum(x, ub - margin), x)
+    # one least-norm correction toward A x = b, solved on the system the
+    # iterations use, so its factorization fixes their ordering:
+    # [[I, A'], [A, -1e-8 I]] on the KKT path, and its block
+    # elimination (A A' + 1e-8 I) w = r, dx = A' w on the normal path
+    try:
+        if kkt_path:
+            kkt = _QuasidefiniteKkt(a, at)
+            kkt.factor(1.0 - 1e-8, 1e-8)
+            dx = kkt.solve(np.zeros(n), b - a @ x)[0]
+        else:
+            normal = _NormalEquations(at, m)
+            normal.factor(np.ones(n), 1e-8)
+            dx = at @ normal.solve(b - a @ x)
+        if np.isfinite(dx).all():
+            x = x + dx
+    except RuntimeError:
+        pass
+    width = np.where(both, ub - lb, np.inf)
+    margin = np.minimum(0.49 * width, np.maximum(1.0, 0.01 * (1.0 + np.abs(x))))
+    x = np.where(has_lb, np.maximum(x, lb + margin), x)
+    x = np.where(has_ub, np.minimum(x, ub - margin), x)
     y = np.zeros(m)
-    z0 = max(1.0, 0.01 * float(np.abs(c).max() if n else 1.0))
+    z0 = max(1.0, 0.01 * float(np.abs(c).max()))
     zl = np.where(has_lb, z0, 0.0)
     zu = np.where(has_ub, z0, 0.0)
 
@@ -677,9 +664,7 @@ def _ipm_loop(std, tol, max_iter):
 
     def residuals(x, y, zl, zu):
         qx = qdiag * x
-        rd = qx + c - (at @ y if m else 0.0) - zl + zu
-        rp = (a @ x - b) if m else np.zeros(0)
-        return rd, rp, qx
+        return qx + c - at @ y - zl + zu, a @ x - b, qx
 
     for it in range(1, max_iter + 1):
         sl = np.where(has_lb, x - lb, 1.0)
@@ -691,16 +676,16 @@ def _ipm_loop(std, tol, max_iter):
         mu = comp / nu if nu else 0.0
 
         pobj = _objective(c, qdiag, x)
-        dobj = (float(b @ y) if m else 0.0) \
+        dobj = float(b @ y) \
             + float((lb[has_lb] * zl[has_lb]).sum()) - float((ub[has_ub] * zu[has_ub]).sum()) \
             - (pobj - float(c @ x))  # subtract the 0.5 x'Qx part
         gap = abs(pobj - dobj)
-        prim_ok = float(np.abs(rp).max() if m else 0.0) <= tol * bscale
-        dual_ok = float(np.abs(rd).max() if n else 0.0) <= tol * (cscale + float(np.abs(qx).max() if n else 0.0))
+        rp_max = float(np.abs(rp).max())
+        rd_max = float(np.abs(rd).max())
+        prim_ok = rp_max <= tol * bscale
+        dual_ok = rd_max <= tol * (cscale + float(np.abs(qx).max()))
         gap_ok = gap <= tol * (1.0 + abs(pobj))
-        score = (float(np.abs(rp).max() if m else 0.0) / bscale
-                 + float(np.abs(rd).max() if n else 0.0) / cscale
-                 + gap / (1.0 + abs(pobj)))
+        score = rp_max / bscale + rd_max / cscale + gap / (1.0 + abs(pobj))
         if score < 0.95 * best_score:
             stall = 0
         else:
@@ -712,7 +697,7 @@ def _ipm_loop(std, tol, max_iter):
             return _IpmResult("optimal", x, y, zl, zu, it)
         if stall > 30 or not np.isfinite(score):
             break
-        if float(np.abs(x).max() if n else 0.0) > _DIVERGE * bscale:
+        if float(np.abs(x).max()) > _DIVERGE * bscale:
             break
 
         dvec = np.where(has_lb, zl / sl, 0.0) + np.where(has_ub, zu / su, 0.0)
@@ -730,35 +715,30 @@ def _ipm_loop(std, tol, max_iter):
                 continue
         else:
             dinv = 1.0 / (dtil + delta)
-            if m:
-                try:
-                    normal.factor(dinv)
-                except RuntimeError:
-                    # singular normal equations, e.g. linearly dependent rows
-                    kkt_path = True
-                    continue
+            try:
+                normal.factor(dinv)
+            except RuntimeError:
+                # singular normal equations, e.g. linearly dependent rows
+                kkt_path = True
+                continue
 
         def newton(kappa_l, kappa_u):
             # rhat folds the complementarity targets into the dual residual
             rhat = rd - np.where(has_lb, kappa_l / sl, 0.0) + np.where(has_ub, kappa_u / su, 0.0)
             if kkt_path:
                 # block system solves for (dx, w) with w = -dy
-                dx, w = kkt.solve(-rhat, -rp if m else np.zeros(0))
+                dx, w = kkt.solve(-rhat, -rp)
                 dy = -w
             else:
-                if m:
-                    rhs_y = -rp + a @ (dinv * rhat)
-                    dy = normal.solve(rhs_y)
-                    res_y = rhs_y - normal.mat @ dy
-                    # a refined (or pivoted) solve that still misses means
-                    # the factorization is unusable (near-singular matrix)
-                    if not np.isfinite(res_y).all() or np.abs(res_y).max() \
-                            > 1e-6 * (1.0 + float(np.abs(rhs_y).max())):
-                        raise _NormalPathFailure
-                    dx = dinv * (at @ dy - rhat)
-                else:
-                    dy = np.zeros(0)
-                    dx = -dinv * rhat
+                rhs_y = -rp + a @ (dinv * rhat)
+                dy = normal.solve(rhs_y)
+                res_y = rhs_y - normal.mat @ dy
+                # a refined (or pivoted) solve that still misses means
+                # the factorization is unusable (near-singular matrix)
+                if not np.isfinite(res_y).all() or np.abs(res_y).max() \
+                        > 1e-6 * (1.0 + float(np.abs(rhs_y).max())):
+                    raise _NormalPathFailure
+                dx = dinv * (at @ dy - rhat)
             dzl = np.where(has_lb, (kappa_l - zl * dx) / sl, 0.0)
             dzu = np.where(has_ub, (kappa_u + zu * dx) / su, 0.0)
             return dx, dy, dzl, dzu
@@ -838,8 +818,8 @@ def _unbounded_ray(std):
     if res.x is None:
         return False
     d = sub.expand(res.x)
-    cscale = 1.0 + float(np.abs(std.c).max()) if n else 1.0
-    ok_null = float(np.abs(std.a @ d).max()) <= 1e-7 if m else True
+    cscale = 1.0 + float(np.abs(std.c).max())
+    ok_null = float(np.abs(std.a @ d).max()) <= 1e-7
     ok_box = bool(np.all(d >= lb_ray - 1e-9) and np.all(d <= ub_ray + 1e-9))
     return ok_null and ok_box and float(std.c @ d) < -1e-7 * cscale
 
@@ -852,8 +832,6 @@ def _phase1_feasible(std):
     a loose tolerance turns a feasible problem into an "infeasible" one.
     """
     m, n = std.a.shape
-    if m == 0:
-        return True
     a1 = sp.hstack([std.a, sp.eye(m), -sp.eye(m)], format="csr")
     c1 = np.concatenate([np.zeros(n), np.ones(2 * m)])
     q1 = np.zeros(n + 2 * m)
@@ -877,8 +855,9 @@ def _row_violation(act, senses, rhs):
                              np.abs(excess)))
 
 
-def _finish(problem, std, res, tol, maximize):
-    """Map a core result back to the original problem and measure residuals."""
+def _finish(problem, std, res, tol):
+    """Map a core result back to the original problem and measure residuals
+    (presolve left at least one variable)."""
     x = std.expand(res.x)
     a, senses, rhs = problem.a, problem.senses, problem.rhs
     act = a @ x if a.shape[0] else np.zeros(0)
@@ -888,15 +867,15 @@ def _finish(problem, std, res, tol, maximize):
     primal_residual = float(max(viol.max() if len(viol) else 0.0,
                                 bviol.max() if len(bviol) else 0.0))
 
-    c_int = std.c  # internal (sign-adjusted, slack-extended) objective
+    c_int = std.c  # internal (slack-extended, presolved) objective
     qx = std.qdiag * res.x
     m = std.a.shape[0]
     rd = qx + c_int - (std.a.T @ res.y if m else 0.0) - res.zl + res.zu
-    dual_residual = float(np.abs(rd).max()) if len(rd) else 0.0
+    dual_residual = float(np.abs(rd).max())
     sl = np.where(np.isfinite(std.lb), res.x - std.lb, 0.0)
     su = np.where(np.isfinite(std.ub), std.ub - res.x, 0.0)
-    complementarity = float(max(np.abs(sl * res.zl).max() if len(sl) else 0.0,
-                                np.abs(su * res.zu).max() if len(su) else 0.0))
+    complementarity = float(max(np.abs(sl * res.zl).max(),
+                                np.abs(su * res.zu).max()))
     pobj_int = _objective(c_int, std.qdiag, res.x)
     quad = pobj_int - float(c_int @ res.x)
     fl = np.isfinite(std.lb)
@@ -907,13 +886,11 @@ def _finish(problem, std, res, tol, maximize):
     gap = abs(pobj_int - dobj_int)
 
     objective = pobj_int + std.obj_const
-    if maximize:
-        objective = -objective
     status = res.status
     if status == "optimal" or status == "stalled":
         bscale = 1.0 + float(np.abs(std.b).max()) if m else 1.0
-        cscale = 1.0 + float(np.abs(c_int).max()) if len(c_int) else 1.0
-        qscale = float(np.abs(qx).max()) if len(rd) else 0.0
+        cscale = 1.0 + float(np.abs(c_int).max())
+        qscale = float(np.abs(qx).max())
         converged = (primal_residual <= tol * bscale
                      and dual_residual <= tol * (cscale + qscale)
                      and gap <= tol * (1.0 + abs(pobj_int)))
@@ -922,31 +899,25 @@ def _finish(problem, std, res, tol, maximize):
                        gap, complementarity, res.iters)
 
 
-def _solve(problem, qdiag, tol, max_iter, maximize):
-    c = -problem.c if maximize else problem.c
-    std = _Standard(c, qdiag, problem.a, problem.senses, problem.rhs,
+def _solve(problem, qdiag, tol, max_iter):
+    std = _Standard(problem.c, qdiag, problem.a, problem.senses, problem.rhs,
                     problem.lb, problem.ub)
-    if np.any(std.lb > std.ub):
-        return SolveReport("infeasible", None, np.nan, np.inf, np.inf, np.inf, np.inf, 0)
     if std.infeasible_reason is not None:
         return SolveReport("infeasible", None, np.nan, np.inf, np.inf, np.inf, np.inf, 0)
     # rows that lost every variable to presolve must be consistent on their own
     m, n = std.a.shape
-    if m:
-        nnz_per_row = np.diff(std.a.indptr)
-        empty = nnz_per_row == 0
-        if np.any(empty):
-            if np.any(np.abs(std.b[empty]) > 1e-9 * (1.0 + np.abs(problem.rhs).max())):
-                worst = float(np.abs(std.b[empty]).max())
-                return SolveReport("infeasible", None, np.nan, worst, np.inf, np.inf, np.inf, 0)
-            keep = ~empty
-            std.a = std.a[keep]
-            std.b = std.b[keep]
-            m = std.a.shape[0]
+    empty = np.diff(std.a.indptr) == 0
+    if np.any(empty):
+        if np.any(np.abs(std.b[empty]) > 1e-9 * (1.0 + np.abs(problem.rhs).max())):
+            worst = float(np.abs(std.b[empty]).max())
+            return SolveReport("infeasible", None, np.nan, worst, np.inf, np.inf, np.inf, 0)
+        keep = ~empty
+        std.a = std.a[keep]
+        std.b = std.b[keep]
+        m = std.a.shape[0]
     if n == 0:
-        obj = std.obj_const if not maximize else -std.obj_const
         x0 = std.expand(np.zeros(0))
-        return SolveReport("optimal", x0, obj, 0.0, 0.0, 0.0, 0.0, 0)
+        return SolveReport("optimal", x0, std.obj_const, 0.0, 0.0, 0.0, 0.0, 0)
     if m == 0:
         # coordinates decouple, so each one solves in closed form
         x = _solve_boxed_separable(std)
@@ -956,10 +927,10 @@ def _solve(problem, qdiag, tol, max_iter, maximize):
         zl = np.where(np.isfinite(std.lb) & np.isclose(x, std.lb), np.maximum(grad, 0.0), 0.0)
         zu = np.where(np.isfinite(std.ub) & np.isclose(x, std.ub), np.maximum(-grad, 0.0), 0.0)
         res = _IpmResult("optimal", x, np.zeros(0), zl, zu, 0)
-        return _finish(problem, std, res, tol, maximize)
+        return _finish(problem, std, res, tol)
 
     res = _ipm(std, tol, max_iter)
-    report = _finish(problem, std, res, tol, maximize)
+    report = _finish(problem, std, res, tol)
     if report.status == "optimal":
         return report
 
@@ -979,11 +950,11 @@ def solve_lp(problem: LinearProgram, tol: float = 1e-8, max_iter: int = 10 ** 6)
     if not isinstance(problem, LinearProgram):
         raise NumericsError("solve_lp expects a LinearProgram")
     n = problem.c.shape[0]
-    return _solve(problem, np.zeros(n), tol, max_iter, problem.maximize)
+    return _solve(problem, np.zeros(n), tol, max_iter)
 
 
 def solve_qp(problem: ConvexQuadraticProgram, tol: float = 1e-6, max_iter: int = 10 ** 6) -> SolveReport:
     """Solve a ConvexQuadraticProgram; "optimal" certifies the KKT residuals."""
     if not isinstance(problem, ConvexQuadraticProgram):
         raise NumericsError("solve_qp expects a ConvexQuadraticProgram")
-    return _solve(problem, problem.q_diag, tol, max_iter, False)
+    return _solve(problem, problem.q_diag, tol, max_iter)

@@ -10,6 +10,10 @@ battery state of charge carries over from what really happened, not from
 the plan.  `run_year` chains the steps over a full trajectory; the two
 myopic baselines (cost-only MPC and the greedy storage rule, both settled
 without history) share the same harness for comparison runs.
+
+`_realize_head` is the one place where a planned dispatch meets the battery,
+for the MPC's head plan and for the greedy plan (charge the realized surplus,
+discharge against the deficit) alike; the bill is `sizing.dispatch_costs`.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import _repair_rows, _split_qp, min_variance_key
-from .domain import DispatchSeries, DomainError, LoadMatrix
+from .domain import DispatchSeries, DomainError, LoadMatrix, is_count
 from .numerics import ProblemBuilder, solve_qp
-from .sizing import pv_production, split_flows
+from .sizing import dispatch_costs, pv_production, split_flows
 from .storage import StorageSpec
 
 ALGORITHMS = ("proposed", "mpc_myopic", "rulebased_myopic")
@@ -46,10 +50,10 @@ class HorizonConfig:
     theta: float = 1.0
 
     def __post_init__(self):
-        errors = []
-        if self.control_periods < 1:
-            errors.append("control_periods must be at least 1")
-        if self.prediction_periods < self.control_periods:
+        errors = [f"{name} must be a positive integer"
+                  for name in ("control_periods", "prediction_periods")
+                  if not is_count(getattr(self, name))]
+        if not errors and self.prediction_periods < self.control_periods:
             errors.append("prediction_periods must cover the control periods")
         if not (np.isfinite(self.theta) and self.theta >= 0):
             errors.append("theta must be a nonnegative finite weight")
@@ -379,7 +383,7 @@ def mpc_step(state, window, spec, config, beta_es_use=0.0):
         tracking_term=float(theta * (mismatch @ mismatch)))
 
 
-def settle(decision, epsilon, realized_loads, state, config=None):
+def settle(decision, epsilon, realized_loads, state):
     """Re-split the realized served energy against metered loads.
 
     Minimizes the squared expected mismatch over the feasible splits of
@@ -416,32 +420,13 @@ def settle(decision, epsilon, realized_loads, state, config=None):
                             objective=float(mismatch @ mismatch))
 
 
-def rule_based_control(state, pv_gen_kwh, load_kwh, spec, delta_hours):
-    """Greedy storage heuristic for a single period.
-
-    Charges as much of a solar surplus as the battery accepts, discharges
-    against a deficit as far as the stored energy allows, never both.
-    Returns (charge, discharge) in kWh.
-    """
-    cap = spec.power_cap_kw * delta_hours
-    soc = min(max(state.soc_kwh, 0.0), spec.energy_cap_kwh)
-    surplus = float(pv_gen_kwh) - float(load_kwh)
-    if surplus > 0.0:
-        headroom = (spec.energy_cap_kwh - soc) / spec.charge_efficiency
-        return min(surplus, cap, max(headroom, 0.0)), 0.0
-    if surplus < 0.0:
-        available = soc * spec.discharge_efficiency
-        return 0.0, min(-surplus, cap, available)
-    return 0.0, 0.0
-
-
-def myopic_settle(served, realized_loads, tol=1e-8):
+def myopic_settle(served, realized_loads):
     """Variance-minimizing split of one realized horizon, ignoring history."""
     values = np.asarray(
         realized_loads.values if isinstance(realized_loads, LoadMatrix)
         else realized_loads, dtype=np.float64)
     served = np.atleast_1d(np.asarray(served, dtype=np.float64))
-    plan = min_variance_key([served], values, np.ones(1), tol=tol)
+    plan = min_variance_key([served], values, np.ones(1))
     return plan.keys[0]
 
 
@@ -452,7 +437,8 @@ class YearReport:
     mismatch_series row t is cumulative delivered energy through period t
     minus the expected cumulative allocation of the plan, so its final row
     is the end-of-year mismatch.  Costs are totals over the simulated span
-    (maintenance prorated by the fraction of a metering year covered).
+    (maintenance prorated by the fraction of a metering year covered); the
+    energy, export and utilization terms come from `dispatch_costs`.
     """
 
     algorithm: str
@@ -483,10 +469,10 @@ class YearReport:
 def _realize_head(c_plan, d_plan, gen_real, soc, spec, delta):
     """Clip a planned dispatch to what the realized solar and SoC allow.
 
-    The battery charges from local production only, so planned charging is
-    curtailed to the realized generation; discharge may draw on the same
-    period's charge but never below empty.  Returns the realized flows and
-    the SoC trajectory across the head.
+    The only place where any algorithm's plan meets the battery.  Charging
+    comes from local production only, so it is curtailed to the realized
+    generation; discharge may draw on the same period's charge but never
+    below empty.  Returns the realized flows and the SoC across the head.
     """
     cap = spec.power_cap_kw * delta
     c_real = np.zeros_like(c_plan)
@@ -516,7 +502,8 @@ def run_year(bundle, plan, decision, realized, config,
     settle the served energy into a key, and carry SoC and cumulative
     allocations forward.  The proposed algorithm tracks the promise in both
     control and settlement; mpc_myopic keeps the MPC dispatch but settles
-    each horizon in isolation; rulebased_myopic reacts period by period.
+    each horizon in isolation; rulebased_myopic plans to charge the realized
+    surplus and discharge against the deficit, and settles like mpc_myopic.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -562,24 +549,15 @@ def run_year(bundle, plan, decision, realized, config,
         tc_eff = min(config.control_periods, t_total - t0)
         head = slice(t0, t0 + tc_eff)
         tp_end = min(t0 + config.prediction_periods, t_total)
-        state = OperationState(t0, soc, e_past, promise,
-                               prefix[-1] - prefix[tp_end])
         if algorithm == "rulebased_myopic":
-            c_plan = np.zeros(tc_eff)
-            d_plan = np.zeros(tc_eff)
-            soc_rule = soc
-            for k in range(tc_eff):
-                st = OperationState(t0 + k, soc_rule, e_past, promise,
-                                    state.e_future)
-                c_k, d_k = rule_based_control(st, gen_real[t0 + k],
-                                              load_real_agg[t0 + k], spec,
-                                              delta)
-                c_plan[k] = c_k
-                d_plan[k] = d_k
-                soc_rule += spec.charge_efficiency * c_k \
-                    - d_k / spec.discharge_efficiency
+            # the greedy plan: charge the realized surplus and discharge
+            # against the deficit; _realize_head clips it to the battery
+            c_plan = np.maximum(gen_real[head] - load_real_agg[head], 0.0)
+            d_plan = np.maximum(load_real_agg[head] - gen_real[head], 0.0)
             ctrl = None
         else:
+            state = OperationState(t0, soc, e_past, promise,
+                                   prefix[-1] - prefix[tp_end])
             tail = slice(t0 + tc_eff, tp_end)
             window = HorizonWindow(
                 delta_hours=delta,
@@ -590,7 +568,7 @@ def run_year(bundle, plan, decision, realized, config,
                 export_price=bundle.tariff.export_price[t0:tp_end],
                 export_tax=bundle.tariff.export_tax[t0:tp_end])
             cfg = config if algorithm == "proposed" else myopic_cfg
-            ctrl = mpc_step(state, window, spec.with_initial_soc(soc), cfg,
+            ctrl = mpc_step(state, window, spec, cfg,
                             beta_es_use=bundle.params.beta_es_use)
             c_plan, d_plan = ctrl.charge, ctrl.discharge
 
@@ -610,8 +588,7 @@ def run_year(bundle, plan, decision, realized, config,
             sp = sp + dump
             sv = sv - dump
         if algorithm == "proposed":
-            rec = settle(ctrl, sv - ctrl.served, realized.loads[head], state,
-                         config)
+            rec = settle(ctrl, sv - ctrl.served, realized.loads[head], state)
             key_rows = rec.key
         else:
             key_rows = myopic_settle(sv, realized.loads[head]).values
@@ -627,13 +604,9 @@ def run_year(bundle, plan, decision, realized, config,
 
     dispatch = DispatchSeries(charge, discharge, gen_real, grid_import,
                               surplus, served, soc_series)
-    tariff = bundle.tariff
-    grid_cost = float(tariff.grid_energy_price @ grid_import)
-    fixed_cost = tariff.fixed_charge * n * t_total
-    export_revenue = float(tariff.export_price @ surplus)
-    export_tax_cost = float(tariff.export_tax @ surplus)
-    utilization = bundle.params.beta_es_use * float(charge.sum()
-                                                    + discharge.sum())
+    bill = dispatch_costs(dispatch, bundle.tariff)
+    fixed_cost = bundle.tariff.fixed_charge * n * t_total
+    utilization = bundle.params.beta_es_use * bill.throughput
     maintenance = bundle.params.beta_mnt * decision.pv_capacity_kw \
         * (t_total / grid.periods_per_year)
     mismatch_pct = np.where(promise > 1e-12,
@@ -644,8 +617,8 @@ def run_year(bundle, plan, decision, realized, config,
         promise=promise, mismatch_series=np.cumsum(keys, axis=0) - prefix[1:],
         mismatch_pct=mismatch_pct,
         cumulative_deficit=float(np.maximum(promise - e_past, 0.0).sum()),
-        grid_energy_cost=grid_cost, fixed_cost=fixed_cost,
-        export_revenue=export_revenue, export_tax_cost=export_tax_cost,
+        grid_energy_cost=bill.grid_energy, fixed_cost=fixed_cost,
+        export_revenue=bill.export_revenue, export_tax_cost=bill.export_tax,
         utilization_cost=utilization, maintenance_cost=maintenance,
-        net_operating_cost=grid_cost + fixed_cost + export_tax_cost
-        + utilization + maintenance - export_revenue)
+        net_operating_cost=bill.grid_energy + fixed_cost + bill.export_tax
+        + utilization + maintenance - bill.export_revenue)

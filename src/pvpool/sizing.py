@@ -12,12 +12,17 @@ Economics convention: the stored objective is welfare relative to paying the
 whole load from the grid forever, so the no-build optimum scores exactly
 minus the present value of the grid-only bill and the net benefit of a plan
 is objective + PV(grid-only bill), never negative.
+
+A dispatch's bill has one account, `dispatch_costs`, which `_economics_for`
+weights by scenario probability and scales to a year and `operation.run_year`
+reports over the simulated span.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,18 +76,23 @@ def capex(decision, params):
     return total
 
 
-def opex(dispatch, decision, params, tariff, year_scale=1.0):
-    """Yearly operating cost of a dispatch.
+class DispatchCosts(NamedTuple):
+    """A dispatch's bill over its span: EUR amounts and throughput in kWh."""
 
-    Battery throughput and export tax scale with the modeled span via
-    year_scale (1 when the dispatch covers a full year); maintenance is
-    already annual.
-    """
-    throughput = float(dispatch.charge.sum() + dispatch.discharge.sum())
-    utilization = params.beta_es_use * throughput * year_scale
-    maintenance = params.beta_mnt * decision.pv_capacity_kw
-    export_tax = float(tariff.export_tax @ dispatch.surplus) * year_scale
-    return utilization + maintenance + export_tax
+    grid_energy: float
+    export_revenue: float
+    export_tax: float
+    throughput: float
+
+
+def dispatch_costs(dispatch, tariff):
+    """Grid energy, export revenue and export tax in EUR, and battery
+    throughput (charge plus discharge) in kWh, over the dispatch's span."""
+    return DispatchCosts(
+        grid_energy=float(tariff.grid_energy_price @ dispatch.grid_import),
+        export_revenue=float(tariff.export_price @ dispatch.surplus),
+        export_tax=float(tariff.export_tax @ dispatch.surplus),
+        throughput=float(dispatch.charge.sum() + dispatch.discharge.sum()))
 
 
 @dataclass(frozen=True)
@@ -171,19 +181,14 @@ def _economics_for(decision, dispatches, bundle):
     cap_grid = params.grid_connection_cost if decision.builds_anything else 0.0
 
     without = float(tariff.grid_energy_price @ l_agg) * ys + fixed_yearly
-    with_sys = 0.0
-    local = 0.0
-    export_rev = 0.0
-    export_tax = 0.0
-    utilization = 0.0
+    with_sys = local = export_rev = export_tax = utilization = 0.0
     for prob, dispatch in zip(probs, dispatches):
-        deficit = l_agg - dispatch.to_consumers
-        with_sys += prob * float(tariff.grid_energy_price @ deficit) * ys
+        bill = dispatch_costs(dispatch, tariff)
+        with_sys += prob * bill.grid_energy * ys
         local += prob * float(dispatch.to_consumers.sum()) * ys
-        export_rev += prob * float(tariff.export_price @ dispatch.surplus) * ys
-        export_tax += prob * float(tariff.export_tax @ dispatch.surplus) * ys
-        utilization += prob * params.beta_es_use \
-            * float(dispatch.charge.sum() + dispatch.discharge.sum()) * ys
+        export_rev += prob * bill.export_revenue * ys
+        export_tax += prob * bill.export_tax * ys
+        utilization += prob * params.beta_es_use * bill.throughput * ys
     with_sys += fixed_yearly
     maintenance = params.beta_mnt * decision.pv_capacity_kw
     subsidy_amount = params.subsidy.amount(decision.pv_capacity_kw)
@@ -273,7 +278,7 @@ def _solve_combo(bundle, pv_lo, pv_hi, es_hi, tier_rate, sub_rate, es_lo=0.0):
     w = pvf * ys
     eta = math.sqrt(params.es_roundtrip_efficiency)
     kappa = params.kappa
-    sub_factor = pvf if params.subsidy.annual else 1.0 / (1.0 + params.discount_rate)
+    sub_factor = subsidy_present_value(1.0, params)
 
     pb = ProblemBuilder()
     p_pv = pb.add_vars(1, lb=pv_lo, ub=pv_hi,

@@ -1,9 +1,11 @@
 """Battery model: state-of-charge recursion and feasibility checks.
 
 One linear storage model backs everything: the sizing LP, the rolling-horizon
-control problem and the simulation validator all use the same recursion
-SoC_{t+1} = SoC_t + eta_c * c_t - d_t / eta_d, so a dispatch declared feasible
-by one path is feasible for all of them.
+control problem, the simulation and the validator `check_feasible` all use
+the same recursion SoC_{t+1} = SoC_t + eta_c * c_t - d_t / eta_d, so a
+dispatch declared feasible by one path is feasible for all of them.  The
+simulation steps it in one place, `operation._realize_head`, which clips
+every planned dispatch (the MPC's or the greedy rule's) to the battery.
 
 The two optimization models share its state-recursion form: the sizing LP
 (sizing._solve_combo) and the control problem (operation.mpc_step) carry the
@@ -79,14 +81,6 @@ class StorageSpec:
     @property
     def initial_soc_kwh(self):
         return self.initial_soc_fraction * self.energy_cap_kwh
-
-    def with_initial_soc(self, soc_kwh, cyclic=None):
-        """Same battery starting from a given charge (used horizon to horizon)."""
-        frac = 0.0 if self.energy_cap_kwh == 0 else \
-            min(max(soc_kwh / self.energy_cap_kwh, 0.0), 1.0)
-        return StorageSpec(self.power_cap_kw, self.energy_cap_kwh,
-                           self.charge_efficiency, self.discharge_efficiency,
-                           frac, self.cyclic if cyclic is None else cyclic)
 
 
 def soc_trajectory(spec, charge, discharge):

@@ -478,3 +478,52 @@ def soc_recursion_rows(spec, t_len, delta_hours):
     ub = np.concatenate([np.full(2 * t_len, spec.power_cap_kw * delta_hours),
                          np.full(t_len, spec.energy_cap_kwh)])
     return rows, lb, ub
+
+
+def rule_based_step(soc, pv_gen_kwh, load_kwh, spec, delta_hours):
+    """The greedy storage rule for one period, the reference for the greedy plan.
+
+    Charges as much of a solar surplus as the battery accepts, discharges
+    against a deficit as far as the stored energy allows, never both.
+    Returns (charge, discharge) in kWh.
+    """
+    cap = spec.power_cap_kw * delta_hours
+    soc = min(max(soc, 0.0), spec.energy_cap_kwh)
+    surplus = float(pv_gen_kwh) - float(load_kwh)
+    if surplus > 0.0:
+        headroom = (spec.energy_cap_kwh - soc) / spec.charge_efficiency
+        return min(surplus, cap, max(headroom, 0.0)), 0.0
+    if surplus < 0.0:
+        available = soc * spec.discharge_efficiency
+        return 0.0, min(-surplus, cap, available)
+    return 0.0, 0.0
+
+
+def greedy_year_by_rule_loop(gen, load, spec, delta_hours, control_periods):
+    """The greedy baseline's battery flows over a year, head by head.
+
+    Each head plans period by period with `rule_based_step` on a running
+    state of charge, then realizes the plan with `operation._realize_head`.
+    Returns (charge, discharge, soc) with soc of length T + 1.
+    """
+    from pvpool.operation import _realize_head
+
+    t_total = gen.shape[0]
+    charge = np.zeros(t_total)
+    discharge = np.zeros(t_total)
+    socs = np.zeros(t_total + 1)
+    soc = socs[0] = spec.initial_soc_kwh
+    for t0 in range(0, t_total, control_periods):
+        head = slice(t0, min(t0 + control_periods, t_total))
+        c_plan = np.zeros(head.stop - t0)
+        d_plan = np.zeros(head.stop - t0)
+        soc_rule = soc
+        for k in range(head.stop - t0):
+            c_plan[k], d_plan[k] = rule_based_step(
+                soc_rule, gen[t0 + k], load[t0 + k], spec, delta_hours)
+            soc_rule += spec.charge_efficiency * c_plan[k] \
+                - d_plan[k] / spec.discharge_efficiency
+        charge[head], discharge[head], socs[t0 + 1:head.stop + 1] = \
+            _realize_head(c_plan, d_plan, gen[head], soc, spec, delta_hours)
+        soc = socs[head.stop]
+    return charge, discharge, socs

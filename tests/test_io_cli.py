@@ -328,6 +328,39 @@ def test_project_config_errors(tmp_path):
         ProjectConfig.from_file(path)
 
 
+def _config_with(tmp_path, section, key, value):
+    """A generated config with one setting replaced; returns its path."""
+    out = _gen_dir(tmp_path, seed=4)
+    cfg = json.loads((out / "config.json").read_text())
+    (cfg[section] if section else cfg)[key] = value
+    path = out / "edited.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("horizon", "control_periods", 1.5),
+    ("horizon", "prediction_periods", 47.9),
+    (None, "periods_per_year", 17520.7),
+    (None, "delta_hours", "x"),
+    (None, "seed", True),
+])
+def test_config_rejects_malformed_numbers(tmp_path, section, key, value):
+    # counts follow TimeGrid's rule (whole numbers, never truncated), and
+    # the error names the file and the key
+    path = _config_with(tmp_path, section, key, value)
+    with pytest.raises(DataFileError) as err:
+        ProjectConfig.from_file(path)
+    assert str(path) in str(err.value) and key in str(err.value)
+
+
+def test_cli_null_delta_hours_is_an_error_not_a_traceback(tmp_path, capsys):
+    path = _config_with(tmp_path, None, "delta_hours", None)
+    assert cli_main(["size", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "delta_hours" in err
+
+
 def test_tariff_series_broadcast_and_mismatch(tmp_path):
     out = _gen_dir(tmp_path, seed=9)
     cfg = json.loads((out / "config.json").read_text())

@@ -30,17 +30,8 @@ def _dense_rows(rows, n):
     return a, [r[1] for r in rows], [r[2] for r in rows]
 
 
-def _lp_from_dense(c, rows, lb, ub, maximize=False):
-    return LinearProgram(c, *_dense_rows(rows, len(c)), lb, ub, maximize)
-
-
-def test_lp_box_maximum():
-    pb = ProblemBuilder()
-    pb.add_vars(1, lb=0.0, ub=3.0, cost=1.0)
-    rep = solve_lp(pb.lp(maximize=True))
-    assert rep.status == "optimal"
-    assert rep.objective == pytest.approx(3.0, abs=1e-8)
-    assert rep.x[0] == pytest.approx(3.0, abs=1e-8)
+def _lp_from_dense(c, rows, lb, ub):
+    return LinearProgram(c, *_dense_rows(rows, len(c)), lb, ub)
 
 
 def test_lp_covering_row():
@@ -150,16 +141,6 @@ def test_lp_vertex_oracle_agreement():
             continue
         assert rep.status == "optimal"
         assert rep.objective == pytest.approx(ref, abs=1e-8)
-
-
-def test_lp_maximize_matches_negated_minimize():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        c, rows, lb, ub = random_bounded_lp(rng)
-        hi = solve_lp(_lp_from_dense(c, rows, lb, ub, maximize=True), tol=1e-10)
-        lo = solve_lp(_lp_from_dense(-np.asarray(c), rows, lb, ub), tol=1e-10)
-        if hi.status == "optimal" and lo.status == "optimal":
-            assert hi.objective == pytest.approx(-lo.objective, abs=1e-8)
 
 
 def test_qp_projection_onto_plane():

@@ -1,7 +1,12 @@
 """Receding-horizon control, settlement and the year simulation."""
 
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
+from hypothesis.extra import numpy as hnp
 
 from pvpool import operation
 from pvpool.allocation import min_variance_key
@@ -11,13 +16,14 @@ from pvpool.domain import (DomainError, InputBundle, InverterCatalog,
                            TechEconParams, TimeGrid, check_key)
 from pvpool.operation import (ALGORITHMS, ControlDecision, HorizonConfig,
                               HorizonWindow, OperationState, _control_qp,
-                              compute_mismatch,
-                              mpc_step, myopic_settle, rule_based_control,
-                              run_year, settle)
-from pvpool.sizing import solve_sizing, split_flows
+                              _realize_head, compute_mismatch, mpc_step,
+                              myopic_settle, run_year, settle)
+from pvpool.sizing import (dispatch_costs, pv_production, solve_sizing,
+                           split_flows)
 from pvpool.storage import StorageSpec, check_feasible
 
-from oracles import assert_same_qp, control_qp_by_rows, settle_qp_by_rows
+from oracles import (assert_same_qp, control_qp_by_rows,
+                     greedy_year_by_rule_loop, settle_qp_by_rows)
 from test_allocation import _oracle_variance, capture_qps
 
 
@@ -304,14 +310,14 @@ def test_settle_reproduces_control_objective_on_exact_forecast():
                         [4.0, 3.0, 3.5], [0.5, 0.5, 0.5])
     cfg = HorizonConfig(2, 8, theta=1.7)
     dec = mpc_step(st, win, spec, cfg, beta_es_use=0.0001)
-    rec = settle(dec, np.zeros(2), loads[:2], st, cfg)
+    rec = settle(dec, np.zeros(2), loads[:2], st)
     assert rec.objective == pytest.approx(dec.tracking_term / cfg.theta,
                                           abs=1e-6)
 
 
 def test_settle_symmetric_single_period():
     dec = _decision_stub([2.0], 2)
-    rec = settle(dec, [0.0], [[2.0, 2.0]], _state(promise=(5.0, 5.0)), None)
+    rec = settle(dec, [0.0], [[2.0, 2.0]], _state(promise=(5.0, 5.0)))
     assert rec.key[0] == pytest.approx([1.0, 1.0], abs=1e-8)
     assert rec.delivered == pytest.approx([1.0, 1.0], abs=1e-8)
     assert rec.e_past == pytest.approx([1.0, 1.0], abs=1e-8)
@@ -320,7 +326,7 @@ def test_settle_symmetric_single_period():
 def test_settle_clamps_negative_served_to_zero():
     dec = _decision_stub([1.0, 2.0], 2)
     rec = settle(dec, [-4.0, 0.0], [[1.0, 1.0], [2.0, 1.0]],
-                 _state(promise=(3.0, 3.0)), None)
+                 _state(promise=(3.0, 3.0)))
     assert rec.key[0] == pytest.approx([0.0, 0.0], abs=1e-10)
     assert rec.key[1].sum() == pytest.approx(2.0, abs=1e-9)
     assert rec.deviation == pytest.approx([-4.0, 0.0], abs=0.0)
@@ -339,7 +345,7 @@ def test_settle_key_feasible_and_balances_history():
         st = OperationState(0, 0.0, rng.uniform(0.0, 3.0, n),
                             rng.uniform(2.0, 6.0, n),
                             rng.uniform(0.0, 1.0, n))
-        rec = settle(dec, np.zeros(tc), loads, st, None)
+        rec = settle(dec, np.zeros(tc), loads, st)
         assert not check_key(RepartitionKey(rec.key), loads,
                              np.minimum(served, loads.sum(1)))
         assert np.all(rec.e_past >= st.e_past - 1e-12)
@@ -348,20 +354,63 @@ def test_settle_key_feasible_and_balances_history():
 # ---------------------------------------------------------------------------
 # baselines
 
+def _greedy_period(soc, gen, load, spec, delta=0.5):
+    """One period of the greedy baseline: its plan (charge the surplus,
+    discharge against the deficit) clipped by _realize_head."""
+    gen, load = np.array([gen]), np.array([load])
+    c, d, _ = _realize_head(np.maximum(gen - load, 0.0),
+                            np.maximum(load - gen, 0.0), gen, soc, spec,
+                            delta)
+    return float(c[0]), float(d[0])
+
+
 def test_rule_based_control_hand_cases():
     spec = StorageSpec(6.0, 10.0, 1.0, 1.0, 0.0, cyclic=False)
-    st = _state(soc=0.0)
-    assert rule_based_control(st, 10.0, 4.0, spec, 0.5) == (3.0, 0.0)
-    assert rule_based_control(st, 0.0, 4.0, spec, 0.5) == (0.0, 0.0)
-    assert rule_based_control(st, 4.0, 4.0, spec, 0.5) == (0.0, 0.0)
+    assert _greedy_period(0.0, 10.0, 4.0, spec) == (3.0, 0.0)
+    assert _greedy_period(0.0, 0.0, 4.0, spec) == (0.0, 0.0)
+    assert _greedy_period(0.0, 4.0, 4.0, spec) == (0.0, 0.0)
     # efficiency-adjusted limits: headroom/eta_c when charging,
     # soc * eta_d when discharging
     spec2 = StorageSpec(20.0, 2.0, 0.8, 0.8, 0.5, cyclic=False)
-    st2 = _state(soc=1.0)
-    c, d = rule_based_control(st2, 10.0, 2.0, spec2, 0.5)
+    c, d = _greedy_period(1.0, 10.0, 2.0, spec2)
     assert (c, d) == pytest.approx((1.25, 0.0))
-    c, d = rule_based_control(st2, 0.0, 5.0, spec2, 0.5)
+    c, d = _greedy_period(1.0, 0.0, 5.0, spec2)
     assert (c, d) == pytest.approx((0.0, 0.8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tc=hst.sampled_from([1, 3]),
+       alphas=hnp.arrays(np.float64, 48, elements=hst.floats(0.0, 1.0)),
+       load_scale=hnp.arrays(np.float64, 48, elements=hst.floats(0.0, 3.0)),
+       pv_kw=hst.floats(0.0, 10.0), es_kw=hst.floats(0.0, 4.0),
+       es_kwh=hst.floats(0.0, 8.0), roundtrip=hst.floats(0.5, 1.0))
+def test_greedy_year_matches_rule_loop(tc, alphas, load_scale, pv_kw, es_kw,
+                                       es_kwh, roundtrip):
+    # run_year's greedy baseline (one plan per head, clipped by
+    # _realize_head) against the period-by-period rule loop it replaced
+    bundle, result, plan = _year_case(t_len=48)
+    bundle = replace(bundle, params=replace(
+        bundle.params, es_roundtrip_efficiency=roundtrip))
+    decision = replace(result.decision, pv_capacity_kw=pv_kw,
+                       pv_inverter_index=0, pv_inverter_capacity_kw=10.0,
+                       es_power_kw=es_kw, es_energy_kwh=es_kwh,
+                       es_inverter_index=0, es_inverter_capacity_kw=4.0)
+    realized = RealizedTrajectory(
+        alphas, bundle.loads.values * load_scale[:, None])
+    with pytest.MonkeyPatch.context() as mp:
+        # settlement does not touch the battery; skip its QPs
+        mp.setattr(operation, "myopic_settle", lambda served, loads:
+                   SimpleNamespace(values=np.zeros_like(loads)))
+        report = run_year(bundle, plan, decision, realized,
+                          HorizonConfig(tc, 8), "rulebased_myopic")
+    spec = StorageSpec.from_sizing(decision, bundle.params, cyclic=False)
+    gen = pv_production(alphas, pv_kw, 0.5)
+    want = greedy_year_by_rule_loop(gen, realized.loads.sum(axis=1), spec,
+                                    0.5, tc)
+    got = (report.dispatch.charge, report.dispatch.discharge,
+           report.dispatch.soc)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
 
 
 def test_myopic_settle_symmetry_and_surplus():
@@ -470,6 +519,19 @@ def test_year_dispatch_physical(algorithm):
     gap = report.dispatch.to_consumers + report.dispatch.grid_import \
         - realized.loads.sum(1)
     assert np.abs(gap).max() < 1e-6
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_year_costs_are_the_dispatch_bill(algorithm):
+    report, _ = _year_report(algorithm)
+    bundle, _, _ = _year_case()
+    bill = dispatch_costs(report.dispatch, bundle.tariff)
+    assert bill.grid_energy > 0.0 and bill.throughput > 0.0
+    assert report.grid_energy_cost == bill.grid_energy
+    assert report.export_revenue == bill.export_revenue
+    assert report.export_tax_cost == bill.export_tax
+    assert report.utilization_cost == \
+        bundle.params.beta_es_use * bill.throughput
 
 
 def test_year_zero_solar_delivers_nothing():

@@ -9,8 +9,8 @@ from pvpool.domain import (InputBundle, InverterCatalog, LoadMatrix,
                            TechEconParams, TimeGrid, check_dispatch)
 from pvpool import numerics, sizing
 from pvpool.sizing import (SizingEconomics, SizingError, capex,
-                           investor_profit, opex, pv_production, solve_sizing,
-                           split_flows, subsidy_present_value,
+                           dispatch_costs, investor_profit, pv_production,
+                           solve_sizing, split_flows, subsidy_present_value,
                            welfare_objective)
 from pvpool.storage import StorageSpec, check_feasible
 
@@ -119,39 +119,77 @@ def test_capex_tier_boundary_reprices_whole_build():
     assert at_threshold < just_below
 
 
-def test_opex_idle_system_is_maintenance_only():
+def test_dispatch_costs_idle_dispatch_is_free():
     from pvpool.domain import DispatchSeries
     t_len = 3
     z = np.zeros(t_len)
     dispatch = DispatchSeries(z, z, z, z, z, z, np.zeros(t_len + 1))
-    params = _params(beta_mnt=12.5)
-    assert opex(dispatch, _decision_stub(pv=4.0), params,
-                _tariff(t_len)) == pytest.approx(50.0)
+    assert dispatch_costs(dispatch, _tariff(t_len, tax=0.02)) \
+        == (0.0, 0.0, 0.0, 0.0)
 
 
-def test_opex_utilization_hand_value():
+def test_dispatch_costs_throughput_hand_value():
     from pvpool.domain import DispatchSeries
     ones = np.ones(2)
     z = np.zeros(2)
     dispatch = DispatchSeries(ones, ones, z, z, z, z, np.zeros(3))
-    params = _params(beta_es_use=0.01, beta_mnt=0.0)
-    assert opex(dispatch, _decision_stub(), params,
-                _tariff(2)) == pytest.approx(0.04)
+    bill = dispatch_costs(dispatch, _tariff(2))
+    assert bill.throughput == pytest.approx(4.0)
+    # at 0.01 EUR/kWh of throughput, the utilization cost is 0.04 EUR
+    assert 0.01 * bill.throughput == pytest.approx(0.04)
 
 
-def test_opex_export_tax_term():
+def test_dispatch_costs_export_terms():
     from pvpool.domain import DispatchSeries
     z = np.zeros(2)
     surplus = np.array([3.0, 1.0])
-    dispatch = DispatchSeries(z, z, surplus, z, surplus, z, np.zeros(3))
-    params = _params(beta_es_use=0.0, beta_mnt=0.0)
-    assert opex(dispatch, _decision_stub(), params,
-                _tariff(2, tax=0.0)) == 0.0
-    assert opex(dispatch, _decision_stub(), params,
-                _tariff(2, tax=0.02)) == pytest.approx(0.08)
-    # a half-year dispatch doubled up to a full year
-    assert opex(dispatch, _decision_stub(), params, _tariff(2, tax=0.02),
-                year_scale=2.0) == pytest.approx(0.16)
+    grid_import = np.array([0.0, 2.0])
+    dispatch = DispatchSeries(z, z, surplus, grid_import, surplus, z,
+                              np.zeros(3))
+    assert dispatch_costs(dispatch, _tariff(2, tax=0.0)).export_tax == 0.0
+    bill = dispatch_costs(dispatch, _tariff(2, price=0.13, lam=0.06,
+                                            tax=0.02))
+    assert bill.export_tax == pytest.approx(0.08)
+    assert bill.export_revenue == pytest.approx(0.24)
+    assert bill.grid_energy == pytest.approx(0.26)
+    assert bill.throughput == 0.0
+
+
+def test_economics_are_the_expected_dispatch_bill():
+    # two scenarios, six modeled periods scaled to a 24-period year
+    t_len = 6
+    grid = TimeGrid(delta_hours=1.0, num_periods=t_len, periods_per_year=24)
+    base = np.linspace(0.3, 0.8, t_len)
+    loads = LoadMatrix(np.column_stack([base, base[::-1]]), ("a", "b"))
+    bell = np.clip(np.sin(np.linspace(0.3, 2.8, t_len)), 0.0, 1.0)
+    scen = SolarScenarioSet(np.column_stack([bell, 0.4 * bell]),
+                            np.array([0.3, 0.7]))
+    tariff = Tariff(np.linspace(0.1, 0.2, t_len), 0.0, np.full(t_len, 0.05),
+                    np.full(t_len, 0.01), 0.0)
+    bundle = InputBundle(grid, loads, scen, tariff, _params())
+    res = solve_sizing(bundle, _TOY_CATALOG)
+    bills = [dispatch_costs(d, tariff) for d in res.dispatches]
+    eco = res.economics
+    assert eco.year_scale == 4.0
+
+    def annual(values):
+        return sum(p * v * 4.0 for p, v in zip(res.probabilities, values))
+
+    beta = bundle.params.beta_es_use
+    assert eco.annual_grid_cost_with == pytest.approx(
+        annual(b.grid_energy for b in bills), rel=1e-12)
+    assert eco.annual_export_revenue == pytest.approx(
+        annual(b.export_revenue for b in bills), rel=1e-12)
+    assert eco.annual_export_tax == pytest.approx(
+        annual(b.export_tax for b in bills), rel=1e-12)
+    assert eco.annual_utilization_cost == pytest.approx(
+        annual(beta * b.throughput for b in bills), rel=1e-12)
+    assert eco.annual_opex == pytest.approx(
+        eco.annual_utilization_cost + eco.annual_maintenance_cost
+        + eco.annual_export_tax, rel=1e-12)
+    # every term is exercised: import, export and battery use
+    assert min(eco.annual_grid_cost_with, eco.annual_export_revenue,
+               eco.annual_utilization_cost) > 0.0
 
 
 def _econ_stub(**kw):

@@ -234,10 +234,10 @@ def test_enlarging_caps_never_shrinks_feasible_set():
     rng = np.random.default_rng(31)
     spec = _spec(power_cap_kw=3.0, energy_cap_kwh=6.0,
                  initial_soc_fraction=0.3, cyclic=False)
-    bigger = StorageSpec(5.0, 9.0, spec.charge_efficiency,
-                         spec.discharge_efficiency, 0.2, False)
     # same absolute initial charge so only the envelope grows
-    bigger = bigger.with_initial_soc(spec.initial_soc_kwh)
+    bigger = StorageSpec(5.0, 9.0, spec.charge_efficiency,
+                         spec.discharge_efficiency,
+                         spec.initial_soc_kwh / 9.0, False)
     for _ in range(200):
         c = rng.uniform(0, 2.0, 4)
         d = rng.uniform(0, 2.0, 4)
@@ -262,11 +262,3 @@ def test_spec_validation():
         StorageSpec(1.0, 5.0, charge_efficiency=1.2)
     with pytest.raises(DomainError):
         StorageSpec(1.0, 5.0, initial_soc_fraction=1.5)
-
-
-def test_with_initial_soc_clamps_to_envelope():
-    spec = _spec(energy_cap_kwh=10.0)
-    assert spec.with_initial_soc(25.0).initial_soc_kwh == pytest.approx(10.0)
-    assert spec.with_initial_soc(4.0, cyclic=True).cyclic is True
-    empty = StorageSpec(0.0, 0.0)
-    assert empty.with_initial_soc(1.0).initial_soc_kwh == 0.0
