@@ -121,6 +121,32 @@ def _repair_rows(raw, served, values):
     return np.clip(out, 0.0, values)
 
 
+def _water_fill(level, cap, target):
+    """Exact minimizer of sum_i (level_i + g_i)^2 over 0 <= g_i <= cap_i
+    with sum_i g_i = target, for 0 <= target <= sum_i cap_i.
+
+    The optimum fills every consumer up to one common level lam:
+    g_i = clip(lam - level_i, 0, cap_i).  The total handed out is
+    nondecreasing and piecewise linear in lam, with its slope rising by one
+    at each level_i and falling by one at each level_i + cap_i, so lam is
+    read off the 2n sorted breakpoints.  A single settled period is this
+    problem, and so is a single-period key (level 0: g_i = min(lam, cap_i)).
+    """
+    n = level.shape[0]
+    points = np.concatenate([level, level + cap])
+    order = np.argsort(points, kind="stable")
+    points = points[order]
+    slope = np.cumsum(np.where(order < n, 1.0, -1.0))
+    handed = np.concatenate([[0.0], np.cumsum(slope[:-1] * np.diff(points))])
+    # the last breakpoint where no more than target is handed out; past it
+    # the total rises, so its slope is positive unless every cap is full
+    k = int(np.searchsorted(handed, target, side="right")) - 1
+    if k == 2 * n - 1:
+        return cap.copy()
+    lam = points[k] + (target - handed[k]) / slope[k]
+    return np.clip(lam - level, 0.0, cap)
+
+
 def _split_qp(lo, hi, target, qdiag, cost, aux_rhs):
     """A QP over a (T, n) split g with lo <= g <= hi and one free auxiliary
     a_i per consumer, carrying the curvature qdiag and the linear cost.

@@ -392,6 +392,12 @@ def params_from_mapping(mapping):
 
 _TARIFF_KEYS = ("grid_energy_price", "fixed_charge", "export_price",
                 "export_tax", "local_price")
+_TARIFF_SERIES = ("grid_energy_price", "export_price", "export_tax")
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -453,6 +459,17 @@ class ProjectConfig:
         missing = [k for k in _TARIFF_KEYS if k not in tariff]
         if missing:
             raise DataFileError(f"{path}: tariff missing {', '.join(missing)}")
+        for key in _TARIFF_KEYS:
+            value = tariff[key]
+            if key in _TARIFF_SERIES:
+                ok = _is_number(value) or isinstance(value, list) and \
+                    bool(value) and all(map(_is_number, value))
+                what = "a finite number or a list of them"
+            else:
+                ok, what = _is_number(value), "a finite number"
+            if not ok:
+                raise DataFileError(f"{path}: tariff.{key} must be {what},"
+                                    f" not {value!r}")
         tech = payload.get("tech_econ")
         if not isinstance(tech, dict):
             raise DataFileError(f"{path}: missing tech_econ section")
@@ -464,8 +481,8 @@ class ProjectConfig:
             case=str(payload.get("case", "custom")),
             seed=seed,
             delta_hours=float(setting(
-                "delta_hours", 0.5, lambda v: isinstance(v, (int, float))
-                and math.isfinite(v) and v > 0, "a positive number of hours")),
+                "delta_hours", 0.5, lambda v: _is_number(v) and v > 0,
+                "a positive number of hours")),
             periods_per_year=int(setting("periods_per_year", 17520, is_count,
                                          "a positive integer")),
             loads_path=resolve("loads_csv"),
@@ -479,6 +496,8 @@ class ProjectConfig:
         )
 
     def build_tariff(self, num_periods):
+        """The Tariff over num_periods; from_file has checked every field
+        is a finite number (or, for a series, a list of them)."""
         def series(name):
             arr = np.asarray(self.tariff_fields[name], dtype=np.float64)
             if arr.ndim == 0:

@@ -14,20 +14,24 @@ equality rows plus box bounds.  Every solve is deterministic: identical inputs
 produce bit-identical reports.
 
 Each iteration solves one Newton system, on one of two paths.  The normal
-equations A D^-1 A' serve problems whose columns are all short; their
-pattern and a map from D^-1 to their data are built once per solve
+equations A D^-1 A' serve problems whose columns are all short
 (_NormalEquations).  Problems with a near-dense column (a capacity coupling
 every period, as in the sizing LP) or a free variable without curvature
-take the regularized augmented (KKT) system instead, whose pattern is also
-assembled once per solve (_QuasidefiniteKkt).  Both paths share one
-fixed-pattern factorization (_SymmetricFactor): the matrix is positive
-definite or quasidefinite, so it is factored without pivoting, the first
-factorization's fill-reducing ordering is reused by every later one, each
-solve is refined, and a solve whose refined residual misses is redone with
+take the regularized augmented (KKT) system instead (_QuasidefiniteKkt).
+Both paths share one fixed-pattern factorization (_SymmetricFactor): the
+matrix is positive definite or quasidefinite, so it is factored without
+pivoting, always in one fill-reducing ordering of its pattern, each solve
+is refined, and a solve whose refined residual misses is redone with
 pivoting.
 
-The starting point's least-norm correction toward A x = b is solved on the
-system the iterations will use, so its factorization fixes their ordering.
+The symbolic work on a presolved constraint matrix A is done once and kept
+(_analyse): A', the pattern of each Newton system with its ordering, and
+the map from D^-1 to the normal matrix's data.  It is keyed by A's exact
+bytes and held for the last few matrices, so the control QPs of a rolling
+horizon, which share one matrix, analyse it once.  A kept analysis yields
+the same numbers as a new one, so no report depends on earlier solves.
+The iterations keep every vector at full length; entries without a bound
+on one side are reset by index rather than masked.
 
 A report with status "optimal" carries residuals measured at the returned
 point against the original problem, so callers can verify the certificate
@@ -412,32 +416,67 @@ class _IpmResult:
 
 
 _UNPIVOTED = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
+_ANALYSES_KEPT = 8  # presolved constraint matrices whose analysis is kept
+
+
+class _Pattern:
+    """A symmetric CSC sparsity pattern (sorted, every diagonal entry stored)
+    and one fill-reducing ordering of it.
+
+    splu's minimum degree ordering on A + A' reads only the pattern, so it
+    is taken from a factorization of the identity stored in the pattern and
+    never from a matrix being solved.  The pattern permuted by that ordering
+    is kept with a gather index from the pattern's data into it.
+    """
+
+    def __init__(self, indptr, indices):
+        size = indptr.shape[0] - 1
+        cols = np.repeat(np.arange(size), np.diff(indptr))
+        on_diag = indices == cols
+        identity = sp.csc_matrix((on_diag.astype(np.float64), indices, indptr),
+                                 shape=(size, size))
+        self.size = size
+        self.indptr, self.indices = identity.indptr, identity.indices
+        self.diag_pos = np.flatnonzero(on_diag)
+        perm_c = splu(identity, permc_spec="MMD_AT_PLUS_A", **_UNPIVOTED).perm_c
+        # splu factors mat[:, argsort(perm_c)]; with diagonal pivots in
+        # symmetric mode the rows follow the same order
+        new_rows = perm_c[indices]
+        new_cols = perm_c[cols]
+        self.gather = np.argsort(new_cols.astype(np.int64) * size + new_rows)
+        perm_indptr = np.zeros(size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(new_cols, minlength=size), out=perm_indptr[1:])
+        permuted = sp.csc_matrix(
+            (np.zeros(indices.shape[0]), new_rows[self.gather], perm_indptr),
+            shape=(size, size))
+        self.perm_indptr, self.perm_indices = permuted.indptr, permuted.indices
+        self.order = np.argsort(perm_c)  # position k holds row order[k]
 
 
 class _SymmetricFactor:
-    """A symmetric CSC matrix with a fixed pattern, factored without pivoting.
+    """A symmetric matrix on a fixed _Pattern, factored without pivoting.
 
     Subclasses write `mat.data` (every diagonal entry is stored, at
-    diag_pos) and call `factor`.  The first factorization picks a
-    fill-reducing symmetric ordering; every later one gathers the data into
-    the pattern permuted by that ordering and factors it in its natural
-    order, which skips the ordering and keeps the same fill.  The
-    matrices factored here are quasidefinite or positive definite, so a
-    factorization with diagonal pivots exists for every symmetric ordering
-    (Vanderbei, SIAM J. Optim. 1995).  Each solve is iteratively refined
-    against the matrix itself; a solve whose refined residual still misses
-    is redone with a partially pivoted factorization of the same matrix.
+    pattern.diag_pos) and call `factor`.  Every factorization, the first
+    of a solve included, gathers the data into the pattern permuted by the
+    pattern's ordering and factors that in its natural order, so the
+    factors depend on the matrix alone and not on which solve analysed its
+    pattern first.  The matrices factored here are quasidefinite or
+    positive definite, so a factorization with diagonal pivots exists for
+    every symmetric ordering (Vanderbei, SIAM J. Optim. 1995).  Each solve
+    is iteratively refined against the matrix itself; a solve whose refined
+    residual still misses is redone with a partially pivoted factorization
+    of the same matrix, as is a factorization that meets a zero pivot.
     """
 
-    def __init__(self, mat):
-        mat.sort_indices()
-        self.mat = mat
-        cols = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-        self.diag_pos = np.flatnonzero(mat.indices == cols)
-        self.order = None  # position k of the ordering holds row order[k]
-        self._permuted = None
-        self._gather = None
-        self._perm = None  # the ordering the current lu factors in
+    def __init__(self, pattern, data):
+        shape = (pattern.size, pattern.size)
+        self.pattern = pattern
+        self.mat = sp.csc_matrix((data, pattern.indices, pattern.indptr),
+                                 shape=shape)
+        self._permuted = sp.csc_matrix(
+            (np.empty_like(data), pattern.perm_indices, pattern.perm_indptr),
+            shape=shape)
         self.lu = None
         self.pivoted = None
 
@@ -447,45 +486,19 @@ class _SymmetricFactor:
         Raises RuntimeError when even the pivoted factorization is singular.
         """
         self.pivoted = None
+        np.take(self.mat.data, self.pattern.gather, out=self._permuted.data)
         try:
-            if self.order is None:
-                self.lu = splu(self.mat, permc_spec="MMD_AT_PLUS_A", **_UNPIVOTED)
-                self._perm = None
-                self._fix_order(self.lu.perm_c)
-            else:
-                self._permuted.data = self.mat.data[self._gather]
-                self.lu = splu(self._permuted, permc_spec="NATURAL", **_UNPIVOTED)
-                self._perm = self.order
+            self.lu = splu(self._permuted, permc_spec="NATURAL", **_UNPIVOTED)
         except RuntimeError:
             # a zero diagonal pivot: go straight to partial pivoting
             self.lu = self.pivoted = splu(self.mat, permc_spec="MMD_AT_PLUS_A")
-            self._perm = None
-
-    def _fix_order(self, perm_c):
-        """Keep the permuted pattern and a gather index from mat.data into it.
-
-        splu factors mat[:, argsort(perm_c)]; with diagonal pivots in
-        symmetric mode the rows follow the same order.
-        """
-        mat = self.mat
-        size = mat.shape[0]
-        cols = np.repeat(np.arange(size), np.diff(mat.indptr))
-        new_rows = perm_c[mat.indices]
-        new_cols = perm_c[cols]
-        gather = np.argsort(new_cols.astype(np.int64) * size + new_rows)
-        indptr = np.zeros(size + 1, dtype=mat.indptr.dtype)
-        np.cumsum(np.bincount(new_cols, minlength=size), out=indptr[1:])
-        self._permuted = sp.csc_matrix(
-            (mat.data[gather], new_rows[gather].astype(mat.indices.dtype), indptr),
-            shape=mat.shape)
-        self._gather = gather
-        self.order = np.argsort(perm_c)
 
     def _lu_solve(self, rhs):
-        if self._perm is None:
+        if self.lu is self.pivoted:
             return self.lu.solve(rhs)
+        order = self.pattern.order
         out = np.empty_like(rhs)
-        out[self._perm] = self.lu.solve(rhs[self._perm])
+        out[order] = self.lu.solve(rhs[order])
         return out
 
     def solve(self, rhs):
@@ -514,21 +527,22 @@ class _SymmetricFactor:
 class _QuasidefiniteKkt(_SymmetricFactor):
     """The regularized augmented matrix [[D + delta I, A'], [A, -delta I]].
 
-    Its sparsity pattern is assembled once per solve; every factorization
-    only writes the diagonal.  With delta > 0 the matrix is quasidefinite.
+    Its pattern and off-diagonal data come from the analysis of A; every
+    factorization only writes the diagonal.  With delta > 0 the matrix is
+    quasidefinite.
     """
 
-    def __init__(self, a, at):
-        m, n = a.shape
-        self.n = n
-        super().__init__(sp.bmat([[sp.identity(n), at], [a, sp.identity(m)]],
-                                 format="csc"))
+    def __init__(self, analysis):
+        self.n = analysis.at.shape[0]
+        pattern, data = analysis.kkt()
+        super().__init__(pattern, data.copy())
 
     def factor(self, dtil, delta):
         """Factor at diagonal dtil and regularization delta."""
         n = self.n
-        self.mat.data[self.diag_pos[:n]] = dtil + delta
-        self.mat.data[self.diag_pos[n:]] = -delta
+        diag_pos = self.pattern.diag_pos
+        self.mat.data[diag_pos[:n]] = dtil + delta
+        self.mat.data[diag_pos[n:]] = -delta
         super().factor()
 
     def solve(self, r1, r2):
@@ -574,18 +588,66 @@ def _normal_product_map(at, m):
 
 class _NormalEquations(_SymmetricFactor):
     """The normal matrix A D A' + reg I, positive definite for reg > 0 or
-    A of full row rank; its pattern and product map are built once per
-    solve."""
+    A of full row rank; its pattern and product map come from the analysis
+    of A."""
 
-    def __init__(self, at, m):
-        pattern, self.pmap = _normal_product_map(at, m)
-        super().__init__(pattern)
+    def __init__(self, analysis):
+        pattern, self.pmap = analysis.normal()
+        super().__init__(pattern, np.zeros(self.pmap.shape[0]))
 
     def factor(self, dinv, reg=0.0):
         self.mat.data[:] = self.pmap @ dinv
         if reg:
-            self.mat.data[self.diag_pos] += reg
+            self.mat.data[self.pattern.diag_pos] += reg
         super().factor()
+
+
+class _Analysis:
+    """The symbolic work on one presolved constraint matrix A.
+
+    Holds A' and, built when a solve first takes that Newton path, the
+    normal-equations pattern with its product map, or the KKT pattern with
+    its off-diagonal data; each pattern carries its ordering.  Everything
+    here follows from A's bytes alone and is only read by the solves.
+    """
+
+    def __init__(self, a):
+        self.at = a.T.tocsr()
+        self._normal = None
+        self._kkt = None
+
+    def normal(self):
+        if self._normal is None:
+            pattern, pmap = _normal_product_map(self.at, self.at.shape[1])
+            self._normal = (_Pattern(pattern.indptr, pattern.indices), pmap)
+        return self._normal
+
+    def kkt(self):
+        if self._kkt is None:
+            n, m = self.at.shape
+            mat = sp.bmat([[sp.identity(n), self.at], [self.at.T, sp.identity(m)]],
+                          format="csc")
+            mat.sort_indices()
+            self._kkt = (_Pattern(mat.indptr, mat.indices), mat.data)
+        return self._kkt
+
+
+# key (shape and the bytes of indptr, indices and data) -> _Analysis, oldest
+# first.  A solve reads the same numbers from a kept analysis as from a new
+# one, so its report does not depend on what was solved before it.
+_ANALYSES = {}
+
+
+def _analyse(a):
+    """The _Analysis of the CSR matrix a, kept for the last few matrices."""
+    key = (a.shape, a.indptr.tobytes(), a.indices.tobytes(), a.data.tobytes())
+    analysis = _ANALYSES.pop(key, None)
+    if analysis is None:
+        analysis = _Analysis(a)
+        while len(_ANALYSES) >= _ANALYSES_KEPT:
+            del _ANALYSES[next(iter(_ANALYSES))]
+    _ANALYSES[key] = analysis
+    return analysis
 
 
 def _ipm(std, tol, max_iter):
@@ -598,6 +660,15 @@ def _ipm(std, tol, max_iter):
         return _ipm_loop(std, tol, max_iter)
 
 
+def _step_to_boundary(value, rate, unbounded):
+    """Largest step s <= 1 / _STEP_DAMP that keeps value + s * rate >= 0,
+    over the entries outside unbounded (value >= 0 everywhere)."""
+    ratio = np.divide(value, rate, out=np.full(value.shape, -np.inf),
+                      where=rate < 0)
+    ratio[unbounded] = -np.inf
+    return min(1.0 / _STEP_DAMP, -float(ratio.max()))
+
+
 def _ipm_loop(std, tol, max_iter):
     # m >= 1 rows and n >= 1 columns: _solve settles m == 0 and n == 0 first
     a = std.a
@@ -605,8 +676,16 @@ def _ipm_loop(std, tol, max_iter):
     c, qdiag, lb, ub = std.c, std.qdiag.copy(), std.lb, std.ub
     has_lb = np.isfinite(lb)
     has_ub = np.isfinite(ub)
-    nu = int(has_lb.sum() + has_ub.sum())
-    at = a.T.tocsr()
+    # the iterations keep every vector at full length; the few entries
+    # without a bound on one side are reset by index on that side: slack 1
+    # and multiplier 0, so they drop out of every product
+    no_lb = np.flatnonzero(~has_lb)
+    no_ub = np.flatnonzero(~has_ub)
+    lb0 = np.where(has_lb, lb, 0.0)
+    ub0 = np.where(has_ub, ub, 0.0)
+    nu = 2 * n - no_lb.shape[0] - no_ub.shape[0]
+    analysis = _analyse(a)
+    at = analysis.at
     b = std.b
     bscale = 1.0 + float(np.abs(b).max())
     cscale = 1.0 + float(np.abs(c).max())
@@ -632,16 +711,15 @@ def _ipm_loop(std, tol, max_iter):
     x[only_u] = ub[only_u] - 1.0
     kkt = normal = None
     # one least-norm correction toward A x = b, solved on the system the
-    # iterations use, so its factorization fixes their ordering:
-    # [[I, A'], [A, -1e-8 I]] on the KKT path, and its block
-    # elimination (A A' + 1e-8 I) w = r, dx = A' w on the normal path
+    # iterations use: [[I, A'], [A, -1e-8 I]] on the KKT path, and its
+    # block elimination (A A' + 1e-8 I) w = r, dx = A' w on the normal path
     try:
         if kkt_path:
-            kkt = _QuasidefiniteKkt(a, at)
+            kkt = _QuasidefiniteKkt(analysis)
             kkt.factor(1.0 - 1e-8, 1e-8)
             dx = kkt.solve(np.zeros(n), b - a @ x)[0]
         else:
-            normal = _NormalEquations(at, m)
+            normal = _NormalEquations(analysis)
             normal.factor(np.ones(n), 1e-8)
             dx = at @ normal.solve(b - a @ x)
         if np.isfinite(dx).all():
@@ -654,8 +732,10 @@ def _ipm_loop(std, tol, max_iter):
     x = np.where(has_ub, np.minimum(x, ub - margin), x)
     y = np.zeros(m)
     z0 = max(1.0, 0.01 * float(np.abs(c).max()))
-    zl = np.where(has_lb, z0, 0.0)
-    zu = np.where(has_ub, z0, 0.0)
+    zl = np.full(n, z0)
+    zl[no_lb] = 0.0
+    zu = np.full(n, z0)
+    zu[no_ub] = 0.0
 
     best = None
     best_score = np.inf
@@ -667,17 +747,17 @@ def _ipm_loop(std, tol, max_iter):
         return qx + c - at @ y - zl + zu, a @ x - b, qx
 
     for it in range(1, max_iter + 1):
-        sl = np.where(has_lb, x - lb, 1.0)
-        su = np.where(has_ub, ub - x, 1.0)
-        sl = np.maximum(sl, 1e-300)
-        su = np.maximum(su, 1e-300)
+        sl = x - lb
+        sl[no_lb] = 1.0
+        np.maximum(sl, 1e-300, out=sl)
+        su = ub - x
+        su[no_ub] = 1.0
+        np.maximum(su, 1e-300, out=su)
         rd, rp, qx = residuals(x, y, zl, zu)
-        comp = float((sl * zl * has_lb).sum() + (su * zu * has_ub).sum())
-        mu = comp / nu if nu else 0.0
+        mu = float(sl @ zl + su @ zu) / nu if nu else 0.0
 
         pobj = _objective(c, qdiag, x)
-        dobj = float(b @ y) \
-            + float((lb[has_lb] * zl[has_lb]).sum()) - float((ub[has_ub] * zu[has_ub]).sum()) \
+        dobj = float(b @ y) + float(lb0 @ zl) - float(ub0 @ zu) \
             - (pobj - float(c @ x))  # subtract the 0.5 x'Qx part
         gap = abs(pobj - dobj)
         rp_max = float(np.abs(rp).max())
@@ -700,12 +780,11 @@ def _ipm_loop(std, tol, max_iter):
         if float(np.abs(x).max()) > _DIVERGE * bscale:
             break
 
-        dvec = np.where(has_lb, zl / sl, 0.0) + np.where(has_ub, zu / su, 0.0)
-        dtil = qdiag + dvec
+        dtil = qdiag + zl / sl + zu / su
 
         if kkt_path:
             if kkt is None:
-                kkt = _QuasidefiniteKkt(a, at)
+                kkt = _QuasidefiniteKkt(analysis)
             try:
                 kkt.factor(dtil, delta)
             except RuntimeError:
@@ -724,7 +803,8 @@ def _ipm_loop(std, tol, max_iter):
 
         def newton(kappa_l, kappa_u):
             # rhat folds the complementarity targets into the dual residual
-            rhat = rd - np.where(has_lb, kappa_l / sl, 0.0) + np.where(has_ub, kappa_u / su, 0.0)
+            # (kappa is 0 on a side without a bound)
+            rhat = rd - kappa_l / sl + kappa_u / su
             if kkt_path:
                 # block system solves for (dx, w) with w = -dy
                 dx, w = kkt.solve(-rhat, -rp)
@@ -739,45 +819,37 @@ def _ipm_loop(std, tol, max_iter):
                         > 1e-6 * (1.0 + float(np.abs(rhs_y).max())):
                     raise _NormalPathFailure
                 dx = dinv * (at @ dy - rhat)
-            dzl = np.where(has_lb, (kappa_l - zl * dx) / sl, 0.0)
-            dzu = np.where(has_ub, (kappa_u + zu * dx) / su, 0.0)
+            dzl = (kappa_l - zl * dx) / sl
+            dzl[no_lb] = 0.0
+            dzu = (kappa_u + zu * dx) / su
+            dzu[no_ub] = 0.0
             return dx, dy, dzl, dzu
 
         def max_steps(dx, dzl, dzu):
-            ap = 1.0 / _STEP_DAMP
-            neg = has_lb & (dx < 0)
-            if np.any(neg):
-                ap = min(ap, float(np.min(-sl[neg] / dx[neg])))
-            pos = has_ub & (dx > 0)
-            if np.any(pos):
-                ap = min(ap, float(np.min(su[pos] / dx[pos])))
-            ad = 1.0 / _STEP_DAMP
-            negl = has_lb & (dzl < 0)
-            if np.any(negl):
-                ad = min(ad, float(np.min(-zl[negl] / dzl[negl])))
-            negu = has_ub & (dzu < 0)
-            if np.any(negu):
-                ad = min(ad, float(np.min(-zu[negu] / dzu[negu])))
+            ap = min(_step_to_boundary(sl, dx, no_lb),
+                     _step_to_boundary(su, -dx, no_ub))
+            ad = min(_step_to_boundary(zl, dzl, no_lb),
+                     _step_to_boundary(zu, dzu, no_ub))
             return ap, ad
 
         try:
             # predictor
-            kl_aff = np.where(has_lb, -sl * zl, 0.0)
-            ku_aff = np.where(has_ub, -su * zu, 0.0)
-            dx_a, dy_a, dzl_a, dzu_a = newton(kl_aff, ku_aff)
+            dx_a, dy_a, dzl_a, dzu_a = newton(-sl * zl, -su * zu)
             ap_a, ad_a = max_steps(dx_a, dzl_a, dzu_a)
             ap_a = min(1.0, ap_a)
             ad_a = min(1.0, ad_a)
             if nu:
-                mu_aff = (((sl + ap_a * dx_a) * (zl + ad_a * dzl_a) * has_lb).sum()
-                          + ((su - ap_a * dx_a) * (zu + ad_a * dzu_a) * has_ub).sum()) / nu
+                mu_aff = float((sl + ap_a * dx_a) @ (zl + ad_a * dzl_a)
+                               + (su - ap_a * dx_a) @ (zu + ad_a * dzu_a)) / nu
                 sigma = min(max((mu_aff / mu) ** 3 if mu > 0 else 0.0, 1e-8), 1.0 - 1e-8)
             else:
-                mu_aff, sigma = 0.0, 0.0
+                sigma = 0.0
 
             # corrector
-            kl = np.where(has_lb, sigma * mu - sl * zl - dx_a * dzl_a, 0.0)
-            ku = np.where(has_ub, sigma * mu - su * zu + dx_a * dzu_a, 0.0)
+            kl = sigma * mu - sl * zl - dx_a * dzl_a
+            kl[no_lb] = 0.0
+            ku = sigma * mu - su * zu + dx_a * dzu_a
+            ku[no_ub] = 0.0
             dx, dy, dzl, dzu = newton(kl, ku)
         except _NormalPathFailure:
             kkt_path = True
@@ -788,8 +860,10 @@ def _ipm_loop(std, tol, max_iter):
 
         x = x + ap * dx
         y = y + ad * dy
-        zl = np.where(has_lb, np.maximum(zl + ad * dzl, 1e-300), 0.0)
-        zu = np.where(has_ub, np.maximum(zu + ad * dzu, 1e-300), 0.0)
+        zl = np.maximum(zl + ad * dzl, 1e-300)
+        zl[no_lb] = 0.0
+        zu = np.maximum(zu + ad * dzu, 1e-300)
+        zu[no_ub] = 0.0
 
     result = best if best is not None else _IpmResult("iteration_limit", x, y, zl, zu, 0)
     result.status = "stalled"

@@ -7,9 +7,11 @@ whose weighted squared norm pulls cumulative allocations toward the yearly
 promise.  Once meter data arrives, `settle` re-splits the energy actually
 served while holding the control solve's tail expectations fixed, and the
 battery state of charge carries over from what really happened, not from
-the plan.  `run_year` chains the steps over a full trajectory; the two
-myopic baselines (cost-only MPC and the greedy storage rule, both settled
-without history) share the same harness for comparison runs.
+the plan.  A single control period settles in closed form by water-filling
+(`allocation._water_fill`); a longer head solves a QP.  `run_year` chains
+the steps over a full trajectory; the two myopic baselines (cost-only MPC
+and the greedy storage rule, both settled without history) share the same
+harness for comparison runs.
 
 `_realize_head` is the one place where a planned dispatch meets the battery,
 for the MPC's head plan and for the greedy plan (charge the realized surplus,
@@ -22,8 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import _repair_rows, _split_qp, min_variance_key
-from .domain import DispatchSeries, DomainError, LoadMatrix, is_count
+from .allocation import (_repair_rows, _split_qp, _water_fill,
+                         min_variance_key)
+from .domain import (DispatchSeries, DomainError, LoadMatrix,
+                     RepartitionKey, is_count)
 from .numerics import ProblemBuilder, solve_qp
 from .sizing import dispatch_costs, pv_production, split_flows
 from .storage import StorageSpec
@@ -388,8 +392,10 @@ def settle(decision, epsilon, realized_loads, state):
 
     Minimizes the squared expected mismatch over the feasible splits of
     [planned served + epsilon]+ given the realized loads, with the tail
-    expectations frozen from the control solve.  Returns the settled key
-    and the updated cumulative allocations.
+    expectations frozen from the control solve.  A single control period
+    is settled in closed form by water-filling (`allocation._water_fill`);
+    longer heads solve the split QP.  Returns the settled key and the
+    updated cumulative allocations.
     """
     tc, n = decision.key.shape
     eps = np.broadcast_to(np.asarray(epsilon, dtype=np.float64), (tc,))
@@ -403,15 +409,19 @@ def settle(decision, epsilon, realized_loads, state):
     rhs = state.e_past + decision.tail_expected + state.e_future \
         - state.promise
 
-    # same offset trick as the control solve: the quadratic runs over
-    # deliver_i + rhs_i but only deliver_i (kWh over the horizon) is a
-    # variable, keeping the system well scaled late in the year
-    qp, evars = _split_qp(np.zeros_like(values), values, target, 2.0,
-                          2.0 * rhs, 0.0)
-    rep = solve_qp(qp, tol=1e-8)
-    if rep.status != "optimal":
-        raise OperationError(f"settlement solve ended {rep.status}")
-    key = _repair_rows(rep.x[evars].reshape(tc, n), served, values)
+    if tc == 1:
+        raw = _water_fill(rhs, values[0], target[0])[None, :]
+    else:
+        # same offset trick as the control solve: the quadratic runs over
+        # deliver_i + rhs_i but only deliver_i (kWh over the horizon) is a
+        # variable, keeping the system well scaled late in the year
+        qp, evars = _split_qp(np.zeros_like(values), values, target, 2.0,
+                              2.0 * rhs, 0.0)
+        rep = solve_qp(qp, tol=1e-8)
+        if rep.status != "optimal":
+            raise OperationError(f"settlement solve ended {rep.status}")
+        raw = rep.x[evars].reshape(tc, n)
+    key = _repair_rows(raw, served, values)
     delivered = key.sum(axis=0)
     mismatch = rhs + delivered
     return SettlementRecord(deviation=np.asarray(eps, dtype=np.float64).copy(),
@@ -421,11 +431,20 @@ def settle(decision, epsilon, realized_loads, state):
 
 
 def myopic_settle(served, realized_loads):
-    """Variance-minimizing split of one realized horizon, ignoring history."""
+    """Variance-minimizing split of one realized horizon, ignoring history.
+
+    A single period is water-filled from level zero; longer horizons take
+    the key QP of `min_variance_key`.
+    """
     values = np.asarray(
         realized_loads.values if isinstance(realized_loads, LoadMatrix)
         else realized_loads, dtype=np.float64)
     served = np.atleast_1d(np.asarray(served, dtype=np.float64))
+    if values.shape[0] == 1:
+        cap = values[0]
+        target = min(max(float(served[0]), 0.0), float(cap.sum()))
+        raw = _water_fill(np.zeros_like(cap), cap, target)[None, :]
+        return RepartitionKey(_repair_rows(raw, served, values))
     plan = min_variance_key([served], values, np.ones(1))
     return plan.keys[0]
 

@@ -344,6 +344,8 @@ def _config_with(tmp_path, section, key, value):
     (None, "periods_per_year", 17520.7),
     (None, "delta_hours", "x"),
     (None, "seed", True),
+    ("tariff", "fixed_charge", None),
+    ("tariff", "export_price", "x"),
 ])
 def test_config_rejects_malformed_numbers(tmp_path, section, key, value):
     # counts follow TimeGrid's rule (whole numbers, never truncated), and

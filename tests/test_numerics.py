@@ -351,13 +351,12 @@ def test_factor_reuses_its_ordering_at_a_new_diagonal(system):
     m, n = 25, 60
     dense = np.where(rng.random((m, n)) < 0.1, rng.normal(size=(m, n)), 0.0)
     dense[np.arange(m), np.arange(m)] = 1.0  # full row rank
-    a = sp.csr_matrix(dense)
-    at = a.T.tocsr()
+    analysis = numerics._analyse(sp.csr_matrix(dense))
     if system == "kkt":
-        fac = numerics._QuasidefiniteKkt(a, at)
+        fac = numerics._QuasidefiniteKkt(analysis)
         size = n + m
     else:
-        fac = numerics._NormalEquations(at, m)
+        fac = numerics._NormalEquations(analysis)
         size = m
     fills = []
     for _ in range(2):
@@ -394,9 +393,9 @@ def test_normal_path_fallbacks_still_certify(monkeypatch, eps, route,
         fallbacks.append(rhs.shape[0])
         return pivoted_solve(self, rhs, fallback)
 
-    def counted_init(self, a, at):
-        kkts.append(a.shape)
-        kkt_init(self, a, at)
+    def counted_init(self, analysis):
+        kkts.append(analysis.at.shape)
+        kkt_init(self, analysis)
 
     monkeypatch.setattr(numerics._SymmetricFactor, "_pivoted_solve",
                         counted_solve)
@@ -416,6 +415,92 @@ def test_normal_path_fallbacks_still_certify(monkeypatch, eps, route,
         assert kkts and not fallbacks
     else:
         assert fallbacks and not kkts
+
+
+def _control_qp_instance():
+    """A control QP of operation.mpc_step: one head period, an 8-period tail
+    in two scenarios, three consumers."""
+    from pvpool.operation import (HorizonConfig, HorizonWindow,
+                                  OperationState, _control_qp)
+    from pvpool.storage import StorageSpec
+    rng = np.random.default_rng(17)
+    n, tt = 3, 8
+    loads = rng.uniform(0.2, 2.5, (1 + tt, n))
+    win = HorizonWindow(0.5, loads[:1], rng.uniform(0.0, 3.0, 1), loads[1:],
+                        rng.uniform(0.0, 3.0, (tt, 2)), np.array([0.6, 0.4]),
+                        rng.uniform(0.1, 0.3, 1 + tt),
+                        rng.uniform(0.0, 0.1, 1 + tt),
+                        rng.uniform(0.0, 0.02, 1 + tt))
+    st = OperationState(0, 2.5, rng.uniform(0.0, 3.0, n),
+                        rng.uniform(3.0, 6.0, n), rng.uniform(0.0, 1.0, n))
+    spec = StorageSpec(3.0, 6.0, 0.93, 0.92, 0.4, cyclic=False)
+    return _control_qp(st, win, spec, HorizonConfig(1, 1 + tt), 1e-4)[0]
+
+
+def _sizing_lp_instance(monkeypatch):
+    """The second LP of solve_sizing on a generated day (5 consumers, two
+    scenarios): its capacity columns put it on the KKT path (presolve
+    settles the first, storage-only one)."""
+    from pvpool import sizing
+    from test_sizing import _baseline_bundle
+    bundle, catalog = _baseline_bundle(31, 5, 1, 2)
+    lps = []
+
+    def capture(lp, **kwargs):
+        lps.append(lp)
+        if len(lps) == 2:
+            raise StopIteration
+        return solve_lp(lp, **kwargs)
+
+    monkeypatch.setattr(sizing, "solve_lp", capture)
+    with pytest.raises(StopIteration):
+        sizing.solve_sizing(bundle, catalog)
+    monkeypatch.undo()
+    return lps[1]
+
+
+def _report_bytes(rep):
+    return (rep.status, rep.x.tobytes(), rep.objective, rep.primal_residual,
+            rep.dual_residual, rep.duality_gap, rep.complementarity,
+            rep.iterations)
+
+
+@pytest.mark.parametrize("kind", ["control_qp", "sizing_lp"])
+def test_kept_analysis_gives_bit_identical_reports(kind, monkeypatch):
+    # a solve that finds its matrix analysed (by an earlier solve of it,
+    # with other matrices analysed since) must report exactly what a solve
+    # that analyses it afresh reports
+    if kind == "control_qp":
+        problem, solve, path = _control_qp_instance(), solve_qp, "_normal"
+        tol = 1e-6
+    else:
+        problem, solve = _sizing_lp_instance(monkeypatch), solve_lp
+        path, tol = "_kkt", 1e-9
+    rng = np.random.default_rng(5)
+    others = [_lp_from_dense(*random_bounded_lp(rng)) for _ in range(3)]
+    numerics._ANALYSES.clear()
+    fresh = solve(problem, tol=tol)
+    assert fresh.status == "optimal"
+    # the Newton path the case is meant to cover was taken
+    assert any(getattr(an, path) is not None
+               for an in numerics._ANALYSES.values())
+    for other in others:
+        solve_lp(other)
+    kept = set(map(id, numerics._ANALYSES.values()))
+    again = solve(problem, tol=tol)
+    # no new analysis was made: the solve found every one it needed
+    assert set(map(id, numerics._ANALYSES.values())) <= kept
+    assert _report_bytes(again) == _report_bytes(fresh)
+
+
+def test_analyses_kept_are_bounded():
+    rng = np.random.default_rng(8)
+    numerics._ANALYSES.clear()
+    sizes = []
+    for _ in range(2 * numerics._ANALYSES_KEPT):
+        solve_lp(_lp_from_dense(*random_bounded_lp(rng)))
+        sizes.append(len(numerics._ANALYSES))
+    assert max(sizes) == numerics._ANALYSES_KEPT
 
 
 def test_row_violation_matches_sense_loop():

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 from hypothesis.extra import numpy as hnp
 
-from pvpool import operation
-from pvpool.allocation import min_variance_key
+from pvpool import allocation, operation
+from pvpool.allocation import (AllocationError, _repair_rows,
+                               min_variance_key)
 from pvpool.domain import (DomainError, InputBundle, InverterCatalog,
                            LoadMatrix, RealizedTrajectory, RepartitionKey,
                            SolarScenarioSet, SubsidyRule, Tariff,
                            TechEconParams, TimeGrid, check_key)
+from pvpool.numerics import solve_qp
 from pvpool.operation import (ALGORITHMS, ControlDecision, HorizonConfig,
                               HorizonWindow, OperationState, _control_qp,
                               _realize_head, compute_mismatch, mpc_step,
@@ -23,7 +25,8 @@ from pvpool.sizing import (dispatch_costs, pv_production, solve_sizing,
 from pvpool.storage import StorageSpec, check_feasible
 
 from oracles import (assert_same_qp, control_qp_by_rows,
-                     greedy_year_by_rule_loop, settle_qp_by_rows)
+                     greedy_year_by_rule_loop, qp_active_set_minimum,
+                     settle_qp_by_rows)
 from test_allocation import _oracle_variance, capture_qps
 
 
@@ -284,6 +287,8 @@ def test_control_qp_blocks_match_row_loop(tc, tt, theta):
 
 @pytest.mark.parametrize("tc", [1, 3])
 def test_settle_qp_blocks_match_row_loop(tc, monkeypatch):
+    # tc = 3 solves the split QP, built in blocks; tc = 1 water-fills,
+    # builds no QP, and matches the row-loop QP solved as a QP
     rng = np.random.default_rng(70 + tc)
     n = 3
     values = rng.uniform(0.2, 2.0, (tc, n))
@@ -293,10 +298,122 @@ def test_settle_qp_blocks_match_row_loop(tc, monkeypatch):
                 promise=rng.uniform(3.0, 9.0, n),
                 e_future=rng.uniform(0.0, 2.0, n))
     seen = capture_qps(monkeypatch, operation)
-    settle(dec, np.zeros(tc), values, st)
+    rec = settle(dec, np.zeros(tc), values, st)
     rhs = st.e_past + dec.tail_expected + st.e_future - st.promise
-    assert len(seen) == 1
-    assert_same_qp(seen[0], settle_qp_by_rows(values, served, rhs))
+    want = settle_qp_by_rows(values, served, rhs)
+    if tc == 1:
+        assert seen == []
+        rep = solve_qp(want, tol=1e-8)
+        assert rep.status == "optimal"
+        np.testing.assert_allclose(rec.key[0], rep.x[:n], rtol=0.0,
+                                   atol=1e-7)
+    else:
+        assert len(seen) == 1
+        assert_same_qp(seen[0], want)
+
+
+def _assert_common_level(base, split, cap):
+    """Optimality of a split g of one period for min sum_i (base_i + g_i)^2
+    over 0 <= g <= cap with a fixed total: every consumer given something
+    sits at a level base_i + g_i no higher than any consumer not yet
+    filled (Lagrange: one common level, clipped at the bounds)."""
+    level = base + split
+    got = split > 1e-12
+    open_ = split < cap - 1e-12
+    if got.any() and open_.any():
+        scale = 1.0 + float(np.abs(level).max())
+        assert level[got].max() <= level[open_].min() + 1e-12 * scale
+
+
+def _settle_qp_objective(values, served, rhs):
+    """Squared mismatch of the settlement QP's split, repaired as settle
+    repairs it; None when the QP does not reach optimality."""
+    rep = solve_qp(settle_qp_by_rows(values, served, rhs), tol=1e-8)
+    if rep.status != "optimal":
+        return None
+    n = values.shape[1]
+    key = _repair_rows(rep.x[:n].reshape(values.shape), served, values)
+    mismatch = rhs + key.sum(axis=0)
+    return float(mismatch @ mismatch)
+
+
+def _fill_cases():
+    """One settled period: levels with ties, loads with zeros, and targets
+    of zero, of every load, and in between."""
+    level = hst.one_of(hst.sampled_from([-1.0, 0.0, 0.25]),
+                       hst.floats(-3.0, 3.0))
+    load = hst.one_of(hst.just(0.0), hst.floats(1e-3, 2.0))
+    share = hst.one_of(hst.just(0.0), hst.just(1.0), hst.just(1.5),
+                       hst.floats(0.0, 1.0))
+    return hst.integers(1, 6).flatmap(lambda n: hst.tuples(
+        hst.lists(level, min_size=n, max_size=n),
+        hst.lists(load, min_size=n, max_size=n), share))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_fill_cases())
+def test_single_period_settle_matches_qp_and_oracle(case):
+    levels, loads, share = case
+    rhs, values = np.array(levels), np.array([loads])
+    n = rhs.shape[0]
+    served = np.array([share * values.sum()])
+    dec = _decision_stub(served, n)
+    st = _state(e_past=np.zeros(n), promise=-rhs, e_future=np.zeros(n))
+    rec = settle(dec, [0.0], values, st)
+    assert not check_key(RepartitionKey(rec.key), values, served)
+    _assert_common_level(rhs, rec.key[0], values[0])
+    qp_obj = _settle_qp_objective(values, served, rhs)
+    if qp_obj is not None:
+        assert rec.objective <= qp_obj + 1e-12 * (1.0 + qp_obj)
+    if n <= 4:
+        # sum_i (rhs_i + g_i)^2 = g'g + 2 rhs'g + rhs'rhs
+        target = float(min(served[0], values.sum()))
+        best, g = qp_active_set_minimum(
+            2.0 * rhs, np.full(n, 2.0), [(np.ones(n), "==", target)],
+            np.zeros(n), values[0])
+        oracle = best + float(rhs @ rhs)
+        assert rec.objective <= oracle + 1e-12 * (1.0 + oracle)
+        np.testing.assert_allclose(rec.key[0], g, rtol=0.0, atol=1e-7)
+
+
+def test_settle_recorded_stall_630331():
+    # Captured from operate-4day at seed 630331, period 147: the settlement
+    # QP of these inputs ended iteration_limit and run_year raised.  The
+    # mismatch levels all lie within 0.011 kWh of each other.
+    loads = np.array([[
+        0.13557606553999288, 0.025246423119019014, 0.11892224740858945,
+        0.14140348044835604, 0.14082738224374178, 0.14614237796531482,
+        0.097570112903814, 0.18390532681985955, 0.08928449587861774,
+        0.13361636487791767, 0.1315524637170027, 0.19953132571636858,
+        0.06285649140494087, 0.14291061190733353, 0.11355910113061328]])
+    tail_expected = [
+        7.172555624036955, 6.527112388656054, 6.772889034350159,
+        6.505099014916591, 6.83582954438425, 6.536403481271438,
+        6.635863573546739, 7.5197447939571, 5.747645068829519,
+        6.743245869419766, 6.508290979589109, 6.565196087704084,
+        7.0391710845266475, 6.770666160335074, 6.7598516160444]
+    e_past = [
+        19.112493832851854, 17.41523923726061, 17.633370433132626,
+        17.903352253018724, 19.515449504770693, 19.94780458314589,
+        17.76985173669976, 23.34526944485718, 18.66504471668634,
+        17.6678598998465, 17.90150589337991, 25.05708843616636,
+        17.364824928417356, 20.848925008183286, 19.90435692008066]
+    promise = [
+        26.25764022992188, 23.92152100287865, 24.38273766867534,
+        24.38273766870796, 26.321169267493076, 26.453655771148448,
+        24.38273766631299, 30.833557280753386, 24.38273766909177,
+        24.382737669003106, 24.382737668652744, 31.5910206223409,
+        24.382737668633318, 27.589411797867395, 26.63300347824498]
+    n = loads.shape[1]
+    dec = _decision_stub([0.1131311047400021], n, tail_expected=tail_expected)
+    st = OperationState(147, 0.0, e_past, promise, np.zeros(n))
+    eps = 4.720998765805895e-07
+    rec = settle(dec, [eps], loads, st)
+    served = dec.served + eps
+    assert not check_key(RepartitionKey(rec.key), loads, served)
+    rhs = st.e_past + dec.tail_expected + st.e_future - st.promise
+    assert 0.0 < rec.key.sum() < loads.sum()
+    _assert_common_level(rhs, rec.key[0], loads[0])
 
 
 def test_settle_reproduces_control_objective_on_exact_forecast():
@@ -430,6 +547,38 @@ def test_myopic_settle_matches_variance_oracle():
         totals = key.values.sum(0)
         var = float(totals @ totals / n - totals.mean() ** 2)
         assert var <= _oracle_variance(served, loads) + 2e-6
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_fill_cases())
+def test_single_period_myopic_settle_matches_key_qp(case):
+    _, loads, share = case
+    values = np.array([loads])
+    served = np.array([share * values.sum()])
+    with pytest.MonkeyPatch.context() as mp:
+        seen = capture_qps(mp, allocation)
+        key = myopic_settle(served, values)
+    assert seen == []
+    assert not check_key(key, values, served)
+    got = key.values[0]
+    _assert_common_level(np.zeros_like(got), got, values[0])
+    # the single-row key QP of min_variance_key minimizes sum_i g_i^2 too;
+    # it can stall on such rows, which is why myopic_settle no longer uses it
+    try:
+        want = min_variance_key([served], values, np.ones(1)).keys[0].values[0]
+    except AllocationError:
+        want = None
+    if want is not None:
+        assert got @ got <= want @ want + 1e-12 * (1.0 + want @ want)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-7)
+    n = got.shape[0]
+    if n <= 4:
+        target = float(min(served[0], values.sum()))
+        best, g = qp_active_set_minimum(
+            np.zeros(n), np.full(n, 2.0), [(np.ones(n), "==", target)],
+            np.zeros(n), values[0])
+        assert got @ got <= best + 1e-12 * (1.0 + best)
+        np.testing.assert_allclose(got, g, rtol=0.0, atol=1e-7)
 
 
 # ---------------------------------------------------------------------------
