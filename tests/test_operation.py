@@ -570,7 +570,12 @@ def test_single_period_myopic_settle_matches_key_qp(case):
         want = None
     if want is not None:
         assert got @ got <= want @ want + 1e-12 * (1.0 + want @ want)
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-7)
+        # the interior-point key is exact in objective only to its gap, so
+        # its argmin can sit ~sqrt(gap) away; compare through the objective:
+        # for the minimizer g of sum g^2, |w - g|^2 <= w'w - g'g for every
+        # feasible w (strong convexity with Hessian 2I)
+        gap = want @ want - got @ got
+        assert (want - got) @ (want - got) <= gap + 1e-12 * (1.0 + want @ want)
     n = got.shape[0]
     if n <= 4:
         target = float(min(served[0], values.sum()))
