@@ -176,13 +176,16 @@ def _scenario_key(served, loads):
     target = np.minimum(served, row_total)
 
     # surplus periods force the whole row to the loads and zero-served
-    # periods force it to zero; pinning them keeps the QP interior nonempty
+    # periods force it to zero; pinning them keeps the QP interior nonempty.
+    # A row whose total load is at most 1e-12 kWh would be both: the empty
+    # pin wins, or lo would exceed hi
     lo = np.zeros_like(values)
     hi = values.copy()
     full = target >= row_total - 1e-12
+    empty = np.where(full, row_total, target) <= 1e-12
+    full &= ~empty
     lo[full] = values[full]
     target[full] = row_total[full]
-    empty = target <= 1e-12
     hi[empty] = 0.0
     target[empty] = 0.0
     # spread_i = (allocated to i) - mean allocation, the mean being fixed

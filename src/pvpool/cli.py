@@ -45,7 +45,7 @@ from .io import (
 )
 from .domain import InverterCatalog
 from .operation import ALGORITHMS, run_year
-from .sizing import investor_profit, solve_sizing
+from .sizing import CutPool, investor_profit, solve_sizing
 
 
 def _out_dir(args):
@@ -258,9 +258,11 @@ def _cmd_sweep(args):
     else:
         top = max(cap for cap, _ in catalog.pv_options)
         caps = np.linspace(0.0, top, 6).tolist()
+    # the pinned points share one pool's cuts and solved dispatch LPs
+    pool = CutPool(bundle)
     cap_rows = []
     for cap in caps:
-        pinned = solve_sizing(bundle, catalog, pv_capacity_fixed=cap)
+        pinned = solve_sizing(bundle, catalog, pv_capacity_fixed=cap, pool=pool)
         eco = pinned.economics
         consumer_pv = eco.pvf * (eco.annual_grid_cost_with
                                  + p_local * eco.annual_local_energy)

@@ -15,14 +15,16 @@ produce bit-identical reports.
 
 Each iteration solves one Newton system, on one of two paths.  The normal
 equations A D^-1 A' serve problems whose columns are all short
-(_NormalEquations).  Problems with a near-dense column (a capacity coupling
-every period, as in the sizing LP) or a free variable without curvature
-take the regularized augmented (KKT) system instead (_QuasidefiniteKkt).
-Both paths share one fixed-pattern factorization (_SymmetricFactor): the
-matrix is positive definite or quasidefinite, so it is factored without
-pivoting, always in one fill-reducing ordering of its pattern, each solve
-is refined, and a solve whose refined residual misses is redone with
-pivoting.
+(_NormalEquations).  Problems with a free variable without curvature (the
+cut variables of the sizing master LP) or a near-dense column (a capacity
+coupling every period, as in the joint sizing LP the tests keep as an
+oracle) take the regularized augmented (KKT) system instead
+(_QuasidefiniteKkt), and so does the rest of a solve whose primal residual
+a normal-equations step grew.  Both paths share one fixed-pattern
+factorization (_SymmetricFactor): the matrix is positive definite or
+quasidefinite, so it is factored without pivoting, always in one
+fill-reducing ordering of its pattern, each solve is refined, and a solve
+whose refined residual misses is redone with pivoting.
 
 The symbolic work on a presolved constraint matrix A is done once and kept
 (_analyse): A', the pattern of each Newton system with its ordering, and
@@ -35,9 +37,10 @@ on one side are reset by index rather than masked.
 
 A report with status "optimal" carries residuals measured at the returned
 point against the original problem, so callers can verify the certificate
-instead of trusting the iteration log.  A solve that does not converge is
-classified by a phase-1 problem (infeasible) and a ray search (unbounded),
-both solved at 1e-9 whatever the caller's tolerance.
+instead of trusting the iteration log, and the duals of the original rows
+and bounds, with presolve's removals undone (postsolve).  A solve that does
+not converge is classified by a phase-1 problem (infeasible) and a ray
+search (unbounded), both solved at 1e-9 whatever the caller's tolerance.
 """
 
 from dataclasses import dataclass
@@ -156,6 +159,16 @@ class SolveReport:
     duality_gap       |primal objective - dual objective|
     complementarity   max |slack * multiplier|
     iterations        interior-point iterations spent
+    y                 row duals, one per row: d objective / d rhs
+    zl, zu            bound multipliers, >= 0: d objective / d lb = zl and
+                      d objective / d ub = -zu
+
+    The duals (None when no point is returned) satisfy c + Qx - A'y - zl + zu
+    = 0 over the original variables.  Rows and variables that presolve
+    removed get theirs by postsolve: a variable pinned by its own box splits
+    its reduced cost into zl and zu, and a row that forced its variables to
+    their bounds takes the dual nearest 0 that leaves each of them dual
+    feasible (Andersen & Andersen, Math. Prog. 1995).
     """
 
     status: str
@@ -166,6 +179,9 @@ class SolveReport:
     duality_gap: float
     complementarity: float
     iterations: int
+    y: np.ndarray | None = None
+    zl: np.ndarray | None = None
+    zu: np.ndarray | None = None
 
 
 def _per_var(value, count):
@@ -276,6 +292,7 @@ class _Standard:
         m, n = a.shape
         n_slack = int(np.sum(senses != EQ))
         self.n_orig = n
+        self.m = m
         self.obj_const = 0.0
         if n_slack:
             # one slack per inequality row, in row order: +1 on <=, -1 on >=
@@ -296,7 +313,9 @@ class _Standard:
         self.ub = ub
         self.fixed_mask = None
         self.fixed_vals = None
+        self.rows = None  # the rows a solve keeps, when it drops empty ones
         self.infeasible_reason = None
+        self._forced = []  # per pass: (rows, columns, coefficients, upward)
         self._presolve()
 
     def _presolve(self):
@@ -353,6 +372,9 @@ class _Standard:
             first = np.unique(cols, return_index=True)[1]
             fixed[cols[first]] = True
             vals[cols[first]] = chosen[first]
+            rows = rr[sel][first]
+            self._forced.append((rows, cols[first], dd[sel][first],
+                                 force_up[rows]))
         if np.any(fixed):
             self._apply_reduction(fixed, vals)
 
@@ -360,6 +382,7 @@ class _Standard:
         """Substitute pinned variables into costs, rows and constants."""
         acsc = self.a.tocsc()
         self.b = self.b - acsc[:, fixed] @ vals[fixed]
+        self._unreduced = (acsc.T, self.c, self.qdiag)  # for postsolve
         keep = ~fixed
         self.obj_const += float(self.c[fixed] @ vals[fixed]) \
             + 0.5 * float((self.qdiag[fixed] * vals[fixed]) @ vals[fixed])
@@ -371,13 +394,54 @@ class _Standard:
         self.fixed_mask = fixed
         self.fixed_vals = vals
 
-    def expand(self, x_reduced):
+    def _full(self, x_reduced):
         if self.fixed_mask is None:
-            full = x_reduced
+            return x_reduced
+        full = self.fixed_vals.copy()
+        full[~self.fixed_mask] = x_reduced
+        return full
+
+    def expand(self, x_reduced):
+        return self._full(x_reduced)[: self.n_orig]
+
+    def duals(self, x, y, zl, zu):
+        """Postsolve: the row duals and the bound multipliers of the original
+        variables, from those of the reduced problem at its point x.
+
+        Rows the solve dropped start at 0.  Each row that forced variables
+        to their bounds contains no remaining variable, so its dual moves
+        only their reduced costs r_j: passes are undone last first, and
+        the row takes the value nearest 0 at which each variable it forced
+        has r_j >= 0 at a lower bound and r_j <= 0 at an upper one.  Every
+        pinned variable then puts r_j's positive part on its lower bound
+        and its negative part on its upper one.
+        """
+        y_full = np.zeros(self.m)
+        if self.rows is None:
+            y_full[:] = y
         else:
-            full = self.fixed_vals.copy()
-            full[~self.fixed_mask] = x_reduced
-        return full[: self.n_orig]
+            y_full[self.rows] = y
+        if self.fixed_mask is None:
+            return y_full, zl[: self.n_orig], zu[: self.n_orig]
+        at, c, qdiag = self._unreduced
+        x = self._full(x)
+        grad = c + qdiag * x
+        for rows, cols, coef, up in reversed(self._forced):
+            ratio = (grad[cols] - at[cols] @ y_full) / coef
+            # r_j = coef_j (ratio_j - y_i); an upward row holds its
+            # variables where coef_j r_j <= 0, so y_i >= ratio_j, and a
+            # downward one where coef_j r_j >= 0, so y_i <= ratio_j
+            bound = np.zeros(self.m)
+            np.maximum.at(bound, rows[up], ratio[up])
+            np.minimum.at(bound, rows[~up], ratio[~up])
+            y_full[rows] = bound[rows]
+        red = grad - at @ y_full
+        fixed = self.fixed_mask
+        zl_full = np.where(fixed, np.maximum(red, 0.0), 0.0)
+        zu_full = np.where(fixed, np.maximum(-red, 0.0), 0.0)
+        zl_full[~fixed] = zl
+        zu_full[~fixed] = zu
+        return y_full, zl_full[: self.n_orig], zu_full[: self.n_orig]
 
 
 def _objective(c, qdiag, x):
@@ -741,6 +805,7 @@ def _ipm_loop(std, tol, max_iter):
     best_score = np.inf
     stall = 0
     delta = 1e-10
+    rp_last = np.inf
 
     def residuals(x, y, zl, zu):
         qx = qdiag * x
@@ -779,6 +844,14 @@ def _ipm_loop(std, tol, max_iter):
             break
         if float(np.abs(x).max()) > _DIVERGE * bscale:
             break
+        # the normal equations are solved accurately only relative to
+        # A D^-1 rhat, which grows as the iterates near a degenerate vertex,
+        # and the primal residual then bounds the gap.  A Newton step shrinks
+        # that residual, so a step that grew it tenfold, past 1% of its
+        # tolerance, moves the rest of the solve to the KKT system
+        if rp_max > 10.0 * rp_last and rp_max > 1e-2 * tol * bscale:
+            kkt_path = True
+        rp_last = rp_max
 
         dtil = qdiag + zl / sl + zu / su
 
@@ -970,7 +1043,8 @@ def _finish(problem, std, res, tol):
                      and gap <= tol * (1.0 + abs(pobj_int)))
         status = "optimal" if converged else "iteration_limit"
     return SolveReport(status, x, objective, primal_residual, dual_residual,
-                       gap, complementarity, res.iters)
+                       gap, complementarity, res.iters,
+                       *std.duals(res.x, res.y, res.zl, res.zu))
 
 
 def _solve(problem, qdiag, tol, max_iter):
@@ -988,10 +1062,13 @@ def _solve(problem, qdiag, tol, max_iter):
         keep = ~empty
         std.a = std.a[keep]
         std.b = std.b[keep]
+        std.rows = np.flatnonzero(keep)
         m = std.a.shape[0]
     if n == 0:
-        x0 = std.expand(np.zeros(0))
-        return SolveReport("optimal", x0, std.obj_const, 0.0, 0.0, 0.0, 0.0, 0)
+        none = np.zeros(0)
+        return SolveReport("optimal", std.expand(none), std.obj_const,
+                           0.0, 0.0, 0.0, 0.0, 0,
+                           *std.duals(none, np.zeros(m), none, none))
     if m == 0:
         # coordinates decouple, so each one solves in closed form
         x = _solve_boxed_separable(std)

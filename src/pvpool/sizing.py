@@ -2,11 +2,16 @@
 
 The planning problem is stochastic in the solar outcome and mixed-integer in
 the inverter and cost-tier choices.  Every discrete choice is enumerated
-outright (catalogs are short), which leaves one linear program per
-combination over the capacities and the per-scenario dispatch.  The local
-energy price p transfers money between investor and consumers without
-changing total welfare, so it never appears in the optimization; price
-arithmetic lives in the allocation module.
+outright (catalogs are short).  Each combination is then a two-stage
+stochastic program: the capacities first, then one dispatch per solar
+scenario.  The combinations differ only in the capacity box and the linear
+first-stage cost, so their expected dispatch cost is one convex function,
+built once from cuts (the L-shaped method, `CutPool`) out of one small
+dispatch LP per scenario and capacity point; each combination is a
+2-capacity master LP over those cuts.  The local energy price p transfers
+money between investor and consumers without changing total welfare, so it
+never appears in the optimization; price arithmetic lives in the allocation
+module.
 
 Economics convention: the stored objective is welfare relative to paying the
 whole load from the grid forever, so the no-build optimum scores exactly
@@ -31,13 +36,20 @@ from .numerics import ProblemBuilder, solve_lp
 from .storage import StorageSpec, soc_trajectory
 
 _OVERLAP_TOL = 1e-6  # import/export overlap beyond this is flagged
+_TOL = 1e-9  # relative tolerance of a master LP and of a combination's bounds
+# The dispatch LPs are solved tighter: their error enters the objective
+# weighted by the present value of a year of the modeled span
+_RECOURSE_TOL = 1e-10
+_MAX_ROUNDS = 200  # master rounds per combination before giving up
 
 
 class SizingError(RuntimeError):
     """A planning subproblem failed to solve.
 
-    The message names the combination's capacity bounds and what the solver
-    tried; `report` is its SolveReport (None when no solve ran).
+    The message names the subproblem (a scenario's dispatch LP at a capacity
+    point, or a combination's master LP with its number of cuts), the
+    combination (inverters, PV tier, subsidy branch, capacity box) and what
+    the solver tried; `report` is its SolveReport (None when no solve ran).
     """
 
     def __init__(self, message, report=None):
@@ -250,97 +262,287 @@ def _snap(value, lo, hi, tol=1e-7):
     return value
 
 
-def _solve_combo(bundle, pv_lo, pv_hi, es_hi, tier_rate, sub_rate, es_lo=0.0):
-    """One enumerated combination: an LP over capacities and dispatch.
+class _Combination(NamedTuple):
+    """One enumerated discrete choice: the inverters, the PV cost tier and
+    the subsidy branch.
 
-    Variables are the PV capacity p_pv, the storage power p_es (energy
-    capacity kappa * p_es) and, per scenario and period, charge c_t,
-    discharge d_t, grid import, surplus and the state of charge s_t after
-    the period.  Per scenario the rows are the energy balance, the power
-    caps c_t, d_t <= delta * p_es, the recursion
-    s_t - s_{t-1} - eta c_t + d_t / eta = 0 starting from
-    s_{-1} = kappa p_es / 2, the energy cap s_t <= kappa p_es and the
-    cyclic closure s_{T-1} = kappa p_es / 2 (the same recursion mpc_step
-    uses), so rows and nonzeros grow linearly in T.
-
-    Returns (pv_capacity, es_power, [(charge, discharge) per scenario],
-    [(raw import, raw surplus) per scenario]) at the optimum.
+    Its capacities range over a box.  Its first-stage cost is pv_rate and
+    es_rate per kW of PV and storage power, plus `fixed`: the inverters, the
+    grid connection when anything is built and the fixed grid charge, all
+    in present value.
     """
-    grid, loads, scen, tariff, params = (bundle.grid, bundle.loads,
-                                         bundle.scenarios, bundle.tariff,
-                                         bundle.params)
+
+    pv_opt: tuple
+    es_opt: tuple
+    tier: int
+    branch: int
+    pv_lo: float
+    pv_hi: float
+    es_lo: float
+    es_hi: float
+    pv_rate: float
+    es_rate: float
+    fixed: float
+
+    def __str__(self):
+        pv_inv, es_inv = (("none" if opt[0] is None else opt[0])
+                          for opt in (self.pv_opt, self.es_opt))
+        return (f"PV inverter {pv_inv}, storage inverter {es_inv}, PV tier "
+                f"{self.tier}, subsidy branch {self.branch}: pv in "
+                f"[{self.pv_lo:.6g}, {self.pv_hi:.6g}], es in "
+                f"[{self.es_lo:.6g}, {self.es_hi:.6g}]")
+
+
+def _combinations(bundle, catalog, pv_capacity_fixed=None, es_power_fixed=None):
+    """Every (PV inverter, ES inverter, PV cost tier, subsidy branch)
+    combination with a nonempty capacity box, the null inverter included on
+    both sides; pinned capacities shrink the boxes to points."""
+    params = bundle.params
+    pvf = params.present_value_factor()
+    sub_factor = subsidy_present_value(1.0, params)
+    fixed_grid = pvf * bundle.tariff.fixed_charge * bundle.loads.num_consumers \
+        * bundle.grid.periods_per_year
+    pv_opts = [(None, 0.0, 0.0)]
+    pv_opts += [(j, cap, cost) for j, (cap, cost) in enumerate(catalog.pv_options)]
+    es_opts = [(None, 0.0, 0.0)]
+    es_opts += [(j, cap, cost) for j, (cap, cost) in enumerate(catalog.es_options)]
+    for pv_opt in pv_opts:
+        for es_opt in es_opts:
+            es_lo, es_hi = 0.0, es_opt[1]
+            if es_power_fixed is not None:
+                if es_power_fixed > es_hi + 1e-9:
+                    continue
+                es_lo = es_hi = es_power_fixed
+            fixed = pv_opt[2] + es_opt[2] + fixed_grid
+            if pv_opt[0] is not None or es_opt[0] is not None:
+                fixed += params.grid_connection_cost
+            for tier, (tier_lo, tier_hi, tier_rate) in enumerate(_pv_brackets(params)):
+                for branch, (sub_lo, sub_hi, sub_rate) in enumerate(
+                        _subsidy_branches(params)):
+                    pv_lo = max(tier_lo, sub_lo)
+                    pv_hi = min(tier_hi, sub_hi, pv_opt[1])
+                    if pv_capacity_fixed is not None:
+                        if not (pv_lo - 1e-9 <= pv_capacity_fixed <= pv_hi + 1e-9):
+                            continue
+                        pv_lo = pv_hi = pv_capacity_fixed
+                    if pv_lo > pv_hi + 1e-12:
+                        continue
+                    yield _Combination(
+                        pv_opt, es_opt, tier, branch, pv_lo, pv_hi, es_lo, es_hi,
+                        tier_rate + pvf * params.beta_mnt - sub_factor * sub_rate,
+                        params.beta_es * params.kappa, fixed)
+
+
+def _failure(subproblem, rep, combo):
+    where = "" if combo is None else f"; {combo}"
+    return SizingError(
+        f"{subproblem} ended {rep.status} after {rep.iterations} iterations "
+        f"(primal residual {rep.primal_residual:.3g}, dual residual "
+        f"{rep.dual_residual:.3g}, gap {rep.duality_gap:.3g}{where})", rep)
+
+
+def _dispatch_lp(bundle, alpha, pv, es):
+    """One scenario's dispatch LP at fixed capacities (pv, es).
+
+    Variables per period, in blocks of T: charge c_t, discharge d_t, grid
+    import, surplus and the state of charge s_t after the period.  Rows: T
+    energy balances, the recursion s_t - s_{t-1} - eta c_t + d_t / eta = 0
+    from s_{-1} = kappa p_es / 2 (T rows, the first with that start on its
+    right-hand side), and the cyclic end s_{T-1} = kappa p_es / 2, the same
+    recursion mpc_step uses.  The capacities enter only as bounds and
+    right-hand sides: c_t, d_t <= delta p_es, s_t <= kappa p_es, the start
+    and end rows and the balance rhs l_t - delta alpha_t p_pv.  Import never
+    exceeds the load: the battery charges from solar only.  The costs are
+    the scenario's dispatch bill over the span.
+    """
+    grid, loads, tariff, params = (bundle.grid, bundle.loads, bundle.tariff,
+                                   bundle.params)
     t_len = grid.num_periods
     delta = grid.delta_hours
-    l_agg = loads.aggregate()
-    probs = scen.probabilities
-    ys = grid.periods_per_year / t_len
-    pvf = params.present_value_factor()
-    w = pvf * ys
     eta = math.sqrt(params.es_roundtrip_efficiency)
-    kappa = params.kappa
-    sub_factor = subsidy_present_value(1.0, params)
-
+    half = 0.5 * params.kappa * es
+    l_agg = loads.aggregate()
     pb = ProblemBuilder()
-    p_pv = pb.add_vars(1, lb=pv_lo, ub=pv_hi,
-                       cost=tier_rate + pvf * params.beta_mnt - sub_factor * sub_rate)
-    p_es = pb.add_vars(1, lb=es_lo, ub=es_hi, cost=params.beta_es * kappa)
-    pv_col = np.full(t_len, p_pv[0])
-    es_col = np.full(t_len, p_es[0])
+    c = pb.add_vars(t_len, ub=delta * es, cost=params.beta_es_use)
+    d = pb.add_vars(t_len, ub=delta * es, cost=params.beta_es_use)
+    gg = pb.add_vars(t_len, ub=l_agg, cost=tariff.grid_energy_price)
+    gs = pb.add_vars(t_len, cost=tariff.export_tax - tariff.export_price)
+    soc = pb.add_vars(t_len, ub=params.kappa * es)
     ones = np.ones(t_len)
-    # the period before the first is the half-full battery kappa p_es / 2
-    prev_coef = np.concatenate([[-0.5 * kappa], -ones[1:]])
-    per_scenario = []
-    for widx in range(scen.num_scenarios):
-        prob = probs[widx]
-        alpha = scen.alphas[:, widx]
-        c = pb.add_vars(t_len, lb=0.0, cost=prob * w * params.beta_es_use)
-        d = pb.add_vars(t_len, lb=0.0, cost=prob * w * params.beta_es_use)
-        # import never exceeds the load: the battery charges from solar only
-        gg = pb.add_vars(t_len, lb=0.0, ub=l_agg,
-                         cost=prob * w * tariff.grid_energy_price)
-        gs = pb.add_vars(t_len, lb=0.0,
-                         cost=prob * w * (tariff.export_tax - tariff.export_price))
-        soc = pb.add_vars(t_len, lb=0.0)
-        pb.add_rows(np.column_stack([gg, gs, c, d, pv_col]),
-                    np.column_stack([ones, -ones, -ones, ones, delta * alpha]),
-                    "==", l_agg)
-        pb.add_rows(np.column_stack([c, es_col]), [1.0, -delta], "<=", 0.0)
-        pb.add_rows(np.column_stack([d, es_col]), [1.0, -delta], "<=", 0.0)
-        prev = np.concatenate([p_es, soc[:-1]])
-        pb.add_rows(np.column_stack([soc, prev, c, d]),
-                    np.column_stack([ones, prev_coef, -eta * ones, ones / eta]),
-                    "==", 0.0)
-        pb.add_rows(np.column_stack([soc, es_col]), [1.0, -kappa], "<=", 0.0)
-        pb.add_row([soc[-1], p_es[0]], [1.0, -0.5 * kappa], "==", 0.0)
-        per_scenario.append((c, d, gg, gs))
+    pb.add_rows(np.column_stack([gg, gs, c, d]), [1.0, -1.0, -1.0, 1.0], "==",
+                l_agg - delta * pv * np.asarray(alpha, dtype=np.float64))
+    pb.add_row([soc[0], c[0], d[0]], [1.0, -eta, 1.0 / eta], "==", half)
+    pb.add_rows(np.column_stack([soc[1:], soc[:-1], c[1:], d[1:]]),
+                [1.0, -1.0, -eta, 1.0 / eta], "==", 0.0)
+    pb.add_row([soc[-1]], [1.0], "==", half)
+    return pb.lp()
 
-    rep = solve_lp(pb.lp(), tol=1e-9)
-    if rep.status != "optimal":
-        raise SizingError(
-            f"planning subproblem ended {rep.status} after {rep.iterations} "
-            f"iterations (primal residual {rep.primal_residual:.3g}, dual "
-            f"residual {rep.dual_residual:.3g}, gap {rep.duality_gap:.3g}; "
-            f"pv in [{pv_lo:.6g}, {pv_hi:.6g}], es in [{es_lo:.6g}, {es_hi:.6g}])",
-            rep)
-    x = rep.x
-    pv_cap = _snap(float(np.clip(x[p_pv[0]], pv_lo, pv_hi)), pv_lo, pv_hi)
-    es_pow = _snap(float(np.clip(x[p_es[0]], es_lo, es_hi)), es_lo, es_hi)
-    limit = es_pow * delta
-    if pv_cap == 0.0:
-        # Without PV the battery has nothing to charge from (import is capped
-        # at the load), so the optimum leaves it idle at its smallest power.
-        # Solver fuzz there (power ~1e-7 kW, charge a hair above discharge)
-        # would make split_flows serve negative energy.
-        es_pow = es_lo
-        limit = 0.0
+
+class _Recourse(NamedTuple):
+    """The dispatch LPs of every scenario at one capacity point."""
+
+    values: np.ndarray  # V_w: each scenario's dispatch bill over the span
+    slopes: np.ndarray  # (W, 2): a subgradient g_w of V_w in (p_pv, p_es)
+    levels: np.ndarray  # the dual objective is levels_w + g_w'(p_pv, p_es)
+    dispatch_raw: list  # (charge, discharge) per scenario
+    flows_raw: list  # (raw import, raw surplus) per scenario
+
+
+def _recourse(bundle, pv, es, combo=None):
+    """Solve every scenario's dispatch LP at capacities (pv, es).
+
+    The dual objective is affine in the capacities and, by weak duality,
+    below V_w everywhere, so it is the cut.  Its slope comes from the duals
+    of the rows and bounds the capacities enter: -delta alpha_t on p_pv from
+    the balance rows, and on p_es -delta from each charge and discharge
+    bound, -kappa from each state-of-charge bound and kappa / 2 from the
+    start and end rows.  Its level is the rest: the load against the
+    balance duals and the import bounds.  `combo` names the combination
+    that asked, for the error message.
+    """
+    grid, params = bundle.grid, bundle.params
+    t_len = grid.num_periods
+    delta, kappa = grid.delta_hours, params.kappa
+    # Without PV the battery has nothing to charge from (import is capped at
+    # the load), so it idles; solver fuzz in its flows would make
+    # split_flows serve negative energy
+    limit = delta * es if pv > 0.0 else 0.0
+    n_scen = bundle.scenarios.num_scenarios
+    l_agg = bundle.loads.aggregate()
+    values = np.empty(n_scen)
+    slopes = np.empty((n_scen, 2))
+    levels = np.empty(n_scen)
     dispatch_raw = []
     flows_raw = []
-    for c, d, gg, gs in per_scenario:
-        cv = np.clip(x[c], 0.0, limit)
-        dv = np.clip(x[d], 0.0, limit)
-        dispatch_raw.append((cv, dv))
-        flows_raw.append((np.maximum(x[gg], 0.0), np.maximum(x[gs], 0.0)))
-    return pv_cap, es_pow, dispatch_raw, flows_raw
+    for widx in range(n_scen):
+        alpha = bundle.scenarios.alphas[:, widx]
+        rep = solve_lp(_dispatch_lp(bundle, alpha, pv, es), tol=_RECOURSE_TOL)
+        if rep.status != "optimal":
+            raise _failure(f"dispatch LP of scenario {widx} at pv {pv:.6g} kW, "
+                           f"es {es:.6g} kW", rep, combo)
+        c, d, gg, gs = np.split(rep.x[:4 * t_len], 4)
+        y, zu = rep.y, rep.zu
+        values[widx] = rep.objective
+        levels[widx] = float(l_agg @ (y[:t_len] - zu[2 * t_len:3 * t_len]))
+        slopes[widx] = (-delta * float(alpha @ y[:t_len]),
+                        -delta * float(zu[:2 * t_len].sum())
+                        - kappa * float(zu[4 * t_len:].sum())
+                        + 0.5 * kappa * float(y[t_len] + y[2 * t_len]))
+        dispatch_raw.append((np.clip(c, 0.0, limit), np.clip(d, 0.0, limit)))
+        flows_raw.append((np.maximum(gg, 0.0), np.maximum(gs, 0.0)))
+    return _Recourse(values, slopes, levels, dispatch_raw, flows_raw)
+
+
+class CutPool:
+    """The expected dispatch cost of one bundle, as cuts shared by every
+    combination of every `solve_sizing` call that is handed the pool.
+
+    R(p_pv, p_es) = w sum_w pi_w V_w(p_pv, p_es), with V_w a scenario's
+    dispatch bill and w the present value of a year of the modeled span, is
+    one convex polyhedral function for every combination: the combinations
+    differ only in the capacity box and the linear first-stage cost.  Each
+    point p_k whose dispatch LPs were solved is kept with its values,
+    subgradients and dispatches, and gives one cut per scenario from the
+    dual objective there, V_w(p) >= level_wk + g_wk'p, which touches V_w at
+    p_k (the L-shaped method: Van Slyke & Wets, SIAM J. Appl. Math. 1969;
+    Birge & Louveaux, Introduction to Stochastic Programming).
+    """
+
+    def __init__(self, bundle):
+        grid = bundle.grid
+        self.bundle = bundle
+        self.weights = bundle.params.present_value_factor() \
+            * grid.periods_per_year / grid.num_periods \
+            * bundle.scenarios.probabilities
+        self.points = {}  # (pv, es) -> _Recourse, in the order solved
+        self._cuts = []  # (w, [slope_pv, slope_es, level]): theta_w >= level + slope'p
+
+    def _evaluate(self, pv, es, combo):
+        rec = self.points.get((pv, es))
+        if rec is None:
+            rec = self.points[(pv, es)] = _recourse(self.bundle, pv, es, combo)
+            # a cut equal to a kept one within the tolerance adds nothing to
+            # the master but a degenerate row, which stalls its solve
+            for widx, (slope, level) in enumerate(zip(rec.slopes, rec.levels)):
+                cut = np.append(slope, level)
+                if not any(w == widx and np.allclose(cut, kept, rtol=_TOL, atol=_TOL)
+                           for w, kept in self._cuts):
+                    self._cuts.append((widx, cut))
+        return rec
+
+    def _bounds(self, combos):
+        """Lower bounds on the combinations' costs without an LP: for each,
+        the best over the pool's points of the expected cut, minimized over
+        the box corner by corner."""
+        recs = self.points.values()
+        slope = self.weights @ np.stack([rec.slopes for rec in recs])  # (K, 2)
+        level = np.stack([rec.levels for rec in recs]) @ self.weights
+        lo, hi, rate = (np.array([[c.pv_lo, c.es_lo] for c in combos]),
+                        np.array([[c.pv_hi, c.es_hi] for c in combos]),
+                        np.array([[c.pv_rate, c.es_rate] for c in combos]))
+        total = rate[:, None, :] + slope  # (P, K, 2)
+        corner = np.minimum(total * lo[:, None, :], total * hi[:, None, :])
+        return np.array([c.fixed for c in combos]) \
+            + (level + corner.sum(axis=2)).max(axis=1)
+
+    def _master(self, combo):
+        """min first-stage cost + sum_w w pi_w theta_w over the box, each
+        theta_w above every cut of scenario w.
+
+        The cut variables carry the combination's fixed cost, shifted by
+        fixed / sum_w w pi_w, so the objective is the combination's whole
+        cost and the relative tolerance is that of `_candidate_beats`; the
+        capacity and recourse terms alone can nearly cancel.
+        """
+        shift = combo.fixed / float(self.weights.sum())
+        scen = np.array([w for w, _ in self._cuts])
+        cuts = np.array([cut for _, cut in self._cuts])
+        slopes, levels = cuts[:, :2], cuts[:, 2]
+        pb = ProblemBuilder()
+        cap = pb.add_vars(2, lb=[combo.pv_lo, combo.es_lo],
+                          ub=[combo.pv_hi, combo.es_hi],
+                          cost=[combo.pv_rate, combo.es_rate])
+        theta = pb.add_vars(self.weights.shape[0], lb=-np.inf, cost=self.weights)
+        pb.add_rows(np.column_stack([theta[scen],
+                                     np.broadcast_to(cap, (len(scen), 2))]),
+                    np.column_stack([np.ones(len(scen)), -slopes]), ">=",
+                    levels + shift)
+        return pb.lp()
+
+    def _minimize(self, combo, incumbent=None):
+        """The combination's optimal capacities (pv, es), or None when its
+        lower bound exceeds the incumbent cost (-objective) by more than
+        `_candidate_beats`' tolerance.  The pool must hold a point.
+
+        Each round solves the master over the pool's cuts, then the dispatch
+        LPs at its solution; the combination is done when the cuts taken
+        there add nothing: the point's cost by the dispatch LPs' dual
+        objectives meets the master's lower bound to `_TOL` relative.  The
+        dual side keeps the test free of the dispatch LPs' own duality gaps,
+        which the weights of a year's present value would magnify.
+        """
+        for _ in range(_MAX_ROUNDS):
+            rep = solve_lp(self._master(combo), tol=_TOL)
+            if rep.status != "optimal":
+                raise _failure(f"master LP over {len(self.points)} cut points "
+                               f"({len(self._cuts)} cuts)", rep, combo)
+            lower = rep.objective - rep.duality_gap
+            if incumbent is not None \
+                    and lower - incumbent > _TOL * (1.0 + abs(incumbent)):
+                return None
+            pv = _snap(float(np.clip(rep.x[0], combo.pv_lo, combo.pv_hi)),
+                       combo.pv_lo, combo.pv_hi)
+            es = combo.es_lo if pv == 0.0 else _snap(
+                float(np.clip(rep.x[1], combo.es_lo, combo.es_hi)),
+                combo.es_lo, combo.es_hi)
+            seen = (pv, es) in self.points
+            rec = self._evaluate(pv, es, combo)
+            cost = combo.pv_rate * pv + combo.es_rate * es + combo.fixed \
+                + float(self.weights @ (rec.levels + rec.slopes @ [pv, es]))
+            if seen or cost - lower <= _TOL * (1.0 + abs(cost)):
+                return pv, es
+        raise SizingError(f"no convergence after {_MAX_ROUNDS} master rounds "
+                          f"({combo})")
 
 
 def _build_candidate(bundle, pv_cap, es_pow, dispatch_raw, flows_raw,
@@ -378,50 +580,63 @@ def _build_candidate(bundle, pv_cap, es_pow, dispatch_raw, flows_raw,
                         objective, economics, tuple(flags))
 
 
-def solve_sizing(bundle, catalog, pv_capacity_fixed=None, es_power_fixed=None):
+def solve_sizing(bundle, catalog, pv_capacity_fixed=None, es_power_fixed=None,
+                 pool=None):
     """Pick inverters and capacities maximizing long-term expected welfare.
 
     Enumerates every (PV inverter, ES inverter, PV cost tier, subsidy branch)
-    combination, including the null inverter on both sides, solves each
-    combination's LP and keeps the best candidate after recomputing its
-    objective from first principles.  Ties go to the smaller build cost, then
-    to the smaller PV capacity.  Capacities can be pinned for sweeps and
-    cross-checks via pv_capacity_fixed / es_power_fixed.
-    """
-    params = bundle.params
-    pv_opts = [(None, 0.0, 0.0)]
-    pv_opts += [(j, cap, cost) for j, (cap, cost) in enumerate(catalog.pv_options)]
-    es_opts = [(None, 0.0, 0.0)]
-    es_opts += [(j, cap, cost) for j, (cap, cost) in enumerate(catalog.es_options)]
+    combination, including the null inverter on both sides.  Each is a
+    two-stage problem: capacities in the combination's box, then one
+    dispatch per solar scenario.  Its expected dispatch cost is the same
+    convex function in every combination, built once from cuts in a
+    `CutPool`; each combination minimizes its first-stage cost plus that
+    function over its box (`CutPool._minimize`), and a combination whose
+    lower bound already loses to the best candidate so far is skipped.  A
+    candidate's dispatches are the per-scenario LPs at its capacities, and
+    its objective is recomputed from them from first principles.  Ties go
+    to the smaller build cost, then to the smaller PV capacity.
 
+    Capacities can be pinned for sweeps and cross-checks via
+    pv_capacity_fixed / es_power_fixed.  `pool`, a CutPool of this bundle,
+    lets several calls share their cuts and solved dispatch LPs.
+    """
+    if pool is None:
+        pool = CutPool(bundle)
+    elif pool.bundle is not bundle:
+        raise ValueError("the cut pool was built for another bundle")
+    combos = list(_combinations(bundle, catalog, pv_capacity_fixed,
+                                es_power_fixed))
+    if combos and not pool.points:
+        # the bounds need a point: the first combination's largest capacities
+        pool._evaluate(combos[0].pv_hi, combos[0].es_hi, combos[0])
+    # best bound first, so the incumbent that prunes the rest comes early
+    pending = list(range(len(combos)))
+    found = {}
+    incumbent = None
+    while pending:
+        bounds = pool._bounds([combos[i] for i in pending])
+        pick = int(np.argmin(bounds))
+        if incumbent is not None \
+                and bounds[pick] - incumbent > _TOL * (1.0 + abs(incumbent)):
+            break
+        idx = pending.pop(pick)
+        combo = combos[idx]
+        point = pool._minimize(combo, incumbent)
+        if point is None:
+            continue
+        rec = pool.points[point]
+        found[idx] = _build_candidate(bundle, *point, rec.dispatch_raw,
+                                      rec.flows_raw, combo.pv_opt, combo.es_opt)
+        if incumbent is None or -found[idx].objective < incumbent:
+            incumbent = -found[idx].objective
     best = None
     best_key = None
-    for pv_opt in pv_opts:
-        for es_opt in es_opts:
-            es_hi = es_opt[1]
-            es_lo = 0.0
-            if es_power_fixed is not None:
-                if es_power_fixed > es_hi + 1e-9:
-                    continue
-                es_lo = es_hi = es_power_fixed
-            for tier_lo, tier_hi, tier_rate in _pv_brackets(params):
-                for sub_lo, sub_hi, sub_rate in _subsidy_branches(params):
-                    pv_lo = max(tier_lo, sub_lo)
-                    pv_hi = min(tier_hi, sub_hi, pv_opt[1])
-                    if pv_capacity_fixed is not None:
-                        if not (pv_lo - 1e-9 <= pv_capacity_fixed <= pv_hi + 1e-9):
-                            continue
-                        pv_lo = pv_hi = pv_capacity_fixed
-                    if pv_lo > pv_hi + 1e-12:
-                        continue
-                    pv_cap, es_pow, draw, fraw = _solve_combo(
-                        bundle, pv_lo, pv_hi, es_hi, tier_rate, sub_rate, es_lo)
-                    cand = _build_candidate(bundle, pv_cap, es_pow, draw, fraw,
-                                            pv_opt, es_opt)
-                    key = (-cand.objective, cand.economics.capex_total,
-                           cand.decision.pv_capacity_kw)
-                    if best is None or _candidate_beats(key, best_key):
-                        best, best_key = cand, key
+    for idx in sorted(found):
+        cand = found[idx]
+        key = (-cand.objective, cand.economics.capex_total,
+               cand.decision.pv_capacity_kw)
+        if best is None or _candidate_beats(key, best_key):
+            best, best_key = cand, key
     if best is None:
         raise SizingError("no feasible sizing combination (empty catalog?)")
     return best

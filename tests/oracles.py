@@ -11,6 +11,9 @@ import math
 
 import numpy as np
 
+from pvpool import sizing
+from pvpool.numerics import ProblemBuilder, solve_lp
+
 _FEAS_TOL = 1e-9
 
 
@@ -282,6 +285,130 @@ def sizing_point_value(bundle, pv_options, es_options, pv_cap, es_pow):
     return (-build + sub_pv
             - pvf * (params.beta_mnt * pv_cap + fixed_yearly)
             - pvf * ys * dispatch_cost)
+
+
+def solve_combo(bundle, pv_lo, pv_hi, es_hi, tier_rate, sub_rate, es_lo=0.0):
+    """One enumerated combination as one joint LP over capacities and
+    dispatch: the reference for the cuts of `sizing.CutPool`.
+
+    Variables are the PV capacity p_pv, the storage power p_es (energy
+    capacity kappa * p_es) and, per scenario and period, charge c_t,
+    discharge d_t, grid import, surplus and the state of charge s_t after
+    the period.  Per scenario the rows are the energy balance, the power
+    caps c_t, d_t <= delta * p_es, the recursion
+    s_t - s_{t-1} - eta c_t + d_t / eta = 0 starting from
+    s_{-1} = kappa p_es / 2, the energy cap s_t <= kappa p_es and the
+    cyclic closure s_{T-1} = kappa p_es / 2 (the same recursion mpc_step
+    uses), so rows and nonzeros grow linearly in T.
+
+    Returns (pv_capacity, es_power, [(charge, discharge) per scenario],
+    [(raw import, raw surplus) per scenario]) at the optimum.
+    """
+    lp, p_pv, p_es, per_scenario = joint_sizing_lp(
+        bundle, pv_lo, pv_hi, es_hi, tier_rate, sub_rate, es_lo)
+    rep = solve_lp(lp, tol=1e-9)
+    if rep.status != "optimal":
+        raise sizing.SizingError(
+            f"planning subproblem ended {rep.status} after {rep.iterations} "
+            f"iterations (primal residual {rep.primal_residual:.3g}, dual "
+            f"residual {rep.dual_residual:.3g}, gap {rep.duality_gap:.3g}; "
+            f"pv in [{pv_lo:.6g}, {pv_hi:.6g}], es in [{es_lo:.6g}, {es_hi:.6g}])",
+            rep)
+    x = rep.x
+    delta = bundle.grid.delta_hours
+    pv_cap = sizing._snap(float(np.clip(x[p_pv[0]], pv_lo, pv_hi)), pv_lo, pv_hi)
+    es_pow = sizing._snap(float(np.clip(x[p_es[0]], es_lo, es_hi)), es_lo, es_hi)
+    limit = es_pow * delta
+    if pv_cap == 0.0:
+        # Without PV the battery has nothing to charge from (import is capped
+        # at the load), so the optimum leaves it idle at its smallest power.
+        # Solver fuzz there (power ~1e-7 kW, charge a hair above discharge)
+        # would make split_flows serve negative energy.
+        es_pow = es_lo
+        limit = 0.0
+    dispatch_raw = []
+    flows_raw = []
+    for c, d, gg, gs in per_scenario:
+        cv = np.clip(x[c], 0.0, limit)
+        dv = np.clip(x[d], 0.0, limit)
+        dispatch_raw.append((cv, dv))
+        flows_raw.append((np.maximum(x[gg], 0.0), np.maximum(x[gs], 0.0)))
+    return pv_cap, es_pow, dispatch_raw, flows_raw
+
+
+def joint_sizing_lp(bundle, pv_lo, pv_hi, es_hi, tier_rate, sub_rate, es_lo=0.0):
+    """The joint LP of `solve_combo`: (lp, p_pv, p_es, [(c, d, import,
+    surplus) variable indices per scenario])."""
+    grid, loads, scen, tariff, params = (bundle.grid, bundle.loads,
+                                         bundle.scenarios, bundle.tariff,
+                                         bundle.params)
+    t_len = grid.num_periods
+    delta = grid.delta_hours
+    l_agg = loads.aggregate()
+    probs = scen.probabilities
+    ys = grid.periods_per_year / t_len
+    pvf = params.present_value_factor()
+    w = pvf * ys
+    eta = math.sqrt(params.es_roundtrip_efficiency)
+    kappa = params.kappa
+    sub_factor = sizing.subsidy_present_value(1.0, params)
+
+    pb = ProblemBuilder()
+    p_pv = pb.add_vars(1, lb=pv_lo, ub=pv_hi,
+                       cost=tier_rate + pvf * params.beta_mnt - sub_factor * sub_rate)
+    p_es = pb.add_vars(1, lb=es_lo, ub=es_hi, cost=params.beta_es * kappa)
+    pv_col = np.full(t_len, p_pv[0])
+    es_col = np.full(t_len, p_es[0])
+    ones = np.ones(t_len)
+    # the period before the first is the half-full battery kappa p_es / 2
+    prev_coef = np.concatenate([[-0.5 * kappa], -ones[1:]])
+    per_scenario = []
+    for widx in range(scen.num_scenarios):
+        prob = probs[widx]
+        alpha = scen.alphas[:, widx]
+        c = pb.add_vars(t_len, lb=0.0, cost=prob * w * params.beta_es_use)
+        d = pb.add_vars(t_len, lb=0.0, cost=prob * w * params.beta_es_use)
+        # import never exceeds the load: the battery charges from solar only
+        gg = pb.add_vars(t_len, lb=0.0, ub=l_agg,
+                         cost=prob * w * tariff.grid_energy_price)
+        gs = pb.add_vars(t_len, lb=0.0,
+                         cost=prob * w * (tariff.export_tax - tariff.export_price))
+        soc = pb.add_vars(t_len, lb=0.0)
+        pb.add_rows(np.column_stack([gg, gs, c, d, pv_col]),
+                    np.column_stack([ones, -ones, -ones, ones, delta * alpha]),
+                    "==", l_agg)
+        pb.add_rows(np.column_stack([c, es_col]), [1.0, -delta], "<=", 0.0)
+        pb.add_rows(np.column_stack([d, es_col]), [1.0, -delta], "<=", 0.0)
+        prev = np.concatenate([p_es, soc[:-1]])
+        pb.add_rows(np.column_stack([soc, prev, c, d]),
+                    np.column_stack([ones, prev_coef, -eta * ones, ones / eta]),
+                    "==", 0.0)
+        pb.add_rows(np.column_stack([soc, es_col]), [1.0, -kappa], "<=", 0.0)
+        pb.add_row([soc[-1], p_es[0]], [1.0, -0.5 * kappa], "==", 0.0)
+        per_scenario.append((c, d, gg, gs))
+
+    return pb.lp(), p_pv, p_es, per_scenario
+
+
+def joint_lp_sizing(bundle, catalog, pv_capacity_fixed=None, es_power_fixed=None):
+    """`sizing.solve_sizing` with one joint LP per combination (`solve_combo`)
+    and the same enumeration, candidates and tie-break."""
+    params = bundle.params
+    best = best_key = None
+    for combo in sizing._combinations(bundle, catalog, pv_capacity_fixed,
+                                      es_power_fixed):
+        tier_rate = sizing._pv_brackets(params)[combo.tier][2]
+        sub_rate = sizing._subsidy_branches(params)[combo.branch][2]
+        pv_cap, es_pow, draw, fraw = solve_combo(
+            bundle, combo.pv_lo, combo.pv_hi, combo.es_hi, tier_rate, sub_rate,
+            combo.es_lo)
+        cand = sizing._build_candidate(bundle, pv_cap, es_pow, draw, fraw,
+                                       combo.pv_opt, combo.es_opt)
+        key = (-cand.objective, cand.economics.capex_total,
+               cand.decision.pv_capacity_kw)
+        if best is None or sizing._candidate_beats(key, best_key):
+            best, best_key = cand, key
+    return best
 
 
 def repair_rows_loop(raw, served, values):

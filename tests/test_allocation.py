@@ -326,6 +326,14 @@ def test_zero_load_consumer_gets_nothing():
     assert plan.promise[1] == pytest.approx(0.0, abs=1e-9)
 
 
+def test_subnormal_row_load_is_pinned_empty():
+    # a positive row total at most 1e-12 kWh meets both the full and the
+    # empty pin; pinning it both ways made the QP's bounds cross
+    loads = np.array([[2.2e-311]])
+    plan = min_variance_key([np.zeros(1)], loads, np.ones(1))
+    assert check_key(plan.keys[0], loads, np.zeros(1)) == []
+
+
 def test_plan_from_sizing_output():
     bundle, res = _solved_toy()
     plan = min_variance_key([d.to_consumers for d in res.dispatches],

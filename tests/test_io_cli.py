@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import pvpool
-from pvpool import cli, io
+from pvpool import cli, io, numerics, sizing
 from pvpool.cli import cli_main
 from pvpool.domain import InverterCatalog, LoadMatrix, SolarScenarioSet, check_key
 from pvpool.io import (
@@ -475,6 +475,32 @@ def test_cli_sweep_writes_both_tables(tmp_path):
     # investor profit + consumer savings always split the same pie
     assert prices[:, 2] + prices[:, 3] == pytest.approx(
         prices[0, 2] + prices[0, 3])
+
+
+def test_cli_sweep_shares_one_cut_pool(tmp_path, monkeypatch):
+    out = _gen_dir(tmp_path, seed=6)
+    config = str(out / "config.json")
+    assert cli_main(["size", "--config", config]) == 0
+    caps = [0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0]
+    bundle, catalog = ProjectConfig.from_file(config).load_inputs()
+    periods = bundle.grid.num_periods
+    dispatch_lps = []
+
+    def counting(lp, **kwargs):
+        if lp.c.shape[0] == 5 * periods:  # five columns per period
+            dispatch_lps.append(lp)
+        return numerics.solve_lp(lp, **kwargs)
+
+    monkeypatch.setattr(sizing, "solve_lp", counting)
+    assert cli_main(["sweep", "--config", config,
+                     "--capacities", ",".join(map(str, caps))]) == 0
+    swept = len(dispatch_lps)
+    dispatch_lps.clear()
+    _, rows = load_matrix_csv(out / "sweep_capacity.csv")
+    for cap, objective in zip(caps, rows[:, 1]):
+        fresh = solve_sizing(bundle, catalog, pv_capacity_fixed=cap)
+        assert objective == pytest.approx(fresh.objective, rel=1e-9)
+    assert 0 < swept < len(dispatch_lps)
 
 
 def test_cli_reports_byte_identical_across_runs(tmp_path):

@@ -437,26 +437,19 @@ def _control_qp_instance():
     return _control_qp(st, win, spec, HorizonConfig(1, 1 + tt), 1e-4)[0]
 
 
-def _sizing_lp_instance(monkeypatch):
-    """The second LP of solve_sizing on a generated day (5 consumers, two
-    scenarios): its capacity columns put it on the KKT path (presolve
-    settles the first, storage-only one)."""
+def _sizing_lp_instance():
+    """The joint LP of the second sizing combination on a generated day (5
+    consumers, two scenarios), the storage-only one: its capacity column
+    couples every period and puts it on the KKT path."""
     from pvpool import sizing
+    from oracles import joint_sizing_lp
     from test_sizing import _baseline_bundle
     bundle, catalog = _baseline_bundle(31, 5, 1, 2)
-    lps = []
-
-    def capture(lp, **kwargs):
-        lps.append(lp)
-        if len(lps) == 2:
-            raise StopIteration
-        return solve_lp(lp, **kwargs)
-
-    monkeypatch.setattr(sizing, "solve_lp", capture)
-    with pytest.raises(StopIteration):
-        sizing.solve_sizing(bundle, catalog)
-    monkeypatch.undo()
-    return lps[1]
+    combo = list(sizing._combinations(bundle, catalog))[1]
+    return joint_sizing_lp(
+        bundle, combo.pv_lo, combo.pv_hi, combo.es_hi,
+        sizing._pv_brackets(bundle.params)[combo.tier][2],
+        sizing._subsidy_branches(bundle.params)[combo.branch][2], combo.es_lo)[0]
 
 
 def _report_bytes(rep):
@@ -466,7 +459,7 @@ def _report_bytes(rep):
 
 
 @pytest.mark.parametrize("kind", ["control_qp", "sizing_lp"])
-def test_kept_analysis_gives_bit_identical_reports(kind, monkeypatch):
+def test_kept_analysis_gives_bit_identical_reports(kind):
     # a solve that finds its matrix analysed (by an earlier solve of it,
     # with other matrices analysed since) must report exactly what a solve
     # that analyses it afresh reports
@@ -474,7 +467,7 @@ def test_kept_analysis_gives_bit_identical_reports(kind, monkeypatch):
         problem, solve, path = _control_qp_instance(), solve_qp, "_normal"
         tol = 1e-6
     else:
-        problem, solve = _sizing_lp_instance(monkeypatch), solve_lp
+        problem, solve = _sizing_lp_instance(), solve_lp
         path, tol = "_kkt", 1e-9
     rng = np.random.default_rng(5)
     others = [_lp_from_dense(*random_bounded_lp(rng)) for _ in range(3)]
@@ -660,3 +653,117 @@ def test_forcing_near_boundary_target_stays_feasible():
     rep = solve_lp(pb.lp())
     assert rep.status == "optimal"
     assert np.allclose(rep.x, [1.0, 1.0], atol=1e-8)
+
+
+def _dual_violation(problem, rep, qdiag=0.0):
+    """Worst breach of the optimality conditions by a report's duals:
+    stationarity, the signs the row senses and bound sides allow,
+    complementarity, and the gap between the primal and the dual objective
+    (relative)."""
+    x, y, zl, zu = rep.x, rep.y, rep.zl, rep.zu
+    stat = problem.c + qdiag * x - problem.a.T @ y - zl + zu
+    senses = np.asarray(problem.senses)
+    sign = np.where(senses == "<=", np.maximum(y, 0.0),
+                    np.where(senses == ">=", np.maximum(-y, 0.0), 0.0))
+    slack = np.where(senses == "==", 0.0, np.abs(problem.a @ x - problem.rhs))
+    has_lb, has_ub = np.isfinite(problem.lb), np.isfinite(problem.ub)
+    side = np.concatenate([zl[~has_lb], zu[~has_ub]])
+    comp = np.concatenate([np.abs(y) * slack, zl[has_lb] * (x - problem.lb)[has_lb],
+                           zu[has_ub] * (problem.ub - x)[has_ub]])
+    dual_obj = problem.rhs @ y + problem.lb[has_lb] @ zl[has_lb] \
+        - problem.ub[has_ub] @ zu[has_ub] - 0.5 * (qdiag * x) @ x
+    gap = abs(dual_obj - rep.objective) / (1.0 + abs(rep.objective))
+    return max(np.abs(stat).max(), sign.max(initial=0.0), comp.max(initial=0.0),
+               side.max(initial=0.0), np.min(np.concatenate([zl, zu]),
+                                            initial=0.0) * -1.0, gap)
+
+
+def _with_forcing_rows(rng, c, rows, lb, ub):
+    """Pin some boxes and turn some rows into ones whose bound-implied
+    activity range touches the right-hand side, so presolve forces them."""
+    ub = np.where(rng.random(len(c)) < 0.2, lb, ub)
+    out = []
+    for a, sense, b in rows:
+        if rng.random() < 0.5:
+            a = np.where(rng.random(len(c)) < 0.4, 0.0, a)
+            high = float(np.where(a > 0, ub, lb) @ a)
+            low = float(np.where(a > 0, lb, ub) @ a)
+            sense, b = [("==", high), ("==", low), ("<=", low),
+                        (">=", high)][int(rng.integers(4))]
+        out.append((a, sense, b))
+    return c, out, lb, ub
+
+
+def test_duals_certify_random_lps_with_forcing_rows():
+    # the rows presolve empties get their duals by postsolve; a zero there
+    # would leave the variables they forced dual infeasible
+    rng = np.random.default_rng(41)
+    solved = 0
+    for _ in range(400):
+        problem = _lp_from_dense(*_with_forcing_rows(
+            rng, *random_bounded_lp(rng, max_vars=6, max_rows=5)))
+        rep = solve_lp(problem, tol=1e-9)
+        if rep.status != "optimal":
+            continue  # forcing rows make some draws infeasible
+        solved += 1
+        assert _dual_violation(problem, rep) <= 1e-6
+    assert solved > 200
+
+
+def test_duals_certify_random_qps():
+    rng = np.random.default_rng(42)
+    for _ in range(200):
+        drawn = random_box_qp(rng, max_vars=4, max_rows=3)
+        if drawn is None:
+            continue
+        c, q, rows, lb, ub = drawn
+        problem = ConvexQuadraticProgram(c, q, *_dense_rows(rows, len(c)), lb, ub)
+        rep = solve_qp(problem, tol=1e-9)
+        assert rep.status == "optimal"
+        assert _dual_violation(problem, rep, q) <= 1e-6
+
+
+def test_duals_match_highs_marginals():
+    from scipy.optimize import linprog
+    rng = np.random.default_rng(43)
+    compared = 0
+    for _ in range(150):
+        c, rows, lb, ub = random_bounded_lp(rng, max_vars=5, max_rows=4)
+        problem = _lp_from_dense(c, rows, lb, ub)
+        rep = solve_lp(problem, tol=1e-9)
+        a, senses, rhs = _dense_rows(rows, len(c))
+        senses = np.asarray(senses)
+        ineq = senses != "=="
+        flip = np.where(senses[ineq] == ">=", -1.0, 1.0)
+        ref = linprog(c, A_ub=a[ineq] * flip[:, None], b_ub=np.asarray(rhs)[ineq] * flip,
+                      A_eq=a[~ineq], b_eq=np.asarray(rhs)[~ineq],
+                      bounds=list(zip(lb, ub)), method="highs")
+        assert rep.status == "optimal" and ref.status == 0
+        active = np.count_nonzero(np.abs(a @ ref.x - rhs) <= 1e-9) \
+            + np.count_nonzero(np.minimum(ref.x - lb, ub - ref.x) <= 1e-9)
+        if active > len(c):
+            continue  # a degenerate vertex (equality rows share a point)
+        compared += 1
+        want = np.zeros(len(rows))
+        want[ineq] = ref.ineqlin.marginals * flip
+        want[~ineq] = ref.eqlin.marginals
+        # at a nondegenerate vertex the duals are unique
+        assert np.allclose(rep.y, want, atol=1e-6)
+        assert np.allclose(rep.zl, ref.lower.marginals, atol=1e-6)
+        assert np.allclose(rep.zu, -ref.upper.marginals, atol=1e-6)
+    assert compared > 100
+
+
+def test_forced_import_row_is_priced_at_the_grid():
+    # presolve forces import to the load and empties the balance row; its
+    # dual is the import price, the dearer of the two forced variables
+    load = 4.2
+    pb = ProblemBuilder()
+    gg = pb.add_vars(1, lb=0.0, ub=load, cost=0.13)
+    gs = pb.add_vars(1, lb=0.0, cost=-0.06)
+    pb.add_row(np.concatenate([gg, gs]), [1.0, -1.0], "==", load)
+    rep = solve_lp(pb.lp())
+    assert rep.iterations == 0
+    assert rep.y[0] == pytest.approx(0.13)
+    assert rep.zu[0] == pytest.approx(0.0) and rep.zl[1] == pytest.approx(0.07)
+    assert _dual_violation(pb.lp(), rep) <= 1e-12

@@ -1,5 +1,6 @@
 """Planning-layer tests: flow algebra, cost arithmetic, and the sizing
-optimizer cross-checked against an independent HiGHS-based grid search."""
+optimizer cross-checked against an independent HiGHS-based grid search and
+against one joint LP per combination."""
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from pvpool.sizing import (SizingEconomics, SizingError, capex,
                            welfare_objective)
 from pvpool.storage import StorageSpec, check_feasible
 
-from oracles import sizing_point_value
+from oracles import joint_lp_sizing, sizing_point_value, solve_combo
 
 
 def _params(**kw):
@@ -290,29 +291,35 @@ def test_objective_invariant_to_local_price():
     assert res_a.decision == res_b.decision
 
 
+def _random_bundle(rng):
+    """A random toy collective with two PV cost tiers and a capped subsidy."""
+    t_len = int(rng.integers(3, 7))
+    n_scen = int(rng.integers(1, 3))
+    grid = TimeGrid(delta_hours=0.5, num_periods=t_len,
+                    periods_per_year=t_len)
+    loads = LoadMatrix(rng.uniform(0.0, 4.0, (t_len, 2)), ("a", "b"))
+    probs = rng.uniform(0.2, 1.0, n_scen)
+    scen = SolarScenarioSet(rng.uniform(0.0, 1.0, (t_len, n_scen)),
+                            probs / probs.sum())
+    tariff = Tariff(grid_energy_price=rng.uniform(0.05, 0.3, t_len),
+                    fixed_charge=float(rng.uniform(0.0, 0.02)),
+                    export_price=rng.uniform(0.0, 0.08, t_len),
+                    export_tax=rng.uniform(0.0, 0.02, t_len),
+                    local_price=0.0)
+    params = _params(beta_pv_tiers=((0.0, float(rng.uniform(0.5, 2.0))),
+                                    (2.0, float(rng.uniform(0.3, 0.5)))),
+                     beta_es=float(rng.uniform(0.05, 0.3)),
+                     grid_connection_cost=float(rng.uniform(0.0, 2.0)),
+                     subsidy=SubsidyRule(rate_per_kw=float(rng.uniform(0.0, 0.1)),
+                                         max_capacity_kw=2.5))
+    return InputBundle(grid, loads, scen, tariff, params)
+
+
 def test_net_benefit_never_negative_on_random_instances():
     rng = np.random.default_rng(23)
     for trial in range(10):
-        t_len = int(rng.integers(3, 7))
-        n_scen = int(rng.integers(1, 3))
-        grid = TimeGrid(delta_hours=0.5, num_periods=t_len,
-                        periods_per_year=t_len)
-        loads = LoadMatrix(rng.uniform(0.0, 4.0, (t_len, 2)), ("a", "b"))
-        probs = rng.uniform(0.2, 1.0, n_scen)
-        scen = SolarScenarioSet(rng.uniform(0.0, 1.0, (t_len, n_scen)),
-                                probs / probs.sum())
-        tariff = Tariff(grid_energy_price=rng.uniform(0.05, 0.3, t_len),
-                        fixed_charge=float(rng.uniform(0.0, 0.02)),
-                        export_price=rng.uniform(0.0, 0.08, t_len),
-                        export_tax=rng.uniform(0.0, 0.02, t_len),
-                        local_price=0.0)
-        params = _params(beta_pv_tiers=((0.0, float(rng.uniform(0.5, 2.0))),
-                                        (2.0, float(rng.uniform(0.3, 0.5)))),
-                         beta_es=float(rng.uniform(0.05, 0.3)),
-                         grid_connection_cost=float(rng.uniform(0.0, 2.0)),
-                         subsidy=SubsidyRule(rate_per_kw=float(rng.uniform(0.0, 0.1)),
-                                             max_capacity_kw=2.5))
-        bundle = InputBundle(grid, loads, scen, tariff, params)
+        bundle = _random_bundle(rng)
+        params = bundle.params
         res = solve_sizing(bundle, _TOY_CATALOG)
         net = res.economics.pvf * res.economics.annual_grid_cost_without \
             + res.objective
@@ -395,13 +402,17 @@ def _sizing_lps(monkeypatch, bundle):
     return lps
 
 
+def _dispatch_lps(lps, bundle):
+    """The per-scenario dispatch LPs among `lps` (five columns per period;
+    a master LP has two capacities and one column per scenario)."""
+    return [lp for lp in lps if lp.c.shape[0] == 5 * bundle.grid.num_periods]
+
+
 def test_sizing_lp_grows_linearly_in_periods(monkeypatch):
-    short = _sizing_lps(monkeypatch, _toy_bundle(t_len=12))
-    long = _sizing_lps(monkeypatch, _toy_bundle(t_len=24))
-    assert len(short) == len(long) > 0
-    nnz_short = sum(lp.a.nnz for lp in short)
-    nnz_long = sum(lp.a.nnz for lp in long)
-    assert nnz_long <= 2.1 * nnz_short
+    bundles = [_toy_bundle(t_len=12), _toy_bundle(t_len=24)]
+    short, long = (_dispatch_lps(_sizing_lps(monkeypatch, b), b) for b in bundles)
+    assert short and long
+    assert max(lp.a.nnz for lp in long) <= 2.1 * min(lp.a.nnz for lp in short)
 
 
 def test_sizing_error_reports_what_was_tried(monkeypatch):
@@ -453,8 +464,7 @@ def test_storage_without_pv_stays_idle():
     # charge up to 1.6e-9 kWh above the discharge with no PV.  split_flows
     # then served negative energy and solve_sizing raised DomainError.
     bundle, catalog = _baseline_bundle(9001, 15, 1, 2)
-    pv_cap, es_pow, draw, _ = sizing._solve_combo(
-        bundle, 0.0, 0.0, 50.0, 1100.0, 100.0)
+    pv_cap, es_pow, draw, _ = solve_combo(bundle, 0.0, 0.0, 50.0, 1100.0, 100.0)
     assert pv_cap == 0.0 and es_pow == 0.0
     for charge, discharge in draw:
         assert not charge.any() and not discharge.any()
@@ -465,3 +475,126 @@ def test_storage_without_pv_stays_idle():
     load = bundle.loads.aggregate()
     for dispatch in res.dispatches:
         assert check_dispatch(dispatch, load, tol=1e-6) == []
+
+
+def _toy_instances():
+    """Every toy sizing instance of this module, with its catalog."""
+    rng = np.random.default_rng(23)
+    instances = [(_toy_bundle(t_len), _TOY_CATALOG) for t_len in (4, 6, 12)]
+    instances += [(_random_bundle(rng), _TOY_CATALOG) for _ in range(10)]
+    t_len = 6
+    grid = TimeGrid(delta_hours=1.0, num_periods=t_len, periods_per_year=24)
+    base = np.linspace(0.3, 0.8, t_len)
+    bell = np.clip(np.sin(np.linspace(0.3, 2.8, t_len)), 0.0, 1.0)
+    instances.append((InputBundle(
+        grid, LoadMatrix(np.column_stack([base, base[::-1]]), ("a", "b")),
+        SolarScenarioSet(np.column_stack([bell, 0.4 * bell]), np.array([0.3, 0.7])),
+        Tariff(np.linspace(0.1, 0.2, t_len), 0.0, np.full(t_len, 0.05),
+               np.full(t_len, 0.01), 0.0), _params()), _TOY_CATALOG))
+    grid = TimeGrid(delta_hours=1.0, num_periods=4, periods_per_year=4)
+    instances.append((InputBundle(
+        grid, LoadMatrix(np.full((4, 1), 2.0), ("a",)),
+        SolarScenarioSet(np.column_stack([np.full(4, 0.8), np.zeros(4)]),
+                         np.array([0.25, 0.75])), _tariff(4), _params()),
+        _TOY_CATALOG))
+    instances.append((InputBundle(
+        grid, LoadMatrix(np.full((4, 2), 1.5), ("a", "b")),
+        SolarScenarioSet(np.zeros((4, 2)), np.array([0.5, 0.5])),
+        _tariff(4, fixed=0.01), _params()), _TOY_CATALOG))
+    instances.append(_baseline_bundle(9001, 15, 1, 2))
+    return instances
+
+
+@pytest.mark.parametrize("case", range(17))
+def test_cut_pool_matches_joint_lp_oracle(case):
+    bundle, catalog = _toy_instances()[case]
+    got = solve_sizing(bundle, catalog)
+    want = joint_lp_sizing(bundle, catalog)
+    for name in ("pv_inverter_index", "es_inverter_index"):
+        assert getattr(got.decision, name) == getattr(want.decision, name)
+    assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-9)
+    assert got.decision.pv_capacity_kw == pytest.approx(
+        want.decision.pv_capacity_kw, rel=1e-6, abs=1e-6)
+    assert got.decision.es_power_kw == pytest.approx(
+        want.decision.es_power_kw, rel=1e-6, abs=1e-6)
+
+
+def test_recourse_slopes_are_subgradients():
+    # V_w is convex and piecewise linear in the capacities, so a
+    # subgradient lies between the one-sided difference quotients
+    bundle = _toy_bundle(t_len=6)
+    step = 1e-3
+    for pv, es in [(1.3, 0.4), (2.0, 0.0), (0.0, 0.5), (0.0, 0.0), (3.0, 1.0)]:
+        here = sizing._recourse(bundle, pv, es)
+        for axis in range(2):
+            move = np.eye(2)[axis] * step
+            right = sizing._recourse(bundle, *(np.array([pv, es]) + move))
+            slope = here.slopes[:, axis]
+            assert np.all(right.values - here.values
+                          >= step * slope - 1e-9), (pv, es, axis)
+            if (pv, es)[axis] >= step:
+                left = sizing._recourse(bundle, *(np.array([pv, es]) - move))
+                assert np.all(here.values - left.values
+                              <= step * slope + 1e-9), (pv, es, axis)
+        # the cut touches V_w at the point it was taken
+        assert np.allclose(here.levels + here.slopes @ [pv, es], here.values,
+                           rtol=1e-9, atol=1e-9)
+
+
+def test_empty_dispatch_lp_still_prices_pv():
+    # at zero capacities presolve empties every row: import is forced to the
+    # load.  A zero balance dual would be dual infeasible and value PV at
+    # nothing; postsolve prices each period at the grid price instead
+    bundle = _toy_bundle(t_len=4)
+    rec = sizing._recourse(bundle, 0.0, 0.0)
+    alpha = bundle.scenarios.alphas[:, 0]
+    price = bundle.tariff.grid_energy_price
+    assert rec.slopes[0, 0] == pytest.approx(-(alpha @ price), rel=1e-12)
+    assert rec.slopes[0, 0] < 0.0
+    step = sizing._recourse(bundle, 0.1, 0.0)
+    assert step.values[0] - rec.values[0] >= 0.1 * rec.slopes[0, 0] - 1e-12
+
+
+def test_recourse_failure_names_the_subproblem(monkeypatch):
+    bundle = _toy_bundle()
+
+    def starved(lp, **kwargs):
+        if lp.c.shape[0] == 5 * bundle.grid.num_periods:
+            return numerics.solve_lp(lp, max_iter=2, **kwargs)
+        return numerics.solve_lp(lp, **kwargs)
+
+    monkeypatch.setattr(sizing, "solve_lp", starved)
+    with pytest.raises(SizingError) as info:
+        solve_sizing(bundle, _TOY_CATALOG)
+    rep = info.value.report
+    assert rep.status == "iteration_limit" and rep.iterations == 2
+    message = str(info.value)
+    for part in ("dispatch LP of scenario 0 at pv ", "kW, es ",
+                 "after 2 iterations", f"primal residual {rep.primal_residual:.3g}",
+                 f"gap {rep.duality_gap:.3g}", "PV inverter ", "storage inverter ",
+                 "PV tier ", "subsidy branch ", "pv in [", "es in ["):
+        assert part in message
+
+
+def test_master_failure_names_the_combination_and_cuts(monkeypatch):
+    bundle = _toy_bundle()
+
+    def starved(lp, **kwargs):
+        if lp.c.shape[0] != 5 * bundle.grid.num_periods:
+            return numerics.solve_lp(lp, max_iter=2, **kwargs)
+        return numerics.solve_lp(lp, **kwargs)
+
+    monkeypatch.setattr(sizing, "solve_lp", starved)
+    with pytest.raises(SizingError) as info:
+        solve_sizing(bundle, _TOY_CATALOG)
+    message = str(info.value)
+    assert "master LP over 1 cut points (1 cuts) ended iteration_limit" in message
+    # the combination with the best bound is solved first
+    assert "PV inverter 0, storage inverter 0, PV tier 0, subsidy branch 0: " \
+        "pv in [0, 3], es in [0, 1]" in message
+
+
+def test_cut_pool_belongs_to_its_bundle():
+    pool = sizing.CutPool(_toy_bundle(t_len=6))
+    with pytest.raises(ValueError):
+        solve_sizing(_toy_bundle(t_len=4), _TOY_CATALOG, pool=pool)
