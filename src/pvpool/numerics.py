@@ -20,20 +20,24 @@ cut variables of the sizing master LP) or a near-dense column (a capacity
 coupling every period, as in the joint sizing LP the tests keep as an
 oracle) take the regularized augmented (KKT) system instead
 (_QuasidefiniteKkt), and so does the rest of a solve whose primal residual
-a normal-equations step grew.  Both paths share one fixed-pattern
-factorization (_SymmetricFactor): the matrix is positive definite or
-quasidefinite, so it is factored without pivoting, always in one
-fill-reducing ordering of its pattern, each solve is refined, and a solve
-whose refined residual misses is redone with pivoting.
+a normal-equations step grew.  The matrix is positive definite or
+quasidefinite, so both paths factor it without pivoting in an order fixed
+by its pattern alone (_SymmetricFactor).  The normal matrix is factored by
+LAPACK as a band and a dense border: its near-dense rows go last, the rest
+in reverse Cuthill-McKee order, and the border is eliminated through a
+small Schur complement.  The KKT matrix is factored by SuperLU in a
+minimum-degree ordering of its pattern.  On either path each solve is
+refined against the matrix, and a nonpositive pivot or a solve whose
+refined residual misses is redone with SuperLU's partial pivoting.
 
 The symbolic work on a presolved constraint matrix A is done once and kept
-(_analyse): A', the pattern of each Newton system with its ordering, and
-the map from D^-1 to the normal matrix's data.  It is keyed by A's exact
-bytes and held for the last few matrices, so the control QPs of a rolling
-horizon, which share one matrix, analyse it once.  A kept analysis yields
-the same numbers as a new one, so no report depends on earlier solves.
-The iterations keep every vector at full length; entries without a bound
-on one side are reset by index rather than masked.
+(_analyse): A', the pattern of each Newton system with its band plan or
+ordering, and the map from D^-1 to the normal matrix's data.  It is keyed
+by A's exact bytes and held for the last few matrices, so the control QPs
+of a rolling horizon, which share one matrix, analyse it once.  A kept
+analysis yields the same numbers as a new one, so no report depends on
+earlier solves.  The iterations keep every vector at full length; entries
+without a bound on one side are reset by index rather than masked.
 
 A report with status "optimal" carries residuals measured at the returned
 point against the original problem, so callers can verify the certificate
@@ -47,6 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs, dtbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 LE = "<="
@@ -483,9 +489,16 @@ _UNPIVOTED = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
 _ANALYSES_KEPT = 8  # presolved constraint matrices whose analysis is kept
 
 
+def _near_dense(count, m):
+    """Which of the lines (rows or columns) with `count` entries, in a
+    matrix of m rows, are near-dense: those with more than max(32, m // 8)
+    entries, the few that couple most of the others."""
+    return count > max(32, m // 8)
+
+
 class _Pattern:
-    """A symmetric CSC sparsity pattern (sorted, every diagonal entry stored)
-    and one fill-reducing ordering of it.
+    """The KKT matrix's symmetric CSC sparsity pattern (sorted, every
+    diagonal entry stored) and one fill-reducing ordering of it.
 
     splu's minimum degree ordering on A + A' reads only the pattern, so it
     is taken from a factorization of the identity stored in the pattern and
@@ -499,7 +512,6 @@ class _Pattern:
         on_diag = indices == cols
         identity = sp.csc_matrix((on_diag.astype(np.float64), indices, indptr),
                                  shape=(size, size))
-        self.size = size
         self.indptr, self.indices = identity.indptr, identity.indices
         self.diag_pos = np.flatnonzero(on_diag)
         perm_c = splu(identity, permc_spec="MMD_AT_PLUS_A", **_UNPIVOTED).perm_c
@@ -517,32 +529,80 @@ class _Pattern:
         self.order = np.argsort(perm_c)  # position k holds row order[k]
 
 
-class _SymmetricFactor:
-    """A symmetric matrix on a fixed _Pattern, factored without pivoting.
+class _BandPlan:
+    """The normal matrix's symmetric CSC pattern (sorted, every diagonal
+    entry stored), split into a band and a dense border.
 
-    Subclasses write `mat.data` (every diagonal entry is stored, at
-    pattern.diag_pos) and call `factor`.  Every factorization, the first
-    of a solve included, gathers the data into the pattern permuted by the
-    pattern's ordering and factors that in its natural order, so the
-    factors depend on the matrix alone and not on which solve analysed its
-    pattern first.  The matrices factored here are quasidefinite or
-    positive definite, so a factorization with diagonal pivots exists for
-    every symmetric ordering (Vanderbei, SIAM J. Optim. 1995).  Each solve
-    is iteratively refined against the matrix itself; a solve whose refined
-    residual still misses is redone with a partially pivoted factorization
-    of the same matrix, as is a factorization that meets a zero pivot.
+    Rows with more than max(32, m // 8) entries (a tracking row that spans
+    every scenario, a consumer row of the key QP) form the border and go
+    last, unless every row has that many; the others are put in reverse
+    Cuthill-McKee order, which gathers them into a band of half-bandwidth
+    kd.  Block-angular matrices of this shape are what structure-exploiting
+    interior-point solvers factor as a band and a small Schur complement
+    (Gondzio & Grothey, Comput. Manag. Sci. 2009).  The plan reads only the
+    pattern and holds gather indices from its data into LAPACK's lower band
+    storage (kd + 1 by nb), the border block B (nb by k) and the corner C
+    (k by k), all column-major.
     """
 
-    def __init__(self, pattern, data):
-        shape = (pattern.size, pattern.size)
-        self.pattern = pattern
-        self.mat = sp.csc_matrix((data, pattern.indices, pattern.indptr),
-                                 shape=shape)
-        self._permuted = sp.csc_matrix(
-            (np.empty_like(data), pattern.perm_indices, pattern.perm_indptr),
-            shape=shape)
-        self.lu = None
+    def __init__(self, indptr, indices):
+        m = indptr.shape[0] - 1
+        count = np.diff(indptr)
+        cols = np.repeat(np.arange(m), count)
+        self.indptr, self.indices = indptr, indices
+        self.diag_pos = np.flatnonzero(indices == cols)
+        dense = _near_dense(count, m)
+        if dense.all():
+            dense[:] = False  # no band to border: all of it is the band
+        band = np.flatnonzero(~dense)
+        nb = band.shape[0]
+        inner = ~dense[indices] & ~dense[cols]
+        local = np.cumsum(~dense) - 1  # row -> its index among the band rows
+        graph = sp.csr_matrix((np.ones(int(inner.sum())),
+                               (local[indices[inner]], local[cols[inner]])),
+                              shape=(nb, nb))
+        rcm = reverse_cuthill_mckee(graph, symmetric_mode=True)
+        self.order = np.concatenate([band[rcm], np.flatnonzero(dense)])
+        pos = np.empty(m, dtype=np.int64)
+        pos[self.order] = np.arange(m)
+        row, col = pos[indices], pos[cols]
+        lower = row >= col  # one entry of each symmetric pair
+        in_band = lower & (row < nb)
+        self.nb, self.border = nb, m - nb
+        self.kd = int((row - col)[in_band].max(initial=0))
+        self.band_src = np.flatnonzero(in_band)
+        self.band_dst = (row - col + col * (self.kd + 1))[in_band]
+        coupling = lower & (col < nb) & (row >= nb)
+        self.border_src = np.flatnonzero(coupling)
+        self.border_dst = (col + (row - nb) * nb)[coupling]
+        corner = lower & (col >= nb)
+        self.corner_src = np.flatnonzero(corner)
+        self.corner_dst = (row - nb + (col - nb) * self.border)[corner]
+
+
+class _SymmetricFactor:
+    """A symmetric matrix on a fixed pattern, factored without pivoting.
+
+    Subclasses write `mat.data` and call `factor`; their `_factor` factors
+    it without pivoting, in an ordering fixed by the pattern alone, so the
+    factors depend on the matrix and not on which solve analysed its
+    pattern first, and `_direct` solves with that factor.  The matrices
+    factored here are quasidefinite or positive definite, so a
+    factorization with diagonal pivots exists for every symmetric ordering
+    (Vanderbei, SIAM J. Optim. 1995).  Each solve is iteratively refined
+    against the matrix itself, and the residual of the solution it returns
+    is kept in `residual`; a solve whose refined residual still misses is
+    redone with a partially pivoted factorization of the same matrix
+    (`residual` is then None), as is a factorization that meets a zero or
+    nonpositive pivot.
+    """
+
+    def __init__(self, indptr, indices, data):
+        size = indptr.shape[0] - 1
+        self.mat = sp.csc_matrix((data, indices, indptr), shape=(size, size))
         self.pivoted = None
+        self.residual = None
+        self._unpivoted = False
 
     def factor(self):
         """Factor mat at its current data.
@@ -550,33 +610,25 @@ class _SymmetricFactor:
         Raises RuntimeError when even the pivoted factorization is singular.
         """
         self.pivoted = None
-        np.take(self.mat.data, self.pattern.gather, out=self._permuted.data)
-        try:
-            self.lu = splu(self._permuted, permc_spec="NATURAL", **_UNPIVOTED)
-        except RuntimeError:
-            # a zero diagonal pivot: go straight to partial pivoting
-            self.lu = self.pivoted = splu(self.mat, permc_spec="MMD_AT_PLUS_A")
-
-    def _lu_solve(self, rhs):
-        if self.lu is self.pivoted:
-            return self.lu.solve(rhs)
-        order = self.pattern.order
-        out = np.empty_like(rhs)
-        out[order] = self.lu.solve(rhs[order])
-        return out
+        self._unpivoted = self._factor()
+        if not self._unpivoted:
+            # a zero or nonpositive pivot: go straight to partial pivoting
+            self.pivoted = splu(self.mat, permc_spec="MMD_AT_PLUS_A")
 
     def solve(self, rhs):
-        sol = self._lu_solve(rhs)
-        if self.lu is not self.pivoted:
-            scale = _KKT_REFINE_TOL * (1.0 + float(np.abs(rhs).max()))
-            for step in range(_KKT_REFINE_STEPS + 1):
-                res = rhs - self.mat @ sol
-                if np.abs(res).max() <= scale:
-                    break
-                if step == _KKT_REFINE_STEPS:
-                    sol = self._pivoted_solve(rhs, sol)
-                    break
-                sol = sol + self._lu_solve(res)
+        self.residual = None
+        if not self._unpivoted:
+            return self.pivoted.solve(rhs)
+        sol = self._direct(rhs)
+        scale = _KKT_REFINE_TOL * (1.0 + float(np.abs(rhs).max()))
+        for step in range(_KKT_REFINE_STEPS + 1):
+            res = rhs - self.mat @ sol
+            if np.abs(res).max() <= scale:
+                self.residual = res
+                break
+            if step == _KKT_REFINE_STEPS:
+                return self._pivoted_solve(rhs, sol)
+            sol = sol + self._direct(res)
         return sol
 
     def _pivoted_solve(self, rhs, fallback):
@@ -593,13 +645,20 @@ class _QuasidefiniteKkt(_SymmetricFactor):
 
     Its pattern and off-diagonal data come from the analysis of A; every
     factorization only writes the diagonal.  With delta > 0 the matrix is
-    quasidefinite.
+    quasidefinite.  It is factored by SuperLU with diagonal pivots: the
+    data is gathered into the pattern permuted by the pattern's ordering
+    and factored in its natural order.
     """
 
     def __init__(self, analysis):
         self.n = analysis.at.shape[0]
-        pattern, data = analysis.kkt()
-        super().__init__(pattern, data.copy())
+        self.pattern, data = analysis.kkt()
+        super().__init__(self.pattern.indptr, self.pattern.indices,
+                         data.copy())
+        self._permuted = sp.csc_matrix(
+            (np.empty_like(data), self.pattern.perm_indices,
+             self.pattern.perm_indptr), shape=self.mat.shape)
+        self.lu = None
 
     def factor(self, dtil, delta):
         """Factor at diagonal dtil and regularization delta."""
@@ -608,6 +667,20 @@ class _QuasidefiniteKkt(_SymmetricFactor):
         self.mat.data[diag_pos[:n]] = dtil + delta
         self.mat.data[diag_pos[n:]] = -delta
         super().factor()
+
+    def _factor(self):
+        np.take(self.mat.data, self.pattern.gather, out=self._permuted.data)
+        try:
+            self.lu = splu(self._permuted, permc_spec="NATURAL", **_UNPIVOTED)
+        except RuntimeError:
+            self.lu = None
+        return self.lu is not None
+
+    def _direct(self, rhs):
+        order = self.pattern.order
+        out = np.empty_like(rhs)
+        out[order] = self.lu.solve(rhs[order])
+        return out
 
     def solve(self, r1, r2):
         return np.split(super().solve(np.concatenate([r1, r2])), [self.n])
@@ -652,27 +725,71 @@ def _normal_product_map(at, m):
 
 class _NormalEquations(_SymmetricFactor):
     """The normal matrix A D A' + reg I, positive definite for reg > 0 or
-    A of full row rank; its pattern and product map come from the analysis
-    of A."""
+    A of full row rank; its band plan and product map come from the
+    analysis of A.
+
+    It is factored by LAPACK as a band and a dense border: in the plan's
+    order the matrix is [[A11, B], [B', C]] with A11 banded, A11 = L L'
+    (dpbtrf), W = L^-1 B (dtbtrs) and S = C - W'W = Ls Ls' (dpotrf).  A
+    solve runs forward through L, through the corner and back through L'.
+    """
 
     def __init__(self, analysis):
-        pattern, self.pmap = analysis.normal()
-        super().__init__(pattern, np.zeros(self.pmap.shape[0]))
+        self.plan, self.pmap = analysis.normal()
+        super().__init__(self.plan.indptr, self.plan.indices,
+                         np.zeros(self.pmap.shape[0]))
+        self._l = self._w = self._ls = None
 
     def factor(self, dinv, reg=0.0):
         self.mat.data[:] = self.pmap @ dinv
         if reg:
-            self.mat.data[self.pattern.diag_pos] += reg
+            self.mat.data[self.plan.diag_pos] += reg
         super().factor()
+
+    def _factor(self):
+        plan, data = self.plan, self.mat.data
+        nb, k = plan.nb, plan.border
+        band = np.zeros((plan.kd + 1) * nb)
+        band[plan.band_dst] = data[plan.band_src]
+        self._l, info = dpbtrf(band.reshape((plan.kd + 1, nb), order="F"),
+                               lower=1, overwrite_ab=1)
+        if info or not k:
+            return info == 0
+        coupling = np.zeros(nb * k)
+        coupling[plan.border_dst] = data[plan.border_src]
+        self._w = dtbtrs(self._l, coupling.reshape((nb, k), order="F"),
+                         uplo="L", overwrite_b=1)[0]
+        corner = np.zeros(k * k)
+        corner[plan.corner_dst] = data[plan.corner_src]
+        corner = corner.reshape((k, k), order="F")
+        corner -= self._w.T @ self._w
+        self._ls, info = dpotrf(corner, lower=1, clean=0, overwrite_a=1)
+        return info == 0
+
+    def _direct(self, rhs):
+        plan = self.plan
+        ordered = rhs[plan.order]
+        if not plan.border:
+            sol = dpbtrs(self._l, ordered, lower=1, overwrite_b=1)[0]
+        else:
+            fwd = dtbtrs(self._l, ordered[:plan.nb], uplo="L")[0]
+            tail = dpotrs(self._ls, ordered[plan.nb:] - self._w.T @ fwd,
+                          lower=1, overwrite_b=1)[0]
+            head = dtbtrs(self._l, fwd - self._w @ tail, uplo="L",
+                          trans="T", overwrite_b=1)[0]
+            sol = np.concatenate([head, tail])
+        out = np.empty_like(rhs)
+        out[plan.order] = sol
+        return out
 
 
 class _Analysis:
     """The symbolic work on one presolved constraint matrix A.
 
     Holds A' and, built when a solve first takes that Newton path, the
-    normal-equations pattern with its product map, or the KKT pattern with
-    its off-diagonal data; each pattern carries its ordering.  Everything
-    here follows from A's bytes alone and is only read by the solves.
+    normal-equations band plan with its product map, or the KKT pattern
+    with its off-diagonal data and ordering.  Everything here follows from
+    A's bytes alone and is only read by the solves.
     """
 
     def __init__(self, a):
@@ -683,7 +800,7 @@ class _Analysis:
     def normal(self):
         if self._normal is None:
             pattern, pmap = _normal_product_map(self.at, self.at.shape[1])
-            self._normal = (_Pattern(pattern.indptr, pattern.indices), pmap)
+            self._normal = (_BandPlan(pattern.indptr, pattern.indices), pmap)
         return self._normal
 
     def kkt(self):
@@ -761,9 +878,7 @@ def _ipm_loop(std, tol, max_iter):
         # a few near-dense columns (e.g. a capacity variable coupling every
         # period) fill A D A' almost completely; the augmented system keeps
         # them as single spiky rows that the ordering can push last
-        col_nnz = np.diff(at.indptr)
-        if int(col_nnz.max(initial=0)) > max(32, m // 8):
-            kkt_path = True
+        kkt_path = bool(np.any(_near_dense(np.diff(at.indptr), m)))
 
     # starting point: push a least-squares-ish point strictly inside the box
     x = np.zeros(n)
@@ -885,7 +1000,9 @@ def _ipm_loop(std, tol, max_iter):
             else:
                 rhs_y = -rp + a @ (dinv * rhat)
                 dy = normal.solve(rhs_y)
-                res_y = rhs_y - normal.mat @ dy
+                res_y = normal.residual
+                if res_y is None:  # the pivoted solve measured none
+                    res_y = rhs_y - normal.mat @ dy
                 # a refined (or pivoted) solve that still misses means
                 # the factorization is unusable (near-singular matrix)
                 if not np.isfinite(res_y).all() or np.abs(res_y).max() \

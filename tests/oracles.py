@@ -630,7 +630,8 @@ def greedy_year_by_rule_loop(gen, load, spec, delta_hours, control_periods):
     """The greedy baseline's battery flows over a year, head by head.
 
     Each head plans period by period with `rule_based_step` on a running
-    state of charge, then realizes the plan with `operation._realize_head`.
+    state of charge, clipped to [0, E] every period as `_realize_head`
+    clips it, then realizes the plan with `operation._realize_head`.
     Returns (charge, discharge, soc) with soc of length T + 1.
     """
     from pvpool.operation import _realize_head
@@ -648,8 +649,9 @@ def greedy_year_by_rule_loop(gen, load, spec, delta_hours, control_periods):
         for k in range(head.stop - t0):
             c_plan[k], d_plan[k] = rule_based_step(
                 soc_rule, gen[t0 + k], load[t0 + k], spec, delta_hours)
-            soc_rule += spec.charge_efficiency * c_plan[k] \
-                - d_plan[k] / spec.discharge_efficiency
+            soc_rule = min(max(soc_rule + spec.charge_efficiency * c_plan[k]
+                               - d_plan[k] / spec.discharge_efficiency, 0.0),
+                           spec.energy_cap_kwh)
         charge[head], discharge[head], socs[t0 + 1:head.stop + 1] = \
             _realize_head(c_plan, d_plan, gen[head], soc, spec, delta_hours)
         soc = socs[head.stop]

@@ -358,23 +358,92 @@ def test_factor_reuses_its_ordering_at_a_new_diagonal(system):
     else:
         fac = numerics._NormalEquations(analysis)
         size = m
-    fills = []
+    layouts = []
     for _ in range(2):
         diag = rng.uniform(0.01, 100.0, n)
         rhs = rng.normal(size=size)
         if system == "kkt":
             fac.factor(diag, 1e-8)
             got = np.concatenate(fac.solve(rhs[:n], rhs[n:]))
+            layouts.append(fac.lu.L.nnz + fac.lu.U.nnz)
         else:
             fac.factor(diag)
             got = fac.solve(rhs)
+            plan = fac.plan
+            layouts.append((plan.order.tobytes(), plan.kd, plan.border,
+                            fac._l.shape))
         want = spsolve(fac.mat.tocsc(), rhs)
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
         assert fac.pivoted is None
-        fills.append(fac.lu.L.nnz + fac.lu.U.nnz)
     # the second factorization ran in the first one's ordering, at its fill
-    assert np.array_equal(fac.lu.perm_c, np.arange(size))
-    assert fills[1] == fills[0]
+    # (KKT) or in its order, band and border (normal equations)
+    if system == "kkt":
+        assert np.array_equal(fac.lu.perm_c, np.arange(size))
+    else:
+        assert fac._l.shape == (plan.kd + 1, size - plan.border)
+    assert layouts[1] == layouts[0]
+
+
+def _normal_matrix(kind):
+    """The standard-form constraint matrix the solver sees for one kind of
+    problem, and the (m, bandwidth, border) of its band plan."""
+    from pvpool import allocation, sizing
+    from test_sizing import _baseline_bundle
+    if kind == "control_qp":
+        # 15 consumers, 48 periods, two scenarios: the tracking rows
+        # couple every period and form the border
+        problem, shape = _control_qp_instance(15, 47), (300, 4, 15)
+    elif kind == "dispatch_lp":
+        # one scenario's day at fixed capacities: a band, no border
+        bundle, _ = _baseline_bundle(31, 5, 1, 2)
+        problem = sizing._dispatch_lp(bundle, bundle.scenarios.alphas[:, 0],
+                                      20.0, 10.0)
+        shape = (97, 2, 0)
+    elif kind == "near_dense":
+        # 40 rows, each column on 20 of them: every row of A D A' is
+        # near-dense, so there is no band to border and all of it is band
+        rng = np.random.default_rng(6)
+        dense = np.zeros((40, 120))
+        for j in range(120):
+            dense[rng.choice(40, 20, replace=False), j] = rng.normal(size=20)
+        return sp.csr_matrix(dense), (40, 39, 0)
+    else:
+        # a key QP over 48 periods and 15 consumers: the period rows are
+        # a diagonal band, the consumer rows the border
+        rng = np.random.default_rng(4)
+        hi = rng.uniform(0.1, 2.0, (48, 15))
+        problem = allocation._split_qp(np.zeros_like(hi), hi,
+                                       0.5 * hi.sum(axis=1), 2.0 / 15, 0.0,
+                                       0.0)[0]
+        shape = (63, 0, 15)
+    qdiag = getattr(problem, "q_diag", np.zeros(problem.c.shape[0]))
+    std = numerics._Standard(problem.c, qdiag, problem.a, problem.senses,
+                             problem.rhs, problem.lb, problem.ub)
+    return std.a, shape
+
+
+@pytest.mark.parametrize("kind", ["control_qp", "dispatch_lp", "key_qp",
+                                  "near_dense"])
+def test_band_and_border_factor_matches_spsolve(kind):
+    a, shape = _normal_matrix(kind)
+    fac = numerics._NormalEquations(numerics._Analysis(a))
+    plan = fac.plan
+    assert (a.shape[0], plan.kd, plan.border) == shape
+    # the border holds the near-dense rows, last; the rest is banded
+    counts = np.diff(plan.indptr)[plan.order]
+    assert np.all(numerics._near_dense(counts[plan.nb:], a.shape[0]))
+    if plan.border:
+        assert not np.any(numerics._near_dense(counts[:plan.nb], a.shape[0]))
+    rng = np.random.default_rng(7)
+    for scale in (1.0, 1e6):
+        fac.factor(rng.uniform(0.01, 100.0, a.shape[1]) * scale)
+        rhs = rng.normal(size=a.shape[0])
+        got = fac.solve(rhs)
+        want = spsolve(fac.mat.tocsc(), rhs)
+        assert fac.pivoted is None
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        # the residual the solve keeps is that of the solution it returned
+        assert np.array_equal(fac.residual, rhs - fac.mat @ got)
 
 
 @pytest.mark.parametrize("eps, route, objective", [
@@ -417,14 +486,13 @@ def test_normal_path_fallbacks_still_certify(monkeypatch, eps, route,
         assert fallbacks and not kkts
 
 
-def _control_qp_instance():
-    """A control QP of operation.mpc_step: one head period, an 8-period tail
-    in two scenarios, three consumers."""
+def _control_qp_instance(n=3, tt=8):
+    """A control QP of operation.mpc_step: one head period, a tt-period tail
+    in two scenarios, n consumers."""
     from pvpool.operation import (HorizonConfig, HorizonWindow,
                                   OperationState, _control_qp)
     from pvpool.storage import StorageSpec
     rng = np.random.default_rng(17)
-    n, tt = 3, 8
     loads = rng.uniform(0.2, 2.5, (1 + tt, n))
     win = HorizonWindow(0.5, loads[:1], rng.uniform(0.0, 3.0, 1), loads[1:],
                         rng.uniform(0.0, 3.0, (tt, 2)), np.array([0.6, 0.4]),

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as hst
+from hypothesis import example, given, settings, strategies as hst
 from hypothesis.extra import numpy as hnp
 
 from pvpool import allocation, operation
@@ -501,6 +501,8 @@ def test_rule_based_control_hand_cases():
        load_scale=hnp.arrays(np.float64, 48, elements=hst.floats(0.0, 3.0)),
        pv_kw=hst.floats(0.0, 10.0), es_kw=hst.floats(0.0, 4.0),
        es_kwh=hst.floats(0.0, 8.0), roundtrip=hst.floats(0.5, 1.0))
+@example(tc=3, alphas=np.full(48, 0.3125), load_scale=np.full(48, 2.0),
+         pv_kw=9.0, es_kw=1.0, es_kwh=0.115, roundtrip=0.9092953919370214)
 def test_greedy_year_matches_rule_loop(tc, alphas, load_scale, pv_kw, es_kw,
                                        es_kwh, roundtrip):
     # run_year's greedy baseline (one plan per head, clipped by
