@@ -7,6 +7,14 @@ tracking those promises (operation).  Everything reduces to the embedded
 LP/QP solver in numerics; io and cli handle files and the command line.
 """
 
+import os
+
+# One BLAS thread unless the user says otherwise, set before NumPy loads.
+# The solves are too small to gain from threads: with another process
+# busy, OpenBLAS's default threads made a 40-consumer run 15 times slower.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 __version__ = "0.1.0"  # set first: io puts it in the plan digest
 
 from .domain import (

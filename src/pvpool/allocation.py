@@ -147,26 +147,6 @@ def _water_fill(level, cap, target):
     return np.clip(lam - level, 0.0, cap)
 
 
-def _split_qp(lo, hi, target, qdiag, cost, aux_rhs):
-    """A QP over a (T, n) split g with lo <= g <= hi and one free auxiliary
-    a_i per consumer, carrying the curvature qdiag and the linear cost.
-
-    Row t hands out target_t (sum_i g_ti = target_t); then row i ties the
-    auxiliary to consumer i's total (a_i - sum_t g_ti = aux_rhs).  The key
-    QP and the settlement QP (operation.settle) both take this form.
-    Returns the QP and the index block of g.
-    """
-    t_len, n = hi.shape
-    pb = ProblemBuilder()
-    gvars = pb.add_vars(t_len * n, lb=lo.ravel(), ub=hi.ravel())
-    aux = pb.add_vars(n, lb=-np.inf, ub=np.inf, qdiag=qdiag, cost=cost)
-    split = gvars.reshape(t_len, n)
-    pb.add_rows(split, 1.0, "==", target)
-    pb.add_rows(np.column_stack([aux, split.T]),
-                np.concatenate([[1.0], -np.ones(t_len)]), "==", aux_rhs)
-    return pb.qp(), gvars
-
-
 def _scenario_key(served, loads):
     values = np.asarray(loads.values if isinstance(loads, LoadMatrix) else loads,
                         dtype=np.float64)
@@ -188,9 +168,18 @@ def _scenario_key(served, loads):
     target[full] = row_total[full]
     hi[empty] = 0.0
     target[empty] = 0.0
-    # spread_i = (allocated to i) - mean allocation, the mean being fixed
-    qp, gvars = _split_qp(lo, hi, target, 2.0 / n, 0.0, -(target.sum() / n))
-    rep = solve_qp(qp, tol=1e-8)
+    # over the split g (lo <= g <= hi) and one free spread_i per consumer:
+    # row t hands out target_t, then row i ties spread_i to consumer i's
+    # total minus the mean allocation, which the targets fix
+    pb = ProblemBuilder()
+    gvars = pb.add_vars(t_len * n, lb=lo.ravel(), ub=hi.ravel())
+    spread = pb.add_vars(n, lb=-np.inf, ub=np.inf, qdiag=2.0 / n)
+    split = gvars.reshape(t_len, n)
+    pb.add_rows(split, 1.0, "==", target)
+    pb.add_rows(np.column_stack([spread, split.T]),
+                np.concatenate([[1.0], -np.ones(t_len)]), "==",
+                -(target.sum() / n))
+    rep = solve_qp(pb.qp(), tol=1e-8)
     if rep.status != "optimal":
         raise AllocationError(f"key subproblem ended {rep.status}")
     return _repair_rows(rep.x[gvars].reshape(t_len, n), served, values)

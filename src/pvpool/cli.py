@@ -112,8 +112,7 @@ def _cmd_gen(args):
         "realized_loads_csv": "realized_loads.csv",
         "tariff": preset["tariff"],
         "tech_econ": preset["tech_econ"],
-        "horizon": {"control_periods": 1, "prediction_periods": 48,
-                    "theta": 1.0},
+        "horizon": {"prediction_periods": 48, "theta": 1.0},
     })
     print(f"wrote {args.consumers} consumers x {48 * args.days} periods,"
           f" {args.scenarios} scenarios under {out}")

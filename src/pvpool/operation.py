@@ -1,17 +1,18 @@
 """Rolling-horizon operation of the collective: control, settlement, a year.
 
-Each control step solves one convex program: battery and grid dispatch for
-the control periods, recourse dispatch plus an energy split for every solar
-scenario on the prediction tail, and a free per-consumer mismatch variable
-whose weighted squared norm pulls cumulative allocations toward the yearly
-promise.  Once meter data arrives, `settle` re-splits the energy actually
-served while holding the control solve's tail expectations fixed, and the
-battery state of charge carries over from what really happened, not from
-the plan.  A single control period settles in closed form by water-filling
-(`allocation._water_fill`); a longer head solves a QP.  `run_year` chains
-the steps over a full trajectory; the two myopic baselines (cost-only MPC
-and the greedy storage rule, both settled without history) share the same
-harness for comparison runs.
+Each control step implements one metering period, as the collective
+allocates on a 30-minute basis.  It solves one convex program: battery and
+grid dispatch for that period (the head), recourse dispatch plus an energy
+split for every solar scenario on the prediction tail, and a free
+per-consumer mismatch variable whose weighted squared norm pulls cumulative
+allocations toward the yearly promise.  Once meter data arrives, `settle`
+re-splits the energy actually served while holding the control solve's tail
+expectations fixed, and the battery state of charge carries over from what
+really happened, not from the plan.  One period settles in closed form by
+water-filling (`allocation._water_fill`), so settlement solves no QP.
+`run_year` chains the steps over a full trajectory; the two myopic baselines
+(cost-only MPC and the greedy storage rule, both settled without history)
+share the same harness for comparison runs.
 
 `_realize_head` is the one place where a planned dispatch meets the battery,
 for the MPC's head plan and for the greedy plan (charge the realized surplus,
@@ -24,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import (_repair_rows, _split_qp, _water_fill,
-                         min_variance_key)
+from .allocation import _repair_rows, _water_fill
 from .domain import (DispatchSeries, DomainError, LoadMatrix,
                      RepartitionKey, is_count)
 from .numerics import ProblemBuilder, solve_qp
@@ -43,9 +43,10 @@ class OperationError(RuntimeError):
 class HorizonConfig:
     """Receding-horizon lengths and the mismatch-tracking weight.
 
-    control_periods is how many leading periods of each solve are actually
-    implemented before re-solving; prediction_periods the total lookahead.
-    theta (EUR/kWh^2) prices the squared expected mismatch in the control
+    Each solve implements one period before re-solving, so control_periods
+    is always 1; it is kept as a field so that configs naming it still load.
+    prediction_periods is the total lookahead, that period included.  theta
+    (EUR/kWh^2) prices the squared expected mismatch in the control
     objective; zero recovers a pure cost-minimizing dispatch.
     """
 
@@ -54,16 +55,17 @@ class HorizonConfig:
     theta: float = 1.0
 
     def __post_init__(self):
-        errors = [f"{name} must be a positive integer"
-                  for name in ("control_periods", "prediction_periods")
-                  if not is_count(getattr(self, name))]
-        if not errors and self.prediction_periods < self.control_periods:
-            errors.append("prediction_periods must cover the control periods")
+        errors = []
+        if isinstance(self.control_periods, bool) or self.control_periods != 1:
+            errors.append("control_periods must be 1: each control step"
+                          " implements one period")
+        if not is_count(self.prediction_periods):
+            errors.append("prediction_periods must be a positive integer")
         if not (np.isfinite(self.theta) and self.theta >= 0):
             errors.append("theta must be a nonnegative finite weight")
         if errors:
             raise DomainError(errors)
-        object.__setattr__(self, "control_periods", int(self.control_periods))
+        object.__setattr__(self, "control_periods", 1)
         object.__setattr__(self, "prediction_periods",
                            int(self.prediction_periods))
         object.__setattr__(self, "theta", float(self.theta))
@@ -118,9 +120,9 @@ class OperationState:
 class HorizonWindow:
     """One horizon's worth of forecasts, scenarios and prices.
 
-    The head (first control_periods entries) carries the central forecast
-    implemented after the solve; the tail carries per-scenario solar with
-    the shared load forecast.  Price vectors span head plus tail.
+    The head is the one period implemented after the solve: a (1, n) row of
+    loads and its central solar forecast.  The tail carries per-scenario
+    solar with the shared load forecast.  Price vectors span head plus tail.
     """
 
     delta_hours: float
@@ -146,18 +148,18 @@ class HorizonWindow:
         errors = []
         if not (np.isfinite(self.delta_hours) and self.delta_hours > 0):
             errors.append("delta_hours must be positive")
-        tc, n = self.head_loads.shape
+        n = self.head_loads.shape[1]
         tt = self.tail_loads.shape[0] if self.tail_loads.size else 0
-        if tc < 1:
-            errors.append("the head must hold at least one period")
-        if self.head_gen.shape != (tc,):
-            errors.append("head_gen must match the head length")
+        if self.head_loads.shape[0] != 1:
+            errors.append("the head must hold exactly one period")
+        if self.head_gen.shape != (1,):
+            errors.append("head_gen must hold the head's one period")
         if tt and self.tail_loads.shape[1] != n:
             errors.append("tail_loads consumer count must match the head")
         if tt and self.tail_gen.shape != (tt, self.probabilities.shape[0]):
             errors.append("tail_gen must be periods x scenarios")
         for name in ("grid_price", "export_price", "export_tax"):
-            if getattr(self, name).shape != (tc + tt,):
+            if getattr(self, name).shape != (1 + tt,):
                 errors.append(f"{name} must span head plus tail")
         for name in ("head_loads", "head_gen", "tail_loads", "tail_gen"):
             arr = getattr(self, name)
@@ -171,10 +173,6 @@ class HorizonWindow:
         object.__setattr__(self, "delta_hours", float(self.delta_hours))
 
     @property
-    def control_periods(self):
-        return self.head_loads.shape[0]
-
-    @property
     def tail_periods(self):
         return self.tail_loads.shape[0] if self.tail_loads.size else 0
 
@@ -183,10 +181,11 @@ class HorizonWindow:
 class ControlDecision:
     """First-stage plan plus the scenario expectations behind it.
 
-    charge/discharge/grid_import/surplus/served cover the control periods,
-    key is the planned energy split (periods x consumers), tail_allocations
-    the per-scenario consumer totals on the prediction tail, and mismatch
-    the expected deviation from the promise if the plan were followed.
+    charge/discharge/grid_import/surplus/served hold the one implemented
+    period (length 1), key is its planned energy split (1 x consumers),
+    tail_allocations the per-scenario consumer totals on the prediction
+    tail, and mismatch the expected deviation from the promise if the plan
+    were followed.
     """
 
     charge: np.ndarray
@@ -218,16 +217,15 @@ def compute_mismatch(e_past, key, tail_allocations, e_future, promise,
                      probabilities):
     """Expected end-of-year allocation error per consumer.
 
-    key may be the control-horizon split (periods x consumers) or already
-    summed per consumer; tail_allocations holds one consumer-total row per
-    scenario (may be empty when the horizon reaches the end of the year).
+    key is the head's allocation per consumer; tail_allocations holds one
+    consumer-total row per scenario (may be empty when the horizon reaches
+    the end of the year).
     """
     e_past = np.atleast_1d(np.asarray(e_past, dtype=np.float64))
     promise = np.atleast_1d(np.asarray(promise, dtype=np.float64))
     e_future = np.atleast_1d(np.asarray(e_future, dtype=np.float64))
-    key = np.asarray(key, dtype=np.float64)
-    head = key.sum(axis=0) if key.ndim == 2 else np.atleast_1d(key)
-    base = e_past + head + e_future
+    key = np.atleast_1d(np.asarray(key, dtype=np.float64))
+    base = e_past + key + e_future
     tails = np.atleast_2d(np.asarray(tail_allocations, dtype=np.float64)) \
         if np.size(tail_allocations) else np.zeros((0, base.shape[0]))
     if tails.shape[0] == 0:
@@ -239,13 +237,13 @@ def compute_mismatch(e_past, key, tail_allocations, e_future, promise,
 def _control_qp(state, window, spec, config, beta_es_use):
     """The control QP of `mpc_step` and the index blocks of its variables.
 
-    Rows are added block by block: per branch (the head, then each tail
-    scenario) the energy balance, the state-of-charge recursion and the
-    served-energy rows, then one tracking row per consumer.  Returns the
-    QP and the (charge, discharge, import, export, split) index blocks of
-    the head and of each tail scenario.
+    Rows are added block by block: per branch (the one-period head, then
+    each tail scenario) the energy balance, the state-of-charge recursion
+    and the served-energy rows, then one tracking row per consumer.  Returns
+    the QP and the (charge, discharge, import, export, split) index blocks
+    of the head and of each tail scenario.
     """
-    tc, n = window.head_loads.shape
+    n = window.head_loads.shape[1]
     tt = window.tail_periods
     w = window.probabilities.shape[0]
     delta = window.delta_hours
@@ -260,21 +258,18 @@ def _control_qp(state, window, spec, config, beta_es_use):
     recursion = [1.0, -1.0, -eta_c, 1.0 / eta_d]
 
     pb = ProblemBuilder()
-    c = pb.add_vars(tc, lb=0.0, ub=cap_p, cost=beta_es_use)
-    d = pb.add_vars(tc, lb=0.0, ub=cap_p, cost=beta_es_use)
-    soc = pb.add_vars(tc, lb=0.0, ub=cap_e)
-    gg = pb.add_vars(tc, lb=0.0, ub=head_agg, cost=window.grid_price[:tc])
-    gs = pb.add_vars(tc, lb=0.0,
-                     cost=window.export_tax[:tc] - window.export_price[:tc])
-    ehat = pb.add_vars(tc * n, lb=0.0, ub=window.head_loads.ravel())
+    c = pb.add_vars(1, lb=0.0, ub=cap_p, cost=beta_es_use)
+    d = pb.add_vars(1, lb=0.0, ub=cap_p, cost=beta_es_use)
+    soc = pb.add_vars(1, lb=0.0, ub=cap_e)
+    gg = pb.add_vars(1, lb=0.0, ub=head_agg, cost=window.grid_price[:1])
+    gs = pb.add_vars(1, lb=0.0,
+                     cost=window.export_tax[:1] - window.export_price[:1])
+    ehat = pb.add_vars(n, lb=0.0, ub=window.head_loads[0])
     pb.add_rows(np.column_stack([gg, gs, c, d]), balance, "==",
                 head_agg - window.head_gen)
     pb.add_row([soc[0], c[0], d[0]], [1.0, -eta_c, 1.0 / eta_d], "==", soc0)
-    pb.add_rows(np.column_stack([soc[1:], soc[:-1], c[1:], d[1:]]),
-                recursion, "==", 0.0)
-    # served energy is what the key must hand out: sum_i e_ti + gg_t = l_t
-    pb.add_rows(np.column_stack([ehat.reshape(tc, n), gg]), 1.0, "==",
-                head_agg)
+    # served energy is what the key must hand out: sum_i e_i + gg = l
+    pb.add_rows(np.concatenate([ehat, gg])[None, :], 1.0, "==", head_agg)
 
     tail_blocks = []
     for widx in range(w if tt else 0):
@@ -283,14 +278,14 @@ def _control_qp(state, window, spec, config, beta_es_use):
         dw = pb.add_vars(tt, lb=0.0, ub=cap_p, cost=pi * beta_es_use)
         socw = pb.add_vars(tt, lb=0.0, ub=cap_e)
         ggw = pb.add_vars(tt, lb=0.0, ub=tail_agg,
-                          cost=pi * window.grid_price[tc:])
+                          cost=pi * window.grid_price[1:])
         gsw = pb.add_vars(tt, lb=0.0,
-                          cost=pi * (window.export_tax[tc:]
-                                     - window.export_price[tc:]))
+                          cost=pi * (window.export_tax[1:]
+                                     - window.export_price[1:]))
         gw = pb.add_vars(tt * n, lb=0.0, ub=window.tail_loads.ravel())
         pb.add_rows(np.column_stack([ggw, gsw, cw, dw]), balance, "==",
                     tail_agg - window.tail_gen[:, widx])
-        prev = np.concatenate([soc[-1:], socw[:-1]])
+        prev = np.concatenate([soc, socw[:-1]])
         pb.add_rows(np.column_stack([socw, prev, cw, dw]), recursion, "==",
                     0.0)
         pb.add_rows(np.column_stack([gw.reshape(tt, n), ggw]), 1.0, "==",
@@ -307,10 +302,10 @@ def _control_qp(state, window, spec, config, beta_es_use):
         rhs = state.e_past + state.e_future - state.promise
         deliver = pb.add_vars(n, lb=-np.inf, ub=np.inf, qdiag=2.0 * theta,
                               cost=2.0 * theta * rhs)
-        idx = np.column_stack([deliver, ehat.reshape(tc, n).T]
+        idx = np.column_stack([deliver, ehat]
                               + [blk[4].reshape(tt, n).T
                                  for blk in tail_blocks])
-        coef = np.concatenate([[1.0], -np.ones(tc)]
+        coef = np.concatenate([[1.0, -1.0]]
                               + [np.full(tt, -window.probabilities[widx])
                                  for widx in range(len(tail_blocks))])
         pb.add_rows(idx, coef, "==", 0.0)
@@ -325,14 +320,14 @@ def mpc_step(state, window, spec, config, beta_es_use=0.0):
     the energy balance, the storage envelope continuing from the state SoC
     (each tail scenario branching off the shared head), and the requirement
     that every period's split hands out exactly the locally served energy.
-    Returns the head quantities for implementation.
+    Returns the head period's quantities for implementation.
     """
-    tc, n = window.head_loads.shape
+    n = window.head_loads.shape[1]
     tt = window.tail_periods
     w = window.probabilities.shape[0]
     if state.num_consumers != n:
         raise DomainError("state and window consumer counts disagree")
-    if tc + tt > config.prediction_periods:
+    if 1 + tt > config.prediction_periods:
         raise DomainError("window is longer than the prediction horizon")
 
     cap_p = spec.power_cap_kw * window.delta_hours
@@ -358,11 +353,11 @@ def mpc_step(state, window, spec, config, beta_es_use=0.0):
     grid_import = np.clip(x[gg], 0.0, head_agg)
     surplus = np.maximum(x[gs], 0.0)
     served = head_agg - grid_import
-    key = _repair_rows(x[ehat].reshape(tc, n), served, window.head_loads)
+    key = _repair_rows(x[ehat][None, :], served, window.head_loads)
     export_net = window.export_tax - window.export_price
     cost = float(beta_es_use * (charge.sum() + discharge.sum())
-                 + window.grid_price[:tc] @ grid_import
-                 + export_net[:tc] @ surplus)
+                 + window.grid_price[:1] @ grid_import
+                 + export_net[:1] @ surplus)
     tails = np.zeros((w, n))
     for widx, (cw, dw, ggw, gsw, gw) in enumerate(tail_blocks):
         cwv = np.clip(x[cw], 0.0, cap_p)
@@ -374,10 +369,10 @@ def mpc_step(state, window, spec, config, beta_es_use=0.0):
         tails[widx] = rows.sum(axis=0)
         cost += float(window.probabilities[widx]
                       * (beta_es_use * (cwv.sum() + dwv.sum())
-                         + window.grid_price[tc:] @ giw
-                         + export_net[tc:] @ spw))
+                         + window.grid_price[1:] @ giw
+                         + export_net[1:] @ spw))
     tail_expected = window.probabilities @ tails if w else np.zeros(n)
-    mismatch = compute_mismatch(state.e_past, key, tails, state.e_future,
+    mismatch = compute_mismatch(state.e_past, key[0], tails, state.e_future,
                                 state.promise, window.probabilities)
     return ControlDecision(
         charge=charge, discharge=discharge, pv_gen=window.head_gen.copy(),
@@ -391,36 +386,22 @@ def settle(decision, epsilon, realized_loads, state):
     """Re-split the realized served energy against metered loads.
 
     Minimizes the squared expected mismatch over the feasible splits of
-    [planned served + epsilon]+ given the realized loads, with the tail
-    expectations frozen from the control solve.  A single control period
-    is settled in closed form by water-filling (`allocation._water_fill`);
-    longer heads solve the split QP.  Returns the settled key and the
-    updated cumulative allocations.
+    [planned served + epsilon]+ given the realized loads of the one control
+    period, with the tail expectations frozen from the control solve.  One
+    period is settled in closed form by water-filling
+    (`allocation._water_fill`).  Returns the settled key and the updated
+    cumulative allocations.
     """
-    tc, n = decision.key.shape
-    eps = np.broadcast_to(np.asarray(epsilon, dtype=np.float64), (tc,))
-    values = np.asarray(
-        realized_loads.values if isinstance(realized_loads, LoadMatrix)
-        else realized_loads, dtype=np.float64)
-    if values.shape != (tc, n):
-        raise DomainError("realized loads must match the control horizon")
+    n = decision.key.shape[1]
+    eps = np.broadcast_to(np.asarray(epsilon, dtype=np.float64), (1,))
+    values = _period_loads(realized_loads)
+    if values.shape != (1, n):
+        raise DomainError("realized loads must cover the control period")
     served = np.maximum(decision.served + eps, 0.0)
     target = np.minimum(served, values.sum(axis=1))
     rhs = state.e_past + decision.tail_expected + state.e_future \
         - state.promise
-
-    if tc == 1:
-        raw = _water_fill(rhs, values[0], target[0])[None, :]
-    else:
-        # same offset trick as the control solve: the quadratic runs over
-        # deliver_i + rhs_i but only deliver_i (kWh over the horizon) is a
-        # variable, keeping the system well scaled late in the year
-        qp, evars = _split_qp(np.zeros_like(values), values, target, 2.0,
-                              2.0 * rhs, 0.0)
-        rep = solve_qp(qp, tol=1e-8)
-        if rep.status != "optimal":
-            raise OperationError(f"settlement solve ended {rep.status}")
-        raw = rep.x[evars].reshape(tc, n)
+    raw = _water_fill(rhs, values[0], target[0])[None, :]
     key = _repair_rows(raw, served, values)
     delivered = key.sum(axis=0)
     mismatch = rhs + delivered
@@ -431,22 +412,23 @@ def settle(decision, epsilon, realized_loads, state):
 
 
 def myopic_settle(served, realized_loads):
-    """Variance-minimizing split of one realized horizon, ignoring history.
-
-    A single period is water-filled from level zero; longer horizons take
-    the key QP of `min_variance_key`.
-    """
-    values = np.asarray(
-        realized_loads.values if isinstance(realized_loads, LoadMatrix)
-        else realized_loads, dtype=np.float64)
+    """Variance-minimizing split of one realized period, ignoring history:
+    water-filled from level zero."""
+    values = _period_loads(realized_loads)
+    if values.shape[0] != 1:
+        raise DomainError("myopic settlement covers one period")
     served = np.atleast_1d(np.asarray(served, dtype=np.float64))
-    if values.shape[0] == 1:
-        cap = values[0]
-        target = min(max(float(served[0]), 0.0), float(cap.sum()))
-        raw = _water_fill(np.zeros_like(cap), cap, target)[None, :]
-        return RepartitionKey(_repair_rows(raw, served, values))
-    plan = min_variance_key([served], values, np.ones(1))
-    return plan.keys[0]
+    cap = values[0]
+    target = min(max(float(served[0]), 0.0), float(cap.sum()))
+    raw = _water_fill(np.zeros_like(cap), cap, target)[None, :]
+    return RepartitionKey(_repair_rows(raw, served, values))
+
+
+def _period_loads(realized_loads):
+    """Metered loads of one period as a (1, n) row."""
+    return np.atleast_2d(np.asarray(
+        realized_loads.values if isinstance(realized_loads, LoadMatrix)
+        else realized_loads, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -486,42 +468,36 @@ class YearReport:
 
 
 def _realize_head(c_plan, d_plan, gen_real, soc, spec, delta):
-    """Clip a planned dispatch to what the realized solar and SoC allow.
+    """Clip one period's planned dispatch to what the realized solar and
+    SoC allow.
 
     The only place where any algorithm's plan meets the battery.  Charging
     comes from local production only, so it is curtailed to the realized
     generation; discharge may draw on the same period's charge but never
-    below empty.  Returns the realized flows and the SoC across the head.
+    below empty.  Returns the realized charge and discharge and the SoC
+    after the period.
     """
     cap = spec.power_cap_kw * delta
-    c_real = np.zeros_like(c_plan)
-    d_real = np.zeros_like(d_plan)
-    socs = np.zeros(c_plan.shape[0])
-    for k in range(c_plan.shape[0]):
-        c_k = min(c_plan[k], gen_real[k], cap,
-                  max(spec.energy_cap_kwh - soc, 0.0) / spec.charge_efficiency)
-        c_k = max(c_k, 0.0)
-        d_k = max(min(d_plan[k], cap,
-                      (soc + spec.charge_efficiency * c_k)
-                      * spec.discharge_efficiency), 0.0)
-        soc = soc + spec.charge_efficiency * c_k - d_k / spec.discharge_efficiency
-        soc = min(max(soc, 0.0), spec.energy_cap_kwh)
-        c_real[k] = c_k
-        d_real[k] = d_k
-        socs[k] = soc
-    return c_real, d_real, socs
+    c = min(c_plan, gen_real, cap,
+            max(spec.energy_cap_kwh - soc, 0.0) / spec.charge_efficiency)
+    c = max(c, 0.0)
+    d = max(min(d_plan, cap,
+                (soc + spec.charge_efficiency * c)
+                * spec.discharge_efficiency), 0.0)
+    soc = soc + spec.charge_efficiency * c - d / spec.discharge_efficiency
+    return c, d, min(max(soc, 0.0), spec.energy_cap_kwh)
 
 
 def run_year(bundle, plan, decision, realized, config,
              algorithm="proposed"):
     """Simulate a year of operation and report mismatch and costs.
 
-    Control horizon by control horizon: build the forecast window, run the
-    chosen controller, realize the dispatch against the actual trajectory,
-    settle the served energy into a key, and carry SoC and cumulative
-    allocations forward.  The proposed algorithm tracks the promise in both
-    control and settlement; mpc_myopic keeps the MPC dispatch but settles
-    each horizon in isolation; rulebased_myopic plans to charge the realized
+    Period by period: build the forecast window, run the chosen controller,
+    realize the period's dispatch against the actual trajectory, settle the
+    served energy into a key row, and carry SoC and cumulative allocations
+    forward.  The proposed algorithm tracks the promise in both control
+    and settlement; mpc_myopic keeps the MPC dispatch but settles each
+    period in isolation; rulebased_myopic plans to charge the realized
     surplus and discharge against the deficit, and settles like mpc_myopic.
     """
     if algorithm not in ALGORITHMS:
@@ -560,66 +536,61 @@ def run_year(bundle, plan, decision, realized, config,
     soc_series = np.zeros(t_total + 1)
     soc_series[0] = soc
     e_past = np.zeros(n)
-    myopic_cfg = HorizonConfig(config.control_periods,
-                               config.prediction_periods, 0.0)
+    myopic_cfg = HorizonConfig(prediction_periods=config.prediction_periods,
+                               theta=0.0)
 
-    t0 = 0
-    while t0 < t_total:
-        tc_eff = min(config.control_periods, t_total - t0)
-        head = slice(t0, t0 + tc_eff)
-        tp_end = min(t0 + config.prediction_periods, t_total)
+    for t in range(t_total):
+        tp_end = min(t + config.prediction_periods, t_total)
         if algorithm == "rulebased_myopic":
             # the greedy plan: charge the realized surplus and discharge
             # against the deficit; _realize_head clips it to the battery
-            c_plan = np.maximum(gen_real[head] - load_real_agg[head], 0.0)
-            d_plan = np.maximum(load_real_agg[head] - gen_real[head], 0.0)
+            c_plan = np.maximum(gen_real[t] - load_real_agg[t], 0.0)
+            d_plan = np.maximum(load_real_agg[t] - gen_real[t], 0.0)
             ctrl = None
         else:
-            state = OperationState(t0, soc, e_past, promise,
+            state = OperationState(t, soc, e_past, promise,
                                    prefix[-1] - prefix[tp_end])
-            tail = slice(t0 + tc_eff, tp_end)
             window = HorizonWindow(
                 delta_hours=delta,
-                head_loads=loads[head], head_gen=gen_forecast[head],
-                tail_loads=loads[tail], tail_gen=tail_gen_all[tail],
+                head_loads=loads[t], head_gen=gen_forecast[t],
+                tail_loads=loads[t + 1:tp_end],
+                tail_gen=tail_gen_all[t + 1:tp_end],
                 probabilities=bundle.scenarios.probabilities,
-                grid_price=bundle.tariff.grid_energy_price[t0:tp_end],
-                export_price=bundle.tariff.export_price[t0:tp_end],
-                export_tax=bundle.tariff.export_tax[t0:tp_end])
+                grid_price=bundle.tariff.grid_energy_price[t:tp_end],
+                export_price=bundle.tariff.export_price[t:tp_end],
+                export_tax=bundle.tariff.export_tax[t:tp_end])
             cfg = config if algorithm == "proposed" else myopic_cfg
             ctrl = mpc_step(state, window, spec, cfg,
                             beta_es_use=bundle.params.beta_es_use)
-            c_plan, d_plan = ctrl.charge, ctrl.discharge
+            c_plan, d_plan = ctrl.charge[0], ctrl.discharge[0]
 
-        c_real, d_real, socs = _realize_head(c_plan, d_plan, gen_real[head],
-                                             soc, spec, delta)
-        soc = socs[-1]
-        gi, sp, sv = split_flows(load_real_agg[head], c_real, d_real,
-                                 gen_real[head])
+        c_real, d_real, soc = _realize_head(c_plan, d_plan, gen_real[t], soc,
+                                            spec, delta)
+        gi, sp, sv = split_flows(load_real_agg[t], c_real, d_real,
+                                 gen_real[t])
         if ctrl is not None:
             # carry over the plan's deliberate buy-and-sell margin: the
             # controller may withhold production from the local allocation
             # by exporting it while consumers import
-            dump = np.minimum(np.minimum(ctrl.grid_import, ctrl.surplus),
-                              np.maximum(load_real_agg[head] - gi, 0.0))
+            dump = np.minimum(np.minimum(ctrl.grid_import[0], ctrl.surplus[0]),
+                              np.maximum(load_real_agg[t] - gi, 0.0))
             dump = np.maximum(dump, 0.0)
             gi = gi + dump
             sp = sp + dump
             sv = sv - dump
         if algorithm == "proposed":
-            rec = settle(ctrl, sv - ctrl.served, realized.loads[head], state)
-            key_rows = rec.key
+            key_row = settle(ctrl, sv - ctrl.served, realized.loads[t],
+                             state).key[0]
         else:
-            key_rows = myopic_settle(sv, realized.loads[head]).values
-        e_past = e_past + key_rows.sum(axis=0)
-        charge[head] = c_real
-        discharge[head] = d_real
-        grid_import[head] = gi
-        surplus[head] = sp
-        served[head] = sv
-        keys[head] = key_rows
-        soc_series[t0 + 1:t0 + tc_eff + 1] = socs
-        t0 += tc_eff
+            key_row = myopic_settle(sv, realized.loads[t]).values[0]
+        e_past = e_past + key_row
+        charge[t] = c_real
+        discharge[t] = d_real
+        grid_import[t] = gi
+        surplus[t] = sp
+        served[t] = sv
+        keys[t] = key_row
+        soc_series[t + 1] = soc
 
     dispatch = DispatchSeries(charge, discharge, gen_real, grid_import,
                               surplus, served, soc_series)

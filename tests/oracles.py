@@ -450,7 +450,7 @@ def control_qp_by_rows(state, window, spec, config, beta_es_use=0.0):
     rows.  Variables come in the same order as in operation._control_qp."""
     from pvpool.numerics import ProblemBuilder
 
-    tc, n = window.head_loads.shape
+    n = window.head_loads.shape[1]
     tt = window.tail_periods
     w = window.probabilities.shape[0]
     delta = window.delta_hours
@@ -463,24 +463,18 @@ def control_qp_by_rows(state, window, spec, config, beta_es_use=0.0):
     tail_agg = window.tail_loads.sum(axis=1) if tt else np.zeros(0)
 
     pb = ProblemBuilder()
-    c = pb.add_vars(tc, lb=0.0, ub=cap_p, cost=beta_es_use)
-    d = pb.add_vars(tc, lb=0.0, ub=cap_p, cost=beta_es_use)
-    soc = pb.add_vars(tc, lb=0.0, ub=cap_e)
-    gg = pb.add_vars(tc, lb=0.0, ub=head_agg, cost=window.grid_price[:tc])
-    gs = pb.add_vars(tc, lb=0.0,
-                     cost=window.export_tax[:tc] - window.export_price[:tc])
-    ehat = pb.add_vars(tc * n, lb=0.0, ub=window.head_loads.ravel())
-    for t in range(tc):
-        pb.add_row([gg[t], gs[t], c[t], d[t]], [1.0, -1.0, -1.0, 1.0],
-                   "==", head_agg[t] - window.head_gen[t])
-        if t == 0:
-            pb.add_row([soc[0], c[0], d[0]], [1.0, -eta_c, 1.0 / eta_d],
-                       "==", soc0)
-        else:
-            pb.add_row([soc[t], soc[t - 1], c[t], d[t]],
-                       [1.0, -1.0, -eta_c, 1.0 / eta_d], "==", 0.0)
-        pb.add_row(np.concatenate([ehat[t * n:(t + 1) * n], [gg[t]]]),
-                   np.ones(n + 1), "==", head_agg[t])
+    c = pb.add_vars(1, lb=0.0, ub=cap_p, cost=beta_es_use)
+    d = pb.add_vars(1, lb=0.0, ub=cap_p, cost=beta_es_use)
+    soc = pb.add_vars(1, lb=0.0, ub=cap_e)
+    gg = pb.add_vars(1, lb=0.0, ub=head_agg, cost=window.grid_price[:1])
+    gs = pb.add_vars(1, lb=0.0,
+                     cost=window.export_tax[:1] - window.export_price[:1])
+    ehat = pb.add_vars(n, lb=0.0, ub=window.head_loads.ravel())
+    pb.add_row([gg[0], gs[0], c[0], d[0]], [1.0, -1.0, -1.0, 1.0],
+               "==", head_agg[0] - window.head_gen[0])
+    pb.add_row([soc[0], c[0], d[0]], [1.0, -eta_c, 1.0 / eta_d], "==", soc0)
+    pb.add_row(np.concatenate([ehat, [gg[0]]]), np.ones(n + 1), "==",
+               head_agg[0])
 
     tail_gw = []
     for widx in range(w if tt else 0):
@@ -489,15 +483,15 @@ def control_qp_by_rows(state, window, spec, config, beta_es_use=0.0):
         dw = pb.add_vars(tt, lb=0.0, ub=cap_p, cost=pi * beta_es_use)
         socw = pb.add_vars(tt, lb=0.0, ub=cap_e)
         ggw = pb.add_vars(tt, lb=0.0, ub=tail_agg,
-                          cost=pi * window.grid_price[tc:])
+                          cost=pi * window.grid_price[1:])
         gsw = pb.add_vars(tt, lb=0.0,
-                          cost=pi * (window.export_tax[tc:]
-                                     - window.export_price[tc:]))
+                          cost=pi * (window.export_tax[1:]
+                                     - window.export_price[1:]))
         gw = pb.add_vars(tt * n, lb=0.0, ub=window.tail_loads.ravel())
         for t in range(tt):
             pb.add_row([ggw[t], gsw[t], cw[t], dw[t]], [1.0, -1.0, -1.0, 1.0],
                        "==", tail_agg[t] - window.tail_gen[t, widx])
-            prev = soc[tc - 1] if t == 0 else socw[t - 1]
+            prev = soc[0] if t == 0 else socw[t - 1]
             pb.add_row([socw[t], prev, cw[t], dw[t]],
                        [1.0, -1.0, -eta_c, 1.0 / eta_d], "==", 0.0)
             pb.add_row(np.concatenate([gw[t * n:(t + 1) * n], [ggw[t]]]),
@@ -510,10 +504,10 @@ def control_qp_by_rows(state, window, spec, config, beta_es_use=0.0):
         deliver = pb.add_vars(n, lb=-np.inf, ub=np.inf, qdiag=2.0 * theta,
                               cost=2.0 * theta * rhs)
         for i in range(n):
-            idx = np.concatenate([[deliver[i]], ehat[i::n]]
+            idx = np.concatenate([[deliver[i], ehat[i]]]
                                  + [gw[i::n] for gw in tail_gw])
             coef = np.concatenate(
-                [[1.0], -np.ones(tc)]
+                [[1.0, -1.0]]
                 + [np.full(tt, -window.probabilities[widx])
                    for widx in range(len(tail_gw))])
             pb.add_row(idx, coef, "==", 0.0)
@@ -564,7 +558,8 @@ def _split_qp_by_rows(values, lb, ub, target, qdiag, cost, rhs):
 
 
 def settle_qp_by_rows(values, target, rhs):
-    """Row-by-row reference for the QP that operation.settle solves."""
+    """Row-by-row reference for the settlement problem of operation.settle
+    stated as a QP; settle solves it by water-filling."""
     return _split_qp_by_rows(values, 0.0, values.ravel(), target, 2.0,
                              2.0 * rhs, 0.0)
 
@@ -626,33 +621,22 @@ def rule_based_step(soc, pv_gen_kwh, load_kwh, spec, delta_hours):
     return 0.0, 0.0
 
 
-def greedy_year_by_rule_loop(gen, load, spec, delta_hours, control_periods):
-    """The greedy baseline's battery flows over a year, head by head.
+def greedy_year_by_rule_loop(gen, load, spec, delta_hours):
+    """The greedy baseline's battery flows over a year, period by period.
 
-    Each head plans period by period with `rule_based_step` on a running
-    state of charge, clipped to [0, E] every period as `_realize_head`
-    clips it, then realizes the plan with `operation._realize_head`.
-    Returns (charge, discharge, soc) with soc of length T + 1.
+    Each period takes `rule_based_step` on the running state of charge,
+    which is then updated and clipped to [0, E].  Returns (charge,
+    discharge, soc) with soc of length T + 1.
     """
-    from pvpool.operation import _realize_head
-
     t_total = gen.shape[0]
     charge = np.zeros(t_total)
     discharge = np.zeros(t_total)
     socs = np.zeros(t_total + 1)
     soc = socs[0] = spec.initial_soc_kwh
-    for t0 in range(0, t_total, control_periods):
-        head = slice(t0, min(t0 + control_periods, t_total))
-        c_plan = np.zeros(head.stop - t0)
-        d_plan = np.zeros(head.stop - t0)
-        soc_rule = soc
-        for k in range(head.stop - t0):
-            c_plan[k], d_plan[k] = rule_based_step(
-                soc_rule, gen[t0 + k], load[t0 + k], spec, delta_hours)
-            soc_rule = min(max(soc_rule + spec.charge_efficiency * c_plan[k]
-                               - d_plan[k] / spec.discharge_efficiency, 0.0),
-                           spec.energy_cap_kwh)
-        charge[head], discharge[head], socs[t0 + 1:head.stop + 1] = \
-            _realize_head(c_plan, d_plan, gen[head], soc, spec, delta_hours)
-        soc = socs[head.stop]
+    for t in range(t_total):
+        c, d = rule_based_step(soc, gen[t], load[t], spec, delta_hours)
+        soc = min(max(soc + spec.charge_efficiency * c
+                      - d / spec.discharge_efficiency, 0.0),
+                  spec.energy_cap_kwh)
+        charge[t], discharge[t], socs[t + 1] = c, d, soc
     return charge, discharge, socs

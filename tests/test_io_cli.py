@@ -340,6 +340,7 @@ def _config_with(tmp_path, section, key, value):
 
 @pytest.mark.parametrize("section, key, value", [
     ("horizon", "control_periods", 1.5),
+    ("horizon", "control_periods", 2),
     ("horizon", "prediction_periods", 47.9),
     (None, "periods_per_year", 17520.7),
     (None, "delta_hours", "x"),
@@ -354,6 +355,14 @@ def test_config_rejects_malformed_numbers(tmp_path, section, key, value):
     with pytest.raises(DataFileError) as err:
         ProjectConfig.from_file(path)
     assert str(path) in str(err.value) and key in str(err.value)
+    if section:
+        assert section in str(err.value)
+
+
+def test_config_naming_one_control_period_still_loads(tmp_path):
+    # gen no longer writes control_periods; older configs carry it as 1
+    path = _config_with(tmp_path, "horizon", "control_periods", 1)
+    assert ProjectConfig.from_file(path).horizon.control_periods == 1
 
 
 def test_cli_null_delta_hours_is_an_error_not_a_traceback(tmp_path, capsys):
@@ -698,3 +707,24 @@ def test_size_then_allocate_as_separate_processes(tmp_path):
     # allocate read the plan and did not write it again
     assert (plan.stat().st_mtime_ns, plan.read_bytes()) == written
     assert (out / "allocation_report.json").exists()
+
+
+def test_import_sets_one_blas_thread_unless_the_user_did():
+    # pvpool sets the BLAS thread variables before NumPy loads; a value the
+    # user set survives
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    src = str(Path(pvpool.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = f"import pvpool, os; print(*(os.environ[k] for k in {names!r}))"
+
+    def seen(**user):
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(env, **user), capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    assert seen() == ["1", "1", "1"]
+    assert seen(OPENBLAS_NUM_THREADS="3") == ["3", "1", "1"]

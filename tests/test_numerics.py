@@ -16,6 +16,7 @@ from pvpool.numerics import (
 )
 
 from oracles import (
+    key_qp_by_rows,
     lp_vertex_minimum,
     qp_active_set_minimum,
     random_bounded_lp,
@@ -387,7 +388,7 @@ def test_factor_reuses_its_ordering_at_a_new_diagonal(system):
 def _normal_matrix(kind):
     """The standard-form constraint matrix the solver sees for one kind of
     problem, and the (m, bandwidth, border) of its band plan."""
-    from pvpool import allocation, sizing
+    from pvpool import sizing
     from test_sizing import _baseline_bundle
     if kind == "control_qp":
         # 15 consumers, 48 periods, two scenarios: the tracking rows
@@ -412,9 +413,7 @@ def _normal_matrix(kind):
         # a diagonal band, the consumer rows the border
         rng = np.random.default_rng(4)
         hi = rng.uniform(0.1, 2.0, (48, 15))
-        problem = allocation._split_qp(np.zeros_like(hi), hi,
-                                       0.5 * hi.sum(axis=1), 2.0 / 15, 0.0,
-                                       0.0)[0]
+        problem = key_qp_by_rows(np.zeros_like(hi), hi, 0.5 * hi.sum(axis=1))
         shape = (63, 0, 15)
     qdiag = getattr(problem, "q_diag", np.zeros(problem.c.shape[0]))
     std = numerics._Standard(problem.c, qdiag, problem.a, problem.senses,

@@ -24,7 +24,7 @@ from pvpool.sizing import (dispatch_costs, pv_production, solve_sizing,
                            split_flows)
 from pvpool.storage import StorageSpec, check_feasible
 
-from oracles import (assert_same_qp, control_qp_by_rows,
+from oracles import (control_qp_by_rows,
                      greedy_year_by_rule_loop, qp_active_set_minimum,
                      settle_qp_by_rows)
 from test_allocation import _oracle_variance, capture_qps
@@ -85,12 +85,12 @@ def test_compute_mismatch_all_zero():
 
 def test_compute_mismatch_probability_weighted():
     e_past = np.array([10.0, 0.0])
-    key = np.array([[1.5, 0.5], [0.5, 0.5]])   # sums (2, 1)
+    key = np.array([2.0, 1.0])   # the head period's allocation
     tails = [np.array([4.0, 0.0]), np.array([0.0, 8.0])]
     e_future = np.array([1.0, 1.0])
     promise = np.array([20.0, 5.0])
     m = compute_mismatch(e_past, key, tails, e_future, promise, [0.25, 0.75])
-    base = e_past + np.array([2.0, 1.0]) + e_future
+    base = e_past + key + e_future
     want = 0.25 * (base + tails[0]) + 0.75 * (base + tails[1]) - promise
     assert m == pytest.approx(want, abs=1e-12)
 
@@ -104,6 +104,9 @@ def test_horizon_config_validation():
         (1, 48, 1.0)
     with pytest.raises(DomainError):
         HorizonConfig(0, 4)
+    # one period per control step: longer heads are refused
+    with pytest.raises(DomainError, match="control_periods"):
+        HorizonConfig(2, 4)
     with pytest.raises(DomainError):
         HorizonConfig(5, 4)
     with pytest.raises(DomainError):
@@ -194,14 +197,23 @@ def test_mpc_respects_storage_envelope():
     spec = StorageSpec(3.0, 6.0, 0.93, 0.93, 0.4, cyclic=False)
     loads = rng.uniform(0.2, 2.5, (10, 3))
     gen = np.clip(rng.uniform(-0.5, 3.0, 10), 0.0, None)
-    win = _window(loads[:2], gen[:2], loads[2:],
-                  np.column_stack([gen[2:], 0.5 * gen[2:]]), (0.7, 0.3))
+    win = _window(loads[:1], gen[:1], loads[1:],
+                  np.column_stack([gen[1:], 0.5 * gen[1:]]), (0.7, 0.3))
     st = OperationState(0, spec.initial_soc_kwh, np.zeros(3),
                         5.0 * np.ones(3), np.ones(3))
-    dec = mpc_step(st, win, spec, HorizonConfig(2, 10, theta=1.0),
-                   beta_es_use=0.0001)
+    cfg = HorizonConfig(1, 10, theta=1.0)
+    dec = mpc_step(st, win, spec, cfg, beta_es_use=0.0001)
     assert not check_feasible(spec, dec.charge, dec.discharge, 0.5, tol=1e-6)
-    assert not check_key(RepartitionKey(dec.key), loads[:2], dec.served)
+    assert not check_key(RepartitionKey(dec.key), loads[:1], dec.served)
+    # the envelope also holds along each scenario's branch: the head period
+    # followed by that scenario's nine tail periods
+    qp, (c, d, _, _, _), tails = _control_qp(st, win, spec, cfg, 0.0001)
+    rep = solve_qp(qp, tol=1e-6)
+    assert rep.status == "optimal"
+    for cw, dw, _, _, _ in tails:
+        assert not check_feasible(spec, rep.x[np.concatenate([c, cw])],
+                                  rep.x[np.concatenate([d, dw])], 0.5,
+                                  tol=1e-6)
 
 
 def test_mpc_matches_grid_search_oracle():
@@ -257,7 +269,7 @@ def _row_multiset(qp):
     return sorted(rows)
 
 
-@pytest.mark.parametrize("tc", [1, 3])
+@pytest.mark.parametrize("tc", [1])  # the head: one period per step
 @pytest.mark.parametrize("tt", [0, 4])
 @pytest.mark.parametrize("theta", [0.0, 1.0])
 def test_control_qp_blocks_match_row_loop(tc, tt, theta):
@@ -285,10 +297,10 @@ def test_control_qp_blocks_match_row_loop(tc, tt, theta):
 # ---------------------------------------------------------------------------
 # settlement
 
-@pytest.mark.parametrize("tc", [1, 3])
+@pytest.mark.parametrize("tc", [1])  # the head: one period per step
 def test_settle_qp_blocks_match_row_loop(tc, monkeypatch):
-    # tc = 3 solves the split QP, built in blocks; tc = 1 water-fills,
-    # builds no QP, and matches the row-loop QP solved as a QP
+    # settlement water-fills, builds no QP, and matches the row-loop
+    # settlement QP solved as a QP
     rng = np.random.default_rng(70 + tc)
     n = 3
     values = rng.uniform(0.2, 2.0, (tc, n))
@@ -300,16 +312,10 @@ def test_settle_qp_blocks_match_row_loop(tc, monkeypatch):
     seen = capture_qps(monkeypatch, operation)
     rec = settle(dec, np.zeros(tc), values, st)
     rhs = st.e_past + dec.tail_expected + st.e_future - st.promise
-    want = settle_qp_by_rows(values, served, rhs)
-    if tc == 1:
-        assert seen == []
-        rep = solve_qp(want, tol=1e-8)
-        assert rep.status == "optimal"
-        np.testing.assert_allclose(rec.key[0], rep.x[:n], rtol=0.0,
-                                   atol=1e-7)
-    else:
-        assert len(seen) == 1
-        assert_same_qp(seen[0], want)
+    assert seen == []
+    rep = solve_qp(settle_qp_by_rows(values, served, rhs), tol=1e-8)
+    assert rep.status == "optimal"
+    np.testing.assert_allclose(rec.key[0], rep.x[:n], rtol=0.0, atol=1e-7)
 
 
 def _assert_common_level(base, split, cap):
@@ -421,13 +427,13 @@ def test_settle_reproduces_control_objective_on_exact_forecast():
     loads = rng.uniform(0.3, 1.5, (8, 3))
     gen = np.clip(np.sin(np.pi * np.arange(8) / 8) * 2.0, 0.0, None)
     spec = StorageSpec(1.5, 3.0, 0.95, 0.95, 0.5, cyclic=False)
-    win = _window(loads[:2], gen[:2], loads[2:],
-                  np.column_stack([gen[2:], 0.7 * gen[2:]]), (0.6, 0.4))
+    win = _window(loads[:1], gen[:1], loads[1:],
+                  np.column_stack([gen[1:], 0.7 * gen[1:]]), (0.6, 0.4))
     st = OperationState(0, spec.initial_soc_kwh, [0.5, 0.0, 0.2],
                         [4.0, 3.0, 3.5], [0.5, 0.5, 0.5])
-    cfg = HorizonConfig(2, 8, theta=1.7)
+    cfg = HorizonConfig(1, 8, theta=1.7)
     dec = mpc_step(st, win, spec, cfg, beta_es_use=0.0001)
-    rec = settle(dec, np.zeros(2), loads[:2], st)
+    rec = settle(dec, np.zeros(1), loads[:1], st)
     assert rec.objective == pytest.approx(dec.tracking_term / cfg.theta,
                                           abs=1e-6)
 
@@ -441,12 +447,13 @@ def test_settle_symmetric_single_period():
 
 
 def test_settle_clamps_negative_served_to_zero():
-    dec = _decision_stub([1.0, 2.0], 2)
-    rec = settle(dec, [-4.0, 0.0], [[1.0, 1.0], [2.0, 1.0]],
-                 _state(promise=(3.0, 3.0)))
+    st = _state(promise=(3.0, 3.0))
+    rec = settle(_decision_stub([1.0], 2), [-4.0], [[1.0, 1.0]], st)
     assert rec.key[0] == pytest.approx([0.0, 0.0], abs=1e-10)
-    assert rec.key[1].sum() == pytest.approx(2.0, abs=1e-9)
-    assert rec.deviation == pytest.approx([-4.0, 0.0], abs=0.0)
+    assert rec.deviation == pytest.approx([-4.0], abs=0.0)
+    rec = settle(_decision_stub([2.0], 2), [0.0], [[2.0, 1.0]], st)
+    assert rec.key[0].sum() == pytest.approx(2.0, abs=1e-9)
+    assert rec.deviation == pytest.approx([0.0], abs=0.0)
 
 
 def test_settle_key_feasible_and_balances_history():
@@ -454,15 +461,15 @@ def test_settle_key_feasible_and_balances_history():
     # served energy it should equalize consumers' cumulative positions
     rng = np.random.default_rng(31)
     for _ in range(20):
-        tc, n = rng.integers(1, 4), rng.integers(2, 5)
-        loads = rng.uniform(0.1, 2.0, (tc, n))
+        n = rng.integers(2, 5)
+        loads = rng.uniform(0.1, 2.0, (1, n))
         served = rng.uniform(0.0, 1.2) * loads.sum(1)
         dec = _decision_stub(served, n,
                              tail_expected=rng.uniform(0.0, 1.0, n))
         st = OperationState(0, 0.0, rng.uniform(0.0, 3.0, n),
                             rng.uniform(2.0, 6.0, n),
                             rng.uniform(0.0, 1.0, n))
-        rec = settle(dec, np.zeros(tc), loads, st)
+        rec = settle(dec, np.zeros(1), loads, st)
         assert not check_key(RepartitionKey(rec.key), loads,
                              np.minimum(served, loads.sum(1)))
         assert np.all(rec.e_past >= st.e_past - 1e-12)
@@ -474,11 +481,9 @@ def test_settle_key_feasible_and_balances_history():
 def _greedy_period(soc, gen, load, spec, delta=0.5):
     """One period of the greedy baseline: its plan (charge the surplus,
     discharge against the deficit) clipped by _realize_head."""
-    gen, load = np.array([gen]), np.array([load])
-    c, d, _ = _realize_head(np.maximum(gen - load, 0.0),
-                            np.maximum(load - gen, 0.0), gen, soc, spec,
-                            delta)
-    return float(c[0]), float(d[0])
+    c, d, _ = _realize_head(max(gen - load, 0.0), max(load - gen, 0.0), gen,
+                            soc, spec, delta)
+    return float(c), float(d)
 
 
 def test_rule_based_control_hand_cases():
@@ -496,16 +501,15 @@ def test_rule_based_control_hand_cases():
 
 
 @settings(max_examples=60, deadline=None)
-@given(tc=hst.sampled_from([1, 3]),
-       alphas=hnp.arrays(np.float64, 48, elements=hst.floats(0.0, 1.0)),
+@given(alphas=hnp.arrays(np.float64, 48, elements=hst.floats(0.0, 1.0)),
        load_scale=hnp.arrays(np.float64, 48, elements=hst.floats(0.0, 3.0)),
        pv_kw=hst.floats(0.0, 10.0), es_kw=hst.floats(0.0, 4.0),
        es_kwh=hst.floats(0.0, 8.0), roundtrip=hst.floats(0.5, 1.0))
-@example(tc=3, alphas=np.full(48, 0.3125), load_scale=np.full(48, 2.0),
+@example(alphas=np.full(48, 0.3125), load_scale=np.full(48, 2.0),
          pv_kw=9.0, es_kw=1.0, es_kwh=0.115, roundtrip=0.9092953919370214)
-def test_greedy_year_matches_rule_loop(tc, alphas, load_scale, pv_kw, es_kw,
+def test_greedy_year_matches_rule_loop(alphas, load_scale, pv_kw, es_kw,
                                        es_kwh, roundtrip):
-    # run_year's greedy baseline (one plan per head, clipped by
+    # run_year's greedy baseline (a plan per period, clipped by
     # _realize_head) against the period-by-period rule loop it replaced
     bundle, result, plan = _year_case(t_len=48)
     bundle = replace(bundle, params=replace(
@@ -517,15 +521,15 @@ def test_greedy_year_matches_rule_loop(tc, alphas, load_scale, pv_kw, es_kw,
     realized = RealizedTrajectory(
         alphas, bundle.loads.values * load_scale[:, None])
     with pytest.MonkeyPatch.context() as mp:
-        # settlement does not touch the battery; skip its QPs
+        # settlement does not touch the battery; skip it
         mp.setattr(operation, "myopic_settle", lambda served, loads:
-                   SimpleNamespace(values=np.zeros_like(loads)))
+                   SimpleNamespace(values=np.zeros((1, loads.shape[-1]))))
         report = run_year(bundle, plan, decision, realized,
-                          HorizonConfig(tc, 8), "rulebased_myopic")
+                          HorizonConfig(1, 8), "rulebased_myopic")
     spec = StorageSpec.from_sizing(decision, bundle.params, cyclic=False)
     gen = pv_production(alphas, pv_kw, 0.5)
     want = greedy_year_by_rule_loop(gen, realized.loads.sum(axis=1), spec,
-                                    0.5, tc)
+                                    0.5)
     got = (report.dispatch.charge, report.dispatch.discharge,
            report.dispatch.soc)
     for g, w in zip(got, want):
@@ -542,8 +546,8 @@ def test_myopic_settle_symmetry_and_surplus():
 def test_myopic_settle_matches_variance_oracle():
     rng = np.random.default_rng(41)
     for _ in range(6):
-        tc, n = int(rng.integers(1, 3)), int(rng.integers(2, 4))
-        loads = rng.uniform(0.2, 2.0, (tc, n))
+        n = int(rng.integers(2, 4))
+        loads = rng.uniform(0.2, 2.0, (1, n))
         served = rng.uniform(0.2, 0.9) * loads.sum(1)
         key = myopic_settle(served, loads)
         totals = key.values.sum(0)
@@ -688,6 +692,21 @@ def test_year_costs_are_the_dispatch_bill(algorithm):
     assert report.export_tax_cost == bill.export_tax
     assert report.utilization_cost == \
         bundle.params.beta_es_use * bill.throughput
+
+
+@pytest.mark.parametrize("algorithm, control_qps", [
+    ("proposed", 1), ("mpc_myopic", 1), ("rulebased_myopic", 0)])
+def test_year_solves_no_settlement_qp(algorithm, control_qps, monkeypatch):
+    # one control QP per period for the MPC algorithms, none for the
+    # greedy rule; every settlement water-fills, and no key QP is solved
+    bundle, result, plan = _year_case(t_len=48)
+    realized = _realization(bundle, 55)
+    control = capture_qps(monkeypatch, operation)
+    keys = capture_qps(monkeypatch, allocation)
+    run_year(bundle, plan, result.decision, realized, HorizonConfig(1, 8),
+             algorithm)
+    assert len(control) == control_qps * bundle.grid.num_periods
+    assert keys == []
 
 
 def test_year_zero_solar_delivers_nothing():

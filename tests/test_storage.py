@@ -117,29 +117,33 @@ def test_lp_constraint_count():
 
 
 def test_reference_rows_match_control_qp():
-    # the reference rows are the state-of-charge block that mpc_step solves
+    # the reference rows are the state-of-charge chain that mpc_step solves
+    # along a scenario: the one-period head, then the scenario's tail
     t_len, n = 3, 2
     spec = StorageSpec(3.0, 6.0, 0.93, 0.92, 0.4, cyclic=False)
     rng = np.random.default_rng(5)
     loads = rng.uniform(0.2, 2.5, (t_len, n))
-    win = HorizonWindow(0.5, loads, rng.uniform(0.0, 3.0, t_len),
-                        np.zeros((0, n)), np.zeros((0, 1)), np.array([1.0]),
-                        np.full(t_len, 0.2), np.full(t_len, 0.05),
-                        np.zeros(t_len))
+    win = HorizonWindow(0.5, loads[:1], rng.uniform(0.0, 3.0, 1), loads[1:],
+                        rng.uniform(0.0, 3.0, (t_len - 1, 1)),
+                        np.array([1.0]), np.full(t_len, 0.2),
+                        np.full(t_len, 0.05), np.zeros(t_len))
     st = OperationState(0, spec.initial_soc_kwh, np.zeros(n), np.zeros(n),
                         np.ones(n))
-    qp, _, _ = _control_qp(st, win, spec, HorizonConfig(t_len, t_len,
-                                                         theta=0.0), 0.0)
+    qp, (c, d, _, _, _), [(cw, dw, _, _, _)] = _control_qp(
+        st, win, spec, HorizonConfig(1, t_len, theta=0.0), 0.0)
+    # each branch lays out its charge, discharge and SoC blocks in a row
+    cols = np.concatenate([c, cw, d, dw, d + 1, dw + (t_len - 1)])
+    a = qp.a.toarray()
+    chain = np.flatnonzero(np.any(a[:, cols[2 * t_len:]] != 0.0, axis=1))
     rows, lb, ub = soc_recursion_rows(spec, t_len, 0.5)
-    block = qp.a.toarray()[t_len:2 * t_len]  # after the balance rows
-    np.testing.assert_array_equal(block[:, 3 * t_len:], 0.0)
-    np.testing.assert_array_equal(block[:, :3 * t_len],
-                                  np.array([a for a, _, _ in rows]))
-    assert list(qp.senses[t_len:2 * t_len]) == [s for _, s, _ in rows]
-    np.testing.assert_array_equal(qp.rhs[t_len:2 * t_len],
-                                  [b for _, _, b in rows])
-    np.testing.assert_array_equal(qp.lb[:3 * t_len], lb)
-    np.testing.assert_array_equal(qp.ub[:3 * t_len], ub)
+    others = np.setdiff1d(np.arange(a.shape[1]), cols)
+    np.testing.assert_array_equal(a[np.ix_(chain, others)], 0.0)
+    np.testing.assert_array_equal(a[np.ix_(chain, cols)],
+                                  np.array([r for r, _, _ in rows]))
+    assert list(qp.senses[chain]) == [s for _, s, _ in rows]
+    np.testing.assert_array_equal(qp.rhs[chain], [b for _, _, b in rows])
+    np.testing.assert_array_equal(qp.lb[cols], lb)
+    np.testing.assert_array_equal(qp.ub[cols], ub)
 
 
 def _recursion_lp(spec, t_len, delta_hours, cost_cd):
