@@ -245,7 +245,7 @@ def write_catalog_json(path, catalog):
 # ---------------------------------------------------------------------------
 # The plan: a sizing result with the digest of the inputs it was solved from
 
-PLAN_FORMAT = 1  # part of the digest; bump when the stored fields change
+PLAN_FORMAT = 2  # part of the digest; bump when the stored values change
 
 
 def write_plan_json(path, sizing, digest):

@@ -14,21 +14,20 @@ equality rows plus box bounds.  Every solve is deterministic: identical inputs
 produce bit-identical reports.
 
 Each iteration solves one Newton system, on one of two paths.  The normal
-equations A D^-1 A' serve problems whose columns are all short
-(_NormalEquations).  Problems with a free variable without curvature (the
-cut variables of the sizing master LP) or a near-dense column (a capacity
-coupling every period, as in the joint sizing LP the tests keep as an
-oracle) take the regularized augmented (KKT) system instead
-(_QuasidefiniteKkt), and so does the rest of a solve whose primal residual
-a normal-equations step grew.  The matrix is positive definite or
-quasidefinite, so both paths factor it without pivoting in an order fixed
-by its pattern alone (_SymmetricFactor).  The normal matrix is factored by
-LAPACK as a band and a dense border: its near-dense rows go last, the rest
-in reverse Cuthill-McKee order, and the border is eliminated through a
-small Schur complement.  The KKT matrix is factored by SuperLU in a
-minimum-degree ordering of its pattern.  On either path each solve is
-refined against the matrix, and a nonpositive pivot or a solve whose
-refined residual misses is redone with SuperLU's partial pivoting.
+equations A D^-1 A' serve every problem whose variables all carry a bound
+or curvature (_NormalEquations).  Problems with a free variable without
+curvature (the cut variables of the sizing master LP) take the regularized
+augmented (KKT) system instead (_QuasidefiniteKkt), and so does the rest of
+a solve whose primal residual a normal-equations step grew.  The matrix is
+positive definite or quasidefinite, so both paths factor it without
+pivoting in an order fixed by its pattern alone (_SymmetricFactor).  The
+normal matrix is factored by LAPACK as a band and a dense border: its
+near-dense rows go last, the rest in reverse Cuthill-McKee order, and the
+border is eliminated through a small Schur complement.  The KKT matrix is
+factored by SuperLU in a minimum-degree ordering of its pattern.  On either
+path each solve is refined against the matrix, and a nonpositive pivot or a
+solve whose refined residual misses is redone with SuperLU's partial
+pivoting.
 
 The symbolic work on a presolved constraint matrix A is done once and kept
 (_analyse): A', the pattern of each Newton system with its band plan or
@@ -490,9 +489,9 @@ _ANALYSES_KEPT = 8  # presolved constraint matrices whose analysis is kept
 
 
 def _near_dense(count, m):
-    """Which of the lines (rows or columns) with `count` entries, in a
-    matrix of m rows, are near-dense: those with more than max(32, m // 8)
-    entries, the few that couple most of the others."""
+    """Which of the rows with `count` entries, in a symmetric matrix of m
+    rows, are near-dense: those with more than max(32, m // 8) entries, the
+    few that couple most of the others."""
     return count > max(32, m // 8)
 
 
@@ -874,11 +873,6 @@ def _ipm_loop(std, tol, max_iter):
     # the normal-equations path needs a strictly positive diagonal for every
     # variable; free variables with zero curvature push us to the kkt path
     kkt_path = bool(np.any(~has_lb & ~has_ub & (qdiag == 0.0)))
-    if not kkt_path:
-        # a few near-dense columns (e.g. a capacity variable coupling every
-        # period) fill A D A' almost completely; the augmented system keeps
-        # them as single spiky rows that the ordering can push last
-        kkt_path = bool(np.any(_near_dense(np.diff(at.indptr), m)))
 
     # starting point: push a least-squares-ish point strictly inside the box
     x = np.zeros(n)

@@ -1,22 +1,25 @@
 """Rolling-horizon operation of the collective: control, settlement, a year.
 
 Each control step implements one metering period, as the collective
-allocates on a 30-minute basis.  It solves one convex program: battery and
-grid dispatch for that period (the head), recourse dispatch plus an energy
-split for every solar scenario on the prediction tail, and a free
-per-consumer mismatch variable whose weighted squared norm pulls cumulative
-allocations toward the yearly promise.  Once meter data arrives, `settle`
-re-splits the energy actually served while holding the control solve's tail
-expectations fixed, and the battery state of charge carries over from what
-really happened, not from the plan.  One period settles in closed form by
-water-filling (`allocation._water_fill`), so settlement solves no QP.
-`run_year` chains the steps over a full trajectory; the two myopic baselines
-(cost-only MPC and the greedy storage rule, both settled without history)
-share the same harness for comparison runs.
+allocates on a 30-minute basis.  It solves one convex program over a
+two-stage scenario tree (`_branches`): the period implemented after the
+solve (the head, branch 0 with probability 1) and, branching off it, one
+prediction tail per solar scenario.  Every branch carries battery and grid
+dispatch plus an energy split, and a free per-consumer mismatch variable,
+whose weighted squared norm pulls cumulative allocations toward the yearly
+promise, takes the branches' splits at their probabilities.  Once meter
+data arrives, `settle` re-splits the energy actually served while holding
+the control solve's tail expectations fixed, and the battery state of
+charge carries over from what really happened, not from the plan.  One
+period settles in closed form by water-filling (`allocation._water_fill`),
+so settlement solves no QP.  `run_year` chains the steps over a full
+trajectory; the two myopic baselines (cost-only MPC and the greedy storage
+rule, both settled without history) share the same harness for comparison
+runs.
 
-`_realize_head` is the one place where a planned dispatch meets the battery,
-for the MPC's head plan and for the greedy plan (charge the realized surplus,
-discharge against the deficit) alike; the bill is `sizing.dispatch_costs`.
+Each period's planned dispatch, the MPC's head plan or the greedy plan
+(charge the realized surplus, discharge against the deficit), meets the
+battery in `storage.realize`; the bill is `sizing.dispatch_costs`.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .domain import (DispatchSeries, DomainError, LoadMatrix,
                      RepartitionKey, is_count)
 from .numerics import ProblemBuilder, solve_qp
 from .sizing import dispatch_costs, pv_production, split_flows
-from .storage import StorageSpec
+from .storage import StorageSpec, realize
 
 ALGORITHMS = ("proposed", "mpc_myopic", "rulebased_myopic")
 
@@ -234,63 +237,66 @@ def compute_mismatch(e_past, key, tail_allocations, e_future, promise,
     return probs @ (base + tails) - promise
 
 
+def _branches(window):
+    """The window's scenario tree, one (probability, loads, generation,
+    price slice) per branch: the one-period head with probability 1, then,
+    when the window has a tail, one tail per solar scenario."""
+    tails = enumerate(window.probabilities) if window.tail_periods else ()
+    return [(1.0, window.head_loads, window.head_gen, slice(0, 1))] + [
+        (prob, window.tail_loads, window.tail_gen[:, widx], slice(1, None))
+        for widx, prob in tails]
+
+
 def _control_qp(state, window, spec, config, beta_es_use):
     """The control QP of `mpc_step` and the index blocks of its variables.
 
-    Rows are added block by block: per branch (the one-period head, then
-    each tail scenario) the energy balance, the state-of-charge recursion
-    and the served-energy rows, then one tracking row per consumer.  Returns
-    the QP and the (charge, discharge, import, export, split) index blocks
-    of the head and of each tail scenario.
+    Every branch of the scenario tree (`_branches`) is built alike: its
+    charge, discharge, SoC, import, export and split variables, costed at
+    the branch's probability, then its energy balance, state-of-charge
+    recursion and served-energy rows.  The head's recursion starts from the
+    state's SoC on the right-hand side, a tail's from the head's SoC
+    variable.  One tracking row per consumer follows.  Returns the QP and
+    one (charge, discharge, import, export, split) index block per branch,
+    the head first.
     """
     n = window.head_loads.shape[1]
-    tt = window.tail_periods
-    w = window.probabilities.shape[0]
-    delta = window.delta_hours
-    cap_p = spec.power_cap_kw * delta
+    cap_p = spec.power_cap_kw * window.delta_hours
     cap_e = spec.energy_cap_kwh
     eta_c = spec.charge_efficiency
     eta_d = spec.discharge_efficiency
-    soc0 = min(state.soc_kwh, cap_e)
-    head_agg = window.head_loads.sum(axis=1)
-    tail_agg = window.tail_loads.sum(axis=1) if tt else np.zeros(0)
     balance = [1.0, -1.0, -1.0, 1.0]
     recursion = [1.0, -1.0, -eta_c, 1.0 / eta_d]
+    export_net = window.export_tax - window.export_price
 
+    tree = _branches(window)
     pb = ProblemBuilder()
-    c = pb.add_vars(1, lb=0.0, ub=cap_p, cost=beta_es_use)
-    d = pb.add_vars(1, lb=0.0, ub=cap_p, cost=beta_es_use)
-    soc = pb.add_vars(1, lb=0.0, ub=cap_e)
-    gg = pb.add_vars(1, lb=0.0, ub=head_agg, cost=window.grid_price[:1])
-    gs = pb.add_vars(1, lb=0.0,
-                     cost=window.export_tax[:1] - window.export_price[:1])
-    ehat = pb.add_vars(n, lb=0.0, ub=window.head_loads[0])
-    pb.add_rows(np.column_stack([gg, gs, c, d]), balance, "==",
-                head_agg - window.head_gen)
-    pb.add_row([soc[0], c[0], d[0]], [1.0, -eta_c, 1.0 / eta_d], "==", soc0)
-    # served energy is what the key must hand out: sum_i e_i + gg = l
-    pb.add_rows(np.concatenate([ehat, gg])[None, :], 1.0, "==", head_agg)
-
-    tail_blocks = []
-    for widx in range(w if tt else 0):
-        pi = window.probabilities[widx]
-        cw = pb.add_vars(tt, lb=0.0, ub=cap_p, cost=pi * beta_es_use)
-        dw = pb.add_vars(tt, lb=0.0, ub=cap_p, cost=pi * beta_es_use)
-        socw = pb.add_vars(tt, lb=0.0, ub=cap_e)
-        ggw = pb.add_vars(tt, lb=0.0, ub=tail_agg,
-                          cost=pi * window.grid_price[1:])
-        gsw = pb.add_vars(tt, lb=0.0,
-                          cost=pi * (window.export_tax[1:]
-                                     - window.export_price[1:]))
-        gw = pb.add_vars(tt * n, lb=0.0, ub=window.tail_loads.ravel())
-        pb.add_rows(np.column_stack([ggw, gsw, cw, dw]), balance, "==",
-                    tail_agg - window.tail_gen[:, widx])
-        prev = np.concatenate([soc, socw[:-1]])
-        pb.add_rows(np.column_stack([socw, prev, cw, dw]), recursion, "==",
-                    0.0)
-        pb.add_rows(np.column_stack([gw.reshape(tt, n), ggw]), 1.0, "==",
-                    tail_agg)
-        tail_blocks.append((cw, dw, ggw, gsw, gw))
+    blocks = []
+    head_soc = None
+    for prob, loads, gen, span in tree:
+        periods = loads.shape[0]
+        agg = loads.sum(axis=1)
+        c = pb.add_vars(periods, lb=0.0, ub=cap_p, cost=prob * beta_es_use)
+        d = pb.add_vars(periods, lb=0.0, ub=cap_p, cost=prob * beta_es_use)
+        soc = pb.add_vars(periods, lb=0.0, ub=cap_e)
+        gg = pb.add_vars(periods, lb=0.0, ub=agg,
+                         cost=prob * window.grid_price[span])
+        gs = pb.add_vars(periods, lb=0.0, cost=prob * export_net[span])
+        split = pb.add_vars(periods * n, lb=0.0, ub=loads.ravel())
+        pb.add_rows(np.column_stack([gg, gs, c, d]), balance, "==", agg - gen)
+        # the head's recursion starts from the state's SoC, each tail's from
+        # the head's SoC variable
+        if head_soc is None:
+            pb.add_row([soc[0], c[0], d[0]], [1.0, -eta_c, 1.0 / eta_d], "==",
+                       min(state.soc_kwh, cap_e))
+            head_soc = soc[0]
+        else:
+            pb.add_row([soc[0], head_soc, c[0], d[0]], recursion, "==", 0.0)
+        pb.add_rows(np.column_stack([soc[1:], soc[:-1], c[1:], d[1:]]),
+                    recursion, "==", 0.0)
+        # served energy is what the key must hand out: sum_i e_i + gg = l
+        pb.add_rows(np.column_stack([split.reshape(periods, n), gg]), 1.0,
+                    "==", agg)
+        blocks.append((c, d, gg, gs, split))
 
     theta = config.theta
     if theta > 0.0:
@@ -302,14 +308,12 @@ def _control_qp(state, window, spec, config, beta_es_use):
         rhs = state.e_past + state.e_future - state.promise
         deliver = pb.add_vars(n, lb=-np.inf, ub=np.inf, qdiag=2.0 * theta,
                               cost=2.0 * theta * rhs)
-        idx = np.column_stack([deliver, ehat]
-                              + [blk[4].reshape(tt, n).T
-                                 for blk in tail_blocks])
-        coef = np.concatenate([[1.0, -1.0]]
-                              + [np.full(tt, -window.probabilities[widx])
-                                 for widx in range(len(tail_blocks))])
+        idx = np.column_stack([deliver] + [blk[4].reshape(-1, n).T
+                                           for blk in blocks])
+        coef = np.concatenate([[1.0]] + [np.full(loads.shape[0], -prob)
+                                         for prob, loads, _, _ in tree])
         pb.add_rows(idx, coef, "==", 0.0)
-    return pb.qp(), (c, d, gg, gs, ehat), tail_blocks
+    return pb.qp(), blocks
 
 
 def mpc_step(state, window, spec, config, beta_es_use=0.0):
@@ -323,19 +327,14 @@ def mpc_step(state, window, spec, config, beta_es_use=0.0):
     Returns the head period's quantities for implementation.
     """
     n = window.head_loads.shape[1]
-    tt = window.tail_periods
     w = window.probabilities.shape[0]
     if state.num_consumers != n:
         raise DomainError("state and window consumer counts disagree")
-    if 1 + tt > config.prediction_periods:
+    if 1 + window.tail_periods > config.prediction_periods:
         raise DomainError("window is longer than the prediction horizon")
 
     cap_p = spec.power_cap_kw * window.delta_hours
-    head_agg = window.head_loads.sum(axis=1)
-    tail_agg = window.tail_loads.sum(axis=1) if tt else np.zeros(0)
-    theta = config.theta
-    qp, (c, d, gg, gs, ehat), tail_blocks = _control_qp(
-        state, window, spec, config, beta_es_use)
+    qp, blocks = _control_qp(state, window, spec, config, beta_es_use)
 
     # control accuracy: 1e-6 on kWh-scale decisions is micro-Wh; the split
     # itself is repaired to exact feasibility below either way
@@ -348,29 +347,27 @@ def mpc_step(state, window, spec, config, beta_es_use=0.0):
     # deliberate instrument here (it withholds production from the local
     # allocation when consumers are ahead of the promise), so re-deriving
     # the flows from a complementary split would change the plan
-    charge = np.clip(x[c], 0.0, cap_p)
-    discharge = np.clip(x[d], 0.0, cap_p)
-    grid_import = np.clip(x[gg], 0.0, head_agg)
-    surplus = np.maximum(x[gs], 0.0)
-    served = head_agg - grid_import
-    key = _repair_rows(x[ehat][None, :], served, window.head_loads)
     export_net = window.export_tax - window.export_price
-    cost = float(beta_es_use * (charge.sum() + discharge.sum())
-                 + window.grid_price[:1] @ grid_import
-                 + export_net[:1] @ surplus)
+    cost = 0.0
+    branches = []
+    for (prob, loads, _, span), (c, d, gg, gs, split) in zip(
+            _branches(window), blocks):
+        agg = loads.sum(axis=1)
+        charge = np.clip(x[c], 0.0, cap_p)
+        discharge = np.clip(x[d], 0.0, cap_p)
+        grid_import = np.clip(x[gg], 0.0, agg)
+        surplus = np.maximum(x[gs], 0.0)
+        served = agg - grid_import
+        rows = _repair_rows(x[split].reshape(-1, n), served, loads)
+        cost += float(prob * (beta_es_use * (charge.sum() + discharge.sum())
+                              + window.grid_price[span] @ grid_import
+                              + export_net[span] @ surplus))
+        branches.append((charge, discharge, grid_import, surplus, served,
+                         rows))
+    charge, discharge, grid_import, surplus, served, key = branches[0]
     tails = np.zeros((w, n))
-    for widx, (cw, dw, ggw, gsw, gw) in enumerate(tail_blocks):
-        cwv = np.clip(x[cw], 0.0, cap_p)
-        dwv = np.clip(x[dw], 0.0, cap_p)
-        giw = np.clip(x[ggw], 0.0, tail_agg)
-        spw = np.maximum(x[gsw], 0.0)
-        svw = tail_agg - giw
-        rows = _repair_rows(x[gw].reshape(tt, n), svw, window.tail_loads)
+    for widx, (*_, rows) in enumerate(branches[1:]):
         tails[widx] = rows.sum(axis=0)
-        cost += float(window.probabilities[widx]
-                      * (beta_es_use * (cwv.sum() + dwv.sum())
-                         + window.grid_price[1:] @ giw
-                         + export_net[1:] @ spw))
     tail_expected = window.probabilities @ tails if w else np.zeros(n)
     mismatch = compute_mismatch(state.e_past, key[0], tails, state.e_future,
                                 state.promise, window.probabilities)
@@ -379,7 +376,7 @@ def mpc_step(state, window, spec, config, beta_es_use=0.0):
         grid_import=grid_import, surplus=surplus, served=served, key=key,
         tail_allocations=tails, tail_expected=tail_expected,
         mismatch=mismatch, cost_term=cost,
-        tracking_term=float(theta * (mismatch @ mismatch)))
+        tracking_term=float(config.theta * (mismatch @ mismatch)))
 
 
 def settle(decision, epsilon, realized_loads, state):
@@ -467,27 +464,6 @@ class YearReport:
         return float(np.abs(self.end_mismatch).max())
 
 
-def _realize_head(c_plan, d_plan, gen_real, soc, spec, delta):
-    """Clip one period's planned dispatch to what the realized solar and
-    SoC allow.
-
-    The only place where any algorithm's plan meets the battery.  Charging
-    comes from local production only, so it is curtailed to the realized
-    generation; discharge may draw on the same period's charge but never
-    below empty.  Returns the realized charge and discharge and the SoC
-    after the period.
-    """
-    cap = spec.power_cap_kw * delta
-    c = min(c_plan, gen_real, cap,
-            max(spec.energy_cap_kwh - soc, 0.0) / spec.charge_efficiency)
-    c = max(c, 0.0)
-    d = max(min(d_plan, cap,
-                (soc + spec.charge_efficiency * c)
-                * spec.discharge_efficiency), 0.0)
-    soc = soc + spec.charge_efficiency * c - d / spec.discharge_efficiency
-    return c, d, min(max(soc, 0.0), spec.energy_cap_kwh)
-
-
 def run_year(bundle, plan, decision, realized, config,
              algorithm="proposed"):
     """Simulate a year of operation and report mismatch and costs.
@@ -543,7 +519,7 @@ def run_year(bundle, plan, decision, realized, config,
         tp_end = min(t + config.prediction_periods, t_total)
         if algorithm == "rulebased_myopic":
             # the greedy plan: charge the realized surplus and discharge
-            # against the deficit; _realize_head clips it to the battery
+            # against the deficit; storage.realize clips it to the battery
             c_plan = np.maximum(gen_real[t] - load_real_agg[t], 0.0)
             d_plan = np.maximum(load_real_agg[t] - gen_real[t], 0.0)
             ctrl = None
@@ -564,8 +540,8 @@ def run_year(bundle, plan, decision, realized, config,
                             beta_es_use=bundle.params.beta_es_use)
             c_plan, d_plan = ctrl.charge[0], ctrl.discharge[0]
 
-        c_real, d_real, soc = _realize_head(c_plan, d_plan, gen_real[t], soc,
-                                            spec, delta)
+        c_real, d_real, soc = realize(c_plan, d_plan, gen_real[t], soc, spec,
+                                      delta)
         gi, sp, sv = split_flows(load_real_agg[t], c_real, d_real,
                                  gen_real[t])
         if ctrl is not None:

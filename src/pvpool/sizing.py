@@ -8,10 +8,12 @@ scenario.  The combinations differ only in the capacity box and the linear
 first-stage cost, so their expected dispatch cost is one convex function,
 built once from cuts (the L-shaped method, `CutPool`) out of one small
 dispatch LP per scenario and capacity point; each combination is a
-2-capacity master LP over those cuts.  The local energy price p transfers
-money between investor and consumers without changing total welfare, so it
-never appears in the optimization; price arithmetic lives in the allocation
-module.
+2-capacity master LP over those cuts.  The chosen capacities' dispatch LPs
+plan each scenario's battery flows, and the plan meets the battery where
+every other plan does, in `storage.realize` (`_build_candidate`).  The
+local energy price p transfers money between investor and consumers without
+changing total welfare, so it never appears in the optimization; price
+arithmetic lives in the allocation module.
 
 Economics convention: the stored objective is welfare relative to paying the
 whole load from the grid forever, so the no-build optimum scores exactly
@@ -33,7 +35,7 @@ import numpy as np
 
 from .domain import DispatchSeries, SizingDecision
 from .numerics import ProblemBuilder, solve_lp
-from .storage import StorageSpec, soc_trajectory
+from .storage import StorageSpec, realize
 
 _OVERLAP_TOL = 1e-6  # import/export overlap beyond this is flagged
 _TOL = 1e-9  # relative tolerance of a master LP and of a combination's bounds
@@ -384,7 +386,7 @@ class _Recourse(NamedTuple):
     values: np.ndarray  # V_w: each scenario's dispatch bill over the span
     slopes: np.ndarray  # (W, 2): a subgradient g_w of V_w in (p_pv, p_es)
     levels: np.ndarray  # the dual objective is levels_w + g_w'(p_pv, p_es)
-    dispatch_raw: list  # (charge, discharge) per scenario
+    dispatch_raw: list  # planned (charge, discharge) per scenario
     flows_raw: list  # (raw import, raw surplus) per scenario
 
 
@@ -397,16 +399,13 @@ def _recourse(bundle, pv, es, combo=None):
     the balance rows, and on p_es -delta from each charge and discharge
     bound, -kappa from each state-of-charge bound and kappa / 2 from the
     start and end rows.  Its level is the rest: the load against the
-    balance duals and the import bounds.  `combo` names the combination
-    that asked, for the error message.
+    balance duals and the import bounds.  The planned dispatches are kept
+    as solved; `_build_candidate` realizes them through the battery rule.
+    `combo` names the combination that asked, for the error message.
     """
     grid, params = bundle.grid, bundle.params
     t_len = grid.num_periods
     delta, kappa = grid.delta_hours, params.kappa
-    # Without PV the battery has nothing to charge from (import is capped at
-    # the load), so it idles; solver fuzz in its flows would make
-    # split_flows serve negative energy
-    limit = delta * es if pv > 0.0 else 0.0
     n_scen = bundle.scenarios.num_scenarios
     l_agg = bundle.loads.aggregate()
     values = np.empty(n_scen)
@@ -428,7 +427,7 @@ def _recourse(bundle, pv, es, combo=None):
                         -delta * float(zu[:2 * t_len].sum())
                         - kappa * float(zu[4 * t_len:].sum())
                         + 0.5 * kappa * float(y[t_len] + y[2 * t_len]))
-        dispatch_raw.append((np.clip(c, 0.0, limit), np.clip(d, 0.0, limit)))
+        dispatch_raw.append((c, d))
         flows_raw.append((np.maximum(gg, 0.0), np.maximum(gs, 0.0)))
     return _Recourse(values, slopes, levels, dispatch_raw, flows_raw)
 
@@ -547,6 +546,10 @@ class CutPool:
 
 def _build_candidate(bundle, pv_cap, es_pow, dispatch_raw, flows_raw,
                      pv_opt, es_opt):
+    """The sizing result at a combination's capacities: each scenario's
+    planned (charge, discharge) realized period by period by
+    `storage.realize` from the half-full battery, and the flows, economics
+    and objective of the realized dispatches."""
     grid, loads, scen, _, params = (bundle.grid, bundle.loads, bundle.scenarios,
                                     bundle.tariff, bundle.params)
     pv_idx, pv_inv_cap, pv_inv_cost = pv_opt
@@ -562,12 +565,15 @@ def _build_candidate(bundle, pv_cap, es_pow, dispatch_raw, flows_raw,
     l_agg = loads.aggregate()
     dispatches = []
     flags = []
-    for widx, (cv, dv) in enumerate(dispatch_raw):
+    for widx, (c_plan, d_plan) in enumerate(dispatch_raw):
         gen = pv_production(scen.alphas[:, widx], pv_cap, grid.delta_hours)
-        grid_import, surplus, served = split_flows(l_agg, cv, dv, gen)
-        soc = soc_trajectory(spec, cv, dv)
-        dispatches.append(DispatchSeries(cv, dv, gen, grid_import, surplus,
-                                         served, np.clip(soc, 0.0, None)))
+        steps = [(0.0, 0.0, spec.initial_soc_kwh)]  # the start, then each period
+        for c, d, g in zip(c_plan.tolist(), d_plan.tolist(), gen.tolist()):
+            steps.append(realize(c, d, g, steps[-1][2], spec, grid.delta_hours))
+        cv, dv, soc = np.array(steps).T
+        grid_import, surplus, served = split_flows(l_agg, cv[1:], dv[1:], gen)
+        dispatches.append(DispatchSeries(cv[1:], dv[1:], gen, grid_import,
+                                         surplus, served, soc))
         raw_gg, raw_gs = flows_raw[widx]
         overlap = np.minimum(raw_gg, raw_gs)
         for t in np.flatnonzero(overlap > _OVERLAP_TOL):
@@ -592,9 +598,10 @@ def solve_sizing(bundle, catalog, pv_capacity_fixed=None, es_power_fixed=None,
     `CutPool`; each combination minimizes its first-stage cost plus that
     function over its box (`CutPool._minimize`), and a combination whose
     lower bound already loses to the best candidate so far is skipped.  A
-    candidate's dispatches are the per-scenario LPs at its capacities, and
-    its objective is recomputed from them from first principles.  Ties go
-    to the smaller build cost, then to the smaller PV capacity.
+    candidate's dispatches are the per-scenario LPs' plans at its
+    capacities, realized through `storage.realize`, and its objective is
+    recomputed from them from first principles.  Ties go to the smaller
+    build cost, then to the smaller PV capacity.
 
     Capacities can be pinned for sweeps and cross-checks via
     pv_capacity_fixed / es_power_fixed.  `pool`, a CutPool of this bundle,

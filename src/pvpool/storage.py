@@ -1,18 +1,19 @@
-"""Battery model: state-of-charge recursion and feasibility checks.
+"""Battery model: state-of-charge recursion, the battery rule and
+feasibility checks.
 
 One linear storage model backs everything: the sizing LP, the rolling-horizon
 control problem, the simulation and the validator `check_feasible` all use
 the same recursion SoC_{t+1} = SoC_t + eta_c * c_t - d_t / eta_d, so a
-dispatch declared feasible by one path is feasible for all of them.  The
-simulation steps it in one place, `operation._realize_head`, which clips
-every planned dispatch (the MPC's or the greedy rule's) to the battery.
+dispatch declared feasible by one path is feasible for all of them.  Every
+planned dispatch meets the battery in one place, `realize`, which clips one
+period of the plan to the battery: the sizing plan of each scenario, the
+MPC's head and the greedy rule's plan alike.
 
-The two optimization models share its state-recursion form: the sizing LP
-(sizing._solve_combo) and the control problem (operation.mpc_step) carry the
-state of charge as variables tied by one equality row per period, so their
-rows and nonzeros grow linearly in the horizon.  No cumulative form, with
-state-of-charge limits written as running sums over charge and discharge,
-remains.
+The two optimization models share its state-recursion form: the sizing
+dispatch LP (sizing._dispatch_lp) and the control problem
+(operation._control_qp) carry the state of charge as variables tied by one
+equality row per period, so their rows and nonzeros grow linearly in the
+horizon.
 """
 
 from __future__ import annotations
@@ -95,6 +96,26 @@ def soc_trajectory(spec, charge, discharge):
     np.cumsum(steps, out=soc[1:])
     soc[1:] += soc[0]
     return soc
+
+
+def realize(c_plan, d_plan, gen_real, soc, spec, delta):
+    """Clip one period's planned dispatch to what the realized solar and
+    SoC allow.
+
+    Charging comes from local production only, so it is curtailed to the
+    realized generation; discharge may draw on the same period's charge but
+    never below empty.  Returns the realized charge and discharge and the
+    SoC after the period.
+    """
+    cap = spec.power_cap_kw * delta
+    c = min(c_plan, gen_real, cap,
+            max(spec.energy_cap_kwh - soc, 0.0) / spec.charge_efficiency)
+    c = max(c, 0.0)
+    d = max(min(d_plan, cap,
+                (soc + spec.charge_efficiency * c)
+                * spec.discharge_efficiency), 0.0)
+    soc = soc + spec.charge_efficiency * c - d / spec.discharge_efficiency
+    return c, d, min(max(soc, 0.0), spec.energy_cap_kwh)
 
 
 def check_feasible(spec, charge, discharge, delta_hours, tol=1e-9):

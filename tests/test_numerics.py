@@ -505,18 +505,17 @@ def _control_qp_instance(n=3, tt=8):
 
 
 def _sizing_lp_instance():
-    """The joint LP of the second sizing combination on a generated day (5
-    consumers, two scenarios), the storage-only one: its capacity column
-    couples every period and puts it on the KKT path."""
+    """A master LP of the sizing cut pool on a generated day (5 consumers,
+    two scenarios), over the cuts of two capacity points of the last
+    combination: its free cut variables put it on the KKT path."""
     from pvpool import sizing
-    from oracles import joint_sizing_lp
     from test_sizing import _baseline_bundle
     bundle, catalog = _baseline_bundle(31, 5, 1, 2)
-    combo = list(sizing._combinations(bundle, catalog))[1]
-    return joint_sizing_lp(
-        bundle, combo.pv_lo, combo.pv_hi, combo.es_hi,
-        sizing._pv_brackets(bundle.params)[combo.tier][2],
-        sizing._subsidy_branches(bundle.params)[combo.branch][2], combo.es_lo)[0]
+    combo = list(sizing._combinations(bundle, catalog))[-1]
+    pool = sizing.CutPool(bundle)
+    for share in (1.0, 0.5):
+        pool._evaluate(share * combo.pv_hi, share * combo.es_hi, combo)
+    return pool._master(combo)
 
 
 def _report_bytes(rep):

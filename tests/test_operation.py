@@ -18,11 +18,11 @@ from pvpool.domain import (DomainError, InputBundle, InverterCatalog,
 from pvpool.numerics import solve_qp
 from pvpool.operation import (ALGORITHMS, ControlDecision, HorizonConfig,
                               HorizonWindow, OperationState, _control_qp,
-                              _realize_head, compute_mismatch, mpc_step,
-                              myopic_settle, run_year, settle)
+                              compute_mismatch, mpc_step, myopic_settle,
+                              run_year, settle)
 from pvpool.sizing import (dispatch_costs, pv_production, solve_sizing,
                            split_flows)
-from pvpool.storage import StorageSpec, check_feasible
+from pvpool.storage import StorageSpec, check_feasible, realize
 
 from oracles import (control_qp_by_rows,
                      greedy_year_by_rule_loop, qp_active_set_minimum,
@@ -207,7 +207,7 @@ def test_mpc_respects_storage_envelope():
     assert not check_key(RepartitionKey(dec.key), loads[:1], dec.served)
     # the envelope also holds along each scenario's branch: the head period
     # followed by that scenario's nine tail periods
-    qp, (c, d, _, _, _), tails = _control_qp(st, win, spec, cfg, 0.0001)
+    qp, [(c, d, _, _, _), *tails] = _control_qp(st, win, spec, cfg, 0.0001)
     rep = solve_qp(qp, tol=1e-6)
     assert rep.status == "optimal"
     for cw, dw, _, _, _ in tails:
@@ -285,7 +285,7 @@ def test_control_qp_blocks_match_row_loop(tc, tt, theta):
     st = OperationState(0, 2.5, rng.uniform(0.0, 3.0, n),
                         rng.uniform(3.0, 6.0, n), rng.uniform(0.0, 1.0, n))
     cfg = HorizonConfig(tc, tc + tt, theta=theta)
-    got, _, _ = _control_qp(st, win, spec, cfg, 1e-4)
+    got, _ = _control_qp(st, win, spec, cfg, 1e-4)
     want = control_qp_by_rows(st, win, spec, cfg, 1e-4)
     for name in ("c", "q_diag", "lb", "ub"):
         np.testing.assert_array_equal(getattr(got, name),
@@ -480,9 +480,9 @@ def test_settle_key_feasible_and_balances_history():
 
 def _greedy_period(soc, gen, load, spec, delta=0.5):
     """One period of the greedy baseline: its plan (charge the surplus,
-    discharge against the deficit) clipped by _realize_head."""
-    c, d, _ = _realize_head(max(gen - load, 0.0), max(load - gen, 0.0), gen,
-                            soc, spec, delta)
+    discharge against the deficit) clipped by storage.realize."""
+    c, d, _ = realize(max(gen - load, 0.0), max(load - gen, 0.0), gen, soc,
+                      spec, delta)
     return float(c), float(d)
 
 
@@ -510,7 +510,7 @@ def test_rule_based_control_hand_cases():
 def test_greedy_year_matches_rule_loop(alphas, load_scale, pv_kw, es_kw,
                                        es_kwh, roundtrip):
     # run_year's greedy baseline (a plan per period, clipped by
-    # _realize_head) against the period-by-period rule loop it replaced
+    # storage.realize) against the period-by-period rule loop it replaced
     bundle, result, plan = _year_case(t_len=48)
     bundle = replace(bundle, params=replace(
         bundle.params, es_roundtrip_efficiency=roundtrip))
