@@ -38,10 +38,6 @@ class PriceRange:
     investor_breakeven: float
     consumer_breakeven: float
 
-    @property
-    def width(self):
-        return self.consumer_breakeven - self.investor_breakeven
-
 
 @dataclass(frozen=True)
 class AllocationPlan:

@@ -7,6 +7,7 @@ algorithms live here; planning, allocation and operation import these types.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -25,6 +26,16 @@ class DomainError(ValueError):
             errors = [errors]
         self.errors = list(errors)
         super().__init__("; ".join(self.errors))
+
+
+# present_value_factor sums one discount factor per year of the horizon
+MAX_HORIZON_YEARS = 100
+
+
+def is_number(value):
+    """A finite number given as an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
 
 
 def is_count(value):
@@ -218,10 +229,6 @@ class Tariff:
     def num_periods(self):
         return self.grid_energy_price.shape[0]
 
-    def with_local_price(self, p):
-        return Tariff(self.grid_energy_price, self.fixed_charge,
-                      self.export_price, self.export_tax, p)
-
 
 def _catalog_problems(options, label):
     problems = []
@@ -305,8 +312,10 @@ def _tech_econ_problems(p):
         problems.append("kappa must be positive")
     if not (np.isfinite(p.discount_rate) and p.discount_rate >= 0):
         problems.append("discount_rate must be nonnegative")
-    if int(p.horizon_years) != p.horizon_years or p.horizon_years < 1:
-        problems.append("horizon_years must be a positive integer")
+    if not (is_count(p.horizon_years)
+            and p.horizon_years <= MAX_HORIZON_YEARS):
+        problems.append("horizon_years must be a whole number of years from"
+                        f" 1 to {MAX_HORIZON_YEARS}")
     if not (0 < p.es_roundtrip_efficiency <= 1):
         problems.append("es_roundtrip_efficiency must lie in (0, 1]")
     return problems
@@ -488,10 +497,6 @@ class RepartitionKey:
     def num_consumers(self):
         return self.values.shape[1]
 
-    def allocations(self):
-        """Energy each consumer receives over the whole span (e = column sums)."""
-        return self.values.sum(axis=0)
-
 
 def check_key(key, loads, served, tol=1e-8):
     """Validate a repartition key against loads and served energy.
@@ -569,18 +574,11 @@ class InputBundle:
 def validate_inputs(grid, loads, scenarios, tariff, params):
     """Check the full input set for consistency and return an InputBundle.
 
-    Re-runs each type's own invariants (defensive, in case instances were
-    built by deserialization tricks) and then the cross-object checks: every
-    series must live on the same time grid.  Raises DomainError listing all
-    problems at once.
+    Each type checks its own invariants when built and is frozen, so only
+    the cross-object checks remain: every series must live on the same
+    time grid.  Raises DomainError listing all problems at once.
     """
     errors = []
-    errors += _load_problems(loads.values, loads.consumer_ids)
-    errors += _solar_problems(scenarios.alphas, scenarios.probabilities)
-    errors += _tariff_problems(tariff.grid_energy_price, tariff.fixed_charge,
-                               tariff.export_price, tariff.export_tax,
-                               tariff.local_price)
-    errors += _tech_econ_problems(params)
     t = grid.num_periods
     if loads.num_periods != t:
         errors.append(f"loads cover {loads.num_periods} periods, grid has {t}")

@@ -14,7 +14,6 @@ stores a whole sizing result so later commands need not solve it again.
 import csv
 import hashlib
 import json
-import math
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -23,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .domain import (
+    MAX_HORIZON_YEARS,
     DispatchSeries,
     DomainError,
     InverterCatalog,
@@ -35,6 +35,7 @@ from .domain import (
     TechEconParams,
     TimeGrid,
     is_count,
+    is_number,
     validate_inputs,
 )
 from .operation import HorizonConfig
@@ -366,23 +367,44 @@ def preset_config(case):
     return json.loads(json.dumps(preset, default=_json_default))
 
 
+# the rule and its wording for every key of tech_econ and of its subsidy
+_TECH_RULES = dict.fromkeys(
+    ("beta_es", "beta_es_use", "beta_mnt", "grid_connection_cost", "kappa",
+     "discount_rate", "es_roundtrip_efficiency", "subsidy.rate_per_kw",
+     "subsidy.max_capacity_kw"), (is_number, "a finite number")) | {
+    "beta_pv_tiers": (lambda v: isinstance(v, (list, tuple)) and all(
+        isinstance(p, (list, tuple)) and len(p) == 2 and all(map(is_number, p))
+        for p in v), "a list of [threshold_kw, rate_eur_per_kw] pairs"),
+    "horizon_years": (lambda v: is_count(v) and v <= MAX_HORIZON_YEARS,
+                      f"a whole number of years from 1 to {MAX_HORIZON_YEARS}"),
+    "subsidy": (lambda v: v is None or isinstance(v, dict), "an object"),
+    "subsidy.annual": (lambda v: isinstance(v, bool), "true or false"),
+}
+
+
 def params_from_mapping(mapping):
     """Build TechEconParams from a config dict (tiers and subsidy are plain
-    lists/dicts in the file)."""
+    lists/dicts in the file).
+
+    Every number follows the tariff's rule (`domain.is_number`), and a key
+    that breaks its rule in `_TECH_RULES`, or has none, is refused with a
+    DataFileError naming it.
+    """
     fields = dict(mapping)
-    try:
-        tiers = tuple((float(t), float(r)) for t, r in fields.pop("beta_pv_tiers"))
-    except (KeyError, TypeError, ValueError):
-        raise DataFileError(
-            "tech_econ.beta_pv_tiers must list [threshold_kw, rate_eur_per_kw]"
-            " pairs") from None
     subsidy = fields.pop("subsidy", None)
-    if subsidy is not None and not isinstance(subsidy, SubsidyRule):
-        subsidy = SubsidyRule(**subsidy)
+    entries = list(mapping.items())
+    if isinstance(subsidy, dict):
+        entries += [(f"subsidy.{key}", value) for key, value in subsidy.items()]
+    for key, value in entries:
+        if key not in _TECH_RULES:
+            raise DataFileError(f"tech_econ.{key} is not a known key")
+        valid, what = _TECH_RULES[key]
+        if not valid(value):
+            raise DataFileError(f"tech_econ.{key} must be {what}, not {value!r}")
     try:
-        if subsidy is None:
-            return TechEconParams(beta_pv_tiers=tiers, **fields)
-        return TechEconParams(beta_pv_tiers=tiers, subsidy=subsidy, **fields)
+        if subsidy is not None:
+            fields["subsidy"] = SubsidyRule(**subsidy)
+        return TechEconParams(**fields)
     except (DomainError, TypeError) as exc:
         raise DataFileError(f"tech_econ: {exc}") from exc
 
@@ -393,11 +415,6 @@ def params_from_mapping(mapping):
 _TARIFF_KEYS = ("grid_energy_price", "fixed_charge", "export_price",
                 "export_tax", "local_price")
 _TARIFF_SERIES = ("grid_energy_price", "export_price", "export_tax")
-
-
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool) \
-        and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -462,11 +479,11 @@ class ProjectConfig:
         for key in _TARIFF_KEYS:
             value = tariff[key]
             if key in _TARIFF_SERIES:
-                ok = _is_number(value) or isinstance(value, list) and \
-                    bool(value) and all(map(_is_number, value))
+                ok = is_number(value) or isinstance(value, list) and \
+                    bool(value) and all(map(is_number, value))
                 what = "a finite number or a list of them"
             else:
-                ok, what = _is_number(value), "a finite number"
+                ok, what = is_number(value), "a finite number"
             if not ok:
                 raise DataFileError(f"{path}: tariff.{key} must be {what},"
                                     f" not {value!r}")
@@ -477,11 +494,15 @@ class ProjectConfig:
             horizon = HorizonConfig(**payload.get("horizon", {}))
         except (DomainError, TypeError) as exc:
             raise DataFileError(f"{path}: horizon: {exc}") from exc
+        try:
+            params = params_from_mapping(tech)
+        except DataFileError as exc:
+            raise DataFileError(f"{path}: {exc}") from exc
         return cls(
             case=str(payload.get("case", "custom")),
             seed=seed,
             delta_hours=float(setting(
-                "delta_hours", 0.5, lambda v: _is_number(v) and v > 0,
+                "delta_hours", 0.5, lambda v: is_number(v) and v > 0,
                 "a positive number of hours")),
             periods_per_year=int(setting("periods_per_year", 17520, is_count,
                                          "a positive integer")),
@@ -491,7 +512,7 @@ class ProjectConfig:
             realized_alphas_path=resolve("realized_alphas_csv", required=False),
             realized_loads_path=resolve("realized_loads_csv", required=False),
             tariff_fields=dict(tariff),
-            params=params_from_mapping(tech),
+            params=params,
             horizon=horizon,
         )
 

@@ -33,7 +33,7 @@ from .domain import (DispatchSeries, DomainError, LoadMatrix,
                      RepartitionKey, is_count)
 from .numerics import ProblemBuilder, solve_qp
 from .sizing import dispatch_costs, pv_production, split_flows
-from .storage import StorageSpec, realize
+from .storage import StorageSpec, realize, recursion_rows
 
 ALGORITHMS = ("proposed", "mpc_myopic", "rulebased_myopic")
 
@@ -253,19 +253,16 @@ def _control_qp(state, window, spec, config, beta_es_use):
     Every branch of the scenario tree (`_branches`) is built alike: its
     charge, discharge, SoC, import, export and split variables, costed at
     the branch's probability, then its energy balance, state-of-charge
-    recursion and served-energy rows.  The head's recursion starts from the
-    state's SoC on the right-hand side, a tail's from the head's SoC
-    variable.  One tracking row per consumer follows.  Returns the QP and
-    one (charge, discharge, import, export, split) index block per branch,
-    the head first.
+    recursion (`storage.recursion_rows`) and served-energy rows.  The head's
+    recursion starts from the state's SoC on the right-hand side, a tail's
+    from the head's SoC variable.  One tracking row per consumer follows.
+    Returns the QP and one (charge, discharge, import, export, split) index
+    block per branch, the head first.
     """
     n = window.head_loads.shape[1]
     cap_p = spec.power_cap_kw * window.delta_hours
     cap_e = spec.energy_cap_kwh
-    eta_c = spec.charge_efficiency
-    eta_d = spec.discharge_efficiency
     balance = [1.0, -1.0, -1.0, 1.0]
-    recursion = [1.0, -1.0, -eta_c, 1.0 / eta_d]
     export_net = window.export_tax - window.export_price
 
     tree = _branches(window)
@@ -285,14 +282,9 @@ def _control_qp(state, window, spec, config, beta_es_use):
         pb.add_rows(np.column_stack([gg, gs, c, d]), balance, "==", agg - gen)
         # the head's recursion starts from the state's SoC, each tail's from
         # the head's SoC variable
-        if head_soc is None:
-            pb.add_row([soc[0], c[0], d[0]], [1.0, -eta_c, 1.0 / eta_d], "==",
-                       min(state.soc_kwh, cap_e))
-            head_soc = soc[0]
-        else:
-            pb.add_row([soc[0], head_soc, c[0], d[0]], recursion, "==", 0.0)
-        pb.add_rows(np.column_stack([soc[1:], soc[:-1], c[1:], d[1:]]),
-                    recursion, "==", 0.0)
+        recursion_rows(pb, spec, c, d, soc, start=min(state.soc_kwh, cap_e),
+                       before=head_soc)
+        head_soc = soc[0] if head_soc is None else head_soc
         # served energy is what the key must hand out: sum_i e_i + gg = l
         pb.add_rows(np.column_stack([split.reshape(periods, n), gg]), 1.0,
                     "==", agg)

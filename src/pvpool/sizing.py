@@ -35,7 +35,7 @@ import numpy as np
 
 from .domain import DispatchSeries, SizingDecision
 from .numerics import ProblemBuilder, solve_lp
-from .storage import StorageSpec, realize
+from .storage import START_FRACTION, StorageSpec, realize, recursion_rows
 
 _OVERLAP_TOL = 1e-6  # import/export overlap beyond this is flagged
 _TOL = 1e-9  # relative tolerance of a master LP and of a combination's bounds
@@ -147,13 +147,6 @@ class SizingResult:
     objective: float
     economics: SizingEconomics
     flags: tuple
-
-    def expected_served(self):
-        """Probability-weighted locally served energy per period."""
-        acc = np.zeros(self.dispatches[0].num_periods)
-        for prob, dispatch in zip(self.probabilities, self.dispatches):
-            acc += prob * dispatch.to_consumers
-        return acc
 
 
 def subsidy_present_value(amount, params):
@@ -346,12 +339,12 @@ def _failure(subproblem, rep, combo):
 def _dispatch_lp(bundle, alpha, pv, es):
     """One scenario's dispatch LP at fixed capacities (pv, es).
 
+    The battery is StorageSpec(p_es, kappa p_es, sqrt(round trip)).
     Variables per period, in blocks of T: charge c_t, discharge d_t, grid
     import, surplus and the state of charge s_t after the period.  Rows: T
-    energy balances, the recursion s_t - s_{t-1} - eta c_t + d_t / eta = 0
-    from s_{-1} = kappa p_es / 2 (T rows, the first with that start on its
-    right-hand side), and the cyclic end s_{T-1} = kappa p_es / 2, the same
-    recursion mpc_step uses.  The capacities enter only as bounds and
+    energy balances, the spec's recursion (`storage.recursion_rows`, as in
+    mpc_step) from its half-full start kappa p_es / 2, and the cyclic end
+    s_{T-1} = kappa p_es / 2.  The capacities enter only as bounds and
     right-hand sides: c_t, d_t <= delta p_es, s_t <= kappa p_es, the start
     and end rows and the balance rhs l_t - delta alpha_t p_pv.  Import never
     exceeds the load: the battery charges from solar only.  The costs are
@@ -361,22 +354,19 @@ def _dispatch_lp(bundle, alpha, pv, es):
                                    bundle.params)
     t_len = grid.num_periods
     delta = grid.delta_hours
-    eta = math.sqrt(params.es_roundtrip_efficiency)
-    half = 0.5 * params.kappa * es
+    spec = StorageSpec(es, params.kappa * es,
+                       math.sqrt(params.es_roundtrip_efficiency))
     l_agg = loads.aggregate()
     pb = ProblemBuilder()
-    c = pb.add_vars(t_len, ub=delta * es, cost=params.beta_es_use)
-    d = pb.add_vars(t_len, ub=delta * es, cost=params.beta_es_use)
+    c = pb.add_vars(t_len, ub=spec.power_cap_kw * delta, cost=params.beta_es_use)
+    d = pb.add_vars(t_len, ub=spec.power_cap_kw * delta, cost=params.beta_es_use)
     gg = pb.add_vars(t_len, ub=l_agg, cost=tariff.grid_energy_price)
     gs = pb.add_vars(t_len, cost=tariff.export_tax - tariff.export_price)
-    soc = pb.add_vars(t_len, ub=params.kappa * es)
-    ones = np.ones(t_len)
+    soc = pb.add_vars(t_len, ub=spec.energy_cap_kwh)
     pb.add_rows(np.column_stack([gg, gs, c, d]), [1.0, -1.0, -1.0, 1.0], "==",
                 l_agg - delta * pv * np.asarray(alpha, dtype=np.float64))
-    pb.add_row([soc[0], c[0], d[0]], [1.0, -eta, 1.0 / eta], "==", half)
-    pb.add_rows(np.column_stack([soc[1:], soc[:-1], c[1:], d[1:]]),
-                [1.0, -1.0, -eta, 1.0 / eta], "==", 0.0)
-    pb.add_row([soc[-1]], [1.0], "==", half)
+    recursion_rows(pb, spec, c, d, soc, start=spec.initial_soc_kwh)
+    pb.add_row([soc[-1]], [1.0], "==", spec.initial_soc_kwh)
     return pb.lp()
 
 
@@ -426,7 +416,8 @@ def _recourse(bundle, pv, es, combo=None):
         slopes[widx] = (-delta * float(alpha @ y[:t_len]),
                         -delta * float(zu[:2 * t_len].sum())
                         - kappa * float(zu[4 * t_len:].sum())
-                        + 0.5 * kappa * float(y[t_len] + y[2 * t_len]))
+                        + START_FRACTION * kappa
+                        * float(y[t_len] + y[2 * t_len]))
         dispatch_raw.append((c, d))
         flows_raw.append((np.maximum(gg, 0.0), np.maximum(gs, 0.0)))
     return _Recourse(values, slopes, levels, dispatch_raw, flows_raw)

@@ -1,19 +1,15 @@
-"""Battery model: state-of-charge recursion, the battery rule and
-feasibility checks.
+"""Battery model: the battery spec, its state-of-charge rows, the battery
+rule and feasibility checks.
 
-One linear storage model backs everything: the sizing LP, the rolling-horizon
-control problem, the simulation and the validator `check_feasible` all use
-the same recursion SoC_{t+1} = SoC_t + eta_c * c_t - d_t / eta_d, so a
-dispatch declared feasible by one path is feasible for all of them.  Every
-planned dispatch meets the battery in one place, `realize`, which clips one
-period of the plan to the battery: the sizing plan of each scenario, the
-MPC's head and the greedy rule's plan alike.
-
-The two optimization models share its state-recursion form: the sizing
-dispatch LP (sizing._dispatch_lp) and the control problem
-(operation._control_qp) carry the state of charge as variables tied by one
-equality row per period, so their rows and nonzeros grow linearly in the
-horizon.
+One linear storage model backs everything.  `StorageSpec` is the battery
+that sizing plans and `run_year` operates: power and energy caps, one
+one-way efficiency eta and a half-full start.  The sizing dispatch LP and
+the control QP write its recursion SoC_t = SoC_{t-1} + eta c_t - d_t / eta
+with `recursion_rows`, one equality row per period, so their rows grow
+linearly in the horizon; `soc_trajectory` and `check_feasible` follow the
+same recursion.  Every planned dispatch meets the battery in one place,
+`realize`: the sizing plan of each scenario, the MPC's head and the greedy
+rule's plan alike.
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ import numpy as np
 
 from .domain import DomainError
 
-_DEFAULT_EFF = math.sqrt(0.9)  # split of a 90% round trip
+START_FRACTION = 0.5  # the battery starts, and a cyclic plan ends, half full
 _CYCLIC_TOL = 1e-8
 
 
@@ -34,16 +30,15 @@ class StorageSpec:
     """Physical battery envelope plus simulation conventions.
 
     power_cap_kw limits charge and discharge each period, energy_cap_kwh the
-    stored energy.  cyclic=True requires the final state of charge to return
-    to the initial one, which stops a simulated year from minting energy out
-    of its starting charge.
+    stored energy.  efficiency is the one-way efficiency of charge and of
+    discharge alike.  The battery starts half full; cyclic=True requires the
+    final state of charge to return to the start, which stops a simulated
+    year from minting energy out of its starting charge.
     """
 
     power_cap_kw: float
     energy_cap_kwh: float
-    charge_efficiency: float = _DEFAULT_EFF
-    discharge_efficiency: float = _DEFAULT_EFF
-    initial_soc_fraction: float = 0.5
+    efficiency: float
     cyclic: bool = True
 
     def __post_init__(self):
@@ -52,36 +47,43 @@ class StorageSpec:
             errors.append("power cap must be nonnegative")
         if not (np.isfinite(self.energy_cap_kwh) and self.energy_cap_kwh >= 0):
             errors.append("energy cap must be nonnegative")
-        for name in ("charge_efficiency", "discharge_efficiency"):
-            eta = getattr(self, name)
-            if not (0 < eta <= 1):
-                errors.append(f"{name} must lie in (0, 1]")
-        if not (0 <= self.initial_soc_fraction <= 1):
-            errors.append("initial_soc_fraction must lie in [0, 1]")
+        if not (0 < self.efficiency <= 1):
+            errors.append("efficiency must lie in (0, 1]")
         if errors:
             raise DomainError(errors)
-        for name in ("power_cap_kw", "energy_cap_kwh", "charge_efficiency",
-                     "discharge_efficiency", "initial_soc_fraction"):
+        for name in ("power_cap_kw", "energy_cap_kwh", "efficiency"):
             object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "cyclic", bool(self.cyclic))
 
     @classmethod
-    def from_roundtrip(cls, power_cap_kw, energy_cap_kwh, roundtrip_efficiency,
-                       **kwargs):
-        """Split a round-trip efficiency evenly between charge and discharge."""
-        eta = math.sqrt(roundtrip_efficiency)
-        return cls(power_cap_kw, energy_cap_kwh, charge_efficiency=eta,
-                   discharge_efficiency=eta, **kwargs)
-
-    @classmethod
     def from_sizing(cls, decision, params, **kwargs):
         """Battery implied by a sizing decision and its round-trip efficiency."""
-        return cls.from_roundtrip(decision.es_power_kw, decision.es_energy_kwh,
-                                  params.es_roundtrip_efficiency, **kwargs)
+        return cls(decision.es_power_kw, decision.es_energy_kwh,
+                   math.sqrt(params.es_roundtrip_efficiency), **kwargs)
 
     @property
     def initial_soc_kwh(self):
-        return self.initial_soc_fraction * self.energy_cap_kwh
+        return START_FRACTION * self.energy_cap_kwh
+
+
+def recursion_rows(pb, spec, c, d, soc, start=0.0, before=None):
+    """Write the state-of-charge rows of one block of periods into `pb`.
+
+    c, d and soc index the block's charge, discharge and state-of-charge
+    variables, soc_t being the state after period t.  Each row is
+    soc_t - soc_{t-1} - eta c_t + d_t / eta = 0.  The first period starts
+    from the constant `start` on the right-hand side or, when `before`
+    names a variable, from that variable (a scenario tail branching off the
+    head).
+    """
+    eta = spec.efficiency
+    chain = [1.0, -1.0, -eta, 1.0 / eta]
+    if before is None:
+        pb.add_row([soc[0], c[0], d[0]], [1.0, -eta, 1.0 / eta], "==", start)
+    else:
+        pb.add_row([soc[0], before, c[0], d[0]], chain, "==", 0.0)
+    pb.add_rows(np.column_stack([soc[1:], soc[:-1], c[1:], d[1:]]), chain,
+                "==", 0.0)
 
 
 def soc_trajectory(spec, charge, discharge):
@@ -90,7 +92,7 @@ def soc_trajectory(spec, charge, discharge):
     d = np.asarray(discharge, dtype=np.float64)
     if c.shape != d.shape or c.ndim != 1:
         raise DomainError("charge and discharge must be vectors of equal length")
-    steps = spec.charge_efficiency * c - d / spec.discharge_efficiency
+    steps = spec.efficiency * c - d / spec.efficiency
     soc = np.empty(c.shape[0] + 1)
     soc[0] = spec.initial_soc_kwh
     np.cumsum(steps, out=soc[1:])
@@ -108,13 +110,11 @@ def realize(c_plan, d_plan, gen_real, soc, spec, delta):
     SoC after the period.
     """
     cap = spec.power_cap_kw * delta
-    c = min(c_plan, gen_real, cap,
-            max(spec.energy_cap_kwh - soc, 0.0) / spec.charge_efficiency)
-    c = max(c, 0.0)
-    d = max(min(d_plan, cap,
-                (soc + spec.charge_efficiency * c)
-                * spec.discharge_efficiency), 0.0)
-    soc = soc + spec.charge_efficiency * c - d / spec.discharge_efficiency
+    eta = spec.efficiency
+    c = max(min(c_plan, gen_real, cap,
+                max(spec.energy_cap_kwh - soc, 0.0) / eta), 0.0)
+    d = max(min(d_plan, cap, (soc + eta * c) * eta), 0.0)
+    soc = soc + eta * c - d / eta
     return c, d, min(max(soc, 0.0), spec.energy_cap_kwh)
 
 

@@ -456,8 +456,7 @@ def control_qp_by_rows(state, window, spec, config, beta_es_use=0.0):
     delta = window.delta_hours
     cap_p = spec.power_cap_kw * delta
     cap_e = spec.energy_cap_kwh
-    eta_c = spec.charge_efficiency
-    eta_d = spec.discharge_efficiency
+    eta_c = eta_d = spec.efficiency
     soc0 = min(state.soc_kwh, cap_e)
     head_agg = window.head_loads.sum(axis=1)
     tail_agg = window.tail_loads.sum(axis=1) if tt else np.zeros(0)
@@ -576,7 +575,7 @@ def soc_recursion_rows(spec, t_len, delta_hours):
     """The battery as the optimization models state it, over x = [c; d; s].
 
     s_t is the state of charge after period t, tied to the one before by
-    s_t - s_{t-1} - eta_c c_t + d_t / eta_d = 0 from s_{-1} = the initial
+    s_t - s_{t-1} - eta c_t + d_t / eta = 0 from s_{-1} = the initial
     charge; a cyclic spec adds s_{T-1} = the initial charge.  Returns dense
     (coeffs, sense, rhs) rows plus the bounds 0 <= c, d <= power cap * delta
     and 0 <= s <= energy cap.
@@ -589,8 +588,8 @@ def soc_recursion_rows(spec, t_len, delta_hours):
         a[2 * t_len + t] = 1.0
         if t:
             a[2 * t_len + t - 1] = -1.0
-        a[t] = -spec.charge_efficiency
-        a[t_len + t] = 1.0 / spec.discharge_efficiency
+        a[t] = -spec.efficiency
+        a[t_len + t] = 1.0 / spec.efficiency
         rows.append((a, "==", soc0 if t == 0 else 0.0))
     if spec.cyclic:
         a = np.zeros(n)
@@ -613,10 +612,10 @@ def rule_based_step(soc, pv_gen_kwh, load_kwh, spec, delta_hours):
     soc = min(max(soc, 0.0), spec.energy_cap_kwh)
     surplus = float(pv_gen_kwh) - float(load_kwh)
     if surplus > 0.0:
-        headroom = (spec.energy_cap_kwh - soc) / spec.charge_efficiency
+        headroom = (spec.energy_cap_kwh - soc) / spec.efficiency
         return min(surplus, cap, max(headroom, 0.0)), 0.0
     if surplus < 0.0:
-        available = soc * spec.discharge_efficiency
+        available = soc * spec.efficiency
         return 0.0, min(-surplus, cap, available)
     return 0.0, 0.0
 
@@ -635,8 +634,7 @@ def greedy_year_by_rule_loop(gen, load, spec, delta_hours):
     soc = socs[0] = spec.initial_soc_kwh
     for t in range(t_total):
         c, d = rule_based_step(soc, gen[t], load[t], spec, delta_hours)
-        soc = min(max(soc + spec.charge_efficiency * c
-                      - d / spec.discharge_efficiency, 0.0),
+        soc = min(max(soc + spec.efficiency * c - d / spec.efficiency, 0.0),
                   spec.energy_cap_kwh)
         charge[t], discharge[t], socs[t + 1] = c, d, soc
     return charge, discharge, socs

@@ -65,8 +65,9 @@ def test_breakeven_matches_bisection_on_profit():
                 lo = mid
         return 0.5 * (lo + hi)
 
-    root = bisect(lambda p: investor_profit(p, res, bundle.params), -5.0, 5.0)
-    assert prices.investor_breakeven == pytest.approx(root, abs=1e-9)
+    investor_root = bisect(lambda p: investor_profit(p, res, bundle.params),
+                           -5.0, 5.0)
+    assert prices.investor_breakeven == pytest.approx(investor_root, abs=1e-9)
 
     eco = res.economics
 
@@ -75,11 +76,11 @@ def test_breakeven_matches_bisection_on_profit():
                           - eco.annual_grid_cost_with
                           - p * eco.annual_local_energy)
 
-    root = bisect(savings, -5.0, 5.0)
-    assert prices.consumer_breakeven == pytest.approx(root, abs=1e-9)
+    consumer_root = bisect(savings, -5.0, 5.0)
+    assert prices.consumer_breakeven == pytest.approx(consumer_root, abs=1e-9)
     assert prices.investor_breakeven <= prices.consumer_breakeven
-    assert prices.width == pytest.approx(
-        prices.consumer_breakeven - prices.investor_breakeven)
+    assert prices.consumer_breakeven - prices.investor_breakeven == \
+        pytest.approx(consumer_root - investor_root, abs=2e-9)
 
 
 def test_breakeven_requires_local_energy():
@@ -341,8 +342,9 @@ def test_plan_from_sizing_output():
     for widx, key in enumerate(plan.keys):
         assert check_key(key, bundle.loads,
                          res.dispatches[widx].to_consumers) == []
-    assert plan.promise.sum() == pytest.approx(
-        res.expected_served().sum(), abs=1e-8)
+    expected_served = sum(p * d.to_consumers.sum()
+                          for p, d in zip(res.probabilities, res.dispatches))
+    assert plan.promise.sum() == pytest.approx(expected_served, abs=1e-8)
 
 
 def test_repair_rows_matches_row_loop():

@@ -347,10 +347,22 @@ def _config_with(tmp_path, section, key, value):
     (None, "seed", True),
     ("tariff", "fixed_charge", None),
     ("tariff", "export_price", "x"),
+    ("tech_econ", "subsidy", {"rate": 1}),
+    ("tech_econ", "subsidy", {"rate_per_kw": None}),
+    ("tech_econ", "subsidy", {"rate_per_kw": 1, "max_capacity_kw": None}),
+    ("tech_econ", "subsidy", 5),
+    ("tech_econ", "subsidy", {"rate_per_kw": 1, "annual": "no"}),
+    ("tech_econ", "horizon_years", 1e30),
+    ("tech_econ", "horizon_years", float("inf")),
+    ("tech_econ", "horizon_years", float("nan")),
+    ("tech_econ", "kappa", "x"),
+    ("tech_econ", "beta_es", True),
+    ("tech_econ", "es_roundtrip_efficiency", "0.9"),
 ])
 def test_config_rejects_malformed_numbers(tmp_path, section, key, value):
-    # counts follow TimeGrid's rule (whole numbers, never truncated), and
-    # the error names the file and the key
+    # counts follow TimeGrid's rule (whole numbers, never truncated),
+    # tech_econ numbers the tariff's (finite, neither bools nor strings),
+    # and the error names the file and the key
     path = _config_with(tmp_path, section, key, value)
     with pytest.raises(DataFileError) as err:
         ProjectConfig.from_file(path)

@@ -500,7 +500,7 @@ def _control_qp_instance(n=3, tt=8):
                         rng.uniform(0.0, 0.02, 1 + tt))
     st = OperationState(0, 2.5, rng.uniform(0.0, 3.0, n),
                         rng.uniform(3.0, 6.0, n), rng.uniform(0.0, 1.0, n))
-    spec = StorageSpec(3.0, 6.0, 0.93, 0.92, 0.4, cyclic=False)
+    spec = StorageSpec(3.0, 6.0, 0.93, cyclic=False)
     return _control_qp(st, win, spec, HorizonConfig(1, 1 + tt), 1e-4)[0]
 
 

@@ -1,5 +1,6 @@
 """Receding-horizon control, settlement and the year simulation."""
 
+import math
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -28,6 +29,8 @@ from oracles import (control_qp_by_rows,
                      greedy_year_by_rule_loop, qp_active_set_minimum,
                      settle_qp_by_rows)
 from test_allocation import _oracle_variance, capture_qps
+
+_ETA = math.sqrt(0.9)  # the one-way efficiency of a 90% round trip
 
 
 def _state(soc=0.0, e_past=(0.0, 0.0), promise=(1.0, 1.0),
@@ -131,7 +134,7 @@ def test_operation_state_validation():
 def test_mpc_single_period_surplus_no_battery():
     # T_c = T_p = 1, aggregate load 4, solar 10, consumers still far from
     # their promise: everything is served locally and the rest exported
-    spec = StorageSpec(0.0, 0.0, cyclic=False)
+    spec = StorageSpec(0.0, 0.0, _ETA, cyclic=False)
     win = _window([[2.5, 1.5]], [10.0])
     dec = mpc_step(_state(promise=(4.0, 4.0)), win, spec,
                    HorizonConfig(1, 1, theta=1.0))
@@ -146,7 +149,7 @@ def test_mpc_single_period_surplus_no_battery():
 def test_mpc_withholds_production_when_ahead_of_promise():
     # consumers already over their promise: the controller buys and sells
     # simultaneously to keep the local allocation small, paying the spread
-    spec = StorageSpec(0.0, 0.0, cyclic=False)
+    spec = StorageSpec(0.0, 0.0, _ETA, cyclic=False)
     win = _window([[2.5, 1.5]], [10.0])
     st = _state(e_past=(6.0, 6.0), promise=(2.0, 2.0))
     dec = mpc_step(st, win, spec, HorizonConfig(1, 1, theta=1.0))
@@ -163,7 +166,7 @@ def test_mpc_theta_zero_single_consumer_is_cost_only():
     t_all = 6
     loads = rng.uniform(0.5, 2.0, (t_all, 1))
     gen = np.concatenate([[0.3], rng.uniform(0.0, 1.5, t_all - 1)])
-    spec = StorageSpec(2.0, 4.0, 0.95, 0.95, 0.25, cyclic=False)
+    spec = StorageSpec(2.0, 4.0, 0.95, cyclic=False)
     win = _window(loads[:1], gen[:1], loads[1:], gen[1:, None], (1.0,))
     st = OperationState(0, spec.initial_soc_kwh, [0.0], [5.0], [0.0])
     dec = mpc_step(st, win, spec, HorizonConfig(1, t_all, theta=0.0),
@@ -182,7 +185,7 @@ def test_mpc_theta_zero_single_consumer_is_cost_only():
 def test_mpc_key_favors_lagging_consumer():
     # equal loads, half the energy served locally; the consumer behind on
     # allocations should receive the full served energy
-    spec = StorageSpec(0.0, 0.0, cyclic=False)
+    spec = StorageSpec(0.0, 0.0, _ETA, cyclic=False)
     win = _window([[1.0, 1.0]], [1.0])
     st = _state(e_past=(1.0, 0.0), promise=(1.0, 1.0))
     dec = mpc_step(st, win, spec, HorizonConfig(1, 1, theta=1.0))
@@ -194,7 +197,7 @@ def test_mpc_key_favors_lagging_consumer():
 
 def test_mpc_respects_storage_envelope():
     rng = np.random.default_rng(17)
-    spec = StorageSpec(3.0, 6.0, 0.93, 0.93, 0.4, cyclic=False)
+    spec = StorageSpec(3.0, 6.0, 0.93, cyclic=False)
     loads = rng.uniform(0.2, 2.5, (10, 3))
     gen = np.clip(rng.uniform(-0.5, 3.0, 10), 0.0, None)
     win = _window(loads[:1], gen[:1], loads[1:],
@@ -225,7 +228,7 @@ def test_mpc_matches_grid_search_oracle():
     head_gen = np.array([0.5])
     tail_loads = np.array([[1.0, 1.0]])
     tail_gen = np.array([[1.5, 0.4]])
-    spec = StorageSpec(0.0, 0.0, cyclic=False)
+    spec = StorageSpec(0.0, 0.0, _ETA, cyclic=False)
     win = _window(head_loads, head_gen, tail_loads, tail_gen, probs)
     st = OperationState(0, 0.0, [0.3, 0.0], [1.5, 1.0], [0.2, 0.1])
     dec = mpc_step(st, win, spec, HorizonConfig(1, 2, theta=theta))
@@ -275,7 +278,7 @@ def _row_multiset(qp):
 def test_control_qp_blocks_match_row_loop(tc, tt, theta):
     rng = np.random.default_rng(100 * tc + 10 * tt + int(theta))
     n, probs = 3, np.array([0.6, 0.4])
-    spec = StorageSpec(3.0, 6.0, 0.93, 0.92, 0.4, cyclic=False)
+    spec = StorageSpec(3.0, 6.0, 0.93, cyclic=False)
     loads = rng.uniform(0.2, 2.5, (tc + tt, n))
     win = HorizonWindow(0.5, loads[:tc], rng.uniform(0.0, 3.0, tc),
                         loads[tc:], rng.uniform(0.0, 3.0, (tt, 2)), probs,
@@ -426,7 +429,7 @@ def test_settle_reproduces_control_objective_on_exact_forecast():
     rng = np.random.default_rng(23)
     loads = rng.uniform(0.3, 1.5, (8, 3))
     gen = np.clip(np.sin(np.pi * np.arange(8) / 8) * 2.0, 0.0, None)
-    spec = StorageSpec(1.5, 3.0, 0.95, 0.95, 0.5, cyclic=False)
+    spec = StorageSpec(1.5, 3.0, 0.95, cyclic=False)
     win = _window(loads[:1], gen[:1], loads[1:],
                   np.column_stack([gen[1:], 0.7 * gen[1:]]), (0.6, 0.4))
     st = OperationState(0, spec.initial_soc_kwh, [0.5, 0.0, 0.2],
@@ -487,13 +490,13 @@ def _greedy_period(soc, gen, load, spec, delta=0.5):
 
 
 def test_rule_based_control_hand_cases():
-    spec = StorageSpec(6.0, 10.0, 1.0, 1.0, 0.0, cyclic=False)
+    spec = StorageSpec(6.0, 10.0, 1.0, cyclic=False)
     assert _greedy_period(0.0, 10.0, 4.0, spec) == (3.0, 0.0)
     assert _greedy_period(0.0, 0.0, 4.0, spec) == (0.0, 0.0)
     assert _greedy_period(0.0, 4.0, 4.0, spec) == (0.0, 0.0)
-    # efficiency-adjusted limits: headroom/eta_c when charging,
-    # soc * eta_d when discharging
-    spec2 = StorageSpec(20.0, 2.0, 0.8, 0.8, 0.5, cyclic=False)
+    # efficiency-adjusted limits: headroom/eta when charging,
+    # soc * eta when discharging
+    spec2 = StorageSpec(20.0, 2.0, 0.8, cyclic=False)
     c, d = _greedy_period(1.0, 10.0, 2.0, spec2)
     assert (c, d) == pytest.approx((1.25, 0.0))
     c, d = _greedy_period(1.0, 0.0, 5.0, spec2)

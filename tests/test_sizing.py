@@ -2,6 +2,8 @@
 optimizer cross-checked against an independent HiGHS-based grid search and
 against one joint LP per combination."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -285,7 +287,8 @@ def test_objective_invariant_to_local_price():
     bundle = _toy_bundle()
     res_a = solve_sizing(bundle, _TOY_CATALOG)
     shifted = InputBundle(bundle.grid, bundle.loads, bundle.scenarios,
-                          bundle.tariff.with_local_price(0.25), bundle.params)
+                          replace(bundle.tariff, local_price=0.25),
+                          bundle.params)
     res_b = solve_sizing(shifted, _TOY_CATALOG)
     assert res_a.objective == res_b.objective
     assert res_a.decision == res_b.decision
@@ -374,19 +377,6 @@ def test_solve_sizing_is_deterministic():
     for da, db in zip(a.dispatches, b.dispatches):
         assert da.charge.tobytes() == db.charge.tobytes()
         assert da.to_consumers.tobytes() == db.to_consumers.tobytes()
-
-
-def test_expected_served_weights_scenarios():
-    t_len = 4
-    grid = TimeGrid(delta_hours=1.0, num_periods=t_len, periods_per_year=t_len)
-    loads = LoadMatrix(np.full((t_len, 1), 2.0), ("a",))
-    alphas = np.column_stack([np.full(t_len, 0.8), np.zeros(t_len)])
-    scen = SolarScenarioSet(alphas, np.array([0.25, 0.75]))
-    bundle = InputBundle(grid, loads, scen, _tariff(t_len), _params())
-    res = solve_sizing(bundle, _TOY_CATALOG)
-    manual = sum(p * d.to_consumers for p, d in zip(res.probabilities,
-                                                    res.dispatches))
-    assert np.allclose(res.expected_served(), manual, atol=1e-12)
 
 
 def _sizing_lps(monkeypatch, bundle):

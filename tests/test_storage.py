@@ -11,14 +11,16 @@ from pvpool.domain import DomainError, TimeGrid
 from pvpool.numerics import LinearProgram, solve_lp
 from pvpool.operation import (HorizonConfig, HorizonWindow, OperationState,
                               _control_qp)
+from pvpool.sizing import _dispatch_lp
 from pvpool.storage import StorageSpec, check_feasible, soc_trajectory
 
 from oracles import soc_recursion_rows
+from test_sizing import _toy_bundle
 
 
 def _spec(**kwargs):
     base = dict(power_cap_kw=10.0, energy_cap_kwh=20.0,
-                initial_soc_fraction=0.0, cyclic=False)
+                efficiency=math.sqrt(0.9), cyclic=False)
     base.update(kwargs)
     return StorageSpec(**base)
 
@@ -26,13 +28,14 @@ def _spec(**kwargs):
 def _scalar_recheck(spec, c, d, delta_hours):
     """Independent loop-based feasibility verdict (no shared code paths)."""
     limit = spec.power_cap_kw * delta_hours
-    soc = spec.initial_soc_fraction * spec.energy_cap_kwh
+    eta = spec.efficiency
+    soc = 0.5 * spec.energy_cap_kwh
     first = soc
     states = [soc]
     for ct, dt in zip(c, d):
         if ct < -1e-9 or dt < -1e-9 or ct > limit + 1e-9 or dt > limit + 1e-9:
             return False
-        soc = soc + spec.charge_efficiency * ct - dt / spec.discharge_efficiency
+        soc = soc + eta * ct - dt / eta
         states.append(soc)
     if any(s < -1e-9 or s > spec.energy_cap_kwh + 1e-9 for s in states):
         return False
@@ -42,21 +45,22 @@ def _scalar_recheck(spec, c, d, delta_hours):
 
 
 def test_idle_battery_holds_charge():
-    spec = _spec(initial_soc_fraction=0.5)
+    spec = _spec()
     soc = soc_trajectory(spec, np.zeros(6), np.zeros(6))
     np.testing.assert_allclose(soc, 10.0)
 
 
 def test_lossless_round_trip():
-    spec = _spec(charge_efficiency=1.0, discharge_efficiency=1.0,
-                 energy_cap_kwh=10.0)
+    # a zero energy cap starts the recursion from empty; the recursion
+    # itself does not read the cap
+    spec = _spec(efficiency=1.0, energy_cap_kwh=0.0)
     soc = soc_trajectory(spec, np.array([4.0, 0.0]), np.array([0.0, 4.0]))
     np.testing.assert_allclose(soc, [0.0, 4.0, 0.0])
 
 
 def test_round_trip_efficiency_is_ninety_percent():
     eta = math.sqrt(0.9)
-    spec = _spec(charge_efficiency=eta, discharge_efficiency=eta)
+    spec = _spec(efficiency=eta, energy_cap_kwh=0.0)  # starts empty
     charge = np.array([10.0, 0.0])
     # drain exactly back to empty: d = eta_d * (eta_c * 10)
     discharge = np.array([0.0, 0.9 * 10.0])
@@ -80,8 +84,7 @@ def test_check_feasible_flags_power_breach():
 
 
 def test_check_feasible_flags_soc_and_cyclic():
-    spec = _spec(energy_cap_kwh=5.0, charge_efficiency=1.0,
-                 discharge_efficiency=1.0, cyclic=True)
+    spec = _spec(energy_cap_kwh=5.0, efficiency=1.0, cyclic=True)
     problems = check_feasible(spec, np.array([6.0]), np.zeros(1), 1.0)
     assert any("energy cap" in p for p in problems)
     assert any("differs from initial" in p for p in problems)
@@ -93,9 +96,7 @@ def test_check_feasible_matches_scalar_recheck():
         t = int(rng.integers(1, 9))
         spec = StorageSpec(power_cap_kw=float(rng.uniform(0, 8)),
                            energy_cap_kwh=float(rng.uniform(0, 12)),
-                           charge_efficiency=float(rng.uniform(0.7, 1.0)),
-                           discharge_efficiency=float(rng.uniform(0.7, 1.0)),
-                           initial_soc_fraction=float(rng.uniform(0, 1)),
+                           efficiency=float(rng.uniform(0.7, 1.0)),
                            cyclic=bool(rng.random() < 0.5))
         delta = float(rng.uniform(0.25, 1.0))
         limit = spec.power_cap_kw * delta
@@ -120,7 +121,7 @@ def test_reference_rows_match_control_qp():
     # the reference rows are the state-of-charge chain that mpc_step solves
     # along a scenario: the one-period head, then the scenario's tail
     t_len, n = 3, 2
-    spec = StorageSpec(3.0, 6.0, 0.93, 0.92, 0.4, cyclic=False)
+    spec = StorageSpec(3.0, 6.0, 0.93, cyclic=False)
     rng = np.random.default_rng(5)
     loads = rng.uniform(0.2, 2.5, (t_len, n))
     win = HorizonWindow(0.5, loads[:1], rng.uniform(0.0, 3.0, 1), loads[1:],
@@ -133,17 +134,39 @@ def test_reference_rows_match_control_qp():
         st, win, spec, HorizonConfig(1, t_len, theta=0.0), 0.0)
     # each branch lays out its charge, discharge and SoC blocks in a row
     cols = np.concatenate([c, cw, d, dw, d + 1, dw + (t_len - 1)])
-    a = qp.a.toarray()
+    _assert_reference_chain(qp, cols, spec, t_len, 0.5)
+
+
+def test_reference_rows_match_dispatch_lp():
+    # the sizing LP's battery is the cyclic spec of its capacities, so the
+    # reference's closing row is checked too
+    t_len, es = 4, 0.7
+    bundle = _toy_bundle(t_len=t_len)
+    params = bundle.params
+    spec = StorageSpec(es, params.kappa * es,
+                       math.sqrt(params.es_roundtrip_efficiency))
+    lp = _dispatch_lp(bundle, bundle.scenarios.alphas[:, 0], 1.5, es)
+    # charge, discharge, import, surplus and SoC blocks of t_len each
+    cols = np.concatenate([np.arange(2 * t_len),
+                           np.arange(4 * t_len, 5 * t_len)])
+    _assert_reference_chain(lp, cols, spec, t_len, bundle.grid.delta_hours)
+
+
+def _assert_reference_chain(prog, cols, spec, t_len, delta_hours):
+    """The rows of `prog` that touch the SoC columns among `cols` (charge,
+    discharge, SoC) are exactly the reference rows, and `cols` carry the
+    reference bounds."""
+    a = prog.a.toarray()
     chain = np.flatnonzero(np.any(a[:, cols[2 * t_len:]] != 0.0, axis=1))
-    rows, lb, ub = soc_recursion_rows(spec, t_len, 0.5)
+    rows, lb, ub = soc_recursion_rows(spec, t_len, delta_hours)
     others = np.setdiff1d(np.arange(a.shape[1]), cols)
     np.testing.assert_array_equal(a[np.ix_(chain, others)], 0.0)
     np.testing.assert_array_equal(a[np.ix_(chain, cols)],
                                   np.array([r for r, _, _ in rows]))
-    assert list(qp.senses[chain]) == [s for _, s, _ in rows]
-    np.testing.assert_array_equal(qp.rhs[chain], [b for _, _, b in rows])
-    np.testing.assert_array_equal(qp.lb[cols], lb)
-    np.testing.assert_array_equal(qp.ub[cols], ub)
+    assert list(prog.senses[chain]) == [s for _, s, _ in rows]
+    np.testing.assert_array_equal(prog.rhs[chain], [b for _, _, b in rows])
+    np.testing.assert_array_equal(prog.lb[cols], lb)
+    np.testing.assert_array_equal(prog.ub[cols], ub)
 
 
 def _recursion_lp(spec, t_len, delta_hours, cost_cd):
@@ -181,9 +204,7 @@ def test_rows_and_checker_agree_on_samples():
         t = int(rng.integers(1, 9))
         spec = StorageSpec(power_cap_kw=float(rng.uniform(0.5, 6)),
                            energy_cap_kwh=float(rng.uniform(1, 10)),
-                           charge_efficiency=float(rng.uniform(0.7, 1.0)),
-                           discharge_efficiency=float(rng.uniform(0.7, 1.0)),
-                           initial_soc_fraction=float(rng.uniform(0, 1)),
+                           efficiency=float(rng.uniform(0.7, 1.0)),
                            cyclic=bool(rng.random() < 0.5))
         grid = TimeGrid(float(rng.uniform(0.25, 1.0)), t)
         rows, lb, ub = soc_recursion_rows(spec, t, grid.delta_hours)
@@ -204,9 +225,7 @@ def test_rows_and_checker_agree_on_vertices():
         t = 2
         spec = StorageSpec(power_cap_kw=float(rng.uniform(1, 4)),
                            energy_cap_kwh=float(rng.uniform(2, 6)),
-                           charge_efficiency=float(rng.uniform(0.8, 1.0)),
-                           discharge_efficiency=float(rng.uniform(0.8, 1.0)),
-                           initial_soc_fraction=float(rng.uniform(0, 1)),
+                           efficiency=float(rng.uniform(0.8, 1.0)),
                            cyclic=bool(rng.random() < 0.5))
         grid = TimeGrid(0.5, t)
         rows, lb, ub = soc_recursion_rows(spec, t, grid.delta_hours)
@@ -236,12 +255,10 @@ def test_rows_and_checker_agree_on_vertices():
 
 def test_enlarging_caps_never_shrinks_feasible_set():
     rng = np.random.default_rng(31)
-    spec = _spec(power_cap_kw=3.0, energy_cap_kwh=6.0,
-                 initial_soc_fraction=0.3, cyclic=False)
-    # same absolute initial charge so only the envelope grows
-    bigger = StorageSpec(5.0, 9.0, spec.charge_efficiency,
-                         spec.discharge_efficiency,
-                         spec.initial_soc_kwh / 9.0, False)
+    spec = _spec(power_cap_kw=3.0, energy_cap_kwh=6.0, cyclic=False)
+    # the half-full start grows with the cap, so the room to charge and
+    # to discharge from the start both grow
+    bigger = StorageSpec(5.0, 9.0, spec.efficiency, False)
     for _ in range(200):
         c = rng.uniform(0, 2.0, 4)
         d = rng.uniform(0, 2.0, 4)
@@ -250,7 +267,7 @@ def test_enlarging_caps_never_shrinks_feasible_set():
 
 
 def test_lossless_cyclic_balances_charge_and_discharge():
-    spec = StorageSpec(4.0, 8.0, 1.0, 1.0, 0.5, cyclic=True)
+    spec = StorageSpec(4.0, 8.0, 1.0, cyclic=True)
     rng = np.random.default_rng(47)
     for _ in range(20):
         rep = solve_lp(_recursion_lp(spec, 4, 1.0, rng.normal(size=8)))
@@ -261,8 +278,8 @@ def test_lossless_cyclic_balances_charge_and_discharge():
 
 def test_spec_validation():
     with pytest.raises(DomainError):
-        StorageSpec(-1.0, 5.0)
+        StorageSpec(-1.0, 5.0, 0.9)
     with pytest.raises(DomainError):
-        StorageSpec(1.0, 5.0, charge_efficiency=1.2)
+        StorageSpec(1.0, 5.0, efficiency=1.2)
     with pytest.raises(DomainError):
-        StorageSpec(1.0, 5.0, initial_soc_fraction=1.5)
+        StorageSpec(1.0, 5.0, efficiency=0.0)
