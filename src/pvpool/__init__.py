@@ -64,7 +64,6 @@ from .operation import (
     HorizonWindow,
     OperationError,
     OperationState,
-    SettlementRecord,
     YearReport,
     compute_mismatch,
     mpc_step,

@@ -16,6 +16,7 @@ digest.  A plan whose digest matches but that cannot be read is an error.
 """
 
 import argparse
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -240,11 +241,15 @@ def _parse_floats(text, flag):
         raise ValueError(f"{flag} expects comma-separated numbers") from None
     if not values:
         raise ValueError(f"{flag} lists no values")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{flag} expects finite numbers")
     return values
 
 
 def _cmd_sweep(args):
     config = ProjectConfig.from_file(args.config)
+    caps = args.capacities and _parse_floats(args.capacities, "--capacities")
+    prices = args.prices and _parse_floats(args.prices, "--prices")
     out = _out_dir(args)
     bundle, catalog, sizing = _plan(config, out)
     params = bundle.params
@@ -252,11 +257,13 @@ def _cmd_sweep(args):
     n = bundle.loads.num_consumers
     p_local = bundle.tariff.local_price
 
-    if args.capacities:
-        caps = _parse_floats(args.capacities, "--capacities")
-    else:
-        top = max(cap for cap, _ in catalog.pv_options)
+    # a PV plant is never larger than its inverter
+    top = max(cap for cap, _ in catalog.pv_options)
+    if not caps:
         caps = np.linspace(0.0, top, 6).tolist()
+    elif not all(0.0 <= cap <= top for cap in caps):
+        raise ValueError(f"--capacities must lie in [0, {top:g}] kW: the"
+                         f" largest PV inverter is {top:g} kW")
     # the pinned points share one pool's cuts and solved dispatch LPs
     pool = CutPool(bundle)
     cap_rows = []
@@ -277,9 +284,9 @@ def _cmd_sweep(args):
     if benefit <= 0.0:
         print("net benefit is not positive; skipping the price sweep")
         return 0
-    if args.prices:
+    if prices:
         pairs = [(gamma_price_map(sizing, params, price=p), p)
-                 for p in _parse_floats(args.prices, "--prices")]
+                 for p in prices]
     else:
         gammas = (0.0, 0.25, 0.5, 0.75, 1.0)
         pairs = [(g, gamma_price_map(sizing, params, gamma=g)) for g in gammas]

@@ -219,21 +219,29 @@ def dump_json(path, payload):
 
 def load_catalog_json(path):
     """Read an inverter catalog: {"pv_options": [[kW, EUR], ...],
-    "es_options": [[kW, EUR], ...]}."""
+    "es_options": [[kW, EUR], ...]}, each number following the tariff's
+    rule (`domain.is_number`)."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise DataFileError(f"{path}: {exc}") from exc
+    options = []
+    for key in ("pv_options", "es_options"):
+        try:
+            pairs = [(c, k) for c, k in payload[key]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataFileError(
+                f"{path}: catalog needs pv_options and es_options lists"
+                f" of [capacity_kw, cost_eur] pairs") from exc
+        for j, pair in enumerate(pairs):
+            if not all(map(is_number, pair)):
+                raise DataFileError(
+                    f"{path}: {key}[{j}] must be [capacity_kw, cost_eur],"
+                    f" two finite numbers, not {list(pair)!r}")
+        options.append(pairs)
     try:
-        pv = tuple((float(c), float(k)) for c, k in payload["pv_options"])
-        es = tuple((float(c), float(k)) for c, k in payload["es_options"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataFileError(
-            f"{path}: catalog needs pv_options and es_options lists"
-            f" of [capacity_kw, cost_eur] pairs") from exc
-    try:
-        return InverterCatalog(pv, es)
+        return InverterCatalog(*options)
     except DomainError as exc:
         raise DataFileError(f"{path}: {exc}") from exc
 
@@ -448,6 +456,9 @@ class ProjectConfig:
             raise DataFileError(f"{path}: no such config file") from None
         except json.JSONDecodeError as exc:
             raise DataFileError(f"{path}: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise DataFileError(f"{path}: a config must be a JSON object,"
+                                f" not {type(payload).__name__}")
         base = path.parent
 
         def resolve(key, required=True):

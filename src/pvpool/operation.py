@@ -1,21 +1,23 @@
 """Rolling-horizon operation of the collective: control, settlement, a year.
 
 Each control step implements one metering period, as the collective
-allocates on a 30-minute basis.  It solves one convex program over a
-two-stage scenario tree (`_branches`): the period implemented after the
-solve (the head, branch 0 with probability 1) and, branching off it, one
+allocates on a 30-minute basis: its window's head is one row of consumer
+loads with one solar forecast, and its `ControlDecision` holds that
+period's dispatch as scalars and its key as one row.  It solves one convex
+program over a two-stage scenario tree (`_branches`): the head, lifted to
+a one-period branch 0 with probability 1, and, branching off it, one
 prediction tail per solar scenario.  Every branch carries battery and grid
 dispatch plus an energy split, and a free per-consumer mismatch variable,
 whose weighted squared norm pulls cumulative allocations toward the yearly
-promise, takes the branches' splits at their probabilities.  Once meter
-data arrives, `settle` re-splits the energy actually served while holding
-the control solve's tail expectations fixed, and the battery state of
-charge carries over from what really happened, not from the plan.  One
-period settles in closed form by water-filling (`allocation._water_fill`),
-so settlement solves no QP.  `run_year` chains the steps over a full
-trajectory; the two myopic baselines (cost-only MPC and the greedy storage
-rule, both settled without history) share the same harness for comparison
-runs.
+promise, takes the branches' splits at their probabilities.  Once the
+period's loads are metered, `settle` re-splits the energy actually served
+into one key row while holding the control solve's tail expectations
+fixed, and the battery state of charge carries over from what really
+happened, not from the plan.  One period settles in closed form by
+water-filling (`allocation._water_fill`), so settlement solves no QP.
+`run_year` chains the steps over a full trajectory; the two myopic
+baselines (cost-only MPC and the greedy storage rule, both settled without
+history) share the same harness for comparison runs.
 
 Each period's planned dispatch, the MPC's head plan or the greedy plan
 (charge the realized surplus, discharge against the deficit), meets the
@@ -29,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import _repair_rows, _water_fill
-from .domain import (DispatchSeries, DomainError, LoadMatrix,
-                     RepartitionKey, is_count)
+from .domain import DispatchSeries, DomainError, is_count
 from .numerics import ProblemBuilder, solve_qp
 from .sizing import dispatch_costs, pv_production, split_flows
 from .storage import StorageSpec, realize, recursion_rows
@@ -83,7 +84,6 @@ class OperationState:
     the current prediction horizon (taken from the planning keys).
     """
 
-    period: int
     soc_kwh: float
     e_past: np.ndarray
     promise: np.ndarray
@@ -91,8 +91,6 @@ class OperationState:
 
     def __post_init__(self):
         errors = []
-        if self.period < 0:
-            errors.append("period must be nonnegative")
         if not (np.isfinite(self.soc_kwh) and self.soc_kwh >= -1e-9):
             errors.append("soc_kwh must be nonnegative")
         n = None
@@ -110,7 +108,6 @@ class OperationState:
             errors.append("e_past must be nonnegative")
         if errors:
             raise DomainError(errors)
-        object.__setattr__(self, "period", int(self.period))
         object.__setattr__(self, "soc_kwh", max(float(self.soc_kwh), 0.0))
         object.__setattr__(self, "e_past", np.maximum(self.e_past, 0.0))
 
@@ -123,14 +120,15 @@ class OperationState:
 class HorizonWindow:
     """One horizon's worth of forecasts, scenarios and prices.
 
-    The head is the one period implemented after the solve: a (1, n) row of
-    loads and its central solar forecast.  The tail carries per-scenario
-    solar with the shared load forecast.  Price vectors span head plus tail.
+    The head is the one period implemented after the solve: a row of n
+    consumer loads and one central solar forecast.  The tail carries
+    per-scenario solar with the shared load forecast.  Price vectors span
+    head plus tail.
     """
 
     delta_hours: float
     head_loads: np.ndarray
-    head_gen: np.ndarray
+    head_gen: float
     tail_loads: np.ndarray
     tail_gen: np.ndarray
     probabilities: np.ndarray
@@ -139,24 +137,23 @@ class HorizonWindow:
     export_tax: np.ndarray
 
     def __post_init__(self):
-        for name in ("head_loads", "tail_loads", "tail_gen"):
+        for name in ("tail_loads", "tail_gen"):
             arr = np.atleast_2d(np.asarray(getattr(self, name),
                                            dtype=np.float64))
             object.__setattr__(self, name, arr)
-        for name in ("head_gen", "probabilities", "grid_price",
+        for name in ("head_loads", "probabilities", "grid_price",
                      "export_price", "export_tax"):
             arr = np.atleast_1d(np.asarray(getattr(self, name),
                                            dtype=np.float64))
             object.__setattr__(self, name, arr)
+        if self.head_loads.ndim != 1 or np.ndim(self.head_gen) != 0:
+            raise DomainError("the head is one period: a load row, a forecast")
+        object.__setattr__(self, "head_gen", float(self.head_gen))
         errors = []
         if not (np.isfinite(self.delta_hours) and self.delta_hours > 0):
             errors.append("delta_hours must be positive")
-        n = self.head_loads.shape[1]
+        n = self.head_loads.shape[0]
         tt = self.tail_loads.shape[0] if self.tail_loads.size else 0
-        if self.head_loads.shape[0] != 1:
-            errors.append("the head must hold exactly one period")
-        if self.head_gen.shape != (1,):
-            errors.append("head_gen must hold the head's one period")
         if tt and self.tail_loads.shape[1] != n:
             errors.append("tail_loads consumer count must match the head")
         if tt and self.tail_gen.shape != (tt, self.probabilities.shape[0]):
@@ -165,7 +162,7 @@ class HorizonWindow:
             if getattr(self, name).shape != (1 + tt,):
                 errors.append(f"{name} must span head plus tail")
         for name in ("head_loads", "head_gen", "tail_loads", "tail_gen"):
-            arr = getattr(self, name)
+            arr = np.asarray(getattr(self, name))
             if arr.size and (not np.isfinite(arr).all() or arr.min() < 0):
                 errors.append(f"{name} entries must be finite and nonnegative")
         if self.probabilities.size and \
@@ -184,36 +181,24 @@ class HorizonWindow:
 class ControlDecision:
     """First-stage plan plus the scenario expectations behind it.
 
-    charge/discharge/grid_import/surplus/served hold the one implemented
-    period (length 1), key is its planned energy split (1 x consumers),
-    tail_allocations the per-scenario consumer totals on the prediction
-    tail, and mismatch the expected deviation from the promise if the plan
-    were followed.
+    charge/discharge/grid_import/surplus/served are the one implemented
+    period's energies (kWh scalars), key its planned split (one entry per
+    consumer), tail_allocations the per-scenario consumer totals on the
+    prediction tail, and mismatch the expected deviation from the promise
+    if the plan were followed.
     """
 
-    charge: np.ndarray
-    discharge: np.ndarray
-    pv_gen: np.ndarray
-    grid_import: np.ndarray
-    surplus: np.ndarray
-    served: np.ndarray
+    charge: float
+    discharge: float
+    grid_import: float
+    surplus: float
+    served: float
     key: np.ndarray
     tail_allocations: np.ndarray
     tail_expected: np.ndarray
     mismatch: np.ndarray
     cost_term: float
     tracking_term: float
-
-
-@dataclass(frozen=True)
-class SettlementRecord:
-    """Outcome of reconciling a control plan with metered reality."""
-
-    deviation: np.ndarray
-    key: np.ndarray
-    delivered: np.ndarray
-    e_past: np.ndarray
-    objective: float
 
 
 def compute_mismatch(e_past, key, tail_allocations, e_future, promise,
@@ -239,10 +224,12 @@ def compute_mismatch(e_past, key, tail_allocations, e_future, promise,
 
 def _branches(window):
     """The window's scenario tree, one (probability, loads, generation,
-    price slice) per branch: the one-period head with probability 1, then,
-    when the window has a tail, one tail per solar scenario."""
+    price slice) per branch: the head, lifted to a one-period branch, with
+    probability 1, then, when the window has a tail, one tail per solar
+    scenario."""
     tails = enumerate(window.probabilities) if window.tail_periods else ()
-    return [(1.0, window.head_loads, window.head_gen, slice(0, 1))] + [
+    return [(1.0, window.head_loads[None, :], np.array([window.head_gen]),
+             slice(0, 1))] + [
         (prob, window.tail_loads, window.tail_gen[:, widx], slice(1, None))
         for widx, prob in tails]
 
@@ -259,7 +246,7 @@ def _control_qp(state, window, spec, config, beta_es_use):
     Returns the QP and one (charge, discharge, import, export, split) index
     block per branch, the head first.
     """
-    n = window.head_loads.shape[1]
+    n = window.head_loads.shape[0]
     cap_p = spec.power_cap_kw * window.delta_hours
     cap_e = spec.energy_cap_kwh
     balance = [1.0, -1.0, -1.0, 1.0]
@@ -318,7 +305,7 @@ def mpc_step(state, window, spec, config, beta_es_use=0.0):
     that every period's split hands out exactly the locally served energy.
     Returns the head period's quantities for implementation.
     """
-    n = window.head_loads.shape[1]
+    n = window.head_loads.shape[0]
     w = window.probabilities.shape[0]
     if state.num_consumers != n:
         raise DomainError("state and window consumer counts disagree")
@@ -356,68 +343,46 @@ def mpc_step(state, window, spec, config, beta_es_use=0.0):
                               + export_net[span] @ surplus))
         branches.append((charge, discharge, grid_import, surplus, served,
                          rows))
-    charge, discharge, grid_import, surplus, served, key = branches[0]
+    charge, discharge, grid_import, surplus, served, key = (
+        arr[0] for arr in branches[0])
     tails = np.zeros((w, n))
     for widx, (*_, rows) in enumerate(branches[1:]):
         tails[widx] = rows.sum(axis=0)
     tail_expected = window.probabilities @ tails if w else np.zeros(n)
-    mismatch = compute_mismatch(state.e_past, key[0], tails, state.e_future,
+    mismatch = compute_mismatch(state.e_past, key, tails, state.e_future,
                                 state.promise, window.probabilities)
     return ControlDecision(
-        charge=charge, discharge=discharge, pv_gen=window.head_gen.copy(),
-        grid_import=grid_import, surplus=surplus, served=served, key=key,
+        charge=charge, discharge=discharge, grid_import=grid_import,
+        surplus=surplus, served=served, key=key,
         tail_allocations=tails, tail_expected=tail_expected,
         mismatch=mismatch, cost_term=cost,
         tracking_term=float(config.theta * (mismatch @ mismatch)))
 
 
 def settle(decision, epsilon, realized_loads, state):
-    """Re-split the realized served energy against metered loads.
+    """Re-split the realized served energy against one metered load row.
 
     Minimizes the squared expected mismatch over the feasible splits of
-    [planned served + epsilon]+ given the realized loads of the one control
-    period, with the tail expectations frozen from the control solve.  One
-    period is settled in closed form by water-filling
-    (`allocation._water_fill`).  Returns the settled key and the updated
-    cumulative allocations.
+    [planned served + epsilon]+ given the period's realized loads, with the
+    tail expectations frozen from the control solve, in closed form by
+    water-filling (`allocation._water_fill`).  Returns the settled key row.
     """
-    n = decision.key.shape[1]
-    eps = np.broadcast_to(np.asarray(epsilon, dtype=np.float64), (1,))
-    values = _period_loads(realized_loads)
-    if values.shape != (1, n):
-        raise DomainError("realized loads must cover the control period")
-    served = np.maximum(decision.served + eps, 0.0)
-    target = np.minimum(served, values.sum(axis=1))
+    loads = np.asarray(realized_loads, dtype=np.float64)
+    served = np.maximum(decision.served + epsilon, 0.0)
+    target = np.minimum(served, loads.sum())
     rhs = state.e_past + decision.tail_expected + state.e_future \
         - state.promise
-    raw = _water_fill(rhs, values[0], target[0])[None, :]
-    key = _repair_rows(raw, served, values)
-    delivered = key.sum(axis=0)
-    mismatch = rhs + delivered
-    return SettlementRecord(deviation=np.asarray(eps, dtype=np.float64).copy(),
-                            key=key, delivered=delivered,
-                            e_past=state.e_past + delivered,
-                            objective=float(mismatch @ mismatch))
+    raw = _water_fill(rhs, loads, target)[None, :]
+    return _repair_rows(raw, served, loads[None, :])[0]
 
 
 def myopic_settle(served, realized_loads):
     """Variance-minimizing split of one realized period, ignoring history:
-    water-filled from level zero."""
-    values = _period_loads(realized_loads)
-    if values.shape[0] != 1:
-        raise DomainError("myopic settlement covers one period")
-    served = np.atleast_1d(np.asarray(served, dtype=np.float64))
-    cap = values[0]
-    target = min(max(float(served[0]), 0.0), float(cap.sum()))
-    raw = _water_fill(np.zeros_like(cap), cap, target)[None, :]
-    return RepartitionKey(_repair_rows(raw, served, values))
-
-
-def _period_loads(realized_loads):
-    """Metered loads of one period as a (1, n) row."""
-    return np.atleast_2d(np.asarray(
-        realized_loads.values if isinstance(realized_loads, LoadMatrix)
-        else realized_loads, dtype=np.float64))
+    water-filled from level zero.  Returns the key row."""
+    loads = np.asarray(realized_loads, dtype=np.float64)
+    target = min(max(float(served), 0.0), float(loads.sum()))
+    raw = _water_fill(np.zeros_like(loads), loads, target)[None, :]
+    return _repair_rows(raw, served, loads[None, :])[0]
 
 
 @dataclass(frozen=True)
@@ -492,7 +457,8 @@ def run_year(bundle, plan, decision, realized, config,
     gen_real = pv_production(realized.alphas, decision.pv_capacity_kw, delta)
     mean_alpha = bundle.scenarios.alphas @ bundle.scenarios.probabilities
     gen_forecast = pv_production(mean_alpha, decision.pv_capacity_kw, delta)
-    tail_gen_all = delta * decision.pv_capacity_kw * bundle.scenarios.alphas
+    tail_gen_all = pv_production(bundle.scenarios.alphas,
+                                 decision.pv_capacity_kw, delta)
     load_real_agg = realized.loads.sum(axis=1)
 
     charge = np.zeros(t_total)
@@ -516,7 +482,7 @@ def run_year(bundle, plan, decision, realized, config,
             d_plan = np.maximum(load_real_agg[t] - gen_real[t], 0.0)
             ctrl = None
         else:
-            state = OperationState(t, soc, e_past, promise,
+            state = OperationState(soc, e_past, promise,
                                    prefix[-1] - prefix[tp_end])
             window = HorizonWindow(
                 delta_hours=delta,
@@ -530,7 +496,7 @@ def run_year(bundle, plan, decision, realized, config,
             cfg = config if algorithm == "proposed" else myopic_cfg
             ctrl = mpc_step(state, window, spec, cfg,
                             beta_es_use=bundle.params.beta_es_use)
-            c_plan, d_plan = ctrl.charge[0], ctrl.discharge[0]
+            c_plan, d_plan = ctrl.charge, ctrl.discharge
 
         c_real, d_real, soc = realize(c_plan, d_plan, gen_real[t], soc, spec,
                                       delta)
@@ -540,17 +506,16 @@ def run_year(bundle, plan, decision, realized, config,
             # carry over the plan's deliberate buy-and-sell margin: the
             # controller may withhold production from the local allocation
             # by exporting it while consumers import
-            dump = np.minimum(np.minimum(ctrl.grid_import[0], ctrl.surplus[0]),
+            dump = np.minimum(np.minimum(ctrl.grid_import, ctrl.surplus),
                               np.maximum(load_real_agg[t] - gi, 0.0))
             dump = np.maximum(dump, 0.0)
             gi = gi + dump
             sp = sp + dump
             sv = sv - dump
         if algorithm == "proposed":
-            key_row = settle(ctrl, sv - ctrl.served, realized.loads[t],
-                             state).key[0]
+            key_row = settle(ctrl, sv - ctrl.served, realized.loads[t], state)
         else:
-            key_row = myopic_settle(sv, realized.loads[t]).values[0]
+            key_row = myopic_settle(sv, realized.loads[t])
         e_past = e_past + key_row
         charge[t] = c_real
         discharge[t] = d_real

@@ -450,7 +450,7 @@ def control_qp_by_rows(state, window, spec, config, beta_es_use=0.0):
     rows.  Variables come in the same order as in operation._control_qp."""
     from pvpool.numerics import ProblemBuilder
 
-    n = window.head_loads.shape[1]
+    n = window.head_loads.shape[0]
     tt = window.tail_periods
     w = window.probabilities.shape[0]
     delta = window.delta_hours
@@ -458,7 +458,7 @@ def control_qp_by_rows(state, window, spec, config, beta_es_use=0.0):
     cap_e = spec.energy_cap_kwh
     eta_c = eta_d = spec.efficiency
     soc0 = min(state.soc_kwh, cap_e)
-    head_agg = window.head_loads.sum(axis=1)
+    head_agg = window.head_loads.sum()
     tail_agg = window.tail_loads.sum(axis=1) if tt else np.zeros(0)
 
     pb = ProblemBuilder()
@@ -468,12 +468,12 @@ def control_qp_by_rows(state, window, spec, config, beta_es_use=0.0):
     gg = pb.add_vars(1, lb=0.0, ub=head_agg, cost=window.grid_price[:1])
     gs = pb.add_vars(1, lb=0.0,
                      cost=window.export_tax[:1] - window.export_price[:1])
-    ehat = pb.add_vars(n, lb=0.0, ub=window.head_loads.ravel())
+    ehat = pb.add_vars(n, lb=0.0, ub=window.head_loads)
     pb.add_row([gg[0], gs[0], c[0], d[0]], [1.0, -1.0, -1.0, 1.0],
-               "==", head_agg[0] - window.head_gen[0])
+               "==", head_agg - window.head_gen)
     pb.add_row([soc[0], c[0], d[0]], [1.0, -eta_c, 1.0 / eta_d], "==", soc0)
     pb.add_row(np.concatenate([ehat, [gg[0]]]), np.ones(n + 1), "==",
-               head_agg[0])
+               head_agg)
 
     tail_gw = []
     for widx in range(w if tt else 0):

@@ -151,6 +151,20 @@ def test_catalog_json_roundtrip_and_errors(tmp_path):
     with pytest.raises(DataFileError):
         load_catalog_json(bad)
 
+    # capacities and costs follow the tariff's number rule, and the error
+    # names the file and the option
+    for key, options in (("pv_options", [[float("nan"), 1]]),
+                         ("pv_options", [["50", True]]),
+                         ("es_options", [[4.0, True]]),
+                         ("es_options", [[4.0, 288.0], [None, 576.0]])):
+        payload = {"pv_options": [[6.0, 432.0]], "es_options": [[4.0, 288.0]]}
+        payload[key] = options
+        bad.write_text(json.dumps(payload))
+        with pytest.raises(DataFileError) as err:
+            load_catalog_json(bad)
+        where = f"{key}[{len(options) - 1}]"
+        assert str(bad) in str(err.value) and where in str(err.value)
+
 
 def test_key_csv_snaps_solver_noise(tmp_path):
     key = np.array([[0.5, -1e-12], [0.25, 0.75]])
@@ -327,6 +341,12 @@ def test_project_config_errors(tmp_path):
     with pytest.raises(DataFileError, match="local_price"):
         ProjectConfig.from_file(path)
 
+    for text in ("[1]", '"x"'):
+        path.write_text(text)
+        with pytest.raises(DataFileError, match="JSON object") as err:
+            ProjectConfig.from_file(path)
+        assert str(path) in str(err.value)
+
 
 def _config_with(tmp_path, section, key, value):
     """A generated config with one setting replaced; returns its path."""
@@ -496,6 +516,20 @@ def test_cli_sweep_writes_both_tables(tmp_path):
     # investor profit + consumer savings always split the same pie
     assert prices[:, 2] + prices[:, 3] == pytest.approx(
         prices[0, 2] + prices[0, 3])
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--capacities", "nan"), ("--capacities", "-5"), ("--capacities", "1e309"),
+    ("--capacities", "6,13"), ("--prices", "nan")])
+def test_cli_sweep_refuses_bad_values(tmp_path, capsys, flag, value):
+    # the small catalog's largest PV inverter is 12 kW; a refused value
+    # names its flag and writes no sweep table
+    out = _gen_dir(tmp_path, seed=6)
+    assert cli_main(["sweep", "--config", str(out / "config.json"),
+                     flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+    assert not list(out.glob("sweep_*.csv"))
 
 
 def test_cli_sweep_shares_one_cut_pool(tmp_path, monkeypatch):

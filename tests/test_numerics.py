@@ -493,12 +493,12 @@ def _control_qp_instance(n=3, tt=8):
     from pvpool.storage import StorageSpec
     rng = np.random.default_rng(17)
     loads = rng.uniform(0.2, 2.5, (1 + tt, n))
-    win = HorizonWindow(0.5, loads[:1], rng.uniform(0.0, 3.0, 1), loads[1:],
+    win = HorizonWindow(0.5, loads[0], rng.uniform(0.0, 3.0), loads[1:],
                         rng.uniform(0.0, 3.0, (tt, 2)), np.array([0.6, 0.4]),
                         rng.uniform(0.1, 0.3, 1 + tt),
                         rng.uniform(0.0, 0.1, 1 + tt),
                         rng.uniform(0.0, 0.02, 1 + tt))
-    st = OperationState(0, 2.5, rng.uniform(0.0, 3.0, n),
+    st = OperationState(2.5, rng.uniform(0.0, 3.0, n),
                         rng.uniform(3.0, 6.0, n), rng.uniform(0.0, 1.0, n))
     spec = StorageSpec(3.0, 6.0, 0.93, cyclic=False)
     return _control_qp(st, win, spec, HorizonConfig(1, 1 + tt), 1e-4)[0]

@@ -2,7 +2,6 @@
 
 import math
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,42 +33,45 @@ _ETA = math.sqrt(0.9)  # the one-way efficiency of a 90% round trip
 
 
 def _state(soc=0.0, e_past=(0.0, 0.0), promise=(1.0, 1.0),
-           e_future=(0.0, 0.0), period=0):
-    return OperationState(period, soc, np.asarray(e_past, float),
+           e_future=(0.0, 0.0)):
+    return OperationState(soc, np.asarray(e_past, float),
                           np.asarray(promise, float),
                           np.asarray(e_future, float))
 
 
 def _window(head_loads, head_gen, tail_loads=None, tail_gen=None,
             probs=(1.0,), price=0.13, lam=0.05, tax=0.0, delta=0.5):
-    head_loads = np.atleast_2d(np.asarray(head_loads, float))
-    tc = head_loads.shape[0]
-    n = head_loads.shape[1]
+    head_loads = np.asarray(head_loads, float)
+    n = head_loads.shape[0]
     if tail_loads is None:
         tail_loads = np.zeros((0, n))
         tail_gen = np.zeros((0, len(probs)))
     tail_loads = np.atleast_2d(np.asarray(tail_loads, float))
     tail_gen = np.asarray(tail_gen, float).reshape(tail_loads.shape[0],
                                                    len(probs))
-    t_all = tc + tail_loads.shape[0]
-    return HorizonWindow(delta, head_loads, np.atleast_1d(head_gen),
+    t_all = 1 + tail_loads.shape[0]
+    return HorizonWindow(delta, head_loads, head_gen,
                          tail_loads, tail_gen, np.asarray(probs, float),
                          np.full(t_all, price), np.full(t_all, lam),
                          np.full(t_all, tax))
 
 
 def _decision_stub(served, n, tail_expected=None):
-    served = np.atleast_1d(np.asarray(served, float))
-    tc = served.shape[0]
-    zeros = np.zeros(tc)
     return ControlDecision(
-        charge=zeros, discharge=zeros.copy(), pv_gen=zeros.copy(),
-        grid_import=zeros.copy(), surplus=zeros.copy(), served=served,
-        key=np.zeros((tc, n)),
+        charge=0.0, discharge=0.0, grid_import=0.0, surplus=0.0,
+        served=float(served), key=np.zeros(n),
         tail_allocations=np.zeros((0, n)),
         tail_expected=np.zeros(n) if tail_expected is None
         else np.asarray(tail_expected, float),
         mismatch=np.zeros(n), cost_term=0.0, tracking_term=0.0)
+
+
+def _settled_objective(decision, key, state):
+    """Squared expected mismatch after settling the key row: the objective
+    that settle minimizes."""
+    mismatch = state.e_past + decision.tail_expected + state.e_future \
+        - state.promise + key
+    return float(mismatch @ mismatch)
 
 
 # ---------------------------------------------------------------------------
@@ -118,14 +120,23 @@ def test_horizon_config_validation():
 
 def test_operation_state_validation():
     with pytest.raises(DomainError):
-        OperationState(0, 1.0, np.array([-1.0]), np.array([1.0]),
+        OperationState(1.0, np.array([-1.0]), np.array([1.0]),
                        np.array([0.0]))
     with pytest.raises(DomainError):
-        OperationState(0, 1.0, np.zeros(2), np.zeros(3), np.zeros(2))
-    st = OperationState(3, 2.0, np.array([0.0, -1e-12]), np.zeros(2),
+        OperationState(1.0, np.zeros(2), np.zeros(3), np.zeros(2))
+    st = OperationState(2.0, np.array([0.0, -1e-12]), np.zeros(2),
                         np.zeros(2))
     assert st.e_past.min() >= 0.0
     assert st.num_consumers == 2
+
+
+def test_horizon_window_head_is_one_period():
+    win = _window([1.0, 2.0], 0.5)
+    assert win.head_loads.shape == (2,) and win.head_gen == 0.5
+    with pytest.raises(DomainError, match="one period"):
+        _window([[1.0, 2.0]], 0.5)
+    with pytest.raises(DomainError, match="one period"):
+        _window([1.0, 2.0], [0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -135,27 +146,27 @@ def test_mpc_single_period_surplus_no_battery():
     # T_c = T_p = 1, aggregate load 4, solar 10, consumers still far from
     # their promise: everything is served locally and the rest exported
     spec = StorageSpec(0.0, 0.0, _ETA, cyclic=False)
-    win = _window([[2.5, 1.5]], [10.0])
+    win = _window([2.5, 1.5], 10.0)
     dec = mpc_step(_state(promise=(4.0, 4.0)), win, spec,
                    HorizonConfig(1, 1, theta=1.0))
-    assert dec.served == pytest.approx([4.0], abs=2e-6)
-    assert dec.surplus == pytest.approx([6.0], abs=2e-6)
-    assert dec.grid_import == pytest.approx([0.0], abs=2e-6)
+    assert dec.served == pytest.approx(4.0, abs=2e-6)
+    assert dec.surplus == pytest.approx(6.0, abs=2e-6)
+    assert dec.grid_import == pytest.approx(0.0, abs=2e-6)
     assert dec.key.sum() == pytest.approx(4.0, abs=2e-6)
-    assert not check_key(RepartitionKey(dec.key), win.head_loads, dec.served,
-                         tol=1e-6)
+    assert not check_key(RepartitionKey(dec.key), win.head_loads[None, :],
+                         [dec.served], tol=1e-6)
 
 
 def test_mpc_withholds_production_when_ahead_of_promise():
     # consumers already over their promise: the controller buys and sells
     # simultaneously to keep the local allocation small, paying the spread
     spec = StorageSpec(0.0, 0.0, _ETA, cyclic=False)
-    win = _window([[2.5, 1.5]], [10.0])
+    win = _window([2.5, 1.5], 10.0)
     st = _state(e_past=(6.0, 6.0), promise=(2.0, 2.0))
     dec = mpc_step(st, win, spec, HorizonConfig(1, 1, theta=1.0))
-    assert dec.served[0] < 0.1
-    assert dec.grid_import[0] > 3.8      # imports while exporting
-    assert dec.surplus[0] > 9.0
+    assert dec.served < 0.1
+    assert dec.grid_import > 3.8      # imports while exporting
+    assert dec.surplus > 9.0
     assert np.abs(dec.mismatch).max() < 4.1  # vs 4.5 if forced to serve all
 
 
@@ -167,11 +178,11 @@ def test_mpc_theta_zero_single_consumer_is_cost_only():
     loads = rng.uniform(0.5, 2.0, (t_all, 1))
     gen = np.concatenate([[0.3], rng.uniform(0.0, 1.5, t_all - 1)])
     spec = StorageSpec(2.0, 4.0, 0.95, cyclic=False)
-    win = _window(loads[:1], gen[:1], loads[1:], gen[1:, None], (1.0,))
-    st = OperationState(0, spec.initial_soc_kwh, [0.0], [5.0], [0.0])
+    win = _window(loads[0], gen[0], loads[1:], gen[1:, None], (1.0,))
+    st = OperationState(spec.initial_soc_kwh, [0.0], [5.0], [0.0])
     dec = mpc_step(st, win, spec, HorizonConfig(1, t_all, theta=0.0),
                    beta_es_use=0.0001)
-    assert dec.key[:, 0] == pytest.approx(dec.served, abs=1e-8)
+    assert dec.key[0] == pytest.approx(dec.served, abs=1e-8)
     assert dec.tracking_term == 0.0
     gi0, sp0, _ = split_flows(loads[:1].sum(1), np.zeros(1), np.zeros(1),
                               gen[:1])
@@ -186,13 +197,13 @@ def test_mpc_key_favors_lagging_consumer():
     # equal loads, half the energy served locally; the consumer behind on
     # allocations should receive the full served energy
     spec = StorageSpec(0.0, 0.0, _ETA, cyclic=False)
-    win = _window([[1.0, 1.0]], [1.0])
+    win = _window([1.0, 1.0], 1.0)
     st = _state(e_past=(1.0, 0.0), promise=(1.0, 1.0))
     dec = mpc_step(st, win, spec, HorizonConfig(1, 1, theta=1.0))
-    assert dec.served == pytest.approx([1.0], abs=2e-6)
+    assert dec.served == pytest.approx(1.0, abs=2e-6)
     # the minimizer sits exactly on the bound with a vanishing multiplier,
     # so componentwise accuracy is sqrt of the solver tolerance
-    assert dec.key[0] == pytest.approx([0.0, 1.0], abs=2e-3)
+    assert dec.key == pytest.approx([0.0, 1.0], abs=2e-3)
 
 
 def test_mpc_respects_storage_envelope():
@@ -200,14 +211,15 @@ def test_mpc_respects_storage_envelope():
     spec = StorageSpec(3.0, 6.0, 0.93, cyclic=False)
     loads = rng.uniform(0.2, 2.5, (10, 3))
     gen = np.clip(rng.uniform(-0.5, 3.0, 10), 0.0, None)
-    win = _window(loads[:1], gen[:1], loads[1:],
+    win = _window(loads[0], gen[0], loads[1:],
                   np.column_stack([gen[1:], 0.5 * gen[1:]]), (0.7, 0.3))
-    st = OperationState(0, spec.initial_soc_kwh, np.zeros(3),
+    st = OperationState(spec.initial_soc_kwh, np.zeros(3),
                         5.0 * np.ones(3), np.ones(3))
     cfg = HorizonConfig(1, 10, theta=1.0)
     dec = mpc_step(st, win, spec, cfg, beta_es_use=0.0001)
-    assert not check_feasible(spec, dec.charge, dec.discharge, 0.5, tol=1e-6)
-    assert not check_key(RepartitionKey(dec.key), loads[:1], dec.served)
+    assert not check_feasible(spec, [dec.charge], [dec.discharge], 0.5,
+                              tol=1e-6)
+    assert not check_key(RepartitionKey(dec.key), loads[:1], [dec.served])
     # the envelope also holds along each scenario's branch: the head period
     # followed by that scenario's nine tail periods
     qp, [(c, d, _, _, _), *tails] = _control_qp(st, win, spec, cfg, 0.0001)
@@ -229,8 +241,8 @@ def test_mpc_matches_grid_search_oracle():
     tail_loads = np.array([[1.0, 1.0]])
     tail_gen = np.array([[1.5, 0.4]])
     spec = StorageSpec(0.0, 0.0, _ETA, cyclic=False)
-    win = _window(head_loads, head_gen, tail_loads, tail_gen, probs)
-    st = OperationState(0, 0.0, [0.3, 0.0], [1.5, 1.0], [0.2, 0.1])
+    win = _window(head_loads[0], head_gen[0], tail_loads, tail_gen, probs)
+    st = OperationState(0.0, [0.3, 0.0], [1.5, 1.0], [0.2, 0.1])
     dec = mpc_step(st, win, spec, HorizonConfig(1, 2, theta=theta))
     achieved = dec.cost_term + dec.tracking_term
 
@@ -280,12 +292,12 @@ def test_control_qp_blocks_match_row_loop(tc, tt, theta):
     n, probs = 3, np.array([0.6, 0.4])
     spec = StorageSpec(3.0, 6.0, 0.93, cyclic=False)
     loads = rng.uniform(0.2, 2.5, (tc + tt, n))
-    win = HorizonWindow(0.5, loads[:tc], rng.uniform(0.0, 3.0, tc),
+    win = HorizonWindow(0.5, loads[0], rng.uniform(0.0, 3.0),
                         loads[tc:], rng.uniform(0.0, 3.0, (tt, 2)), probs,
                         rng.uniform(0.1, 0.3, tc + tt),
                         rng.uniform(0.0, 0.1, tc + tt),
                         rng.uniform(0.0, 0.02, tc + tt))
-    st = OperationState(0, 2.5, rng.uniform(0.0, 3.0, n),
+    st = OperationState(2.5, rng.uniform(0.0, 3.0, n),
                         rng.uniform(3.0, 6.0, n), rng.uniform(0.0, 1.0, n))
     cfg = HorizonConfig(tc, tc + tt, theta=theta)
     got, _ = _control_qp(st, win, spec, cfg, 1e-4)
@@ -308,17 +320,18 @@ def test_settle_qp_blocks_match_row_loop(tc, monkeypatch):
     n = 3
     values = rng.uniform(0.2, 2.0, (tc, n))
     served = rng.uniform(0.0, 1.0, tc) * values.sum(axis=1)
-    dec = _decision_stub(served, n, tail_expected=rng.uniform(0.0, 2.0, n))
+    dec = _decision_stub(served[0], n,
+                         tail_expected=rng.uniform(0.0, 2.0, n))
     st = _state(e_past=rng.uniform(0.0, 3.0, n),
                 promise=rng.uniform(3.0, 9.0, n),
                 e_future=rng.uniform(0.0, 2.0, n))
     seen = capture_qps(monkeypatch, operation)
-    rec = settle(dec, np.zeros(tc), values, st)
+    key = settle(dec, 0.0, values[0], st)
     rhs = st.e_past + dec.tail_expected + st.e_future - st.promise
     assert seen == []
     rep = solve_qp(settle_qp_by_rows(values, served, rhs), tol=1e-8)
     assert rep.status == "optimal"
-    np.testing.assert_allclose(rec.key[0], rep.x[:n], rtol=0.0, atol=1e-7)
+    np.testing.assert_allclose(key, rep.x[:n], rtol=0.0, atol=1e-7)
 
 
 def _assert_common_level(base, split, cap):
@@ -366,14 +379,15 @@ def test_single_period_settle_matches_qp_and_oracle(case):
     rhs, values = np.array(levels), np.array([loads])
     n = rhs.shape[0]
     served = np.array([share * values.sum()])
-    dec = _decision_stub(served, n)
+    dec = _decision_stub(served[0], n)
     st = _state(e_past=np.zeros(n), promise=-rhs, e_future=np.zeros(n))
-    rec = settle(dec, [0.0], values, st)
-    assert not check_key(RepartitionKey(rec.key), values, served)
-    _assert_common_level(rhs, rec.key[0], values[0])
+    key = settle(dec, 0.0, values[0], st)
+    objective = _settled_objective(dec, key, st)
+    assert not check_key(RepartitionKey(key), values, served)
+    _assert_common_level(rhs, key, values[0])
     qp_obj = _settle_qp_objective(values, served, rhs)
     if qp_obj is not None:
-        assert rec.objective <= qp_obj + 1e-12 * (1.0 + qp_obj)
+        assert objective <= qp_obj + 1e-12 * (1.0 + qp_obj)
     if n <= 4:
         # sum_i (rhs_i + g_i)^2 = g'g + 2 rhs'g + rhs'rhs
         target = float(min(served[0], values.sum()))
@@ -381,8 +395,8 @@ def test_single_period_settle_matches_qp_and_oracle(case):
             2.0 * rhs, np.full(n, 2.0), [(np.ones(n), "==", target)],
             np.zeros(n), values[0])
         oracle = best + float(rhs @ rhs)
-        assert rec.objective <= oracle + 1e-12 * (1.0 + oracle)
-        np.testing.assert_allclose(rec.key[0], g, rtol=0.0, atol=1e-7)
+        assert objective <= oracle + 1e-12 * (1.0 + oracle)
+        np.testing.assert_allclose(key, g, rtol=0.0, atol=1e-7)
 
 
 def test_settle_recorded_stall_630331():
@@ -414,15 +428,15 @@ def test_settle_recorded_stall_630331():
         24.382737669003106, 24.382737668652744, 31.5910206223409,
         24.382737668633318, 27.589411797867395, 26.63300347824498]
     n = loads.shape[1]
-    dec = _decision_stub([0.1131311047400021], n, tail_expected=tail_expected)
-    st = OperationState(147, 0.0, e_past, promise, np.zeros(n))
+    dec = _decision_stub(0.1131311047400021, n, tail_expected=tail_expected)
+    st = OperationState(0.0, e_past, promise, np.zeros(n))
     eps = 4.720998765805895e-07
-    rec = settle(dec, [eps], loads, st)
+    key = settle(dec, eps, loads[0], st)
     served = dec.served + eps
-    assert not check_key(RepartitionKey(rec.key), loads, served)
+    assert not check_key(RepartitionKey(key), loads, [served])
     rhs = st.e_past + dec.tail_expected + st.e_future - st.promise
-    assert 0.0 < rec.key.sum() < loads.sum()
-    _assert_common_level(rhs, rec.key[0], loads[0])
+    assert 0.0 < key.sum() < loads.sum()
+    _assert_common_level(rhs, key, loads[0])
 
 
 def test_settle_reproduces_control_objective_on_exact_forecast():
@@ -430,33 +444,30 @@ def test_settle_reproduces_control_objective_on_exact_forecast():
     loads = rng.uniform(0.3, 1.5, (8, 3))
     gen = np.clip(np.sin(np.pi * np.arange(8) / 8) * 2.0, 0.0, None)
     spec = StorageSpec(1.5, 3.0, 0.95, cyclic=False)
-    win = _window(loads[:1], gen[:1], loads[1:],
+    win = _window(loads[0], gen[0], loads[1:],
                   np.column_stack([gen[1:], 0.7 * gen[1:]]), (0.6, 0.4))
-    st = OperationState(0, spec.initial_soc_kwh, [0.5, 0.0, 0.2],
+    st = OperationState(spec.initial_soc_kwh, [0.5, 0.0, 0.2],
                         [4.0, 3.0, 3.5], [0.5, 0.5, 0.5])
     cfg = HorizonConfig(1, 8, theta=1.7)
     dec = mpc_step(st, win, spec, cfg, beta_es_use=0.0001)
-    rec = settle(dec, np.zeros(1), loads[:1], st)
-    assert rec.objective == pytest.approx(dec.tracking_term / cfg.theta,
-                                          abs=1e-6)
+    key = settle(dec, 0.0, loads[0], st)
+    assert _settled_objective(dec, key, st) == pytest.approx(
+        dec.tracking_term / cfg.theta, abs=1e-6)
 
 
 def test_settle_symmetric_single_period():
-    dec = _decision_stub([2.0], 2)
-    rec = settle(dec, [0.0], [[2.0, 2.0]], _state(promise=(5.0, 5.0)))
-    assert rec.key[0] == pytest.approx([1.0, 1.0], abs=1e-8)
-    assert rec.delivered == pytest.approx([1.0, 1.0], abs=1e-8)
-    assert rec.e_past == pytest.approx([1.0, 1.0], abs=1e-8)
+    st = _state(promise=(5.0, 5.0))
+    key = settle(_decision_stub(2.0, 2), 0.0, [2.0, 2.0], st)
+    assert key == pytest.approx([1.0, 1.0], abs=1e-8)
+    assert st.e_past + key == pytest.approx([1.0, 1.0], abs=1e-8)
 
 
 def test_settle_clamps_negative_served_to_zero():
     st = _state(promise=(3.0, 3.0))
-    rec = settle(_decision_stub([1.0], 2), [-4.0], [[1.0, 1.0]], st)
-    assert rec.key[0] == pytest.approx([0.0, 0.0], abs=1e-10)
-    assert rec.deviation == pytest.approx([-4.0], abs=0.0)
-    rec = settle(_decision_stub([2.0], 2), [0.0], [[2.0, 1.0]], st)
-    assert rec.key[0].sum() == pytest.approx(2.0, abs=1e-9)
-    assert rec.deviation == pytest.approx([0.0], abs=0.0)
+    key = settle(_decision_stub(1.0, 2), -4.0, [1.0, 1.0], st)
+    assert key == pytest.approx([0.0, 0.0], abs=1e-10)
+    key = settle(_decision_stub(2.0, 2), 0.0, [2.0, 1.0], st)
+    assert key.sum() == pytest.approx(2.0, abs=1e-9)
 
 
 def test_settle_key_feasible_and_balances_history():
@@ -467,15 +478,15 @@ def test_settle_key_feasible_and_balances_history():
         n = rng.integers(2, 5)
         loads = rng.uniform(0.1, 2.0, (1, n))
         served = rng.uniform(0.0, 1.2) * loads.sum(1)
-        dec = _decision_stub(served, n,
+        dec = _decision_stub(served[0], n,
                              tail_expected=rng.uniform(0.0, 1.0, n))
-        st = OperationState(0, 0.0, rng.uniform(0.0, 3.0, n),
+        st = OperationState(0.0, rng.uniform(0.0, 3.0, n),
                             rng.uniform(2.0, 6.0, n),
                             rng.uniform(0.0, 1.0, n))
-        rec = settle(dec, np.zeros(1), loads, st)
-        assert not check_key(RepartitionKey(rec.key), loads,
+        key = settle(dec, 0.0, loads[0], st)
+        assert not check_key(RepartitionKey(key), loads,
                              np.minimum(served, loads.sum(1)))
-        assert np.all(rec.e_past >= st.e_past - 1e-12)
+        assert np.all(st.e_past + key >= st.e_past - 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +536,8 @@ def test_greedy_year_matches_rule_loop(alphas, load_scale, pv_kw, es_kw,
         alphas, bundle.loads.values * load_scale[:, None])
     with pytest.MonkeyPatch.context() as mp:
         # settlement does not touch the battery; skip it
-        mp.setattr(operation, "myopic_settle", lambda served, loads:
-                   SimpleNamespace(values=np.zeros((1, loads.shape[-1]))))
+        mp.setattr(operation, "myopic_settle",
+                   lambda served, loads: np.zeros(loads.shape[-1]))
         report = run_year(bundle, plan, decision, realized,
                           HorizonConfig(1, 8), "rulebased_myopic")
     spec = StorageSpec.from_sizing(decision, bundle.params, cyclic=False)
@@ -540,10 +551,10 @@ def test_greedy_year_matches_rule_loop(alphas, load_scale, pv_kw, es_kw,
 
 
 def test_myopic_settle_symmetry_and_surplus():
-    key = myopic_settle([2.0], np.array([[2.0, 2.0]]))
-    assert key.values[0] == pytest.approx([1.0, 1.0], abs=1e-8)
-    key = myopic_settle([10.0], np.array([[1.0, 3.0]]))
-    assert key.values[0] == pytest.approx([1.0, 3.0], abs=1e-10)
+    key = myopic_settle(2.0, np.array([2.0, 2.0]))
+    assert key == pytest.approx([1.0, 1.0], abs=1e-8)
+    key = myopic_settle(10.0, np.array([1.0, 3.0]))
+    assert key == pytest.approx([1.0, 3.0], abs=1e-10)
 
 
 def test_myopic_settle_matches_variance_oracle():
@@ -552,8 +563,7 @@ def test_myopic_settle_matches_variance_oracle():
         n = int(rng.integers(2, 4))
         loads = rng.uniform(0.2, 2.0, (1, n))
         served = rng.uniform(0.2, 0.9) * loads.sum(1)
-        key = myopic_settle(served, loads)
-        totals = key.values.sum(0)
+        totals = myopic_settle(served[0], loads[0])
         var = float(totals @ totals / n - totals.mean() ** 2)
         assert var <= _oracle_variance(served, loads) + 2e-6
 
@@ -566,10 +576,9 @@ def test_single_period_myopic_settle_matches_key_qp(case):
     served = np.array([share * values.sum()])
     with pytest.MonkeyPatch.context() as mp:
         seen = capture_qps(mp, allocation)
-        key = myopic_settle(served, values)
+        got = myopic_settle(served[0], values[0])
     assert seen == []
-    assert not check_key(key, values, served)
-    got = key.values[0]
+    assert not check_key(RepartitionKey(got), values, served)
     _assert_common_level(np.zeros_like(got), got, values[0])
     # the single-row key QP of min_variance_key minimizes sum_i g_i^2 too;
     # it can stall on such rows, which is why myopic_settle no longer uses it

@@ -124,11 +124,11 @@ def test_reference_rows_match_control_qp():
     spec = StorageSpec(3.0, 6.0, 0.93, cyclic=False)
     rng = np.random.default_rng(5)
     loads = rng.uniform(0.2, 2.5, (t_len, n))
-    win = HorizonWindow(0.5, loads[:1], rng.uniform(0.0, 3.0, 1), loads[1:],
+    win = HorizonWindow(0.5, loads[0], rng.uniform(0.0, 3.0), loads[1:],
                         rng.uniform(0.0, 3.0, (t_len - 1, 1)),
                         np.array([1.0]), np.full(t_len, 0.2),
                         np.full(t_len, 0.05), np.zeros(t_len))
-    st = OperationState(0, spec.initial_soc_kwh, np.zeros(n), np.zeros(n),
+    st = OperationState(spec.initial_soc_kwh, np.zeros(n), np.zeros(n),
                         np.ones(n))
     qp, [(c, d, _, _, _), (cw, dw, _, _, _)] = _control_qp(
         st, win, spec, HorizonConfig(1, t_len, theta=0.0), 0.0)
