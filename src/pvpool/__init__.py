@@ -65,7 +65,6 @@ from .operation import (
     OperationError,
     OperationState,
     YearReport,
-    compute_mismatch,
     mpc_step,
     myopic_settle,
     run_year,

@@ -143,9 +143,7 @@ def _water_fill(level, cap, target):
     return np.clip(lam - level, 0.0, cap)
 
 
-def _scenario_key(served, loads):
-    values = np.asarray(loads.values if isinstance(loads, LoadMatrix) else loads,
-                        dtype=np.float64)
+def _scenario_key(served, values):
     t_len, n = values.shape
     served = np.maximum(np.asarray(served, dtype=np.float64), 0.0)
     row_total = values.sum(axis=1)
@@ -181,32 +179,29 @@ def _scenario_key(served, loads):
     return _repair_rows(rep.x[gvars].reshape(t_len, n), served, values)
 
 
-def min_variance_key(served_by_scenario, loads_by_scenario, probabilities):
+def min_variance_key(served_by_scenario, loads, probabilities):
     """Key of repartition minimizing the expected variance of allocations.
 
-    loads_by_scenario may be a single LoadMatrix shared by every scenario or
-    one per scenario.  Returns the per-scenario keys, their consumer totals,
-    and the probability-weighted promise.
+    loads is one LoadMatrix or (T, n) array shared by every scenario: only
+    the solar is uncertain.  Returns the per-scenario keys, their consumer
+    totals, and the probability-weighted promise.
     """
     probabilities = np.asarray(probabilities, dtype=np.float64)
     n_scen = probabilities.shape[0]
-    if isinstance(loads_by_scenario, LoadMatrix) or (
-            isinstance(loads_by_scenario, np.ndarray)
-            and loads_by_scenario.ndim == 2):
-        loads_by_scenario = [loads_by_scenario] * n_scen
-    if len(served_by_scenario) != n_scen or len(loads_by_scenario) != n_scen:
+    if len(served_by_scenario) != n_scen:
         raise AllocationError("scenario counts disagree")
+    values = np.asarray(loads.values if isinstance(loads, LoadMatrix)
+                        else loads, dtype=np.float64)
+    if values.ndim != 2:
+        raise AllocationError("loads must be one (T, n) matrix")
 
     keys = []
     allocations = []
     expected_var = 0.0
-    first = loads_by_scenario[0]
-    n = first.num_consumers if isinstance(first, LoadMatrix) else first.shape[1]
-    promise = np.zeros(n)
+    promise = np.zeros(values.shape[1])
     for widx in range(n_scen):
         try:
-            rows = _scenario_key(served_by_scenario[widx],
-                                 loads_by_scenario[widx])
+            rows = _scenario_key(served_by_scenario[widx], values)
         except AllocationError as exc:
             raise AllocationError(f"scenario {widx}: {exc}") from exc
         key = RepartitionKey(rows)

@@ -362,3 +362,6 @@ def cli_main(argv=None):
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory. {exc}".rstrip(), file=sys.stderr)
+        return 1

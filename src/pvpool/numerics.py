@@ -946,7 +946,7 @@ def _ipm_loop(std, tol, max_iter):
             stall += 1
         if score < best_score:
             best_score = score
-            best = _IpmResult("optimal", x.copy(), y.copy(), zl.copy(), zu.copy(), it)
+            best = _IpmResult("optimal", x, y, zl, zu, it)
         if prim_ok and dual_ok and gap_ok:
             return _IpmResult("optimal", x, y, zl, zu, it)
         if stall > 30 or not np.isfinite(score):

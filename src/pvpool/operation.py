@@ -3,7 +3,8 @@
 Each control step implements one metering period, as the collective
 allocates on a 30-minute basis: its window's head is one row of consumer
 loads with one solar forecast, and its `ControlDecision` holds that
-period's dispatch as scalars and its key as one row.  It solves one convex
+period's dispatch as scalars, its key as one row and the tail's expected
+allocation, which is all that settlement reads.  It solves one convex
 program over a two-stage scenario tree (`_branches`): the head, lifted to
 a one-period branch 0 with probability 1, and, branching off it, one
 prediction tail per solar scenario.  Every branch carries battery and grid
@@ -21,7 +22,8 @@ history) share the same harness for comparison runs.
 
 Each period's planned dispatch, the MPC's head plan or the greedy plan
 (charge the realized surplus, discharge against the deficit), meets the
-battery in `storage.realize`; the bill is `sizing.dispatch_costs`.
+battery in `storage.realize`.  The control objective is stated once, in
+`_control_qp`, and the bill once, in `sizing.dispatch_costs`.
 """
 
 from __future__ import annotations
@@ -179,13 +181,12 @@ class HorizonWindow:
 
 @dataclass(frozen=True)
 class ControlDecision:
-    """First-stage plan plus the scenario expectations behind it.
+    """The one period a control solve implements.
 
-    charge/discharge/grid_import/surplus/served are the one implemented
-    period's energies (kWh scalars), key its planned split (one entry per
-    consumer), tail_allocations the per-scenario consumer totals on the
-    prediction tail, and mismatch the expected deviation from the promise
-    if the plan were followed.
+    charge/discharge/grid_import/surplus/served are the period's energies
+    (kWh scalars) and key its planned split, one entry per consumer: the
+    30-minute allocation.  tail_expected is the probability-weighted
+    consumer total of the prediction tail, which `settle` holds fixed.
     """
 
     charge: float
@@ -194,32 +195,7 @@ class ControlDecision:
     surplus: float
     served: float
     key: np.ndarray
-    tail_allocations: np.ndarray
     tail_expected: np.ndarray
-    mismatch: np.ndarray
-    cost_term: float
-    tracking_term: float
-
-
-def compute_mismatch(e_past, key, tail_allocations, e_future, promise,
-                     probabilities):
-    """Expected end-of-year allocation error per consumer.
-
-    key is the head's allocation per consumer; tail_allocations holds one
-    consumer-total row per scenario (may be empty when the horizon reaches
-    the end of the year).
-    """
-    e_past = np.atleast_1d(np.asarray(e_past, dtype=np.float64))
-    promise = np.atleast_1d(np.asarray(promise, dtype=np.float64))
-    e_future = np.atleast_1d(np.asarray(e_future, dtype=np.float64))
-    key = np.atleast_1d(np.asarray(key, dtype=np.float64))
-    base = e_past + key + e_future
-    tails = np.atleast_2d(np.asarray(tail_allocations, dtype=np.float64)) \
-        if np.size(tail_allocations) else np.zeros((0, base.shape[0]))
-    if tails.shape[0] == 0:
-        return base - promise
-    probs = np.atleast_1d(np.asarray(probabilities, dtype=np.float64))
-    return probs @ (base + tails) - promise
 
 
 def _branches(window):
@@ -303,10 +279,10 @@ def mpc_step(state, window, spec, config, beta_es_use=0.0):
     the energy balance, the storage envelope continuing from the state SoC
     (each tail scenario branching off the shared head), and the requirement
     that every period's split hands out exactly the locally served energy.
-    Returns the head period's quantities for implementation.
+    Returns the head period it implements and the tail expectation that
+    `settle` holds fixed; the objective is stated once, in `_control_qp`.
     """
     n = window.head_loads.shape[0]
-    w = window.probabilities.shape[0]
     if state.num_consumers != n:
         raise DomainError("state and window consumer counts disagree")
     if 1 + window.tail_periods > config.prediction_periods:
@@ -326,37 +302,23 @@ def mpc_step(state, window, spec, config, beta_es_use=0.0):
     # deliberate instrument here (it withholds production from the local
     # allocation when consumers are ahead of the promise), so re-deriving
     # the flows from a complementary split would change the plan
-    export_net = window.export_tax - window.export_price
-    cost = 0.0
     branches = []
-    for (prob, loads, _, span), (c, d, gg, gs, split) in zip(
-            _branches(window), blocks):
+    for (_, loads, _, _), (_, _, gg, _, split) in zip(_branches(window),
+                                                      blocks):
         agg = loads.sum(axis=1)
-        charge = np.clip(x[c], 0.0, cap_p)
-        discharge = np.clip(x[d], 0.0, cap_p)
         grid_import = np.clip(x[gg], 0.0, agg)
-        surplus = np.maximum(x[gs], 0.0)
         served = agg - grid_import
-        rows = _repair_rows(x[split].reshape(-1, n), served, loads)
-        cost += float(prob * (beta_es_use * (charge.sum() + discharge.sum())
-                              + window.grid_price[span] @ grid_import
-                              + export_net[span] @ surplus))
-        branches.append((charge, discharge, grid_import, surplus, served,
-                         rows))
-    charge, discharge, grid_import, surplus, served, key = (
-        arr[0] for arr in branches[0])
-    tails = np.zeros((w, n))
-    for widx, (*_, rows) in enumerate(branches[1:]):
-        tails[widx] = rows.sum(axis=0)
-    tail_expected = window.probabilities @ tails if w else np.zeros(n)
-    mismatch = compute_mismatch(state.e_past, key, tails, state.e_future,
-                                state.promise, window.probabilities)
+        branches.append((grid_import, served,
+                         _repair_rows(x[split].reshape(-1, n), served, loads)))
+    (grid_import, served, key), *tails = branches
+    tail_expected = window.probabilities @ np.array(
+        [rows.sum(axis=0) for *_, rows in tails]) if tails else np.zeros(n)
+    c, d, _, gs, _ = blocks[0]
     return ControlDecision(
-        charge=charge, discharge=discharge, grid_import=grid_import,
-        surplus=surplus, served=served, key=key,
-        tail_allocations=tails, tail_expected=tail_expected,
-        mismatch=mismatch, cost_term=cost,
-        tracking_term=float(config.theta * (mismatch @ mismatch)))
+        charge=np.clip(x[c], 0.0, cap_p)[0],
+        discharge=np.clip(x[d], 0.0, cap_p)[0],
+        grid_import=grid_import[0], surplus=np.maximum(x[gs], 0.0)[0],
+        served=served[0], key=key[0], tail_expected=tail_expected)
 
 
 def settle(decision, epsilon, realized_loads, state):

@@ -190,6 +190,15 @@ def _random_instance(rng, n, t_len):
     return served, loads
 
 
+def _random_scenarios(rng, n, t_len, n_scen):
+    """One load matrix shared by n_scen scenarios of served energy: only
+    the solar is uncertain."""
+    served, loads = _random_instance(rng, n, t_len)
+    cap = 1.2 * loads.values.sum(axis=1).max()
+    return [served] + [rng.uniform(0.0, cap, t_len)
+                       for _ in range(n_scen - 1)], loads
+
+
 def _oracle_variance(served, loads):
     values = loads.values if isinstance(loads, LoadMatrix) else \
         np.asarray(loads, dtype=np.float64)
@@ -262,16 +271,11 @@ def test_min_variance_beats_proportional_key():
         n_scen = int(rng.integers(1, 4))
         probs = rng.uniform(0.2, 1.0, n_scen)
         probs /= probs.sum()
-        served = []
-        loads = []
-        for _ in range(n_scen):
-            s, l = _random_instance(rng, n, t_len)
-            served.append(s)
-            loads.append(l)
+        served, loads = _random_scenarios(rng, n, t_len, n_scen)
         plan = min_variance_key(served, loads, probs)
         baseline = 0.0
         for widx in range(n_scen):
-            key = construct_feasible_key(served[widx], loads[widx])
+            key = construct_feasible_key(served[widx], loads)
             baseline += probs[widx] * _variance(key.values.sum(axis=0))
         assert plan.expected_variance <= baseline + 1e-9
 
@@ -302,22 +306,24 @@ def test_min_variance_conserves_served_energy():
     rng = np.random.default_rng(59)
     n, t_len, n_scen = 4, 3, 3
     probs = np.array([0.5, 0.3, 0.2])
-    served = []
-    loads = []
-    for _ in range(n_scen):
-        s, l = _random_instance(rng, n, t_len)
-        served.append(s)
-        loads.append(l)
+    served, loads = _random_scenarios(rng, n, t_len, n_scen)
     plan = min_variance_key(served, loads, probs)
     expected_promise = np.zeros(n)
     for widx in range(n_scen):
         total = plan.allocations[widx].sum()
-        want = np.minimum(served[widx],
-                          loads[widx].values.sum(axis=1)).sum()
+        want = np.minimum(served[widx], loads.values.sum(axis=1)).sum()
         assert total == pytest.approx(want, abs=1e-9)
         expected_promise += probs[widx] * plan.allocations[widx]
     assert np.allclose(plan.promise, expected_promise, atol=1e-12)
     assert np.all(plan.promise >= 0.0)
+
+
+def test_min_variance_takes_one_load_matrix():
+    # the loads are shared by every scenario; a per-scenario list is refused
+    rng = np.random.default_rng(61)
+    served, loads = _random_scenarios(rng, 3, 2, 2)
+    with pytest.raises(AllocationError, match="one"):
+        min_variance_key(served, [loads.values, loads.values], np.ones(2) / 2)
 
 
 def test_zero_load_consumer_gets_nothing():

@@ -439,6 +439,21 @@ def test_cli_runtime_errors_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_out_of_memory_is_an_error_line(tmp_path, monkeypatch, capsys):
+    # a data set too large to allocate ends in an error line, not a traceback
+    for message, line in (
+            ("Unable to allocate 35.8 GiB",
+             "error: out of memory. Unable to allocate 35.8 GiB\n"),
+            ("", "error: out of memory.\n")):
+        def exhausted(*args, message=message):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "generate_synthetic", exhausted)
+        assert cli_main(["gen", "--out", str(tmp_path / "big"),
+                         "--days", "100000000"]) == 1
+        assert capsys.readouterr().err == line
+
+
 def test_cli_gen_then_size_happy_path(tmp_path):
     out = _gen_dir(tmp_path, seed=7)
     for name in ("loads.csv", "solar.csv", "realized_alphas.csv",

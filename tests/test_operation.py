@@ -18,8 +18,7 @@ from pvpool.domain import (DomainError, InputBundle, InverterCatalog,
 from pvpool.numerics import solve_qp
 from pvpool.operation import (ALGORITHMS, ControlDecision, HorizonConfig,
                               HorizonWindow, OperationState, _control_qp,
-                              compute_mismatch, mpc_step, myopic_settle,
-                              run_year, settle)
+                              mpc_step, myopic_settle, run_year, settle)
 from pvpool.sizing import (dispatch_costs, pv_production, solve_sizing,
                            split_flows)
 from pvpool.storage import StorageSpec, check_feasible, realize
@@ -60,44 +59,22 @@ def _decision_stub(served, n, tail_expected=None):
     return ControlDecision(
         charge=0.0, discharge=0.0, grid_import=0.0, surplus=0.0,
         served=float(served), key=np.zeros(n),
-        tail_allocations=np.zeros((0, n)),
         tail_expected=np.zeros(n) if tail_expected is None
-        else np.asarray(tail_expected, float),
-        mismatch=np.zeros(n), cost_term=0.0, tracking_term=0.0)
+        else np.asarray(tail_expected, float))
+
+
+def _expected_mismatch(decision, key, state):
+    """Expected end-of-year mismatch per consumer once the period hands
+    out the key row and the tail its expectation."""
+    return state.e_past + decision.tail_expected + state.e_future \
+        - state.promise + key
 
 
 def _settled_objective(decision, key, state):
     """Squared expected mismatch after settling the key row: the objective
     that settle minimizes."""
-    mismatch = state.e_past + decision.tail_expected + state.e_future \
-        - state.promise + key
+    mismatch = _expected_mismatch(decision, key, state)
     return float(mismatch @ mismatch)
-
-
-# ---------------------------------------------------------------------------
-# mismatch arithmetic
-
-def test_compute_mismatch_hand_sum():
-    m = compute_mismatch(40.0, 5.0, [[10.0], [10.0]], 50.0, 100.0,
-                         [0.25, 0.75])
-    assert m == pytest.approx([5.0], abs=1e-12)
-
-
-def test_compute_mismatch_all_zero():
-    assert compute_mismatch(0.0, 0.0, [], 0.0, 0.0, []) == \
-        pytest.approx([0.0], abs=0.0)
-
-
-def test_compute_mismatch_probability_weighted():
-    e_past = np.array([10.0, 0.0])
-    key = np.array([2.0, 1.0])   # the head period's allocation
-    tails = [np.array([4.0, 0.0]), np.array([0.0, 8.0])]
-    e_future = np.array([1.0, 1.0])
-    promise = np.array([20.0, 5.0])
-    m = compute_mismatch(e_past, key, tails, e_future, promise, [0.25, 0.75])
-    base = e_past + key + e_future
-    want = 0.25 * (base + tails[0]) + 0.75 * (base + tails[1]) - promise
-    assert m == pytest.approx(want, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +144,8 @@ def test_mpc_withholds_production_when_ahead_of_promise():
     assert dec.served < 0.1
     assert dec.grid_import > 3.8      # imports while exporting
     assert dec.surplus > 9.0
-    assert np.abs(dec.mismatch).max() < 4.1  # vs 4.5 if forced to serve all
+    mismatch = _expected_mismatch(dec, dec.key, st)
+    assert np.abs(mismatch).max() < 4.1  # vs 4.5 if forced to serve all
 
 
 def test_mpc_theta_zero_single_consumer_is_cost_only():
@@ -180,17 +158,21 @@ def test_mpc_theta_zero_single_consumer_is_cost_only():
     spec = StorageSpec(2.0, 4.0, 0.95, cyclic=False)
     win = _window(loads[0], gen[0], loads[1:], gen[1:, None], (1.0,))
     st = OperationState(spec.initial_soc_kwh, [0.0], [5.0], [0.0])
-    dec = mpc_step(st, win, spec, HorizonConfig(1, t_all, theta=0.0),
-                   beta_es_use=0.0001)
+    cfg = HorizonConfig(1, t_all, theta=0.0)
+    dec = mpc_step(st, win, spec, cfg, beta_es_use=0.0001)
     assert dec.key[0] == pytest.approx(dec.served, abs=1e-8)
-    assert dec.tracking_term == 0.0
+    # the control QP's value is its dispatch cost: no tracking term
+    qp, _ = _control_qp(st, win, spec, cfg, 0.0001)
+    assert not qp.q_diag.any()
+    rep = solve_qp(qp, tol=1e-6)
+    assert rep.status == "optimal"
     gi0, sp0, _ = split_flows(loads[:1].sum(1), np.zeros(1), np.zeros(1),
                               gen[:1])
     idle_cost = float(0.13 * gi0.sum() - 0.05 * sp0.sum())
     gi1, sp1, _ = split_flows(loads[1:].sum(1), np.zeros(t_all - 1),
                               np.zeros(t_all - 1), gen[1:])
     idle_cost += float(0.13 * gi1.sum() - 0.05 * sp1.sum())
-    assert dec.cost_term <= idle_cost + 1e-8
+    assert rep.objective <= idle_cost + 1e-8
 
 
 def test_mpc_key_favors_lagging_consumer():
@@ -243,8 +225,13 @@ def test_mpc_matches_grid_search_oracle():
     spec = StorageSpec(0.0, 0.0, _ETA, cyclic=False)
     win = _window(head_loads[0], head_gen[0], tail_loads, tail_gen, probs)
     st = OperationState(0.0, [0.3, 0.0], [1.5, 1.0], [0.2, 0.1])
-    dec = mpc_step(st, win, spec, HorizonConfig(1, 2, theta=theta))
-    achieved = dec.cost_term + dec.tracking_term
+    qp, _ = _control_qp(st, win, spec, HorizonConfig(1, 2, theta=theta), 0.0)
+    rep = solve_qp(qp, tol=1e-6)
+    assert rep.status == "optimal"
+    # the QP carries the tracking offset in its linear term:
+    # theta * |deliver + rhs|^2 = objective terms + theta * |rhs|^2
+    rhs = st.e_past + st.e_future - st.promise
+    achieved = rep.objective + theta * float(rhs @ rhs)
 
     _, _, served_h = split_flows(head_loads.sum(1), np.zeros(1), np.zeros(1),
                                  head_gen)
@@ -452,7 +439,7 @@ def test_settle_reproduces_control_objective_on_exact_forecast():
     dec = mpc_step(st, win, spec, cfg, beta_es_use=0.0001)
     key = settle(dec, 0.0, loads[0], st)
     assert _settled_objective(dec, key, st) == pytest.approx(
-        dec.tracking_term / cfg.theta, abs=1e-6)
+        _settled_objective(dec, dec.key, st), abs=1e-6)
 
 
 def test_settle_symmetric_single_period():
