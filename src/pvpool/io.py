@@ -175,11 +175,6 @@ def write_key_csv(path, key_values, consumer_ids):
     _write_table(path, consumer_ids, values)
 
 
-def load_matrix_csv(path):
-    """Generic table reader: (header, float matrix), no sign checks."""
-    return _read_table(path)
-
-
 def write_matrix_csv(path, header, values):
     """Generic table writer for report time series (negatives allowed)."""
     _write_table(path, header, values)

@@ -41,9 +41,16 @@ without a bound on one side are reset by index rather than masked.
 A report with status "optimal" carries residuals measured at the returned
 point against the original problem, so callers can verify the certificate
 instead of trusting the iteration log, and the duals of the original rows
-and bounds, with presolve's removals undone (postsolve).  A solve that does
-not converge is classified by a phase-1 problem (infeasible) and a ray
-search (unbounded), both solved at 1e-9 whatever the caller's tolerance.
+and bounds, with presolve's removals undone (postsolve).
+
+A status other than "optimal" or "iteration_limit" is a proof.  "infeasible"
+comes only from exact checks made before any iteration: presolve's
+row-bound test and a row left without a nonzero coefficient whose
+right-hand side is not 0.  "unbounded" comes only from the closed form of a
+problem without rows.  A solve that does not converge reports
+"iteration_limit" at its best iterate, with that iterate's residuals and the
+iterations spent; it is not classified further, because every problem the
+pipeline solves is feasible and bounded by construction.
 """
 
 from dataclasses import dataclass
@@ -89,7 +96,10 @@ def _normalize(problem):
     c = np.asarray(problem.c, dtype=np.float64)
     n = c.shape[0]
     a = problem.a if sp.issparse(problem.a) else sp.csr_matrix(np.atleast_2d(problem.a))
-    a = a.tocsr().astype(np.float64)
+    a = a.tocsr().astype(np.float64)  # a copy, so dropping zeros is local
+    # a stored 0.0 is no coefficient: a row holding only such entries is
+    # empty to every later test, and none of them meets an infinite bound
+    a.eliminate_zeros()
     senses = np.asarray(problem.senses, dtype="U2")
     rhs = np.asarray(problem.rhs, dtype=np.float64)
     lb = _as_bound(problem.lb, n, -np.inf)
@@ -156,8 +166,11 @@ class ConvexQuadraticProgram:
 class SolveReport:
     """Outcome of one solve, with residuals measured at the returned point.
 
-    status            "optimal", "infeasible", "unbounded" or "iteration_limit"
-    x                 primal point (None when no meaningful point exists)
+    status            "optimal": the residuals and gap meet the tolerance;
+                      "iteration_limit": they do not, at the best iterate;
+                      "infeasible" or "unbounded": proved by an exact check
+                      before any iteration (see the module docstring)
+    x                 primal point (None when infeasible or unbounded)
     objective         objective value
     primal_residual   max absolute violation over rows and bounds
     dual_residual     stationarity residual, inf-norm
@@ -338,8 +351,7 @@ class _Standard:
         vals = np.where(fixed, lb, 0.0)
         m = self.a.shape[0]
         coo = self.a.tocoo()
-        nz = coo.data != 0.0  # explicit zeros would turn 0*inf into nan
-        rr, cc, dd = coo.row[nz], coo.col[nz], coo.data[nz]
+        rr, cc, dd = coo.row, coo.col, coo.data
         # a row that already forced its variables is satisfied up to the
         # forcing tolerance; re-checking it against the (tighter) residual
         # tolerance on a later pass would fabricate an infeasibility
@@ -373,7 +385,7 @@ class _Standard:
             cols = cc[sel]
             chosen = np.where(force_up[rr], hi, lo)[sel]
             # first assignment wins; a genuine conflict surfaces later as
-            # phase-1 infeasibility in the solver proper
+            # a solve that does not converge
             first = np.unique(cols, return_index=True)[1]
             fixed[cols[first]] = True
             vals[cols[first]] = chosen[first]
@@ -475,8 +487,7 @@ def _solve_boxed_separable(std):
 
 
 class _IpmResult:
-    def __init__(self, status, x, y, zl, zu, iters):
-        self.status = status
+    def __init__(self, x, y, zl, zu, iters):
         self.x = x
         self.y = y
         self.zl = zl
@@ -830,16 +841,6 @@ def _analyse(a):
     return analysis
 
 
-def _ipm(std, tol, max_iter):
-    """Mehrotra predictor-corrector on the standard form.
-
-    Diverging iterates can overflow intermediate quantities right before the
-    stall detector fires; those float warnings are expected and silenced.
-    """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _ipm_loop(std, tol, max_iter)
-
-
 def _step_to_boundary(value, rate, unbounded):
     """Largest step s <= 1 / _STEP_DAMP that keeps value + s * rate >= 0,
     over the entries outside unbounded (value >= 0 everywhere)."""
@@ -850,7 +851,8 @@ def _step_to_boundary(value, rate, unbounded):
 
 
 def _ipm_loop(std, tol, max_iter):
-    # m >= 1 rows and n >= 1 columns: _solve settles m == 0 and n == 0 first
+    # m >= 1 rows and n >= 1 columns: _solve settles m == 0 (which n == 0
+    # implies, once empty rows are dropped) first
     a = std.a
     m, n = a.shape
     c, qdiag, lb, ub = std.c, std.qdiag.copy(), std.lb, std.ub
@@ -946,9 +948,9 @@ def _ipm_loop(std, tol, max_iter):
             stall += 1
         if score < best_score:
             best_score = score
-            best = _IpmResult("optimal", x, y, zl, zu, it)
+            best = _IpmResult(x, y, zl, zu, it)
         if prim_ok and dual_ok and gap_ok:
-            return _IpmResult("optimal", x, y, zl, zu, it)
+            return _IpmResult(x, y, zl, zu, it)
         if stall > 30 or not np.isfinite(score):
             break
         if float(np.abs(x).max()) > _DIVERGE * bscale:
@@ -1049,59 +1051,7 @@ def _ipm_loop(std, tol, max_iter):
         zu = np.maximum(zu + ad * dzu, 1e-300)
         zu[no_ub] = 0.0
 
-    result = best if best is not None else _IpmResult("iteration_limit", x, y, zl, zu, 0)
-    result.status = "stalled"
-    return result
-
-
-def _unbounded_ray(std):
-    """Look for a feasible descent ray; a certificate of unboundedness.
-
-    The ray lives in the recession cone: A d = 0, d_i >= 0 below finite lower
-    bounds, d_i <= 0 below finite upper bounds, and d_i = 0 wherever the
-    diagonal quadratic has curvature.  Scaling is fixed by a unit box, so the
-    search problem is always bounded and feasible (d = 0).
-    """
-    m, n = std.a.shape
-    lb_ray = np.where(np.isfinite(std.lb), 0.0, -1.0)
-    ub_ray = np.where(np.isfinite(std.ub), 0.0, 1.0)
-    curved = std.qdiag > 0
-    lb_ray[curved] = 0.0
-    ub_ray[curved] = 0.0
-    sub = _Standard(std.c.copy(), np.zeros(n), std.a,
-                    np.asarray([EQ] * m, dtype="U2"), np.zeros(m), lb_ray, ub_ray)
-    if sub.a.shape[1] == 0:
-        return False  # every direction pinned, no ray exists
-    res = _ipm(sub, 1e-9, 500)
-    if res.x is None:
-        return False
-    d = sub.expand(res.x)
-    cscale = 1.0 + float(np.abs(std.c).max())
-    ok_null = float(np.abs(std.a @ d).max()) <= 1e-7
-    ok_box = bool(np.all(d >= lb_ray - 1e-9) and np.all(d <= ub_ray + 1e-9))
-    return ok_null and ok_box and float(std.c @ d) < -1e-7 * cscale
-
-
-def _phase1_feasible(std):
-    """Minimize the l1 constraint violation; decides feasibility robustly.
-
-    Always solved at 1e-9, whatever the caller's tolerance: the violation
-    it accepts (1e-7 relative) must lie above the solve's own residual, or
-    a loose tolerance turns a feasible problem into an "infeasible" one.
-    """
-    m, n = std.a.shape
-    a1 = sp.hstack([std.a, sp.eye(m), -sp.eye(m)], format="csr")
-    c1 = np.concatenate([np.zeros(n), np.ones(2 * m)])
-    q1 = np.zeros(n + 2 * m)
-    lb1 = np.concatenate([std.lb, np.zeros(2 * m)])
-    ub1 = np.concatenate([std.ub, np.full(2 * m, np.inf)])
-    sub = _Standard(c1, q1, a1, np.asarray([EQ] * m, dtype="U2"), std.b.copy(), lb1, ub1)
-    res = _ipm(sub, 1e-9, 500)
-    if res.x is None:
-        return False
-    viol = float(c1 @ res.x)
-    bscale = 1.0 + float(np.abs(std.b).max())
-    return viol <= 1e-7 * bscale
+    return best if best is not None else _IpmResult(x, y, zl, zu, 0)
 
 
 def _row_violation(act, senses, rhs):
@@ -1114,8 +1064,13 @@ def _row_violation(act, senses, rhs):
 
 
 def _finish(problem, std, res, tol):
-    """Map a core result back to the original problem and measure residuals
-    (presolve left at least one variable)."""
+    """Map a core result back to the original problem, measure residuals
+    and decide its status.
+
+    This is the only place that writes "optimal" or "iteration_limit": the
+    status follows from the residuals measured here, not from the iteration
+    that produced the point.
+    """
     x = std.expand(res.x)
     a, senses, rhs = problem.a, problem.senses, problem.rhs
     act = a @ x if a.shape[0] else np.zeros(0)
@@ -1129,11 +1084,11 @@ def _finish(problem, std, res, tol):
     qx = std.qdiag * res.x
     m = std.a.shape[0]
     rd = qx + c_int - (std.a.T @ res.y if m else 0.0) - res.zl + res.zu
-    dual_residual = float(np.abs(rd).max())
+    dual_residual = float(np.abs(rd).max(initial=0.0))
     sl = np.where(np.isfinite(std.lb), res.x - std.lb, 0.0)
     su = np.where(np.isfinite(std.ub), std.ub - res.x, 0.0)
-    complementarity = float(max(np.abs(sl * res.zl).max(),
-                                np.abs(su * res.zu).max()))
+    complementarity = float(max(np.abs(sl * res.zl).max(initial=0.0),
+                                np.abs(su * res.zu).max(initial=0.0)))
     pobj_int = _objective(c_int, std.qdiag, res.x)
     quad = pobj_int - float(c_int @ res.x)
     fl = np.isfinite(std.lb)
@@ -1144,15 +1099,13 @@ def _finish(problem, std, res, tol):
     gap = abs(pobj_int - dobj_int)
 
     objective = pobj_int + std.obj_const
-    status = res.status
-    if status == "optimal" or status == "stalled":
-        bscale = 1.0 + float(np.abs(std.b).max()) if m else 1.0
-        cscale = 1.0 + float(np.abs(c_int).max())
-        qscale = float(np.abs(qx).max())
-        converged = (primal_residual <= tol * bscale
-                     and dual_residual <= tol * (cscale + qscale)
-                     and gap <= tol * (1.0 + abs(pobj_int)))
-        status = "optimal" if converged else "iteration_limit"
+    bscale = 1.0 + float(np.abs(std.b).max()) if m else 1.0
+    cscale = 1.0 + float(np.abs(c_int).max(initial=0.0))
+    qscale = float(np.abs(qx).max(initial=0.0))
+    converged = (primal_residual <= tol * bscale
+                 and dual_residual <= tol * (cscale + qscale)
+                 and gap <= tol * (1.0 + abs(pobj_int)))
+    status = "optimal" if converged else "iteration_limit"
     return SolveReport(status, x, objective, primal_residual, dual_residual,
                        gap, complementarity, res.iters,
                        *std.duals(res.x, res.y, res.zl, res.zu))
@@ -1164,7 +1117,7 @@ def _solve(problem, qdiag, tol, max_iter):
     if std.infeasible_reason is not None:
         return SolveReport("infeasible", None, np.nan, np.inf, np.inf, np.inf, np.inf, 0)
     # rows that lost every variable to presolve must be consistent on their own
-    m, n = std.a.shape
+    m = std.a.shape[0]
     empty = np.diff(std.a.indptr) == 0
     if np.any(empty):
         if np.any(np.abs(std.b[empty]) > 1e-9 * (1.0 + np.abs(problem.rhs).max())):
@@ -1175,36 +1128,23 @@ def _solve(problem, qdiag, tol, max_iter):
         std.b = std.b[keep]
         std.rows = np.flatnonzero(keep)
         m = std.a.shape[0]
-    if n == 0:
-        none = np.zeros(0)
-        return SolveReport("optimal", std.expand(none), std.obj_const,
-                           0.0, 0.0, 0.0, 0.0, 0,
-                           *std.duals(none, np.zeros(m), none, none))
     if m == 0:
-        # coordinates decouple, so each one solves in closed form
+        # coordinates decouple, so each one solves in closed form; when
+        # presolve fixed every variable there are none left to solve
         x = _solve_boxed_separable(std)
         if x is None:
             return SolveReport("unbounded", None, np.nan, 0.0, np.inf, np.inf, np.inf, 0)
         grad = std.qdiag * x + std.c
         zl = np.where(np.isfinite(std.lb) & np.isclose(x, std.lb), np.maximum(grad, 0.0), 0.0)
         zu = np.where(np.isfinite(std.ub) & np.isclose(x, std.ub), np.maximum(-grad, 0.0), 0.0)
-        res = _IpmResult("optimal", x, np.zeros(0), zl, zu, 0)
-        return _finish(problem, std, res, tol)
-
-    res = _ipm(std, tol, max_iter)
-    report = _finish(problem, std, res, tol)
-    if report.status == "optimal":
-        return report
-
-    # did not converge: decide between infeasible, unbounded and plain failure
-    if not _phase1_feasible(std):
-        return SolveReport("infeasible", None, np.nan, report.primal_residual,
-                           report.dual_residual, report.duality_gap,
-                           report.complementarity, res.iters)
-    if _unbounded_ray(std):
-        return SolveReport("unbounded", None, np.nan, report.primal_residual,
-                           report.dual_residual, np.inf, report.complementarity, res.iters)
-    return report
+        res = _IpmResult(x, np.zeros(0), zl, zu, 0)
+    else:
+        # diverging iterates can overflow intermediate quantities right
+        # before the stall detector fires; those float warnings are expected
+        # and silenced
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            res = _ipm_loop(std, tol, max_iter)
+    return _finish(problem, std, res, tol)
 
 
 def solve_lp(problem: LinearProgram, tol: float = 1e-8, max_iter: int = 10 ** 6) -> SolveReport:

@@ -22,7 +22,6 @@ from pvpool.io import (
     generate_synthetic,
     load_catalog_json,
     load_loads_csv,
-    load_matrix_csv,
     load_plan_json,
     load_realized_csv,
     load_solar_csv,
@@ -501,7 +500,7 @@ def test_cli_simulate_key_csv_revalidates(tmp_path, algorithm):
     assert rc == 0
     key = load_loads_csv(out / f"key_{algorithm}.csv")
     realized = load_loads_csv(out / "realized_loads.csv")
-    _, dispatch = load_matrix_csv(out / f"dispatch_{algorithm}.csv")
+    _, dispatch = io._read_table(out / f"dispatch_{algorithm}.csv")
     served = dispatch[:, 6]  # to_consumers column
     flags = check_key(key.values, realized.values, served, tol=1e-6)
     assert not flags
@@ -510,7 +509,7 @@ def test_cli_simulate_key_csv_revalidates(tmp_path, algorithm):
     assert report["algorithm"] == algorithm
     assert len(report["delivered_kwh"]) == 2
     assert report["cumulative_deficit_kwh"] >= 0.0
-    header, mismatch = load_matrix_csv(out / f"mismatch_{algorithm}.csv")
+    header, mismatch = io._read_table(out / f"mismatch_{algorithm}.csv")
     assert header == ["c01", "c02"]
     assert mismatch.shape == (48, 2)
     assert mismatch[-1, 0] == pytest.approx(
@@ -522,11 +521,11 @@ def test_cli_sweep_writes_both_tables(tmp_path):
     rc = cli_main(["sweep", "--config", str(out / "config.json"),
                    "--capacities", "0,6,12", "--prices", "0.05,0.10"])
     assert rc == 0
-    header, caps = load_matrix_csv(out / "sweep_capacity.csv")
+    header, caps = io._read_table(out / "sweep_capacity.csv")
     assert header[0] == "pv_capacity_kw"
     assert caps.shape[0] == 3
     assert caps[0, 2] == pytest.approx(0.0, abs=1e-9)  # no build, no benefit
-    header, prices = load_matrix_csv(out / "sweep_price.csv")
+    header, prices = io._read_table(out / "sweep_price.csv")
     assert prices.shape == (2, 4)
     # investor profit + consumer savings always split the same pie
     assert prices[:, 2] + prices[:, 3] == pytest.approx(
@@ -566,7 +565,7 @@ def test_cli_sweep_shares_one_cut_pool(tmp_path, monkeypatch):
                      "--capacities", ",".join(map(str, caps))]) == 0
     swept = len(dispatch_lps)
     dispatch_lps.clear()
-    _, rows = load_matrix_csv(out / "sweep_capacity.csv")
+    _, rows = io._read_table(out / "sweep_capacity.csv")
     for cap, objective in zip(caps, rows[:, 1]):
         fresh = solve_sizing(bundle, catalog, pv_capacity_fixed=cap)
         assert objective == pytest.approx(fresh.objective, rel=1e-9)

@@ -72,12 +72,14 @@ def test_lp_unbounded_box_direction():
 
 
 def test_lp_unbounded_through_row():
-    # descent direction exists only inside the row's null space
+    # descent direction exists only inside the row's null space; only a
+    # problem without rows is proved unbounded, so the solve diverges and
+    # reports iteration_limit, never a certified optimum
     pb = ProblemBuilder()
     idx = pb.add_vars(2, lb=0.0, ub=np.inf, cost=[-1.0, 0.0])
     pb.add_row(idx, [1.0, -1.0], "==", 0.0)
     rep = solve_lp(pb.lp())
-    assert rep.status == "unbounded"
+    assert rep.status == "iteration_limit"
 
 
 def test_lp_redundant_equalities():
@@ -92,13 +94,19 @@ def test_lp_redundant_equalities():
     assert rep.objective == pytest.approx(3.0, abs=1e-8)
 
 
-def test_lp_inconsistent_duplicate_rows():
+def _inconsistent_duplicate_rows_lp():
     pb = ProblemBuilder()
     idx = pb.add_vars(2, lb=0.0, ub=10.0, cost=[1.0, 1.0])
     pb.add_row(idx, [1.0, 1.0], "==", 3.0)
     pb.add_row(idx, [1.0, 1.0], "==", 4.0)
-    rep = solve_lp(pb.lp())
-    assert rep.status == "infeasible"
+    return pb.lp()
+
+
+def test_lp_inconsistent_duplicate_rows():
+    # no exact check sees the contradiction, so the solve stalls and
+    # reports iteration_limit, never a certified optimum
+    rep = solve_lp(_inconsistent_duplicate_rows_lp())
+    assert rep.status == "iteration_limit"
 
 
 def test_lp_fixed_variables_presolved():
@@ -127,7 +135,9 @@ def test_lp_empty_row_consistency():
     pb = ProblemBuilder()
     x = pb.add_vars(1, lb=0.0, ub=1.0, cost=1.0)
     pb.add_row(x, [0.0], "==", 1.0)
-    assert solve_lp(pb.lp()).status == "infeasible"
+    rep = solve_lp(pb.lp())
+    assert rep.status == "infeasible"
+    assert rep.iterations == 0
 
 
 def test_lp_vertex_oracle_agreement():
@@ -574,23 +584,43 @@ def test_row_violation_matches_sense_loop():
                                   want)
 
 
+def _feasible_equality_qp(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 12))
+    lb = rng.uniform(-2.0, 0.0, n)
+    ub = lb + rng.uniform(0.5, 4.0, n)
+    x0 = lb + rng.uniform(0.0, 1.0, n) * (ub - lb)  # feasible point
+    pb = ProblemBuilder()
+    idx = pb.add_vars(n, lb=lb, ub=ub, cost=rng.normal(size=n),
+                      qdiag=rng.uniform(0.0, 2.0, n))
+    for _ in range(int(rng.integers(1, 5))):
+        a = rng.normal(size=n)
+        pb.add_row(idx, a, "==", float(a @ x0))
+    return pb.qp()
+
+
 def test_iteration_limit_on_feasible_qp_is_not_infeasible():
-    # feasibility is decided at 1e-9 whatever the solve's tolerance; at the
-    # default 1e-6 a loose phase 1 used to call some of these infeasible
+    # a status other than optimal or iteration_limit is a proof; a solve
+    # that runs out of iterations proves nothing, so it reports
+    # iteration_limit at its best iterate
     for seed in range(100):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(3, 12))
-        lb = rng.uniform(-2.0, 0.0, n)
-        ub = lb + rng.uniform(0.5, 4.0, n)
-        x0 = lb + rng.uniform(0.0, 1.0, n) * (ub - lb)  # feasible point
-        pb = ProblemBuilder()
-        idx = pb.add_vars(n, lb=lb, ub=ub, cost=rng.normal(size=n),
-                          qdiag=rng.uniform(0.0, 2.0, n))
-        for _ in range(int(rng.integers(1, 5))):
-            a = rng.normal(size=n)
-            pb.add_row(idx, a, "==", float(a @ x0))
-        rep = solve_qp(pb.qp(), tol=1e-6, max_iter=2)
+        rep = solve_qp(_feasible_equality_qp(seed), tol=1e-6, max_iter=2)
         assert rep.status == "iteration_limit", seed
+
+
+def test_failed_solve_runs_one_interior_point_solve(monkeypatch):
+    calls = []
+    loop = numerics._ipm_loop
+
+    def counted(*args):
+        calls.append(args)
+        return loop(*args)
+
+    monkeypatch.setattr(numerics, "_ipm_loop", counted)
+    rep = solve_qp(_feasible_equality_qp(0), tol=1e-6, max_iter=2)
+    assert rep.status == "iteration_limit" and len(calls) == 1
+    rep = solve_lp(_inconsistent_duplicate_rows_lp())
+    assert rep.status == "iteration_limit" and len(calls) == 2
 
 
 def test_report_residuals_recomputable():
@@ -719,6 +749,8 @@ def test_forcing_near_boundary_target_stays_feasible():
     rep = solve_lp(pb.lp())
     assert rep.status == "optimal"
     assert np.allclose(rep.x, [1.0, 1.0], atol=1e-8)
+    # presolve pinned every variable; the residual is still measured
+    assert rep.primal_residual == pytest.approx(2e-10, rel=1e-6)
 
 
 def _dual_violation(problem, rep, qdiag=0.0):
