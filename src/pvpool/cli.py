@@ -90,6 +90,10 @@ def _sizing_payload(config, sizing):
 
 
 def _cmd_gen(args):
+    # the config's seed must load again (ProjectConfig takes unsigned
+    # 64-bit seeds), so nothing is written for another one
+    if not 0 <= args.seed < 2**64:
+        raise ValueError(f"--seed must lie in [0, 2**64 - 1], not {args.seed}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     preset = preset_config(args.case)

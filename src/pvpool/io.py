@@ -415,6 +415,10 @@ def params_from_mapping(mapping):
 # ---------------------------------------------------------------------------
 # Project configuration
 
+_CONFIG_KEYS = ("case", "seed", "delta_hours", "periods_per_year",
+                "loads_csv", "solar_csv", "catalog_json",
+                "realized_alphas_csv", "realized_loads_csv", "tariff",
+                "tech_econ", "horizon")
 _TARIFF_KEYS = ("grid_energy_price", "fixed_charge", "export_price",
                 "export_tax", "local_price")
 _TARIFF_SERIES = ("grid_energy_price", "export_price", "export_tax")
@@ -454,6 +458,10 @@ class ProjectConfig:
         if not isinstance(payload, dict):
             raise DataFileError(f"{path}: a config must be a JSON object,"
                                 f" not {type(payload).__name__}")
+        # a misspelt key would otherwise leave its setting at the default
+        for key in payload:
+            if key not in _CONFIG_KEYS:
+                raise DataFileError(f"{path}: {key} is not a known key")
         base = path.parent
 
         def resolve(key, required=True):
@@ -482,6 +490,9 @@ class ProjectConfig:
         missing = [k for k in _TARIFF_KEYS if k not in tariff]
         if missing:
             raise DataFileError(f"{path}: tariff missing {', '.join(missing)}")
+        for key in tariff:
+            if key not in _TARIFF_KEYS:
+                raise DataFileError(f"{path}: tariff.{key} is not a known key")
         for key in _TARIFF_KEYS:
             value = tariff[key]
             if key in _TARIFF_SERIES:

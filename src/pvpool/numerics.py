@@ -24,18 +24,18 @@ pivoting in an order fixed by its pattern alone (_SymmetricFactor).  The
 normal matrix is factored by LAPACK as a band and a dense border: its
 near-dense rows go last, the rest in reverse Cuthill-McKee order, and the
 border is eliminated through a small Schur complement.  The KKT matrix is
-factored by SuperLU in a minimum-degree ordering of its pattern.  On either
-path each solve is refined against the matrix, and a nonpositive pivot or a
-solve whose refined residual misses is redone with SuperLU's partial
-pivoting.
+factored by SuperLU, which orders it by minimum degree on its pattern at
+each factorization.  On either path each solve is refined against the
+matrix, and a nonpositive pivot or a solve whose refined residual misses
+is redone with SuperLU's partial pivoting.
 
 The symbolic work on a presolved constraint matrix A is done once and kept
-(_analyse): A', the pattern of each Newton system with its band plan or
-ordering, and the map from D^-1 to the normal matrix's data.  It is keyed
-by A's exact bytes and held for the last few matrices, so the control QPs
-of a rolling horizon, which share one matrix, analyse it once.  A kept
-analysis yields the same numbers as a new one, so no report depends on
-earlier solves.  The iterations keep every vector at full length; entries
+(_analyse): A', the normal matrix's pattern with its band plan and the map
+from D^-1 to its data, and the assembled KKT matrix.  It is keyed by A's
+exact bytes and held for the last few matrices, so the control QPs of a
+rolling horizon, which share one matrix, analyse it once.  A kept analysis
+yields the same numbers as a new one, so no report depends on earlier
+solves.  The iterations keep every vector at full length; entries
 without a bound on one side are reset by index rather than masked.
 
 A report with status "optimal" carries residuals measured at the returned
@@ -506,39 +506,6 @@ def _near_dense(count, m):
     return count > max(32, m // 8)
 
 
-class _Pattern:
-    """The KKT matrix's symmetric CSC sparsity pattern (sorted, every
-    diagonal entry stored) and one fill-reducing ordering of it.
-
-    splu's minimum degree ordering on A + A' reads only the pattern, so it
-    is taken from a factorization of the identity stored in the pattern and
-    never from a matrix being solved.  The pattern permuted by that ordering
-    is kept with a gather index from the pattern's data into it.
-    """
-
-    def __init__(self, indptr, indices):
-        size = indptr.shape[0] - 1
-        cols = np.repeat(np.arange(size), np.diff(indptr))
-        on_diag = indices == cols
-        identity = sp.csc_matrix((on_diag.astype(np.float64), indices, indptr),
-                                 shape=(size, size))
-        self.indptr, self.indices = identity.indptr, identity.indices
-        self.diag_pos = np.flatnonzero(on_diag)
-        perm_c = splu(identity, permc_spec="MMD_AT_PLUS_A", **_UNPIVOTED).perm_c
-        # splu factors mat[:, argsort(perm_c)]; with diagonal pivots in
-        # symmetric mode the rows follow the same order
-        new_rows = perm_c[indices]
-        new_cols = perm_c[cols]
-        self.gather = np.argsort(new_cols.astype(np.int64) * size + new_rows)
-        perm_indptr = np.zeros(size + 1, dtype=np.int64)
-        np.cumsum(np.bincount(new_cols, minlength=size), out=perm_indptr[1:])
-        permuted = sp.csc_matrix(
-            (np.zeros(indices.shape[0]), new_rows[self.gather], perm_indptr),
-            shape=(size, size))
-        self.perm_indptr, self.perm_indices = permuted.indptr, permuted.indices
-        self.order = np.argsort(perm_c)  # position k holds row order[k]
-
-
 class _BandPlan:
     """The normal matrix's symmetric CSC pattern (sorted, every diagonal
     entry stored), split into a band and a dense border.
@@ -655,42 +622,33 @@ class _QuasidefiniteKkt(_SymmetricFactor):
 
     Its pattern and off-diagonal data come from the analysis of A; every
     factorization only writes the diagonal.  With delta > 0 the matrix is
-    quasidefinite.  It is factored by SuperLU with diagonal pivots: the
-    data is gathered into the pattern permuted by the pattern's ordering
-    and factored in its natural order.
+    quasidefinite.  It is factored by SuperLU with diagonal pivots, in the
+    minimum degree ordering that SuperLU takes from its pattern at each
+    factorization.
     """
 
     def __init__(self, analysis):
         self.n = analysis.at.shape[0]
-        self.pattern, data = analysis.kkt()
-        super().__init__(self.pattern.indptr, self.pattern.indices,
-                         data.copy())
-        self._permuted = sp.csc_matrix(
-            (np.empty_like(data), self.pattern.perm_indices,
-             self.pattern.perm_indptr), shape=self.mat.shape)
+        mat, self.diag_pos = analysis.kkt()
+        super().__init__(mat.indptr, mat.indices, mat.data.copy())
         self.lu = None
 
     def factor(self, dtil, delta):
         """Factor at diagonal dtil and regularization delta."""
         n = self.n
-        diag_pos = self.pattern.diag_pos
-        self.mat.data[diag_pos[:n]] = dtil + delta
-        self.mat.data[diag_pos[n:]] = -delta
+        self.mat.data[self.diag_pos[:n]] = dtil + delta
+        self.mat.data[self.diag_pos[n:]] = -delta
         super().factor()
 
     def _factor(self):
-        np.take(self.mat.data, self.pattern.gather, out=self._permuted.data)
         try:
-            self.lu = splu(self._permuted, permc_spec="NATURAL", **_UNPIVOTED)
+            self.lu = splu(self.mat, permc_spec="MMD_AT_PLUS_A", **_UNPIVOTED)
         except RuntimeError:
             self.lu = None
         return self.lu is not None
 
     def _direct(self, rhs):
-        order = self.pattern.order
-        out = np.empty_like(rhs)
-        out[order] = self.lu.solve(rhs[order])
-        return out
+        return self.lu.solve(rhs)
 
     def solve(self, r1, r2):
         return np.split(super().solve(np.concatenate([r1, r2])), [self.n])
@@ -797,9 +755,10 @@ class _Analysis:
     """The symbolic work on one presolved constraint matrix A.
 
     Holds A' and, built when a solve first takes that Newton path, the
-    normal-equations band plan with its product map, or the KKT pattern
-    with its off-diagonal data and ordering.  Everything here follows from
-    A's bytes alone and is only read by the solves.
+    normal-equations band plan with its product map, or the assembled KKT
+    matrix (A's data off the diagonal) with the positions of its diagonal;
+    SuperLU orders that matrix at each factorization.  Everything here
+    follows from A's bytes alone and is only read by the solves.
     """
 
     def __init__(self, a):
@@ -819,7 +778,8 @@ class _Analysis:
             mat = sp.bmat([[sp.identity(n), self.at], [self.at.T, sp.identity(m)]],
                           format="csc")
             mat.sort_indices()
-            self._kkt = (_Pattern(mat.indptr, mat.indices), mat.data)
+            cols = np.repeat(np.arange(n + m), np.diff(mat.indptr))
+            self._kkt = (mat, np.flatnonzero(mat.indices == cols))
         return self._kkt
 
 

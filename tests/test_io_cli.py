@@ -396,6 +396,17 @@ def test_config_naming_one_control_period_still_loads(tmp_path):
     assert ProjectConfig.from_file(path).horizon.control_periods == 1
 
 
+def test_config_refuses_unknown_keys(tmp_path):
+    # a misspelt section or tariff field is refused, not left at its
+    # default (a missing horizon runs theta = 1) or carried into the digest
+    for section, key, value in ((None, "horzion", {"theta": 0.0}),
+                                ("tariff", "export_prize", 0.06)):
+        path = _config_with(tmp_path, section, key, value)
+        with pytest.raises(DataFileError, match="is not a known key") as err:
+            ProjectConfig.from_file(path)
+        assert str(path) in str(err.value) and key in str(err.value)
+
+
 def test_cli_null_delta_hours_is_an_error_not_a_traceback(tmp_path, capsys):
     path = _config_with(tmp_path, None, "delta_hours", None)
     assert cli_main(["size", "--config", str(path)]) == 1
@@ -436,6 +447,16 @@ def test_cli_usage_errors_exit_2(tmp_path):
 def test_cli_runtime_errors_exit_1(tmp_path, capsys):
     assert cli_main(["size", "--config", str(tmp_path / "absent.json")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_gen_refuses_a_seed_outside_64_bits(tmp_path, capsys):
+    # the config would carry a seed that every other command refuses
+    for seed in ("18446744073709551616", "-1"):
+        out = tmp_path / f"gen{seed}"
+        assert cli_main(["gen", "--seed", seed, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seed must lie in [0, 2**64 - 1]")
+        assert not (out / "config.json").exists()
 
 
 def test_cli_out_of_memory_is_an_error_line(tmp_path, monkeypatch, capsys):

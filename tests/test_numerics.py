@@ -376,7 +376,6 @@ def test_factor_reuses_its_ordering_at_a_new_diagonal(system):
         if system == "kkt":
             fac.factor(diag, 1e-8)
             got = np.concatenate(fac.solve(rhs[:n], rhs[n:]))
-            layouts.append(fac.lu.L.nnz + fac.lu.U.nnz)
         else:
             fac.factor(diag)
             got = fac.solve(rhs)
@@ -386,13 +385,11 @@ def test_factor_reuses_its_ordering_at_a_new_diagonal(system):
         want = spsolve(fac.mat.tocsc(), rhs)
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
         assert fac.pivoted is None
-    # the second factorization ran in the first one's ordering, at its fill
-    # (KKT) or in its order, band and border (normal equations)
-    if system == "kkt":
-        assert np.array_equal(fac.lu.perm_c, np.arange(size))
-    else:
+    # the normal equations' second factorization ran in the first one's
+    # order, band and border; SuperLU orders each KKT factorization itself
+    if system == "normal":
         assert fac._l.shape == (plan.kd + 1, size - plan.border)
-    assert layouts[1] == layouts[0]
+        assert layouts[1] == layouts[0]
 
 
 def _normal_matrix(kind):
