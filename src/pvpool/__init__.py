@@ -66,7 +66,6 @@ from .operation import (
     OperationState,
     YearReport,
     mpc_step,
-    myopic_settle,
     run_year,
     settle,
 )

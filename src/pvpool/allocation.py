@@ -60,6 +60,11 @@ def _price_slope(economics):
     return economics.pvf * economics.annual_local_energy
 
 
+def sells_local_energy(sizing):
+    """Whether the plan sells local energy, without which nothing is split."""
+    return sizing.economics.annual_local_energy > _TINY_ENERGY
+
+
 def breakeven_prices(sizing, params):
     """Closed-form roots of the investor's profit and the consumers' savings.
 
@@ -67,10 +72,10 @@ def breakeven_prices(sizing, params):
     affine decreasing.  Their roots bracket the win-win range whenever the
     net benefit is positive.
     """
+    if not sells_local_energy(sizing):
+        raise AllocationError("no local energy sold")
     eco = sizing.economics
     slope = _price_slope(eco)
-    if eco.annual_local_energy <= _TINY_ENERGY:
-        raise AllocationError("no local energy sold")
     investor = -investor_profit(0.0, sizing, params) / slope
     consumer = (eco.annual_grid_cost_without - eco.annual_grid_cost_with) \
         / eco.annual_local_energy

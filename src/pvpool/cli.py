@@ -24,10 +24,12 @@ from pathlib import Path
 import numpy as np
 
 from .allocation import (
+    PriceRange,
     breakeven_prices,
     gamma_price_map,
     min_variance_key,
     net_benefit,
+    sells_local_energy,
 )
 from .io import (
     PRESETS,
@@ -47,6 +49,8 @@ from .io import (
 from .domain import InverterCatalog
 from .operation import ALGORITHMS, run_year
 from .sizing import CutPool, investor_profit, solve_sizing
+
+_NOTHING_TO_SHARE = "the plan sells no local energy; skipping the prices"
 
 
 def _out_dir(args):
@@ -156,10 +160,14 @@ def _cmd_allocate(args):
     out = _out_dir(args)
     bundle, _, sizing = _plan(config, out)
     benefit = net_benefit(sizing)
-    prices = breakeven_prices(sizing, bundle.params)
-    table = _gamma_table(sizing, bundle.params)
-
-    print("price (EUR/kWh)  gamma  investor profit (EUR)  consumer savings (EUR)")
+    if sells_local_energy(sizing):
+        prices = breakeven_prices(sizing, bundle.params)
+        table = _gamma_table(sizing, bundle.params)
+        print("price (EUR/kWh)  gamma  investor profit (EUR)"
+              "  consumer savings (EUR)")
+    else:
+        prices, table = PriceRange(None, None), []
+        print(_NOTHING_TO_SHARE)
     for row in table:
         print(f"{row['price_eur_per_kwh']:>15.4f}"
               f"  {row['gamma']:>5.2f}"
@@ -284,10 +292,10 @@ def _cmd_sweep(args):
     print(f"capacity sweep over {len(cap_rows)} points:"
           f" {out / 'sweep_capacity.csv'}")
 
-    benefit = net_benefit(sizing)
-    if benefit <= 0.0:
-        print("net benefit is not positive; skipping the price sweep")
+    if not sells_local_energy(sizing):
+        print(_NOTHING_TO_SHARE)
         return 0
+    benefit = net_benefit(sizing)
     if prices:
         pairs = [(gamma_price_map(sizing, params, price=p), p)
                  for p in prices]

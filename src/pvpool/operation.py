@@ -4,31 +4,31 @@ Each control step implements one metering period, as the collective
 allocates on a 30-minute basis: its window's head is one row of consumer
 loads with one solar forecast, and its `ControlDecision` holds that
 period's dispatch as scalars, its key as one row and the tail's expected
-allocation, which is all that settlement reads.  It solves one convex
-program over a two-stage scenario tree (`_branches`): the head, lifted to
-a one-period branch 0 with probability 1, and, branching off it, one
-prediction tail per solar scenario.  Every branch carries battery and grid
-dispatch plus an energy split, and a free per-consumer mismatch variable,
-whose weighted squared norm pulls cumulative allocations toward the yearly
-promise, takes the branches' splits at their probabilities.  Once the
-period's loads are metered, `settle` re-splits the energy actually served
-into one key row while holding the control solve's tail expectations
-fixed, and the battery state of charge carries over from what really
-happened, not from the plan.  One period settles in closed form by
-water-filling (`allocation._water_fill`), so settlement solves no QP.
-`run_year` chains the steps over a full trajectory; the two myopic
-baselines (cost-only MPC and the greedy storage rule, both settled without
-history) share the same harness for comparison runs.
+allocation.  It solves one convex program over a two-stage scenario tree
+(`_branches`): the head, lifted to a one-period branch 0 with probability
+1, and, branching off it, one prediction tail per solar scenario.  Every
+branch carries battery and grid dispatch plus an energy split, and a free
+per-consumer mismatch variable, whose weighted squared norm pulls
+cumulative allocations toward the yearly promise, takes the branches'
+splits at their probabilities.
 
-Each period's planned dispatch, the MPC's head plan or the greedy plan
-(charge the realized surplus, discharge against the deficit), meets the
-battery in `storage.realize`.  The control objective is stated once, in
-`_control_qp`, and the bill once, in `sizing.dispatch_costs`.
+`run_year` chains the steps over a full trajectory, and every algorithm
+runs one period body: its plan (the MPC's head, or the greedy rule's
+"charge the metered surplus, discharge against the deficit") meets the
+battery in `storage.realize`, the plan's withheld margin is carried over,
+and `settle` water-fills the metered served energy into one key row
+(`allocation._water_fill`), so settlement solves no QP.  Settlement fills
+from the proposed controller's expected end-of-year mismatch, with the
+tail expectation held fixed, or from zero for the two myopic baselines
+(cost-only MPC and the greedy rule).  The battery's state of charge
+carries over from what really happened, not from the plan.  The control
+objective is stated once, in `_control_qp`, and the bill once, in
+`sizing.dispatch_costs`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -49,20 +49,20 @@ class OperationError(RuntimeError):
 class HorizonConfig:
     """Receding-horizon lengths and the mismatch-tracking weight.
 
-    Each solve implements one period before re-solving, so control_periods
-    is always 1; it is kept as a field so that configs naming it still load.
+    Each solve implements one period before re-solving: control_periods is
+    an init-only argument that must be 1, so configs naming it still load.
     prediction_periods is the total lookahead, that period included.  theta
     (EUR/kWh^2) prices the squared expected mismatch in the control
     objective; zero recovers a pure cost-minimizing dispatch.
     """
 
-    control_periods: int = 1
+    control_periods: InitVar[int] = 1
     prediction_periods: int = 48
     theta: float = 1.0
 
-    def __post_init__(self):
+    def __post_init__(self, control_periods):
         errors = []
-        if isinstance(self.control_periods, bool) or self.control_periods != 1:
+        if isinstance(control_periods, bool) or control_periods != 1:
             errors.append("control_periods must be 1: each control step"
                           " implements one period")
         if not is_count(self.prediction_periods):
@@ -71,7 +71,6 @@ class HorizonConfig:
             errors.append("theta must be a nonnegative finite weight")
         if errors:
             raise DomainError(errors)
-        object.__setattr__(self, "control_periods", 1)
         object.__setattr__(self, "prediction_periods",
                            int(self.prediction_periods))
         object.__setattr__(self, "theta", float(self.theta))
@@ -183,16 +182,18 @@ class HorizonWindow:
 class ControlDecision:
     """The one period a control solve implements.
 
-    charge/discharge/grid_import/surplus/served are the period's energies
-    (kWh scalars) and key its planned split, one entry per consumer: the
-    30-minute allocation.  tail_expected is the probability-weighted
-    consumer total of the prediction tail, which `settle` holds fixed.
+    charge/discharge/served are the period's energies (kWh scalars) and
+    key its planned split, one entry per consumer: the 30-minute
+    allocation.  withheld (kWh) is the head's simultaneous buy and sell,
+    min(import, export): production the plan exports while consumers
+    import, kept out of the local allocation.  tail_expected is the
+    probability-weighted consumer total of the prediction tail, which
+    settlement holds fixed.
     """
 
     charge: float
     discharge: float
-    grid_import: float
-    surplus: float
+    withheld: float
     served: float
     key: np.ndarray
     tail_expected: np.ndarray
@@ -317,34 +318,23 @@ def mpc_step(state, window, spec, config, beta_es_use=0.0):
     return ControlDecision(
         charge=np.clip(x[c], 0.0, cap_p)[0],
         discharge=np.clip(x[d], 0.0, cap_p)[0],
-        grid_import=grid_import[0], surplus=np.maximum(x[gs], 0.0)[0],
+        withheld=np.minimum(grid_import, np.maximum(x[gs], 0.0))[0],
         served=served[0], key=key[0], tail_expected=tail_expected)
 
 
-def settle(decision, epsilon, realized_loads, state):
-    """Re-split the realized served energy against one metered load row.
+def settle(served, realized_loads, level):
+    """Split one metered period's served energy into a key row.
 
-    Minimizes the squared expected mismatch over the feasible splits of
-    [planned served + epsilon]+ given the period's realized loads, with the
-    tail expectations frozen from the control solve, in closed form by
-    water-filling (`allocation._water_fill`).  Returns the settled key row.
+    Minimizes sum_i (level_i + g_i)^2 over the splits g of [served]+ kWh
+    with 0 <= g_i <= realized_loads_i, in closed form by water-filling
+    (`allocation._water_fill`), then makes the row sum exact.  level is the
+    expected end-of-year mismatch before the period for the proposed
+    controller and zero for the myopic baselines.  Returns the key row.
     """
     loads = np.asarray(realized_loads, dtype=np.float64)
-    served = np.maximum(decision.served + epsilon, 0.0)
-    target = np.minimum(served, loads.sum())
-    rhs = state.e_past + decision.tail_expected + state.e_future \
-        - state.promise
-    raw = _water_fill(rhs, loads, target)[None, :]
-    return _repair_rows(raw, served, loads[None, :])[0]
-
-
-def myopic_settle(served, realized_loads):
-    """Variance-minimizing split of one realized period, ignoring history:
-    water-filled from level zero.  Returns the key row."""
-    loads = np.asarray(realized_loads, dtype=np.float64)
-    target = min(max(float(served), 0.0), float(loads.sum()))
-    raw = _water_fill(np.zeros_like(loads), loads, target)[None, :]
-    return _repair_rows(raw, served, loads[None, :])[0]
+    raw = _water_fill(np.asarray(level, dtype=np.float64), loads,
+                      min(max(served, 0.0), loads.sum()))
+    return _repair_rows(raw[None, :], served, loads[None, :])[0]
 
 
 @dataclass(frozen=True)
@@ -393,7 +383,8 @@ def run_year(bundle, plan, decision, realized, config,
     forward.  The proposed algorithm tracks the promise in both control
     and settlement; mpc_myopic keeps the MPC dispatch but settles each
     period in isolation; rulebased_myopic plans to charge the realized
-    surplus and discharge against the deficit, and settles like mpc_myopic.
+    surplus and discharge against the deficit, withholds nothing, and
+    settles like mpc_myopic.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -434,6 +425,7 @@ def run_year(bundle, plan, decision, realized, config,
     e_past = np.zeros(n)
     myopic_cfg = HorizonConfig(prediction_periods=config.prediction_periods,
                                theta=0.0)
+    level = np.zeros(n)  # the myopic baselines settle without history
 
     for t in range(t_total):
         tp_end = min(t + config.prediction_periods, t_total)
@@ -442,7 +434,7 @@ def run_year(bundle, plan, decision, realized, config,
             # against the deficit; storage.realize clips it to the battery
             c_plan = np.maximum(gen_real[t] - load_real_agg[t], 0.0)
             d_plan = np.maximum(load_real_agg[t] - gen_real[t], 0.0)
-            ctrl = None
+            withheld = 0.0
         else:
             state = OperationState(soc, e_past, promise,
                                    prefix[-1] - prefix[tp_end])
@@ -459,25 +451,21 @@ def run_year(bundle, plan, decision, realized, config,
             ctrl = mpc_step(state, window, spec, cfg,
                             beta_es_use=bundle.params.beta_es_use)
             c_plan, d_plan = ctrl.charge, ctrl.discharge
+            withheld = ctrl.withheld
+            if algorithm == "proposed":
+                level = state.e_past + ctrl.tail_expected + state.e_future \
+                    - state.promise
 
         c_real, d_real, soc = realize(c_plan, d_plan, gen_real[t], soc, spec,
                                       delta)
         gi, sp, sv = split_flows(load_real_agg[t], c_real, d_real,
                                  gen_real[t])
-        if ctrl is not None:
-            # carry over the plan's deliberate buy-and-sell margin: the
-            # controller may withhold production from the local allocation
-            # by exporting it while consumers import
-            dump = np.minimum(np.minimum(ctrl.grid_import, ctrl.surplus),
-                              np.maximum(load_real_agg[t] - gi, 0.0))
-            dump = np.maximum(dump, 0.0)
-            gi = gi + dump
-            sp = sp + dump
-            sv = sv - dump
-        if algorithm == "proposed":
-            key_row = settle(ctrl, sv - ctrl.served, realized.loads[t], state)
-        else:
-            key_row = myopic_settle(sv, realized.loads[t])
+        # carry over the plan's deliberate buy-and-sell margin: the
+        # controller may withhold production from the local allocation by
+        # exporting it while consumers import
+        dump = np.minimum(withheld, np.maximum(load_real_agg[t] - gi, 0.0))
+        gi, sp, sv = gi + dump, sp + dump, sv - dump
+        key_row = settle(sv, realized.loads[t], level)
         e_past = e_past + key_row
         charge[t] = c_real
         discharge[t] = d_real

@@ -391,9 +391,11 @@ def test_config_rejects_malformed_numbers(tmp_path, section, key, value):
 
 
 def test_config_naming_one_control_period_still_loads(tmp_path):
-    # gen no longer writes control_periods; older configs carry it as 1
+    # gen no longer writes control_periods; older configs carry it as 1,
+    # and they load the same horizon as a config without it
     path = _config_with(tmp_path, "horizon", "control_periods", 1)
-    assert ProjectConfig.from_file(path).horizon.control_periods == 1
+    assert ProjectConfig.from_file(path).horizon == \
+        ProjectConfig.from_file(path.parent / "config.json").horizon
 
 
 def test_config_refuses_unknown_keys(tmp_path):
@@ -551,6 +553,38 @@ def test_cli_sweep_writes_both_tables(tmp_path):
     # investor profit + consumer savings always split the same pie
     assert prices[:, 2] + prices[:, 3] == pytest.approx(
         prices[0, 2] + prices[0, 3])
+
+
+def test_cli_runs_every_command_on_a_plan_with_nothing_to_share(tmp_path,
+                                                               capsys):
+    # on this data set size builds nothing and reports a net benefit of a
+    # few 1e-12 EUR, which is rounding: no local energy is sold, so
+    # allocate and sweep skip the prices with the same line and exit 0
+    out = tmp_path / "nothing"
+    assert cli_main(["gen", "--case", "pessimistic", "--consumers", "3",
+                     "--days", "1", "--scenarios", "3", "--seed", "0",
+                     "--out", str(out)]) == 0
+    config = str(out / "config.json")
+    assert cli_main(["size", "--config", config]) == 0
+    sized = json.loads((out / "sizing_report.json").read_text())
+    assert sized["economics"]["annual_local_energy"] == 0.0
+    capsys.readouterr()
+    skipped = []
+    for argv in (["allocate"], ["simulate", "--algorithm", "proposed"],
+                 ["simulate", "--algorithm", "mpc_myopic"],
+                 ["simulate", "--algorithm", "rulebased_myopic"], ["sweep"]):
+        assert cli_main(argv + ["--config", config]) == 0, argv
+        lines = capsys.readouterr().out.splitlines()
+        skipped += [line for line in lines if "skipping" in line]
+    assert skipped == [cli._NOTHING_TO_SHARE] * 2
+    report = json.loads((out / "allocation_report.json").read_text())
+    assert report["investor_breakeven_eur_per_kwh"] is None
+    assert report["consumer_breakeven_eur_per_kwh"] is None
+    assert report["gamma_table"] == []
+    assert report["promise_kwh"] == [0.0, 0.0, 0.0]
+    assert (out / "key_scenario_02.csv").exists()
+    assert (out / "sweep_capacity.csv").exists()
+    assert not (out / "sweep_price.csv").exists()
 
 
 @pytest.mark.parametrize("flag, value", [

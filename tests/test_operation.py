@@ -1,7 +1,7 @@
 """Receding-horizon control, settlement and the year simulation."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from pvpool.domain import (DomainError, InputBundle, InverterCatalog,
 from pvpool.numerics import solve_qp
 from pvpool.operation import (ALGORITHMS, ControlDecision, HorizonConfig,
                               HorizonWindow, OperationState, _control_qp,
-                              mpc_step, myopic_settle, run_year, settle)
+                              mpc_step, run_year, settle)
 from pvpool.sizing import (dispatch_costs, pv_production, solve_sizing,
                            split_flows)
 from pvpool.storage import StorageSpec, check_feasible, realize
@@ -57,17 +57,23 @@ def _window(head_loads, head_gen, tail_loads=None, tail_gen=None,
 
 def _decision_stub(served, n, tail_expected=None):
     return ControlDecision(
-        charge=0.0, discharge=0.0, grid_import=0.0, surplus=0.0,
-        served=float(served), key=np.zeros(n),
+        charge=0.0, discharge=0.0, withheld=0.0, served=float(served),
+        key=np.zeros(n),
         tail_expected=np.zeros(n) if tail_expected is None
         else np.asarray(tail_expected, float))
+
+
+def _level(decision, state):
+    """Expected end-of-year mismatch per consumer before the period: the
+    level that the proposed controller's settlement fills from."""
+    return state.e_past + decision.tail_expected + state.e_future \
+        - state.promise
 
 
 def _expected_mismatch(decision, key, state):
     """Expected end-of-year mismatch per consumer once the period hands
     out the key row and the tail its expectation."""
-    return state.e_past + decision.tail_expected + state.e_future \
-        - state.promise + key
+    return _level(decision, state) + key
 
 
 def _settled_objective(decision, key, state):
@@ -82,13 +88,19 @@ def _settled_objective(decision, key, state):
 
 def test_horizon_config_validation():
     cfg = HorizonConfig()
-    assert (cfg.control_periods, cfg.prediction_periods, cfg.theta) == \
-        (1, 48, 1.0)
+    assert (cfg.prediction_periods, cfg.theta) == (48, 1.0)
+    # control_periods is an init-only argument: accepted as 1, not stored
+    assert "control_periods" not in [f.name for f in fields(cfg)]
+    assert "control_periods" not in vars(cfg)
+    assert HorizonConfig(control_periods=1, prediction_periods=4) == \
+        HorizonConfig(prediction_periods=4)
     with pytest.raises(DomainError):
         HorizonConfig(0, 4)
     # one period per control step: longer heads are refused
     with pytest.raises(DomainError, match="control_periods"):
         HorizonConfig(2, 4)
+    with pytest.raises(DomainError, match="control_periods"):
+        HorizonConfig(1.5, 4)
     with pytest.raises(DomainError):
         HorizonConfig(5, 4)
     with pytest.raises(DomainError):
@@ -127,8 +139,10 @@ def test_mpc_single_period_surplus_no_battery():
     dec = mpc_step(_state(promise=(4.0, 4.0)), win, spec,
                    HorizonConfig(1, 1, theta=1.0))
     assert dec.served == pytest.approx(4.0, abs=2e-6)
-    assert dec.surplus == pytest.approx(6.0, abs=2e-6)
-    assert dec.grid_import == pytest.approx(0.0, abs=2e-6)
+    # the head's balance gives its export: gen - served - charge + discharge
+    assert win.head_gen - dec.served - dec.charge + dec.discharge == \
+        pytest.approx(6.0, abs=2e-6)
+    assert dec.withheld == pytest.approx(0.0, abs=2e-6)
     assert dec.key.sum() == pytest.approx(4.0, abs=2e-6)
     assert not check_key(RepartitionKey(dec.key), win.head_loads[None, :],
                          [dec.served], tol=1e-6)
@@ -142,8 +156,8 @@ def test_mpc_withholds_production_when_ahead_of_promise():
     st = _state(e_past=(6.0, 6.0), promise=(2.0, 2.0))
     dec = mpc_step(st, win, spec, HorizonConfig(1, 1, theta=1.0))
     assert dec.served < 0.1
-    assert dec.grid_import > 3.8      # imports while exporting
-    assert dec.surplus > 9.0
+    assert dec.withheld > 3.8      # imports while exporting
+    assert win.head_gen - dec.served - dec.charge + dec.discharge > 9.0
     mismatch = _expected_mismatch(dec, dec.key, st)
     assert np.abs(mismatch).max() < 4.1  # vs 4.5 if forced to serve all
 
@@ -313,7 +327,7 @@ def test_settle_qp_blocks_match_row_loop(tc, monkeypatch):
                 promise=rng.uniform(3.0, 9.0, n),
                 e_future=rng.uniform(0.0, 2.0, n))
     seen = capture_qps(monkeypatch, operation)
-    key = settle(dec, 0.0, values[0], st)
+    key = settle(dec.served, values[0], _level(dec, st))
     rhs = st.e_past + dec.tail_expected + st.e_future - st.promise
     assert seen == []
     rep = solve_qp(settle_qp_by_rows(values, served, rhs), tol=1e-8)
@@ -368,7 +382,7 @@ def test_single_period_settle_matches_qp_and_oracle(case):
     served = np.array([share * values.sum()])
     dec = _decision_stub(served[0], n)
     st = _state(e_past=np.zeros(n), promise=-rhs, e_future=np.zeros(n))
-    key = settle(dec, 0.0, values[0], st)
+    key = settle(dec.served, values[0], _level(dec, st))
     objective = _settled_objective(dec, key, st)
     assert not check_key(RepartitionKey(key), values, served)
     _assert_common_level(rhs, key, values[0])
@@ -418,8 +432,8 @@ def test_settle_recorded_stall_630331():
     dec = _decision_stub(0.1131311047400021, n, tail_expected=tail_expected)
     st = OperationState(0.0, e_past, promise, np.zeros(n))
     eps = 4.720998765805895e-07
-    key = settle(dec, eps, loads[0], st)
     served = dec.served + eps
+    key = settle(served, loads[0], _level(dec, st))
     assert not check_key(RepartitionKey(key), loads, [served])
     rhs = st.e_past + dec.tail_expected + st.e_future - st.promise
     assert 0.0 < key.sum() < loads.sum()
@@ -437,23 +451,24 @@ def test_settle_reproduces_control_objective_on_exact_forecast():
                         [4.0, 3.0, 3.5], [0.5, 0.5, 0.5])
     cfg = HorizonConfig(1, 8, theta=1.7)
     dec = mpc_step(st, win, spec, cfg, beta_es_use=0.0001)
-    key = settle(dec, 0.0, loads[0], st)
+    key = settle(dec.served, loads[0], _level(dec, st))
     assert _settled_objective(dec, key, st) == pytest.approx(
         _settled_objective(dec, dec.key, st), abs=1e-6)
 
 
 def test_settle_symmetric_single_period():
     st = _state(promise=(5.0, 5.0))
-    key = settle(_decision_stub(2.0, 2), 0.0, [2.0, 2.0], st)
+    key = settle(2.0, [2.0, 2.0], _level(_decision_stub(2.0, 2), st))
     assert key == pytest.approx([1.0, 1.0], abs=1e-8)
     assert st.e_past + key == pytest.approx([1.0, 1.0], abs=1e-8)
 
 
 def test_settle_clamps_negative_served_to_zero():
     st = _state(promise=(3.0, 3.0))
-    key = settle(_decision_stub(1.0, 2), -4.0, [1.0, 1.0], st)
+    level = _level(_decision_stub(0.0, 2), st)
+    key = settle(1.0 - 4.0, [1.0, 1.0], level)
     assert key == pytest.approx([0.0, 0.0], abs=1e-10)
-    key = settle(_decision_stub(2.0, 2), 0.0, [2.0, 1.0], st)
+    key = settle(2.0, [2.0, 1.0], level)
     assert key.sum() == pytest.approx(2.0, abs=1e-9)
 
 
@@ -470,7 +485,7 @@ def test_settle_key_feasible_and_balances_history():
         st = OperationState(0.0, rng.uniform(0.0, 3.0, n),
                             rng.uniform(2.0, 6.0, n),
                             rng.uniform(0.0, 1.0, n))
-        key = settle(dec, 0.0, loads[0], st)
+        key = settle(dec.served, loads[0], _level(dec, st))
         assert not check_key(RepartitionKey(key), loads,
                              np.minimum(served, loads.sum(1)))
         assert np.all(st.e_past + key >= st.e_past - 1e-12)
@@ -523,8 +538,8 @@ def test_greedy_year_matches_rule_loop(alphas, load_scale, pv_kw, es_kw,
         alphas, bundle.loads.values * load_scale[:, None])
     with pytest.MonkeyPatch.context() as mp:
         # settlement does not touch the battery; skip it
-        mp.setattr(operation, "myopic_settle",
-                   lambda served, loads: np.zeros(loads.shape[-1]))
+        mp.setattr(operation, "settle",
+                   lambda served, loads, level: np.zeros(loads.shape[-1]))
         report = run_year(bundle, plan, decision, realized,
                           HorizonConfig(1, 8), "rulebased_myopic")
     spec = StorageSpec.from_sizing(decision, bundle.params, cyclic=False)
@@ -538,9 +553,10 @@ def test_greedy_year_matches_rule_loop(alphas, load_scale, pv_kw, es_kw,
 
 
 def test_myopic_settle_symmetry_and_surplus():
-    key = myopic_settle(2.0, np.array([2.0, 2.0]))
+    # the myopic baselines settle from level zero
+    key = settle(2.0, np.array([2.0, 2.0]), np.zeros(2))
     assert key == pytest.approx([1.0, 1.0], abs=1e-8)
-    key = myopic_settle(10.0, np.array([1.0, 3.0]))
+    key = settle(10.0, np.array([1.0, 3.0]), np.zeros(2))
     assert key == pytest.approx([1.0, 3.0], abs=1e-10)
 
 
@@ -550,7 +566,7 @@ def test_myopic_settle_matches_variance_oracle():
         n = int(rng.integers(2, 4))
         loads = rng.uniform(0.2, 2.0, (1, n))
         served = rng.uniform(0.2, 0.9) * loads.sum(1)
-        totals = myopic_settle(served[0], loads[0])
+        totals = settle(served[0], loads[0], np.zeros(n))
         var = float(totals @ totals / n - totals.mean() ** 2)
         assert var <= _oracle_variance(served, loads) + 2e-6
 
@@ -563,12 +579,12 @@ def test_single_period_myopic_settle_matches_key_qp(case):
     served = np.array([share * values.sum()])
     with pytest.MonkeyPatch.context() as mp:
         seen = capture_qps(mp, allocation)
-        got = myopic_settle(served[0], values[0])
+        got = settle(served[0], values[0], np.zeros(values.shape[1]))
     assert seen == []
     assert not check_key(RepartitionKey(got), values, served)
     _assert_common_level(np.zeros_like(got), got, values[0])
     # the single-row key QP of min_variance_key minimizes sum_i g_i^2 too;
-    # it can stall on such rows, which is why myopic_settle no longer uses it
+    # it can stall on such rows, which is why myopic settlement water-fills
     try:
         want = min_variance_key([served], values, np.ones(1)).keys[0].values[0]
     except AllocationError:
@@ -706,6 +722,33 @@ def test_year_solves_no_settlement_qp(algorithm, control_qps, monkeypatch):
              algorithm)
     assert len(control) == control_qps * bundle.grid.num_periods
     assert keys == []
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_every_algorithm_settles_once_per_period(algorithm, monkeypatch):
+    # one period body for all three algorithms: each period settles its
+    # metered served energy once through operation.settle, from level zero
+    # for the myopic baselines, and the year keeps the row settle returns
+    bundle, result, plan = _year_case(t_len=48)
+    realized = _realization(bundle, 55)
+    calls = []
+
+    def recording(served, realized_loads, level):
+        row = settle(served, realized_loads, level)
+        calls.append((served, np.array(level, dtype=np.float64), row))
+        return row
+
+    monkeypatch.setattr(operation, "settle", recording)
+    report = run_year(bundle, plan, result.decision, realized,
+                      HorizonConfig(1, 8), algorithm)
+    assert len(calls) == bundle.grid.num_periods
+    for t, (served, level, row) in enumerate(calls):
+        assert served == report.dispatch.to_consumers[t]
+        assert report.keys[t].tobytes() == row.tobytes()
+        if algorithm != "proposed":
+            assert not level.any()
+    if algorithm == "proposed":
+        assert any(level.any() for _, level, _ in calls)
 
 
 def test_year_zero_solar_delivers_nothing():
