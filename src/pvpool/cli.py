@@ -260,8 +260,9 @@ def _parse_floats(text, flag):
 
 def _cmd_sweep(args):
     config = ProjectConfig.from_file(args.config)
-    caps = args.capacities and _parse_floats(args.capacities, "--capacities")
-    prices = args.prices and _parse_floats(args.prices, "--prices")
+    caps, prices = (None if text is None else _parse_floats(text, flag)
+                    for text, flag in ((args.capacities, "--capacities"),
+                                       (args.prices, "--prices")))
     out = _out_dir(args)
     bundle, catalog, sizing = _plan(config, out)
     params = bundle.params
@@ -271,7 +272,7 @@ def _cmd_sweep(args):
 
     # a PV plant is never larger than its inverter
     top = max(cap for cap, _ in catalog.pv_options)
-    if not caps:
+    if caps is None:
         caps = np.linspace(0.0, top, 6).tolist()
     elif not all(0.0 <= cap <= top for cap in caps):
         raise ValueError(f"--capacities must lie in [0, {top:g}] kW: the"
@@ -296,7 +297,7 @@ def _cmd_sweep(args):
         print(_NOTHING_TO_SHARE)
         return 0
     benefit = net_benefit(sizing)
-    if prices:
+    if prices is not None:
         pairs = [(gamma_price_map(sizing, params, price=p), p)
                  for p in prices]
     else:

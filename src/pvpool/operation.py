@@ -3,14 +3,14 @@
 Each control step implements one metering period, as the collective
 allocates on a 30-minute basis: its window's head is one row of consumer
 loads with one solar forecast, and its `ControlDecision` holds that
-period's dispatch as scalars, its key as one row and the tail's expected
-allocation.  It solves one convex program over a two-stage scenario tree
-(`_branches`): the head, lifted to a one-period branch 0 with probability
-1, and, branching off it, one prediction tail per solar scenario.  Every
-branch carries battery and grid dispatch plus an energy split, and a free
-per-consumer mismatch variable, whose weighted squared norm pulls
-cumulative allocations toward the yearly promise, takes the branches'
-splits at their probabilities.
+period's dispatch as scalars and the level its settlement fills from.  It
+solves one convex program over a two-stage scenario tree (`_branches`):
+the head, lifted to a one-period branch 0 with probability 1, and,
+branching off it, one prediction tail per solar scenario.  Every branch
+carries battery and grid dispatch; when the tracking weight theta is
+positive, also an energy split, and a free per-consumer mismatch
+variable, whose weighted squared norm pulls cumulative allocations toward
+the yearly promise, takes the splits at their probabilities.
 
 `run_year` chains the steps over a full trajectory, and every algorithm
 runs one period body: its plan (the MPC's head, or the greedy rule's
@@ -18,9 +18,9 @@ runs one period body: its plan (the MPC's head, or the greedy rule's
 battery in `storage.realize`, the plan's withheld margin is carried over,
 and `settle` water-fills the metered served energy into one key row
 (`allocation._water_fill`), so settlement solves no QP.  Settlement fills
-from the proposed controller's expected end-of-year mismatch, with the
-tail expectation held fixed, or from zero for the two myopic baselines
-(cost-only MPC and the greedy rule).  The battery's state of charge
+from the control step's level, the expected end-of-year mismatch with the
+tail expectation held fixed, which is zero at theta = 0 (the cost-only
+MPC), or from zero for the greedy rule.  The battery's state of charge
 carries over from what really happened, not from the plan.  The control
 objective is stated once, in `_control_qp`, and the bill once, in
 `sizing.dispatch_costs`.
@@ -28,12 +28,12 @@ objective is stated once, in `_control_qp`, and the bill once, in
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, replace
 
 import numpy as np
 
 from .allocation import _repair_rows, _water_fill
-from .domain import DispatchSeries, DomainError, is_count
+from .domain import DispatchSeries, DomainError, is_count, is_number
 from .numerics import ProblemBuilder, solve_qp
 from .sizing import dispatch_costs, pv_production, split_flows
 from .storage import StorageSpec, realize, recursion_rows
@@ -67,7 +67,7 @@ class HorizonConfig:
                           " implements one period")
         if not is_count(self.prediction_periods):
             errors.append("prediction_periods must be a positive integer")
-        if not (np.isfinite(self.theta) and self.theta >= 0):
+        if not (is_number(self.theta) and self.theta >= 0):
             errors.append("theta must be a nonnegative finite weight")
         if errors:
             raise DomainError(errors)
@@ -183,20 +183,19 @@ class ControlDecision:
     """The one period a control solve implements.
 
     charge/discharge/served are the period's energies (kWh scalars) and
-    key its planned split, one entry per consumer: the 30-minute
-    allocation.  withheld (kWh) is the head's simultaneous buy and sell,
-    min(import, export): production the plan exports while consumers
-    import, kept out of the local allocation.  tail_expected is the
-    probability-weighted consumer total of the prediction tail, which
-    settlement holds fixed.
+    withheld (kWh) the head's simultaneous buy and sell, min(import,
+    export): production the plan exports while consumers import, kept out
+    of the local allocation.  level is what `settle` fills the period from,
+    the expected end-of-year mismatch per consumer before it (e_past + the
+    tail's expected allocation + e_future - promise), and zero at theta = 0,
+    where nothing is tracked and the period settles alone.
     """
 
     charge: float
     discharge: float
     withheld: float
     served: float
-    key: np.ndarray
-    tail_expected: np.ndarray
+    level: np.ndarray
 
 
 def _branches(window):
@@ -215,19 +214,21 @@ def _control_qp(state, window, spec, config, beta_es_use):
     """The control QP of `mpc_step` and the index blocks of its variables.
 
     Every branch of the scenario tree (`_branches`) is built alike: its
-    charge, discharge, SoC, import, export and split variables, costed at
-    the branch's probability, then its energy balance, state-of-charge
-    recursion (`storage.recursion_rows`) and served-energy rows.  The head's
-    recursion starts from the state's SoC on the right-hand side, a tail's
-    from the head's SoC variable.  One tracking row per consumer follows.
-    Returns the QP and one (charge, discharge, import, export, split) index
-    block per branch, the head first.
+    charge, discharge, SoC, import and export variables, costed at the
+    branch's probability, then its energy balance and state-of-charge
+    recursion (`storage.recursion_rows`), the head's from the state's SoC,
+    a tail's from the head's SoC variable.  When theta > 0 each branch then
+    splits its served energy (split variables, served-energy rows) and one
+    tracking row per consumer follows; at theta = 0 the QP is the dispatch
+    program.  Returns the QP and one (charge, discharge, import, export,
+    split) index block per branch, head first; split is None at theta = 0.
     """
     n = window.head_loads.shape[0]
     cap_p = spec.power_cap_kw * window.delta_hours
     cap_e = spec.energy_cap_kwh
     balance = [1.0, -1.0, -1.0, 1.0]
     export_net = window.export_tax - window.export_price
+    theta = config.theta
 
     tree = _branches(window)
     pb = ProblemBuilder()
@@ -242,19 +243,20 @@ def _control_qp(state, window, spec, config, beta_es_use):
         gg = pb.add_vars(periods, lb=0.0, ub=agg,
                          cost=prob * window.grid_price[span])
         gs = pb.add_vars(periods, lb=0.0, cost=prob * export_net[span])
-        split = pb.add_vars(periods * n, lb=0.0, ub=loads.ravel())
         pb.add_rows(np.column_stack([gg, gs, c, d]), balance, "==", agg - gen)
         # the head's recursion starts from the state's SoC, each tail's from
         # the head's SoC variable
         recursion_rows(pb, spec, c, d, soc, start=min(state.soc_kwh, cap_e),
                        before=head_soc)
         head_soc = soc[0] if head_soc is None else head_soc
-        # served energy is what the key must hand out: sum_i e_i + gg = l
-        pb.add_rows(np.column_stack([split.reshape(periods, n), gg]), 1.0,
-                    "==", agg)
+        split = None
+        if theta > 0.0:
+            # served energy is what the key must hand out: sum_i e_i + gg = l
+            split = pb.add_vars(periods * n, lb=0.0, ub=loads.ravel())
+            pb.add_rows(np.column_stack([split.reshape(periods, n), gg]), 1.0,
+                        "==", agg)
         blocks.append((c, d, gg, gs, split))
 
-    theta = config.theta
     if theta > 0.0:
         # tracking distance: minimize theta * sum_i (deliver_i + rhs_i)^2
         # with deliver_i the expected window allocation.  Written with the
@@ -279,9 +281,9 @@ def mpc_step(state, window, spec, config, beta_es_use=0.0):
     the window, plus theta times the squared expected mismatch, subject to
     the energy balance, the storage envelope continuing from the state SoC
     (each tail scenario branching off the shared head), and the requirement
-    that every period's split hands out exactly the locally served energy.
-    Returns the head period it implements and the tail expectation that
-    `settle` holds fixed; the objective is stated once, in `_control_qp`.
+    that, when theta > 0, every period's split hands out exactly the locally
+    served energy.  Returns the head period and the level it settles from;
+    the objective is stated once, in `_control_qp`.
     """
     n = window.head_loads.shape[0]
     if state.num_consumers != n:
@@ -292,8 +294,8 @@ def mpc_step(state, window, spec, config, beta_es_use=0.0):
     cap_p = spec.power_cap_kw * window.delta_hours
     qp, blocks = _control_qp(state, window, spec, config, beta_es_use)
 
-    # control accuracy: 1e-6 on kWh-scale decisions is micro-Wh; the split
-    # itself is repaired to exact feasibility below either way
+    # control accuracy: 1e-6 on kWh-scale decisions is micro-Wh; the tail's
+    # split is repaired to exact feasibility below either way
     rep = solve_qp(qp, tol=1e-6)
     if rep.status != "optimal":
         raise OperationError(f"control solve ended {rep.status}")
@@ -308,18 +310,21 @@ def mpc_step(state, window, spec, config, beta_es_use=0.0):
                                                       blocks):
         agg = loads.sum(axis=1)
         grid_import = np.clip(x[gg], 0.0, agg)
-        served = agg - grid_import
-        branches.append((grid_import, served,
-                         _repair_rows(x[split].reshape(-1, n), served, loads)))
-    (grid_import, served, key), *tails = branches
-    tail_expected = window.probabilities @ np.array(
-        [rows.sum(axis=0) for *_, rows in tails]) if tails else np.zeros(n)
+        branches.append((loads, grid_import, agg - grid_import, split))
+    (_, grid_import, served, _), *tails = branches
+    level = np.zeros(n)
+    if config.theta > 0.0:
+        # the tail hands out its repaired split rows at their probabilities
+        tail_expected = window.probabilities @ np.array(
+            [_repair_rows(x[split].reshape(-1, n), sv, loads).sum(axis=0)
+             for loads, _, sv, split in tails]) if tails else np.zeros(n)
+        level = state.e_past + tail_expected + state.e_future - state.promise
     c, d, _, gs, _ = blocks[0]
     return ControlDecision(
         charge=np.clip(x[c], 0.0, cap_p)[0],
         discharge=np.clip(x[d], 0.0, cap_p)[0],
         withheld=np.minimum(grid_import, np.maximum(x[gs], 0.0))[0],
-        served=served[0], key=key[0], tail_expected=tail_expected)
+        served=served[0], level=level)
 
 
 def settle(served, realized_loads, level):
@@ -327,9 +332,8 @@ def settle(served, realized_loads, level):
 
     Minimizes sum_i (level_i + g_i)^2 over the splits g of [served]+ kWh
     with 0 <= g_i <= realized_loads_i, in closed form by water-filling
-    (`allocation._water_fill`), then makes the row sum exact.  level is the
-    expected end-of-year mismatch before the period for the proposed
-    controller and zero for the myopic baselines.  Returns the key row.
+    (`allocation._water_fill`), then makes the row sum exact.  level is a
+    `ControlDecision.level`, or zero for the greedy rule.  Returns the row.
     """
     loads = np.asarray(realized_loads, dtype=np.float64)
     raw = _water_fill(np.asarray(level, dtype=np.float64), loads,
@@ -380,11 +384,11 @@ def run_year(bundle, plan, decision, realized, config,
     Period by period: build the forecast window, run the chosen controller,
     realize the period's dispatch against the actual trajectory, settle the
     served energy into a key row, and carry SoC and cumulative allocations
-    forward.  The proposed algorithm tracks the promise in both control
-    and settlement; mpc_myopic keeps the MPC dispatch but settles each
-    period in isolation; rulebased_myopic plans to charge the realized
-    surplus and discharge against the deficit, withholds nothing, and
-    settles like mpc_myopic.
+    forward.  Both MPC algorithms settle from their step's level: proposed
+    tracks the promise at config.theta, mpc_myopic runs theta = 0 and so
+    settles each period alone.  rulebased_myopic plans to charge the
+    realized surplus and discharge against the deficit, withholds nothing,
+    and settles from zero.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -423,9 +427,8 @@ def run_year(bundle, plan, decision, realized, config,
     soc_series = np.zeros(t_total + 1)
     soc_series[0] = soc
     e_past = np.zeros(n)
-    myopic_cfg = HorizonConfig(prediction_periods=config.prediction_periods,
-                               theta=0.0)
-    level = np.zeros(n)  # the myopic baselines settle without history
+    if algorithm == "mpc_myopic":  # cost only: nothing is tracked
+        config = replace(config, theta=0.0)
 
     for t in range(t_total):
         tp_end = min(t + config.prediction_periods, t_total)
@@ -434,7 +437,7 @@ def run_year(bundle, plan, decision, realized, config,
             # against the deficit; storage.realize clips it to the battery
             c_plan = np.maximum(gen_real[t] - load_real_agg[t], 0.0)
             d_plan = np.maximum(load_real_agg[t] - gen_real[t], 0.0)
-            withheld = 0.0
+            withheld, level = 0.0, np.zeros(n)  # and it settles alone
         else:
             state = OperationState(soc, e_past, promise,
                                    prefix[-1] - prefix[tp_end])
@@ -447,14 +450,10 @@ def run_year(bundle, plan, decision, realized, config,
                 grid_price=bundle.tariff.grid_energy_price[t:tp_end],
                 export_price=bundle.tariff.export_price[t:tp_end],
                 export_tax=bundle.tariff.export_tax[t:tp_end])
-            cfg = config if algorithm == "proposed" else myopic_cfg
-            ctrl = mpc_step(state, window, spec, cfg,
+            ctrl = mpc_step(state, window, spec, config,
                             beta_es_use=bundle.params.beta_es_use)
             c_plan, d_plan = ctrl.charge, ctrl.discharge
-            withheld = ctrl.withheld
-            if algorithm == "proposed":
-                level = state.e_past + ctrl.tail_expected + state.e_future \
-                    - state.promise
+            withheld, level = ctrl.withheld, ctrl.level
 
         c_real, d_real, soc = realize(c_plan, d_plan, gen_real[t], soc, spec,
                                       delta)

@@ -104,10 +104,10 @@ def realize(c_plan, d_plan, gen_real, soc, spec, delta):
     """Clip one period's planned dispatch to what the realized solar and
     SoC allow.
 
-    Charging comes from local production only, so it is curtailed to the
-    realized generation; discharge may draw on the same period's charge but
-    never below empty.  Returns the realized charge and discharge and the
-    SoC after the period.
+    Charge is capped at the realized generation, not at its surplus over
+    the metered load, and discharge, which may draw on the same period's
+    charge but never below empty, is not capped at the metered deficit.
+    Returns the realized charge and discharge and the SoC after the period.
     """
     cap = spec.power_cap_kw * delta
     eta = spec.efficiency

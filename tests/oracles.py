@@ -447,7 +447,9 @@ def row_violation_loop(act, senses, rhs):
 def control_qp_by_rows(state, window, spec, config, beta_es_use=0.0):
     """Reference build of the control QP of operation.mpc_step, one row at
     a time, interleaving each period's balance, state-of-charge and served
-    rows.  Variables come in the same order as in operation._control_qp."""
+    rows.  Variables come in the same order as in operation._control_qp;
+    the split variables and the served and tracking rows only when
+    theta > 0."""
     from pvpool.numerics import ProblemBuilder
 
     n = window.head_loads.shape[0]
@@ -460,6 +462,7 @@ def control_qp_by_rows(state, window, spec, config, beta_es_use=0.0):
     soc0 = min(state.soc_kwh, cap_e)
     head_agg = window.head_loads.sum()
     tail_agg = window.tail_loads.sum(axis=1) if tt else np.zeros(0)
+    theta = config.theta
 
     pb = ProblemBuilder()
     c = pb.add_vars(1, lb=0.0, ub=cap_p, cost=beta_es_use)
@@ -468,12 +471,14 @@ def control_qp_by_rows(state, window, spec, config, beta_es_use=0.0):
     gg = pb.add_vars(1, lb=0.0, ub=head_agg, cost=window.grid_price[:1])
     gs = pb.add_vars(1, lb=0.0,
                      cost=window.export_tax[:1] - window.export_price[:1])
-    ehat = pb.add_vars(n, lb=0.0, ub=window.head_loads)
+    if theta > 0.0:
+        ehat = pb.add_vars(n, lb=0.0, ub=window.head_loads)
     pb.add_row([gg[0], gs[0], c[0], d[0]], [1.0, -1.0, -1.0, 1.0],
                "==", head_agg - window.head_gen)
     pb.add_row([soc[0], c[0], d[0]], [1.0, -eta_c, 1.0 / eta_d], "==", soc0)
-    pb.add_row(np.concatenate([ehat, [gg[0]]]), np.ones(n + 1), "==",
-               head_agg)
+    if theta > 0.0:
+        pb.add_row(np.concatenate([ehat, [gg[0]]]), np.ones(n + 1), "==",
+                   head_agg)
 
     tail_gw = []
     for widx in range(w if tt else 0):
@@ -486,18 +491,19 @@ def control_qp_by_rows(state, window, spec, config, beta_es_use=0.0):
         gsw = pb.add_vars(tt, lb=0.0,
                           cost=pi * (window.export_tax[1:]
                                      - window.export_price[1:]))
-        gw = pb.add_vars(tt * n, lb=0.0, ub=window.tail_loads.ravel())
+        if theta > 0.0:
+            gw = pb.add_vars(tt * n, lb=0.0, ub=window.tail_loads.ravel())
+            tail_gw.append(gw)
         for t in range(tt):
             pb.add_row([ggw[t], gsw[t], cw[t], dw[t]], [1.0, -1.0, -1.0, 1.0],
                        "==", tail_agg[t] - window.tail_gen[t, widx])
             prev = soc[0] if t == 0 else socw[t - 1]
             pb.add_row([socw[t], prev, cw[t], dw[t]],
                        [1.0, -1.0, -eta_c, 1.0 / eta_d], "==", 0.0)
-            pb.add_row(np.concatenate([gw[t * n:(t + 1) * n], [ggw[t]]]),
-                       np.ones(n + 1), "==", tail_agg[t])
-        tail_gw.append(gw)
+            if theta > 0.0:
+                pb.add_row(np.concatenate([gw[t * n:(t + 1) * n], [ggw[t]]]),
+                           np.ones(n + 1), "==", tail_agg[t])
 
-    theta = config.theta
     if theta > 0.0:
         rhs = state.e_past + state.e_future - state.promise
         deliver = pb.add_vars(n, lb=-np.inf, ub=np.inf, qdiag=2.0 * theta,

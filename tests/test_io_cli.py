@@ -377,6 +377,8 @@ def _config_with(tmp_path, section, key, value):
     ("tech_econ", "kappa", "x"),
     ("tech_econ", "beta_es", True),
     ("tech_econ", "es_roundtrip_efficiency", "0.9"),
+    ("horizon", "theta", True),
+    ("horizon", "theta", "1.0"),
 ])
 def test_config_rejects_malformed_numbers(tmp_path, section, key, value):
     # counts follow TimeGrid's rule (whole numbers, never truncated),
@@ -589,10 +591,12 @@ def test_cli_runs_every_command_on_a_plan_with_nothing_to_share(tmp_path,
 
 @pytest.mark.parametrize("flag, value", [
     ("--capacities", "nan"), ("--capacities", "-5"), ("--capacities", "1e309"),
-    ("--capacities", "6,13"), ("--prices", "nan")])
+    ("--capacities", "6,13"), ("--prices", "nan"), ("--capacities", ""),
+    ("--prices", "")])
 def test_cli_sweep_refuses_bad_values(tmp_path, capsys, flag, value):
     # the small catalog's largest PV inverter is 12 kW; a refused value
-    # names its flag and writes no sweep table
+    # names its flag and writes no sweep table (an empty flag too: it
+    # lists no values, it does not ask for the default sweep)
     out = _gen_dir(tmp_path, seed=6)
     assert cli_main(["sweep", "--config", str(out / "config.json"),
                      flag, value]) == 1

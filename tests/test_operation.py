@@ -55,32 +55,38 @@ def _window(head_loads, head_gen, tail_loads=None, tail_gen=None,
                          np.full(t_all, tax))
 
 
-def _decision_stub(served, n, tail_expected=None):
-    return ControlDecision(
-        charge=0.0, discharge=0.0, withheld=0.0, served=float(served),
-        key=np.zeros(n),
-        tail_expected=np.zeros(n) if tail_expected is None
-        else np.asarray(tail_expected, float))
+def _decision_stub(served, state, tail_expected=0.0):
+    """A decision for `state` whose prediction tail is expected to hand out
+    tail_expected: its level is the expected end-of-year mismatch per
+    consumer before the period, in mpc_step's order."""
+    level = state.e_past + np.asarray(tail_expected, float) \
+        + state.e_future - state.promise
+    return ControlDecision(charge=0.0, discharge=0.0, withheld=0.0,
+                           served=float(served), level=level)
 
 
-def _level(decision, state):
-    """Expected end-of-year mismatch per consumer before the period: the
-    level that the proposed controller's settlement fills from."""
-    return state.e_past + decision.tail_expected + state.e_future \
-        - state.promise
-
-
-def _expected_mismatch(decision, key, state):
+def _expected_mismatch(decision, key):
     """Expected end-of-year mismatch per consumer once the period hands
     out the key row and the tail its expectation."""
-    return _level(decision, state) + key
+    return decision.level + key
 
 
-def _settled_objective(decision, key, state):
+def _settled_objective(decision, key):
     """Squared expected mismatch after settling the key row: the objective
     that settle minimizes."""
-    mismatch = _expected_mismatch(decision, key, state)
+    mismatch = _expected_mismatch(decision, key)
     return float(mismatch @ mismatch)
+
+
+def _planned_key(decision, state, window, spec, config, beta_es_use=0.0):
+    """The head's split as the control QP plans it (theta > 0), repaired to
+    the decision's served energy: the key row the QP would hand out."""
+    qp, blocks = _control_qp(state, window, spec, config, beta_es_use)
+    rep = solve_qp(qp, tol=1e-6)
+    assert rep.status == "optimal"
+    split = blocks[0][4]
+    return _repair_rows(rep.x[split][None, :], np.array([decision.served]),
+                        window.head_loads[None, :])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -136,15 +142,16 @@ def test_mpc_single_period_surplus_no_battery():
     # their promise: everything is served locally and the rest exported
     spec = StorageSpec(0.0, 0.0, _ETA, cyclic=False)
     win = _window([2.5, 1.5], 10.0)
-    dec = mpc_step(_state(promise=(4.0, 4.0)), win, spec,
-                   HorizonConfig(1, 1, theta=1.0))
+    st, cfg = _state(promise=(4.0, 4.0)), HorizonConfig(1, 1, theta=1.0)
+    dec = mpc_step(st, win, spec, cfg)
     assert dec.served == pytest.approx(4.0, abs=2e-6)
     # the head's balance gives its export: gen - served - charge + discharge
     assert win.head_gen - dec.served - dec.charge + dec.discharge == \
         pytest.approx(6.0, abs=2e-6)
     assert dec.withheld == pytest.approx(0.0, abs=2e-6)
-    assert dec.key.sum() == pytest.approx(4.0, abs=2e-6)
-    assert not check_key(RepartitionKey(dec.key), win.head_loads[None, :],
+    key = _planned_key(dec, st, win, spec, cfg)
+    assert key.sum() == pytest.approx(4.0, abs=2e-6)
+    assert not check_key(RepartitionKey(key), win.head_loads[None, :],
                          [dec.served], tol=1e-6)
 
 
@@ -154,17 +161,18 @@ def test_mpc_withholds_production_when_ahead_of_promise():
     spec = StorageSpec(0.0, 0.0, _ETA, cyclic=False)
     win = _window([2.5, 1.5], 10.0)
     st = _state(e_past=(6.0, 6.0), promise=(2.0, 2.0))
-    dec = mpc_step(st, win, spec, HorizonConfig(1, 1, theta=1.0))
+    cfg = HorizonConfig(1, 1, theta=1.0)
+    dec = mpc_step(st, win, spec, cfg)
     assert dec.served < 0.1
     assert dec.withheld > 3.8      # imports while exporting
     assert win.head_gen - dec.served - dec.charge + dec.discharge > 9.0
-    mismatch = _expected_mismatch(dec, dec.key, st)
+    mismatch = _expected_mismatch(dec, _planned_key(dec, st, win, spec, cfg))
     assert np.abs(mismatch).max() < 4.1  # vs 4.5 if forced to serve all
 
 
 def test_mpc_theta_zero_single_consumer_is_cost_only():
-    # one consumer: the key is pinned to served energy, and with theta = 0
-    # the plan cannot cost more than refusing to move the battery at all
+    # with theta = 0 the plan cannot cost more than refusing to move the
+    # battery at all, and the period settles alone
     rng = np.random.default_rng(5)
     t_all = 6
     loads = rng.uniform(0.5, 2.0, (t_all, 1))
@@ -174,7 +182,7 @@ def test_mpc_theta_zero_single_consumer_is_cost_only():
     st = OperationState(spec.initial_soc_kwh, [0.0], [5.0], [0.0])
     cfg = HorizonConfig(1, t_all, theta=0.0)
     dec = mpc_step(st, win, spec, cfg, beta_es_use=0.0001)
-    assert dec.key[0] == pytest.approx(dec.served, abs=1e-8)
+    assert dec.level.tobytes() == np.zeros(1).tobytes()
     # the control QP's value is its dispatch cost: no tracking term
     qp, _ = _control_qp(st, win, spec, cfg, 0.0001)
     assert not qp.q_diag.any()
@@ -195,11 +203,13 @@ def test_mpc_key_favors_lagging_consumer():
     spec = StorageSpec(0.0, 0.0, _ETA, cyclic=False)
     win = _window([1.0, 1.0], 1.0)
     st = _state(e_past=(1.0, 0.0), promise=(1.0, 1.0))
-    dec = mpc_step(st, win, spec, HorizonConfig(1, 1, theta=1.0))
+    cfg = HorizonConfig(1, 1, theta=1.0)
+    dec = mpc_step(st, win, spec, cfg)
     assert dec.served == pytest.approx(1.0, abs=2e-6)
     # the minimizer sits exactly on the bound with a vanishing multiplier,
     # so componentwise accuracy is sqrt of the solver tolerance
-    assert dec.key == pytest.approx([0.0, 1.0], abs=2e-3)
+    assert _planned_key(dec, st, win, spec, cfg) == \
+        pytest.approx([0.0, 1.0], abs=2e-3)
 
 
 def test_mpc_respects_storage_envelope():
@@ -215,7 +225,8 @@ def test_mpc_respects_storage_envelope():
     dec = mpc_step(st, win, spec, cfg, beta_es_use=0.0001)
     assert not check_feasible(spec, [dec.charge], [dec.discharge], 0.5,
                               tol=1e-6)
-    assert not check_key(RepartitionKey(dec.key), loads[:1], [dec.served])
+    key = _planned_key(dec, st, win, spec, cfg, 0.0001)
+    assert not check_key(RepartitionKey(key), loads[:1], [dec.served])
     # the envelope also holds along each scenario's branch: the head period
     # followed by that scenario's nine tail periods
     qp, [(c, d, _, _, _), *tails] = _control_qp(st, win, spec, cfg, 0.0001)
@@ -310,6 +321,47 @@ def test_control_qp_blocks_match_row_loop(tc, tt, theta):
     assert _row_multiset(got) == _row_multiset(want)
 
 
+def test_theta_zero_control_qp_is_the_dispatch_program():
+    # theta = 0 tracks nothing: every branch period carries charge,
+    # discharge, SoC, import and export with its balance and SoC rows, and
+    # nothing else; the theta > 0 QP is that program plus the split and
+    # tracking block
+    rng = np.random.default_rng(9)
+    n, tt, probs = 3, 4, np.array([0.6, 0.4])
+    spec = StorageSpec(3.0, 6.0, 0.93, cyclic=False)
+    loads = rng.uniform(0.2, 2.5, (1 + tt, n))
+    win = HorizonWindow(0.5, loads[0], rng.uniform(0.0, 3.0), loads[1:],
+                        rng.uniform(0.0, 3.0, (tt, 2)), probs,
+                        rng.uniform(0.1, 0.3, 1 + tt),
+                        rng.uniform(0.0, 0.1, 1 + tt),
+                        rng.uniform(0.0, 0.02, 1 + tt))
+    st = OperationState(2.5, rng.uniform(0.0, 3.0, n),
+                        rng.uniform(3.0, 6.0, n), rng.uniform(0.0, 1.0, n))
+    zero, blocks = _control_qp(st, win, spec, HorizonConfig(1, 1 + tt, 0.0),
+                               1e-4)
+    periods = 1 + len(probs) * tt
+    assert zero.a.shape == (2 * periods, 5 * periods)
+    assert not zero.q_diag.any()
+    assert all(split is None for *_, split in blocks)
+
+    tracked, blocks = _control_qp(st, win, spec,
+                                  HorizonConfig(1, 1 + tt, 1.0), 1e-4)
+    # each branch lays out charge, discharge, SoC, import and export in a row
+    cols = np.concatenate([np.arange(c[0], gs[-1] + 1)
+                           for c, _, _, gs, _ in blocks])
+    for name in ("c", "lb", "ub"):
+        np.testing.assert_array_equal(getattr(zero, name),
+                                      getattr(tracked, name)[cols])
+    a = tracked.a.tocsr()
+    dispatch = np.isin(np.arange(a.shape[1]), cols)
+    keep = [i for i in range(a.shape[0])
+            if dispatch[a.indices[a.indptr[i]:a.indptr[i + 1]]].all()]
+    np.testing.assert_array_equal(zero.a.toarray(),
+                                  a[keep][:, cols].toarray())
+    assert list(zero.senses) == [tracked.senses[i] for i in keep]
+    np.testing.assert_array_equal(zero.rhs, np.asarray(tracked.rhs)[keep])
+
+
 # ---------------------------------------------------------------------------
 # settlement
 
@@ -321,14 +373,14 @@ def test_settle_qp_blocks_match_row_loop(tc, monkeypatch):
     n = 3
     values = rng.uniform(0.2, 2.0, (tc, n))
     served = rng.uniform(0.0, 1.0, tc) * values.sum(axis=1)
-    dec = _decision_stub(served[0], n,
-                         tail_expected=rng.uniform(0.0, 2.0, n))
+    tail_expected = rng.uniform(0.0, 2.0, n)
     st = _state(e_past=rng.uniform(0.0, 3.0, n),
                 promise=rng.uniform(3.0, 9.0, n),
                 e_future=rng.uniform(0.0, 2.0, n))
+    dec = _decision_stub(served[0], st, tail_expected)
     seen = capture_qps(monkeypatch, operation)
-    key = settle(dec.served, values[0], _level(dec, st))
-    rhs = st.e_past + dec.tail_expected + st.e_future - st.promise
+    key = settle(dec.served, values[0], dec.level)
+    rhs = st.e_past + tail_expected + st.e_future - st.promise
     assert seen == []
     rep = solve_qp(settle_qp_by_rows(values, served, rhs), tol=1e-8)
     assert rep.status == "optimal"
@@ -380,10 +432,10 @@ def test_single_period_settle_matches_qp_and_oracle(case):
     rhs, values = np.array(levels), np.array([loads])
     n = rhs.shape[0]
     served = np.array([share * values.sum()])
-    dec = _decision_stub(served[0], n)
     st = _state(e_past=np.zeros(n), promise=-rhs, e_future=np.zeros(n))
-    key = settle(dec.served, values[0], _level(dec, st))
-    objective = _settled_objective(dec, key, st)
+    dec = _decision_stub(served[0], st)
+    key = settle(dec.served, values[0], dec.level)
+    objective = _settled_objective(dec, key)
     assert not check_key(RepartitionKey(key), values, served)
     _assert_common_level(rhs, key, values[0])
     qp_obj = _settle_qp_objective(values, served, rhs)
@@ -429,13 +481,13 @@ def test_settle_recorded_stall_630331():
         24.382737669003106, 24.382737668652744, 31.5910206223409,
         24.382737668633318, 27.589411797867395, 26.63300347824498]
     n = loads.shape[1]
-    dec = _decision_stub(0.1131311047400021, n, tail_expected=tail_expected)
     st = OperationState(0.0, e_past, promise, np.zeros(n))
+    dec = _decision_stub(0.1131311047400021, st, tail_expected)
     eps = 4.720998765805895e-07
     served = dec.served + eps
-    key = settle(served, loads[0], _level(dec, st))
+    key = settle(served, loads[0], dec.level)
     assert not check_key(RepartitionKey(key), loads, [served])
-    rhs = st.e_past + dec.tail_expected + st.e_future - st.promise
+    rhs = st.e_past + np.asarray(tail_expected) + st.e_future - st.promise
     assert 0.0 < key.sum() < loads.sum()
     _assert_common_level(rhs, key, loads[0])
 
@@ -451,21 +503,22 @@ def test_settle_reproduces_control_objective_on_exact_forecast():
                         [4.0, 3.0, 3.5], [0.5, 0.5, 0.5])
     cfg = HorizonConfig(1, 8, theta=1.7)
     dec = mpc_step(st, win, spec, cfg, beta_es_use=0.0001)
-    key = settle(dec.served, loads[0], _level(dec, st))
-    assert _settled_objective(dec, key, st) == pytest.approx(
-        _settled_objective(dec, dec.key, st), abs=1e-6)
+    key = settle(dec.served, loads[0], dec.level)
+    planned = _planned_key(dec, st, win, spec, cfg, 0.0001)
+    assert _settled_objective(dec, key) == pytest.approx(
+        _settled_objective(dec, planned), abs=1e-6)
 
 
 def test_settle_symmetric_single_period():
     st = _state(promise=(5.0, 5.0))
-    key = settle(2.0, [2.0, 2.0], _level(_decision_stub(2.0, 2), st))
+    key = settle(2.0, [2.0, 2.0], _decision_stub(2.0, st).level)
     assert key == pytest.approx([1.0, 1.0], abs=1e-8)
     assert st.e_past + key == pytest.approx([1.0, 1.0], abs=1e-8)
 
 
 def test_settle_clamps_negative_served_to_zero():
     st = _state(promise=(3.0, 3.0))
-    level = _level(_decision_stub(0.0, 2), st)
+    level = _decision_stub(0.0, st).level
     key = settle(1.0 - 4.0, [1.0, 1.0], level)
     assert key == pytest.approx([0.0, 0.0], abs=1e-10)
     key = settle(2.0, [2.0, 1.0], level)
@@ -480,12 +533,12 @@ def test_settle_key_feasible_and_balances_history():
         n = rng.integers(2, 5)
         loads = rng.uniform(0.1, 2.0, (1, n))
         served = rng.uniform(0.0, 1.2) * loads.sum(1)
-        dec = _decision_stub(served[0], n,
-                             tail_expected=rng.uniform(0.0, 1.0, n))
+        tail_expected = rng.uniform(0.0, 1.0, n)
         st = OperationState(0.0, rng.uniform(0.0, 3.0, n),
                             rng.uniform(2.0, 6.0, n),
                             rng.uniform(0.0, 1.0, n))
-        key = settle(dec.served, loads[0], _level(dec, st))
+        dec = _decision_stub(served[0], st, tail_expected)
+        key = settle(dec.served, loads[0], dec.level)
         assert not check_key(RepartitionKey(key), loads,
                              np.minimum(served, loads.sum(1)))
         assert np.all(st.e_past + key >= st.e_past - 1e-12)
@@ -749,6 +802,24 @@ def test_every_algorithm_settles_once_per_period(algorithm, monkeypatch):
             assert not level.any()
     if algorithm == "proposed":
         assert any(level.any() for _, level, _ in calls)
+
+
+def test_proposed_at_theta_zero_is_mpc_myopic():
+    # theta = 0 tracks nothing in control or settlement, so the proposed
+    # controller at theta = 0 is the cost-only MPC, byte for byte
+    bundle, result, plan = _year_case(t_len=48)
+    realized = _realization(bundle, 55)
+    cfg = HorizonConfig(1, 8, theta=0.0)
+    proposed, myopic = (run_year(bundle, plan, result.decision, realized, cfg,
+                                 algorithm)
+                        for algorithm in ("proposed", "mpc_myopic"))
+    for name in ("charge", "discharge", "grid_import", "surplus",
+                 "to_consumers", "soc"):
+        assert getattr(proposed.dispatch, name).tobytes() == \
+            getattr(myopic.dispatch, name).tobytes()
+    assert proposed.keys.tobytes() == myopic.keys.tobytes()
+    assert proposed.mismatch_series.tobytes() == \
+        myopic.mismatch_series.tobytes()
 
 
 def test_year_zero_solar_delivers_nothing():
