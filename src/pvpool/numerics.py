@@ -29,14 +29,17 @@ each factorization.  On either path each solve is refined against the
 matrix, and a nonpositive pivot or a solve whose refined residual misses
 is redone with SuperLU's partial pivoting.
 
-The symbolic work on a presolved constraint matrix A is done once and kept
-(_analyse): A', the normal matrix's pattern with its band plan and the map
-from D^-1 to its data, and the assembled KKT matrix.  It is keyed by A's
-exact bytes and held for the last few matrices, so the control QPs of a
-rolling horizon, which share one matrix, analyse it once.  A kept analysis
-yields the same numbers as a new one, so no report depends on earlier
-solves.  The iterations keep every vector at full length; entries
-without a bound on one side are reset by index rather than masked.
+The work on a presolved constraint matrix A that A alone decides is done
+once and kept (_analyse): A', the normal matrix's pattern with its band
+plan and the map from D^-1 to its data, the factor of A A' + 1e-8 I that
+the least-norm start point solves with, and the assembled KKT matrix.  It
+is keyed by A's exact bytes and held for the last few matrices, so the
+control QPs of a rolling horizon, which share one matrix, analyse it once,
+and a normal-equations solve that finds its analysis kept factors only
+inside its iterations.  A kept analysis yields the same numbers as a new
+one, so no report depends on earlier solves.  The iterations keep every
+vector at full length; entries without a bound on one side are reset by
+index rather than masked.
 
 A report with status "optimal" carries residuals measured at the returned
 point against the original problem, so callers can verify the certificate
@@ -244,6 +247,7 @@ class ProblemBuilder:
         return idx
 
     def add_row(self, indices, coeffs, sense, rhs):
+        """Append one row; returns its index."""
         idx = np.asarray(indices, dtype=np.int64)
         coef = np.asarray(coeffs, dtype=np.float64)
         if idx.ndim != 1 or coef.shape != idx.shape:
@@ -253,12 +257,14 @@ class ProblemBuilder:
         self._row_len.append(len(idx))
         self._senses.append(sense)
         self._rhs.append(float(rhs))
+        return len(self._rhs) - 1
 
     def add_rows(self, indices, coeffs, sense, rhs):
         """Append one row per line of the (k, w) index array `indices`.
 
         coeffs broadcasts against indices (a length-w vector gives every
-        row the same coefficients) and rhs against k rows.
+        row the same coefficients) and rhs against k rows.  Returns the
+        rows' indices.
         """
         idx = np.asarray(indices, dtype=np.int64)
         if idx.ndim != 2:
@@ -274,6 +280,7 @@ class ProblemBuilder:
         self._row_len.extend([width] * k)
         self._senses.extend([sense] * k)
         self._rhs.extend(rhs.tolist())
+        return np.arange(len(self._rhs) - k, len(self._rhs))
 
     def _assemble(self):
         n = self._n
@@ -752,11 +759,12 @@ class _NormalEquations(_SymmetricFactor):
 
 
 class _Analysis:
-    """The symbolic work on one presolved constraint matrix A.
+    """The work on one presolved constraint matrix A that A alone decides.
 
     Holds A' and, built when a solve first takes that Newton path, the
-    normal-equations band plan with its product map, or the assembled KKT
-    matrix (A's data off the diagonal) with the positions of its diagonal;
+    normal-equations band plan with its product map and the factor of the
+    least-norm start point's A A' + 1e-8 I, or the assembled KKT matrix
+    (A's data off the diagonal) with the positions of its diagonal;
     SuperLU orders that matrix at each factorization.  Everything here
     follows from A's bytes alone and is only read by the solves.
     """
@@ -764,6 +772,7 @@ class _Analysis:
     def __init__(self, a):
         self.at = a.T.tocsr()
         self._normal = None
+        self._start = None
         self._kkt = None
 
     def normal(self):
@@ -771,6 +780,15 @@ class _Analysis:
             pattern, pmap = _normal_product_map(self.at, self.at.shape[1])
             self._normal = (_BandPlan(pattern.indptr, pattern.indices), pmap)
         return self._normal
+
+    def start(self):
+        """A A' + 1e-8 I, factored on first use (RuntimeError when even
+        its pivoted factorization is singular) and kept."""
+        if self._start is None:
+            start = _NormalEquations(self)
+            start.factor(np.ones(self.at.shape[0]), 1e-8)
+            self._start = start
+        return self._start
 
     def kkt(self):
         if self._kkt is None:
@@ -847,7 +865,8 @@ def _ipm_loop(std, tol, max_iter):
     kkt = normal = None
     # one least-norm correction toward A x = b, solved on the system the
     # iterations use: [[I, A'], [A, -1e-8 I]] on the KKT path, and its
-    # block elimination (A A' + 1e-8 I) w = r, dx = A' w on the normal path
+    # block elimination (A A' + 1e-8 I) w = r, dx = A' w on the normal path,
+    # whose factor the analysis keeps
     try:
         if kkt_path:
             kkt = _QuasidefiniteKkt(analysis)
@@ -855,8 +874,7 @@ def _ipm_loop(std, tol, max_iter):
             dx = kkt.solve(np.zeros(n), b - a @ x)[0]
         else:
             normal = _NormalEquations(analysis)
-            normal.factor(np.ones(n), 1e-8)
-            dx = at @ normal.solve(b - a @ x)
+            dx = at @ analysis.start().solve(b - a @ x)
         if np.isfinite(dx).all():
             x = x + dx
     except RuntimeError:

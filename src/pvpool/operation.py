@@ -22,19 +22,23 @@ from the control step's level, the expected end-of-year mismatch with the
 tail expectation held fixed, which is zero at theta = 0 (the cost-only
 MPC), or from zero for the greedy rule.  The battery's state of charge
 carries over from what really happened, not from the plan.  The control
-objective is stated once, in `_control_qp`, and the bill once, in
-`sizing.dispatch_costs`.
+QP is laid out once per window shape (`_control_pattern`: its matrix, row
+senses and variable blocks, kept for the last few shapes, so the steps of
+a year share one), and one fill, `_control_qp`, writes every step's costs,
+bounds and right-hand sides, so the objective is stated once, there.  The
+bill is stated once, in `sizing.dispatch_costs`.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .allocation import _repair_rows, _water_fill
 from .domain import DispatchSeries, DomainError, is_count, is_number
-from .numerics import ProblemBuilder, solve_qp
+from .numerics import ConvexQuadraticProgram, ProblemBuilder, solve_qp
 from .sizing import dispatch_costs, pv_production, split_flows
 from .storage import StorageSpec, realize, recursion_rows
 
@@ -166,8 +170,11 @@ class HorizonWindow:
             arr = np.asarray(getattr(self, name))
             if arr.size and (not np.isfinite(arr).all() or arr.min() < 0):
                 errors.append(f"{name} entries must be finite and nonnegative")
-        if self.probabilities.size and \
-                abs(self.probabilities.sum() - 1.0) > 1e-6:
+        probs = self.probabilities
+        if not np.isfinite(probs).all() or np.any(probs < 0):
+            errors.append("scenario probabilities must be finite and"
+                          " nonnegative")
+        elif probs.size and abs(probs.sum() - 1.0) > 1e-6:
             errors.append("scenario probabilities must sum to 1")
         if errors:
             raise DomainError(errors)
@@ -210,68 +217,110 @@ def _branches(window):
         for widx, prob in tails]
 
 
+@lru_cache(maxsize=8)
+def _control_pattern(n, tail, probabilities, eta, tracked):
+    """The control QP of one window shape, without its data.
+
+    The shape is all that enters the matrix: n, the tail length, the
+    scenario probabilities (a tuple), the one-way efficiency eta and
+    whether theta > 0 (tracked).  Each branch of the scenario tree lays out
+    charge, discharge, SoC, import and export variables, its balance rows
+    and its SoC recursion (`storage.recursion_rows`, a tail's from the
+    head's SoC variable), then, when tracked, split variables and
+    served-energy rows; one tracking row per consumer follows.  Returns a
+    QP whose vectors are placeholders; per branch its (charge, discharge,
+    import, export, split) block, SoC variables, balance and served rows;
+    the head's start row; and the tracking variables.  Split, served and
+    tracking are None untracked.
+    """
+    pb = ProblemBuilder()
+    tree = [(1.0, 1)] + [(prob, tail) for prob in probabilities if tail]
+    branches = []
+    head_soc = start = None
+    for prob, periods in tree:
+        c, d, soc, gg, gs = pb.add_vars(5 * periods).reshape(5, periods)
+        balance = pb.add_rows(np.column_stack([gg, gs, c, d]),
+                              [1.0, -1.0, -1.0, 1.0], "==", 0.0)
+        first = recursion_rows(pb, eta, c, d, soc, before=head_soc)
+        if head_soc is None:
+            head_soc, start = soc[0], first
+        split = served = None
+        if tracked:
+            # served energy is what the key must hand out: sum_i e_i + gg = l
+            split = pb.add_vars(periods * n)
+            served = pb.add_rows(
+                np.column_stack([split.reshape(periods, n), gg]), 1.0, "==",
+                0.0)
+        branches.append(((c, d, gg, gs, split), soc, balance, served))
+    deliver = None
+    if tracked:
+        # deliver_i is consumer i's expected window allocation
+        deliver = pb.add_vars(n)
+        idx = np.column_stack([deliver] + [blk[4].reshape(-1, n).T
+                                           for blk, *_ in branches])
+        coef = np.concatenate([[1.0]] + [np.full(periods, -prob)
+                                         for prob, periods in tree])
+        pb.add_rows(idx, coef, "==", 0.0)
+    for blk, *_ in branches:  # handed to every step: read-only
+        for idx in blk:
+            if idx is not None:
+                idx.flags.writeable = False
+    return pb.qp(), branches, start, deliver
+
+
 def _control_qp(state, window, spec, config, beta_es_use):
     """The control QP of `mpc_step` and the index blocks of its variables.
 
-    Every branch of the scenario tree (`_branches`) is built alike: its
-    charge, discharge, SoC, import and export variables, costed at the
-    branch's probability, then its energy balance and state-of-charge
-    recursion (`storage.recursion_rows`), the head's from the state's SoC,
-    a tail's from the head's SoC variable.  When theta > 0 each branch then
-    splits its served energy (split variables, served-energy rows) and one
-    tracking row per consumer follows; at theta = 0 the QP is the dispatch
-    program.  Returns the QP and one (charge, discharge, import, export,
-    split) index block per branch, head first; split is None at theta = 0.
+    The one fill of the window shape's kept pattern (`_control_pattern`):
+    each branch (`_branches`) costs its variables at its probability,
+    bounds them by the battery's caps and its loads, and sets its balance
+    rows to its loads net of its generation and, when theta > 0, its
+    served rows to its loads; the head's recursion starts from the state's
+    SoC, and theta prices the tracking variables.  At theta = 0 the QP is
+    the dispatch program.  Returns a new QP, which shares no array with the
+    pattern, and one (charge, discharge, import, export, split) index block
+    per branch, head first; split is None at theta = 0.
     """
     n = window.head_loads.shape[0]
+    theta = config.theta
+    pattern, branches, start, deliver = _control_pattern(
+        n, window.tail_periods, tuple(window.probabilities.tolist()),
+        spec.efficiency, theta > 0.0)
     cap_p = spec.power_cap_kw * window.delta_hours
     cap_e = spec.energy_cap_kwh
-    balance = [1.0, -1.0, -1.0, 1.0]
     export_net = window.export_tax - window.export_price
-    theta = config.theta
 
-    tree = _branches(window)
-    pb = ProblemBuilder()
-    blocks = []
-    head_soc = None
-    for prob, loads, gen, span in tree:
-        periods = loads.shape[0]
+    size = pattern.c.shape[0]
+    cost, qdiag, lb = np.zeros(size), np.zeros(size), np.zeros(size)
+    ub = np.full(size, np.inf)
+    rhs = np.zeros(pattern.rhs.shape[0])
+    for (prob, loads, gen, span), ((c, d, gg, gs, split), soc, balance,
+                                   served) in zip(_branches(window), branches):
         agg = loads.sum(axis=1)
-        c = pb.add_vars(periods, lb=0.0, ub=cap_p, cost=prob * beta_es_use)
-        d = pb.add_vars(periods, lb=0.0, ub=cap_p, cost=prob * beta_es_use)
-        soc = pb.add_vars(periods, lb=0.0, ub=cap_e)
-        gg = pb.add_vars(periods, lb=0.0, ub=agg,
-                         cost=prob * window.grid_price[span])
-        gs = pb.add_vars(periods, lb=0.0, cost=prob * export_net[span])
-        pb.add_rows(np.column_stack([gg, gs, c, d]), balance, "==", agg - gen)
-        # the head's recursion starts from the state's SoC, each tail's from
-        # the head's SoC variable
-        recursion_rows(pb, spec, c, d, soc, start=min(state.soc_kwh, cap_e),
-                       before=head_soc)
-        head_soc = soc[0] if head_soc is None else head_soc
-        split = None
-        if theta > 0.0:
-            # served energy is what the key must hand out: sum_i e_i + gg = l
-            split = pb.add_vars(periods * n, lb=0.0, ub=loads.ravel())
-            pb.add_rows(np.column_stack([split.reshape(periods, n), gg]), 1.0,
-                        "==", agg)
-        blocks.append((c, d, gg, gs, split))
-
-    if theta > 0.0:
-        # tracking distance: minimize theta * sum_i (deliver_i + rhs_i)^2
-        # with deliver_i the expected window allocation.  Written with the
-        # offset in the linear term so every variable stays at kWh scale;
-        # carrying rhs (cumulative promise gap, often hundreds of kWh)
-        # inside a variable stalls the solve short of tight tolerances.
-        rhs = state.e_past + state.e_future - state.promise
-        deliver = pb.add_vars(n, lb=-np.inf, ub=np.inf, qdiag=2.0 * theta,
-                              cost=2.0 * theta * rhs)
-        idx = np.column_stack([deliver] + [blk[4].reshape(-1, n).T
-                                           for blk in blocks])
-        coef = np.concatenate([[1.0]] + [np.full(loads.shape[0], -prob)
-                                         for prob, loads, _, _ in tree])
-        pb.add_rows(idx, coef, "==", 0.0)
-    return pb.qp(), blocks
+        cost[c] = cost[d] = prob * beta_es_use
+        cost[gg] = prob * window.grid_price[span]
+        cost[gs] = prob * export_net[span]
+        ub[c] = ub[d] = cap_p
+        ub[soc] = cap_e
+        ub[gg] = agg
+        rhs[balance] = agg - gen
+        if split is not None:
+            ub[split] = loads.ravel()
+            rhs[served] = agg
+    rhs[start] = min(state.soc_kwh, cap_e)
+    if deliver is not None:
+        # tracking distance: minimize theta * sum_i (deliver_i + rhs_i)^2.
+        # Written with the offset in the linear term so every variable
+        # stays at kWh scale; carrying rhs (cumulative promise gap, often
+        # hundreds of kWh) inside a variable stalls the solve short of
+        # tight tolerances.
+        lb[deliver] = -np.inf
+        qdiag[deliver] = 2.0 * theta
+        cost[deliver] = 2.0 * theta * (state.e_past + state.e_future
+                                       - state.promise)
+    qp = ConvexQuadraticProgram(cost, qdiag, pattern.a, pattern.senses.copy(),
+                                rhs, lb, ub)
+    return qp, [blk for blk, *_ in branches]
 
 
 def mpc_step(state, window, spec, config, beta_es_use=0.0):

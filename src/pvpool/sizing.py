@@ -365,7 +365,8 @@ def _dispatch_lp(bundle, alpha, pv, es):
     soc = pb.add_vars(t_len, ub=spec.energy_cap_kwh)
     pb.add_rows(np.column_stack([gg, gs, c, d]), [1.0, -1.0, -1.0, 1.0], "==",
                 l_agg - delta * pv * np.asarray(alpha, dtype=np.float64))
-    recursion_rows(pb, spec, c, d, soc, start=spec.initial_soc_kwh)
+    recursion_rows(pb, spec.efficiency, c, d, soc,
+                   start=spec.initial_soc_kwh)
     pb.add_row([soc[-1]], [1.0], "==", spec.initial_soc_kwh)
     return pb.lp()
 

@@ -532,10 +532,18 @@ def _report_bytes(rep):
 
 
 @pytest.mark.parametrize("kind", ["control_qp", "sizing_lp"])
-def test_kept_analysis_gives_bit_identical_reports(kind):
+def test_kept_analysis_gives_bit_identical_reports(kind, monkeypatch):
     # a solve that finds its matrix analysed (by an earlier solve of it,
     # with other matrices analysed since) must report exactly what a solve
     # that analyses it afresh reports
+    regs = []  # the regularization of each normal-equations factorization
+    factor = numerics._NormalEquations.factor
+
+    def counting(self, dinv, reg=0.0):
+        regs.append(reg)
+        return factor(self, dinv, reg)
+
+    monkeypatch.setattr(numerics._NormalEquations, "factor", counting)
     if kind == "control_qp":
         problem, solve, path = _control_qp_instance(), solve_qp, "_normal"
         tol = 1e-6
@@ -553,10 +561,15 @@ def test_kept_analysis_gives_bit_identical_reports(kind):
     for other in others:
         solve_lp(other)
     kept = set(map(id, numerics._ANALYSES.values()))
+    starts = regs.count(1e-8)  # the start point's A A' + 1e-8 I
     again = solve(problem, tol=tol)
     # no new analysis was made: the solve found every one it needed
     assert set(map(id, numerics._ANALYSES.values())) <= kept
     assert _report_bytes(again) == _report_bytes(fresh)
+    if kind == "control_qp":
+        # the kept analysis holds the start point's factor, so the second
+        # solve factors only inside its iterations
+        assert starts >= 1 and regs.count(1e-8) == starts
 
 
 def test_analyses_kept_are_bounded():

@@ -23,7 +23,7 @@ from pvpool.sizing import (dispatch_costs, pv_production, solve_sizing,
                            split_flows)
 from pvpool.storage import StorageSpec, check_feasible, realize
 
-from oracles import (control_qp_by_rows,
+from oracles import (assert_same_qp, control_qp_by_rows,
                      greedy_year_by_rule_loop, qp_active_set_minimum,
                      settle_qp_by_rows)
 from test_allocation import _oracle_variance, capture_qps
@@ -132,6 +132,23 @@ def test_horizon_window_head_is_one_period():
         _window([[1.0, 2.0]], 0.5)
     with pytest.raises(DomainError, match="one period"):
         _window([1.0, 2.0], [0.5])
+
+
+@pytest.mark.parametrize("probs", [(1.5, -0.5), (np.nan, 1.0),
+                                   (np.inf, 0.0)])
+def test_horizon_window_refuses_bad_probabilities(probs):
+    # a NaN passes the sum check (abs(nan) > 1e-6 is False) and a negative
+    # probability can sum to 1; both are refused as domain errors.  The
+    # probabilities enter the control QP's matrix
+    with pytest.raises(DomainError, match="finite and nonnegative"):
+        _window([1.0, 2.0], 0.5, [[1.0, 1.0]], [[0.5] * len(probs)],
+                probs=probs)
+
+
+def test_horizon_window_accepts_a_zero_probability():
+    win = _window([1.0, 2.0], 0.5, [[1.0, 1.0]], [[0.5, 0.7]],
+                  probs=(0.0, 1.0))
+    assert win.probabilities.tolist() == [0.0, 1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +301,18 @@ def test_mpc_matches_grid_search_oracle():
     assert abs(achieved - grid_best) < 2e-3
 
 
-def _row_multiset(qp):
+def _rows_by_bytes(qp):
+    """The QP's rows as a sorted list of (indices, data, sense, rhs) bytes,
+    each row's entries in column order: a byte-for-byte comparison that
+    does not depend on the order the rows were added in."""
     a = qp.a.tocsr()
     rows = []
     for i in range(a.shape[0]):
         span = slice(a.indptr[i], a.indptr[i + 1])
-        order = np.argsort(a.indices[span])
-        rows.append((tuple(a.indices[span][order]),
-                     tuple(a.data[span][order]), str(qp.senses[i]),
-                     float(qp.rhs[i])))
+        order = np.argsort(a.indices[span], kind="stable")
+        rows.append((a.indices[span][order].astype(np.int64).tobytes(),
+                     a.data[span][order].tobytes(), str(qp.senses[i]),
+                     qp.rhs[i:i + 1].tobytes()))
     return sorted(rows)
 
 
@@ -318,7 +338,90 @@ def test_control_qp_blocks_match_row_loop(tc, tt, theta):
         np.testing.assert_array_equal(getattr(got, name),
                                       getattr(want, name))
     assert got.a.shape == want.a.shape
-    assert _row_multiset(got) == _row_multiset(want)
+    assert _rows_by_bytes(got) == _rows_by_bytes(want)
+
+
+def _rolling_windows(theta):
+    """(state, window, spec, config) for every step of an 8-period span at
+    a 4-period horizon: full, shrinking and head-only windows, consumer 1
+    without load in period 2 (in the tail at steps 0 and 1, the head at
+    step 2), SoC at 0, at the cap, between and above it, and at step 5 a
+    zero-capacity battery of the same efficiency."""
+    rng = np.random.default_rng(23)
+    t_len, horizon, n, probs = 8, 4, 3, np.array([0.3, 0.7])
+    loads = rng.uniform(0.2, 2.5, (t_len, n))
+    loads[2, 1] = 0.0
+    gen = rng.uniform(0.0, 3.0, (t_len, 2))
+    price, lam = rng.uniform(0.1, 0.3, t_len), rng.uniform(0.0, 0.1, t_len)
+    battery = StorageSpec(3.0, 6.0, 0.93, cyclic=False)
+    empty = StorageSpec(0.0, 0.0, 0.93, cyclic=False)
+    for t in range(t_len):
+        end = min(t + horizon, t_len)
+        spec = empty if t == 5 else battery
+        soc = (0.0, 6.0, 2.5, 7.0)[t % 4]
+        state = OperationState(soc, rng.uniform(0.0, 3.0, n),
+                               rng.uniform(3.0, 6.0, n),
+                               rng.uniform(0.0, 1.0, n))
+        window = HorizonWindow(0.5, loads[t], float(gen[t] @ probs),
+                               loads[t + 1:end], gen[t + 1:end], probs,
+                               price[t:end], lam[t:end], np.zeros(end - t))
+        yield state, window, spec, HorizonConfig(1, horizon, theta=theta)
+
+
+def _block_lists(blocks):
+    return [[None if b is None else b.tolist() for b in blk]
+            for blk in blocks]
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.6])
+def test_kept_control_pattern_fills_the_fresh_qp(theta):
+    # the steps of a rolling span fill one kept pattern per window shape;
+    # each QP must be the one a fresh pattern gives, and the row-by-row
+    # reference build, array by array and byte for byte
+    steps = list(_rolling_windows(theta))
+    operation._control_pattern.cache_clear()
+    kept = [_control_qp(*step, 1e-4) for step in steps]
+    info = operation._control_pattern.cache_info()
+    assert (info.misses, info.hits) == (4, 4)  # tails of 3, 2, 1 and 0
+    for step, (qp, blocks) in zip(steps, kept):
+        operation._control_pattern.cache_clear()
+        fresh, fresh_blocks = _control_qp(*step, 1e-4)
+        assert_same_qp(qp, fresh)
+        assert _block_lists(blocks) == _block_lists(fresh_blocks)
+        want = control_qp_by_rows(*step, 1e-4)
+        for name in ("c", "q_diag", "lb", "ub"):
+            assert getattr(qp, name).tobytes() == \
+                getattr(want, name).tobytes(), name
+        assert qp.a.shape == want.a.shape
+        assert _rows_by_bytes(qp) == _rows_by_bytes(want)
+
+
+def test_control_qp_shares_no_array_with_its_pattern():
+    # a caller that writes into a returned QP must not change the next one
+    state, window, spec, cfg = next(_rolling_windows(1.0))
+    first, _ = _control_qp(state, window, spec, cfg, 1e-4)
+    want, _ = _control_qp(state, window, spec, cfg, 1e-4)
+    for name in ("c", "q_diag", "lb", "ub", "rhs"):
+        getattr(first, name)[:] = 7.0
+    first.senses[:] = "<="
+    first.a.data[:] = 7.0
+    first.a.indices[:] = 0
+    again, blocks = _control_qp(state, window, spec, cfg, 1e-4)
+    assert_same_qp(again, want)
+    # the index blocks are the kept pattern's own, so they are read-only
+    with pytest.raises(ValueError, match="read-only"):
+        blocks[0][0][0] = 1
+
+
+def test_year_builds_one_control_pattern_per_window_shape():
+    # 96 periods at a 48-period horizon: 49 steps share the full window's
+    # shape, and each of the last 47 has a shorter tail of its own
+    bundle, result, plan = _year_case(t_len=96, n=15, w=3)
+    operation._control_pattern.cache_clear()
+    run_year(bundle, plan, result.decision, _realization(bundle, 55),
+             HorizonConfig(1, 48))
+    info = operation._control_pattern.cache_info()
+    assert (info.misses, info.hits) == (48, 48)
 
 
 def test_theta_zero_control_qp_is_the_dispatch_program():
