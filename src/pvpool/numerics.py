@@ -10,8 +10,11 @@ solve_lp and solve_qp.  Problems are stated as
 with Q = diag(q), q >= 0.  Variance objectives reach this form through
 auxiliary spread variables tied to the allocations by equality rows.
 Inequality rows get slack variables internally, so the core only ever sees
-equality rows plus box bounds.  Every solve is deterministic: identical inputs
-produce bit-identical reports.
+equality rows plus box bounds.  Every solve is deterministic: identical
+inputs, the start included, produce bit-identical reports.  The iterations
+start from the box midpoint or, for solve_qp, from a caller's primal guess
+(a rolling horizon's previous plan, shifted), moved toward A x = b by one
+least-norm correction and pushed strictly inside the box.
 
 Each iteration solves one Newton system, on one of two paths.  The normal
 equations A D^-1 A' serve every problem whose variables all carry a bound
@@ -428,6 +431,15 @@ class _Standard:
     def expand(self, x_reduced):
         return self._full(x_reduced)[: self.n_orig]
 
+    def reduce(self, x):
+        """A point over the original variables in the solved ones' order:
+        presolve's pinned variables drop out, and slacks read NaN."""
+        keep = self.fixed_mask
+        full = np.full(self.c.shape[0] if keep is None else keep.shape[0],
+                       np.nan)
+        full[: self.n_orig] = x
+        return full if keep is None else full[~keep]
+
     def duals(self, x, y, zl, zu):
         """Postsolve: the row duals and the bound multipliers of the original
         variables, from those of the reduced problem at its point x.
@@ -828,9 +840,10 @@ def _step_to_boundary(value, rate, unbounded):
     return min(1.0 / _STEP_DAMP, -float(ratio.max()))
 
 
-def _ipm_loop(std, tol, max_iter):
+def _ipm_loop(std, tol, max_iter, guess=None):
     # m >= 1 rows and n >= 1 columns: _solve settles m == 0 (which n == 0
-    # implies, once empty rows are dropped) first
+    # implies, once empty rows are dropped) first.  guess, when given, is a
+    # point over the solved variables (NaN where it says nothing)
     a = std.a
     m, n = a.shape
     c, qdiag, lb, ub = std.c, std.qdiag.copy(), std.lb, std.ub
@@ -854,7 +867,9 @@ def _ipm_loop(std, tol, max_iter):
     # variable; free variables with zero curvature push us to the kkt path
     kkt_path = bool(np.any(~has_lb & ~has_ub & (qdiag == 0.0)))
 
-    # starting point: push a least-squares-ish point strictly inside the box
+    # starting point: the guess where one is given (a warm start), the box
+    # midpoint elsewhere (slacks, and every variable of a cold start); then
+    # push that least-squares-ish point strictly inside the box
     x = np.zeros(n)
     both = has_lb & has_ub
     x[both] = 0.5 * (lb[both] + ub[both])
@@ -862,6 +877,8 @@ def _ipm_loop(std, tol, max_iter):
     x[only_l] = lb[only_l] + 1.0
     only_u = ~has_lb & has_ub
     x[only_u] = ub[only_u] - 1.0
+    if guess is not None:
+        x = np.where(np.isnan(guess), x, guess)
     kkt = normal = None
     # one least-norm correction toward A x = b, solved on the system the
     # iterations use: [[I, A'], [A, -1e-8 I]] on the KKT path, and its
@@ -1089,7 +1106,7 @@ def _finish(problem, std, res, tol):
                        *std.duals(res.x, res.y, res.zl, res.zu))
 
 
-def _solve(problem, qdiag, tol, max_iter):
+def _solve(problem, qdiag, tol, max_iter, start=None):
     std = _Standard(problem.c, qdiag, problem.a, problem.senses, problem.rhs,
                     problem.lb, problem.ub)
     if std.infeasible_reason is not None:
@@ -1121,7 +1138,8 @@ def _solve(problem, qdiag, tol, max_iter):
         # before the stall detector fires; those float warnings are expected
         # and silenced
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            res = _ipm_loop(std, tol, max_iter)
+            res = _ipm_loop(std, tol, max_iter,
+                            None if start is None else std.reduce(start))
     return _finish(problem, std, res, tol)
 
 
@@ -1133,8 +1151,18 @@ def solve_lp(problem: LinearProgram, tol: float = 1e-8, max_iter: int = 10 ** 6)
     return _solve(problem, np.zeros(n), tol, max_iter)
 
 
-def solve_qp(problem: ConvexQuadraticProgram, tol: float = 1e-6, max_iter: int = 10 ** 6) -> SolveReport:
-    """Solve a ConvexQuadraticProgram; "optimal" certifies the KKT residuals."""
+def solve_qp(problem: ConvexQuadraticProgram, tol: float = 1e-6, max_iter: int = 10 ** 6, start=None) -> SolveReport:
+    """Solve a ConvexQuadraticProgram; "optimal" certifies the KKT residuals.
+
+    start, when given, is a finite primal guess for every variable (say, a
+    neighbouring problem's solution), taken in place of the box midpoint:
+    the same least-norm correction toward the rows and push inside the box
+    follow, and the duals start as without it.
+    """
     if not isinstance(problem, ConvexQuadraticProgram):
         raise NumericsError("solve_qp expects a ConvexQuadraticProgram")
-    return _solve(problem, problem.q_diag, tol, max_iter)
+    if start is not None:
+        start = np.asarray(start, dtype=np.float64)
+        if start.shape != problem.c.shape or not np.isfinite(start).all():
+            raise NumericsError("start must be a finite value per variable")
+    return _solve(problem, problem.q_diag, tol, max_iter, start)

@@ -25,8 +25,11 @@ carries over from what really happened, not from the plan.  The control
 QP is laid out once per window shape (`_control_pattern`: its matrix, row
 senses and variable blocks, kept for the last few shapes, so the steps of
 a year share one), and one fill, `_control_qp`, writes every step's costs,
-bounds and right-hand sides, so the objective is stated once, there.  The
-bill is stated once, in `sizing.dispatch_costs`.
+bounds and right-hand sides, so the objective is stated once, there.  Each
+step after the first starts its solve from the previous step's plan,
+shifted one period (`_shifted_start`): `run_year` hands each
+`ControlDecision.plan` to the next `mpc_step`, and nothing else is kept
+between steps.  The bill is stated once, in `sizing.dispatch_costs`.
 """
 
 from __future__ import annotations
@@ -195,7 +198,9 @@ class ControlDecision:
     of the local allocation.  level is what `settle` fills the period from,
     the expected end-of-year mismatch per consumer before it (e_past + the
     tail's expected allocation + e_future - promise), and zero at theta = 0,
-    where nothing is tracked and the period settles alone.
+    where nothing is tracked and the period settles alone.  plan is the
+    solved window, (solution, index blocks, tracking variables) as
+    `_control_qp` lays them out, which the next step starts from.
     """
 
     charge: float
@@ -203,6 +208,7 @@ class ControlDecision:
     withheld: float
     served: float
     level: np.ndarray
+    plan: tuple | None = None
 
 
 def _branches(window):
@@ -229,9 +235,9 @@ def _control_pattern(n, tail, probabilities, eta, tracked):
     head's SoC variable), then, when tracked, split variables and
     served-energy rows; one tracking row per consumer follows.  Returns a
     QP whose vectors are placeholders; per branch its (charge, discharge,
-    import, export, split) block, SoC variables, balance and served rows;
-    the head's start row; and the tracking variables.  Split, served and
-    tracking are None untracked.
+    SoC, import, export, split) block, balance and served rows; the head's
+    start row; and the tracking variables.  Split, served and tracking are
+    None untracked.
     """
     pb = ProblemBuilder()
     tree = [(1.0, 1)] + [(prob, tail) for prob in probabilities if tail]
@@ -251,20 +257,19 @@ def _control_pattern(n, tail, probabilities, eta, tracked):
             served = pb.add_rows(
                 np.column_stack([split.reshape(periods, n), gg]), 1.0, "==",
                 0.0)
-        branches.append(((c, d, gg, gs, split), soc, balance, served))
+        branches.append(((c, d, soc, gg, gs, split), balance, served))
     deliver = None
     if tracked:
         # deliver_i is consumer i's expected window allocation
         deliver = pb.add_vars(n)
-        idx = np.column_stack([deliver] + [blk[4].reshape(-1, n).T
+        idx = np.column_stack([deliver] + [blk[5].reshape(-1, n).T
                                            for blk, *_ in branches])
         coef = np.concatenate([[1.0]] + [np.full(periods, -prob)
                                          for prob, periods in tree])
         pb.add_rows(idx, coef, "==", 0.0)
-    for blk, *_ in branches:  # handed to every step: read-only
-        for idx in blk:
-            if idx is not None:
-                idx.flags.writeable = False
+    for idx in [*(i for blk, *_ in branches for i in blk), deliver]:
+        if idx is not None:  # handed to every step: read-only
+            idx.flags.writeable = False
     return pb.qp(), branches, start, deliver
 
 
@@ -278,8 +283,9 @@ def _control_qp(state, window, spec, config, beta_es_use):
     served rows to its loads; the head's recursion starts from the state's
     SoC, and theta prices the tracking variables.  At theta = 0 the QP is
     the dispatch program.  Returns a new QP, which shares no array with the
-    pattern, and one (charge, discharge, import, export, split) index block
-    per branch, head first; split is None at theta = 0.
+    pattern, one (charge, discharge, SoC, import, export, split) index block
+    per branch, head first, and the tracking variables' indices; split and
+    tracking are None at theta = 0.
     """
     n = window.head_loads.shape[0]
     theta = config.theta
@@ -294,7 +300,7 @@ def _control_qp(state, window, spec, config, beta_es_use):
     cost, qdiag, lb = np.zeros(size), np.zeros(size), np.zeros(size)
     ub = np.full(size, np.inf)
     rhs = np.zeros(pattern.rhs.shape[0])
-    for (prob, loads, gen, span), ((c, d, gg, gs, split), soc, balance,
+    for (prob, loads, gen, span), ((c, d, soc, gg, gs, split), balance,
                                    served) in zip(_branches(window), branches):
         agg = loads.sum(axis=1)
         cost[c] = cost[d] = prob * beta_es_use
@@ -320,10 +326,45 @@ def _control_qp(state, window, spec, config, beta_es_use):
                                        - state.promise)
     qp = ConvexQuadraticProgram(cost, qdiag, pattern.a, pattern.senses.copy(),
                                 rhs, lb, ub)
-    return qp, [blk for blk, *_ in branches]
+    return qp, [blk for blk, *_ in branches], deliver
 
 
-def mpc_step(state, window, spec, config, beta_es_use=0.0):
+def _shifted_start(previous, blocks, deliver, probabilities, size):
+    """The previous step's plan, shifted one period, over this step's QP.
+
+    previous is that step's `ControlDecision.plan`: its solution, its
+    blocks and its tracking variables.  Each tail's period k + 1 becomes
+    period k, and the new last period repeats the old last; the new head
+    is the probability-weighted first period of the old tails; the
+    tracking variables carry over.  Returns None, a cold start, for the
+    first step and for a window without a tail.
+    """
+    if previous is None or len(blocks) < 2:
+        return None
+    x, old_blocks, old_deliver = previous
+    head, *tails = blocks
+    old_head, new_head = ([None if idx is None else idx.shape for idx in blk]
+                          for blk in (old_blocks[0], head))
+    if len(old_blocks) != len(blocks) or old_head != new_head:
+        raise DomainError("the previous plan does not fit the window")
+    periods, old_periods = tails[0][0].shape[0], old_blocks[1][0].shape[0]
+    rows = np.minimum(np.arange(1, periods + 1), old_periods - 1)
+    start = np.empty(size)
+    for f, idx in enumerate(head):
+        if idx is None:  # theta = 0 shifts the dispatch only
+            continue
+        first = 0.0
+        for prob, new, old in zip(probabilities, tails, old_blocks[1:]):
+            old_idx = old[f].reshape(old_periods, -1)
+            start[new[f]] = x[old_idx[rows]].ravel()
+            first = first + prob * x[old_idx[0]]
+        start[idx] = first
+    if deliver is not None:
+        start[deliver] = x[old_deliver]
+    return start
+
+
+def mpc_step(state, window, spec, config, beta_es_use=0.0, previous=None):
     """Solve one receding-horizon control problem.
 
     Minimizes expected grid cost plus storage wear minus export revenue over
@@ -331,8 +372,13 @@ def mpc_step(state, window, spec, config, beta_es_use=0.0):
     the energy balance, the storage envelope continuing from the state SoC
     (each tail scenario branching off the shared head), and the requirement
     that, when theta > 0, every period's split hands out exactly the locally
-    served energy.  Returns the head period and the level it settles from;
-    the objective is stated once, in `_control_qp`.
+    served energy.  Returns the head period, the level it settles from and
+    the solved plan; the objective is stated once, in `_control_qp`.
+
+    previous is the preceding step's `ControlDecision.plan`, or None.  The
+    solve starts from that plan shifted one period (`_shifted_start`), the
+    rolling horizon's warm start, and from the box midpoint on the first
+    step and on a window without a tail.
     """
     n = window.head_loads.shape[0]
     if state.num_consumers != n:
@@ -341,11 +387,14 @@ def mpc_step(state, window, spec, config, beta_es_use=0.0):
         raise DomainError("window is longer than the prediction horizon")
 
     cap_p = spec.power_cap_kw * window.delta_hours
-    qp, blocks = _control_qp(state, window, spec, config, beta_es_use)
+    qp, blocks, deliver = _control_qp(state, window, spec, config,
+                                      beta_es_use)
+    start = _shifted_start(previous, blocks, deliver, window.probabilities,
+                           qp.c.shape[0])
 
     # control accuracy: 1e-6 on kWh-scale decisions is micro-Wh; the tail's
     # split is repaired to exact feasibility below either way
-    rep = solve_qp(qp, tol=1e-6)
+    rep = solve_qp(qp, tol=1e-6, start=start)
     if rep.status != "optimal":
         raise OperationError(f"control solve ended {rep.status}")
     x = rep.x
@@ -355,8 +404,8 @@ def mpc_step(state, window, spec, config, beta_es_use=0.0):
     # allocation when consumers are ahead of the promise), so re-deriving
     # the flows from a complementary split would change the plan
     branches = []
-    for (_, loads, _, _), (_, _, gg, _, split) in zip(_branches(window),
-                                                      blocks):
+    for (_, loads, _, _), (_, _, _, gg, _, split) in zip(_branches(window),
+                                                         blocks):
         agg = loads.sum(axis=1)
         grid_import = np.clip(x[gg], 0.0, agg)
         branches.append((loads, grid_import, agg - grid_import, split))
@@ -368,12 +417,12 @@ def mpc_step(state, window, spec, config, beta_es_use=0.0):
             [_repair_rows(x[split].reshape(-1, n), sv, loads).sum(axis=0)
              for loads, _, sv, split in tails]) if tails else np.zeros(n)
         level = state.e_past + tail_expected + state.e_future - state.promise
-    c, d, _, gs, _ = blocks[0]
+    c, d, _, _, gs, _ = blocks[0]
     return ControlDecision(
         charge=np.clip(x[c], 0.0, cap_p)[0],
         discharge=np.clip(x[d], 0.0, cap_p)[0],
         withheld=np.minimum(grid_import, np.maximum(x[gs], 0.0))[0],
-        served=served[0], level=level)
+        served=served[0], level=level, plan=(x, blocks, deliver))
 
 
 def settle(served, realized_loads, level):
@@ -432,12 +481,12 @@ def run_year(bundle, plan, decision, realized, config,
 
     Period by period: build the forecast window, run the chosen controller,
     realize the period's dispatch against the actual trajectory, settle the
-    served energy into a key row, and carry SoC and cumulative allocations
-    forward.  Both MPC algorithms settle from their step's level: proposed
-    tracks the promise at config.theta, mpc_myopic runs theta = 0 and so
-    settles each period alone.  rulebased_myopic plans to charge the
-    realized surplus and discharge against the deficit, withholds nothing,
-    and settles from zero.
+    served energy into a key row, and carry SoC, cumulative allocations and
+    the MPC's plan, which the next step starts from, forward.  Both MPC
+    algorithms settle from their step's level: proposed tracks the promise
+    at config.theta, mpc_myopic runs theta = 0 and so settles each period
+    alone.  rulebased_myopic plans to charge the realized surplus and
+    discharge against the deficit, withholds nothing, and settles from zero.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -476,6 +525,7 @@ def run_year(bundle, plan, decision, realized, config,
     soc_series = np.zeros(t_total + 1)
     soc_series[0] = soc
     e_past = np.zeros(n)
+    previous = None  # the last MPC step's plan: the next one starts there
     if algorithm == "mpc_myopic":  # cost only: nothing is tracked
         config = replace(config, theta=0.0)
 
@@ -500,9 +550,10 @@ def run_year(bundle, plan, decision, realized, config,
                 export_price=bundle.tariff.export_price[t:tp_end],
                 export_tax=bundle.tariff.export_tax[t:tp_end])
             ctrl = mpc_step(state, window, spec, config,
-                            beta_es_use=bundle.params.beta_es_use)
+                            beta_es_use=bundle.params.beta_es_use,
+                            previous=previous)
             c_plan, d_plan = ctrl.charge, ctrl.discharge
-            withheld, level = ctrl.withheld, ctrl.level
+            withheld, level, previous = ctrl.withheld, ctrl.level, ctrl.plan
 
         c_real, d_real, soc = realize(c_plan, d_plan, gen_real[t], soc, spec,
                                       delta)

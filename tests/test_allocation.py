@@ -341,6 +341,19 @@ def test_subnormal_row_load_is_pinned_empty():
     assert check_key(plan.keys[0], loads, np.zeros(1)) == []
 
 
+@pytest.mark.xfail(strict=True, raises=AllocationError,
+                   reason="ROADMAP item 2: the key QP stalls on this"
+                   " instance and ends iteration_limit")
+def test_key_qp_stall_on_a_small_served_row():
+    # the three consumers without load make four of the QP's six rows
+    # "a_i = constant"; the likely cause of the stall is the solver's
+    # separate primal and dual step lengths.  A fix returns the exact key
+    loads = np.array([[0.0, 0.0, 0.0, 1.0, 0.25]])
+    served = np.array([0.009765625])
+    plan = min_variance_key([served], loads, np.ones(1))
+    assert check_key(plan.keys[0], loads, served) == []
+
+
 def test_plan_from_sizing_output():
     bundle, res = _solved_toy()
     plan = min_variance_key([d.to_consumers for d in res.dispatches],

@@ -203,6 +203,34 @@ def test_qp_active_set_oracle_agreement():
         assert rep.objective == pytest.approx(ref, rel=1e-6, abs=1e-6)
 
 
+def test_qp_warm_start_reaches_the_oracle_optimum():
+    # a start only moves where the iterations begin: from a guess outside
+    # the box, with a pinned variable on every third instance (presolve
+    # drops it from the guess) and inequality rows (whose slacks start as
+    # without a guess), every solve reaches the active-set optimum
+    rng = np.random.default_rng(7)
+    solved = 0
+    for k in range(150):
+        instance = random_box_qp(rng)
+        if instance is None:
+            continue
+        c, q, rows, lb, ub = instance
+        if k % 3 == 0:
+            lb, ub = lb.copy(), ub.copy()
+            lb[0] = ub[0] = 0.5 * ub[0]
+        qp = ConvexQuadraticProgram(c, q, *_dense_rows(rows, len(c)), lb, ub)
+        start = rng.uniform(-1.0, 3.0, len(c))
+        rep = solve_qp(qp, tol=1e-8, start=start)
+        ref, _ = qp_active_set_minimum(c, q, rows, lb, ub)
+        if ref is None:
+            assert rep.status in ("optimal", "infeasible")
+            continue
+        assert rep.status == "optimal"
+        assert rep.objective == pytest.approx(ref, rel=1e-6, abs=1e-6)
+        solved += 1
+    assert solved > 50
+
+
 def test_qp_rejects_negative_diagonal():
     with pytest.raises(NumericsError):
         ConvexQuadraticProgram([0.0], [-1.0], np.zeros((0, 1)), [], [],
@@ -570,6 +598,27 @@ def test_kept_analysis_gives_bit_identical_reports(kind, monkeypatch):
         # the kept analysis holds the start point's factor, so the second
         # solve factors only inside its iterations
         assert starts >= 1 and regs.count(1e-8) == starts
+
+
+def test_solve_qp_without_start_is_bit_identical():
+    # start=None is the cold start, bit for bit, duals included
+    problem = _control_qp_instance()
+    cold, none = solve_qp(problem), solve_qp(problem, start=None)
+    assert _report_bytes(none) == _report_bytes(cold)
+    for name in ("y", "zl", "zu"):
+        assert getattr(none, name).tobytes() == getattr(cold, name).tobytes()
+
+
+@pytest.mark.parametrize("bad", ["short", "long", "nan", "inf"])
+def test_solve_qp_refuses_a_bad_start(bad):
+    problem = _control_qp_instance()
+    n = problem.c.shape[0]
+    start = {"short": np.zeros(n - 1), "long": np.zeros(n + 1),
+             "nan": np.full(n, np.nan), "inf": np.zeros(n)}[bad]
+    if bad == "inf":
+        start[3] = np.inf
+    with pytest.raises(NumericsError, match="start"):
+        solve_qp(problem, start=start)
 
 
 def test_analyses_kept_are_bounded():

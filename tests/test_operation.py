@@ -18,7 +18,7 @@ from pvpool.domain import (DomainError, InputBundle, InverterCatalog,
 from pvpool.numerics import solve_qp
 from pvpool.operation import (ALGORITHMS, ControlDecision, HorizonConfig,
                               HorizonWindow, OperationState, _control_qp,
-                              mpc_step, run_year, settle)
+                              _shifted_start, mpc_step, run_year, settle)
 from pvpool.sizing import (dispatch_costs, pv_production, solve_sizing,
                            split_flows)
 from pvpool.storage import StorageSpec, check_feasible, realize
@@ -81,10 +81,10 @@ def _settled_objective(decision, key):
 def _planned_key(decision, state, window, spec, config, beta_es_use=0.0):
     """The head's split as the control QP plans it (theta > 0), repaired to
     the decision's served energy: the key row the QP would hand out."""
-    qp, blocks = _control_qp(state, window, spec, config, beta_es_use)
+    qp, blocks, _ = _control_qp(state, window, spec, config, beta_es_use)
     rep = solve_qp(qp, tol=1e-6)
     assert rep.status == "optimal"
-    split = blocks[0][4]
+    split = blocks[0][5]
     return _repair_rows(rep.x[split][None, :], np.array([decision.served]),
                         window.head_loads[None, :])[0]
 
@@ -201,7 +201,7 @@ def test_mpc_theta_zero_single_consumer_is_cost_only():
     dec = mpc_step(st, win, spec, cfg, beta_es_use=0.0001)
     assert dec.level.tobytes() == np.zeros(1).tobytes()
     # the control QP's value is its dispatch cost: no tracking term
-    qp, _ = _control_qp(st, win, spec, cfg, 0.0001)
+    qp = _control_qp(st, win, spec, cfg, 0.0001)[0]
     assert not qp.q_diag.any()
     rep = solve_qp(qp, tol=1e-6)
     assert rep.status == "optimal"
@@ -246,10 +246,10 @@ def test_mpc_respects_storage_envelope():
     assert not check_key(RepartitionKey(key), loads[:1], [dec.served])
     # the envelope also holds along each scenario's branch: the head period
     # followed by that scenario's nine tail periods
-    qp, [(c, d, _, _, _), *tails] = _control_qp(st, win, spec, cfg, 0.0001)
+    qp, [(c, d, *_), *tails], _ = _control_qp(st, win, spec, cfg, 0.0001)
     rep = solve_qp(qp, tol=1e-6)
     assert rep.status == "optimal"
-    for cw, dw, _, _, _ in tails:
+    for cw, dw, *_ in tails:
         assert not check_feasible(spec, rep.x[np.concatenate([c, cw])],
                                   rep.x[np.concatenate([d, dw])], 0.5,
                                   tol=1e-6)
@@ -267,7 +267,7 @@ def test_mpc_matches_grid_search_oracle():
     spec = StorageSpec(0.0, 0.0, _ETA, cyclic=False)
     win = _window(head_loads[0], head_gen[0], tail_loads, tail_gen, probs)
     st = OperationState(0.0, [0.3, 0.0], [1.5, 1.0], [0.2, 0.1])
-    qp, _ = _control_qp(st, win, spec, HorizonConfig(1, 2, theta=theta), 0.0)
+    qp = _control_qp(st, win, spec, HorizonConfig(1, 2, theta=theta), 0.0)[0]
     rep = solve_qp(qp, tol=1e-6)
     assert rep.status == "optimal"
     # the QP carries the tracking offset in its linear term:
@@ -332,7 +332,7 @@ def test_control_qp_blocks_match_row_loop(tc, tt, theta):
     st = OperationState(2.5, rng.uniform(0.0, 3.0, n),
                         rng.uniform(3.0, 6.0, n), rng.uniform(0.0, 1.0, n))
     cfg = HorizonConfig(tc, tc + tt, theta=theta)
-    got, _ = _control_qp(st, win, spec, cfg, 1e-4)
+    got = _control_qp(st, win, spec, cfg, 1e-4)[0]
     want = control_qp_by_rows(st, win, spec, cfg, 1e-4)
     for name in ("c", "q_diag", "lb", "ub"):
         np.testing.assert_array_equal(getattr(got, name),
@@ -383,11 +383,12 @@ def test_kept_control_pattern_fills_the_fresh_qp(theta):
     kept = [_control_qp(*step, 1e-4) for step in steps]
     info = operation._control_pattern.cache_info()
     assert (info.misses, info.hits) == (4, 4)  # tails of 3, 2, 1 and 0
-    for step, (qp, blocks) in zip(steps, kept):
+    for step, (qp, blocks, deliver) in zip(steps, kept):
         operation._control_pattern.cache_clear()
-        fresh, fresh_blocks = _control_qp(*step, 1e-4)
+        fresh, fresh_blocks, fresh_deliver = _control_qp(*step, 1e-4)
         assert_same_qp(qp, fresh)
         assert _block_lists(blocks) == _block_lists(fresh_blocks)
+        assert _block_lists([[deliver]]) == _block_lists([[fresh_deliver]])
         want = control_qp_by_rows(*step, 1e-4)
         for name in ("c", "q_diag", "lb", "ub"):
             assert getattr(qp, name).tobytes() == \
@@ -399,18 +400,20 @@ def test_kept_control_pattern_fills_the_fresh_qp(theta):
 def test_control_qp_shares_no_array_with_its_pattern():
     # a caller that writes into a returned QP must not change the next one
     state, window, spec, cfg = next(_rolling_windows(1.0))
-    first, _ = _control_qp(state, window, spec, cfg, 1e-4)
-    want, _ = _control_qp(state, window, spec, cfg, 1e-4)
+    first = _control_qp(state, window, spec, cfg, 1e-4)[0]
+    want = _control_qp(state, window, spec, cfg, 1e-4)[0]
     for name in ("c", "q_diag", "lb", "ub", "rhs"):
         getattr(first, name)[:] = 7.0
     first.senses[:] = "<="
     first.a.data[:] = 7.0
     first.a.indices[:] = 0
-    again, blocks = _control_qp(state, window, spec, cfg, 1e-4)
+    again, blocks, deliver = _control_qp(state, window, spec, cfg, 1e-4)
     assert_same_qp(again, want)
     # the index blocks are the kept pattern's own, so they are read-only
     with pytest.raises(ValueError, match="read-only"):
         blocks[0][0][0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        deliver[0] = 1
 
 
 def test_year_builds_one_control_pattern_per_window_shape():
@@ -422,6 +425,117 @@ def test_year_builds_one_control_pattern_per_window_shape():
              HorizonConfig(1, 48))
     info = operation._control_pattern.cache_info()
     assert (info.misses, info.hits) == (48, 48)
+
+
+def _shift_by_loop(x, old_blocks, old_deliver, blocks, deliver, probs, n):
+    """The shifted start, one entry at a time: period k of each new tail
+    takes period min(k + 1, last) of the old one, the head the old tails'
+    first periods at their probabilities, and the tracking variables their
+    old values."""
+    want = {}
+    head = blocks[0]
+    for f in range(6):
+        if head[f] is None:
+            continue
+        width = n if f == 5 else 1
+        for new, old in zip(blocks[1:], old_blocks[1:]):
+            for k in range(len(new[0])):
+                src = min(k + 1, len(old[0]) - 1)
+                for j in range(width):
+                    want[new[f][k * width + j]] = x[old[f][src * width + j]]
+        for j in range(width):
+            want[head[f][j]] = sum(prob * x[old[f][j]]
+                                   for prob, old in zip(probs, old_blocks[1:]))
+    if deliver is not None:
+        for j in range(n):
+            want[deliver[j]] = x[old_deliver[j]]
+    return want
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.6])
+def test_shifted_start_moves_the_plan_one_period(theta):
+    # an 8-period span at a 4-period horizon: steps 0 to 4 have a full
+    # 3-period tail, step 5 a tail one period shorter, 6 one of one period
+    # and 7 none.  The plan's values are distinct, so each entry of the
+    # start names the one it came from
+    steps = list(_rolling_windows(theta))
+    built = [_control_qp(*step, 1e-4) for step in steps]
+    probs = steps[0][1].probabilities
+    n = steps[0][1].head_loads.shape[0]
+    for t in (1, 5, 6):  # full, shorter and one-period tails
+        old_qp, old_blocks, old_deliver = built[t - 1]
+        qp, blocks, deliver = built[t]
+        x = np.arange(1.0, 1.0 + old_qp.c.shape[0]) ** 1.5
+        start = _shifted_start((x, old_blocks, old_deliver), blocks, deliver,
+                               probs, qp.c.shape[0])
+        want = _shift_by_loop(x, old_blocks, old_deliver, blocks, deliver,
+                              probs, n)
+        assert sorted(want) == list(range(qp.c.shape[0]))  # every variable
+        assert start.tolist() == [want[i] for i in range(start.shape[0])]
+    # the first step and a head-only window start cold
+    qp, blocks, deliver = built[0]
+    assert _shifted_start(None, blocks, deliver, probs, qp.c.shape[0]) is None
+    qp, blocks, deliver = built[7]
+    assert _shifted_start((np.zeros(built[6][0].c.shape[0]), built[6][1],
+                           built[6][2]), blocks, deliver, probs,
+                          qp.c.shape[0]) is None
+    # a plan of another layout is refused
+    other = list(_rolling_windows(0.6 - theta))[0]
+    old_qp, old_blocks, old_deliver = _control_qp(*other, 1e-4)
+    qp, blocks, deliver = built[1]
+    with pytest.raises(DomainError, match="previous plan"):
+        _shifted_start((np.zeros(old_qp.c.shape[0]), old_blocks, old_deliver),
+                       blocks, deliver, probs, qp.c.shape[0])
+
+
+@pytest.mark.parametrize("algorithm", ["proposed", "mpc_myopic"])
+def test_warm_started_steps_reach_the_cold_optimum(algorithm, monkeypatch):
+    # each step after the first starts from the previous plan shifted one
+    # period; solved cold instead, every such QP has the same optimal value
+    # to the solver's tolerance, and the year takes fewer iterations
+    bundle, result, plan = _year_case()
+    solves = []
+
+    def both(qp, tol, start=None):
+        rep = solve_qp(qp, tol=tol, start=start)
+        cold = solve_qp(qp, tol=tol)
+        assert rep.status == cold.status == "optimal"
+        solves.append((start is not None, rep, cold))
+        return rep
+
+    monkeypatch.setattr(operation, "solve_qp", both)
+    run_year(bundle, plan, result.decision, _realization(bundle, 101),
+             HorizonConfig(1, 16, theta=1.0), algorithm)
+    t_len = bundle.grid.num_periods
+    # cold: the first step and the last one, whose window has no tail
+    assert [warm for warm, _, _ in solves] == \
+        [False] + [True] * (t_len - 2) + [False]
+    for _, rep, cold in solves:
+        assert abs(rep.objective - cold.objective) \
+            <= 1e-6 * (1.0 + abs(cold.objective))
+    warm_iters = sum(rep.iterations for _, rep, _ in solves)
+    cold_iters = sum(cold.iterations for _, _, cold in solves)
+    assert warm_iters < cold_iters
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_year_reports_repeat_byte_for_byte(algorithm):
+    # each step starts from the previous one's plan, which run_year carries
+    # itself: a second year in the same process reports the same bytes
+    bundle, result, plan = _year_case()
+    realized = _realization(bundle, 101)
+    cfg = HorizonConfig(1, 16, theta=1.0)
+    first, again = (run_year(bundle, plan, result.decision, realized, cfg,
+                             algorithm) for _ in range(2))
+    for field in fields(first):
+        a, b = getattr(first, field.name), getattr(again, field.name)
+        if field.name == "dispatch":
+            for part in fields(a):
+                assert np.asarray(getattr(a, part.name)).tobytes() == \
+                    np.asarray(getattr(b, part.name)).tobytes(), part.name
+        else:
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), \
+                field.name
 
 
 def test_theta_zero_control_qp_is_the_dispatch_program():
@@ -440,18 +554,18 @@ def test_theta_zero_control_qp_is_the_dispatch_program():
                         rng.uniform(0.0, 0.02, 1 + tt))
     st = OperationState(2.5, rng.uniform(0.0, 3.0, n),
                         rng.uniform(3.0, 6.0, n), rng.uniform(0.0, 1.0, n))
-    zero, blocks = _control_qp(st, win, spec, HorizonConfig(1, 1 + tt, 0.0),
-                               1e-4)
+    zero, blocks, _ = _control_qp(st, win, spec,
+                                  HorizonConfig(1, 1 + tt, 0.0), 1e-4)
     periods = 1 + len(probs) * tt
     assert zero.a.shape == (2 * periods, 5 * periods)
     assert not zero.q_diag.any()
     assert all(split is None for *_, split in blocks)
 
-    tracked, blocks = _control_qp(st, win, spec,
-                                  HorizonConfig(1, 1 + tt, 1.0), 1e-4)
+    tracked, blocks, _ = _control_qp(st, win, spec,
+                                     HorizonConfig(1, 1 + tt, 1.0), 1e-4)
     # each branch lays out charge, discharge, SoC, import and export in a row
     cols = np.concatenate([np.arange(c[0], gs[-1] + 1)
-                           for c, _, _, gs, _ in blocks])
+                           for c, _, _, _, gs, _ in blocks])
     for name in ("c", "lb", "ub"):
         np.testing.assert_array_equal(getattr(zero, name),
                                       getattr(tracked, name)[cols])

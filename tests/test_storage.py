@@ -130,7 +130,7 @@ def test_reference_rows_match_control_qp():
                         np.full(t_len, 0.05), np.zeros(t_len))
     st = OperationState(spec.initial_soc_kwh, np.zeros(n), np.zeros(n),
                         np.ones(n))
-    qp, [(c, d, _, _, _), (cw, dw, _, _, _)] = _control_qp(
+    qp, [(c, d, *_), (cw, dw, *_)], _ = _control_qp(
         st, win, spec, HorizonConfig(1, t_len, theta=0.0), 0.0)
     # each branch lays out its charge, discharge and SoC blocks in a row
     cols = np.concatenate([c, cw, d, dw, d + 1, dw + (t_len - 1)])
