@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import LoadMatrix, RepartitionKey
+from .domain import (DomainError, LoadMatrix, RepartitionKey,
+                     probability_problems)
 from .numerics import ProblemBuilder, solve_qp
 from .sizing import investor_profit
 
@@ -192,6 +193,9 @@ def min_variance_key(served_by_scenario, loads, probabilities):
     totals, and the probability-weighted promise.
     """
     probabilities = np.asarray(probabilities, dtype=np.float64)
+    problems = probability_problems(probabilities)
+    if problems:
+        raise DomainError(problems)
     n_scen = probabilities.shape[0]
     if len(served_by_scenario) != n_scen:
         raise AllocationError("scenario counts disagree")

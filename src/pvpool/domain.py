@@ -44,6 +44,18 @@ def is_count(value):
         and float(value).is_integer() and value >= 1
 
 
+def probability_problems(probabilities):
+    """Why a vector is not scenario probabilities, empty if it is: they are
+    a nonempty vector of finite, nonnegative numbers summing to 1 within
+    1e-9."""
+    probs = np.asarray(probabilities, dtype=np.float64)
+    if probs.ndim != 1 or not probs.size:
+        return ["probabilities must be a nonempty vector"]
+    if not np.isfinite(probs).all() or np.any(probs < 0):
+        return ["probabilities must be finite and nonnegative"]
+    return [] if abs(probs.sum() - 1.0) <= 1e-9 else ["probabilities sum != 1"]
+
+
 def _frozen(values, dtype=np.float64):
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
@@ -140,11 +152,7 @@ def _solar_problems(alphas, probabilities):
         problems.append("alpha entries must be finite")
     elif np.any(alphas < 0) or np.any(alphas > 1):
         problems.append("alpha out of range [0, 1]")
-    if not np.isfinite(probabilities).all() or np.any(probabilities < 0):
-        problems.append("probabilities must be finite and nonnegative")
-    elif probabilities.size and abs(float(probabilities.sum()) - 1.0) > 1e-9:
-        problems.append("probabilities sum != 1")
-    return problems
+    return problems + probability_problems(probabilities)
 
 
 @dataclass(frozen=True)

@@ -250,7 +250,7 @@ class ProblemBuilder:
         return idx
 
     def add_row(self, indices, coeffs, sense, rhs):
-        """Append one row; returns its index."""
+        """Append one row."""
         idx = np.asarray(indices, dtype=np.int64)
         coef = np.asarray(coeffs, dtype=np.float64)
         if idx.ndim != 1 or coef.shape != idx.shape:
@@ -260,14 +260,12 @@ class ProblemBuilder:
         self._row_len.append(len(idx))
         self._senses.append(sense)
         self._rhs.append(float(rhs))
-        return len(self._rhs) - 1
 
     def add_rows(self, indices, coeffs, sense, rhs):
         """Append one row per line of the (k, w) index array `indices`.
 
         coeffs broadcasts against indices (a length-w vector gives every
-        row the same coefficients) and rhs against k rows.  Returns the
-        rows' indices.
+        row the same coefficients) and rhs against k rows.
         """
         idx = np.asarray(indices, dtype=np.int64)
         if idx.ndim != 2:
@@ -283,7 +281,6 @@ class ProblemBuilder:
         self._row_len.extend([width] * k)
         self._senses.extend([sense] * k)
         self._rhs.extend(rhs.tolist())
-        return np.arange(len(self._rhs) - k, len(self._rhs))
 
     def _assemble(self):
         n = self._n

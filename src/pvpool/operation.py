@@ -4,9 +4,9 @@ Each control step implements one metering period, as the collective
 allocates on a 30-minute basis: its window's head is one row of consumer
 loads with one solar forecast, and its `ControlDecision` holds that
 period's dispatch as scalars and the level its settlement fills from.  It
-solves one convex program over a two-stage scenario tree (`_branches`):
-the head, lifted to a one-period branch 0 with probability 1, and,
-branching off it, one prediction tail per solar scenario.  Every branch
+solves one convex program over a two-stage scenario tree: the head,
+lifted to a one-period branch with probability 1, and, branching off it,
+one prediction tail per solar scenario.  Every branch
 carries battery and grid dispatch; when the tracking weight theta is
 positive, also an energy split, and a free per-consumer mismatch
 variable, whose weighted squared norm pulls cumulative allocations toward
@@ -22,11 +22,12 @@ from the control step's level, the expected end-of-year mismatch with the
 tail expectation held fixed, which is zero at theta = 0 (the cost-only
 MPC), or from zero for the greedy rule.  The battery's state of charge
 carries over from what really happened, not from the plan.  The control
-QP is laid out once per window shape (`_control_pattern`: its matrix, row
-senses and variable blocks, kept for the last few shapes, so the steps of
+QP's layout is stated once, in `_tree`, whose views every step fills and
+reads by position.  Its matrix and row senses are built once per window
+shape (`_control_pattern`, kept for the last few shapes, so the steps of
 a year share one), and one fill, `_control_qp`, writes every step's costs,
 bounds and right-hand sides, so the objective is stated once, there.  Each
-step after the first starts its solve from the previous step's plan,
+step after the first starts its solve from the previous step's solution,
 shifted one period (`_shifted_start`): `run_year` hands each
 `ControlDecision.plan` to the next `mpc_step`, and nothing else is kept
 between steps.  The bill is stated once, in `sizing.dispatch_costs`.
@@ -40,7 +41,8 @@ from functools import lru_cache
 import numpy as np
 
 from .allocation import _repair_rows, _water_fill
-from .domain import DispatchSeries, DomainError, is_count, is_number
+from .domain import (DispatchSeries, DomainError, is_count, is_number,
+                     probability_problems)
 from .numerics import ConvexQuadraticProgram, ProblemBuilder, solve_qp
 from .sizing import dispatch_costs, pv_production, split_flows
 from .storage import StorageSpec, realize, recursion_rows
@@ -173,19 +175,18 @@ class HorizonWindow:
             arr = np.asarray(getattr(self, name))
             if arr.size and (not np.isfinite(arr).all() or arr.min() < 0):
                 errors.append(f"{name} entries must be finite and nonnegative")
-        probs = self.probabilities
-        if not np.isfinite(probs).all() or np.any(probs < 0):
-            errors.append("scenario probabilities must be finite and"
-                          " nonnegative")
-        elif probs.size and abs(probs.sum() - 1.0) > 1e-6:
-            errors.append("scenario probabilities must sum to 1")
+        errors += probability_problems(self.probabilities)
         if errors:
             raise DomainError(errors)
         object.__setattr__(self, "delta_hours", float(self.delta_hours))
+        if not tt:  # no tail: (0, n) loads and (0, scenarios) generation
+            object.__setattr__(self, "tail_loads", np.zeros((0, n)))
+            object.__setattr__(self, "tail_gen",
+                               np.zeros((0, self.probabilities.size)))
 
     @property
     def tail_periods(self):
-        return self.tail_loads.shape[0] if self.tail_loads.size else 0
+        return self.tail_loads.shape[0]
 
 
 @dataclass(frozen=True)
@@ -199,8 +200,7 @@ class ControlDecision:
     the expected end-of-year mismatch per consumer before it (e_past + the
     tail's expected allocation + e_future - promise), and zero at theta = 0,
     where nothing is tracked and the period settles alone.  plan is the
-    solved window, (solution, index blocks, tracking variables) as
-    `_control_qp` lays them out, which the next step starts from.
+    control QP's solution vector, which the next step starts from.
     """
 
     charge: float
@@ -208,19 +208,27 @@ class ControlDecision:
     withheld: float
     served: float
     level: np.ndarray
-    plan: tuple | None = None
+    plan: np.ndarray | None = None
 
 
-def _branches(window):
-    """The window's scenario tree, one (probability, loads, generation,
-    price slice) per branch: the head, lifted to a one-period branch, with
-    probability 1, then, when the window has a tail, one tail per solar
-    scenario."""
-    tails = enumerate(window.probabilities) if window.tail_periods else ()
-    return [(1.0, window.head_loads[None, :], np.array([window.head_gen]),
-             slice(0, 1))] + [
-        (prob, window.tail_loads, window.tail_gen[:, widx], slice(1, None))
-        for widx, prob in tails]
+def _tree(vec, fields, per, tail, scenarios):
+    """Writable views of a control-QP vector by the scenario tree's layout.
+
+    The head, lifted to one period, then one `tail`-period branch per
+    scenario: each holds `fields` blocks of one entry per period, then
+    `per` entries per period, and the tracking part follows.  Variables:
+    charge, discharge, SoC, import and export, the split (n per period at
+    theta > 0), the n tracking variables.  Rows: balance, SoC recursion
+    and, at theta > 0, served rows, no split, the n tracking rows.  Returns
+    the head's fields and split, the tails' fields (scenarios, fields,
+    tail) and splits (scenarios, tail, per), and the tracking part.
+    """
+    width = fields + per
+    end = width * (1 + scenarios * tail)
+    tails = vec[width:end].reshape(scenarios, width * tail)
+    return (vec[:fields], vec[fields:width],
+            tails[:, :fields * tail].reshape(scenarios, fields, tail),
+            tails[:, fields * tail:].reshape(scenarios, tail, per), vec[end:])
 
 
 @lru_cache(maxsize=8)
@@ -229,138 +237,119 @@ def _control_pattern(n, tail, probabilities, eta, tracked):
 
     The shape is all that enters the matrix: n, the tail length, the
     scenario probabilities (a tuple), the one-way efficiency eta and
-    whether theta > 0 (tracked).  Each branch of the scenario tree lays out
-    charge, discharge, SoC, import and export variables, its balance rows
-    and its SoC recursion (`storage.recursion_rows`, a tail's from the
-    head's SoC variable), then, when tracked, split variables and
-    served-energy rows; one tracking row per consumer follows.  Returns a
-    QP whose vectors are placeholders; per branch its (charge, discharge,
-    SoC, import, export, split) block, balance and served rows; the head's
-    start row; and the tracking variables.  Split, served and tracking are
-    None untracked.
+    whether theta > 0 (tracked).  Variables and rows are laid out as
+    `_tree` reads them: each branch of the scenario tree has its balance
+    rows, its SoC recursion (`storage.recursion_rows`, a tail's from the
+    head's SoC variable) and, when tracked, its served-energy rows; one
+    tracking row per consumer follows.  Returns a QP whose vectors are
+    placeholders.
     """
+    per, w = n if tracked else 0, len(probabilities) if tail else 0
     pb = ProblemBuilder()
-    tree = [(1.0, 1)] + [(prob, tail) for prob in probabilities if tail]
-    branches = []
-    head_soc = start = None
-    for prob, periods in tree:
-        c, d, soc, gg, gs = pb.add_vars(5 * periods).reshape(5, periods)
-        balance = pb.add_rows(np.column_stack([gg, gs, c, d]),
-                              [1.0, -1.0, -1.0, 1.0], "==", 0.0)
-        first = recursion_rows(pb, eta, c, d, soc, before=head_soc)
-        if head_soc is None:
-            head_soc, start = soc[0], first
-        split = served = None
+    head, split, tails, splits, deliver = _tree(
+        pb.add_vars((5 + per) * (1 + w * tail) + per), 5, per, tail, w)
+    for (c, d, soc, gg, gs), split_rows, before in [
+            (head[:, None], split[None, :], None),
+            *((fields, rows, head[2]) for fields, rows in zip(tails, splits))]:
+        pb.add_rows(np.column_stack([gg, gs, c, d]), [1.0, -1.0, -1.0, 1.0],
+                    "==", 0.0)
+        recursion_rows(pb, eta, c, d, soc, before=before)
         if tracked:
             # served energy is what the key must hand out: sum_i e_i + gg = l
-            split = pb.add_vars(periods * n)
-            served = pb.add_rows(
-                np.column_stack([split.reshape(periods, n), gg]), 1.0, "==",
-                0.0)
-        branches.append(((c, d, soc, gg, gs, split), balance, served))
-    deliver = None
+            pb.add_rows(np.column_stack([split_rows, gg]), 1.0, "==", 0.0)
     if tracked:
         # deliver_i is consumer i's expected window allocation
-        deliver = pb.add_vars(n)
-        idx = np.column_stack([deliver] + [blk[5].reshape(-1, n).T
-                                           for blk, *_ in branches])
-        coef = np.concatenate([[1.0]] + [np.full(periods, -prob)
-                                         for prob, periods in tree])
-        pb.add_rows(idx, coef, "==", 0.0)
-    for idx in [*(i for blk, *_ in branches for i in blk), deliver]:
-        if idx is not None:  # handed to every step: read-only
-            idx.flags.writeable = False
-    return pb.qp(), branches, start, deliver
+        pb.add_rows(np.column_stack(
+            [deliver, split, splits.transpose(2, 0, 1).reshape(n, -1)]),
+            np.concatenate([[1.0, -1.0], np.repeat(-np.array(probabilities),
+                                                   tail)]), "==", 0.0)
+    return pb.qp()
 
 
 def _control_qp(state, window, spec, config, beta_es_use):
-    """The control QP of `mpc_step` and the index blocks of its variables.
+    """The control QP of `mpc_step`.
 
-    The one fill of the window shape's kept pattern (`_control_pattern`):
-    each branch (`_branches`) costs its variables at its probability,
-    bounds them by the battery's caps and its loads, and sets its balance
-    rows to its loads net of its generation and, when theta > 0, its
-    served rows to its loads; the head's recursion starts from the state's
-    SoC, and theta prices the tracking variables.  At theta = 0 the QP is
-    the dispatch program.  Returns a new QP, which shares no array with the
-    pattern, one (charge, discharge, SoC, import, export, split) index block
-    per branch, head first, and the tracking variables' indices; split and
-    tracking are None at theta = 0.
+    The one fill of the window shape's kept pattern (`_control_pattern`),
+    written through `_tree`'s views: the head and, at their probabilities,
+    the W tails cost their variables, bound them by the battery's caps and
+    their loads, and set their balance rows to their loads net of their
+    generation and, when theta > 0, their served rows to their loads; the
+    head's recursion starts from the state's SoC, and theta prices the
+    tracking variables.  At theta = 0 the QP is the dispatch program.
+    Returns a new QP, which shares no array with the pattern.
     """
     n = window.head_loads.shape[0]
     theta = config.theta
-    pattern, branches, start, deliver = _control_pattern(
-        n, window.tail_periods, tuple(window.probabilities.tolist()),
-        spec.efficiency, theta > 0.0)
+    tracked = theta > 0.0
+    prob = window.probabilities[:, None]
+    per, tail, w = n if tracked else 0, window.tail_periods, len(prob)
+    pattern = _control_pattern(n, tail, tuple(window.probabilities.tolist()),
+                               spec.efficiency, tracked)
     cap_p = spec.power_cap_kw * window.delta_hours
     cap_e = spec.energy_cap_kwh
     export_net = window.export_tax - window.export_price
+    head_agg, tail_agg = window.head_loads.sum(), window.tail_loads.sum(axis=1)
 
-    size = pattern.c.shape[0]
-    cost, qdiag, lb = np.zeros(size), np.zeros(size), np.zeros(size)
-    ub = np.full(size, np.inf)
+    cost, qdiag, lb = (np.zeros(pattern.c.shape[0]) for _ in range(3))
+    ub = np.full(pattern.c.shape[0], np.inf)
     rhs = np.zeros(pattern.rhs.shape[0])
-    for (prob, loads, gen, span), ((c, d, soc, gg, gs, split), balance,
-                                   served) in zip(_branches(window), branches):
-        agg = loads.sum(axis=1)
-        cost[c] = cost[d] = prob * beta_es_use
-        cost[gg] = prob * window.grid_price[span]
-        cost[gs] = prob * export_net[span]
-        ub[c] = ub[d] = cap_p
-        ub[soc] = cap_e
-        ub[gg] = agg
-        rhs[balance] = agg - gen
-        if split is not None:
-            ub[split] = loads.ravel()
-            rhs[served] = agg
-    rhs[start] = min(state.soc_kwh, cap_e)
-    if deliver is not None:
+    cost_head, _, cost_tails, _, cost_track = _tree(cost, 5, per, tail, w)
+    ub_head, ub_split, ub_tails, ub_splits, _ = _tree(ub, 5, per, tail, w)
+    rhs_head, _, rhs_tails, _, _ = _tree(rhs, 2 + tracked, 0, tail, w)
+    # charge, discharge, SoC, import and export
+    cost_head[:] = beta_es_use, beta_es_use, 0.0, window.grid_price[0], \
+        export_net[0]
+    cost_tails[:, 0] = cost_tails[:, 1] = prob * beta_es_use
+    cost_tails[:, 3] = prob * window.grid_price[1:]
+    cost_tails[:, 4] = prob * export_net[1:]
+    ub_head[:4] = cap_p, cap_p, cap_e, head_agg
+    ub_tails[:, :3] = np.array([[cap_p], [cap_p], [cap_e]])
+    ub_tails[:, 3] = tail_agg
+    # balance, SoC recursion (the head's from the state's SoC), served
+    rhs_head[:2] = head_agg - window.head_gen, min(state.soc_kwh, cap_e)
+    rhs_tails[:, 0] = tail_agg - window.tail_gen.T
+    if tracked:
+        ub_split[:], ub_splits[:] = window.head_loads, window.tail_loads
+        rhs_head[2], rhs_tails[:, 2] = head_agg, tail_agg
         # tracking distance: minimize theta * sum_i (deliver_i + rhs_i)^2.
         # Written with the offset in the linear term so every variable
         # stays at kWh scale; carrying rhs (cumulative promise gap, often
         # hundreds of kWh) inside a variable stalls the solve short of
         # tight tolerances.
-        lb[deliver] = -np.inf
-        qdiag[deliver] = 2.0 * theta
-        cost[deliver] = 2.0 * theta * (state.e_past + state.e_future
+        _tree(lb, 5, per, tail, w)[-1][:] = -np.inf
+        _tree(qdiag, 5, per, tail, w)[-1][:] = 2.0 * theta
+        cost_track[:] = 2.0 * theta * (state.e_past + state.e_future
                                        - state.promise)
-    qp = ConvexQuadraticProgram(cost, qdiag, pattern.a, pattern.senses.copy(),
-                                rhs, lb, ub)
-    return qp, [blk for blk, *_ in branches], deliver
+    return ConvexQuadraticProgram(cost, qdiag, pattern.a,
+                                  pattern.senses.copy(), rhs, lb, ub)
 
 
-def _shifted_start(previous, blocks, deliver, probabilities, size):
+def _shifted_start(previous, window, tracked, size):
     """The previous step's plan, shifted one period, over this step's QP.
 
-    previous is that step's `ControlDecision.plan`: its solution, its
-    blocks and its tracking variables.  Each tail's period k + 1 becomes
+    previous is that step's `ControlDecision.plan`, a solution vector whose
+    tail length follows from its length.  Each tail's period k + 1 becomes
     period k, and the new last period repeats the old last; the new head
     is the probability-weighted first period of the old tails; the
     tracking variables carry over.  Returns None, a cold start, for the
     first step and for a window without a tail.
     """
-    if previous is None or len(blocks) < 2:
+    tail = window.tail_periods
+    if previous is None or not tail:
         return None
-    x, old_blocks, old_deliver = previous
-    head, *tails = blocks
-    old_head, new_head = ([None if idx is None else idx.shape for idx in blk]
-                          for blk in (old_blocks[0], head))
-    if len(old_blocks) != len(blocks) or old_head != new_head:
+    probs = window.probabilities
+    per, w = window.head_loads.shape[0] if tracked else 0, len(probs)
+    old_tail, rest = divmod(previous.shape[0] - 5 - 2 * per, (5 + per) * w)
+    if rest or old_tail < 1:
         raise DomainError("the previous plan does not fit the window")
-    periods, old_periods = tails[0][0].shape[0], old_blocks[1][0].shape[0]
-    rows = np.minimum(np.arange(1, periods + 1), old_periods - 1)
     start = np.empty(size)
-    for f, idx in enumerate(head):
-        if idx is None:  # theta = 0 shifts the dispatch only
-            continue
-        first = 0.0
-        for prob, new, old in zip(probabilities, tails, old_blocks[1:]):
-            old_idx = old[f].reshape(old_periods, -1)
-            start[new[f]] = x[old_idx[rows]].ravel()
-            first = first + prob * x[old_idx[0]]
-        start[idx] = first
-    if deliver is not None:
-        start[deliver] = x[old_deliver]
+    head, split, tails, splits, track = _tree(start, 5, per, tail, w)
+    _, _, old, old_splits, old_track = _tree(previous, 5, per, old_tail, w)
+    rows = np.minimum(np.arange(1, tail + 1), old_tail - 1)
+    tails[:], splits[:] = old[:, :, rows], old_splits[:, rows]
+    head[:] = sum(p * first for p, first in zip(probs, old[:, :, 0]))
+    split[:] = sum(p * first for p, first in zip(probs, old_splits[:, 0]))
+    track[:] = old_track
     return start
 
 
@@ -373,7 +362,8 @@ def mpc_step(state, window, spec, config, beta_es_use=0.0, previous=None):
     (each tail scenario branching off the shared head), and the requirement
     that, when theta > 0, every period's split hands out exactly the locally
     served energy.  Returns the head period, the level it settles from and
-    the solved plan; the objective is stated once, in `_control_qp`.
+    the solved plan, read through `_tree`'s views; the objective is stated
+    once, in `_control_qp`.
 
     previous is the preceding step's `ControlDecision.plan`, or None.  The
     solve starts from that plan shifted one period (`_shifted_start`), the
@@ -387,42 +377,38 @@ def mpc_step(state, window, spec, config, beta_es_use=0.0, previous=None):
         raise DomainError("window is longer than the prediction horizon")
 
     cap_p = spec.power_cap_kw * window.delta_hours
-    qp, blocks, deliver = _control_qp(state, window, spec, config,
-                                      beta_es_use)
-    start = _shifted_start(previous, blocks, deliver, window.probabilities,
-                           qp.c.shape[0])
+    tracked = config.theta > 0.0
+    qp = _control_qp(state, window, spec, config, beta_es_use)
+    start = _shifted_start(previous, window, tracked, qp.c.shape[0])
 
     # control accuracy: 1e-6 on kWh-scale decisions is micro-Wh; the tail's
     # split is repaired to exact feasibility below either way
     rep = solve_qp(qp, tol=1e-6, start=start)
     if rep.status != "optimal":
         raise OperationError(f"control solve ended {rep.status}")
-    x = rep.x
 
     # keep the solver's import/export split: simultaneous buy and sell is a
     # deliberate instrument here (it withholds production from the local
     # allocation when consumers are ahead of the promise), so re-deriving
     # the flows from a complementary split would change the plan
-    branches = []
-    for (_, loads, _, _), (_, _, _, gg, _, split) in zip(_branches(window),
-                                                         blocks):
-        agg = loads.sum(axis=1)
-        grid_import = np.clip(x[gg], 0.0, agg)
-        branches.append((loads, grid_import, agg - grid_import, split))
-    (_, grid_import, served, _), *tails = branches
+    (c, d, _, gg, gs), _, tails, splits, _ = _tree(
+        rep.x, 5, n if tracked else 0, window.tail_periods,
+        window.probabilities.shape[0])
+    agg = window.head_loads.sum()
+    grid_import = np.clip(gg, 0.0, agg)
     level = np.zeros(n)
-    if config.theta > 0.0:
+    if tracked:
         # the tail hands out its repaired split rows at their probabilities
+        tail_agg = window.tail_loads.sum(axis=1)
         tail_expected = window.probabilities @ np.array(
-            [_repair_rows(x[split].reshape(-1, n), sv, loads).sum(axis=0)
-             for loads, _, sv, split in tails]) if tails else np.zeros(n)
+            [_repair_rows(split, tail_agg - np.clip(imports, 0.0, tail_agg),
+                          window.tail_loads).sum(axis=0)
+             for split, imports in zip(splits, tails[:, 3])])
         level = state.e_past + tail_expected + state.e_future - state.promise
-    c, d, _, _, gs, _ = blocks[0]
     return ControlDecision(
-        charge=np.clip(x[c], 0.0, cap_p)[0],
-        discharge=np.clip(x[d], 0.0, cap_p)[0],
-        withheld=np.minimum(grid_import, np.maximum(x[gs], 0.0))[0],
-        served=served[0], level=level, plan=(x, blocks, deliver))
+        charge=np.clip(c, 0.0, cap_p), discharge=np.clip(d, 0.0, cap_p),
+        withheld=np.minimum(grid_import, np.maximum(gs, 0.0)),
+        served=agg - grid_import, level=level, plan=rep.x)
 
 
 def settle(served, realized_loads, level):

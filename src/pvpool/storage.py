@@ -75,17 +75,15 @@ def recursion_rows(pb, eta, c, d, soc, start=0.0, before=None):
     soc_t - soc_{t-1} - eta c_t + d_t / eta = 0.  The first period starts
     from the constant `start` on the right-hand side or, when `before`
     names a variable, from that variable (a scenario tail branching off the
-    head).  Returns the index of the first period's row.
+    head).
     """
     chain = [1.0, -1.0, -eta, 1.0 / eta]
     if before is None:
-        first = pb.add_row([soc[0], c[0], d[0]], [1.0, -eta, 1.0 / eta], "==",
-                           start)
+        pb.add_row([soc[0], c[0], d[0]], [1.0, -eta, 1.0 / eta], "==", start)
     else:
-        first = pb.add_row([soc[0], before, c[0], d[0]], chain, "==", 0.0)
+        pb.add_row([soc[0], before, c[0], d[0]], chain, "==", 0.0)
     pb.add_rows(np.column_stack([soc[1:], soc[:-1], c[1:], d[1:]]), chain,
                 "==", 0.0)
-    return first
 
 
 def soc_trajectory(spec, charge, discharge):

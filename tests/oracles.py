@@ -449,7 +449,9 @@ def control_qp_by_rows(state, window, spec, config, beta_es_use=0.0):
     a time, interleaving each period's balance, state-of-charge and served
     rows.  Variables come in the same order as in operation._control_qp;
     the split variables and the served and tracking rows only when
-    theta > 0."""
+    theta > 0.  Returns the QP, one (charge, discharge, SoC, import,
+    export, split) index block per branch, head first, and the tracking
+    variables' indices; split and tracking are None at theta = 0."""
     from pvpool.numerics import ProblemBuilder
 
     n = window.head_loads.shape[0]
@@ -471,8 +473,9 @@ def control_qp_by_rows(state, window, spec, config, beta_es_use=0.0):
     gg = pb.add_vars(1, lb=0.0, ub=head_agg, cost=window.grid_price[:1])
     gs = pb.add_vars(1, lb=0.0,
                      cost=window.export_tax[:1] - window.export_price[:1])
-    if theta > 0.0:
-        ehat = pb.add_vars(n, lb=0.0, ub=window.head_loads)
+    ehat = pb.add_vars(n, lb=0.0, ub=window.head_loads) \
+        if theta > 0.0 else None
+    blocks = [(c, d, soc, gg, gs, ehat)]
     pb.add_row([gg[0], gs[0], c[0], d[0]], [1.0, -1.0, -1.0, 1.0],
                "==", head_agg - window.head_gen)
     pb.add_row([soc[0], c[0], d[0]], [1.0, -eta_c, 1.0 / eta_d], "==", soc0)
@@ -491,9 +494,11 @@ def control_qp_by_rows(state, window, spec, config, beta_es_use=0.0):
         gsw = pb.add_vars(tt, lb=0.0,
                           cost=pi * (window.export_tax[1:]
                                      - window.export_price[1:]))
+        gw = None
         if theta > 0.0:
             gw = pb.add_vars(tt * n, lb=0.0, ub=window.tail_loads.ravel())
             tail_gw.append(gw)
+        blocks.append((cw, dw, socw, ggw, gsw, gw))
         for t in range(tt):
             pb.add_row([ggw[t], gsw[t], cw[t], dw[t]], [1.0, -1.0, -1.0, 1.0],
                        "==", tail_agg[t] - window.tail_gen[t, widx])
@@ -504,6 +509,7 @@ def control_qp_by_rows(state, window, spec, config, beta_es_use=0.0):
                 pb.add_row(np.concatenate([gw[t * n:(t + 1) * n], [ggw[t]]]),
                            np.ones(n + 1), "==", tail_agg[t])
 
+    deliver = None
     if theta > 0.0:
         rhs = state.e_past + state.e_future - state.promise
         deliver = pb.add_vars(n, lb=-np.inf, ub=np.inf, qdiag=2.0 * theta,
@@ -516,7 +522,7 @@ def control_qp_by_rows(state, window, spec, config, beta_es_use=0.0):
                 + [np.full(tt, -window.probabilities[widx])
                    for widx in range(len(tail_gw))])
             pb.add_row(idx, coef, "==", 0.0)
-    return pb.qp()
+    return pb.qp(), blocks, deliver
 
 
 def construct_feasible_key(served, loads):

@@ -7,7 +7,7 @@ import pytest
 from pvpool import allocation
 from pvpool.allocation import (AllocationError, _repair_rows, breakeven_prices,
                                gamma_price_map, min_variance_key, net_benefit)
-from pvpool.domain import LoadMatrix, check_key
+from pvpool.domain import DomainError, LoadMatrix, check_key
 from pvpool.numerics import solve_qp
 from pvpool.sizing import SizingEconomics, SizingResult, investor_profit
 
@@ -324,6 +324,19 @@ def test_min_variance_takes_one_load_matrix():
     served, loads = _random_scenarios(rng, 3, 2, 2)
     with pytest.raises(AllocationError, match="one"):
         min_variance_key(served, [loads.values, loads.values], np.ones(2) / 2)
+
+
+@pytest.mark.parametrize("served, probs, match", [
+    ([np.array([1.0, 0.5])], [5.0], "probabilities sum"),
+    ([np.array([1.0, 0.5])], [np.nan], "finite and nonnegative"),
+    ([np.array([1.0, 0.5])], [-1.0], "finite and nonnegative"),
+    ([], [], "nonempty")])
+def test_min_variance_refuses_bad_probabilities(served, probs, match):
+    # the promise weights each scenario's totals by its probability: a
+    # weight of 5 would promise five times the served energy, a NaN or a
+    # negative weight a NaN or negative promise, and no scenario none
+    with pytest.raises(DomainError, match=match):
+        min_variance_key(served, [[1.0, 2.0], [0.5, 0.5]], probs)
 
 
 def test_zero_load_consumer_gets_nothing():

@@ -61,6 +61,12 @@ def test_probabilities_must_sum_to_one():
         SolarScenarioSet(np.full((4, 2), 0.5), np.array([0.6, 0.6]))
 
 
+def test_no_scenario_rejected():
+    # sizing divides by the scenario count: a bundle without one is refused
+    with pytest.raises(DomainError, match="nonempty"):
+        SolarScenarioSet(np.zeros((4, 0)), [])
+
+
 def test_negative_load_rejected():
     with pytest.raises(DomainError, match="negative load"):
         LoadMatrix(np.array([[1.0, -0.1]]), ("a", "b"))

@@ -536,7 +536,7 @@ def _control_qp_instance(n=3, tt=8):
     st = OperationState(2.5, rng.uniform(0.0, 3.0, n),
                         rng.uniform(3.0, 6.0, n), rng.uniform(0.0, 1.0, n))
     spec = StorageSpec(3.0, 6.0, 0.93, cyclic=False)
-    return _control_qp(st, win, spec, HorizonConfig(1, 1 + tt), 1e-4)[0]
+    return _control_qp(st, win, spec, HorizonConfig(1, 1 + tt), 1e-4)
 
 
 def _sizing_lp_instance():

@@ -81,10 +81,11 @@ def _settled_objective(decision, key):
 def _planned_key(decision, state, window, spec, config, beta_es_use=0.0):
     """The head's split as the control QP plans it (theta > 0), repaired to
     the decision's served energy: the key row the QP would hand out."""
-    qp, blocks, _ = _control_qp(state, window, spec, config, beta_es_use)
+    qp = _control_qp(state, window, spec, config, beta_es_use)
     rep = solve_qp(qp, tol=1e-6)
     assert rep.status == "optimal"
-    split = blocks[0][5]
+    split = control_qp_by_rows(state, window, spec, config,
+                               beta_es_use)[1][0][5]
     return _repair_rows(rep.x[split][None, :], np.array([decision.served]),
                         window.head_loads[None, :])[0]
 
@@ -145,6 +146,33 @@ def test_horizon_window_refuses_bad_probabilities(probs):
                 probs=probs)
 
 
+def test_horizon_window_refuses_no_scenario_and_a_loose_sum():
+    # a tail without a scenario would drop out of the control QP, and the
+    # probabilities sum to 1 within 1e-9, as a solar scenario set's do
+    loads, tail = [1.0, 2.0], np.ones((3, 2))
+    with pytest.raises(DomainError, match="nonempty"):
+        HorizonWindow(0.5, loads, 0.5, tail, np.zeros((3, 0)), [],
+                      np.full(4, 0.1), np.full(4, 0.05), np.zeros(4))
+    with pytest.raises(DomainError, match="probabilities sum"):
+        _window(loads, 0.5, tail, np.ones((3, 2)), probs=(0.5, 0.5 + 1e-7))
+
+
+def test_horizon_window_without_tail_takes_empty_lists():
+    # a head-only window may give its tail as empty lists: it keeps (0, n)
+    # loads and (0, scenarios) generation, and steps as the array form does
+    win = HorizonWindow(0.5, [1.0, 2.0], 0.5, [], [], [1.0], [0.13], [0.05],
+                        [0.0])
+    assert (win.tail_loads.shape, win.tail_gen.shape) == ((0, 2), (0, 1))
+    spec = StorageSpec(1.0, 2.0, _ETA, cyclic=False)
+    for theta in (0.0, 1.0):
+        cfg = HorizonConfig(1, 4, theta=theta)
+        got = mpc_step(_state(soc=1.0), win, spec, cfg)
+        want = mpc_step(_state(soc=1.0), _window([1.0, 2.0], 0.5), spec, cfg)
+        assert (got.charge, got.discharge, got.withheld, got.served) == \
+            (want.charge, want.discharge, want.withheld, want.served)
+        assert got.level.tolist() == want.level.tolist()
+
+
 def test_horizon_window_accepts_a_zero_probability():
     win = _window([1.0, 2.0], 0.5, [[1.0, 1.0]], [[0.5, 0.7]],
                   probs=(0.0, 1.0))
@@ -201,7 +229,7 @@ def test_mpc_theta_zero_single_consumer_is_cost_only():
     dec = mpc_step(st, win, spec, cfg, beta_es_use=0.0001)
     assert dec.level.tobytes() == np.zeros(1).tobytes()
     # the control QP's value is its dispatch cost: no tracking term
-    qp = _control_qp(st, win, spec, cfg, 0.0001)[0]
+    qp = _control_qp(st, win, spec, cfg, 0.0001)
     assert not qp.q_diag.any()
     rep = solve_qp(qp, tol=1e-6)
     assert rep.status == "optimal"
@@ -246,7 +274,9 @@ def test_mpc_respects_storage_envelope():
     assert not check_key(RepartitionKey(key), loads[:1], [dec.served])
     # the envelope also holds along each scenario's branch: the head period
     # followed by that scenario's nine tail periods
-    qp, [(c, d, *_), *tails], _ = _control_qp(st, win, spec, cfg, 0.0001)
+    qp = _control_qp(st, win, spec, cfg, 0.0001)
+    _, [(c, d, *_), *tails], _ = control_qp_by_rows(st, win, spec, cfg,
+                                                    0.0001)
     rep = solve_qp(qp, tol=1e-6)
     assert rep.status == "optimal"
     for cw, dw, *_ in tails:
@@ -267,7 +297,7 @@ def test_mpc_matches_grid_search_oracle():
     spec = StorageSpec(0.0, 0.0, _ETA, cyclic=False)
     win = _window(head_loads[0], head_gen[0], tail_loads, tail_gen, probs)
     st = OperationState(0.0, [0.3, 0.0], [1.5, 1.0], [0.2, 0.1])
-    qp = _control_qp(st, win, spec, HorizonConfig(1, 2, theta=theta), 0.0)[0]
+    qp = _control_qp(st, win, spec, HorizonConfig(1, 2, theta=theta), 0.0)
     rep = solve_qp(qp, tol=1e-6)
     assert rep.status == "optimal"
     # the QP carries the tracking offset in its linear term:
@@ -332,8 +362,8 @@ def test_control_qp_blocks_match_row_loop(tc, tt, theta):
     st = OperationState(2.5, rng.uniform(0.0, 3.0, n),
                         rng.uniform(3.0, 6.0, n), rng.uniform(0.0, 1.0, n))
     cfg = HorizonConfig(tc, tc + tt, theta=theta)
-    got = _control_qp(st, win, spec, cfg, 1e-4)[0]
-    want = control_qp_by_rows(st, win, spec, cfg, 1e-4)
+    got = _control_qp(st, win, spec, cfg, 1e-4)
+    want = control_qp_by_rows(st, win, spec, cfg, 1e-4)[0]
     for name in ("c", "q_diag", "lb", "ub"):
         np.testing.assert_array_equal(getattr(got, name),
                                       getattr(want, name))
@@ -373,6 +403,35 @@ def _block_lists(blocks):
             for blk in blocks]
 
 
+def _layout_blocks(qp, window, theta):
+    """The control QP's variable index blocks as `operation._tree` reads
+    them over np.arange, in the reference build's order: per branch, head
+    first, (charge, discharge, SoC, import, export, split), and the
+    tracking variables; split and tracking are None at theta = 0."""
+    n = window.head_loads.shape[0]
+    head, split, tails, splits, track = operation._tree(
+        np.arange(qp.c.shape[0]), 5, n if theta else 0, window.tail_periods,
+        window.probabilities.shape[0])
+    branches = [(head[:, None], split)] + list(
+        zip(tails, splits.reshape(splits.shape[0], -1))
+        if window.tail_periods else [])
+    return ([(*fields, part if theta else None) for fields, part in branches],
+            track if theta else None)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.6])
+def test_layout_views_name_the_reference_blocks(theta):
+    # the one layout, read over the variable indices, names exactly the
+    # blocks the row-by-row reference build adds, on full, shrinking and
+    # head-only windows
+    for step in _rolling_windows(theta):
+        want, want_deliver = control_qp_by_rows(*step, 1e-4)[1:]
+        blocks, deliver = _layout_blocks(_control_qp(*step, 1e-4), step[1],
+                                         theta)
+        assert _block_lists(blocks) == _block_lists(want)
+        assert _block_lists([[deliver]]) == _block_lists([[want_deliver]])
+
+
 @pytest.mark.parametrize("theta", [0.0, 0.6])
 def test_kept_control_pattern_fills_the_fresh_qp(theta):
     # the steps of a rolling span fill one kept pattern per window shape;
@@ -383,13 +442,15 @@ def test_kept_control_pattern_fills_the_fresh_qp(theta):
     kept = [_control_qp(*step, 1e-4) for step in steps]
     info = operation._control_pattern.cache_info()
     assert (info.misses, info.hits) == (4, 4)  # tails of 3, 2, 1 and 0
-    for step, (qp, blocks, deliver) in zip(steps, kept):
+    for step, qp in zip(steps, kept):
         operation._control_pattern.cache_clear()
-        fresh, fresh_blocks, fresh_deliver = _control_qp(*step, 1e-4)
+        fresh = _control_qp(*step, 1e-4)
         assert_same_qp(qp, fresh)
+        blocks, deliver = _layout_blocks(qp, step[1], theta)
+        fresh_blocks, fresh_deliver = _layout_blocks(fresh, step[1], theta)
         assert _block_lists(blocks) == _block_lists(fresh_blocks)
         assert _block_lists([[deliver]]) == _block_lists([[fresh_deliver]])
-        want = control_qp_by_rows(*step, 1e-4)
+        want = control_qp_by_rows(*step, 1e-4)[0]
         for name in ("c", "q_diag", "lb", "ub"):
             assert getattr(qp, name).tobytes() == \
                 getattr(want, name).tobytes(), name
@@ -400,20 +461,15 @@ def test_kept_control_pattern_fills_the_fresh_qp(theta):
 def test_control_qp_shares_no_array_with_its_pattern():
     # a caller that writes into a returned QP must not change the next one
     state, window, spec, cfg = next(_rolling_windows(1.0))
-    first = _control_qp(state, window, spec, cfg, 1e-4)[0]
-    want = _control_qp(state, window, spec, cfg, 1e-4)[0]
+    first = _control_qp(state, window, spec, cfg, 1e-4)
+    want = _control_qp(state, window, spec, cfg, 1e-4)
     for name in ("c", "q_diag", "lb", "ub", "rhs"):
         getattr(first, name)[:] = 7.0
     first.senses[:] = "<="
     first.a.data[:] = 7.0
     first.a.indices[:] = 0
-    again, blocks, deliver = _control_qp(state, window, spec, cfg, 1e-4)
+    again = _control_qp(state, window, spec, cfg, 1e-4)
     assert_same_qp(again, want)
-    # the index blocks are the kept pattern's own, so they are read-only
-    with pytest.raises(ValueError, match="read-only"):
-        blocks[0][0][0] = 1
-    with pytest.raises(ValueError, match="read-only"):
-        deliver[0] = 1
 
 
 def test_year_builds_one_control_pattern_per_window_shape():
@@ -459,33 +515,33 @@ def test_shifted_start_moves_the_plan_one_period(theta):
     # and 7 none.  The plan's values are distinct, so each entry of the
     # start names the one it came from
     steps = list(_rolling_windows(theta))
-    built = [_control_qp(*step, 1e-4) for step in steps]
-    probs = steps[0][1].probabilities
-    n = steps[0][1].head_loads.shape[0]
+    built = [control_qp_by_rows(*step, 1e-4) for step in steps]
+    windows = [window for _, window, _, _ in steps]
+    probs = windows[0].probabilities
+    n = windows[0].head_loads.shape[0]
+    tracked = theta > 0.0
     for t in (1, 5, 6):  # full, shorter and one-period tails
         old_qp, old_blocks, old_deliver = built[t - 1]
         qp, blocks, deliver = built[t]
         x = np.arange(1.0, 1.0 + old_qp.c.shape[0]) ** 1.5
-        start = _shifted_start((x, old_blocks, old_deliver), blocks, deliver,
-                               probs, qp.c.shape[0])
+        start = _shifted_start(x, windows[t], tracked, qp.c.shape[0])
         want = _shift_by_loop(x, old_blocks, old_deliver, blocks, deliver,
                               probs, n)
         assert sorted(want) == list(range(qp.c.shape[0]))  # every variable
         assert start.tolist() == [want[i] for i in range(start.shape[0])]
     # the first step and a head-only window start cold
-    qp, blocks, deliver = built[0]
-    assert _shifted_start(None, blocks, deliver, probs, qp.c.shape[0]) is None
-    qp, blocks, deliver = built[7]
-    assert _shifted_start((np.zeros(built[6][0].c.shape[0]), built[6][1],
-                           built[6][2]), blocks, deliver, probs,
-                          qp.c.shape[0]) is None
+    qp = built[0][0]
+    assert _shifted_start(None, windows[0], tracked, qp.c.shape[0]) is None
+    qp = built[7][0]
+    assert _shifted_start(np.zeros(built[6][0].c.shape[0]), windows[7],
+                          tracked, qp.c.shape[0]) is None
     # a plan of another layout is refused
     other = list(_rolling_windows(0.6 - theta))[0]
-    old_qp, old_blocks, old_deliver = _control_qp(*other, 1e-4)
-    qp, blocks, deliver = built[1]
+    old_qp = control_qp_by_rows(*other, 1e-4)[0]
+    qp = built[1][0]
     with pytest.raises(DomainError, match="previous plan"):
-        _shifted_start((np.zeros(old_qp.c.shape[0]), old_blocks, old_deliver),
-                       blocks, deliver, probs, qp.c.shape[0])
+        _shifted_start(np.zeros(old_qp.c.shape[0]), windows[1], tracked,
+                       qp.c.shape[0])
 
 
 @pytest.mark.parametrize("algorithm", ["proposed", "mpc_myopic"])
@@ -554,15 +610,17 @@ def test_theta_zero_control_qp_is_the_dispatch_program():
                         rng.uniform(0.0, 0.02, 1 + tt))
     st = OperationState(2.5, rng.uniform(0.0, 3.0, n),
                         rng.uniform(3.0, 6.0, n), rng.uniform(0.0, 1.0, n))
-    zero, blocks, _ = _control_qp(st, win, spec,
-                                  HorizonConfig(1, 1 + tt, 0.0), 1e-4)
+    zero = _control_qp(st, win, spec, HorizonConfig(1, 1 + tt, 0.0), 1e-4)
+    blocks = control_qp_by_rows(st, win, spec, HorizonConfig(1, 1 + tt, 0.0),
+                                1e-4)[1]
     periods = 1 + len(probs) * tt
     assert zero.a.shape == (2 * periods, 5 * periods)
     assert not zero.q_diag.any()
     assert all(split is None for *_, split in blocks)
 
-    tracked, blocks, _ = _control_qp(st, win, spec,
-                                     HorizonConfig(1, 1 + tt, 1.0), 1e-4)
+    tracked = _control_qp(st, win, spec, HorizonConfig(1, 1 + tt, 1.0), 1e-4)
+    blocks = control_qp_by_rows(st, win, spec, HorizonConfig(1, 1 + tt, 1.0),
+                                1e-4)[1]
     # each branch lays out charge, discharge, SoC, import and export in a row
     cols = np.concatenate([np.arange(c[0], gs[-1] + 1)
                            for c, _, _, _, gs, _ in blocks])

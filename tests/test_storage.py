@@ -14,7 +14,7 @@ from pvpool.operation import (HorizonConfig, HorizonWindow, OperationState,
 from pvpool.sizing import _dispatch_lp
 from pvpool.storage import StorageSpec, check_feasible, soc_trajectory
 
-from oracles import soc_recursion_rows
+from oracles import control_qp_by_rows, soc_recursion_rows
 from test_sizing import _toy_bundle
 
 
@@ -130,8 +130,10 @@ def test_reference_rows_match_control_qp():
                         np.full(t_len, 0.05), np.zeros(t_len))
     st = OperationState(spec.initial_soc_kwh, np.zeros(n), np.zeros(n),
                         np.ones(n))
-    qp, [(c, d, *_), (cw, dw, *_)], _ = _control_qp(
-        st, win, spec, HorizonConfig(1, t_len, theta=0.0), 0.0)
+    cfg = HorizonConfig(1, t_len, theta=0.0)
+    qp = _control_qp(st, win, spec, cfg, 0.0)
+    _, [(c, d, *_), (cw, dw, *_)], _ = control_qp_by_rows(st, win, spec, cfg,
+                                                          0.0)
     # each branch lays out its charge, discharge and SoC blocks in a row
     cols = np.concatenate([c, cw, d, dw, d + 1, dw + (t_len - 1)])
     _assert_reference_chain(qp, cols, spec, t_len, 0.5)
