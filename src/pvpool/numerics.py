@@ -12,9 +12,13 @@ auxiliary spread variables tied to the allocations by equality rows.
 Inequality rows get slack variables internally, so the core only ever sees
 equality rows plus box bounds.  Every solve is deterministic: identical
 inputs, the start included, produce bit-identical reports.  The iterations
-start from the box midpoint or, for solve_qp, from a caller's primal guess
-(a rolling horizon's previous plan, shifted), moved toward A x = b by one
-least-norm correction and pushed strictly inside the box.
+start from the box midpoint or, for solve_qp, from a caller's point (x, y,
+zl, zu), moved toward A x = b by one least-norm correction and pushed
+strictly inside the box; the duals start at the caller's y and positive
+bound multipliers, else at 0 and max(1, 1% of the largest cost).  Each
+report keeps, as its `restart`, the first iterate whose relative gap was at
+most 1e-2: a well-centred point that a neighbouring problem (a rolling
+horizon's next step, shifted) restarts from.
 
 Each iteration solves one Newton system, on one of two paths.  The normal
 equations A D^-1 A' serve every problem whose variables all carry a bound
@@ -73,6 +77,7 @@ GE = ">="
 _SENSES = (LE, EQ, GE)
 
 _STEP_DAMP = 0.99995  # fraction-to-boundary
+_RESTART_GAP = 1e-2  # relative gap of the iterate a report keeps to restart
 _DIVERGE = 1e14
 _KKT_REFINE_STEPS = 3  # refinement steps on an unpivoted KKT solve
 _KKT_REFINE_TOL = 1e-10  # accepted residual, relative to 1 + |rhs|
@@ -186,13 +191,20 @@ class SolveReport:
     y                 row duals, one per row: d objective / d rhs
     zl, zu            bound multipliers, >= 0: d objective / d lb = zl and
                       d objective / d ub = -zu
+    restart           (x, y, zl, zu): the first iterate whose relative gap
+                      |pobj - dobj| / (1 + |pobj|) was at most 1e-2, for a
+                      neighbouring problem's start; None if none got there
 
     The duals (None when no point is returned) satisfy c + Qx - A'y - zl + zu
     = 0 over the original variables.  Rows and variables that presolve
     removed get theirs by postsolve: a variable pinned by its own box splits
     its reduced cost into zl and zu, and a row that forced its variables to
     their bounds takes the dual nearest 0 that leaves each of them dual
-    feasible (Andersen & Andersen, Math. Prog. 1995).
+    feasible (Andersen & Andersen, Math. Prog. 1995).  The restart lies
+    inside the box near the central path, where a reoptimization restarts
+    well (Gondzio & Grothey, SIAM J. Optim. 2003); its y is 0 on the rows
+    that presolve dropped and its zl and zu 0 (no guess) on the variables
+    it pinned.
     """
 
     status: str
@@ -206,6 +218,7 @@ class SolveReport:
     y: np.ndarray | None = None
     zl: np.ndarray | None = None
     zu: np.ndarray | None = None
+    restart: tuple | None = None
 
 
 def _per_var(value, count):
@@ -418,24 +431,47 @@ class _Standard:
         self.fixed_mask = fixed
         self.fixed_vals = vals
 
-    def _full(self, x_reduced):
+    def _full(self, reduced, pinned=None):
+        """reduced over every variable, slacks included: presolve's pinned
+        variables read their values, or `pinned` when it is given."""
         if self.fixed_mask is None:
-            return x_reduced
-        full = self.fixed_vals.copy()
-        full[~self.fixed_mask] = x_reduced
+            return reduced
+        full = self.fixed_vals.copy() if pinned is None \
+            else np.full(self.fixed_mask.shape[0], pinned)
+        full[~self.fixed_mask] = reduced
+        return full
+
+    def _rows_full(self, y):
+        """y over the original rows: 0 on the rows the solve dropped."""
+        full = np.zeros(self.m)
+        full[slice(None) if self.rows is None else self.rows] = y
         return full
 
     def expand(self, x_reduced):
         return self._full(x_reduced)[: self.n_orig]
 
-    def reduce(self, x):
-        """A point over the original variables in the solved ones' order:
-        presolve's pinned variables drop out, and slacks read NaN."""
+    def reduce(self, x, y, zl, zu):
+        """A start (x, y, zl, zu) over the original problem in the solved
+        one's order: presolve's pinned variables and dropped rows drop out,
+        and slacks read NaN, no guess."""
         keep = self.fixed_mask
-        full = np.full(self.c.shape[0] if keep is None else keep.shape[0],
-                       np.nan)
-        full[: self.n_orig] = x
-        return full if keep is None else full[~keep]
+
+        def solved(v):
+            full = np.full(self.c.shape[0] if keep is None
+                           else keep.shape[0], np.nan)
+            full[: self.n_orig] = v
+            return full if keep is None else full[~keep]
+
+        return (solved(x), y if self.rows is None else y[self.rows],
+                solved(zl), solved(zu))
+
+    def lift(self, x, y, zl, zu):
+        """An iterate of the solved problem over the original one, which
+        `reduce` takes back: x expanded, y 0 on the dropped rows, and the
+        bound multipliers 0, no guess, on presolve's pinned variables."""
+        return (self.expand(x), self._rows_full(y),
+                self._full(zl, 0.0)[: self.n_orig],
+                self._full(zu, 0.0)[: self.n_orig])
 
     def duals(self, x, y, zl, zu):
         """Postsolve: the row duals and the bound multipliers of the original
@@ -449,11 +485,7 @@ class _Standard:
         pinned variable then puts r_j's positive part on its lower bound
         and its negative part on its upper one.
         """
-        y_full = np.zeros(self.m)
-        if self.rows is None:
-            y_full[:] = y
-        else:
-            y_full[self.rows] = y
+        y_full = self._rows_full(y)
         if self.fixed_mask is None:
             return y_full, zl[: self.n_orig], zu[: self.n_orig]
         at, c, qdiag = self._unreduced
@@ -509,6 +541,7 @@ class _IpmResult:
         self.zl = zl
         self.zu = zu
         self.iters = iters
+        self.restart = None  # (x, y, zl, zu) within _RESTART_GAP, if any
 
 
 _UNPIVOTED = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
@@ -840,7 +873,8 @@ def _step_to_boundary(value, rate, unbounded):
 def _ipm_loop(std, tol, max_iter, guess=None):
     # m >= 1 rows and n >= 1 columns: _solve settles m == 0 (which n == 0
     # implies, once empty rows are dropped) first.  guess, when given, is a
-    # point over the solved variables (NaN where it says nothing)
+    # point (x, y, zl, zu) over the solved problem (NaN where it says
+    # nothing, and a bound multiplier says nothing unless it is positive)
     a = std.a
     m, n = a.shape
     c, qdiag, lb, ub = std.c, std.qdiag.copy(), std.lb, std.ub
@@ -864,9 +898,9 @@ def _ipm_loop(std, tol, max_iter, guess=None):
     # variable; free variables with zero curvature push us to the kkt path
     kkt_path = bool(np.any(~has_lb & ~has_ub & (qdiag == 0.0)))
 
-    # starting point: the guess where one is given (a warm start), the box
-    # midpoint elsewhere (slacks, and every variable of a cold start); then
-    # push that least-squares-ish point strictly inside the box
+    # starting point: the guess's x where one is given (a warm start), the
+    # box midpoint elsewhere (slacks, and every variable of a cold start);
+    # then push that least-squares-ish point strictly inside the box
     x = np.zeros(n)
     both = has_lb & has_ub
     x[both] = 0.5 * (lb[both] + ub[both])
@@ -875,7 +909,7 @@ def _ipm_loop(std, tol, max_iter, guess=None):
     only_u = ~has_lb & has_ub
     x[only_u] = ub[only_u] - 1.0
     if guess is not None:
-        x = np.where(np.isnan(guess), x, guess)
+        x = np.where(np.isnan(guess[0]), x, guess[0])
     kkt = normal = None
     # one least-norm correction toward A x = b, solved on the system the
     # iterations use: [[I, A'], [A, -1e-8 I]] on the KKT path, and its
@@ -897,14 +931,19 @@ def _ipm_loop(std, tol, max_iter, guess=None):
     margin = np.minimum(0.49 * width, np.maximum(1.0, 0.01 * (1.0 + np.abs(x))))
     x = np.where(has_lb, np.maximum(x, lb + margin), x)
     x = np.where(has_ub, np.minimum(x, ub - margin), x)
-    y = np.zeros(m)
+    # the duals: the guess's y, and its bound multipliers where they are
+    # positive; z0 (and y = 0) elsewhere
     z0 = max(1.0, 0.01 * float(np.abs(c).max()))
-    zl = np.full(n, z0)
+    if guess is None:
+        y, zl, zu = np.zeros(m), np.full(n, z0), np.full(n, z0)
+    else:
+        y = guess[1].copy()
+        zl, zu = (np.where(z > 0.0, z, z0) for z in guess[2:])
     zl[no_lb] = 0.0
-    zu = np.full(n, z0)
     zu[no_ub] = 0.0
 
     best = None
+    restart = None
     best_score = np.inf
     stall = 0
     delta = 1e-10
@@ -933,6 +972,8 @@ def _ipm_loop(std, tol, max_iter, guess=None):
         prim_ok = rp_max <= tol * bscale
         dual_ok = rd_max <= tol * (cscale + float(np.abs(qx).max()))
         gap_ok = gap <= tol * (1.0 + abs(pobj))
+        if restart is None and gap <= _RESTART_GAP * (1.0 + abs(pobj)):
+            restart = (x, y, zl, zu)  # each iteration makes new arrays
         score = rp_max / bscale + rd_max / cscale + gap / (1.0 + abs(pobj))
         if score < 0.95 * best_score:
             stall = 0
@@ -942,7 +983,8 @@ def _ipm_loop(std, tol, max_iter, guess=None):
             best_score = score
             best = _IpmResult(x, y, zl, zu, it)
         if prim_ok and dual_ok and gap_ok:
-            return _IpmResult(x, y, zl, zu, it)
+            best = _IpmResult(x, y, zl, zu, it)
+            break
         if stall > 30 or not np.isfinite(score):
             break
         if float(np.abs(x).max()) > _DIVERGE * bscale:
@@ -1043,7 +1085,9 @@ def _ipm_loop(std, tol, max_iter, guess=None):
         zu = np.maximum(zu + ad * dzu, 1e-300)
         zu[no_ub] = 0.0
 
-    return best if best is not None else _IpmResult(x, y, zl, zu, 0)
+    result = best if best is not None else _IpmResult(x, y, zl, zu, 0)
+    result.restart = restart
+    return result
 
 
 def _row_violation(act, senses, rhs):
@@ -1100,7 +1144,9 @@ def _finish(problem, std, res, tol):
     status = "optimal" if converged else "iteration_limit"
     return SolveReport(status, x, objective, primal_residual, dual_residual,
                        gap, complementarity, res.iters,
-                       *std.duals(res.x, res.y, res.zl, res.zu))
+                       *std.duals(res.x, res.y, res.zl, res.zu),
+                       None if res.restart is None
+                       else std.lift(*res.restart))
 
 
 def _solve(problem, qdiag, tol, max_iter, start=None):
@@ -1136,7 +1182,7 @@ def _solve(problem, qdiag, tol, max_iter, start=None):
         # and silenced
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             res = _ipm_loop(std, tol, max_iter,
-                            None if start is None else std.reduce(start))
+                            None if start is None else std.reduce(*start))
     return _finish(problem, std, res, tol)
 
 
@@ -1151,15 +1197,21 @@ def solve_lp(problem: LinearProgram, tol: float = 1e-8, max_iter: int = 10 ** 6)
 def solve_qp(problem: ConvexQuadraticProgram, tol: float = 1e-6, max_iter: int = 10 ** 6, start=None) -> SolveReport:
     """Solve a ConvexQuadraticProgram; "optimal" certifies the KKT residuals.
 
-    start, when given, is a finite primal guess for every variable (say, a
-    neighbouring problem's solution), taken in place of the box midpoint:
-    the same least-norm correction toward the rows and push inside the box
-    follow, and the duals start as without it.
+    start, when given, is a point (x, y, zl, zu), say a neighbouring
+    problem's `SolveReport.restart`.  x is taken in place of the box
+    midpoint, and the same least-norm correction toward the rows and push
+    inside the box follow; y is taken as given, and each bound multiplier
+    where it is positive, the cold start's value elsewhere.
     """
     if not isinstance(problem, ConvexQuadraticProgram):
         raise NumericsError("solve_qp expects a ConvexQuadraticProgram")
     if start is not None:
-        start = np.asarray(start, dtype=np.float64)
-        if start.shape != problem.c.shape or not np.isfinite(start).all():
-            raise NumericsError("start must be a finite value per variable")
+        n, m = problem.c.shape[0], problem.rhs.shape[0]
+        start = tuple(np.asarray(v, dtype=np.float64) for v in start)
+        if [v.shape for v in start] != [(n,), (m,), (n,), (n,)] \
+                or not all(np.isfinite(v).all() for v in start) \
+                or np.any(start[2] < 0.0) or np.any(start[3] < 0.0):
+            raise NumericsError("start must be a point (x, y, zl, zu) of"
+                                " finite values, one per variable, row,"
+                                " variable and variable, zl and zu >= 0")
     return _solve(problem, problem.q_diag, tol, max_iter, start)

@@ -27,10 +27,11 @@ reads by position.  Its matrix and row senses are built once per window
 shape (`_control_pattern`, kept for the last few shapes, so the steps of
 a year share one), and one fill, `_control_qp`, writes every step's costs,
 bounds and right-hand sides, so the objective is stated once, there.  Each
-step after the first starts its solve from the previous step's solution,
-shifted one period (`_shifted_start`): `run_year` hands each
-`ControlDecision.plan` to the next `mpc_step`, and nothing else is kept
-between steps.  The bill is stated once, in `sizing.dispatch_costs`.
+step after the first restarts its solve from the previous solve's
+well-centred primal-dual iterate (`SolveReport.restart`), shifted one
+period (`_shifted_start`): `run_year` hands each `ControlDecision.plan` to
+the next `mpc_step`, and nothing else is kept between steps.  The bill is
+stated once, in `sizing.dispatch_costs`.
 """
 
 from __future__ import annotations
@@ -200,7 +201,9 @@ class ControlDecision:
     the expected end-of-year mismatch per consumer before it (e_past + the
     tail's expected allocation + e_future - promise), and zero at theta = 0,
     where nothing is tracked and the period settles alone.  plan is the
-    control QP's solution vector, which the next step starts from.
+    control solve's restart point (x, y, zl, zu), its first iterate within
+    a relative gap of 1e-2 (`SolveReport.restart`), which the next step
+    starts from; None when the solve kept none.
     """
 
     charge: float
@@ -208,7 +211,7 @@ class ControlDecision:
     withheld: float
     served: float
     level: np.ndarray
-    plan: np.ndarray | None = None
+    plan: tuple | None = None
 
 
 def _tree(vec, fields, per, tail, scenarios):
@@ -324,33 +327,47 @@ def _control_qp(state, window, spec, config, beta_es_use):
                                   pattern.senses.copy(), rhs, lb, ub)
 
 
-def _shifted_start(previous, window, tracked, size):
-    """The previous step's plan, shifted one period, over this step's QP.
+def _shifted_start(previous, window, tracked, shape):
+    """The previous step's restart point, shifted one period, over this
+    step's QP of `shape` (rows, variables).
 
-    previous is that step's `ControlDecision.plan`, a solution vector whose
-    tail length follows from its length.  Each tail's period k + 1 becomes
-    period k, and the new last period repeats the old last; the new head
-    is the probability-weighted first period of the old tails; the
-    tracking variables carry over.  Returns None, a cold start, for the
-    first step and for a window without a tail.
+    previous is that step's `ControlDecision.plan`, a point (x, y, zl, zu)
+    whose tail length follows from its length.  Each part is shifted
+    through `_tree`'s views, y by the row fields: each tail's period k + 1
+    becomes period k, and the new last period repeats the old last; the
+    tracking part carries over.  The new head's x is the
+    probability-weighted first period of the old tails, and its
+    multipliers are their sum, since each tail's costs carry its
+    probability.  Returns None, a cold start, for the first step and for
+    a window without a tail.
     """
     tail = window.tail_periods
     if previous is None or not tail:
         return None
     probs = window.probabilities
     per, w = window.head_loads.shape[0] if tracked else 0, len(probs)
-    old_tail, rest = divmod(previous.shape[0] - 5 - 2 * per, (5 + per) * w)
-    if rest or old_tail < 1:
+    old_tail, rest = divmod(previous[0].shape[0] - 5 - 2 * per, (5 + per) * w)
+    old_rows = (2 + tracked) * (1 + w * old_tail) + per
+    if rest or old_tail < 1 or previous[1].shape[0] != old_rows:
         raise DomainError("the previous plan does not fit the window")
-    start = np.empty(size)
-    head, split, tails, splits, track = _tree(start, 5, per, tail, w)
-    _, _, old, old_splits, old_track = _tree(previous, 5, per, old_tail, w)
     rows = np.minimum(np.arange(1, tail + 1), old_tail - 1)
-    tails[:], splits[:] = old[:, :, rows], old_splits[:, rows]
-    head[:] = sum(p * first for p, first in zip(probs, old[:, :, 0]))
-    split[:] = sum(p * first for p, first in zip(probs, old_splits[:, 0]))
-    track[:] = old_track
-    return start
+
+    def shift(old, size, fields, per, weights):
+        # the new head is the old tails' first period at these weights
+        new = np.empty(size)
+        head, split, tails, splits, track = _tree(new, fields, per, tail, w)
+        _, _, old, old_splits, old_track = _tree(old, fields, per, old_tail, w)
+        tails[:], splits[:] = old[:, :, rows], old_splits[:, rows]
+        head[:] = sum(p * first for p, first in zip(weights, old[:, :, 0]))
+        split[:] = sum(p * first
+                       for p, first in zip(weights, old_splits[:, 0]))
+        track[:] = old_track
+        return new
+
+    x, y, zl, zu = previous
+    (m, size), ones = shape, np.ones(w)
+    return (shift(x, size, 5, per, probs), shift(y, m, 2 + tracked, 0, ones),
+            shift(zl, size, 5, per, ones), shift(zu, size, 5, per, ones))
 
 
 def mpc_step(state, window, spec, config, beta_es_use=0.0, previous=None):
@@ -361,14 +378,14 @@ def mpc_step(state, window, spec, config, beta_es_use=0.0, previous=None):
     the energy balance, the storage envelope continuing from the state SoC
     (each tail scenario branching off the shared head), and the requirement
     that, when theta > 0, every period's split hands out exactly the locally
-    served energy.  Returns the head period, the level it settles from and
-    the solved plan, read through `_tree`'s views; the objective is stated
-    once, in `_control_qp`.
+    served energy.  Returns the head period and the level it settles from,
+    read through `_tree`'s views of the solution, and the solve's restart
+    point as the plan; the objective is stated once, in `_control_qp`.
 
     previous is the preceding step's `ControlDecision.plan`, or None.  The
-    solve starts from that plan shifted one period (`_shifted_start`), the
-    rolling horizon's warm start, and from the box midpoint on the first
-    step and on a window without a tail.
+    solve restarts from that primal-dual point shifted one period
+    (`_shifted_start`), the rolling horizon's warm start, and starts cold
+    on the first step and on a window without a tail.
     """
     n = window.head_loads.shape[0]
     if state.num_consumers != n:
@@ -379,7 +396,7 @@ def mpc_step(state, window, spec, config, beta_es_use=0.0, previous=None):
     cap_p = spec.power_cap_kw * window.delta_hours
     tracked = config.theta > 0.0
     qp = _control_qp(state, window, spec, config, beta_es_use)
-    start = _shifted_start(previous, window, tracked, qp.c.shape[0])
+    start = _shifted_start(previous, window, tracked, qp.a.shape)
 
     # control accuracy: 1e-6 on kWh-scale decisions is micro-Wh; the tail's
     # split is repaired to exact feasibility below either way
@@ -398,17 +415,20 @@ def mpc_step(state, window, spec, config, beta_es_use=0.0, previous=None):
     grid_import = np.clip(gg, 0.0, agg)
     level = np.zeros(n)
     if tracked:
-        # the tail hands out its repaired split rows at their probabilities
+        # the tail hands out its repaired split rows at their
+        # probabilities: one repair over every tail's rows
         tail_agg = window.tail_loads.sum(axis=1)
-        tail_expected = window.probabilities @ np.array(
-            [_repair_rows(split, tail_agg - np.clip(imports, 0.0, tail_agg),
-                          window.tail_loads).sum(axis=0)
-             for split, imports in zip(splits, tails[:, 3])])
+        repaired = _repair_rows(
+            splits.reshape(-1, n),
+            (tail_agg - np.clip(tails[:, 3], 0.0, tail_agg)).ravel(),
+            np.tile(window.tail_loads, (splits.shape[0], 1)))
+        tail_expected = window.probabilities \
+            @ repaired.reshape(splits.shape).sum(axis=1)
         level = state.e_past + tail_expected + state.e_future - state.promise
     return ControlDecision(
         charge=np.clip(c, 0.0, cap_p), discharge=np.clip(d, 0.0, cap_p),
         withheld=np.minimum(grid_import, np.maximum(gs, 0.0)),
-        served=agg - grid_import, level=level, plan=rep.x)
+        served=agg - grid_import, level=level, plan=rep.restart)
 
 
 def settle(served, realized_loads, level):
@@ -419,8 +439,11 @@ def settle(served, realized_loads, level):
     (`allocation._water_fill`), then makes the row sum exact.  level is a
     `ControlDecision.level`, or zero for the greedy rule.  Returns the row.
     """
+    level = np.asarray(level, dtype=np.float64)
+    if not (np.isfinite(served) and np.isfinite(level).all()):
+        raise DomainError("settle needs a finite served energy and level")
     loads = np.asarray(realized_loads, dtype=np.float64)
-    raw = _water_fill(np.asarray(level, dtype=np.float64), loads,
+    raw = _water_fill(level, loads,
                       min(max(served, 0.0), loads.sum()))
     return _repair_rows(raw[None, :], served, loads[None, :])[0]
 

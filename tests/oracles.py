@@ -444,15 +444,30 @@ def row_violation_loop(act, senses, rhs):
     return viol
 
 
-def control_qp_by_rows(state, window, spec, config, beta_es_use=0.0):
+def control_qp_by_rows(state, window, spec, config, beta_es_use=0.0,
+                       with_rows=False):
     """Reference build of the control QP of operation.mpc_step, one row at
     a time, interleaving each period's balance, state-of-charge and served
     rows.  Variables come in the same order as in operation._control_qp;
     the split variables and the served and tracking rows only when
     theta > 0.  Returns the QP, one (charge, discharge, SoC, import,
     export, split) index block per branch, head first, and the tracking
-    variables' indices; split and tracking are None at theta = 0."""
+    variables' indices; split and tracking are None at theta = 0.  With
+    with_rows, it also returns the row index blocks of this build: one
+    (balance, SoC, served) block per branch, head first, and the tracking
+    rows; served and tracking are None at theta = 0."""
     from pvpool.numerics import ProblemBuilder
+
+    row_blocks, added = [], [0]
+    kinds = 3 if config.theta > 0.0 else 2  # balance, SoC and served rows
+
+    def next_rows(periods):
+        # one (balance, SoC, served) block over the next periods' rows,
+        # which this build adds period by period
+        rows = added[0] + np.arange(kinds * periods).reshape(periods, kinds)
+        added[0] += kinds * periods
+        row_blocks.append(tuple(rows[:, k] if k < kinds else None
+                                for k in range(3)))
 
     n = window.head_loads.shape[0]
     tt = window.tail_periods
@@ -476,6 +491,7 @@ def control_qp_by_rows(state, window, spec, config, beta_es_use=0.0):
     ehat = pb.add_vars(n, lb=0.0, ub=window.head_loads) \
         if theta > 0.0 else None
     blocks = [(c, d, soc, gg, gs, ehat)]
+    next_rows(1)
     pb.add_row([gg[0], gs[0], c[0], d[0]], [1.0, -1.0, -1.0, 1.0],
                "==", head_agg - window.head_gen)
     pb.add_row([soc[0], c[0], d[0]], [1.0, -eta_c, 1.0 / eta_d], "==", soc0)
@@ -499,6 +515,7 @@ def control_qp_by_rows(state, window, spec, config, beta_es_use=0.0):
             gw = pb.add_vars(tt * n, lb=0.0, ub=window.tail_loads.ravel())
             tail_gw.append(gw)
         blocks.append((cw, dw, socw, ggw, gsw, gw))
+        next_rows(tt)
         for t in range(tt):
             pb.add_row([ggw[t], gsw[t], cw[t], dw[t]], [1.0, -1.0, -1.0, 1.0],
                        "==", tail_agg[t] - window.tail_gen[t, widx])
@@ -509,8 +526,9 @@ def control_qp_by_rows(state, window, spec, config, beta_es_use=0.0):
                 pb.add_row(np.concatenate([gw[t * n:(t + 1) * n], [ggw[t]]]),
                            np.ones(n + 1), "==", tail_agg[t])
 
-    deliver = None
+    deliver = track_rows = None
     if theta > 0.0:
+        track_rows = added[0] + np.arange(n)
         rhs = state.e_past + state.e_future - state.promise
         deliver = pb.add_vars(n, lb=-np.inf, ub=np.inf, qdiag=2.0 * theta,
                               cost=2.0 * theta * rhs)
@@ -522,6 +540,8 @@ def control_qp_by_rows(state, window, spec, config, beta_es_use=0.0):
                 + [np.full(tt, -window.probabilities[widx])
                    for widx in range(len(tail_gw))])
             pb.add_row(idx, coef, "==", 0.0)
+    if with_rows:
+        return pb.qp(), blocks, deliver, row_blocks, track_rows
     return pb.qp(), blocks, deliver
 
 

@@ -205,10 +205,12 @@ def test_qp_active_set_oracle_agreement():
 
 def test_qp_warm_start_reaches_the_oracle_optimum():
     # a start only moves where the iterations begin: from a guess outside
-    # the box, with a pinned variable on every third instance (presolve
-    # drops it from the guess) and inequality rows (whose slacks start as
-    # without a guess), every solve reaches the active-set optimum
+    # the box with random row duals and positive bound multipliers, with a
+    # pinned variable on every third instance (presolve drops it from the
+    # guess) and inequality rows (whose slacks start as without a guess),
+    # every solve reaches the active-set optimum
     rng = np.random.default_rng(7)
+    duals = np.random.default_rng(11)  # keeps rng's instances as they were
     solved = 0
     for k in range(150):
         instance = random_box_qp(rng)
@@ -219,7 +221,10 @@ def test_qp_warm_start_reaches_the_oracle_optimum():
             lb, ub = lb.copy(), ub.copy()
             lb[0] = ub[0] = 0.5 * ub[0]
         qp = ConvexQuadraticProgram(c, q, *_dense_rows(rows, len(c)), lb, ub)
-        start = rng.uniform(-1.0, 3.0, len(c))
+        start = (rng.uniform(-1.0, 3.0, len(c)),
+                 duals.normal(size=qp.rhs.shape[0]),
+                 duals.uniform(0.01, 10.0, len(c)),
+                 duals.uniform(0.01, 10.0, len(c)))
         rep = solve_qp(qp, tol=1e-8, start=start)
         ref, _ = qp_active_set_minimum(c, q, rows, lb, ub)
         if ref is None:
@@ -520,22 +525,28 @@ def test_normal_path_fallbacks_still_certify(monkeypatch, eps, route,
         assert fallbacks and not kkts
 
 
-def _control_qp_instance(n=3, tt=8):
+def _control_qp_instance(n=3, tt=8, battery=(3.0, 6.0), idle=None,
+                         sun=True):
     """A control QP of operation.mpc_step: one head period, a tt-period tail
-    in two scenarios, n consumers."""
+    in two scenarios, n consumers, a battery of (power kW, energy kWh);
+    consumer `idle`, when given, has no load, and without sun the head has
+    no solar forecast."""
     from pvpool.operation import (HorizonConfig, HorizonWindow,
                                   OperationState, _control_qp)
     from pvpool.storage import StorageSpec
     rng = np.random.default_rng(17)
     loads = rng.uniform(0.2, 2.5, (1 + tt, n))
-    win = HorizonWindow(0.5, loads[0], rng.uniform(0.0, 3.0), loads[1:],
+    if idle is not None:
+        loads[:, idle] = 0.0
+    head_gen = rng.uniform(0.0, 3.0) if sun else 0.0
+    win = HorizonWindow(0.5, loads[0], head_gen, loads[1:],
                         rng.uniform(0.0, 3.0, (tt, 2)), np.array([0.6, 0.4]),
                         rng.uniform(0.1, 0.3, 1 + tt),
                         rng.uniform(0.0, 0.1, 1 + tt),
                         rng.uniform(0.0, 0.02, 1 + tt))
     st = OperationState(2.5, rng.uniform(0.0, 3.0, n),
                         rng.uniform(3.0, 6.0, n), rng.uniform(0.0, 1.0, n))
-    spec = StorageSpec(3.0, 6.0, 0.93, cyclic=False)
+    spec = StorageSpec(*battery, 0.93, cyclic=False)
     return _control_qp(st, win, spec, HorizonConfig(1, 1 + tt), 1e-4)
 
 
@@ -556,7 +567,7 @@ def _sizing_lp_instance():
 def _report_bytes(rep):
     return (rep.status, rep.x.tobytes(), rep.objective, rep.primal_residual,
             rep.dual_residual, rep.duality_gap, rep.complementarity,
-            rep.iterations)
+            rep.iterations, *(part.tobytes() for part in rep.restart))
 
 
 @pytest.mark.parametrize("kind", ["control_qp", "sizing_lp"])
@@ -609,16 +620,83 @@ def test_solve_qp_without_start_is_bit_identical():
         assert getattr(none, name).tobytes() == getattr(cold, name).tobytes()
 
 
-@pytest.mark.parametrize("bad", ["short", "long", "nan", "inf"])
+@pytest.mark.parametrize("bad", ["short", "long", "nan", "inf", "negative",
+                                 "primal only"])
 def test_solve_qp_refuses_a_bad_start(bad):
+    # a start is a point (x, y, zl, zu) of finite values, one per variable,
+    # row, variable and variable, with nonnegative bound multipliers; a bad
+    # value in any one part is refused
     problem = _control_qp_instance()
-    n = problem.c.shape[0]
-    start = {"short": np.zeros(n - 1), "long": np.zeros(n + 1),
-             "nan": np.full(n, np.nan), "inf": np.zeros(n)}[bad]
-    if bad == "inf":
-        start[3] = np.inf
-    with pytest.raises(NumericsError, match="start"):
-        solve_qp(problem, start=start)
+    m, n = problem.a.shape
+    if bad == "primal only":  # a bare x, not a point
+        with pytest.raises(NumericsError, match="start"):
+            solve_qp(problem, start=np.zeros(n))
+        return
+    for part in (2, 3) if bad == "negative" else range(4):
+        start = [np.zeros(n), np.zeros(m), np.ones(n), np.ones(n)]
+        if bad in ("short", "long"):
+            start[part] = np.zeros(start[part].shape[0]
+                                   + (1 if bad == "long" else -1))
+        else:
+            start[part][3] = {"nan": np.nan, "inf": np.inf,
+                              "negative": -1e-3}[bad]
+        with pytest.raises(NumericsError, match="start"):
+            solve_qp(problem, start=start)
+
+
+def test_solve_qp_takes_any_sign_of_x_and_y_and_zero_multipliers():
+    problem = _control_qp_instance()
+    m, n = problem.a.shape
+    rep = solve_qp(problem, start=(-np.ones(n), -np.ones(m), np.zeros(n),
+                                   np.zeros(n)))
+    assert rep.status == "optimal"
+    cold = solve_qp(problem)
+    assert abs(rep.objective - cold.objective) \
+        <= 1e-6 * (1.0 + abs(cold.objective))
+
+
+@pytest.mark.parametrize("battery, sun", [((3.0, 6.0), True),
+                                         ((0.0, 0.0), True),
+                                         ((0.0, 0.0), False)])
+def test_restart_is_interior_with_no_guess_where_presolve_acted(battery,
+                                                                 sun):
+    # the restart iterate lies strictly inside the box with positive
+    # multipliers on its bounded sides.  Presolve pins a zero-load
+    # consumer's splits and a zero-capacity battery, whose recursion rows
+    # then lose every variable and are dropped; without sun and battery
+    # the head's balance row forces its import to the load (and its export
+    # to 0), and its served row then the head's splits to 0, so both rows
+    # are dropped too.  Those carry no guess: bound multipliers and row
+    # duals 0.  A re-solve from the restart reaches the optimum
+    problem = _control_qp_instance(battery=battery, idle=1, sun=sun)
+    rep = solve_qp(problem)
+    assert rep.status == "optimal"
+    x, y, zl, zu = rep.restart
+    lb, ub = problem.lb, problem.ub
+    pinned = lb == ub
+    # the idle consumer's split in 17 branch periods, and the battery's
+    # charge, discharge and SoC there when it has no capacity
+    assert pinned.sum() == 17 + 3 * 17 * (battery[0] == 0.0)
+    forced = np.zeros_like(pinned)
+    if not sun:
+        forced[[3, 4, 5, 6, 7]] = True  # head import, export and splits
+    assert np.all(x[forced] == np.where(np.arange(x.shape[0]) == 3,
+                                        ub, lb)[forced])
+    pinned |= forced
+    has_lb = np.isfinite(lb) & ~pinned
+    has_ub = np.isfinite(ub) & ~pinned
+    assert np.all(x[has_lb] > lb[has_lb]) and np.all(x[has_ub] < ub[has_ub])
+    assert np.all(zl[has_lb] > 0.0) and np.all(zu[has_ub] > 0.0)
+    assert not zl[~np.isfinite(lb)].any() and not zu[~np.isfinite(ub)].any()
+    np.testing.assert_array_equal(x[lb == ub], lb[lb == ub])
+    assert not zl[pinned].any() and not zu[pinned].any()
+    dropped = (abs(problem.a) @ ~pinned) == 0  # no unpinned variable left
+    assert dropped.sum() == 17 * (battery[0] == 0.0) + 2 * (not sun)
+    assert not y[dropped].any() and np.all(y[~dropped] != 0.0)
+    again = solve_qp(problem, start=rep.restart)
+    assert again.status == "optimal"
+    assert abs(again.objective - rep.objective) \
+        <= 1e-6 * (1.0 + abs(rep.objective))
 
 
 def test_analyses_kept_are_bounded():
