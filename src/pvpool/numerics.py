@@ -15,10 +15,11 @@ inputs, the start included, produce bit-identical reports.  The iterations
 start from the box midpoint or, for solve_qp, from a caller's point (x, y,
 zl, zu), moved toward A x = b by one least-norm correction and pushed
 strictly inside the box; the duals start at the caller's y and positive
-bound multipliers, else at 0 and max(1, 1% of the largest cost).  Each
-report keeps, as its `restart`, the first iterate whose relative gap was at
-most 1e-2: a well-centred point that a neighbouring problem (a rolling
-horizon's next step, shifted) restarts from.
+bound multipliers (at least 1e-300), else at 0 and max(1, 1% of the
+largest cost).  Each report keeps, as its `restart`, the first iterate
+whose relative gap was at most 1e-2: a well-centred point that a
+neighbouring problem (a rolling horizon's next step, shifted) restarts
+from.
 
 Each iteration solves one Newton system, on one of two paths.  The normal
 equations A D^-1 A' serve every problem whose variables all carry a bound
@@ -36,17 +37,28 @@ each factorization.  On either path each solve is refined against the
 matrix, and a nonpositive pivot or a solve whose refined residual misses
 is redone with SuperLU's partial pivoting.
 
-The work on a presolved constraint matrix A that A alone decides is done
-once and kept (_analyse): A', the normal matrix's pattern with its band
-plan and the map from D^-1 to its data, the factor of A A' + 1e-8 I that
-the least-norm start point solves with, and the assembled KKT matrix.  It
-is keyed by A's exact bytes and held for the last few matrices, so the
-control QPs of a rolling horizon, which share one matrix, analyse it once,
-and a normal-equations solve that finds its analysis kept factors only
-inside its iterations.  A kept analysis yields the same numbers as a new
-one, so no report depends on earlier solves.  The iterations keep every
+The work on a constraint matrix A that A alone decides is done once and
+kept (_analyse): A', A's sign split [A+ | A-] (each entry of A, in A's
+storage order, in column j when it is positive and n + j otherwise), the
+normal matrix's pattern with its band plan and the map from D^-1 to its
+data, the factor of A A' + 1e-8 I that the least-norm start point solves
+with, and the assembled KKT matrix.  It is keyed by A's exact bytes and
+held for the last few matrices, so the control QPs of a rolling horizon,
+which share one matrix, analyse it once, and a normal-equations solve that
+finds its analysis kept factors only inside its iterations.  A kept
+analysis yields the same numbers as a new one, so no report depends on
+earlier solves.
+
+Presolve reads the sign split of the standard form's A.  Each of its
+passes forms every row's activity bounds as two products with the free
+variables' bounds u and l (a pinned variable's terms read 0), max = A+ u +
+A- l and min = A+ l + A- u, each row's terms summed in A's storage order,
+and reads A's entries one by one only in the rows that force.  When it pins
+nothing, the iterations solve with that same A, so one analysis serves
+both, and postsolve reads the A' it keeps.  The iterations keep every
 vector at full length; entries without a bound on one side are reset by
-index rather than masked.
+index rather than masked, and the step to the boundary divides without a
+mask.
 
 A report with status "optimal" carries residuals measured at the returned
 point against the original problem, so callers can verify the certificate
@@ -74,7 +86,6 @@ from scipy.sparse.linalg import splu
 LE = "<="
 EQ = "=="
 GE = ">="
-_SENSES = (LE, EQ, GE)
 
 _STEP_DAMP = 0.99995  # fraction-to-boundary
 _RESTART_GAP = 1e-2  # relative gap of the iterate a report keeps to restart
@@ -111,7 +122,12 @@ def _normalize(problem):
     # a stored 0.0 is no coefficient: a row holding only such entries is
     # empty to every later test, and none of them meets an infinite bound
     a.eliminate_zeros()
-    senses = np.asarray(problem.senses, dtype="U2")
+    # as text of any length, so that no sense is cut down to a known one
+    senses = np.asarray(problem.senses, dtype=str)
+    unknown = senses[(senses != LE) & (senses != EQ) & (senses != GE)]
+    if unknown.size:
+        raise NumericsError(f"unknown sense {str(unknown[0])!r}")
+    senses = senses.astype("U2")
     rhs = np.asarray(problem.rhs, dtype=np.float64)
     lb = _as_bound(problem.lb, n, -np.inf)
     ub = _as_bound(problem.ub, n, np.inf)
@@ -124,9 +140,6 @@ def _normalize(problem):
         raise NumericsError("senses/rhs length must equal the number of rows")
     if not np.isfinite(c).all() or not np.isfinite(a.data).all() or not np.isfinite(rhs).all():
         raise NumericsError("objective, matrix and rhs entries must be finite")
-    unknown = senses[~np.isin(senses, _SENSES)]
-    if unknown.size:
-        raise NumericsError(f"unknown sense {unknown[0]!r}")
     if np.any(np.isnan(lb)) or np.any(np.isnan(ub)):
         raise NumericsError("bounds must not be NaN")
     if np.any(lb > ub):
@@ -308,7 +321,7 @@ class ProblemBuilder:
         ub = np.concatenate(self._ub) if n else np.zeros(0)
         cost = np.concatenate(self._cost) if n else np.zeros(0)
         qd = np.concatenate(self._qdiag) if n else np.zeros(0)
-        return cost, qd, a, np.asarray(self._senses, dtype="U2"), np.asarray(self._rhs), lb, ub
+        return cost, qd, a, np.asarray(self._senses, dtype=str), np.asarray(self._rhs), lb, ub
 
     def lp(self):
         cost, qd, a, senses, rhs, lb, ub = self._assemble()
@@ -354,7 +367,15 @@ class _Standard:
         self.rows = None  # the rows a solve keeps, when it drops empty ones
         self.infeasible_reason = None
         self._forced = []  # per pass: (rows, columns, coefficients, upward)
+        self._analysed = (None, None)  # (A, its _Analysis)
         self._presolve()
+
+    def analysis(self):
+        """The _Analysis of the current A: presolve's own when it pinned
+        nothing, so one serves both."""
+        if self._analysed[0] is not self.a:
+            self._analysed = (self.a, _analyse(self.a))
+        return self._analysed[1]
 
     def _presolve(self):
         """Pin variables until fixpoint, then substitute them out.
@@ -364,30 +385,31 @@ class _Standard:
         right-hand side forces every remaining variable in it to the
         corresponding bound (without this, equality-pinned variables leave
         the feasible set with an empty interior and the interior-point
-        iteration has no central path to follow).
+        iteration has no central path to follow).  A pass forms the
+        activity bounds as products of A's sign split [A+ | A-] with the
+        free variables' bounds, max = A+ u + A- l and min = A+ l + A- u, the
+        terms of each row summed in A's storage order; it reads A's entries
+        one by one only in the rows that force.
         """
         lb, ub = self.lb, self.ub
         fixed = lb == ub
         vals = np.where(fixed, lb, 0.0)
-        m = self.a.shape[0]
-        coo = self.a.tocoo()
-        rr, cc, dd = coo.row, coo.col, coo.data
+        a = self.a
+        m = a.shape[0]
         # a row that already forced its variables is satisfied up to the
         # forcing tolerance; re-checking it against the (tighter) residual
         # tolerance on a later pass would fabricate an infeasibility
         settled = np.zeros(m, dtype=bool)
-        while m and rr.size:
-            freed = ~fixed[cc]
-            contrib = np.where(freed, 0.0, dd * vals[cc])
-            b_eff = self.b - np.bincount(rr, weights=contrib, minlength=m)
-            hi = np.where(dd > 0, ub[cc], lb[cc])
-            lo = np.where(dd > 0, lb[cc], ub[cc])
-            wmax = np.where(freed, dd * hi, 0.0)
-            wmin = np.where(freed, dd * lo, 0.0)
-            max_act = np.bincount(rr, weights=wmax, minlength=m)
-            min_act = np.bincount(rr, weights=wmin, minlength=m)
-            max_act = np.where(np.isnan(max_act), np.inf, max_act)
-            min_act = np.where(np.isnan(min_act), -np.inf, min_act)
+        while m and a.nnz:
+            split = self.analysis().split
+            # a pinned variable's terms read 0 and its value moves to b
+            free_lb = np.where(fixed, 0.0, lb)
+            free_ub = np.where(fixed, 0.0, ub)
+            b_eff = self.b - a @ vals
+            # a row with infinite terms of both signs sums to NaN, which,
+            # as an infinite bound would, fails every test below
+            max_act = split @ np.concatenate([free_ub, free_lb])
+            min_act = split @ np.concatenate([free_lb, free_ub])
             tol = 1e-10 * (1.0 + np.abs(b_eff))
             bad = ((min_act > b_eff + tol) | (max_act < b_eff - tol)) \
                 & ~settled
@@ -398,32 +420,42 @@ class _Standard:
                 & ~settled
             force_dn = np.isfinite(min_act) & (min_act >= b_eff - tol) \
                 & ~settled
-            sel = freed & (force_up[rr] | force_dn[rr])
-            if not np.any(sel):
+            forcing = np.flatnonzero(force_up | force_dn)
+            # the forcing rows' entries on free variables, in storage order
+            count = a.indptr[forcing + 1] - a.indptr[forcing]
+            entry = np.repeat(a.indptr[forcing] - np.cumsum(count) + count,
+                              count) + np.arange(count.sum())
+            rr = np.repeat(forcing, count)
+            free = ~fixed[a.indices[entry]]
+            if not np.any(free):
                 break
-            settled |= force_up | force_dn
-            cols = cc[sel]
-            chosen = np.where(force_up[rr], hi, lo)[sel]
+            settled[forcing] = True
+            entry, rr = entry[free], rr[free]
+            cols, coef = a.indices[entry], a.data[entry]
+            # the bound each entry drives its variable to: the upper one
+            # when the row forces upward through a positive coefficient or
+            # downward through a negative one
+            chosen = np.where(force_up[rr] == (coef > 0), ub[cols], lb[cols])
             # first assignment wins; a genuine conflict surfaces later as
             # a solve that does not converge
             first = np.unique(cols, return_index=True)[1]
             fixed[cols[first]] = True
             vals[cols[first]] = chosen[first]
-            rows = rr[sel][first]
-            self._forced.append((rows, cols[first], dd[sel][first],
+            rows = rr[first]
+            self._forced.append((rows, cols[first], coef[first],
                                  force_up[rows]))
         if np.any(fixed):
             self._apply_reduction(fixed, vals)
 
     def _apply_reduction(self, fixed, vals):
         """Substitute pinned variables into costs, rows and constants."""
-        acsc = self.a.tocsc()
-        self.b = self.b - acsc[:, fixed] @ vals[fixed]
-        self._unreduced = (acsc.T, self.c, self.qdiag)  # for postsolve
+        at = self.analysis().at
+        self.b = self.b - at[fixed].T @ vals[fixed]
+        self._unreduced = (at, self.c, self.qdiag)  # for postsolve
         keep = ~fixed
         self.obj_const += float(self.c[fixed] @ vals[fixed]) \
             + 0.5 * float((self.qdiag[fixed] * vals[fixed]) @ vals[fixed])
-        self.a = acsc[:, keep].tocsr()
+        self.a = at[keep].T.tocsr()
         self.c = self.c[keep]
         self.qdiag = self.qdiag[keep]
         self.lb = self.lb[keep]
@@ -507,10 +539,6 @@ class _Standard:
         zl_full[~fixed] = zl
         zu_full[~fixed] = zu
         return y_full, zl_full[: self.n_orig], zu_full[: self.n_orig]
-
-
-def _objective(c, qdiag, x):
-    return float(c @ x) + 0.5 * float((qdiag * x) @ x)
 
 
 def _solve_boxed_separable(std):
@@ -801,18 +829,25 @@ class _NormalEquations(_SymmetricFactor):
 
 
 class _Analysis:
-    """The work on one presolved constraint matrix A that A alone decides.
+    """The work on one constraint matrix A that A alone decides.
 
-    Holds A' and, built when a solve first takes that Newton path, the
-    normal-equations band plan with its product map and the factor of the
-    least-norm start point's A A' + 1e-8 I, or the assembled KKT matrix
-    (A's data off the diagonal) with the positions of its diagonal;
-    SuperLU orders that matrix at each factorization.  Everything here
-    follows from A's bytes alone and is only read by the solves.
+    Holds A' and A's sign split [A+ | A-], the m x 2n matrix that keeps
+    each entry in A's storage order, in column j when it is positive and
+    n + j otherwise, for presolve's activity bounds.  Built when a solve
+    first takes that Newton path, it holds the normal-equations band plan
+    with its product map and the factor of the least-norm start point's
+    A A' + 1e-8 I, or the assembled KKT matrix (A's data off the diagonal)
+    with the positions of its diagonal; SuperLU orders that matrix at each
+    factorization.  Everything here follows from A's bytes alone and is
+    only read by the solves.
     """
 
     def __init__(self, a):
         self.at = a.T.tocsr()
+        n = a.shape[1]
+        self.split = sp.csr_matrix(
+            (a.data.copy(), np.where(a.data > 0.0, a.indices, a.indices + n),
+             a.indptr.copy()), shape=(a.shape[0], 2 * n))
         self._normal = None
         self._start = None
         self._kkt = None
@@ -861,11 +896,20 @@ def _analyse(a):
     return analysis
 
 
+_TINY = np.finfo(np.float64).tiny  # the smallest normal double, 2.2e-308
+
+
 def _step_to_boundary(value, rate, unbounded):
     """Largest step s <= 1 / _STEP_DAMP that keeps value + s * rate >= 0,
-    over the entries outside unbounded (value >= 0 everywhere)."""
-    ratio = np.divide(value, rate, out=np.full(value.shape, -np.inf),
-                      where=rate < 0)
+    over the entries outside unbounded, where value >= 1e-300 (the
+    iterations keep every slack and multiplier there, the start's too).
+
+    A plain divide, without a mask: a rate above -_TINY (0, -0.0, NaN,
+    inf or a subnormal) is replaced by -_TINY, a normal number.  Its ratio
+    is then below -4e7, so it cannot decide the step, nor could value /
+    rate at a negative subnormal rate; any other rate gives value / rate.
+    """
+    ratio = value / np.fmin(rate, -_TINY)
     ratio[unbounded] = -np.inf
     return min(1.0 / _STEP_DAMP, -float(ratio.max()))
 
@@ -877,7 +921,7 @@ def _ipm_loop(std, tol, max_iter, guess=None):
     # nothing, and a bound multiplier says nothing unless it is positive)
     a = std.a
     m, n = a.shape
-    c, qdiag, lb, ub = std.c, std.qdiag.copy(), std.lb, std.ub
+    c, qdiag, lb, ub = std.c, std.qdiag, std.lb, std.ub
     has_lb = np.isfinite(lb)
     has_ub = np.isfinite(ub)
     # the iterations keep every vector at full length; the few entries
@@ -888,7 +932,7 @@ def _ipm_loop(std, tol, max_iter, guess=None):
     lb0 = np.where(has_lb, lb, 0.0)
     ub0 = np.where(has_ub, ub, 0.0)
     nu = 2 * n - no_lb.shape[0] - no_ub.shape[0]
-    analysis = _analyse(a)
+    analysis = std.analysis()
     at = analysis.at
     b = std.b
     bscale = 1.0 + float(np.abs(b).max())
@@ -901,13 +945,8 @@ def _ipm_loop(std, tol, max_iter, guess=None):
     # starting point: the guess's x where one is given (a warm start), the
     # box midpoint elsewhere (slacks, and every variable of a cold start);
     # then push that least-squares-ish point strictly inside the box
-    x = np.zeros(n)
-    both = has_lb & has_ub
-    x[both] = 0.5 * (lb[both] + ub[both])
-    only_l = has_lb & ~has_ub
-    x[only_l] = lb[only_l] + 1.0
-    only_u = ~has_lb & has_ub
-    x[only_u] = ub[only_u] - 1.0
+    x = np.where(has_lb, np.where(has_ub, 0.5 * (lb + ub), lb + 1.0),
+                 np.where(has_ub, ub - 1.0, 0.0))
     if guess is not None:
         x = np.where(np.isnan(guess[0]), x, guess[0])
     kkt = normal = None
@@ -927,18 +966,22 @@ def _ipm_loop(std, tol, max_iter, guess=None):
             x = x + dx
     except RuntimeError:
         pass
-    width = np.where(both, ub - lb, np.inf)
-    margin = np.minimum(0.49 * width, np.maximum(1.0, 0.01 * (1.0 + np.abs(x))))
-    x = np.where(has_lb, np.maximum(x, lb + margin), x)
-    x = np.where(has_ub, np.minimum(x, ub - margin), x)
+    # presolve pinned every lb == ub, so ub - lb is the box's width, inf
+    # without a bound on one side, where lb + margin or ub - margin is
+    # infinite (NaN when x is) and fmax and fmin keep x
+    margin = np.minimum(0.49 * (ub - lb),
+                        np.maximum(1.0, 0.01 * (1.0 + np.abs(x))))
+    x = np.fmin(np.fmax(x, lb + margin), ub - margin)
     # the duals: the guess's y, and its bound multipliers where they are
-    # positive; z0 (and y = 0) elsewhere
+    # positive, at least 1e-300 as every iterate's are; z0 (and y = 0)
+    # elsewhere
     z0 = max(1.0, 0.01 * float(np.abs(c).max()))
     if guess is None:
         y, zl, zu = np.zeros(m), np.full(n, z0), np.full(n, z0)
     else:
         y = guess[1].copy()
-        zl, zu = (np.where(z > 0.0, z, z0) for z in guess[2:])
+        zl, zu = (np.where(z > 0.0, np.maximum(z, 1e-300), z0)
+                  for z in guess[2:])
     zl[no_lb] = 0.0
     zu[no_ub] = 0.0
 
@@ -949,10 +992,6 @@ def _ipm_loop(std, tol, max_iter, guess=None):
     delta = 1e-10
     rp_last = np.inf
 
-    def residuals(x, y, zl, zu):
-        qx = qdiag * x
-        return qx + c - at @ y - zl + zu, a @ x - b, qx
-
     for it in range(1, max_iter + 1):
         sl = x - lb
         sl[no_lb] = 1.0
@@ -960,12 +999,15 @@ def _ipm_loop(std, tol, max_iter, guess=None):
         su = ub - x
         su[no_ub] = 1.0
         np.maximum(su, 1e-300, out=su)
-        rd, rp, qx = residuals(x, y, zl, zu)
+        qx = qdiag * x
+        rd = qx + c - at @ y - zl + zu
+        rp = a @ x - b
         mu = float(sl @ zl + su @ zu) / nu if nu else 0.0
 
-        pobj = _objective(c, qdiag, x)
+        cx = float(c @ x)
+        pobj = cx + 0.5 * float(qx @ x)
         dobj = float(b @ y) + float(lb0 @ zl) - float(ub0 @ zu) \
-            - (pobj - float(c @ x))  # subtract the 0.5 x'Qx part
+            - (pobj - cx)  # subtract the 0.5 x'Qx part
         gap = abs(pobj - dobj)
         rp_max = float(np.abs(rp).max())
         rd_max = float(np.abs(rd).max())
@@ -1054,7 +1096,8 @@ def _ipm_loop(std, tol, max_iter, guess=None):
 
         try:
             # predictor
-            dx_a, dy_a, dzl_a, dzu_a = newton(-sl * zl, -su * zu)
+            slzl, suzu = sl * zl, su * zu
+            dx_a, dy_a, dzl_a, dzu_a = newton(-slzl, -suzu)
             ap_a, ad_a = max_steps(dx_a, dzl_a, dzu_a)
             ap_a = min(1.0, ap_a)
             ad_a = min(1.0, ad_a)
@@ -1066,9 +1109,9 @@ def _ipm_loop(std, tol, max_iter, guess=None):
                 sigma = 0.0
 
             # corrector
-            kl = sigma * mu - sl * zl - dx_a * dzl_a
+            kl = sigma * mu - slzl - dx_a * dzl_a
             kl[no_lb] = 0.0
-            ku = sigma * mu - su * zu + dx_a * dzu_a
+            ku = sigma * mu - suzu + dx_a * dzu_a
             ku[no_ub] = 0.0
             dx, dy, dzl, dzu = newton(kl, ku)
         except _NormalPathFailure:
@@ -1112,26 +1155,31 @@ def _finish(problem, std, res, tol):
     act = a @ x if a.shape[0] else np.zeros(0)
     viol = _row_violation(act, senses, rhs)
     bviol = np.maximum(np.maximum(problem.lb - x, x - problem.ub), 0.0)
-    bviol = bviol[np.isfinite(bviol)]
+    # a violation that is not finite (at an infinite or NaN x) is not
+    # measured; the others are >= 0, so 0 in its place leaves the max
+    bviol = np.where(np.isfinite(bviol), bviol, 0.0)
     primal_residual = float(max(viol.max() if len(viol) else 0.0,
-                                bviol.max() if len(bviol) else 0.0))
+                                bviol.max(initial=0.0)))
 
     c_int = std.c  # internal (slack-extended, presolved) objective
     qx = std.qdiag * res.x
     m = std.a.shape[0]
-    rd = qx + c_int - (std.a.T @ res.y if m else 0.0) - res.zl + res.zu
+    rd = qx + c_int - (std.analysis().at @ res.y if m else 0.0) - res.zl \
+        + res.zu
     dual_residual = float(np.abs(rd).max(initial=0.0))
-    sl = np.where(np.isfinite(std.lb), res.x - std.lb, 0.0)
-    su = np.where(np.isfinite(std.ub), std.ub - res.x, 0.0)
-    complementarity = float(max(np.abs(sl * res.zl).max(initial=0.0),
-                                np.abs(su * res.zu).max(initial=0.0)))
-    pobj_int = _objective(c_int, std.qdiag, res.x)
-    quad = pobj_int - float(c_int @ res.x)
     fl = np.isfinite(std.lb)
     fu = np.isfinite(std.ub)
+    sl = np.where(fl, res.x - std.lb, 0.0)
+    su = np.where(fu, std.ub - res.x, 0.0)
+    complementarity = float(max(np.abs(sl * res.zl).max(initial=0.0),
+                                np.abs(su * res.zu).max(initial=0.0)))
+    cx = float(c_int @ res.x)
+    pobj_int = cx + 0.5 * float(qx @ res.x)
+    # the bound terms are summed over the bounded entries alone: NumPy sums
+    # in pairwise blocks, which the unbounded entries' zeros would regroup
     dobj_int = (float(std.b @ res.y) if m else 0.0) \
         + float((std.lb[fl] * res.zl[fl]).sum()) \
-        - float((std.ub[fu] * res.zu[fu]).sum()) - quad
+        - float((std.ub[fu] * res.zu[fu]).sum()) - (pobj_int - cx)
     gap = abs(pobj_int - dobj_int)
 
     objective = pobj_int + std.obj_const
@@ -1201,7 +1249,8 @@ def solve_qp(problem: ConvexQuadraticProgram, tol: float = 1e-6, max_iter: int =
     problem's `SolveReport.restart`.  x is taken in place of the box
     midpoint, and the same least-norm correction toward the rows and push
     inside the box follow; y is taken as given, and each bound multiplier
-    where it is positive, the cold start's value elsewhere.
+    where it is positive (raised to 1e-300, the floor every iterate
+    keeps), the cold start's value elsewhere.
     """
     if not isinstance(problem, ConvexQuadraticProgram):
         raise NumericsError("solve_qp expects a ConvexQuadraticProgram")

@@ -350,17 +350,26 @@ def _shifted_start(previous, window, tracked, shape):
     old_rows = (2 + tracked) * (1 + w * old_tail) + per
     if rest or old_tail < 1 or previous[1].shape[0] != old_rows:
         raise DomainError("the previous plan does not fit the window")
-    rows = np.minimum(np.arange(1, tail + 1), old_tail - 1)
+    moved = min(tail, old_tail - 1)  # periods moved forward; the last repeats
+
+    def head_sum(weights, firsts):
+        # sum_s weights_s firsts_s in scenario order from 0.0, as a running
+        # sum: a reduction could sum pairwise
+        terms = np.concatenate([np.zeros((1,) + firsts.shape[1:]),
+                                weights[:, None] * firsts])
+        return np.add.accumulate(terms)[-1]
 
     def shift(old, size, fields, per, weights):
         # the new head is the old tails' first period at these weights
         new = np.empty(size)
         head, split, tails, splits, track = _tree(new, fields, per, tail, w)
         _, _, old, old_splits, old_track = _tree(old, fields, per, old_tail, w)
-        tails[:], splits[:] = old[:, :, rows], old_splits[:, rows]
-        head[:] = sum(p * first for p, first in zip(weights, old[:, :, 0]))
-        split[:] = sum(p * first
-                       for p, first in zip(weights, old_splits[:, 0]))
+        tails[:, :, :moved], tails[:, :, moved:] = \
+            old[:, :, 1:moved + 1], old[:, :, -1:]
+        splits[:, :moved], splits[:, moved:] = \
+            old_splits[:, 1:moved + 1], old_splits[:, -1:]
+        head[:] = head_sum(weights, old[:, :, 0])
+        split[:] = head_sum(weights, old_splits[:, 0])
         track[:] = old_track
         return new
 
@@ -437,12 +446,18 @@ def settle(served, realized_loads, level):
     Minimizes sum_i (level_i + g_i)^2 over the splits g of [served]+ kWh
     with 0 <= g_i <= realized_loads_i, in closed form by water-filling
     (`allocation._water_fill`), then makes the row sum exact.  level is a
-    `ControlDecision.level`, or zero for the greedy rule.  Returns the row.
+    `ControlDecision.level`, or zero for the greedy rule, and
+    realized_loads one finite, nonnegative row of its length.  Returns the
+    row.
     """
     level = np.asarray(level, dtype=np.float64)
     if not (np.isfinite(served) and np.isfinite(level).all()):
         raise DomainError("settle needs a finite served energy and level")
     loads = np.asarray(realized_loads, dtype=np.float64)
+    if loads.ndim != 1 or loads.shape != level.shape \
+            or not np.isfinite(loads).all() or np.any(loads < 0.0):
+        raise DomainError("settle needs realized_loads as one finite,"
+                          " nonnegative row of the level's length")
     raw = _water_fill(level, loads,
                       min(max(served, 0.0), loads.sum()))
     return _repair_rows(raw[None, :], served, loads[None, :])[0]

@@ -10,6 +10,7 @@ import itertools
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from pvpool import sizing
 from pvpool.numerics import ProblemBuilder, solve_lp
@@ -442,6 +443,218 @@ def row_violation_loop(act, senses, rhs):
         else:
             viol[i] = abs(act[i] - rhs[i])
     return viol
+
+
+def step_to_boundary_masked(value, rate, unbounded, damp):
+    """Masked-divide reference for numerics._step_to_boundary: the ratio
+    value / rate only where rate < 0, -inf elsewhere and on unbounded."""
+    ratio = np.divide(value, rate, out=np.full(value.shape, -np.inf),
+                      where=rate < 0)
+    ratio[unbounded] = -np.inf
+    return min(1.0 / damp, -float(ratio.max()))
+
+
+def _standard_rows(a, senses, lb, ub):
+    """The standard form's rows of a canonical CSR matrix, one list of
+    (column, coefficient) per row in storage order, and its bounds: each
+    inequality row gets a slack, +1 on <= and -1 on >=, in [0, inf),
+    stored after the row's own entries."""
+    m, n = a.shape
+    rows = [list(zip(a.indices[a.indptr[i]:a.indptr[i + 1]].tolist(),
+                     a.data[a.indptr[i]:a.indptr[i + 1]].tolist()))
+            for i in range(m)]
+    lb, ub = [float(v) for v in lb], [float(v) for v in ub]
+    for i in range(m):
+        if senses[i] != "==":
+            rows[i].append((len(lb), 1.0 if senses[i] == "<=" else -1.0))
+            lb.append(0.0)
+            ub.append(math.inf)
+    return rows, lb, ub
+
+
+def presolve_by_rows(a, senses, rhs, lb, ub):
+    """Presolve of numerics._Standard, one row and one entry at a time.
+
+    a is a canonical CSR matrix.  Each pass sums, for every row, its
+    pinned variables' terms into an effective right-hand side and its free
+    variables' terms into the activity bounds (a positive coefficient
+    times the upper bound into the maximum, and so on), in storage order
+    from 0.0, with a NaN bound read as infinite.  A row not yet settled
+    whose bounds miss its right-hand side by more than 1e-10 (1 + |b|)
+    makes the problem infeasible; one whose finite maximum (minimum)
+    meets it forces its free variables up (down): each to the bound at
+    which its term is largest (smallest), the row's first entry on a
+    variable winning.  The pass settles its forcing rows and pins their
+    variables; the passes stop when no forcing row holds a free variable.
+
+    Returns (infeasible, fixed, vals, passes): fixed and vals over the
+    standard form's variables, and per pass the tuples (row, column,
+    coefficient, upward) of the variables it pinned, by column.
+    """
+    rows, lb, ub = _standard_rows(a, senses, lb, ub)
+    fixed = [lo == hi for lo, hi in zip(lb, ub)]
+    vals = [lo if pin else 0.0 for lo, pin in zip(lb, fixed)]
+    settled = [False] * len(rows)
+    passes = []
+    while rows and any(rows):
+        forcing = []
+        for i, entries in enumerate(rows):
+            pinned = top = bottom = 0.0
+            for j, coef in entries:
+                if fixed[j]:
+                    pinned += coef * vals[j]
+                else:
+                    top += coef * (ub[j] if coef > 0 else lb[j])
+                    bottom += coef * (lb[j] if coef > 0 else ub[j])
+            top = math.inf if math.isnan(top) else top
+            bottom = -math.inf if math.isnan(bottom) else bottom
+            b_eff = float(rhs[i]) - pinned
+            tol = 1e-10 * (1.0 + abs(b_eff))
+            if settled[i]:
+                continue
+            if bottom > b_eff + tol or top < b_eff - tol:
+                return True, fixed, vals, passes
+            up = math.isfinite(top) and top <= b_eff + tol
+            if up or (math.isfinite(bottom) and bottom >= b_eff - tol):
+                forcing.append((i, up))
+        pins = {}
+        for i, up in forcing:
+            for j, coef in rows[i]:
+                if not fixed[j] and j not in pins:
+                    pins[j] = (i, coef, up)
+        if not pins:
+            break
+        for i, _ in forcing:
+            settled[i] = True
+        done = []
+        for j in sorted(pins):
+            i, coef, up = pins[j]
+            fixed[j] = True
+            vals[j] = ub[j] if up == (coef > 0) else lb[j]
+            done.append((i, j, coef, up))
+        passes.append(done)
+    return False, fixed, vals, passes
+
+
+def postsolve_by_rows(a, senses, c, qdiag, fixed, vals, passes, x, y, zl, zu):
+    """Postsolve of numerics._Standard.duals, one entry at a time, from
+    presolve_by_rows's pins and passes and a point (x, y, zl, zu) of the
+    reduced problem (y over every row).
+
+    The passes are undone last first.  Each pinned variable j of a pass
+    has the ratio (c_j + q_j x_j - sum_k a_kj y_k) / a_ij, its column
+    summed by row from 0.0 with the duals before the pass; its row i
+    takes the largest of 0 and those ratios when it forced upward, the
+    smallest when downward.  A pinned variable's reduced cost then goes
+    to zl when positive and to zu when negative.  Returns (y, zl, zu) over
+    the original rows and variables.
+    """
+    n = a.shape[1]
+    rows, _, _ = _standard_rows(a, senses, [0.0] * n, [0.0] * n)
+    if not any(fixed):
+        return [float(v) for v in y], list(zl[:n]), list(zu[:n])
+    free = [j for j, pin in enumerate(fixed) if not pin]
+    x_full = list(vals)
+    for j, v in zip(free, x):
+        x_full[j] = float(v)
+    y = [float(v) for v in y]
+    # slacks cost nothing
+    c = [float(v) for v in c] + [0.0] * (len(fixed) - n)
+    qdiag = [float(v) for v in qdiag] + [0.0] * (len(fixed) - n)
+
+    def reduced(j):
+        column = 0.0
+        for k, entries in enumerate(rows):
+            for col, coef in entries:
+                if col == j:
+                    column += coef * y[k]
+        return c[j] + qdiag[j] * x_full[j] - column
+
+    for done in reversed(passes):
+        ratios = [(i, reduced(j) / coef, up) for i, j, coef, up in done]
+        bound = {}
+        for i, ratio, up in ratios:
+            old = bound.get(i, 0.0)
+            bound[i] = max(old, ratio) if up else min(old, ratio)
+        for i, value in bound.items():
+            y[i] = value
+    zl_full, zu_full = [0.0] * len(fixed), [0.0] * len(fixed)
+    for j, pin in enumerate(fixed):
+        if pin:
+            r = reduced(j)
+            zl_full[j], zu_full[j] = max(r, 0.0), max(-r, 0.0)
+    for j, lo, hi in zip(free, zl, zu):
+        zl_full[j], zu_full[j] = float(lo), float(hi)
+    return y, zl_full[:n], zu_full[:n]
+
+
+def random_presolve_problem(rng):
+    """A small problem for presolve, as the fields (c, qdiag, a, senses,
+    rhs, lb, ub) of a ConvexQuadraticProgram, with a canonical CSR a.
+
+    Coefficients of both signs; boxes, one-sided and free variables, and
+    variables fixed by lb == ub.  Rows are drawn one at a time, and each
+    right-hand side is set by presolve_by_rows's pins on the rows before
+    it: strictly inside the row's activity range, at its maximum or
+    minimum (a forcing row, which cascades when the row holds a variable
+    an earlier row pinned), or beyond it (infeasible).  A row may also be
+    an earlier row scaled, which forces in the same pass on the same
+    variables, or a row over pinned variables alone, which forces none.
+    """
+    n, m = int(rng.integers(3, 9)), int(rng.integers(1, 7))
+    lb = rng.integers(-3, 2, n).astype(float)
+    ub = lb + rng.integers(0, 4, n)
+    kind = rng.random(n)
+    lb[kind < 0.15] = -np.inf
+    ub[(kind > 0.1) & (kind < 0.25)] = np.inf
+    dense = np.zeros((m, n))
+    senses, rhs = [], []
+    flip = {"==": "==", "<=": ">=", ">=": "<="}
+    for i in range(m):
+        _, fixed, vals, _ = presolve_by_rows(sp.csr_matrix(dense[:i]),
+                                             senses[:i], rhs, lb, ub)
+        mode = rng.choice(["inside", "top", "bottom", "beyond", "twin",
+                           "pinned"], p=[0.25, 0.25, 0.25, 0.08, 0.1, 0.07])
+        if mode == "twin" and i:
+            r, scale = int(rng.integers(i)), float(rng.choice([-2.0, -1.0,
+                                                                0.5]))
+            dense[i] = scale * dense[r]
+            senses.append(senses[r] if scale > 0 else flip[senses[r]])
+            rhs.append(scale * rhs[r])
+            continue
+        pins = np.flatnonzero(fixed[:n])
+        if mode == "pinned" and pins.size:
+            cols = rng.choice(pins, min(pins.size, int(rng.integers(1, 4))),
+                              replace=False)
+            mode = "top"
+        else:
+            cols = rng.choice(n, int(rng.integers(1, min(n, 4) + 1)),
+                              replace=False)
+        dense[i, cols] = rng.choice([-3.0, -1.5, -1.0, -0.5, 0.5, 1.0, 2.0,
+                                     2.5], cols.shape[0])
+        senses.append(str(rng.choice(["==", "==", "<=", ">="])))
+        pinned = sum(dense[i, j] * vals[j] for j in range(n) if fixed[j])
+        top = sum(dense[i, j] * (ub[j] if dense[i, j] > 0 else lb[j])
+                  for j in range(n) if dense[i, j] and not fixed[j])
+        bottom = sum(dense[i, j] * (lb[j] if dense[i, j] > 0 else ub[j])
+                     for j in range(n) if dense[i, j] and not fixed[j])
+        finite = [v for v in (top, bottom) if np.isfinite(v)]
+        if mode == "top" and np.isfinite(top):
+            value = top
+        elif mode == "bottom" and np.isfinite(bottom):
+            value = bottom
+        elif mode == "beyond" and finite:
+            value = max(finite) + 1.0 if rng.random() < 0.5 \
+                else min(finite) - 1.0
+        elif len(finite) == 2 and top > bottom:
+            value = rng.uniform(bottom, top)
+        else:
+            value = (finite[0] if finite else 0.0) + rng.uniform(-1.0, 1.0)
+        rhs.append(float(pinned + value))
+    c = rng.normal(size=n)
+    qdiag = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 2.0, n), 0.0)
+    return (c, qdiag, sp.csr_matrix(dense), np.array(senses), np.array(rhs),
+            lb, ub)
 
 
 def control_qp_by_rows(state, window, spec, config, beta_es_use=0.0,

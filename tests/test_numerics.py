@@ -1,5 +1,7 @@
 """Solver tests: known optima, oracle cross-checks, status classification."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -18,10 +20,14 @@ from pvpool.numerics import (
 from oracles import (
     key_qp_by_rows,
     lp_vertex_minimum,
+    postsolve_by_rows,
+    presolve_by_rows,
     qp_active_set_minimum,
     random_bounded_lp,
     random_box_qp,
+    random_presolve_problem,
     row_violation_loop,
+    step_to_boundary_masked,
 )
 
 
@@ -271,6 +277,28 @@ def test_constraint_validation():
         LinearProgram([1.0], [[np.nan]], ["<="], [0.0], [0.0], [1.0])
     with pytest.raises(NumericsError):
         LinearProgram([1.0], [[1.0]], ["<=", "<="], [0.0], [0.0], [1.0])
+
+
+@pytest.mark.parametrize("sense", [">=x", "<=junk", "== ", "<", "=", ""])
+def test_a_sense_is_exactly_one_of_the_three(sense):
+    # a longer sense is not cut down to a known one, in a program or in
+    # a builder's row, and the error names it
+    with pytest.raises(NumericsError, match=f"unknown sense '{sense}'"):
+        LinearProgram([1.0], [[1.0]], np.array([sense]), [1.0], [0.0], [2.0])
+    pb = _one_var_builder()
+    pb.add_row([0], [1.0], sense, 1.0)
+    with pytest.raises(NumericsError, match=f"unknown sense '{sense}'"):
+        pb.lp()
+    pb = _one_var_builder()
+    pb.add_rows([[0]], [1.0], sense, [1.0])
+    with pytest.raises(NumericsError, match=f"unknown sense '{sense}'"):
+        pb.qp()
+    # the three known senses are taken, from an array of any text width
+    senses = np.array(["<=", "==", ">="], dtype="U8")
+    problem = LinearProgram([1.0], [[1.0]] * 3, senses, [2.0, 1.0, 0.0],
+                            [0.0], [3.0])
+    assert problem.senses.tolist() == ["<=", "==", ">="]
+    assert solve_lp(problem).status == "optimal"
 
 
 def test_program_validation():
@@ -653,6 +681,16 @@ def test_solve_qp_takes_any_sign_of_x_and_y_and_zero_multipliers():
     cold = solve_qp(problem)
     assert abs(rep.objective - cold.objective) \
         <= 1e-6 * (1.0 + abs(cold.objective))
+    # a positive multiplier below 1e-300, the floor every iterate keeps,
+    # starts at that floor
+    reports = []
+    for z in (1e-310, 1e-300):
+        multipliers = np.ones(n)
+        multipliers[::5] = z
+        reports.append(solve_qp(problem, start=(np.ones(n), np.zeros(m),
+                                                multipliers, multipliers)))
+    assert reports[0].status == "optimal"
+    assert _report_bytes(reports[0]) == _report_bytes(reports[1])
 
 
 @pytest.mark.parametrize("battery, sun", [((3.0, 6.0), True),
@@ -719,6 +757,83 @@ def test_row_violation_matches_sense_loop():
     want = row_violation_loop(act, senses, rhs)
     np.testing.assert_array_equal(numerics._row_violation(act, senses, rhs),
                                   want)
+
+
+def test_presolve_matches_the_row_loop():
+    # presolve's activity bounds come from products with A's sign split;
+    # on small random problems (coefficients of both signs, infinite and
+    # fixed bounds, slacks, forcing rows that cascade and rows whose bounds
+    # exclude the right-hand side) they give the row loop's verdicts, pins
+    # and passes, and postsolve at a random reduced point its duals
+    rng = np.random.default_rng(24)
+    seen = Counter()
+    for _ in range(400):
+        problem = ConvexQuadraticProgram(*random_presolve_problem(rng))
+        std = numerics._Standard(problem.c, problem.q_diag, problem.a,
+                                 problem.senses, problem.rhs, problem.lb,
+                                 problem.ub)
+        infeasible, fixed, vals, passes = presolve_by_rows(
+            problem.a, problem.senses, problem.rhs, problem.lb, problem.ub)
+        assert (std.infeasible_reason is not None) == infeasible
+        if infeasible:
+            seen["infeasible"] += 1
+            continue
+        got = np.zeros(len(fixed), dtype=bool) if std.fixed_mask is None \
+            else std.fixed_mask
+        assert got.tolist() == fixed
+        assert [list(zip(*(part.tolist() for part in forced)))
+                for forced in std._forced] == passes
+        if std.fixed_mask is not None:
+            assert std.fixed_vals[got].tobytes() \
+                == np.array(vals)[got].tobytes()
+        free = int((~got).sum())
+        point = (rng.uniform(-2.0, 2.0, free), rng.normal(size=len(problem.rhs)),
+                 rng.uniform(0.0, 1.0, free), rng.uniform(0.0, 1.0, free))
+        want = postsolve_by_rows(problem.a, problem.senses, problem.c,
+                                 problem.q_diag, fixed, vals, passes, *point)
+        for part, reference in zip(std.duals(*point), want):
+            assert part.tolist() == reference
+        n = problem.c.shape[0]
+        seen["box pin"] += bool(np.any(problem.lb == problem.ub))
+        seen["cascade"] += len(passes) >= 2
+        for done in passes:
+            for _, j, coef, up in done:
+                seen["up" if up else "down"] += 1
+                seen["negative coefficient"] += coef < 0
+                seen["slack"] += j >= n
+    assert min(seen[k] for k in ("infeasible", "box pin", "cascade", "up",
+                                 "down", "negative coefficient",
+                                 "slack")) >= 10, seen
+
+
+def test_step_to_boundary_equals_the_masked_divide():
+    # the plain divide gives the masked one's step bit for bit: zero and
+    # -0.0 rates, infinite, NaN and subnormal ones, the unbounded entries
+    # (whose values the iterations set to 0 or 1), no negative rate at all
+    # and every entry unbounded
+    rng = np.random.default_rng(25)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                        1e-310, -1e-310, numerics._TINY, -numerics._TINY])
+    decided = 0
+    with np.errstate(all="ignore"):
+        for trial in range(600):
+            k = int(rng.integers(1, 60))
+            value = 10.0 ** rng.uniform(-300.0, 3.0, k)
+            value[rng.random(k) < 0.1] = 1e-300
+            rate = rng.normal(size=k) * 10.0 ** rng.uniform(-5.0, 5.0, k)
+            odd = rng.random(k) < 0.3
+            rate[odd] = rng.choice(special, int(odd.sum()))
+            if trial % 5 == 0:
+                rate = np.abs(rate)  # no negative rate
+            unbounded = np.flatnonzero(rng.random(k) < (1.0 if trial % 11 == 0
+                                                       else 0.2))
+            value[unbounded] = rng.choice([0.0, 1.0])
+            got = numerics._step_to_boundary(value, rate, unbounded)
+            want = step_to_boundary_masked(value, rate, unbounded,
+                                           numerics._STEP_DAMP)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            decided += want < 1.0 / numerics._STEP_DAMP
+    assert decided > 200
 
 
 def _feasible_equality_qp(seed):

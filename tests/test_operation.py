@@ -879,6 +879,16 @@ def test_settle_refuses_a_non_finite_served_or_level(served, level):
         settle(served, [1.0, 2.0], level)
 
 
+@pytest.mark.parametrize("loads", [[-1.0, 2.0], [np.nan, 1.0],
+                                   [1.0, 1.0, 1.0]])
+def test_settle_refuses_realized_loads_that_are_not_a_load_row(loads):
+    # a negative load once settled as a negative allocation, a NaN one as
+    # a NaN allocation, and a row longer than the level as a raw NumPy
+    # broadcast error
+    with pytest.raises(DomainError, match="realized_loads"):
+        settle(1.0, loads, [0.0, 0.0])
+
+
 def test_settle_key_feasible_and_balances_history():
     # the settled key must live in the feasible split set, and with enough
     # served energy it should equalize consumers' cumulative positions
