@@ -385,11 +385,8 @@ class _Standard:
         right-hand side forces every remaining variable in it to the
         corresponding bound (without this, equality-pinned variables leave
         the feasible set with an empty interior and the interior-point
-        iteration has no central path to follow).  A pass forms the
-        activity bounds as products of A's sign split [A+ | A-] with the
-        free variables' bounds, max = A+ u + A- l and min = A+ l + A- u, the
-        terms of each row summed in A's storage order; it reads A's entries
-        one by one only in the rows that force.
+        iteration has no central path to follow).  The activity bounds are
+        products with A's sign split (see the module docstring).
         """
         lb, ub = self.lb, self.ub
         fixed = lb == ub
