@@ -143,11 +143,12 @@ def _cmd_size(args):
     return 0
 
 
-def _gamma_table(sizing, params, gammas=(0.0, 0.5, 1.0)):
+def _price_table(sizing, params, pairs):
+    """Investor profit and consumer savings at each (gamma, price) pair,
+    keyed as in allocation_report.json and sweep_price.csv."""
     benefit = net_benefit(sizing)
     rows = []
-    for gamma in gammas:
-        price = gamma_price_map(sizing, params, gamma=gamma)
+    for gamma, price in pairs:
         profit = investor_profit(price, sizing, params)
         rows.append({"gamma": gamma, "price_eur_per_kwh": price,
                      "investor_profit_eur": profit,
@@ -162,7 +163,9 @@ def _cmd_allocate(args):
     benefit = net_benefit(sizing)
     if sells_local_energy(sizing):
         prices = breakeven_prices(sizing, bundle.params)
-        table = _gamma_table(sizing, bundle.params)
+        table = _price_table(sizing, bundle.params, [
+            (g, gamma_price_map(sizing, bundle.params, gamma=g))
+            for g in (0.0, 0.5, 1.0)])
         print("price (EUR/kWh)  gamma  investor profit (EUR)"
               "  consumer savings (EUR)")
     else:
@@ -296,20 +299,17 @@ def _cmd_sweep(args):
     if not sells_local_energy(sizing):
         print(_NOTHING_TO_SHARE)
         return 0
-    benefit = net_benefit(sizing)
     if prices is not None:
         pairs = [(gamma_price_map(sizing, params, price=p), p)
                  for p in prices]
     else:
         gammas = (0.0, 0.25, 0.5, 0.75, 1.0)
         pairs = [(g, gamma_price_map(sizing, params, gamma=g)) for g in gammas]
-    price_rows = []
-    for gamma, price in pairs:
-        profit = investor_profit(price, sizing, params)
-        price_rows.append([price, gamma, profit, benefit - profit])
-    write_matrix_csv(out / "sweep_price.csv",
-                     ("price_eur_per_kwh", "gamma", "investor_profit_eur",
-                      "consumer_savings_eur"), price_rows)
+    header = ("price_eur_per_kwh", "gamma", "investor_profit_eur",
+              "consumer_savings_eur")
+    price_rows = [[row[name] for name in header]
+                  for row in _price_table(sizing, params, pairs)]
+    write_matrix_csv(out / "sweep_price.csv", header, price_rows)
     print(f"price sweep over {len(price_rows)} points:"
           f" {out / 'sweep_price.csv'}")
     return 0

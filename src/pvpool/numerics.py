@@ -49,16 +49,21 @@ finds its analysis kept factors only inside its iterations.  A kept
 analysis yields the same numbers as a new one, so no report depends on
 earlier solves.
 
-Presolve reads the sign split of the standard form's A.  Each of its
-passes forms every row's activity bounds as two products with the free
-variables' bounds u and l (a pinned variable's terms read 0), max = A+ u +
-A- l and min = A+ l + A- u, each row's terms summed in A's storage order,
-and reads A's entries one by one only in the rows that force.  When it pins
-nothing, the iterations solve with that same A, so one analysis serves
-both, and postsolve reads the A' it keeps.  The iterations keep every
-vector at full length; entries without a bound on one side are reset by
-index rather than masked, and the step to the boundary divides without a
-mask.
+One object, _Standard, owns the problem the iterations solve: it adds the
+slacks, presolves, drops the rows presolve left empty (or proves them
+inconsistent) and holds the analysis of the final A.  Presolve reads the
+sign split of the standard form's A.  Each of its passes forms every row's
+activity bounds as two products with the free variables' bounds u and l
+(a pinned variable's terms read 0), max = A+ u + A- l and min = A+ l +
+A- u, each row's terms summed in A's storage order, and reads A's entries
+one by one only in the rows that force.  When it pins nothing and drops no
+row, the iterations solve with that same A, so one analysis serves both,
+and postsolve reads the A' it keeps.  The iterations keep every vector at
+full length; entries without a bound on one side are reset by index rather
+than masked, and the step to the boundary divides without a mask.  The
+iterations and the closed form of a problem without rows both return a
+point (x, y, zl, zu) with its iteration count and restart, and _finish
+makes every report that carries a point from it.
 
 A report with status "optimal" carries residuals measured at the returned
 point against the original problem, so callers can verify the certificate
@@ -67,12 +72,13 @@ and bounds, with presolve's removals undone (postsolve).
 
 A status other than "optimal" or "iteration_limit" is a proof.  "infeasible"
 comes only from exact checks made before any iteration: presolve's
-row-bound test and a row left without a nonzero coefficient whose
-right-hand side is not 0.  "unbounded" comes only from the closed form of a
-problem without rows.  A solve that does not converge reports
-"iteration_limit" at its best iterate, with that iterate's residuals and the
-iterations spent; it is not classified further, because every problem the
-pipeline solves is feasible and bounded by construction.
+row-bound test (primal residual inf) and a row left without a nonzero
+coefficient whose right-hand side is not 0 (primal residual the largest
+such right-hand side in absolute value).  "unbounded" comes only from the
+closed form of a problem without rows.  A solve that does not converge
+reports "iteration_limit" at its best iterate, with that iterate's
+residuals and the iterations spent; it is not classified further, because
+every problem the pipeline solves is feasible and bounded by construction.
 """
 
 from dataclasses import dataclass
@@ -102,15 +108,15 @@ class _NormalPathFailure(Exception):
     """Internal: the normal-equations solve lost too much accuracy."""
 
 
-def _as_bound(arr, n, default):
-    if arr is None:
-        return np.full(n, default, dtype=np.float64)
-    out = np.asarray(arr, dtype=np.float64)
-    if out.shape == ():
-        return np.full(n, float(out))
-    if out.shape != (n,):
-        raise NumericsError(f"bound vector has shape {out.shape}, expected ({n},)")
-    return out.copy()
+def _per_var(value, count, what="per-variable vector"):
+    """value as a new float vector of length count: a scalar fills it, an
+    array must already have that length."""
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.ndim == 0:
+        return np.full(count, arr)
+    if arr.shape != (count,):
+        raise NumericsError(f"{what} has shape {arr.shape}, expected ({count},)")
+    return arr.copy()
 
 
 def _normalize(problem):
@@ -129,8 +135,10 @@ def _normalize(problem):
         raise NumericsError(f"unknown sense {str(unknown[0])!r}")
     senses = senses.astype("U2")
     rhs = np.asarray(problem.rhs, dtype=np.float64)
-    lb = _as_bound(problem.lb, n, -np.inf)
-    ub = _as_bound(problem.ub, n, np.inf)
+    lb = _per_var(-np.inf if problem.lb is None else problem.lb, n,
+                  "bound vector")
+    ub = _per_var(np.inf if problem.ub is None else problem.ub, n,
+                  "bound vector")
     for name, value in (("c", c), ("a", a), ("senses", senses), ("rhs", rhs),
                         ("lb", lb), ("ub", ub)):
         object.__setattr__(problem, name, value)
@@ -234,17 +242,6 @@ class SolveReport:
     restart: tuple | None = None
 
 
-def _per_var(value, count):
-    """value as a new float vector of length count: a scalar fills it, an
-    array must already have that length."""
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim == 0:
-        return np.full(count, arr)
-    if arr.shape != (count,):
-        raise NumericsError(f"per-variable vector has shape {arr.shape}, expected ({count},)")
-    return arr.copy()
-
-
 class ProblemBuilder:
     """Incremental assembly of LPs/QPs with named variable blocks.
 
@@ -281,11 +278,7 @@ class ProblemBuilder:
         coef = np.asarray(coeffs, dtype=np.float64)
         if idx.ndim != 1 or coef.shape != idx.shape:
             raise NumericsError("row indices and coefficients must be 1-d and matching")
-        self._row_idx.append(idx)
-        self._row_coef.append(coef)
-        self._row_len.append(len(idx))
-        self._senses.append(sense)
-        self._rhs.append(float(rhs))
+        self.add_rows(idx[None], coef[None], sense, float(rhs))
 
     def add_rows(self, indices, coeffs, sense, rhs):
         """Append one row per line of the (k, w) index array `indices`.
@@ -337,7 +330,13 @@ class ProblemBuilder:
 # standard form and presolve
 
 class _Standard:
-    """Equality-only form: min 0.5 x'Qx + c'x, A x = b, lb <= x <= ub."""
+    """The problem the iterations solve: min 0.5 x'Qx + c'x, A x = b,
+    lb <= x <= ub, with a slack per inequality row, presolve's pins
+    substituted out and the rows it left empty dropped (`rows` lists the
+    rows kept).  `infeasibility` is None or the primal residual of a proof:
+    inf for presolve's row-bound test, else the largest |b| of an empty
+    row.  `analysis` is the final A's _Analysis, presolve's own when A is
+    unchanged, or None without rows or with a proof."""
 
     def __init__(self, c, qdiag, a, senses, rhs, lb, ub):
         m, n = a.shape
@@ -358,27 +357,34 @@ class _Standard:
             ub = np.concatenate([ub, np.full(n_slack, np.inf)])
         self.c = c
         self.qdiag = qdiag
-        self.a = a.tocsr()
+        self.a = a = a.tocsr()
         self.b = rhs.copy()
         self.lb = lb
         self.ub = ub
         self.fixed_mask = None
         self.fixed_vals = None
-        self.rows = None  # the rows a solve keeps, when it drops empty ones
-        self.infeasible_reason = None
+        self.rows = None
+        self.infeasibility = None
+        self.analysis = None
         self._forced = []  # per pass: (rows, columns, coefficients, upward)
-        self._analysed = (None, None)  # (A, its _Analysis)
-        self._presolve()
-
-    def analysis(self):
-        """The _Analysis of the current A: presolve's own when it pinned
-        nothing, so one serves both."""
-        if self._analysed[0] is not self.a:
-            self._analysed = (self.a, _analyse(self.a))
-        return self._analysed[1]
+        presolved = self._presolve()
+        if self.infeasibility is not None:
+            return
+        # a row that presolve left empty must hold on its own
+        empty = np.diff(self.a.indptr) == 0
+        if np.any(empty):
+            worst = float(np.abs(self.b[empty]).max())
+            if worst > 1e-9 * (1.0 + np.abs(rhs).max()):
+                self.infeasibility = worst
+                return
+            self.a, self.b = self.a[~empty], self.b[~empty]
+            self.rows = np.flatnonzero(~empty)
+        if self.a.shape[0]:
+            self.analysis = presolved if self.a is a else _analyse(self.a)
 
     def _presolve(self):
-        """Pin variables until fixpoint, then substitute them out.
+        """Pin variables until fixpoint, then substitute them out; returns
+        the _Analysis of A as it was, None when there was nothing to read.
 
         Two rules feed each other: boxes with lb == ub are constants, and a
         row whose bound-implied activity range already touches its
@@ -393,25 +399,27 @@ class _Standard:
         vals = np.where(fixed, lb, 0.0)
         a = self.a
         m = a.shape[0]
+        if not (m and a.nnz or np.any(fixed)):
+            return None
+        analysis = _analyse(a)
         # a row that already forced its variables is satisfied up to the
         # forcing tolerance; re-checking it against the (tighter) residual
         # tolerance on a later pass would fabricate an infeasibility
         settled = np.zeros(m, dtype=bool)
         while m and a.nnz:
-            split = self.analysis().split
             # a pinned variable's terms read 0 and its value moves to b
             free_lb = np.where(fixed, 0.0, lb)
             free_ub = np.where(fixed, 0.0, ub)
             b_eff = self.b - a @ vals
             # a row with infinite terms of both signs sums to NaN, which,
             # as an infinite bound would, fails every test below
-            max_act = split @ np.concatenate([free_ub, free_lb])
-            min_act = split @ np.concatenate([free_lb, free_ub])
+            max_act = analysis.split @ np.concatenate([free_ub, free_lb])
+            min_act = analysis.split @ np.concatenate([free_lb, free_ub])
             tol = 1e-10 * (1.0 + np.abs(b_eff))
             bad = ((min_act > b_eff + tol) | (max_act < b_eff - tol)) \
                 & ~settled
             if np.any(bad):
-                self.infeasible_reason = "row bounds exclude the right-hand side"
+                self.infeasibility = np.inf
                 break
             force_up = np.isfinite(max_act) & (max_act <= b_eff + tol) \
                 & ~settled
@@ -442,11 +450,11 @@ class _Standard:
             self._forced.append((rows, cols[first], coef[first],
                                  force_up[rows]))
         if np.any(fixed):
-            self._apply_reduction(fixed, vals)
+            self._apply_reduction(analysis.at, fixed, vals)
+        return analysis
 
-    def _apply_reduction(self, fixed, vals):
+    def _apply_reduction(self, at, fixed, vals):
         """Substitute pinned variables into costs, rows and constants."""
-        at = self.analysis().at
         self.b = self.b - at[fixed].T @ vals[fixed]
         self._unreduced = (at, self.c, self.qdiag)  # for postsolve
         keep = ~fixed
@@ -539,34 +547,24 @@ class _Standard:
 
 
 def _solve_boxed_separable(std):
-    """Closed-form solve when no equality rows remain (m == 0)."""
+    """Closed-form solve when no rows remain, each coordinate on its own:
+    (x, y, zl, zu, 0, None), or None when unbounded."""
     c, q, lb, ub = std.c, std.qdiag, std.lb, std.ub
-    n = c.shape[0]
-    x = np.zeros(n)
-    for i in range(n):
-        if q[i] > 0:
-            x[i] = min(max(-c[i] / q[i], lb[i]), ub[i])
-        elif c[i] > 0:
-            if not np.isfinite(lb[i]):
-                return None  # unbounded
-            x[i] = lb[i]
-        elif c[i] < 0:
-            if not np.isfinite(ub[i]):
-                return None
-            x[i] = ub[i]
-        else:
-            x[i] = min(max(0.0, lb[i]), ub[i])
-    return x
-
-
-class _IpmResult:
-    def __init__(self, x, y, zl, zu, iters):
-        self.x = x
-        self.y = y
-        self.zl = zl
-        self.zu = zu
-        self.iters = iters
-        self.restart = None  # (x, y, zl, zu) within _RESTART_GAP, if any
+    curved = q > 0
+    if np.any(~curved & (((c > 0) & ~np.isfinite(lb))
+                         | ((c < 0) & ~np.isfinite(ub)))):
+        return None
+    # clipped so that a tie keeps x, as Python's max and min would: -0.0
+    # stays -0.0 against a bound of 0.0, where np.maximum gives 0.0
+    x = np.where(curved, -c / np.where(curved, q, 1.0),
+                 np.where(c > 0, lb, np.where(c < 0, ub, 0.0)))
+    clip = curved | (c == 0)
+    x = np.where(clip & (lb > x), lb, x)
+    x = np.where(clip & (ub < x), ub, x)
+    grad = q * x + c
+    zl = np.where(np.isfinite(lb) & np.isclose(x, lb), np.maximum(grad, 0.0), 0.0)
+    zu = np.where(np.isfinite(ub) & np.isclose(x, ub), np.maximum(-grad, 0.0), 0.0)
+    return x, np.zeros(0), zl, zu, 0, None
 
 
 _UNPIVOTED = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
@@ -664,7 +662,7 @@ class _SymmetricFactor:
         self._unpivoted = self._factor()
         if not self._unpivoted:
             # a zero or nonpositive pivot: go straight to partial pivoting
-            self.pivoted = splu(self.mat, permc_spec="MMD_AT_PLUS_A")
+            self._pivot()
 
     def solve(self, rhs):
         self.residual = None
@@ -682,13 +680,20 @@ class _SymmetricFactor:
             sol = sol + self._direct(res)
         return sol
 
-    def _pivoted_solve(self, rhs, fallback):
+    def _pivot(self):
+        """The partially pivoted factorization of mat, made once per
+        factor (RuntimeError when mat is singular)."""
         if self.pivoted is None:
-            try:
-                self.pivoted = splu(self.mat, permc_spec="MMD_AT_PLUS_A")
-            except RuntimeError:
-                return fallback
-        return self.pivoted.solve(rhs)
+            self.pivoted = splu(self.mat, permc_spec="MMD_AT_PLUS_A")
+        return self.pivoted
+
+    def _pivoted_solve(self, rhs, fallback):
+        """rhs solved by the pivoted factorization, or fallback when mat is
+        singular."""
+        try:
+            return self._pivot().solve(rhs)
+        except RuntimeError:
+            return fallback
 
 
 class _QuasidefiniteKkt(_SymmetricFactor):
@@ -913,9 +918,11 @@ def _step_to_boundary(value, rate, unbounded):
 
 def _ipm_loop(std, tol, max_iter, guess=None):
     # m >= 1 rows and n >= 1 columns: _solve settles m == 0 (which n == 0
-    # implies, once empty rows are dropped) first.  guess, when given, is a
-    # point (x, y, zl, zu) over the solved problem (NaN where it says
-    # nothing, and a bound multiplier says nothing unless it is positive)
+    # implies, as _Standard drops empty rows) in closed form.  guess, when
+    # given, is a point (x, y, zl, zu) over the solved problem (NaN where it
+    # says nothing, and a bound multiplier says nothing unless it is
+    # positive).  Returns (x, y, zl, zu, iterations, restart) at the best
+    # iterate; restart is the first iterate within _RESTART_GAP, or None
     a = std.a
     m, n = a.shape
     c, qdiag, lb, ub = std.c, std.qdiag, std.lb, std.ub
@@ -929,7 +936,7 @@ def _ipm_loop(std, tol, max_iter, guess=None):
     lb0 = np.where(has_lb, lb, 0.0)
     ub0 = np.where(has_ub, ub, 0.0)
     nu = 2 * n - no_lb.shape[0] - no_ub.shape[0]
-    analysis = std.analysis()
+    analysis = std.analysis
     at = analysis.at
     b = std.b
     bscale = 1.0 + float(np.abs(b).max())
@@ -946,18 +953,24 @@ def _ipm_loop(std, tol, max_iter, guess=None):
                  np.where(has_ub, ub - 1.0, 0.0))
     if guess is not None:
         x = np.where(np.isnan(guess[0]), x, guess[0])
-    kkt = normal = None
+    kkt = None
+
+    def kkt_factor(dtil, delta):  # assembled when the path first needs it
+        nonlocal kkt
+        if kkt is None:
+            kkt = _QuasidefiniteKkt(analysis)
+        kkt.factor(dtil, delta)
+        return kkt
+
+    normal = None if kkt_path else _NormalEquations(analysis)
     # one least-norm correction toward A x = b, solved on the system the
     # iterations use: [[I, A'], [A, -1e-8 I]] on the KKT path, and its
     # block elimination (A A' + 1e-8 I) w = r, dx = A' w on the normal path,
     # whose factor the analysis keeps
     try:
         if kkt_path:
-            kkt = _QuasidefiniteKkt(analysis)
-            kkt.factor(1.0 - 1e-8, 1e-8)
-            dx = kkt.solve(np.zeros(n), b - a @ x)[0]
+            dx = kkt_factor(1.0 - 1e-8, 1e-8).solve(np.zeros(n), b - a @ x)[0]
         else:
-            normal = _NormalEquations(analysis)
             dx = at @ analysis.start().solve(b - a @ x)
         if np.isfinite(dx).all():
             x = x + dx
@@ -1020,9 +1033,9 @@ def _ipm_loop(std, tol, max_iter, guess=None):
             stall += 1
         if score < best_score:
             best_score = score
-            best = _IpmResult(x, y, zl, zu, it)
+            best = (x, y, zl, zu, it)
         if prim_ok and dual_ok and gap_ok:
-            best = _IpmResult(x, y, zl, zu, it)
+            best = (x, y, zl, zu, it)
             break
         if stall > 30 or not np.isfinite(score):
             break
@@ -1040,10 +1053,8 @@ def _ipm_loop(std, tol, max_iter, guess=None):
         dtil = qdiag + zl / sl + zu / su
 
         if kkt_path:
-            if kkt is None:
-                kkt = _QuasidefiniteKkt(analysis)
             try:
-                kkt.factor(dtil, delta)
+                kkt_factor(dtil, delta)
             except RuntimeError:
                 if delta > 1.0:
                     break
@@ -1125,9 +1136,7 @@ def _ipm_loop(std, tol, max_iter, guess=None):
         zu = np.maximum(zu + ad * dzu, 1e-300)
         zu[no_ub] = 0.0
 
-    result = best if best is not None else _IpmResult(x, y, zl, zu, 0)
-    result.restart = restart
-    return result
+    return (*(best or (x, y, zl, zu, 0)), restart)
 
 
 def _row_violation(act, senses, rhs):
@@ -1139,19 +1148,20 @@ def _row_violation(act, senses, rhs):
                              np.abs(excess)))
 
 
-def _finish(problem, std, res, tol):
-    """Map a core result back to the original problem, measure residuals
-    and decide its status.
+def _finish(problem, std, x, y, zl, zu, iterations, restart, tol):
+    """The report of a point of the solved problem, from the iterations or
+    the closed form: mapped back to the original problem, its residuals
+    measured and its status decided.
 
     This is the only place that writes "optimal" or "iteration_limit": the
     status follows from the residuals measured here, not from the iteration
     that produced the point.
     """
-    x = std.expand(res.x)
+    xo = std.expand(x)
     a, senses, rhs = problem.a, problem.senses, problem.rhs
-    act = a @ x if a.shape[0] else np.zeros(0)
+    act = a @ xo if a.shape[0] else np.zeros(0)
     viol = _row_violation(act, senses, rhs)
-    bviol = np.maximum(np.maximum(problem.lb - x, x - problem.ub), 0.0)
+    bviol = np.maximum(np.maximum(problem.lb - xo, xo - problem.ub), 0.0)
     # a violation that is not finite (at an infinite or NaN x) is not
     # measured; the others are >= 0, so 0 in its place leaves the max
     bviol = np.where(np.isfinite(bviol), bviol, 0.0)
@@ -1159,24 +1169,23 @@ def _finish(problem, std, res, tol):
                                 bviol.max(initial=0.0)))
 
     c_int = std.c  # internal (slack-extended, presolved) objective
-    qx = std.qdiag * res.x
+    qx = std.qdiag * x
     m = std.a.shape[0]
-    rd = qx + c_int - (std.analysis().at @ res.y if m else 0.0) - res.zl \
-        + res.zu
+    rd = qx + c_int - (std.analysis.at @ y if m else 0.0) - zl + zu
     dual_residual = float(np.abs(rd).max(initial=0.0))
     fl = np.isfinite(std.lb)
     fu = np.isfinite(std.ub)
-    sl = np.where(fl, res.x - std.lb, 0.0)
-    su = np.where(fu, std.ub - res.x, 0.0)
-    complementarity = float(max(np.abs(sl * res.zl).max(initial=0.0),
-                                np.abs(su * res.zu).max(initial=0.0)))
-    cx = float(c_int @ res.x)
-    pobj_int = cx + 0.5 * float(qx @ res.x)
+    sl = np.where(fl, x - std.lb, 0.0)
+    su = np.where(fu, std.ub - x, 0.0)
+    complementarity = float(max(np.abs(sl * zl).max(initial=0.0),
+                                np.abs(su * zu).max(initial=0.0)))
+    cx = float(c_int @ x)
+    pobj_int = cx + 0.5 * float(qx @ x)
     # the bound terms are summed over the bounded entries alone: NumPy sums
     # in pairwise blocks, which the unbounded entries' zeros would regroup
-    dobj_int = (float(std.b @ res.y) if m else 0.0) \
-        + float((std.lb[fl] * res.zl[fl]).sum()) \
-        - float((std.ub[fu] * res.zu[fu]).sum()) - (pobj_int - cx)
+    dobj_int = (float(std.b @ y) if m else 0.0) \
+        + float((std.lb[fl] * zl[fl]).sum()) \
+        - float((std.ub[fu] * zu[fu]).sum()) - (pobj_int - cx)
     gap = abs(pobj_int - dobj_int)
 
     objective = pobj_int + std.obj_const
@@ -1187,48 +1196,33 @@ def _finish(problem, std, res, tol):
                  and dual_residual <= tol * (cscale + qscale)
                  and gap <= tol * (1.0 + abs(pobj_int)))
     status = "optimal" if converged else "iteration_limit"
-    return SolveReport(status, x, objective, primal_residual, dual_residual,
-                       gap, complementarity, res.iters,
-                       *std.duals(res.x, res.y, res.zl, res.zu),
-                       None if res.restart is None
-                       else std.lift(*res.restart))
+    return SolveReport(status, xo, objective, primal_residual,
+                       dual_residual, gap, complementarity, iterations,
+                       *std.duals(x, y, zl, zu),
+                       None if restart is None else std.lift(*restart))
 
 
 def _solve(problem, qdiag, tol, max_iter, start=None):
     std = _Standard(problem.c, qdiag, problem.a, problem.senses, problem.rhs,
                     problem.lb, problem.ub)
-    if std.infeasible_reason is not None:
-        return SolveReport("infeasible", None, np.nan, np.inf, np.inf, np.inf, np.inf, 0)
-    # rows that lost every variable to presolve must be consistent on their own
-    m = std.a.shape[0]
-    empty = np.diff(std.a.indptr) == 0
-    if np.any(empty):
-        if np.any(np.abs(std.b[empty]) > 1e-9 * (1.0 + np.abs(problem.rhs).max())):
-            worst = float(np.abs(std.b[empty]).max())
-            return SolveReport("infeasible", None, np.nan, worst, np.inf, np.inf, np.inf, 0)
-        keep = ~empty
-        std.a = std.a[keep]
-        std.b = std.b[keep]
-        std.rows = np.flatnonzero(keep)
-        m = std.a.shape[0]
-    if m == 0:
-        # coordinates decouple, so each one solves in closed form; when
-        # presolve fixed every variable there are none left to solve
-        x = _solve_boxed_separable(std)
-        if x is None:
-            return SolveReport("unbounded", None, np.nan, 0.0, np.inf, np.inf, np.inf, 0)
-        grad = std.qdiag * x + std.c
-        zl = np.where(np.isfinite(std.lb) & np.isclose(x, std.lb), np.maximum(grad, 0.0), 0.0)
-        zu = np.where(np.isfinite(std.ub) & np.isclose(x, std.ub), np.maximum(-grad, 0.0), 0.0)
-        res = _IpmResult(x, np.zeros(0), zl, zu, 0)
-    else:
+    if std.infeasibility is not None:
+        return SolveReport("infeasible", None, np.nan, std.infeasibility,
+                           np.inf, np.inf, np.inf, 0)
+    if std.a.shape[0]:
         # diverging iterates can overflow intermediate quantities right
         # before the stall detector fires; those float warnings are expected
         # and silenced
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            res = _ipm_loop(std, tol, max_iter,
-                            None if start is None else std.reduce(*start))
-    return _finish(problem, std, res, tol)
+            point = _ipm_loop(std, tol, max_iter,
+                              None if start is None else std.reduce(*start))
+    else:
+        # coordinates decouple, so each one solves in closed form; when
+        # presolve fixed every variable there are none left to solve
+        point = _solve_boxed_separable(std)
+        if point is None:
+            return SolveReport("unbounded", None, np.nan, 0.0, np.inf,
+                               np.inf, np.inf, 0)
+    return _finish(problem, std, *point, tol)
 
 
 def solve_lp(problem: LinearProgram, tol: float = 1e-8, max_iter: int = 10 ** 6) -> SolveReport:

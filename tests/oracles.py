@@ -126,7 +126,13 @@ def qp_active_set_minimum(c, q_diag, rows, lb, ub):
                 sys_a[len(free) + k, :n] = active_a[k]
                 sys_b[len(free) + k] = active_b[k]
             sol, _, _, _ = np.linalg.lstsq(sys_a, sys_b, rcond=None)
-            if np.abs(sys_a @ sol - sys_b).max() > 1e-8:
+            # each equation must hold relative to its own terms, up to the
+            # solve's rounding, which is relative to the largest row's: an
+            # absolute test takes a set that is inconsistent by less than
+            # its tolerance, such as x1 = x2 = 0 beside x1 + x2 = 2.5e-9
+            terms = np.abs(sys_b) + np.abs(sys_a) @ np.abs(sol)
+            if np.any(np.abs(sys_a @ sol - sys_b)
+                      > 1e-10 * terms + 1e-14 * terms.max(initial=0.0)):
                 continue
             x = sol[:n]
             if np.any(x < lb - _FEAS_TOL) or np.any(x > ub + _FEAS_TOL):
@@ -452,6 +458,27 @@ def step_to_boundary_masked(value, rate, unbounded, damp):
                       where=rate < 0)
     ratio[unbounded] = -np.inf
     return min(1.0 / damp, -float(ratio.max()))
+
+
+def boxed_separable_by_loop(c, q, lb, ub):
+    """The closed form of numerics._solve_boxed_separable, one coordinate at
+    a time with Python's max and min: x, or None when some coordinate is
+    unbounded below."""
+    x = np.zeros(c.shape[0])
+    for i in range(c.shape[0]):
+        if q[i] > 0:
+            x[i] = min(max(-c[i] / q[i], lb[i]), ub[i])
+        elif c[i] > 0:
+            if not np.isfinite(lb[i]):
+                return None
+            x[i] = lb[i]
+        elif c[i] < 0:
+            if not np.isfinite(ub[i]):
+                return None
+            x[i] = ub[i]
+        else:
+            x[i] = min(max(0.0, lb[i]), ub[i])
+    return x
 
 
 def _standard_rows(a, senses, lb, ub):

@@ -18,6 +18,7 @@ from pvpool.numerics import (
 )
 
 from oracles import (
+    boxed_separable_by_loop,
     key_qp_by_rows,
     lp_vertex_minimum,
     postsolve_by_rows,
@@ -144,6 +145,8 @@ def test_lp_empty_row_consistency():
     rep = solve_lp(pb.lp())
     assert rep.status == "infeasible"
     assert rep.iterations == 0
+    # the proof's residual is the empty row's right-hand side
+    assert rep.primal_residual == 1.0
 
 
 def test_lp_vertex_oracle_agreement():
@@ -764,7 +767,8 @@ def test_presolve_matches_the_row_loop():
     # on small random problems (coefficients of both signs, infinite and
     # fixed bounds, slacks, forcing rows that cascade and rows whose bounds
     # exclude the right-hand side) they give the row loop's verdicts, pins
-    # and passes, and postsolve at a random reduced point its duals
+    # and passes, and postsolve at a random reduced point (y over the rows
+    # _Standard keeps, the rows presolve emptied reading 0) its duals
     rng = np.random.default_rng(24)
     seen = Counter()
     for _ in range(400):
@@ -774,7 +778,8 @@ def test_presolve_matches_the_row_loop():
                                  problem.ub)
         infeasible, fixed, vals, passes = presolve_by_rows(
             problem.a, problem.senses, problem.rhs, problem.lb, problem.ub)
-        assert (std.infeasible_reason is not None) == infeasible
+        # presolve's proof has an infinite residual, an empty row's not
+        assert (std.infeasibility == np.inf) == infeasible
         if infeasible:
             seen["infeasible"] += 1
             continue
@@ -787,11 +792,17 @@ def test_presolve_matches_the_row_loop():
             assert std.fixed_vals[got].tobytes() \
                 == np.array(vals)[got].tobytes()
         free = int((~got).sum())
-        point = (rng.uniform(-2.0, 2.0, free), rng.normal(size=len(problem.rhs)),
-                 rng.uniform(0.0, 1.0, free), rng.uniform(0.0, 1.0, free))
+        x, y, zl, zu = (rng.uniform(-2.0, 2.0, free),
+                        rng.normal(size=len(problem.rhs)),
+                        rng.uniform(0.0, 1.0, free), rng.uniform(0.0, 1.0, free))
+        kept = np.arange(len(y)) if std.rows is None else std.rows
+        y_full = np.zeros_like(y)
+        y_full[kept] = y[kept]
         want = postsolve_by_rows(problem.a, problem.senses, problem.c,
-                                 problem.q_diag, fixed, vals, passes, *point)
-        for part, reference in zip(std.duals(*point), want):
+                                 problem.q_diag, fixed, vals, passes,
+                                 x, y_full, zl, zu)
+        seen["dropped row"] += len(kept) < len(y)
+        for part, reference in zip(std.duals(x, y[kept], zl, zu), want):
             assert part.tolist() == reference
         n = problem.c.shape[0]
         seen["box pin"] += bool(np.any(problem.lb == problem.ub))
@@ -803,7 +814,43 @@ def test_presolve_matches_the_row_loop():
                 seen["slack"] += j >= n
     assert min(seen[k] for k in ("infeasible", "box pin", "cascade", "up",
                                  "down", "negative coefficient",
-                                 "slack")) >= 10, seen
+                                 "slack", "dropped row")) >= 10, seen
+
+
+def test_boxed_separable_equals_the_coordinate_loop():
+    # the closed form of a problem without rows gives the coordinate loop's
+    # x bit for bit (a -0.0 clipped at a bound of 0.0 stays -0.0, as
+    # Python's max keeps it), its verdict on unboundedness, and each bound
+    # holding x the gradient's part of that sign as its multiplier
+    rng = np.random.default_rng(26)
+    signed = {"negative zero": 0, "unbounded": 0}
+    for _ in range(600):
+        n = int(rng.integers(1, 8))
+        c = rng.choice([0.0, -0.0, 1.0, -1.0, 2.5, -0.75, 1e-300], n)
+        q = rng.choice([0.0, -0.0, 1.0, 2.0, 0.5], n)
+        lb = rng.choice([-1.0, -0.0, 0.0, 0.25], n)
+        ub = lb + rng.choice([0.0, 0.5, 2.0, np.inf], n)
+        lb[rng.random(n) < 0.2] = -np.inf
+        ub[rng.random(n) < 0.2] = np.inf
+        ub[(ub == 0.0) & (rng.random(n) < 0.5)] = -0.0
+        std = numerics._Standard(c, q, sp.csr_matrix((0, n)),
+                                 np.array([], dtype="U2"), np.zeros(0), lb, ub)
+        want = boxed_separable_by_loop(std.c, std.qdiag, std.lb, std.ub)
+        got = numerics._solve_boxed_separable(std)
+        if want is None:
+            assert got is None
+            signed["unbounded"] += 1
+            continue
+        x, y, zl, zu, iterations, restart = got
+        assert x.tobytes() == want.tobytes()
+        assert (y.shape, iterations, restart) == ((0,), 0, None)
+        grad = std.qdiag * want + std.c
+        at_lb = np.isfinite(std.lb) & np.isclose(want, std.lb)
+        at_ub = np.isfinite(std.ub) & np.isclose(want, std.ub)
+        assert zl.tobytes() == np.where(at_lb, np.maximum(grad, 0.0), 0.0).tobytes()
+        assert zu.tobytes() == np.where(at_ub, np.maximum(-grad, 0.0), 0.0).tobytes()
+        signed["negative zero"] += bool(np.any((want == 0.0) & np.signbit(want)))
+    assert min(signed.values()) >= 20, signed
 
 
 def test_step_to_boundary_equals_the_masked_divide():
@@ -964,6 +1011,8 @@ def test_forcing_detects_excluded_rhs():
     rep = solve_lp(pb.lp())
     assert rep.status == "infeasible"
     assert rep.iterations == 0
+    # presolve's row-bound test measures no point
+    assert rep.primal_residual == np.inf
 
 
 def test_equality_pinned_variable_qp():

@@ -772,6 +772,9 @@ def _fill_cases():
 
 @settings(max_examples=150, deadline=None)
 @given(case=_fill_cases())
+# 2.5e-9 kWh served: an absolute residual test let the active-set oracle
+# take the inconsistent set x1 = x2 = 0, x1 + x2 = 2.5e-9 as a minimum
+@example(case=([-1.0, -3.0], [0.25, 0.0], 1e-08))
 def test_single_period_settle_matches_qp_and_oracle(case):
     levels, loads, share = case
     rhs, values = np.array(levels), np.array([loads])
