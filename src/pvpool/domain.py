@@ -3,6 +3,13 @@
 Every type validates its own invariants on construction and keeps its array
 fields write-protected, so downstream code can share instances freely.  No
 algorithms live here; planning, allocation and operation import these types.
+
+Each rule on a value is stated here once.  The types take plain Python
+values (numbers, lists and tuples, as a JSON file gives them) as well as
+NumPy scalars and arrays, so a value read from a config file meets the same
+rule as one built in code; `io` checks only the file's shape and names the
+file in the error.  A number is finite, real and not a bool (`is_number`),
+and each message names the field it is about.
 """
 
 from __future__ import annotations
@@ -33,8 +40,9 @@ MAX_HORIZON_YEARS = 100
 
 
 def is_number(value):
-    """A finite number given as an int or a float, not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+    """A finite real number that is not a bool: an int, a float or a NumPy
+    integer or floating scalar (any `numbers.Real`)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) \
         and math.isfinite(value)
 
 
@@ -42,6 +50,59 @@ def is_count(value):
     """A period count: a whole number >= 1 given as a number, not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool) \
         and float(value).is_integer() and value >= 1
+
+
+def _nonnegative(value):
+    return is_number(value) and value >= 0
+
+
+def _positive(value):
+    return is_number(value) and value > 0
+
+
+def _rule_problems(obj, rules):
+    """One message per field of obj that breaks its rule; rules holds
+    (field name, test, what the value must be) triples."""
+    return [f"{name} must be {what}, not {getattr(obj, name)!r}"
+            for name, test, what in rules if not test(getattr(obj, name))]
+
+
+def _pair_problems(pairs, name, what):
+    """Why pairs is not a nonempty list of [what] pairs of nonnegative
+    finite numbers whose first entries strictly increase; a bad pair is
+    named by its index."""
+    if not isinstance(pairs, (list, tuple)) or not pairs:
+        return [f"{name} must be a nonempty list of {what} pairs, not {pairs!r}"]
+    problems = [f"{name}[{j}] must be {what}, two nonnegative finite numbers,"
+                f" not {pair!r}" for j, pair in enumerate(pairs)
+                if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                        and all(map(_nonnegative, pair)))]
+    if not problems and any(b[0] <= a[0] for a, b in zip(pairs, pairs[1:])):
+        problems.append(f"the first entries of {name} must be strictly increasing")
+    return problems
+
+
+def _float_pairs(pairs):
+    return tuple((float(a), float(b)) for a, b in pairs)
+
+
+def _number_vector(value):
+    """value as a nonempty float64 vector of finite entries, or None.
+
+    A number is one entry; a list, tuple or ndarray gives its entries, of a
+    numeric dtype, which one vectorized test covers.  A bool is looked for
+    among a list's entries, since NumPy would read it as a number.
+    """
+    if isinstance(value, (list, tuple)) and {bool, np.bool_} & set(map(type, value)):
+        return None
+    try:
+        arr = np.atleast_1d(np.asarray(value))
+    except ValueError:  # a ragged list
+        return None
+    if arr.dtype.kind not in "iuf" or arr.ndim != 1 or not arr.size:
+        return None
+    arr = arr.astype(np.float64, copy=False)
+    return arr if np.isfinite(arr).all() else None
 
 
 def probability_problems(probabilities):
@@ -83,14 +144,12 @@ class TimeGrid:
     periods_per_year: int = 17520  # 30-minute metering intervals
 
     def __post_init__(self):
-        errors = []
-        if not (np.isfinite(self.delta_hours) and self.delta_hours > 0):
-            errors.append("delta_hours must be positive")
-        for name in ("num_periods", "periods_per_year"):
-            if not is_count(getattr(self, name)):
-                errors.append(f"{name} must be a positive integer")
-        if errors:
-            raise DomainError(errors)
+        problems = _rule_problems(self, (
+            ("delta_hours", _positive, "a positive number of hours"),
+            ("num_periods", is_count, "a positive integer"),
+            ("periods_per_year", is_count, "a positive integer")))
+        if problems:
+            raise DomainError(problems)
         object.__setattr__(self, "delta_hours", float(self.delta_hours))
         object.__setattr__(self, "num_periods", int(self.num_periods))
         object.__setattr__(self, "periods_per_year", int(self.periods_per_year))
@@ -180,29 +239,6 @@ class SolarScenarioSet:
         return self.alphas.shape[1]
 
 
-def _tariff_problems(grid_energy_price, fixed_charge, export_price, export_tax,
-                     local_price):
-    problems = []
-    for name, vec in (("grid_energy_price", grid_energy_price),
-                      ("export_price", export_price),
-                      ("export_tax", export_tax)):
-        if vec.ndim != 1:
-            problems.append(f"{name} must be a vector")
-        elif not np.isfinite(vec).all():
-            problems.append(f"{name} entries must be finite")
-    if problems:
-        return problems
-    if np.any(grid_energy_price < 0):
-        problems.append("grid_energy_price entries must be nonnegative")
-    if not (len(grid_energy_price) == len(export_price) == len(export_tax)):
-        problems.append("tariff vectors must share one length")
-    if not (np.isfinite(fixed_charge) and fixed_charge >= 0):
-        problems.append("fixed charge must be nonnegative")
-    if not np.isfinite(local_price) or local_price < 0:
-        problems.append("local price must be nonnegative")
-    return problems
-
-
 @dataclass(frozen=True)
 class Tariff:
     """Prices seen by the collective, all in EUR.
@@ -210,7 +246,9 @@ class Tariff:
     grid_energy_price and fixed_charge define each consumer's grid bill as a
     linear function of their per-period deficit; export_price is what the
     operator earns per surplus kWh, export_tax what it owes per surplus kWh,
-    and local_price the internal price of locally produced energy.
+    and local_price the internal price of locally produced energy.  Each of
+    the three series is a vector or a number, which applies to every period
+    of the others (a tariff of numbers only has one period).
     """
 
     grid_energy_price: np.ndarray
@@ -220,35 +258,31 @@ class Tariff:
     local_price: float
 
     def __post_init__(self):
-        price = np.atleast_1d(np.asarray(self.grid_energy_price, dtype=np.float64))
-        exp_p = np.atleast_1d(np.asarray(self.export_price, dtype=np.float64))
-        exp_t = np.atleast_1d(np.asarray(self.export_tax, dtype=np.float64))
-        problems = _tariff_problems(price, float(self.fixed_charge), exp_p,
-                                    exp_t, float(self.local_price))
+        series = {name: _number_vector(getattr(self, name)) for name in
+                  ("grid_energy_price", "export_price", "export_tax")}
+        problems = [f"{name} must be a finite number or a nonempty vector of them"
+                    for name, arr in series.items() if arr is None]
+        problems += _rule_problems(self, [
+            (name, _nonnegative, "a nonnegative finite number")
+            for name in ("fixed_charge", "local_price")])
+        if not problems:
+            try:
+                series = dict(zip(series, np.broadcast_arrays(*series.values())))
+            except ValueError:
+                problems.append("tariff vectors must share one length")
+            else:
+                if np.any(series["grid_energy_price"] < 0):
+                    problems.append("grid_energy_price entries must be nonnegative")
         if problems:
             raise DomainError(problems)
-        object.__setattr__(self, "grid_energy_price", _frozen(price))
-        object.__setattr__(self, "export_price", _frozen(exp_p))
-        object.__setattr__(self, "export_tax", _frozen(exp_t))
+        for name, arr in series.items():
+            object.__setattr__(self, name, _frozen(arr))
         object.__setattr__(self, "fixed_charge", float(self.fixed_charge))
         object.__setattr__(self, "local_price", float(self.local_price))
 
     @property
     def num_periods(self):
         return self.grid_energy_price.shape[0]
-
-
-def _catalog_problems(options, label):
-    problems = []
-    if not options:
-        problems.append(f"{label} inverter list must be nonempty")
-        return problems
-    caps = [cap for cap, _ in options]
-    if any(cap < 0 or cost < 0 for cap, cost in options):
-        problems.append(f"{label} inverter capacities and costs must be nonnegative")
-    if any(b <= a for a, b in zip(caps, caps[1:])):
-        problems.append(f"{label} inverter capacities must be strictly increasing")
-    return problems
 
 
 @dataclass(frozen=True)
@@ -259,13 +293,13 @@ class InverterCatalog:
     es_options: tuple
 
     def __post_init__(self):
-        pv = tuple((float(c), float(k)) for c, k in self.pv_options)
-        es = tuple((float(c), float(k)) for c, k in self.es_options)
-        problems = _catalog_problems(pv, "pv") + _catalog_problems(es, "es")
+        names = ("pv_options", "es_options")
+        problems = [p for name in names for p in _pair_problems(
+            getattr(self, name), name, "[capacity_kw, cost_eur]")]
         if problems:
             raise DomainError(problems)
-        object.__setattr__(self, "pv_options", pv)
-        object.__setattr__(self, "es_options", es)
+        for name in names:
+            object.__setattr__(self, name, _float_pairs(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -273,7 +307,8 @@ class SubsidyRule:
     """Per-kW construction subsidy granted up to a capacity threshold.
 
     annual=False treats the grant as one-time revenue in the first year;
-    annual=True repeats it every year of the horizon.
+    annual=True repeats it every year of the horizon.  The threshold may be
+    infinite (no cap), the rate may not.
     """
 
     rate_per_kw: float = 0.0
@@ -281,52 +316,22 @@ class SubsidyRule:
     annual: bool = False
 
     def __post_init__(self):
-        errors = []
-        if not (np.isfinite(self.rate_per_kw) and self.rate_per_kw >= 0):
-            errors.append("subsidy rate must be nonnegative")
-        if np.isnan(self.max_capacity_kw) or self.max_capacity_kw < 0:
-            errors.append("subsidy capacity threshold must be nonnegative")
-        if errors:
-            raise DomainError(errors)
+        problems = _rule_problems(self, (
+            ("rate_per_kw", _nonnegative, "a nonnegative finite number"),
+            ("max_capacity_kw", lambda v: isinstance(v, numbers.Real)
+             and not isinstance(v, bool) and v >= 0,
+             "a nonnegative number or infinity"),
+            ("annual", lambda v: isinstance(v, bool), "a bool")))
+        if problems:
+            raise DomainError(problems)
         object.__setattr__(self, "rate_per_kw", float(self.rate_per_kw))
         object.__setattr__(self, "max_capacity_kw", float(self.max_capacity_kw))
-        object.__setattr__(self, "annual", bool(self.annual))
 
     def amount(self, pv_capacity_kw):
         """Grant earned by a build of the given size (0 above the threshold)."""
         if pv_capacity_kw <= self.max_capacity_kw:
             return self.rate_per_kw * pv_capacity_kw
         return 0.0
-
-
-def _tech_econ_problems(p):
-    problems = []
-    tiers = p.beta_pv_tiers
-    if not tiers:
-        problems.append("beta_pv_tiers must be nonempty")
-    else:
-        if tiers[0][0] != 0.0:
-            problems.append("first pv cost tier must start at 0 kW")
-        thresholds = [t for t, _ in tiers]
-        if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
-            problems.append("pv cost tier thresholds must be strictly increasing")
-        if any(r < 0 for _, r in tiers):
-            problems.append("pv cost rates must be nonnegative")
-    for name in ("beta_es", "beta_es_use", "beta_mnt", "grid_connection_cost"):
-        v = getattr(p, name)
-        if not (np.isfinite(v) and v >= 0):
-            problems.append(f"{name} must be nonnegative")
-    if not (np.isfinite(p.kappa) and p.kappa > 0):
-        problems.append("kappa must be positive")
-    if not (np.isfinite(p.discount_rate) and p.discount_rate >= 0):
-        problems.append("discount_rate must be nonnegative")
-    if not (is_count(p.horizon_years)
-            and p.horizon_years <= MAX_HORIZON_YEARS):
-        problems.append("horizon_years must be a whole number of years from"
-                        f" 1 to {MAX_HORIZON_YEARS}")
-    if not (0 < p.es_roundtrip_efficiency <= 1):
-        problems.append("es_roundtrip_efficiency must lie in (0, 1]")
-    return problems
 
 
 @dataclass(frozen=True)
@@ -352,17 +357,25 @@ class TechEconParams:
     es_roundtrip_efficiency: float = 0.9
 
     def __post_init__(self):
-        tiers = tuple((float(t), float(r)) for t, r in self.beta_pv_tiers)
-        object.__setattr__(self, "beta_pv_tiers", tiers)
-        for name in ("beta_es", "beta_es_use", "beta_mnt",
-                     "grid_connection_cost", "kappa", "discount_rate",
-                     "es_roundtrip_efficiency"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        problems = _tech_econ_problems(self)
-        if not isinstance(self.subsidy, SubsidyRule):
-            problems.append("subsidy must be a SubsidyRule")
+        problems = _pair_problems(self.beta_pv_tiers, "beta_pv_tiers",
+                                  "[threshold_kw, rate_eur_per_kw]")
+        if not problems and self.beta_pv_tiers[0][0] != 0:
+            problems.append("the first tier of beta_pv_tiers must start at 0 kW")
+        costs = ("beta_es", "beta_es_use", "beta_mnt", "grid_connection_cost")
+        problems += _rule_problems(self, [
+            *((name, _nonnegative, "a nonnegative finite number")
+              for name in (*costs, "discount_rate")),
+            ("kappa", _positive, "a positive finite number"),
+            ("horizon_years", lambda v: is_count(v) and v <= MAX_HORIZON_YEARS,
+             f"a whole number of years from 1 to {MAX_HORIZON_YEARS}"),
+            ("es_roundtrip_efficiency", lambda v: _positive(v) and v <= 1,
+             "a number in (0, 1]"),
+            ("subsidy", lambda v: isinstance(v, SubsidyRule), "a SubsidyRule")])
         if problems:
             raise DomainError(problems)
+        object.__setattr__(self, "beta_pv_tiers", _float_pairs(self.beta_pv_tiers))
+        for name in (*costs, "kappa", "discount_rate", "es_roundtrip_efficiency"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "horizon_years", int(self.horizon_years))
 
     def pv_rate(self, capacity_kw):

@@ -5,6 +5,11 @@ readers and writers for load and solar data, a JSON project configuration
 with two bundled parameter presets, and a seeded generator that fabricates
 a plausible collective when no metered data is at hand.
 
+The readers check a file's shape: JSON objects, required sections and
+known keys, CSV rows of numbers.  The `domain` types rule on every value,
+and each refusal comes back as a DataFileError that names the file and,
+in a config, the section.
+
 Numbers are written at repr precision, so a write/read trip reproduces each
 float64 exactly and reports produced from the same config and seed are
 byte-identical.  The same holds for the plan file (`write_plan_json`), which
@@ -13,6 +18,7 @@ stores a whole sizing result so later commands need not solve it again.
 
 import csv
 import hashlib
+import inspect
 import json
 import os
 from dataclasses import asdict, dataclass
@@ -22,7 +28,6 @@ import numpy as np
 
 from . import __version__
 from .domain import (
-    MAX_HORIZON_YEARS,
     DispatchSeries,
     DomainError,
     InverterCatalog,
@@ -34,8 +39,6 @@ from .domain import (
     Tariff,
     TechEconParams,
     TimeGrid,
-    is_count,
-    is_number,
     validate_inputs,
 )
 from .operation import HorizonConfig
@@ -214,27 +217,19 @@ def dump_json(path, payload):
 
 def load_catalog_json(path):
     """Read an inverter catalog: {"pv_options": [[kW, EUR], ...],
-    "es_options": [[kW, EUR], ...]}, each number following the tariff's
-    rule (`domain.is_number`)."""
+    "es_options": [[kW, EUR], ...]}.  `InverterCatalog` rules on the pairs
+    and names a bad one (`pv_options[j]`); the error names the file."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise DataFileError(f"{path}: {exc}") from exc
-    options = []
-    for key in ("pv_options", "es_options"):
-        try:
-            pairs = [(c, k) for c, k in payload[key]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataFileError(
-                f"{path}: catalog needs pv_options and es_options lists"
-                f" of [capacity_kw, cost_eur] pairs") from exc
-        for j, pair in enumerate(pairs):
-            if not all(map(is_number, pair)):
-                raise DataFileError(
-                    f"{path}: {key}[{j}] must be [capacity_kw, cost_eur],"
-                    f" two finite numbers, not {list(pair)!r}")
-        options.append(pairs)
+    try:
+        options = payload["pv_options"], payload["es_options"]
+    except (KeyError, TypeError) as exc:
+        raise DataFileError(
+            f"{path}: catalog needs pv_options and es_options lists"
+            f" of [capacity_kw, cost_eur] pairs") from exc
     try:
         return InverterCatalog(*options)
     except DomainError as exc:
@@ -370,46 +365,43 @@ def preset_config(case):
     return json.loads(json.dumps(preset, default=_json_default))
 
 
-# the rule and its wording for every key of tech_econ and of its subsidy
-_TECH_RULES = dict.fromkeys(
-    ("beta_es", "beta_es_use", "beta_mnt", "grid_connection_cost", "kappa",
-     "discount_rate", "es_roundtrip_efficiency", "subsidy.rate_per_kw",
-     "subsidy.max_capacity_kw"), (is_number, "a finite number")) | {
-    "beta_pv_tiers": (lambda v: isinstance(v, (list, tuple)) and all(
-        isinstance(p, (list, tuple)) and len(p) == 2 and all(map(is_number, p))
-        for p in v), "a list of [threshold_kw, rate_eur_per_kw] pairs"),
-    "horizon_years": (lambda v: is_count(v) and v <= MAX_HORIZON_YEARS,
-                      f"a whole number of years from 1 to {MAX_HORIZON_YEARS}"),
-    "subsidy": (lambda v: v is None or isinstance(v, dict), "an object"),
-    "subsidy.annual": (lambda v: isinstance(v, bool), "true or false"),
-}
+def _section(kind, fields, name):
+    """kind(**fields) for the config section `name`.
+
+    The section must be a JSON object holding every key that kind needs
+    and no other; kind rules on the values.  Each refusal is a
+    DataFileError naming the section and the key.
+    """
+    if not isinstance(fields, dict):
+        raise DataFileError(f"{name} must be a JSON object,"
+                            f" not {type(fields).__name__}")
+    params = inspect.signature(kind).parameters
+    for key in fields:
+        if key not in params:
+            raise DataFileError(f"{name}.{key} is not a known key")
+    missing = [key for key, p in params.items()
+               if p.default is p.empty and key not in fields]
+    if missing:
+        raise DataFileError(f"{name} missing {', '.join(missing)}")
+    try:
+        return kind(**fields)
+    except DomainError as exc:
+        raise DataFileError(f"{name}: {exc}") from exc
 
 
 def params_from_mapping(mapping):
     """Build TechEconParams from a config dict (tiers and subsidy are plain
-    lists/dicts in the file).
+    lists/dicts in the file; a null subsidy is the default one).
 
-    Every number follows the tariff's rule (`domain.is_number`), and a key
-    that breaks its rule in `_TECH_RULES`, or has none, is refused with a
-    DataFileError naming it.
+    `TechEconParams` and `SubsidyRule` rule on the values; an unknown or
+    missing key, or a value they refuse, is a DataFileError naming it
+    under tech_econ.
     """
     fields = dict(mapping)
     subsidy = fields.pop("subsidy", None)
-    entries = list(mapping.items())
-    if isinstance(subsidy, dict):
-        entries += [(f"subsidy.{key}", value) for key, value in subsidy.items()]
-    for key, value in entries:
-        if key not in _TECH_RULES:
-            raise DataFileError(f"tech_econ.{key} is not a known key")
-        valid, what = _TECH_RULES[key]
-        if not valid(value):
-            raise DataFileError(f"tech_econ.{key} must be {what}, not {value!r}")
-    try:
-        if subsidy is not None:
-            fields["subsidy"] = SubsidyRule(**subsidy)
-        return TechEconParams(**fields)
-    except (DomainError, TypeError) as exc:
-        raise DataFileError(f"tech_econ: {exc}") from exc
+    if subsidy is not None:
+        fields["subsidy"] = _section(SubsidyRule, subsidy, "tech_econ.subsidy")
+    return _section(TechEconParams, fields, "tech_econ")
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +411,6 @@ _CONFIG_KEYS = ("case", "seed", "delta_hours", "periods_per_year",
                 "loads_csv", "solar_csv", "catalog_json",
                 "realized_alphas_csv", "realized_loads_csv", "tariff",
                 "tech_econ", "horizon")
-_TARIFF_KEYS = ("grid_energy_price", "fixed_charge", "export_price",
-                "export_tax", "local_price")
 _TARIFF_SERIES = ("grid_energy_price", "export_price", "export_tax")
 
 
@@ -428,11 +418,13 @@ _TARIFF_SERIES = ("grid_energy_price", "export_price", "export_tax")
 class ProjectConfig:
     """One pipeline run as described by a JSON file.
 
-    Paths are resolved against the config file's directory and must exist
-    when the file is loaded.  Tariff series may be scalars in the file;
-    they are broadcast to the period count once the loads are read.
+    path is the config file.  The paths it names are resolved against its
+    directory and must exist when it is loaded.  Tariff series may be
+    numbers in the file; they are broadcast to the period count once the
+    loads are read.
     """
 
+    path: Path
     case: str
     seed: int
     delta_hours: float
@@ -462,6 +454,25 @@ class ProjectConfig:
         for key in payload:
             if key not in _CONFIG_KEYS:
                 raise DataFileError(f"{path}: {key} is not a known key")
+        for key in ("tariff", "tech_econ"):
+            if not isinstance(payload.get(key), dict):
+                raise DataFileError(f"{path}: missing {key} section")
+        seed = payload.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int) \
+                or not 0 <= seed < 2**64:
+            raise DataFileError(f"{path}: seed must be an unsigned 64-bit"
+                                f" integer, not {seed!r}")
+        try:
+            # the period count comes with the loads (load_inputs)
+            grid = TimeGrid(payload.get("delta_hours", 0.5), 1,
+                            payload.get("periods_per_year", 17520))
+            # its rules run now; build_tariff gives it the loads' periods
+            _section(Tariff, payload["tariff"], "tariff")
+            params = params_from_mapping(payload["tech_econ"])
+            horizon = _section(HorizonConfig, payload.get("horizon", {}),
+                               "horizon")
+        except (DataFileError, DomainError) as exc:
+            raise DataFileError(f"{path}: {exc}") from exc
         base = path.parent
 
         def resolve(key, required=True):
@@ -470,89 +481,43 @@ class ProjectConfig:
                 if required:
                     raise DataFileError(f"{path}: missing {key!r}")
                 return None
+            if not isinstance(name, str):
+                raise DataFileError(f"{path}: {key} must be a file name,"
+                                    f" not {name!r}")
             target = base / name
             if not target.exists():
                 raise DataFileError(f"{path}: {key} -> {target} does not exist")
             return target
 
-        def setting(key, default, valid, what):
-            value = payload.get(key, default)
-            if isinstance(value, bool) or not valid(value):
-                raise DataFileError(f"{path}: {key} must be {what},"
-                                    f" not {value!r}")
-            return value
-
-        seed = setting("seed", 0, lambda v: isinstance(v, int)
-                       and 0 <= v < 2**64, "an unsigned 64-bit integer")
-        tariff = payload.get("tariff")
-        if not isinstance(tariff, dict):
-            raise DataFileError(f"{path}: missing tariff section")
-        missing = [k for k in _TARIFF_KEYS if k not in tariff]
-        if missing:
-            raise DataFileError(f"{path}: tariff missing {', '.join(missing)}")
-        for key in tariff:
-            if key not in _TARIFF_KEYS:
-                raise DataFileError(f"{path}: tariff.{key} is not a known key")
-        for key in _TARIFF_KEYS:
-            value = tariff[key]
-            if key in _TARIFF_SERIES:
-                ok = is_number(value) or isinstance(value, list) and \
-                    bool(value) and all(map(is_number, value))
-                what = "a finite number or a list of them"
-            else:
-                ok, what = is_number(value), "a finite number"
-            if not ok:
-                raise DataFileError(f"{path}: tariff.{key} must be {what},"
-                                    f" not {value!r}")
-        tech = payload.get("tech_econ")
-        if not isinstance(tech, dict):
-            raise DataFileError(f"{path}: missing tech_econ section")
-        try:
-            horizon = HorizonConfig(**payload.get("horizon", {}))
-        except (DomainError, TypeError) as exc:
-            raise DataFileError(f"{path}: horizon: {exc}") from exc
-        try:
-            params = params_from_mapping(tech)
-        except DataFileError as exc:
-            raise DataFileError(f"{path}: {exc}") from exc
         return cls(
+            path=path,
             case=str(payload.get("case", "custom")),
             seed=seed,
-            delta_hours=float(setting(
-                "delta_hours", 0.5, lambda v: is_number(v) and v > 0,
-                "a positive number of hours")),
-            periods_per_year=int(setting("periods_per_year", 17520, is_count,
-                                         "a positive integer")),
+            delta_hours=grid.delta_hours,
+            periods_per_year=grid.periods_per_year,
             loads_path=resolve("loads_csv"),
             solar_path=resolve("solar_csv"),
             catalog_path=resolve("catalog_json"),
             realized_alphas_path=resolve("realized_alphas_csv", required=False),
             realized_loads_path=resolve("realized_loads_csv", required=False),
-            tariff_fields=dict(tariff),
+            tariff_fields=dict(payload["tariff"]),
             params=params,
             horizon=horizon,
         )
 
     def build_tariff(self, num_periods):
-        """The Tariff over num_periods; from_file has checked every field
-        is a finite number (or, for a series, a list of them)."""
-        def series(name):
-            arr = np.asarray(self.tariff_fields[name], dtype=np.float64)
-            if arr.ndim == 0:
-                return np.full(num_periods, float(arr))
-            if arr.shape != (num_periods,):
+        """The Tariff over num_periods: a number in the file applies to
+        every period, a list must give one entry per period.  from_file
+        has had `Tariff` rule on the values."""
+        fields = dict(self.tariff_fields)
+        for name in _TARIFF_SERIES:
+            arr = np.asarray(fields[name], dtype=np.float64)
+            if arr.ndim and arr.shape != (num_periods,):
                 raise DataFileError(
-                    f"tariff.{name} has {arr.shape[0]} entries,"
+                    f"{self.path}: tariff.{name} has {arr.shape[0]} entries,"
                     f" the load data has {num_periods} periods")
-            return arr
-
-        try:
-            return Tariff(series("grid_energy_price"),
-                          float(self.tariff_fields["fixed_charge"]),
-                          series("export_price"), series("export_tax"),
-                          float(self.tariff_fields["local_price"]))
-        except DomainError as exc:
-            raise DataFileError(f"tariff: {exc}") from exc
+            fields[name] = np.broadcast_to(arr, (num_periods,))
+        return Tariff(**fields)
 
     def load_inputs(self):
         """Read the referenced files and return (InputBundle, InverterCatalog)."""

@@ -150,6 +150,10 @@ def _normalize(problem):
         raise NumericsError("objective, matrix and rhs entries must be finite")
     if np.any(np.isnan(lb)) or np.any(np.isnan(ub)):
         raise NumericsError("bounds must not be NaN")
+    # no finite value lies at or above +inf, or at or below -inf
+    if np.any(lb == np.inf) or np.any(ub == -np.inf):
+        raise NumericsError("a lower bound of +inf or an upper bound of -inf"
+                            " leaves no value")
     if np.any(lb > ub):
         raise NumericsError("lower bound exceeds upper bound")
 

@@ -1,5 +1,7 @@
 """Domain type validation and cross-input consistency checks."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,39 @@ def test_timegrid_rejects_nonpositive_delta():
         TimeGrid(0.0, 4)
     with pytest.raises(DomainError):
         TimeGrid(0.5, 0)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: InverterCatalog(((float("nan"), 1.0),), ((4.0, 288.0),)),
+     "pv_options[0]"),
+    (lambda: SubsidyRule(annual="no"), "annual"),
+    (lambda: _params(kappa=True), "kappa"),
+    (lambda: Tariff(np.full(4, 0.13), 0.0, np.full(4, 0.06), np.zeros(4),
+                    True), "local_price"),
+    (lambda: Tariff(["0.1"], 0.0, [0.06], [0.0], 0.1), "grid_energy_price"),
+    (lambda: Tariff([0.1, 0.1], 0.0, [0.06, True], [0.0, 0.0], 0.1),
+     "export_price"),
+    (lambda: TimeGrid(True, 48), "delta_hours"),
+], ids=["catalog-nan", "subsidy-annual-str", "kappa-bool", "local_price-bool",
+        "series-of-str", "series-with-bool", "delta_hours-bool"])
+def test_values_that_are_not_numbers_are_refused(build, field):
+    # a bool or a string never stands in for a number, nor a NaN for a
+    # capacity, and the message names the field
+    with pytest.raises(DomainError, match=re.escape(field)):
+        build()
+
+
+def test_numpy_scalars_are_numbers_and_a_number_is_a_series():
+    grid = TimeGrid(np.float32(0.5), np.int64(4), np.int64(17520))
+    assert (grid.delta_hours, grid.num_periods) == (0.5, 4)
+    assert _params(kappa=np.int64(3)).kappa == 3.0
+    # a number applies to every period of the tariff's vectors
+    tariff = Tariff(np.full(4, 0.13), 0.0, 0.06, [0.0, 0.01, 0.0, 0.0], 0.1)
+    assert tariff.export_price.tolist() == [0.06] * 4
+    assert Tariff(0.13, 0.0, 0.06, 0.0, 0.1).num_periods == 1
+    with pytest.raises(DomainError, match="share one length"):
+        Tariff(np.full(4, 0.13), 0.0, np.full(3, 0.06), 0.0, 0.1)
+    assert SubsidyRule(max_capacity_kw=np.inf).amount(1e9) == 0.0
 
 
 def test_arrays_are_write_protected():

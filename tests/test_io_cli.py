@@ -327,6 +327,10 @@ def test_project_config_errors(tmp_path):
     path.write_text(json.dumps(broken))
     with pytest.raises(DataFileError, match="does not exist"):
         ProjectConfig.from_file(path)
+    broken["loads_csv"] = 5
+    path.write_text(json.dumps(broken))
+    with pytest.raises(DataFileError, match="loads_csv must be a file name"):
+        ProjectConfig.from_file(path)
 
     broken = dict(cfg)
     broken["seed"] = -1
@@ -379,11 +383,14 @@ def _config_with(tmp_path, section, key, value):
     ("tech_econ", "es_roundtrip_efficiency", "0.9"),
     ("horizon", "theta", True),
     ("horizon", "theta", "1.0"),
+    ("tariff", "local_price", -1.0),
+    ("tariff", "fixed_charge", -1.0),
+    ("tariff", "grid_energy_price", -0.1),
 ])
 def test_config_rejects_malformed_numbers(tmp_path, section, key, value):
-    # counts follow TimeGrid's rule (whole numbers, never truncated),
-    # tech_econ numbers the tariff's (finite, neither bools nor strings),
-    # and the error names the file and the key
+    # each value meets its domain type's rule (counts are whole numbers,
+    # never truncated; numbers are finite, neither bools nor strings;
+    # prices are nonnegative), and the error names the file and the key
     path = _config_with(tmp_path, section, key, value)
     with pytest.raises(DataFileError) as err:
         ProjectConfig.from_file(path)
@@ -398,6 +405,15 @@ def test_config_naming_one_control_period_still_loads(tmp_path):
     path = _config_with(tmp_path, "horizon", "control_periods", 1)
     assert ProjectConfig.from_file(path).horizon == \
         ProjectConfig.from_file(path.parent / "config.json").horizon
+
+
+def test_config_loads_an_uncapped_subsidy(tmp_path):
+    # JSON's Infinity is SubsidyRule's default threshold: no cap
+    path = _config_with(tmp_path, "tech_econ", "subsidy",
+                        {"rate_per_kw": 100.0, "max_capacity_kw": float("inf")})
+    assert "Infinity" in path.read_text()
+    subsidy = ProjectConfig.from_file(path).params.subsidy
+    assert subsidy.max_capacity_kw == float("inf")
 
 
 def test_config_refuses_unknown_keys(tmp_path):
@@ -430,8 +446,9 @@ def test_tariff_series_broadcast_and_mismatch(tmp_path):
 
     cfg["tariff"]["grid_energy_price"] = [0.13] * 7
     path.write_text(json.dumps(cfg))
-    with pytest.raises(DataFileError, match="48 periods"):
+    with pytest.raises(DataFileError, match="48 periods") as err:
         ProjectConfig.from_file(path).load_inputs()
+    assert str(path) in str(err.value)
 
 
 # ---------------------------------------------------------------------------

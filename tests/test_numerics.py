@@ -322,6 +322,14 @@ def test_program_validation():
     with pytest.raises(NumericsError):
         solve_lp(ConvexQuadraticProgram([1.0], [1.0], [[1.0]], ["<="], [1.0],
                                         None, None))  # type: ignore[arg-type]
+    # a variable pinned at an infinite bound has no value; presolve used
+    # to pin it there and return NaN objectives
+    with pytest.raises(NumericsError, match="inf"):
+        solve_lp(LinearProgram([1.0], np.zeros((0, 1)), [], [], [np.inf],
+                               [np.inf]))
+    with pytest.raises(NumericsError, match="inf"):
+        solve_lp(LinearProgram([1.0, 1.0], [[1.0, 1.0]], ["<="], [1.0],
+                               [-np.inf, 0.0], [-np.inf, 1.0]))
 
 
 def test_builder_offset_splice():
