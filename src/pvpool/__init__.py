@@ -3,8 +3,9 @@
 The pipeline runs in three stages: size the installation for long-term
 welfare (sizing), split the benefit and promise energy to each consumer
 (allocation), then control and settle the system through the year while
-tracking those promises (operation).  Everything reduces to the embedded
-LP/QP solver in numerics; io and cli handle files and the command line.
+tracking those promises (operation).  Everything reduces to one embedded
+solver in numerics, whose one program type states an LP as a QP with a zero
+quadratic term; io and cli handle files and the command line.
 """
 
 import os
@@ -35,7 +36,7 @@ from .domain import (
     check_key,
     validate_inputs,
 )
-from .numerics import NumericsError, ProblemBuilder, solve_lp, solve_qp
+from .numerics import NumericsError, ProblemBuilder, solve_qp
 from .storage import StorageSpec, check_feasible, soc_trajectory
 from .sizing import (
     SizingError,

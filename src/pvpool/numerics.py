@@ -1,25 +1,28 @@
-"""Embedded linear and convex quadratic program solvers.
+"""Embedded solver for linear and convex quadratic programs.
 
-One primal-dual interior-point core (Mehrotra predictor-corrector) backs both
-solve_lp and solve_qp.  Problems are stated as
+One program type, ConvexQuadraticProgram, and one entry, solve_qp, run on
+one primal-dual interior-point core (Mehrotra predictor-corrector).
+Problems are stated as
 
     min                    0.5 x'Qx + c'x
     s.t.                   a_i'x  (<=, ==, >=)  rhs_i
                            lb <= x <= ub
 
-with Q = diag(q), q >= 0.  Variance objectives reach this form through
+with Q = diag(q), q >= 0; a linear program is q = 0, as in OOQP (Gertz &
+Wright, ACM TOMS 2003).  Variance objectives reach this form through
 auxiliary spread variables tied to the allocations by equality rows.
 Inequality rows get slack variables internally, so the core only ever sees
 equality rows plus box bounds.  Every solve is deterministic: identical
-inputs, the start included, produce bit-identical reports.  The iterations
-start from the box midpoint or, for solve_qp, from a caller's point (x, y,
-zl, zu), moved toward A x = b by one least-norm correction and pushed
-strictly inside the box; the duals start at the caller's y and positive
-bound multipliers (at least 1e-300), else at 0 and max(1, 1% of the
-largest cost).  Each report keeps, as its `restart`, the first iterate
-whose relative gap was at most 1e-2: a well-centred point that a
-neighbouring problem (a rolling horizon's next step, shifted) restarts
-from.
+inputs, the start included, produce bit-identical reports.  Every solve
+starts from a point (x, y, zl, zu), a caller's or the cold start's, which
+says nothing (x NaN, the rest 0).  x is taken where it is a number and the
+box midpoint elsewhere, moved toward A x = b by one least-norm correction
+and pushed strictly inside the box; the duals start at y and at the
+positive bound multipliers (at least 1e-300), and at max(1, 1% of the
+largest cost) where a multiplier is 0.  Each report keeps, as its
+`restart`, the first iterate whose relative gap was at most 1e-2: a
+well-centred point that a neighbouring problem (a rolling horizon's next
+step, shifted, or a re-solve) restarts from.
 
 Each iteration solves one Newton system, on one of two paths.  The normal
 equations A D^-1 A' serve every problem whose variables all carry a bound
@@ -119,65 +122,22 @@ def _per_var(value, count, what="per-variable vector"):
     return arr.copy()
 
 
-def _normalize(problem):
-    """Coerce the fields shared by both program types and check them."""
-    c = np.asarray(problem.c, dtype=np.float64)
-    n = c.shape[0]
-    a = problem.a if sp.issparse(problem.a) else sp.csr_matrix(np.atleast_2d(problem.a))
-    a = a.tocsr().astype(np.float64)  # a copy, so dropping zeros is local
-    # a stored 0.0 is no coefficient: a row holding only such entries is
-    # empty to every later test, and none of them meets an infinite bound
-    a.eliminate_zeros()
-    # as text of any length, so that no sense is cut down to a known one
-    senses = np.asarray(problem.senses, dtype=str)
-    unknown = senses[(senses != LE) & (senses != EQ) & (senses != GE)]
-    if unknown.size:
-        raise NumericsError(f"unknown sense {str(unknown[0])!r}")
-    senses = senses.astype("U2")
-    rhs = np.asarray(problem.rhs, dtype=np.float64)
-    lb = _per_var(-np.inf if problem.lb is None else problem.lb, n,
-                  "bound vector")
-    ub = _per_var(np.inf if problem.ub is None else problem.ub, n,
-                  "bound vector")
-    for name, value in (("c", c), ("a", a), ("senses", senses), ("rhs", rhs),
-                        ("lb", lb), ("ub", ub)):
-        object.__setattr__(problem, name, value)
-    if a.shape[1] != n:
-        raise NumericsError("constraint matrix and objective dimension mismatch")
-    if senses.shape[0] != a.shape[0] or rhs.shape[0] != a.shape[0]:
-        raise NumericsError("senses/rhs length must equal the number of rows")
-    if not np.isfinite(c).all() or not np.isfinite(a.data).all() or not np.isfinite(rhs).all():
-        raise NumericsError("objective, matrix and rhs entries must be finite")
-    if np.any(np.isnan(lb)) or np.any(np.isnan(ub)):
-        raise NumericsError("bounds must not be NaN")
-    # no finite value lies at or above +inf, or at or below -inf
-    if np.any(lb == np.inf) or np.any(ub == -np.inf):
-        raise NumericsError("a lower bound of +inf or an upper bound of -inf"
-                            " leaves no value")
-    if np.any(lb > ub):
-        raise NumericsError("lower bound exceeds upper bound")
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    """min c'x subject to sparse rows and box bounds."""
-
-    c: np.ndarray
-    a: sp.csr_matrix
-    senses: np.ndarray
-    rhs: np.ndarray
-    lb: np.ndarray
-    ub: np.ndarray
-
-    def __post_init__(self):
-        _normalize(self)
+def _vector(value, name, dtype=np.float64):
+    """value as a 1-d array; any other shape is refused by name."""
+    arr = np.asarray(value, dtype=dtype)
+    if arr.ndim != 1:
+        raise NumericsError(f"{name} has shape {arr.shape}, expected a vector")
+    return arr
 
 
 @dataclass(frozen=True)
 class ConvexQuadraticProgram:
-    """min 0.5 x'diag(q)x + c'x over rows and bounds.
+    """min 0.5 x'diag(q)x + c'x subject to sparse rows and box bounds.
 
-    The quadratic form is positive semidefinite because every q_i >= 0.
+    The quadratic form is positive semidefinite because every q_i >= 0.  A
+    linear program is the case q = 0: q_diag, lb and ub take a scalar for
+    every variable, so q_diag=0.0 states one.  c, rhs and senses are 1-d,
+    and lb and ub default to -inf and inf when None.
     """
 
     c: np.ndarray
@@ -189,13 +149,43 @@ class ConvexQuadraticProgram:
     ub: np.ndarray
 
     def __post_init__(self):
-        _normalize(self)
-        q = np.asarray(self.q_diag, dtype=np.float64)
-        if q.shape != self.c.shape:
-            raise NumericsError("q_diag must match the variable count")
+        c = _vector(self.c, "c")
+        n = c.shape[0]
+        a = self.a if sp.issparse(self.a) else sp.csr_matrix(np.atleast_2d(self.a))
+        a = a.tocsr().astype(np.float64)  # a copy, so dropping zeros is local
+        # a stored 0.0 is no coefficient: a row holding only such entries is
+        # empty to every later test, and none of them meets an infinite bound
+        a.eliminate_zeros()
+        # as text of any length, so that no sense is cut down to a known one
+        senses = _vector(self.senses, "senses", str)
+        unknown = senses[(senses != LE) & (senses != EQ) & (senses != GE)]
+        if unknown.size:
+            raise NumericsError(f"unknown sense {str(unknown[0])!r}")
+        senses = senses.astype("U2")
+        q = _per_var(self.q_diag, n, "q_diag")
+        rhs = _vector(self.rhs, "rhs")
+        lb = _per_var(-np.inf if self.lb is None else self.lb, n, "lb")
+        ub = _per_var(np.inf if self.ub is None else self.ub, n, "ub")
+        for name, value in (("c", c), ("q_diag", q), ("a", a),
+                            ("senses", senses), ("rhs", rhs), ("lb", lb),
+                            ("ub", ub)):
+            object.__setattr__(self, name, value)
+        if a.shape[1] != n:
+            raise NumericsError("constraint matrix and objective dimension mismatch")
+        if senses.shape[0] != a.shape[0] or rhs.shape[0] != a.shape[0]:
+            raise NumericsError("senses/rhs length must equal the number of rows")
+        if not np.isfinite(c).all() or not np.isfinite(a.data).all() or not np.isfinite(rhs).all():
+            raise NumericsError("objective, matrix and rhs entries must be finite")
         if not np.isfinite(q).all() or np.any(q < 0):
             raise NumericsError("q_diag entries must be finite and nonnegative")
-        object.__setattr__(self, "q_diag", q)
+        if np.any(np.isnan(lb)) or np.any(np.isnan(ub)):
+            raise NumericsError("bounds must not be NaN")
+        # no finite value lies at or above +inf, or at or below -inf
+        if np.any(lb == np.inf) or np.any(ub == -np.inf):
+            raise NumericsError("a lower bound of +inf or an upper bound of -inf"
+                                " leaves no value")
+        if np.any(lb > ub):
+            raise NumericsError("lower bound exceeds upper bound")
 
 
 @dataclass(frozen=True)
@@ -247,11 +237,12 @@ class SolveReport:
 
 
 class ProblemBuilder:
-    """Incremental assembly of LPs/QPs with named variable blocks.
+    """Incremental assembly of a program with named variable blocks.
 
     A row's indices and coefficients must match in length when it is added;
-    its indices must name existing variables when lp() or qp() assembles
-    the program, which also checks senses and finiteness.
+    its indices must name existing variables when qp() assembles the
+    program, which also checks senses and finiteness.  A program whose
+    variables all keep the default qdiag of 0 is a linear program.
     """
 
     def __init__(self):
@@ -305,29 +296,21 @@ class ProblemBuilder:
         self._senses.extend([sense] * k)
         self._rhs.extend(rhs.tolist())
 
-    def _assemble(self):
+    def qp(self):
+        """The program assembled so far: a linear program when no variable
+        has a qdiag."""
         n = self._n
-        m = len(self._rhs)
-        ri = np.repeat(np.arange(m), self._row_len)
-        ci = np.concatenate(self._row_idx) if m else np.zeros(0, dtype=np.int64)
-        dat = np.concatenate(self._row_coef) if m else np.zeros(0)
+        ri = np.repeat(np.arange(len(self._rhs)), self._row_len)
+        ci = np.concatenate([np.zeros(0, dtype=np.int64), *self._row_idx])
         if ci.size and (ci.min() < 0 or ci.max() >= n):
             raise NumericsError("constraint references a variable out of range")
-        a = sp.csr_matrix((dat, (ri, ci)), shape=(m, n))
-        lb = np.concatenate(self._lb) if n else np.zeros(0)
-        ub = np.concatenate(self._ub) if n else np.zeros(0)
-        cost = np.concatenate(self._cost) if n else np.zeros(0)
-        qd = np.concatenate(self._qdiag) if n else np.zeros(0)
-        return cost, qd, a, np.asarray(self._senses, dtype=str), np.asarray(self._rhs), lb, ub
-
-    def lp(self):
-        cost, qd, a, senses, rhs, lb, ub = self._assemble()
-        if np.any(qd != 0):
-            raise NumericsError("quadratic costs present, build a qp() instead")
-        return LinearProgram(cost, a, senses, rhs, lb, ub)
-
-    def qp(self):
-        return ConvexQuadraticProgram(*self._assemble())
+        a = sp.csr_matrix((np.concatenate([np.zeros(0), *self._row_coef]),
+                           (ri, ci)), shape=(len(self._rhs), n))
+        cost, qd, lb, ub = (np.concatenate([np.zeros(0), *parts]) for parts in
+                            (self._cost, self._qdiag, self._lb, self._ub))
+        return ConvexQuadraticProgram(
+            cost, qd, a, np.asarray(self._senses, dtype=str),
+            np.asarray(self._rhs, dtype=np.float64), lb, ub)
 
 
 # ---------------------------------------------------------------------------
@@ -920,13 +903,14 @@ def _step_to_boundary(value, rate, unbounded):
     return min(1.0 / _STEP_DAMP, -float(ratio.max()))
 
 
-def _ipm_loop(std, tol, max_iter, guess=None):
-    # m >= 1 rows and n >= 1 columns: _solve settles m == 0 (which n == 0
-    # implies, as _Standard drops empty rows) in closed form.  guess, when
-    # given, is a point (x, y, zl, zu) over the solved problem (NaN where it
-    # says nothing, and a bound multiplier says nothing unless it is
-    # positive).  Returns (x, y, zl, zu, iterations, restart) at the best
-    # iterate; restart is the first iterate within _RESTART_GAP, or None
+def _ipm_loop(std, tol, max_iter, guess):
+    # m >= 1 rows and n >= 1 columns: solve_qp settles m == 0 (which n == 0
+    # implies, as _Standard drops empty rows) in closed form.  guess is a
+    # point (x, y, zl, zu) over the solved problem (NaN where it says
+    # nothing, and a bound multiplier says nothing unless it is positive);
+    # the cold start says nothing at all.  Returns (x, y, zl, zu,
+    # iterations, restart) at the best iterate; restart is the first
+    # iterate within _RESTART_GAP, or None
     a = std.a
     m, n = a.shape
     c, qdiag, lb, ub = std.c, std.qdiag, std.lb, std.ub
@@ -950,13 +934,12 @@ def _ipm_loop(std, tol, max_iter, guess=None):
     # variable; free variables with zero curvature push us to the kkt path
     kkt_path = bool(np.any(~has_lb & ~has_ub & (qdiag == 0.0)))
 
-    # starting point: the guess's x where one is given (a warm start), the
-    # box midpoint elsewhere (slacks, and every variable of a cold start);
-    # then push that least-squares-ish point strictly inside the box
+    # starting point: the guess's x where it says something (a warm start),
+    # the box midpoint elsewhere (slacks, and every variable of a cold
+    # start); then push that least-squares-ish point strictly inside the box
     x = np.where(has_lb, np.where(has_ub, 0.5 * (lb + ub), lb + 1.0),
                  np.where(has_ub, ub - 1.0, 0.0))
-    if guess is not None:
-        x = np.where(np.isnan(guess[0]), x, guess[0])
+    x = np.where(np.isnan(guess[0]), x, guess[0])
     kkt = None
 
     def kkt_factor(dtil, delta):  # assembled when the path first needs it
@@ -986,16 +969,12 @@ def _ipm_loop(std, tol, max_iter, guess=None):
     margin = np.minimum(0.49 * (ub - lb),
                         np.maximum(1.0, 0.01 * (1.0 + np.abs(x))))
     x = np.fmin(np.fmax(x, lb + margin), ub - margin)
-    # the duals: the guess's y, and its bound multipliers where they are
-    # positive, at least 1e-300 as every iterate's are; z0 (and y = 0)
-    # elsewhere
+    # the duals: the guess's y (0 for the cold start), and its bound
+    # multipliers where they are positive, at least 1e-300 as every
+    # iterate's are; z0 elsewhere
     z0 = max(1.0, 0.01 * float(np.abs(c).max()))
-    if guess is None:
-        y, zl, zu = np.zeros(m), np.full(n, z0), np.full(n, z0)
-    else:
-        y = guess[1].copy()
-        zl, zu = (np.where(z > 0.0, np.maximum(z, 1e-300), z0)
-                  for z in guess[2:])
+    y = guess[1].copy()
+    zl, zu = (np.where(z > 0.0, np.maximum(z, 1e-300), z0) for z in guess[2:])
     zl[no_lb] = 0.0
     zu[no_ub] = 0.0
 
@@ -1206,9 +1185,34 @@ def _finish(problem, std, x, y, zl, zu, iterations, restart, tol):
                        None if restart is None else std.lift(*restart))
 
 
-def _solve(problem, qdiag, tol, max_iter, start=None):
-    std = _Standard(problem.c, qdiag, problem.a, problem.senses, problem.rhs,
-                    problem.lb, problem.ub)
+def solve_qp(problem: ConvexQuadraticProgram, tol: float = 1e-6, max_iter: int = 10 ** 6, start=None) -> SolveReport:
+    """Solve a ConvexQuadraticProgram, a linear one included; "optimal"
+    certifies the KKT residuals.
+
+    start, when given, is a point (x, y, zl, zu), say a neighbouring
+    problem's `SolveReport.restart`.  x is taken in place of the box
+    midpoint, and the same least-norm correction toward the rows and push
+    inside the box follow; y is taken as given, and each bound multiplier
+    where it is positive (raised to 1e-300, the floor every iterate
+    keeps), the cold start's value elsewhere.  Without one the solve starts
+    from the point that says nothing: x NaN (the box midpoint), y = 0 and
+    zl = zu = 0 (the cold start's multipliers).
+    """
+    if not isinstance(problem, ConvexQuadraticProgram):
+        raise NumericsError("solve_qp expects a ConvexQuadraticProgram")
+    n, m = problem.c.shape[0], problem.rhs.shape[0]
+    if start is None:
+        start = (np.full(n, np.nan), np.zeros(m), np.zeros(n), np.zeros(n))
+    else:
+        start = tuple(np.asarray(v, dtype=np.float64) for v in start)
+        if [v.shape for v in start] != [(n,), (m,), (n,), (n,)] \
+                or not all(np.isfinite(v).all() for v in start) \
+                or np.any(start[2] < 0.0) or np.any(start[3] < 0.0):
+            raise NumericsError("start must be a point (x, y, zl, zu) of"
+                                " finite values, one per variable, row,"
+                                " variable and variable, zl and zu >= 0")
+    std = _Standard(problem.c, problem.q_diag, problem.a, problem.senses,
+                    problem.rhs, problem.lb, problem.ub)
     if std.infeasibility is not None:
         return SolveReport("infeasible", None, np.nan, std.infeasibility,
                            np.inf, np.inf, np.inf, 0)
@@ -1217,8 +1221,7 @@ def _solve(problem, qdiag, tol, max_iter, start=None):
         # before the stall detector fires; those float warnings are expected
         # and silenced
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            point = _ipm_loop(std, tol, max_iter,
-                              None if start is None else std.reduce(*start))
+            point = _ipm_loop(std, tol, max_iter, std.reduce(*start))
     else:
         # coordinates decouple, so each one solves in closed form; when
         # presolve fixed every variable there are none left to solve
@@ -1227,35 +1230,3 @@ def _solve(problem, qdiag, tol, max_iter, start=None):
             return SolveReport("unbounded", None, np.nan, 0.0, np.inf,
                                np.inf, np.inf, 0)
     return _finish(problem, std, *point, tol)
-
-
-def solve_lp(problem: LinearProgram, tol: float = 1e-8, max_iter: int = 10 ** 6) -> SolveReport:
-    """Solve a LinearProgram; "optimal" certifies feasibility and duality gap."""
-    if not isinstance(problem, LinearProgram):
-        raise NumericsError("solve_lp expects a LinearProgram")
-    n = problem.c.shape[0]
-    return _solve(problem, np.zeros(n), tol, max_iter)
-
-
-def solve_qp(problem: ConvexQuadraticProgram, tol: float = 1e-6, max_iter: int = 10 ** 6, start=None) -> SolveReport:
-    """Solve a ConvexQuadraticProgram; "optimal" certifies the KKT residuals.
-
-    start, when given, is a point (x, y, zl, zu), say a neighbouring
-    problem's `SolveReport.restart`.  x is taken in place of the box
-    midpoint, and the same least-norm correction toward the rows and push
-    inside the box follow; y is taken as given, and each bound multiplier
-    where it is positive (raised to 1e-300, the floor every iterate
-    keeps), the cold start's value elsewhere.
-    """
-    if not isinstance(problem, ConvexQuadraticProgram):
-        raise NumericsError("solve_qp expects a ConvexQuadraticProgram")
-    if start is not None:
-        n, m = problem.c.shape[0], problem.rhs.shape[0]
-        start = tuple(np.asarray(v, dtype=np.float64) for v in start)
-        if [v.shape for v in start] != [(n,), (m,), (n,), (n,)] \
-                or not all(np.isfinite(v).all() for v in start) \
-                or np.any(start[2] < 0.0) or np.any(start[3] < 0.0):
-            raise NumericsError("start must be a point (x, y, zl, zu) of"
-                                " finite values, one per variable, row,"
-                                " variable and variable, zl and zu >= 0")
-    return _solve(problem, problem.q_diag, tol, max_iter, start)

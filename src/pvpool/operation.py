@@ -102,8 +102,8 @@ class OperationState:
 
     def __post_init__(self):
         errors = []
-        if not (np.isfinite(self.soc_kwh) and self.soc_kwh >= -1e-9):
-            errors.append("soc_kwh must be nonnegative")
+        if not (is_number(self.soc_kwh) and self.soc_kwh >= -1e-9):
+            errors.append("soc_kwh must be a nonnegative number")
         n = None
         for name in ("e_past", "promise", "e_future"):
             arr = np.atleast_1d(np.asarray(getattr(self, name),
@@ -161,8 +161,8 @@ class HorizonWindow:
             raise DomainError("the head is one period: a load row, a forecast")
         object.__setattr__(self, "head_gen", float(self.head_gen))
         errors = []
-        if not (np.isfinite(self.delta_hours) and self.delta_hours > 0):
-            errors.append("delta_hours must be positive")
+        if not (is_number(self.delta_hours) and self.delta_hours > 0):
+            errors.append("delta_hours must be a positive number")
         n = self.head_loads.shape[0]
         tt = self.tail_loads.shape[0] if self.tail_loads.size else 0
         if tt and self.tail_loads.shape[1] != n:
@@ -451,8 +451,9 @@ def settle(served, realized_loads, level):
     row.
     """
     level = np.asarray(level, dtype=np.float64)
-    if not (np.isfinite(served) and np.isfinite(level).all()):
-        raise DomainError("settle needs a finite served energy and level")
+    if not (is_number(served) and np.isfinite(level).all()):
+        raise DomainError("settle needs a finite number as served energy"
+                          " and a finite level")
     loads = np.asarray(realized_loads, dtype=np.float64)
     if loads.ndim != 1 or loads.shape != level.shape \
             or not np.isfinite(loads).all() or np.any(loads < 0.0):

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .domain import DispatchSeries, SizingDecision
-from .numerics import ProblemBuilder, solve_lp
+from .numerics import ProblemBuilder, solve_qp
 from .storage import START_FRACTION, StorageSpec, realize, recursion_rows
 
 _OVERLAP_TOL = 1e-6  # import/export overlap beyond this is flagged
@@ -368,7 +368,7 @@ def _dispatch_lp(bundle, alpha, pv, es):
     recursion_rows(pb, spec.efficiency, c, d, soc,
                    start=spec.initial_soc_kwh)
     pb.add_row([soc[-1]], [1.0], "==", spec.initial_soc_kwh)
-    return pb.lp()
+    return pb.qp()
 
 
 class _Recourse(NamedTuple):
@@ -406,7 +406,7 @@ def _recourse(bundle, pv, es, combo=None):
     flows_raw = []
     for widx in range(n_scen):
         alpha = bundle.scenarios.alphas[:, widx]
-        rep = solve_lp(_dispatch_lp(bundle, alpha, pv, es), tol=_RECOURSE_TOL)
+        rep = solve_qp(_dispatch_lp(bundle, alpha, pv, es), tol=_RECOURSE_TOL)
         if rep.status != "optimal":
             raise _failure(f"dispatch LP of scenario {widx} at pv {pv:.6g} kW, "
                            f"es {es:.6g} kW", rep, combo)
@@ -498,7 +498,7 @@ class CutPool:
                                      np.broadcast_to(cap, (len(scen), 2))]),
                     np.column_stack([np.ones(len(scen)), -slopes]), ">=",
                     levels + shift)
-        return pb.lp()
+        return pb.qp()
 
     def _minimize(self, combo, incumbent=None):
         """The combination's optimal capacities (pv, es), or None when its
@@ -513,7 +513,7 @@ class CutPool:
         which the weights of a year's present value would magnify.
         """
         for _ in range(_MAX_ROUNDS):
-            rep = solve_lp(self._master(combo), tol=_TOL)
+            rep = solve_qp(self._master(combo), tol=_TOL)
             if rep.status != "optimal":
                 raise _failure(f"master LP over {len(self.points)} cut points "
                                f"({len(self._cuts)} cuts)", rep, combo)

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from pvpool import sizing
-from pvpool.numerics import ProblemBuilder, solve_lp
+from pvpool.numerics import ProblemBuilder, solve_qp
 
 _FEAS_TOL = 1e-9
 
@@ -313,7 +313,7 @@ def solve_combo(bundle, pv_lo, pv_hi, es_hi, tier_rate, sub_rate, es_lo=0.0):
     """
     lp, p_pv, p_es, per_scenario = joint_sizing_lp(
         bundle, pv_lo, pv_hi, es_hi, tier_rate, sub_rate, es_lo)
-    rep = solve_lp(lp, tol=1e-9)
+    rep = solve_qp(lp, tol=1e-9)
     if rep.status != "optimal":
         raise sizing.SizingError(
             f"planning subproblem ended {rep.status} after {rep.iterations} "
@@ -394,7 +394,7 @@ def joint_sizing_lp(bundle, pv_lo, pv_hi, es_hi, tier_rate, sub_rate, es_lo=0.0)
         pb.add_row([soc[-1], p_es[0]], [1.0, -0.5 * kappa], "==", 0.0)
         per_scenario.append((c, d, gg, gs))
 
-    return pb.lp(), p_pv, p_es, per_scenario
+    return pb.qp(), p_pv, p_es, per_scenario
 
 
 def joint_lp_sizing(bundle, catalog, pv_capacity_fixed=None, es_power_fixed=None):

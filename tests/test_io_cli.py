@@ -634,9 +634,9 @@ def test_cli_sweep_shares_one_cut_pool(tmp_path, monkeypatch):
     def counting(lp, **kwargs):
         if lp.c.shape[0] == 5 * periods:  # five columns per period
             dispatch_lps.append(lp)
-        return numerics.solve_lp(lp, **kwargs)
+        return numerics.solve_qp(lp, **kwargs)
 
-    monkeypatch.setattr(sizing, "solve_lp", counting)
+    monkeypatch.setattr(sizing, "solve_qp", counting)
     assert cli_main(["sweep", "--config", config,
                      "--capacities", ",".join(map(str, caps))]) == 0
     swept = len(dispatch_lps)

@@ -10,10 +10,8 @@ from scipy.sparse.linalg import spsolve
 from pvpool import numerics
 from pvpool.numerics import (
     ConvexQuadraticProgram,
-    LinearProgram,
     NumericsError,
     ProblemBuilder,
-    solve_lp,
     solve_qp,
 )
 
@@ -39,14 +37,14 @@ def _dense_rows(rows, n):
 
 
 def _lp_from_dense(c, rows, lb, ub):
-    return LinearProgram(c, *_dense_rows(rows, len(c)), lb, ub)
+    return ConvexQuadraticProgram(c, 0.0, *_dense_rows(rows, len(c)), lb, ub)
 
 
 def test_lp_covering_row():
     pb = ProblemBuilder()
     idx = pb.add_vars(2, lb=0.0, ub=np.inf, cost=1.0)
     pb.add_row(idx, [1.0, 1.0], ">=", 1.0)
-    rep = solve_lp(pb.lp())
+    rep = solve_qp(pb.qp(), tol=1e-8)
     assert rep.status == "optimal"
     assert rep.objective == pytest.approx(1.0, abs=1e-8)
 
@@ -56,7 +54,7 @@ def test_lp_mixed_senses():
     idx = pb.add_vars(3, lb=0.0, ub=10.0, cost=[2.0, 3.0, 1.0])
     pb.add_row(idx, [1.0, 1.0, 1.0], ">=", 5.0)
     pb.add_row(idx[:2], [1.0, -1.0], "<=", 2.0)
-    rep = solve_lp(pb.lp())
+    rep = solve_qp(pb.qp(), tol=1e-8)
     assert rep.status == "optimal"
     # cheapest cover puts everything on the third variable
     assert rep.objective == pytest.approx(5.0, abs=1e-7)
@@ -66,7 +64,7 @@ def test_lp_infeasible():
     pb = ProblemBuilder()
     idx = pb.add_vars(1, lb=0.0, ub=1.0, cost=1.0)
     pb.add_row(idx, [1.0], ">=", 2.0)
-    rep = solve_lp(pb.lp())
+    rep = solve_qp(pb.qp(), tol=1e-8)
     assert rep.status == "infeasible"
     assert rep.x is None
 
@@ -74,7 +72,7 @@ def test_lp_infeasible():
 def test_lp_unbounded_box_direction():
     pb = ProblemBuilder()
     pb.add_vars(1, lb=0.0, ub=np.inf, cost=-1.0)
-    rep = solve_lp(pb.lp())
+    rep = solve_qp(pb.qp(), tol=1e-8)
     assert rep.status == "unbounded"
 
 
@@ -85,7 +83,7 @@ def test_lp_unbounded_through_row():
     pb = ProblemBuilder()
     idx = pb.add_vars(2, lb=0.0, ub=np.inf, cost=[-1.0, 0.0])
     pb.add_row(idx, [1.0, -1.0], "==", 0.0)
-    rep = solve_lp(pb.lp())
+    rep = solve_qp(pb.qp(), tol=1e-8)
     assert rep.status == "iteration_limit"
 
 
@@ -96,7 +94,7 @@ def test_lp_redundant_equalities():
     pb.add_row(idx, [1.0, 1.0], "==", 3.0)
     pb.add_row(idx, [2.0, 2.0], "==", 6.0)
     pb.add_row(idx, [0.5, 0.5], "==", 1.5)
-    rep = solve_lp(pb.lp(), tol=1e-10)
+    rep = solve_qp(pb.qp(), tol=1e-10)
     assert rep.status == "optimal"
     assert rep.objective == pytest.approx(3.0, abs=1e-8)
 
@@ -106,13 +104,13 @@ def _inconsistent_duplicate_rows_lp():
     idx = pb.add_vars(2, lb=0.0, ub=10.0, cost=[1.0, 1.0])
     pb.add_row(idx, [1.0, 1.0], "==", 3.0)
     pb.add_row(idx, [1.0, 1.0], "==", 4.0)
-    return pb.lp()
+    return pb.qp()
 
 
 def test_lp_inconsistent_duplicate_rows():
     # no exact check sees the contradiction, so the solve stalls and
     # reports iteration_limit, never a certified optimum
-    rep = solve_lp(_inconsistent_duplicate_rows_lp())
+    rep = solve_qp(_inconsistent_duplicate_rows_lp(), tol=1e-8)
     assert rep.status == "iteration_limit"
 
 
@@ -121,7 +119,7 @@ def test_lp_fixed_variables_presolved():
     free = pb.add_vars(1, lb=0.0, ub=5.0, cost=1.0)
     pinned = pb.add_vars(1, lb=2.0, ub=2.0, cost=10.0)
     pb.add_row(np.concatenate([free, pinned]), [1.0, 1.0], ">=", 3.0)
-    rep = solve_lp(pb.lp())
+    rep = solve_qp(pb.qp(), tol=1e-8)
     assert rep.status == "optimal"
     assert rep.x[1] == pytest.approx(2.0)
     assert rep.objective == pytest.approx(1.0 * 1.0 + 10.0 * 2.0, abs=1e-7)
@@ -133,7 +131,7 @@ def test_lp_free_variable_kkt_path():
     x = pb.add_vars(1, lb=-np.inf, ub=np.inf, cost=1.0)
     y = pb.add_vars(1, lb=-3.0, ub=5.0, cost=0.0)
     pb.add_row(np.concatenate([x, y]), [1.0, -1.0], "==", 0.0)
-    rep = solve_lp(pb.lp())
+    rep = solve_qp(pb.qp(), tol=1e-8)
     assert rep.status == "optimal"
     assert rep.objective == pytest.approx(-3.0, abs=1e-7)
 
@@ -142,7 +140,7 @@ def test_lp_empty_row_consistency():
     pb = ProblemBuilder()
     x = pb.add_vars(1, lb=0.0, ub=1.0, cost=1.0)
     pb.add_row(x, [0.0], "==", 1.0)
-    rep = solve_lp(pb.lp())
+    rep = solve_qp(pb.qp(), tol=1e-8)
     assert rep.status == "infeasible"
     assert rep.iterations == 0
     # the proof's residual is the empty row's right-hand side
@@ -153,7 +151,7 @@ def test_lp_vertex_oracle_agreement():
     rng = np.random.default_rng(20240817)
     for _ in range(300):
         c, rows, lb, ub = random_bounded_lp(rng)
-        rep = solve_lp(_lp_from_dense(c, rows, lb, ub), tol=1e-10)
+        rep = solve_qp(_lp_from_dense(c, rows, lb, ub), tol=1e-10)
         ref, _ = lp_vertex_minimum(c, rows, lb, ub)
         if ref is None:
             # rounding can hide a sliver-thin feasible set from the oracle
@@ -263,7 +261,7 @@ def test_constraint_validation():
     pb = _one_var_builder()
     pb.add_row([0], [1.0], "<", 0.0)
     with pytest.raises(NumericsError):
-        pb.lp()
+        pb.qp()
     with pytest.raises(NumericsError):
         _one_var_builder().add_row([0, 1], [1.0], "<=", 0.0)
     with pytest.raises(NumericsError):
@@ -273,13 +271,16 @@ def test_constraint_validation():
     pb = _one_var_builder()
     pb.add_row([0], [np.nan], "<=", 0.0)
     with pytest.raises(NumericsError):
-        pb.lp()
+        pb.qp()
     with pytest.raises(NumericsError):
-        LinearProgram([1.0], [[1.0]], ["<"], [0.0], [0.0], [1.0])
+        ConvexQuadraticProgram([1.0], 0.0, [[1.0]], ["<"], [0.0], [0.0],
+                               [1.0])
     with pytest.raises(NumericsError):
-        LinearProgram([1.0], [[np.nan]], ["<="], [0.0], [0.0], [1.0])
+        ConvexQuadraticProgram([1.0], 0.0, [[np.nan]], ["<="], [0.0], [0.0],
+                               [1.0])
     with pytest.raises(NumericsError):
-        LinearProgram([1.0], [[1.0]], ["<=", "<="], [0.0], [0.0], [1.0])
+        ConvexQuadraticProgram([1.0], 0.0, [[1.0]], ["<=", "<="], [0.0],
+                               [0.0], [1.0])
 
 
 @pytest.mark.parametrize("sense", [">=x", "<=junk", "== ", "<", "=", ""])
@@ -287,49 +288,67 @@ def test_a_sense_is_exactly_one_of_the_three(sense):
     # a longer sense is not cut down to a known one, in a program or in
     # a builder's row, and the error names it
     with pytest.raises(NumericsError, match=f"unknown sense '{sense}'"):
-        LinearProgram([1.0], [[1.0]], np.array([sense]), [1.0], [0.0], [2.0])
+        ConvexQuadraticProgram([1.0], 0.0, [[1.0]], np.array([sense]), [1.0],
+                               [0.0], [2.0])
     pb = _one_var_builder()
     pb.add_row([0], [1.0], sense, 1.0)
     with pytest.raises(NumericsError, match=f"unknown sense '{sense}'"):
-        pb.lp()
+        pb.qp()
     pb = _one_var_builder()
     pb.add_rows([[0]], [1.0], sense, [1.0])
     with pytest.raises(NumericsError, match=f"unknown sense '{sense}'"):
         pb.qp()
     # the three known senses are taken, from an array of any text width
     senses = np.array(["<=", "==", ">="], dtype="U8")
-    problem = LinearProgram([1.0], [[1.0]] * 3, senses, [2.0, 1.0, 0.0],
-                            [0.0], [3.0])
+    problem = ConvexQuadraticProgram([1.0], 0.0, [[1.0]] * 3, senses,
+                                     [2.0, 1.0, 0.0], [0.0], [3.0])
     assert problem.senses.tolist() == ["<=", "==", ">="]
-    assert solve_lp(problem).status == "optimal"
+    assert solve_qp(problem, tol=1e-8).status == "optimal"
 
 
 def test_program_validation():
     with pytest.raises(NumericsError):
-        LinearProgram([1.0], [[1.0]], ["<="], [1.0], lb=[2.0], ub=[1.0])
+        ConvexQuadraticProgram([1.0], 0.0, [[1.0]], ["<="], [1.0], lb=[2.0],
+                               ub=[1.0])
     # a row on variable 3 of a one-variable program
     with pytest.raises(NumericsError):
-        LinearProgram([1.0], np.zeros((1, 4)), ["<="], [1.0], [0.0], [1.0])
+        ConvexQuadraticProgram([1.0], 0.0, np.zeros((1, 4)), ["<="], [1.0],
+                               [0.0], [1.0])
+    # c, senses and rhs are vectors; another shape is refused by name
+    # before it reaches NumPy or SciPy
+    rows = np.eye(4)
+    fields = {"c": np.ones(4), "senses": ["<="] * 4, "rhs": np.ones(4)}
+    for name, bad in (("rhs", np.ones((4, 1))), ("c", np.ones((4, 1))),
+                      ("c", 1.0), ("senses", [["<="]] * 4)):
+        with pytest.raises(NumericsError, match=f"^{name} has shape"):
+            ConvexQuadraticProgram(**dict(fields, **{name: bad}), q_diag=0.0,
+                                   a=rows, lb=0.0, ub=1.0)
+    # q_diag takes a scalar, as lb and ub do, and is checked like them
+    assert ConvexQuadraticProgram(**fields, q_diag=0.0, a=rows, lb=0.0,
+                                  ub=1.0).q_diag.tobytes() \
+        == np.zeros(4).tobytes()
+    for bad in ([1.0, 1.0], -1.0, np.nan):
+        with pytest.raises(NumericsError, match="q_diag"):
+            ConvexQuadraticProgram(**fields, q_diag=bad, a=rows, lb=0.0,
+                                   ub=1.0)
     for bad in ([3], [-1]):
         pb = _one_var_builder()
         pb.add_row(bad, [1.0], "<=", 1.0)
         with pytest.raises(NumericsError):
-            pb.lp()
+            pb.qp()
         pb = _one_var_builder()
         pb.add_rows([bad], [1.0], "<=", 1.0)
         with pytest.raises(NumericsError):
             pb.qp()
-    with pytest.raises(NumericsError):
-        solve_lp(ConvexQuadraticProgram([1.0], [1.0], [[1.0]], ["<="], [1.0],
-                                        None, None))  # type: ignore[arg-type]
     # a variable pinned at an infinite bound has no value; presolve used
     # to pin it there and return NaN objectives
     with pytest.raises(NumericsError, match="inf"):
-        solve_lp(LinearProgram([1.0], np.zeros((0, 1)), [], [], [np.inf],
-                               [np.inf]))
+        solve_qp(ConvexQuadraticProgram([1.0], 0.0, np.zeros((0, 1)), [], [],
+                                        [np.inf], [np.inf]), tol=1e-8)
     with pytest.raises(NumericsError, match="inf"):
-        solve_lp(LinearProgram([1.0, 1.0], [[1.0, 1.0]], ["<="], [1.0],
-                               [-np.inf, 0.0], [-np.inf, 1.0]))
+        solve_qp(ConvexQuadraticProgram([1.0, 1.0], 0.0, [[1.0, 1.0]],
+                                        ["<="], [1.0], [-np.inf, 0.0],
+                                        [-np.inf, 1.0]), tol=1e-8)
 
 
 def test_builder_offset_splice():
@@ -338,7 +357,7 @@ def test_builder_offset_splice():
     pb.add_vars(1, lb=0.0, ub=9.0, cost=0.0)
     block = pb.add_vars(1, lb=0.0, ub=9.0, cost=-1.0)
     pb.add_rows(block[:, None], [1.0], "<=", 2.0)
-    rep = solve_lp(pb.lp())
+    rep = solve_qp(pb.qp(), tol=1e-8)
     assert rep.status == "optimal"
     assert rep.x[1] == pytest.approx(2.0, abs=1e-8)
 
@@ -377,7 +396,7 @@ def test_add_rows_matches_row_by_row():
         single.add_row(idx[k], coef[k], ">=", rhs[k])
     for k in range(2):
         single.add_row(idx[k], [1.0, -1.0, 2.0], "==", 0.5)
-    got, want = block.lp(), single.lp()
+    got, want = block.qp(), single.qp()
     assert (got.a != want.a).nnz == 0
     assert list(got.senses) == list(want.senses)
     assert got.rhs.tobytes() == want.rhs.tobytes()
@@ -401,7 +420,7 @@ def test_kkt_pivoted_fallback_still_certifies(monkeypatch):
     xy = np.concatenate([x, y])
     pb.add_row(xy, [1.0, -1.0, 1.0], "==", 1.0)
     pb.add_row(xy, [2.0, -2.0, 2.0], "==", 2.0)
-    rep = solve_lp(pb.lp())
+    rep = solve_qp(pb.qp(), tol=1e-8)
     assert fallbacks
     assert rep.status == "optimal"
     assert rep.objective == pytest.approx(-2.0, abs=1e-7)
@@ -494,9 +513,9 @@ def _normal_matrix(kind):
         hi = rng.uniform(0.1, 2.0, (48, 15))
         problem = key_qp_by_rows(np.zeros_like(hi), hi, 0.5 * hi.sum(axis=1))
         shape = (63, 0, 15)
-    qdiag = getattr(problem, "q_diag", np.zeros(problem.c.shape[0]))
-    std = numerics._Standard(problem.c, qdiag, problem.a, problem.senses,
-                             problem.rhs, problem.lb, problem.ub)
+    std = numerics._Standard(problem.c, problem.q_diag, problem.a,
+                             problem.senses, problem.rhs, problem.lb,
+                             problem.ub)
     return std.a, shape
 
 
@@ -623,24 +642,22 @@ def test_kept_analysis_gives_bit_identical_reports(kind, monkeypatch):
 
     monkeypatch.setattr(numerics._NormalEquations, "factor", counting)
     if kind == "control_qp":
-        problem, solve, path = _control_qp_instance(), solve_qp, "_normal"
-        tol = 1e-6
+        problem, path, tol = _control_qp_instance(), "_normal", 1e-6
     else:
-        problem, solve = _sizing_lp_instance(), solve_lp
-        path, tol = "_kkt", 1e-9
+        problem, path, tol = _sizing_lp_instance(), "_kkt", 1e-9
     rng = np.random.default_rng(5)
     others = [_lp_from_dense(*random_bounded_lp(rng)) for _ in range(3)]
     numerics._ANALYSES.clear()
-    fresh = solve(problem, tol=tol)
+    fresh = solve_qp(problem, tol=tol)
     assert fresh.status == "optimal"
     # the Newton path the case is meant to cover was taken
     assert any(getattr(an, path) is not None
                for an in numerics._ANALYSES.values())
     for other in others:
-        solve_lp(other)
+        solve_qp(other, tol=1e-8)
     kept = set(map(id, numerics._ANALYSES.values()))
     starts = regs.count(1e-8)  # the start point's A A' + 1e-8 I
-    again = solve(problem, tol=tol)
+    again = solve_qp(problem, tol=tol)
     # no new analysis was made: the solve found every one it needed
     assert set(map(id, numerics._ANALYSES.values())) <= kept
     assert _report_bytes(again) == _report_bytes(fresh)
@@ -648,6 +665,19 @@ def test_kept_analysis_gives_bit_identical_reports(kind, monkeypatch):
         # the kept analysis holds the start point's factor, so the second
         # solve factors only inside its iterations
         assert starts >= 1 and regs.count(1e-8) == starts
+
+
+def test_sizing_master_lp_restarts_from_its_own_restart():
+    # the master LP's free cut variables put it on the KKT path; a start
+    # takes the one start path there too, and from its own cold restart
+    # the solve converges to the cold objective
+    problem = _sizing_lp_instance()
+    cold = solve_qp(problem, tol=1e-9)
+    assert cold.status == "optimal" and cold.restart is not None
+    warm = solve_qp(problem, tol=1e-9, start=cold.restart)
+    assert warm.status == "optimal"
+    assert abs(warm.objective - cold.objective) \
+        <= 1e-9 * (1.0 + abs(cold.objective))
 
 
 def test_solve_qp_without_start_is_bit_identical():
@@ -753,7 +783,7 @@ def test_analyses_kept_are_bounded():
     numerics._ANALYSES.clear()
     sizes = []
     for _ in range(2 * numerics._ANALYSES_KEPT):
-        solve_lp(_lp_from_dense(*random_bounded_lp(rng)))
+        solve_qp(_lp_from_dense(*random_bounded_lp(rng)), tol=1e-8)
         sizes.append(len(numerics._ANALYSES))
     assert max(sizes) == numerics._ANALYSES_KEPT
 
@@ -926,7 +956,7 @@ def test_failed_solve_runs_one_interior_point_solve(monkeypatch):
     monkeypatch.setattr(numerics, "_ipm_loop", counted)
     rep = solve_qp(_feasible_equality_qp(0), tol=1e-6, max_iter=2)
     assert rep.status == "iteration_limit" and len(calls) == 1
-    rep = solve_lp(_inconsistent_duplicate_rows_lp())
+    rep = solve_qp(_inconsistent_duplicate_rows_lp(), tol=1e-8)
     assert rep.status == "iteration_limit" and len(calls) == 2
 
 
@@ -934,7 +964,7 @@ def test_report_residuals_recomputable():
     rng = np.random.default_rng(11)
     c, rows, lb, ub = random_bounded_lp(rng, max_vars=4, max_rows=3)
     lp = _lp_from_dense(c, rows, lb, ub)
-    rep = solve_lp(lp, tol=1e-10)
+    rep = solve_qp(lp, tol=1e-10)
     assert rep.status == "optimal"
     worst = 0.0
     for a, s, b in rows:
@@ -955,8 +985,8 @@ def test_solver_is_deterministic():
     rng = np.random.default_rng(99)
     c, rows, lb, ub = random_bounded_lp(rng)
     lp = _lp_from_dense(c, rows, lb, ub)
-    first = solve_lp(lp, tol=1e-10)
-    second = solve_lp(lp, tol=1e-10)
+    first = solve_qp(lp, tol=1e-10)
+    second = solve_qp(lp, tol=1e-10)
     assert first.x.tobytes() == second.x.tobytes()
     assert first.objective == second.objective
     assert first.iterations == second.iterations
@@ -984,7 +1014,7 @@ def test_dispatch_shaped_lp():
                    [1.0, -1.0, -eff, 1.0 / eff], "==", 0.0)
         pb.add_row([gg[t]], [1.0], "<=", load[t])
     pb.add_row([soc[0], soc[horizon]], [1.0, -1.0], "==", 0.0)
-    rep = solve_lp(pb.lp(), tol=1e-9)
+    rep = solve_qp(pb.qp(), tol=1e-9)
     assert rep.status == "optimal"
     assert rep.primal_residual < 1e-9
     # import and export never overlap at the optimum
@@ -995,7 +1025,7 @@ def test_forcing_row_pins_variables_without_iterations():
     pb = ProblemBuilder()
     x = pb.add_vars(2, lb=0.0, ub=1.0, cost=[3.0, -2.0])
     pb.add_row(x, [1.0, 1.0], "==", 2.0)
-    rep = solve_lp(pb.lp())
+    rep = solve_qp(pb.qp(), tol=1e-8)
     assert rep.status == "optimal"
     assert np.allclose(rep.x, [1.0, 1.0])
     assert rep.iterations == 0
@@ -1006,7 +1036,7 @@ def test_forcing_rows_cascade():
     x = pb.add_vars(3, lb=0.0, ub=[1.0, 1.0, 3.0], cost=1.0)
     pb.add_row(x[:2], [1.0, 1.0], "==", 2.0)
     pb.add_row(x[1:], [1.0, 1.0], "==", 1.0)
-    rep = solve_lp(pb.lp())
+    rep = solve_qp(pb.qp(), tol=1e-8)
     assert rep.status == "optimal"
     assert np.allclose(rep.x, [1.0, 1.0, 0.0])
     assert rep.iterations == 0
@@ -1016,7 +1046,7 @@ def test_forcing_detects_excluded_rhs():
     pb = ProblemBuilder()
     x = pb.add_vars(2, lb=0.0, ub=1.0)
     pb.add_row(x, [1.0, 1.0], "==", 3.0)
-    rep = solve_lp(pb.lp())
+    rep = solve_qp(pb.qp(), tol=1e-8)
     assert rep.status == "infeasible"
     assert rep.iterations == 0
     # presolve's row-bound test measures no point
@@ -1041,7 +1071,7 @@ def test_forced_import_with_no_battery():
     gg = pb.add_vars(1, lb=0.0, ub=load, cost=0.13)
     gs = pb.add_vars(1, lb=0.0, cost=-0.06)
     pb.add_row(np.concatenate([gg, gs]), [1.0, -1.0], "==", load)
-    rep = solve_lp(pb.lp())
+    rep = solve_qp(pb.qp(), tol=1e-8)
     assert rep.status == "optimal"
     assert rep.x[0] == pytest.approx(load)
     assert rep.x[1] == pytest.approx(0.0)
@@ -1055,7 +1085,7 @@ def test_forcing_near_boundary_target_stays_feasible():
     pb = ProblemBuilder()
     x = pb.add_vars(2, lb=0.0, ub=1.0, cost=1.0)
     pb.add_row(x, [1.0, 1.0], "==", 2.0 - 2e-10)
-    rep = solve_lp(pb.lp())
+    rep = solve_qp(pb.qp(), tol=1e-8)
     assert rep.status == "optimal"
     assert np.allclose(rep.x, [1.0, 1.0], atol=1e-8)
     # presolve pinned every variable; the residual is still measured
@@ -1109,7 +1139,7 @@ def test_duals_certify_random_lps_with_forcing_rows():
     for _ in range(400):
         problem = _lp_from_dense(*_with_forcing_rows(
             rng, *random_bounded_lp(rng, max_vars=6, max_rows=5)))
-        rep = solve_lp(problem, tol=1e-9)
+        rep = solve_qp(problem, tol=1e-9)
         if rep.status != "optimal":
             continue  # forcing rows make some draws infeasible
         solved += 1
@@ -1137,7 +1167,7 @@ def test_duals_match_highs_marginals():
     for _ in range(150):
         c, rows, lb, ub = random_bounded_lp(rng, max_vars=5, max_rows=4)
         problem = _lp_from_dense(c, rows, lb, ub)
-        rep = solve_lp(problem, tol=1e-9)
+        rep = solve_qp(problem, tol=1e-9)
         a, senses, rhs = _dense_rows(rows, len(c))
         senses = np.asarray(senses)
         ineq = senses != "=="
@@ -1169,8 +1199,8 @@ def test_forced_import_row_is_priced_at_the_grid():
     gg = pb.add_vars(1, lb=0.0, ub=load, cost=0.13)
     gs = pb.add_vars(1, lb=0.0, cost=-0.06)
     pb.add_row(np.concatenate([gg, gs]), [1.0, -1.0], "==", load)
-    rep = solve_lp(pb.lp())
+    rep = solve_qp(pb.qp(), tol=1e-8)
     assert rep.iterations == 0
     assert rep.y[0] == pytest.approx(0.13)
     assert rep.zu[0] == pytest.approx(0.0) and rep.zl[1] == pytest.approx(0.07)
-    assert _dual_violation(pb.lp(), rep) <= 1e-12
+    assert _dual_violation(pb.qp(), rep) <= 1e-12

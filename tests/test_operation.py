@@ -124,6 +124,20 @@ def test_operation_state_validation():
                         np.zeros(2))
     assert st.e_past.min() >= 0.0
     assert st.num_consumers == 2
+    # the state of charge is a number: a string once raised a raw
+    # TypeError, and True was taken as 1 kWh
+    for soc in ("2.0", True, np.nan, -1.0):
+        with pytest.raises(DomainError, match="soc_kwh"):
+            OperationState(soc, np.zeros(2), np.zeros(2), np.zeros(2))
+    assert OperationState(np.float64(2.0), np.zeros(2), np.zeros(2),
+                          np.zeros(2)).soc_kwh == 2.0
+
+
+@pytest.mark.parametrize("delta", ["0.5", True, np.nan, 0.0])
+def test_horizon_window_refuses_a_period_length_that_is_no_number(delta):
+    # a string once raised a raw TypeError, and True was taken as 1 hour
+    with pytest.raises(DomainError, match="delta_hours"):
+        _window([1.0, 2.0], 0.5, delta=delta)
 
 
 def test_horizon_window_head_is_one_period():
@@ -875,9 +889,11 @@ def test_settle_clamps_negative_served_to_zero():
 
 @pytest.mark.parametrize("served, level", [
     (np.nan, [0.0, 0.0]), (np.inf, [0.0, 0.0]), (-np.inf, [0.0, 0.0]),
-    (1.0, [np.nan, 0.0]), (1.0, [0.0, np.inf])])
+    (1.0, [np.nan, 0.0]), (1.0, [0.0, np.inf]),
+    ("1.0", [0.0, 0.0]), (True, [0.0, 0.0])])
 def test_settle_refuses_a_non_finite_served_or_level(served, level):
-    # a NaN period once settled as the whole load row
+    # a NaN period once settled as the whole load row; a string once
+    # raised a raw TypeError, and True was settled as 1 kWh
     with pytest.raises(DomainError, match="finite"):
         settle(served, [1.0, 2.0], level)
 

@@ -385,9 +385,9 @@ def _sizing_lps(monkeypatch, bundle):
 
     def capture(lp, **kwargs):
         lps.append(lp)
-        return numerics.solve_lp(lp, **kwargs)
+        return numerics.solve_qp(lp, **kwargs)
 
-    monkeypatch.setattr(sizing, "solve_lp", capture)
+    monkeypatch.setattr(sizing, "solve_qp", capture)
     solve_sizing(bundle, _TOY_CATALOG)
     return lps
 
@@ -408,9 +408,9 @@ def test_sizing_lp_grows_linearly_in_periods(monkeypatch):
 def test_sizing_error_reports_what_was_tried(monkeypatch):
     # two interior-point iterations cannot reach the LP's 1e-9 tolerance
     def starved(lp, **kwargs):
-        return numerics.solve_lp(lp, max_iter=2, **kwargs)
+        return numerics.solve_qp(lp, max_iter=2, **kwargs)
 
-    monkeypatch.setattr(sizing, "solve_lp", starved)
+    monkeypatch.setattr(sizing, "solve_qp", starved)
     with pytest.raises(SizingError) as info:
         solve_sizing(_toy_bundle(), _TOY_CATALOG)
     rep = info.value.report
@@ -487,6 +487,18 @@ def test_sized_plans_hold_the_battery_envelope(seed):
         soc = soc_trajectory(spec, dispatch.charge, dispatch.discharge)
         assert np.abs(dispatch.soc - soc).max() <= 1e-9
         assert abs(soc[-1] - soc[0]) <= 1e-7
+
+
+@pytest.mark.xfail(strict=True, raises=SizingError,
+                   reason="ROADMAP item 8(a): the master's stopping test is"
+                   " relative to a total whose first-stage and recourse"
+                   " terms nearly cancel")
+def test_master_rounds_converge_at_seed_1013():
+    # 15 consumers, one day, two scenarios: today a combination ends "no
+    # convergence after 200 master rounds".  A fix chooses capacities
+    bundle, catalog = _baseline_bundle(1013, 15, 1, 2)
+    res = solve_sizing(bundle, catalog)
+    assert res.decision.pv_capacity_kw >= 0.0
 
 
 def _toy_instances():
@@ -572,10 +584,10 @@ def test_recourse_failure_names_the_subproblem(monkeypatch):
 
     def starved(lp, **kwargs):
         if lp.c.shape[0] == 5 * bundle.grid.num_periods:
-            return numerics.solve_lp(lp, max_iter=2, **kwargs)
-        return numerics.solve_lp(lp, **kwargs)
+            return numerics.solve_qp(lp, max_iter=2, **kwargs)
+        return numerics.solve_qp(lp, **kwargs)
 
-    monkeypatch.setattr(sizing, "solve_lp", starved)
+    monkeypatch.setattr(sizing, "solve_qp", starved)
     with pytest.raises(SizingError) as info:
         solve_sizing(bundle, _TOY_CATALOG)
     rep = info.value.report
@@ -593,10 +605,10 @@ def test_master_failure_names_the_combination_and_cuts(monkeypatch):
 
     def starved(lp, **kwargs):
         if lp.c.shape[0] != 5 * bundle.grid.num_periods:
-            return numerics.solve_lp(lp, max_iter=2, **kwargs)
-        return numerics.solve_lp(lp, **kwargs)
+            return numerics.solve_qp(lp, max_iter=2, **kwargs)
+        return numerics.solve_qp(lp, **kwargs)
 
-    monkeypatch.setattr(sizing, "solve_lp", starved)
+    monkeypatch.setattr(sizing, "solve_qp", starved)
     with pytest.raises(SizingError) as info:
         solve_sizing(bundle, _TOY_CATALOG)
     message = str(info.value)

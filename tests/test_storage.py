@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pvpool.domain import DomainError, TimeGrid
-from pvpool.numerics import LinearProgram, solve_lp
+from pvpool.numerics import ConvexQuadraticProgram, solve_qp
 from pvpool.operation import (HorizonConfig, HorizonWindow, OperationState,
                               _control_qp)
 from pvpool.sizing import _dispatch_lp
@@ -174,14 +174,14 @@ def _assert_reference_chain(prog, cols, spec, t_len, delta_hours):
 def _recursion_lp(spec, t_len, delta_hours, cost_cd):
     rows, lb, ub = soc_recursion_rows(spec, t_len, delta_hours)
     cost = np.concatenate([cost_cd, np.zeros(t_len)])
-    return LinearProgram(cost, np.array([a for a, _, _ in rows]),
-                         [s for _, s, _ in rows], [b for _, _, b in rows],
-                         lb, ub)
+    return ConvexQuadraticProgram(cost, 0.0, np.array([a for a, _, _ in rows]),
+                                  [s for _, s, _ in rows],
+                                  [b for _, _, b in rows], lb, ub)
 
 
 def test_zero_power_cap_pins_dispatch_to_zero():
     spec = _spec(power_cap_kw=0.0)
-    rep = solve_lp(_recursion_lp(spec, 2, 1.0, np.full(4, -1.0)))
+    rep = solve_qp(_recursion_lp(spec, 2, 1.0, np.full(4, -1.0)), tol=1e-8)
     assert rep.status == "optimal"
     np.testing.assert_allclose(rep.x[:4], 0.0, atol=1e-9)
 
@@ -272,7 +272,7 @@ def test_lossless_cyclic_balances_charge_and_discharge():
     spec = StorageSpec(4.0, 8.0, 1.0, cyclic=True)
     rng = np.random.default_rng(47)
     for _ in range(20):
-        rep = solve_lp(_recursion_lp(spec, 4, 1.0, rng.normal(size=8)))
+        rep = solve_qp(_recursion_lp(spec, 4, 1.0, rng.normal(size=8)), tol=1e-8)
         assert rep.status == "optimal"
         c, d = rep.x[:4], rep.x[4:8]
         assert c.sum() == pytest.approx(d.sum(), abs=1e-7)
