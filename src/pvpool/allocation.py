@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (DomainError, LoadMatrix, RepartitionKey,
-                     probability_problems)
+from .domain import (DomainError, LoadMatrix, RepartitionKey, number_array,
+                     probability_array)
 from .numerics import ProblemBuilder, solve_qp
 from .sizing import investor_profit
 
@@ -151,7 +151,7 @@ def _water_fill(level, cap, target):
 
 def _scenario_key(served, values):
     t_len, n = values.shape
-    served = np.maximum(np.asarray(served, dtype=np.float64), 0.0)
+    served = np.maximum(served, 0.0)
     row_total = values.sum(axis=1)
     target = np.minimum(served, row_total)
 
@@ -189,20 +189,30 @@ def min_variance_key(served_by_scenario, loads, probabilities):
     """Key of repartition minimizing the expected variance of allocations.
 
     loads is one LoadMatrix or (T, n) array shared by every scenario: only
-    the solar is uncertain.  Returns the per-scenario keys, their consumer
-    totals, and the probability-weighted promise.
+    the solar is uncertain, and each scenario's served energy is a vector
+    of one finite entry per load period.  Returns the per-scenario keys,
+    their consumer totals, and the probability-weighted promise.
     """
-    probabilities = np.asarray(probabilities, dtype=np.float64)
-    problems = probability_problems(probabilities)
+    probabilities, problems = probability_array(probabilities)
     if problems:
         raise DomainError(problems)
     n_scen = probabilities.shape[0]
     if len(served_by_scenario) != n_scen:
         raise AllocationError("scenario counts disagree")
-    values = np.asarray(loads.values if isinstance(loads, LoadMatrix)
-                        else loads, dtype=np.float64)
-    if values.ndim != 2:
+    loads = loads.values if isinstance(loads, LoadMatrix) else loads
+    if np.ndim(loads) > 2:
         raise AllocationError("loads must be one (T, n) matrix")
+    values, problems = number_array(loads, "loads", 2, 0.0)
+    served_rows = [number_array(served, f"served_by_scenario[{widx}]", 1)
+                   for widx, served in enumerate(served_by_scenario)]
+    for widx, (row, more) in enumerate(served_rows):
+        if values is not None and row is not None \
+                and row.shape != values.shape[:1]:
+            more = [f"served_by_scenario[{widx}] has {row.shape[0]} entries,"
+                    f" the loads {values.shape[0]} periods"]
+        problems += more
+    if problems:
+        raise DomainError(problems)
 
     keys = []
     allocations = []
@@ -210,7 +220,7 @@ def min_variance_key(served_by_scenario, loads, probabilities):
     promise = np.zeros(values.shape[1])
     for widx in range(n_scen):
         try:
-            rows = _scenario_key(served_by_scenario[widx], values)
+            rows = _scenario_key(served_rows[widx][0], values)
         except AllocationError as exc:
             raise AllocationError(f"scenario {widx}: {exc}") from exc
         key = RepartitionKey(rows)

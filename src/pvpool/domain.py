@@ -9,7 +9,9 @@ values (numbers, lists and tuples, as a JSON file gives them) as well as
 NumPy scalars and arrays, so a value read from a config file meets the same
 rule as one built in code; `io` checks only the file's shape and names the
 file in the error.  A number is finite, real and not a bool (`is_number`),
-and each message names the field it is about.
+and each message names the field it is about.  So is every entry of an
+array field (`number_array`), which is stored as a read-only, C-contiguous
+float64 copy; `storage` and `operation` check their numbers here too.
 """
 
 from __future__ import annotations
@@ -52,15 +54,15 @@ def is_count(value):
         and float(value).is_integer() and value >= 1
 
 
-def _nonnegative(value):
+def is_nonnegative(value):
     return is_number(value) and value >= 0
 
 
-def _positive(value):
+def is_positive(value):
     return is_number(value) and value > 0
 
 
-def _rule_problems(obj, rules):
+def rule_problems(obj, rules):
     """One message per field of obj that breaks its rule; rules holds
     (field name, test, what the value must be) triples."""
     return [f"{name} must be {what}, not {getattr(obj, name)!r}"
@@ -76,7 +78,7 @@ def _pair_problems(pairs, name, what):
     problems = [f"{name}[{j}] must be {what}, two nonnegative finite numbers,"
                 f" not {pair!r}" for j, pair in enumerate(pairs)
                 if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                        and all(map(_nonnegative, pair)))]
+                        and all(map(is_nonnegative, pair)))]
     if not problems and any(b[0] <= a[0] for a, b in zip(pairs, pairs[1:])):
         problems.append(f"the first entries of {name} must be strictly increasing")
     return problems
@@ -86,53 +88,91 @@ def _float_pairs(pairs):
     return tuple((float(a), float(b)) for a, b in pairs)
 
 
-def _number_vector(value):
-    """value as a nonempty float64 vector of finite entries, or None.
+_SHAPES = ("a number", "a vector", "a matrix")
 
-    A number is one entry; a list, tuple or ndarray gives its entries, of a
-    numeric dtype, which one vectorized test covers.  A bool is looked for
-    among a list's entries, since NumPy would read it as a number.
+
+def _entry_problem(name, low, high, bad):
+    """The message for an entry `bad` that breaks `number_array`'s rule."""
+    bounds = {(0.0, math.inf): " and nonnegative", (-math.inf, math.inf): ""}
+    what = bounds.get((low, high), f" and in [{low:g}, {high:g}]")
+    where = ""
+    if is_number(bad):
+        where = f"negative {name}: " if bad < 0.0 <= low \
+            else f"{name} out of range: "
+    return f"{where}{name} must be finite{what}, not {bad!r}"
+
+
+def number_array(value, name, ndim, low=-math.inf, high=math.inf):
+    """value as a read-only, C-contiguous float64 array of ndim dimensions,
+    and the problems found; the array is None when there are any.
+
+    A number is a one-entry vector and a vector a one-row matrix, as
+    np.atleast_1d and np.atleast_2d read them; more dimensions are refused.
+    Every entry is a number (`is_number`: no bool, no text), finite and
+    within [low, high], except that an entry less than 1e-9 below low is
+    rounding noise and reads as low.  A number or a numeric ndarray is
+    checked as a whole; anything else, a list or a tuple say, entry by
+    entry.  The array is a copy, so no caller's array or view is kept.
     """
-    if isinstance(value, (list, tuple)) and {bool, np.bool_} & set(map(type, value)):
-        return None
-    try:
-        arr = np.atleast_1d(np.asarray(value))
-    except ValueError:  # a ragged list
-        return None
-    if arr.dtype.kind not in "iuf" or arr.ndim != 1 or not arr.size:
-        return None
-    arr = arr.astype(np.float64, copy=False)
-    return arr if np.isfinite(arr).all() else None
-
-
-def probability_problems(probabilities):
-    """Why a vector is not scenario probabilities, empty if it is: they are
-    a nonempty vector of finite, nonnegative numbers summing to 1 within
-    1e-9."""
-    probs = np.asarray(probabilities, dtype=np.float64)
-    if probs.ndim != 1 or not probs.size:
-        return ["probabilities must be a nonempty vector"]
-    if not np.isfinite(probs).all() or np.any(probs < 0):
-        return ["probabilities must be finite and nonnegative"]
-    return [] if abs(probs.sum() - 1.0) <= 1e-9 else ["probabilities sum != 1"]
-
-
-def _frozen(values, dtype=np.float64):
-    arr = np.array(values, dtype=dtype)
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        arr = np.array(value, dtype=np.float64, order="C")
+    elif isinstance(value, numbers.Real) and not isinstance(value, bool):
+        arr = np.array(float(value))
+    else:
+        try:
+            cells = np.array(value, dtype=object)
+        except ValueError:  # a ragged nesting of arrays
+            return None, [f"{name} must be {_SHAPES[ndim]} of numbers"]
+        odd = {kind for kind in set(map(type, cells.flat))
+               if issubclass(kind, bool) or not issubclass(kind, numbers.Real)}
+        if odd:
+            bad = next(x for x in cells.flat if type(x) in odd)
+            return None, [_entry_problem(name, low, high, bad)]
+        arr = cells.astype(np.float64)
+    if arr.ndim > ndim:
+        return None, [f"{name} must be {_SHAPES[ndim]},"
+                      f" not an array of shape {arr.shape}"]
+    arr = arr.reshape((1,) * (ndim - arr.ndim) + arr.shape)
+    if arr.size:
+        # NaN and infinity reach the extremes, so two reductions see all
+        lowest, highest = float(arr.min()), float(arr.max())
+        if not (math.isfinite(lowest) and math.isfinite(highest)
+                and lowest >= low - _NONNEG_TOL and highest <= high):
+            nonfinite = arr[~np.isfinite(arr)]
+            if nonfinite.size:
+                bad = float(nonfinite[0])
+            else:
+                bad = lowest if lowest < low - _NONNEG_TOL else highest
+            return None, [_entry_problem(name, low, high, bad)]
+        if lowest <= low:
+            np.maximum(arr, low, out=arr)
     arr.setflags(write=False)
-    return arr
+    return arr, []
 
 
-def _clamped_nonneg(values, what):
-    """Copy, reject genuine negatives, zero out rounding noise."""
-    arr = np.array(values, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise DomainError(f"{what} entries must be finite")
-    if np.any(arr < -_NONNEG_TOL):
-        raise DomainError(f"{what} entries must be nonnegative")
-    np.maximum(arr, 0.0, out=arr)
-    arr.setflags(write=False)
-    return arr
+def store_numbers(obj, fields):
+    """Check each (field, ndim[, low[, high]]) of obj with `number_array`,
+    named as the field, and store what passes: an array, or a float for
+    ndim 0.  Returns the problems."""
+    problems = []
+    for name, ndim, *bounds in fields:
+        arr, more = number_array(getattr(obj, name), name, ndim, *bounds)
+        problems += more
+        if arr is not None:
+            object.__setattr__(obj, name, float(arr) if ndim == 0 else arr)
+    return problems
+
+
+def probability_array(probabilities):
+    """Scenario probabilities as a `number_array` vector and why they are
+    not, empty if they are: a nonempty vector of finite, nonnegative
+    numbers summing to 1 within 1e-9."""
+    probs, problems = number_array(probabilities, "probabilities", 1, 0.0)
+    if problems or probs.size == 0:
+        return None, problems or ["probabilities must be a nonempty vector"]
+    if abs(probs.sum() - 1.0) > 1e-9:
+        return None, ["probabilities sum != 1"]
+    return probs, []
 
 
 @dataclass(frozen=True)
@@ -144,8 +184,8 @@ class TimeGrid:
     periods_per_year: int = 17520  # 30-minute metering intervals
 
     def __post_init__(self):
-        problems = _rule_problems(self, (
-            ("delta_hours", _positive, "a positive number of hours"),
+        problems = rule_problems(self, (
+            ("delta_hours", is_positive, "a positive number of hours"),
             ("num_periods", is_count, "a positive integer"),
             ("periods_per_year", is_count, "a positive integer")))
         if problems:
@@ -153,22 +193,6 @@ class TimeGrid:
         object.__setattr__(self, "delta_hours", float(self.delta_hours))
         object.__setattr__(self, "num_periods", int(self.num_periods))
         object.__setattr__(self, "periods_per_year", int(self.periods_per_year))
-
-
-def _load_problems(values, consumer_ids):
-    problems = []
-    if values.ndim != 2:
-        problems.append("load values must be a periods x consumers matrix")
-        return problems
-    if len(consumer_ids) != values.shape[1]:
-        problems.append("consumer id count must match load columns")
-    if len(set(consumer_ids)) != len(consumer_ids):
-        problems.append("consumer ids must be unique")
-    if not np.isfinite(values).all():
-        problems.append("load entries must be finite")
-    elif np.any(values < 0):
-        problems.append("negative load")
-    return problems
 
 
 @dataclass(frozen=True)
@@ -179,12 +203,15 @@ class LoadMatrix:
     consumer_ids: tuple
 
     def __post_init__(self):
-        values = np.atleast_2d(np.asarray(self.values, dtype=np.float64))
+        values, problems = number_array(self.values, "load values", 2, 0.0)
         ids = tuple(str(c) for c in self.consumer_ids)
-        problems = _load_problems(values, ids)
+        if values is not None and len(ids) != values.shape[1]:
+            problems.append("consumer id count must match load columns")
+        if len(set(ids)) != len(ids):
+            problems.append("consumer ids must be unique")
         if problems:
             raise DomainError(problems)
-        object.__setattr__(self, "values", _frozen(values))
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "consumer_ids", ids)
 
     @property
@@ -200,20 +227,6 @@ class LoadMatrix:
         return self.values.sum(axis=1)
 
 
-def _solar_problems(alphas, probabilities):
-    problems = []
-    if alphas.ndim != 2:
-        problems.append("alphas must be a periods x scenarios matrix")
-        return problems
-    if probabilities.shape != (alphas.shape[1],):
-        problems.append("probability count must match scenario columns")
-    if not np.isfinite(alphas).all():
-        problems.append("alpha entries must be finite")
-    elif np.any(alphas < 0) or np.any(alphas > 1):
-        problems.append("alpha out of range [0, 1]")
-    return problems + probability_problems(probabilities)
-
-
 @dataclass(frozen=True)
 class SolarScenarioSet:
     """Per-unit PV output scenarios (columns) with their probabilities."""
@@ -222,13 +235,15 @@ class SolarScenarioSet:
     probabilities: np.ndarray
 
     def __post_init__(self):
-        alphas = np.atleast_2d(np.asarray(self.alphas, dtype=np.float64))
-        probs = np.atleast_1d(np.asarray(self.probabilities, dtype=np.float64))
-        problems = _solar_problems(alphas, probs)
+        alphas, problems = number_array(self.alphas, "alpha", 2, 0.0, 1.0)
+        probs, more = probability_array(self.probabilities)
+        problems += more
+        if not problems and probs.shape != (alphas.shape[1],):
+            problems.append("probability count must match scenario columns")
         if problems:
             raise DomainError(problems)
-        object.__setattr__(self, "alphas", _frozen(alphas))
-        object.__setattr__(self, "probabilities", _frozen(probs))
+        object.__setattr__(self, "alphas", alphas)
+        object.__setattr__(self, "probabilities", probs)
 
     @property
     def num_periods(self):
@@ -258,25 +273,22 @@ class Tariff:
     local_price: float
 
     def __post_init__(self):
-        series = {name: _number_vector(getattr(self, name)) for name in
-                  ("grid_energy_price", "export_price", "export_tax")}
-        problems = [f"{name} must be a finite number or a nonempty vector of them"
-                    for name, arr in series.items() if arr is None]
-        problems += _rule_problems(self, [
-            (name, _nonnegative, "a nonnegative finite number")
+        series = ("grid_energy_price", "export_price", "export_tax")
+        problems = store_numbers(self, (
+            ("grid_energy_price", 1, 0.0), ("export_price", 1),
+            ("export_tax", 1)))
+        problems += rule_problems(self, [
+            (name, is_nonnegative, "a nonnegative finite number")
             for name in ("fixed_charge", "local_price")])
         if not problems:
-            try:
-                series = dict(zip(series, np.broadcast_arrays(*series.values())))
-            except ValueError:
-                problems.append("tariff vectors must share one length")
-            else:
-                if np.any(series["grid_energy_price"] < 0):
-                    problems.append("grid_energy_price entries must be nonnegative")
+            sizes = {getattr(self, name).size for name in series}
+            if 0 in sizes or len(sizes - {1}) > 1:
+                problems.append("tariff vectors must be nonempty and share one length")
         if problems:
             raise DomainError(problems)
-        for name, arr in series.items():
-            object.__setattr__(self, name, _frozen(arr))
+        for name in series:  # a number applies to every period
+            object.__setattr__(self, name, number_array(np.broadcast_to(
+                getattr(self, name), max(sizes)), name, 1)[0])
         object.__setattr__(self, "fixed_charge", float(self.fixed_charge))
         object.__setattr__(self, "local_price", float(self.local_price))
 
@@ -316,8 +328,8 @@ class SubsidyRule:
     annual: bool = False
 
     def __post_init__(self):
-        problems = _rule_problems(self, (
-            ("rate_per_kw", _nonnegative, "a nonnegative finite number"),
+        problems = rule_problems(self, (
+            ("rate_per_kw", is_nonnegative, "a nonnegative finite number"),
             ("max_capacity_kw", lambda v: isinstance(v, numbers.Real)
              and not isinstance(v, bool) and v >= 0,
              "a nonnegative number or infinity"),
@@ -362,13 +374,13 @@ class TechEconParams:
         if not problems and self.beta_pv_tiers[0][0] != 0:
             problems.append("the first tier of beta_pv_tiers must start at 0 kW")
         costs = ("beta_es", "beta_es_use", "beta_mnt", "grid_connection_cost")
-        problems += _rule_problems(self, [
-            *((name, _nonnegative, "a nonnegative finite number")
+        problems += rule_problems(self, [
+            *((name, is_nonnegative, "a nonnegative finite number")
               for name in (*costs, "discount_rate")),
-            ("kappa", _positive, "a positive finite number"),
+            ("kappa", is_positive, "a positive finite number"),
             ("horizon_years", lambda v: is_count(v) and v <= MAX_HORIZON_YEARS,
              f"a whole number of years from 1 to {MAX_HORIZON_YEARS}"),
-            ("es_roundtrip_efficiency", lambda v: _positive(v) and v <= 1,
+            ("es_roundtrip_efficiency", lambda v: is_positive(v) and v <= 1,
              "a number in (0, 1]"),
             ("subsidy", lambda v: isinstance(v, SubsidyRule), "a SubsidyRule")])
         if problems:
@@ -412,28 +424,27 @@ class SizingDecision:
     es_inverter_cost: float
 
     def __post_init__(self):
-        errors = []
-        for name in ("pv_capacity_kw", "es_power_kw", "es_energy_kwh",
-                     "pv_inverter_capacity_kw", "pv_inverter_cost",
-                     "es_inverter_capacity_kw", "es_inverter_cost"):
-            v = float(getattr(self, name))
-            if not (np.isfinite(v) and v >= -_NONNEG_TOL):
-                errors.append(f"{name} must be nonnegative")
-            object.__setattr__(self, name, max(v, 0.0))
+        errors = rule_problems(self, [
+            (f"{side}_inverter_index",
+             lambda v: v is None or is_number(v) and is_count(v + 1),
+             "None or a whole number >= 0") for side in ("pv", "es")])
+        errors += store_numbers(self, [(name, 0, 0.0) for name in (
+            "pv_capacity_kw", "es_power_kw", "es_energy_kwh",
+            "pv_inverter_capacity_kw", "pv_inverter_cost",
+            "es_inverter_capacity_kw", "es_inverter_cost")])
+        if errors:
+            raise DomainError(errors)
         if self.pv_capacity_kw > self.pv_inverter_capacity_kw + 1e-9:
             errors.append("pv capacity exceeds its inverter rating")
         if self.es_power_kw > self.es_inverter_capacity_kw + 1e-9:
             errors.append("es power exceeds its inverter rating")
         for side in ("pv", "es"):
             idx = getattr(self, f"{side}_inverter_index")
-            if idx is None:
-                if getattr(self, f"{side}_inverter_capacity_kw") != 0.0 \
-                        or getattr(self, f"{side}_inverter_cost") != 0.0:
-                    errors.append(f"null {side} inverter must have zero capacity and cost")
-            elif int(idx) != idx or idx < 0:
-                errors.append(f"{side} inverter index must be None or a nonnegative integer")
-            else:
+            if idx is not None:
                 object.__setattr__(self, f"{side}_inverter_index", int(idx))
+            elif getattr(self, f"{side}_inverter_capacity_kw") != 0.0 \
+                    or getattr(self, f"{side}_inverter_cost") != 0.0:
+                errors.append(f"null {side} inverter must have zero capacity and cost")
         if errors:
             raise DomainError(errors)
 
@@ -463,9 +474,9 @@ class DispatchSeries:
     def __post_init__(self):
         fields = ("charge", "discharge", "pv_gen", "grid_import", "surplus",
                   "to_consumers", "soc")
-        for name in fields:
-            arr = _clamped_nonneg(np.atleast_1d(getattr(self, name)), name)
-            object.__setattr__(self, name, arr)
+        problems = store_numbers(self, [(name, 1, 0.0) for name in fields])
+        if problems:
+            raise DomainError(problems)
         t = self.charge.shape[0]
         same = all(getattr(self, n).shape == (t,) for n in fields[:-1])
         if not same or self.soc.shape != (t + 1,):
@@ -506,9 +517,10 @@ class RepartitionKey:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.atleast_2d(np.asarray(self.values, dtype=np.float64))
-        arr = _clamped_nonneg(values, "key")
-        object.__setattr__(self, "values", arr)
+        values, problems = number_array(self.values, "key values", 2, 0.0)
+        if problems:
+            raise DomainError(problems)
+        object.__setattr__(self, "values", values)
 
     @property
     def num_periods(self):
@@ -556,21 +568,15 @@ class RealizedTrajectory:
     loads: np.ndarray
 
     def __post_init__(self):
-        alphas = np.atleast_1d(np.asarray(self.alphas, dtype=np.float64))
-        loads = np.atleast_2d(np.asarray(self.loads, dtype=np.float64))
-        errors = []
-        if alphas.ndim != 1:
-            errors.append("realized alphas must be a vector")
-        elif not np.isfinite(alphas).all() or np.any(alphas < 0) or np.any(alphas > 1):
-            errors.append("alpha out of range [0, 1]")
-        if not np.isfinite(loads).all() or np.any(loads < 0):
-            errors.append("negative load")
-        if loads.shape[0] != alphas.shape[0]:
+        alphas, errors = number_array(self.alphas, "realized alpha", 1, 0.0, 1.0)
+        loads, more = number_array(self.loads, "realized loads", 2, 0.0)
+        errors += more
+        if not errors and loads.shape[0] != alphas.shape[0]:
             errors.append("realized loads and alphas must share one length")
         if errors:
             raise DomainError(errors)
-        object.__setattr__(self, "alphas", _frozen(alphas))
-        object.__setattr__(self, "loads", _frozen(loads))
+        object.__setattr__(self, "alphas", alphas)
+        object.__setattr__(self, "loads", loads)
 
     @property
     def num_periods(self):

@@ -39,6 +39,7 @@ from .domain import (
     Tariff,
     TechEconParams,
     TimeGrid,
+    is_count,
     validate_inputs,
 )
 from .operation import HorizonConfig
@@ -286,8 +287,7 @@ def load_plan_json(path, digest, bundle):
         economics = SizingEconomics(**{k: float(v) for k, v in
                                        payload["economics"].items()})
         dispatches = tuple(
-            DispatchSeries(**{name: np.array(values, dtype=np.float64)
-                              for name, values in d.items()})
+            DispatchSeries(**d)
             for d in payload["dispatches"])
         probabilities = np.array(payload["probabilities"], dtype=np.float64)
         objective = float(payload["objective"])
@@ -580,8 +580,13 @@ def generate_synthetic(seed, num_consumers, days, num_scenarios=10):
     one generator in fixed order, so changing any count also changes later
     draws.
     """
-    if num_consumers < 1 or days < 1 or num_scenarios < 1:
-        raise ValueError("need at least one consumer, day, and scenario")
+    counts = {"num_consumers": num_consumers, "days": days,
+              "num_scenarios": num_scenarios}
+    for name, count in counts.items():
+        if not is_count(count):
+            raise ValueError(f"{name} must be a whole number >= 1,"
+                             f" not {count!r}")
+    num_consumers, days, num_scenarios = map(int, counts.values())
     rng = np.random.default_rng(seed)
     t_total = PERIODS_PER_DAY * days
     hours = (np.arange(PERIODS_PER_DAY) + 0.5) * 0.5

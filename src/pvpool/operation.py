@@ -42,8 +42,9 @@ from functools import lru_cache
 import numpy as np
 
 from .allocation import _repair_rows, _water_fill
-from .domain import (DispatchSeries, DomainError, is_count, is_number,
-                     probability_problems)
+from .domain import (DispatchSeries, DomainError, is_count, is_nonnegative,
+                     is_positive, number_array, probability_array,
+                     rule_problems, store_numbers)
 from .numerics import ConvexQuadraticProgram, ProblemBuilder, solve_qp
 from .sizing import dispatch_costs, pv_production, split_flows
 from .storage import StorageSpec, realize, recursion_rows
@@ -71,14 +72,12 @@ class HorizonConfig:
     theta: float = 1.0
 
     def __post_init__(self, control_periods):
-        errors = []
+        errors = rule_problems(self, (
+            ("prediction_periods", is_count, "a positive integer"),
+            ("theta", is_nonnegative, "a nonnegative finite weight")))
         if isinstance(control_periods, bool) or control_periods != 1:
             errors.append("control_periods must be 1: each control step"
                           " implements one period")
-        if not is_count(self.prediction_periods):
-            errors.append("prediction_periods must be a positive integer")
-        if not (is_number(self.theta) and self.theta >= 0):
-            errors.append("theta must be a nonnegative finite weight")
         if errors:
             raise DomainError(errors)
         object.__setattr__(self, "prediction_periods",
@@ -101,26 +100,13 @@ class OperationState:
     e_future: np.ndarray
 
     def __post_init__(self):
-        errors = []
-        if not (is_number(self.soc_kwh) and self.soc_kwh >= -1e-9):
-            errors.append("soc_kwh must be a nonnegative number")
-        n = None
-        for name in ("e_past", "promise", "e_future"):
-            arr = np.atleast_1d(np.asarray(getattr(self, name),
-                                           dtype=np.float64)).copy()
-            if not np.isfinite(arr).all():
-                errors.append(f"{name} entries must be finite")
-            if n is None:
-                n = arr.shape[0]
-            elif arr.shape != (n,):
-                errors.append("state vectors must share one length")
-            object.__setattr__(self, name, arr)
-        if np.any(self.e_past < -1e-9):
-            errors.append("e_past must be nonnegative")
+        errors = store_numbers(self, (("soc_kwh", 0, 0.0), ("e_past", 1, 0.0),
+                                      ("promise", 1), ("e_future", 1)))
+        if not errors and not (self.e_past.shape == self.promise.shape
+                               == self.e_future.shape):
+            errors.append("state vectors must share one length")
         if errors:
             raise DomainError(errors)
-        object.__setattr__(self, "soc_kwh", max(float(self.soc_kwh), 0.0))
-        object.__setattr__(self, "e_past", np.maximum(self.e_past, 0.0))
 
     @property
     def num_consumers(self):
@@ -148,42 +134,33 @@ class HorizonWindow:
     export_tax: np.ndarray
 
     def __post_init__(self):
-        for name in ("tail_loads", "tail_gen"):
-            arr = np.atleast_2d(np.asarray(getattr(self, name),
-                                           dtype=np.float64))
-            object.__setattr__(self, name, arr)
-        for name in ("head_loads", "probabilities", "grid_price",
-                     "export_price", "export_tax"):
-            arr = np.atleast_1d(np.asarray(getattr(self, name),
-                                           dtype=np.float64))
-            object.__setattr__(self, name, arr)
-        if self.head_loads.ndim != 1 or np.ndim(self.head_gen) != 0:
+        if np.ndim(self.head_loads) > 1 or np.ndim(self.head_gen) != 0:
             raise DomainError("the head is one period: a load row, a forecast")
-        object.__setattr__(self, "head_gen", float(self.head_gen))
-        errors = []
-        if not (is_number(self.delta_hours) and self.delta_hours > 0):
-            errors.append("delta_hours must be a positive number")
-        n = self.head_loads.shape[0]
+        errors = rule_problems(self, (
+            ("delta_hours", is_positive, "a positive number"),))
+        errors += store_numbers(self, (
+            ("head_loads", 1, 0.0), ("head_gen", 0, 0.0),
+            ("tail_loads", 2, 0.0), ("tail_gen", 2, 0.0),
+            ("grid_price", 1, 0.0), ("export_price", 1), ("export_tax", 1)))
+        probabilities, more = probability_array(self.probabilities)
+        if errors or more:
+            raise DomainError(errors + more)
+        object.__setattr__(self, "probabilities", probabilities)
+        object.__setattr__(self, "delta_hours", float(self.delta_hours))
+        n, w = self.head_loads.shape[0], probabilities.shape[0]
         tt = self.tail_loads.shape[0] if self.tail_loads.size else 0
         if tt and self.tail_loads.shape[1] != n:
             errors.append("tail_loads consumer count must match the head")
-        if tt and self.tail_gen.shape != (tt, self.probabilities.shape[0]):
+        if tt and self.tail_gen.shape != (tt, w):
             errors.append("tail_gen must be periods x scenarios")
         for name in ("grid_price", "export_price", "export_tax"):
             if getattr(self, name).shape != (1 + tt,):
                 errors.append(f"{name} must span head plus tail")
-        for name in ("head_loads", "head_gen", "tail_loads", "tail_gen"):
-            arr = np.asarray(getattr(self, name))
-            if arr.size and (not np.isfinite(arr).all() or arr.min() < 0):
-                errors.append(f"{name} entries must be finite and nonnegative")
-        errors += probability_problems(self.probabilities)
         if errors:
             raise DomainError(errors)
-        object.__setattr__(self, "delta_hours", float(self.delta_hours))
         if not tt:  # no tail: (0, n) loads and (0, scenarios) generation
-            object.__setattr__(self, "tail_loads", np.zeros((0, n)))
-            object.__setattr__(self, "tail_gen",
-                               np.zeros((0, self.probabilities.size)))
+            object.__setattr__(self, "tail_loads", self.tail_loads.reshape(0, n))
+            object.__setattr__(self, "tail_gen", self.tail_gen.reshape(0, w))
 
     @property
     def tail_periods(self):
@@ -450,15 +427,16 @@ def settle(served, realized_loads, level):
     realized_loads one finite, nonnegative row of its length.  Returns the
     row.
     """
-    level = np.asarray(level, dtype=np.float64)
-    if not (is_number(served) and np.isfinite(level).all()):
-        raise DomainError("settle needs a finite number as served energy"
-                          " and a finite level")
-    loads = np.asarray(realized_loads, dtype=np.float64)
-    if loads.ndim != 1 or loads.shape != level.shape \
-            or not np.isfinite(loads).all() or np.any(loads < 0.0):
-        raise DomainError("settle needs realized_loads as one finite,"
-                          " nonnegative row of the level's length")
+    served, errors = number_array(served, "served", 0)
+    level, more = number_array(level, "level", 1)
+    errors += more
+    loads, more = number_array(realized_loads, "realized_loads", 1, 0.0)
+    errors += more
+    if not errors and loads.shape != level.shape:
+        errors.append("realized_loads must be one row of the level's length")
+    if errors:
+        raise DomainError(errors)
+    served = float(served)
     raw = _water_fill(level, loads,
                       min(max(served, 0.0), loads.sum()))
     return _repair_rows(raw[None, :], served, loads[None, :])[0]

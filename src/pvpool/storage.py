@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DomainError
+from .domain import DomainError, is_nonnegative, is_positive, rule_problems
 
 START_FRACTION = 0.5  # the battery starts, and a cyclic plan ends, half full
 _CYCLIC_TOL = 1e-8
@@ -42,18 +42,16 @@ class StorageSpec:
     cyclic: bool = True
 
     def __post_init__(self):
-        errors = []
-        if not (np.isfinite(self.power_cap_kw) and self.power_cap_kw >= 0):
-            errors.append("power cap must be nonnegative")
-        if not (np.isfinite(self.energy_cap_kwh) and self.energy_cap_kwh >= 0):
-            errors.append("energy cap must be nonnegative")
-        if not (0 < self.efficiency <= 1):
-            errors.append("efficiency must lie in (0, 1]")
+        errors = rule_problems(self, (
+            ("power_cap_kw", is_nonnegative, "a nonnegative finite number"),
+            ("energy_cap_kwh", is_nonnegative, "a nonnegative finite number"),
+            ("efficiency", lambda v: is_positive(v) and v <= 1,
+             "a number in (0, 1]"),
+            ("cyclic", lambda v: isinstance(v, bool), "a bool")))
         if errors:
             raise DomainError(errors)
         for name in ("power_cap_kw", "energy_cap_kwh", "efficiency"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        object.__setattr__(self, "cyclic", bool(self.cyclic))
 
     @classmethod
     def from_sizing(cls, decision, params, **kwargs):

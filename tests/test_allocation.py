@@ -339,6 +339,22 @@ def test_min_variance_refuses_bad_probabilities(served, probs, match):
         min_variance_key(served, [[1.0, 2.0], [0.5, 0.5]], probs)
 
 
+@pytest.mark.parametrize("served, loads, match", [
+    ([np.ones(3)], np.ones((4, 2)), r"served_by_scenario\[0\]"),
+    ([np.ones((4, 1))], np.ones((4, 2)), r"served_by_scenario\[0\]"),
+    ([np.ones(4), [1.0, np.nan, 1.0, 1.0]], np.ones((4, 2)),
+     r"served_by_scenario\[1\]"),
+    ([np.ones(4)], [[1.0, 1.0]] * 3 + [[np.nan, 1.0]], "loads"),
+], ids=["short-row", "column-row", "nan-served", "nan-load"])
+def test_min_variance_refuses_bad_served_rows_and_loads(served, loads, match):
+    # each served row is a finite vector with one entry per load period
+    # and the loads are a load matrix: a short row once raised a raw
+    # broadcast error, a column an IndexError, and a NaN a solver error
+    probs = np.full(len(served), 1.0 / len(served))
+    with pytest.raises(DomainError, match=match):
+        min_variance_key(served, loads, probs)
+
+
 def test_zero_load_consumer_gets_nothing():
     values = np.array([[2.0, 0.0, 3.0], [1.0, 0.0, 1.0]])
     loads = LoadMatrix(values, ("a", "b", "c"))

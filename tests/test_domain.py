@@ -22,6 +22,8 @@ from pvpool.domain import (
     check_key,
     validate_inputs,
 )
+from pvpool.operation import HorizonWindow, OperationState, settle
+from pvpool.storage import StorageSpec
 
 
 def _grid(t=4):
@@ -223,3 +225,119 @@ def test_repartition_key_clamps_rounding_noise():
     key = RepartitionKey(np.array([[1.0, -1e-12]]))
     assert key.values[0, 1] == 0.0
     assert key.values.sum(axis=0)[0] == pytest.approx(1.0)
+
+
+def _field_bases():
+    """One valid value of every numeric field of the types that take numbers
+    from outside the program, by builder: the base keyword arguments, and
+    the name a message gives a field where it is not the field's own."""
+    t2, m22 = np.zeros(2), np.ones((2, 2))
+    return [
+        (LoadMatrix, dict(values=m22, consumer_ids=("a", "b")),
+         {"values": "load values"}),
+        (SolarScenarioSet, dict(alphas=np.full((2, 2), 0.5),
+                                probabilities=np.full(2, 0.5)),
+         {"alphas": "alpha"}),
+        (Tariff, dict(grid_energy_price=np.full(2, 0.13), fixed_charge=0.0,
+                      export_price=np.full(2, 0.06), export_tax=t2,
+                      local_price=0.1), {}),
+        (RealizedTrajectory, dict(alphas=np.full(2, 0.5), loads=m22),
+         {"alphas": "realized alpha", "loads": "realized loads"}),
+        (DispatchSeries, dict(charge=t2, discharge=t2, pv_gen=t2,
+                              grid_import=t2, surplus=t2, to_consumers=t2,
+                              soc=np.zeros(3)), {}),
+        (RepartitionKey, dict(values=m22), {"values": "key values"}),
+        (SizingDecision, dict(pv_capacity_kw=10.0, es_power_kw=1.0,
+                              es_energy_kwh=2.0, pv_inverter_index=0,
+                              pv_inverter_capacity_kw=50.0,
+                              pv_inverter_cost=3600.0, es_inverter_index=1,
+                              es_inverter_capacity_kw=4.0,
+                              es_inverter_cost=288.0), {}),
+        (StorageSpec, dict(power_cap_kw=1.0, energy_cap_kwh=2.0,
+                           efficiency=0.9), {}),
+        (OperationState, dict(soc_kwh=1.0, e_past=t2, promise=np.ones(2),
+                              e_future=t2), {}),
+        (HorizonWindow, dict(delta_hours=0.5, head_loads=np.ones(2),
+                             head_gen=0.5, tail_loads=np.ones((1, 2)),
+                             tail_gen=np.full((1, 2), 0.5),
+                             probabilities=np.full(2, 0.5),
+                             grid_price=np.full(2, 0.13),
+                             export_price=np.full(2, 0.06), export_tax=t2),
+         {}),
+        (settle, dict(served=1.0, realized_loads=np.ones(2), level=t2), {}),
+    ]
+
+
+def _not_numbers(base):
+    """What a field must refuse: True, a numeric string and NaN; for an
+    array field also a list holding a string or a bool, and a NaN entry."""
+    yield "True", True
+    yield "str", "1.5"
+    if not isinstance(base, np.ndarray):
+        yield "nan", np.nan
+        return
+    for kind, bad in (("str-entry", "1.5"), ("bool-entry", True)):
+        entries = base.tolist()
+        row = entries
+        while isinstance(row[0], list):
+            row = row[0]
+        row[0] = bad
+        yield kind, entries
+    nan_entry = base.copy()
+    nan_entry.flat[0] = np.nan
+    yield "nan-entry", nan_entry
+
+
+_NOT_NUMBER_CASES = [
+    pytest.param(build, base, field, labels.get(field, field), bad,
+                 id=f"{build.__name__}.{field}-{kind}")
+    for build, base, labels in _field_bases() for field in base
+    if field != "consumer_ids" for kind, bad in _not_numbers(base[field])]
+
+
+@pytest.mark.parametrize("build, base, field, label, bad", _NOT_NUMBER_CASES)
+def test_every_numeric_field_refuses_what_is_not_a_number(build, base, field,
+                                                          label, bad):
+    # one rule for every number that comes from outside: a bool or a
+    # string never stands in for a number, in a list or alone, nor a NaN
+    # for a finite value, and the message names the field
+    build(**base)
+    with pytest.raises(DomainError, match=re.escape(label)):
+        build(**{**base, field: bad})
+
+
+def test_stored_arrays_are_read_only_contiguous_copies():
+    # a caller's array, view or list is copied into a read-only,
+    # C-contiguous array: a stride-0 broadcast view rounds a product
+    # differently from a contiguous copy
+    prices = np.broadcast_to(np.array(0.13), (4,))
+    tariff = Tariff(prices, 0.0, 0.06, [0.0] * 4, 0.1)
+    loads = np.ones((4, 3))
+    matrix = LoadMatrix(loads[:, ::2], ("a", "b"))
+    state = OperationState(1.0, loads[0, ::2], [1.0, 1.0], loads.T[0, :2])
+    window = HorizonWindow(0.5, loads[0, ::2], 0.5, [], [], [1.0], [0.13],
+                           prices[:1], [0.0])
+    stored = [tariff.grid_energy_price, tariff.export_price,
+              tariff.export_tax, matrix.values,
+              RepartitionKey(loads.T).values,
+              SolarScenarioSet([[0.5, 0.5]], (0.5, 0.5)).probabilities,
+              state.e_past, state.promise, state.e_future,
+              *(getattr(window, name) for name in (
+                  "head_loads", "tail_loads", "tail_gen", "probabilities",
+                  "grid_price", "export_price", "export_tax"))]
+    for arr in stored:
+        assert arr.flags.c_contiguous and not arr.flags.writeable
+        assert arr.base is None or not np.shares_memory(arr, loads)
+    assert tariff.export_price.tolist() == [0.06] * 4
+    loads[0, 0] = 5.0
+    assert matrix.values[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("values", [
+    [[1.0], [1.0, 2.0]], [np.ones((2, 2)), np.ones((2, 3))]],
+    ids=["ragged-lists", "ragged-arrays"])
+def test_ragged_arrays_are_refused(values):
+    # a ragged nesting is no matrix, whether NumPy makes rows of lists of
+    # it or cannot make an array at all
+    with pytest.raises(DomainError, match="load values"):
+        LoadMatrix(values, ("a", "b"))

@@ -247,6 +247,15 @@ def test_generate_synthetic_loads_nonnegative_diurnal():
 def test_generate_synthetic_rejects_empty():
     with pytest.raises(ValueError):
         generate_synthetic(0, 0, 1)
+    # a count is a whole number given as a number: 2.5 consumers and "2"
+    # days once raised NumPy TypeErrors, and so did 1.0 day
+    for args, name in (((0, 2.5, 1, 1), "num_consumers"),
+                       ((0, 2, "2", 1), "days"),
+                       ((0, 2, 1, True), "num_scenarios")):
+        with pytest.raises(ValueError, match=name):
+            generate_synthetic(*args)
+    whole = generate_synthetic(0, 2, 1.0, 1)[0].values
+    assert whole.tobytes() == generate_synthetic(0, 2, 1, 1)[0].values.tobytes()
 
 
 # ---------------------------------------------------------------------------

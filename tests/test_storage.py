@@ -285,3 +285,12 @@ def test_spec_validation():
         StorageSpec(1.0, 5.0, efficiency=1.2)
     with pytest.raises(DomainError):
         StorageSpec(1.0, 5.0, efficiency=0.0)
+
+
+@pytest.mark.parametrize("cyclic", [1, "yes", np.nan, np.bool_(True)],
+                         ids=["int", "str", "nan", "numpy-bool"])
+def test_spec_cyclic_is_a_bool(cyclic):
+    # cyclic is a bool, as SubsidyRule.annual is: 1 or "yes" once read as
+    # True and NaN as a cyclic battery
+    with pytest.raises(DomainError, match="cyclic"):
+        StorageSpec(1.0, 5.0, 0.9, cyclic=cyclic)
