@@ -40,6 +40,8 @@ from .domain import (
     TechEconParams,
     TimeGrid,
     is_count,
+    is_number,
+    number_array,
     validate_inputs,
 )
 from .operation import HorizonConfig
@@ -284,17 +286,24 @@ def load_plan_json(path, digest, bundle):
     scen, t_len = bundle.scenarios, bundle.grid.num_periods
     try:
         decision = SizingDecision(**payload["decision"])
-        economics = SizingEconomics(**{k: float(v) for k, v in
-                                       payload["economics"].items()})
+        figures = asdict(SizingEconomics(**payload["economics"]))
+        objective = payload["objective"]
+        probabilities, problems = number_array(payload["probabilities"],
+                                               "probabilities", 1)
         dispatches = tuple(
             DispatchSeries(**d)
             for d in payload["dispatches"])
-        probabilities = np.array(payload["probabilities"], dtype=np.float64)
-        objective = float(payload["objective"])
         flags = tuple(str(f) for f in payload["flags"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataFileError(
             f"{path}: malformed plan: {type(exc).__name__}: {exc}") from exc
+    # every figure is a number by domain's rule: no text, no bool
+    problems += [f"economics.{k} must be a number, not {v!r}"
+                 for k, v in figures.items() if not is_number(v)]
+    if not is_number(objective):
+        problems.append(f"objective must be a number, not {objective!r}")
+    if problems:
+        raise DataFileError(f"{path}: malformed plan: {'; '.join(problems)}")
     if len(dispatches) != scen.num_scenarios \
             or not np.array_equal(probabilities, scen.probabilities):
         raise DataFileError(
@@ -304,8 +313,11 @@ def load_plan_json(path, digest, bundle):
     if any(d.num_periods != t_len for d in dispatches):
         raise DataFileError(
             f"{path}: plan dispatches do not span the {t_len} input periods")
-    return SizingResult(decision, dispatches, scen.probabilities, objective,
-                        economics, flags)
+    return SizingResult(decision, dispatches, scen.probabilities,
+                        float(objective),
+                        SizingEconomics(**{k: float(v)
+                                           for k, v in figures.items()}),
+                        flags)
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,12 @@ tail expectation held fixed, which is zero at theta = 0 (the cost-only
 MPC), or from zero for the greedy rule.  The battery's state of charge
 carries over from what really happened, not from the plan.  The control
 QP's layout is stated once, in `_tree`, whose views every step fills and
-reads by position.  Its matrix and row senses are built once per window
-shape (`_control_pattern`, kept for the last few shapes, so the steps of
-a year share one), and one fill, `_control_qp`, writes every step's costs,
-bounds and right-hand sides, so the objective is stated once, there.  Each
+reads by position.  Its matrix and row senses are built once, for the
+horizon's full window, and cut from it for each shorter window at the end
+of a run (`_control_pattern`, kept for the last few shapes, so the steps
+of a year share one), and one fill, `_control_qp`, writes every step's
+costs, bounds and right-hand sides, so the objective is stated once,
+there.  Each
 step after the first restarts its solve from the previous solve's
 well-centred primal-dual iterate (`SolveReport.restart`), shifted one
 period (`_shifted_start`): `run_year` hands each `ControlDecision.plan` to
@@ -134,12 +136,14 @@ class HorizonWindow:
     export_tax: np.ndarray
 
     def __post_init__(self):
-        if np.ndim(self.head_loads) > 1 or np.ndim(self.head_gen) != 0:
-            raise DomainError("the head is one period: a load row, a forecast")
         errors = rule_problems(self, (
             ("delta_hours", is_positive, "a positive number"),))
-        errors += store_numbers(self, (
-            ("head_loads", 1, 0.0), ("head_gen", 0, 0.0),
+        # number_array refuses a head of more dimensions, or a ragged one
+        head = store_numbers(self, (("head_loads", 1, 0.0),
+                                    ("head_gen", 0, 0.0)))
+        if head:
+            errors.append("the head is one period: a load row, a forecast")
+        errors += head + store_numbers(self, (
             ("tail_loads", 2, 0.0), ("tail_gen", 2, 0.0),
             ("grid_price", 1, 0.0), ("export_price", 1), ("export_tax", 1)))
         probabilities, more = probability_array(self.probabilities)
@@ -211,8 +215,23 @@ def _tree(vec, fields, per, tail, scenarios):
             tails[:, fields * tail:].reshape(scenarios, tail, per), vec[end:])
 
 
+def _cut(size, fields, per, longest, tail, scenarios):
+    """The entries of a `longest`-period window's control-QP vector of
+    `size` that a `tail`-period window of the same tree keeps, as indices
+    in that window's `_tree` layout: the head, each scenario's first
+    `tail` periods and the tracking part."""
+    full = _tree(np.arange(size), fields, per, longest, scenarios)
+    cut = np.empty(size - (fields + per) * scenarios * (longest - tail),
+                   dtype=np.int64)
+    head, split, tails, splits, track = _tree(cut, fields, per, tail,
+                                              scenarios)
+    head[:], split[:], track[:] = full[0], full[1], full[4]
+    tails[:], splits[:] = full[2][:, :, :tail], full[3][:, :tail]
+    return cut
+
+
 @lru_cache(maxsize=8)
-def _control_pattern(n, tail, probabilities, eta, tracked):
+def _control_pattern(n, tail, probabilities, eta, tracked, longest):
     """The control QP of one window shape, without its data.
 
     The shape is all that enters the matrix: n, the tail length, the
@@ -221,10 +240,22 @@ def _control_pattern(n, tail, probabilities, eta, tracked):
     `_tree` reads them: each branch of the scenario tree has its balance
     rows, its SoC recursion (`storage.recursion_rows`, a tail's from the
     head's SoC variable) and, when tracked, its served-energy rows; one
-    tracking row per consumer follows.  Returns a QP whose vectors are
-    placeholders.
+    tracking row per consumer follows.  Only the `longest` tail, the
+    horizon's, is built; a shorter window, as at the end of a run, is that
+    QP restricted to its rows and columns (`_cut`): a tail's rows and
+    variables reach only the periods before them and the head.  Returns a
+    QP whose vectors are placeholders.
     """
-    per, w = n if tracked else 0, len(probabilities) if tail else 0
+    per, w = n if tracked else 0, len(probabilities)
+    if tail < longest:
+        full = _control_pattern(n, longest, probabilities, eta, tracked,
+                                longest)
+        cols = _cut(full.c.shape[0], 5, per, longest, tail, w)
+        rows = _cut(full.rhs.shape[0], 2 + tracked, 0, longest, tail, w)
+        return ConvexQuadraticProgram(
+            full.c[cols], full.q_diag[cols], full.a[rows][:, cols],
+            full.senses[rows], full.rhs[rows], full.lb[cols], full.ub[cols])
+    w = w if tail else 0
     pb = ProblemBuilder()
     head, split, tails, splits, deliver = _tree(
         pb.add_vars((5 + per) * (1 + w * tail) + per), 5, per, tail, w)
@@ -264,7 +295,8 @@ def _control_qp(state, window, spec, config, beta_es_use):
     prob = window.probabilities[:, None]
     per, tail, w = n if tracked else 0, window.tail_periods, len(prob)
     pattern = _control_pattern(n, tail, tuple(window.probabilities.tolist()),
-                               spec.efficiency, tracked)
+                               spec.efficiency, tracked,
+                               max(tail, config.prediction_periods - 1))
     cap_p = spec.power_cap_kw * window.delta_hours
     cap_e = spec.energy_cap_kwh
     export_net = window.export_tax - window.export_price

@@ -832,6 +832,50 @@ def test_malformed_plan_with_matching_digest_is_an_error(tmp_path, capsys):
     assert "plan.json" in capsys.readouterr().err
 
 
+def test_plan_figures_must_be_numbers(tmp_path, capsys):
+    # a plan whose digest matches but whose figures are text or a bool is
+    # malformed: float() once took "123.5" and True, and allocate priced
+    # the plan from an objective of 1.0
+    out = _gen_dir(tmp_path, seed=19)
+    config = out / "config.json"
+    assert cli_main(["size", "--config", str(config)]) == 0
+    plan_path = out / "plan.json"
+    good = json.loads(plan_path.read_text())
+    digest = good["digest"]
+    bundle = ProjectConfig.from_file(config).load_inputs()[0]
+
+    def text_figure(p):
+        p["economics"]["capex_pv"] = str(p["economics"]["capex_pv"])
+
+    def bool_objective(p):
+        p["objective"] = True
+
+    def both(p):
+        text_figure(p)
+        bool_objective(p)
+
+    def text_probability(p):
+        p["probabilities"][0] = str(p["probabilities"][0])
+
+    for corrupt, names in ((text_figure, ["economics.capex_pv"]),
+                           (bool_objective, ["objective"]),
+                           (both, ["economics.capex_pv", "objective"]),
+                           (text_probability, ["probabilities"])):
+        bad = json.loads(json.dumps(good))
+        corrupt(bad)
+        plan_path.write_text(json.dumps(bad))
+        with pytest.raises(DataFileError, match="plan.json: malformed plan") \
+                as err:
+            load_plan_json(plan_path, digest, bundle)
+        for name in names:
+            assert name in str(err.value), (corrupt, name)
+        capsys.readouterr()
+        assert cli_main(["allocate", "--config", str(config)]) == 1, corrupt
+        err = capsys.readouterr().err
+        assert "error:" in err and names[-1] in err, corrupt
+        assert "Traceback" not in err
+
+
 def test_size_then_allocate_as_separate_processes(tmp_path):
     out = _gen_dir(tmp_path, seed=18)
     config = str(out / "config.json")

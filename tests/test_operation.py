@@ -149,6 +149,19 @@ def test_horizon_window_head_is_one_period():
         _window([1.0, 2.0], [0.5])
 
 
+def test_horizon_window_refuses_a_ragged_head():
+    # NumPy once raised its own ValueError ("inhomogeneous shape") on a
+    # ragged head, before any number check
+    tail, gen = np.zeros((0, 2)), np.zeros((0, 1))
+    prices = (np.full(1, 0.13), np.full(1, 0.05), np.zeros(1))
+    with pytest.raises(DomainError, match="head_loads"):
+        HorizonWindow(0.5, [[1.0], [1.0, 2.0]], 0.5, tail, gen, [1.0],
+                      *prices)
+    with pytest.raises(DomainError, match="head_gen"):
+        HorizonWindow(0.5, [1.0, 2.0], [[0.5], [0.5, 0.5]], tail, gen,
+                      [1.0], *prices)
+
+
 @pytest.mark.parametrize("probs", [(1.5, -0.5), (np.nan, 1.0),
                                    (np.inf, 0.0)])
 def test_horizon_window_refuses_bad_probabilities(probs):
@@ -460,7 +473,9 @@ def test_kept_control_pattern_fills_the_fresh_qp(theta):
     operation._control_pattern.cache_clear()
     kept = [_control_qp(*step, 1e-4) for step in steps]
     info = operation._control_pattern.cache_info()
-    assert (info.misses, info.hits) == (4, 4)  # tails of 3, 2, 1 and 0
+    # tails of 3, 2, 1 and 0; the three shorter ones are cut from the
+    # kept 3-period pattern, a hit each
+    assert (info.misses, info.hits) == (4, 7)
     for step, qp in zip(steps, kept):
         operation._control_pattern.cache_clear()
         fresh = _control_qp(*step, 1e-4)
@@ -493,13 +508,14 @@ def test_control_qp_shares_no_array_with_its_pattern():
 
 def test_year_builds_one_control_pattern_per_window_shape():
     # 96 periods at a 48-period horizon: 49 steps share the full window's
-    # shape, and each of the last 47 has a shorter tail of its own
+    # shape, and each of the last 47 has a shorter tail of its own, cut
+    # from the full window's kept pattern (one more hit each)
     bundle, result, plan = _year_case(t_len=96, n=15, w=3)
     operation._control_pattern.cache_clear()
     run_year(bundle, plan, result.decision, _realization(bundle, 55),
              HorizonConfig(1, 48))
     info = operation._control_pattern.cache_info()
-    assert (info.misses, info.hits) == (48, 48)
+    assert (info.misses, info.hits) == (48, 48 + 47)
 
 
 def _shift_by_loop(x, old_blocks, old_track, blocks, track, weights):
