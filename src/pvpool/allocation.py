@@ -10,7 +10,10 @@ break-even is the root of `sizing.investor_profit`.
 Energy side: the yearly promise to each consumer comes from the key of
 repartition that minimizes the expected variance of allocated energy.  The
 objective is a probability-weighted sum and scenarios share no constraints,
-so each scenario is one independent QP.
+so each scenario is one independent QP.  Its split lies in the box
+[0, loads]; the periods that hand out their whole load or nothing are
+pinned by the solver's presolve (its forcing-row rule, in
+`numerics._Standard`), not here.
 """
 
 from __future__ import annotations
@@ -151,28 +154,14 @@ def _water_fill(level, cap, target):
 
 def _scenario_key(served, values):
     t_len, n = values.shape
-    served = np.maximum(served, 0.0)
-    row_total = values.sum(axis=1)
-    target = np.minimum(served, row_total)
-
-    # surplus periods force the whole row to the loads and zero-served
-    # periods force it to zero; pinning them keeps the QP interior nonempty.
-    # A row whose total load is at most 1e-12 kWh would be both: the empty
-    # pin wins, or lo would exceed hi
-    lo = np.zeros_like(values)
-    hi = values.copy()
-    full = target >= row_total - 1e-12
-    empty = np.where(full, row_total, target) <= 1e-12
-    full &= ~empty
-    lo[full] = values[full]
-    target[full] = row_total[full]
-    hi[empty] = 0.0
-    target[empty] = 0.0
-    # over the split g (lo <= g <= hi) and one free spread_i per consumer:
+    target = np.minimum(np.maximum(served, 0.0), values.sum(axis=1))
+    # over the split g (0 <= g <= loads) and one free spread_i per consumer:
     # row t hands out target_t, then row i ties spread_i to consumer i's
-    # total minus the mean allocation, which the targets fix
+    # total minus the mean allocation, which the targets fix.  Presolve
+    # pins the rows whose target is their whole load (to the loads) or 0
+    # (to 0), which keeps the QP's interior nonempty
     pb = ProblemBuilder()
-    gvars = pb.add_vars(t_len * n, lb=lo.ravel(), ub=hi.ravel())
+    gvars = pb.add_vars(t_len * n, ub=values.ravel())
     spread = pb.add_vars(n, lb=-np.inf, ub=np.inf, qdiag=2.0 / n)
     split = gvars.reshape(t_len, n)
     pb.add_rows(split, 1.0, "==", target)

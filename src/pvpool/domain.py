@@ -112,7 +112,9 @@ def number_array(value, name, ndim, low=-math.inf, high=math.inf):
     within [low, high], except that an entry less than 1e-9 below low is
     rounding noise and reads as low.  A number or a numeric ndarray is
     checked as a whole; anything else, a list or a tuple say, entry by
-    entry.  The array is a copy, so no caller's array or view is kept.
+    entry, and a ragged nesting, whose entries NumPy leaves as lists,
+    tuples or arrays, is refused by its shape.  The array is a copy, so no
+    caller's array or view is kept.
     """
     if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
         arr = np.array(value, dtype=np.float64, order="C")
@@ -121,9 +123,13 @@ def number_array(value, name, ndim, low=-math.inf, high=math.inf):
     else:
         try:
             cells = np.array(value, dtype=object)
-        except ValueError:  # a ragged nesting of arrays
+            kinds = set(map(type, cells.flat))
+        except ValueError:  # a ragged nesting NumPy cannot make an array
+            kinds = {list}
+        # one it can make is an array of lists, tuples or arrays
+        if any(issubclass(kind, (list, tuple, np.ndarray)) for kind in kinds):
             return None, [f"{name} must be {_SHAPES[ndim]} of numbers"]
-        odd = {kind for kind in set(map(type, cells.flat))
+        odd = {kind for kind in kinds
                if issubclass(kind, bool) or not issubclass(kind, numbers.Real)}
         if odd:
             bad = next(x for x in cells.flat if type(x) in odd)

@@ -19,21 +19,26 @@ battery in `storage.realize`, the plan's withheld margin is carried over,
 and `settle` water-fills the metered served energy into one key row
 (`allocation._water_fill`), so settlement solves no QP.  Settlement fills
 from the control step's level, the expected end-of-year mismatch with the
-tail expectation held fixed, which is zero at theta = 0 (the cost-only
+tail expectation held fixed, as the QP's own tracking rows state it
+(deliver less the head's split), which is zero at theta = 0 (the cost-only
 MPC), or from zero for the greedy rule.  The battery's state of charge
-carries over from what really happened, not from the plan.  The control
-QP's layout is stated once, in `_tree`, whose views every step fills and
-reads by position.  Its matrix and row senses are built once, for the
-horizon's full window, and cut from it for each shorter window at the end
-of a run (`_control_pattern`, kept for the last few shapes, so the steps
-of a year share one), and one fill, `_control_qp`, writes every step's
-costs, bounds and right-hand sides, so the objective is stated once,
-there.  Each
-step after the first restarts its solve from the previous solve's
-well-centred primal-dual iterate (`SolveReport.restart`), shifted one
-period (`_shifted_start`): `run_year` hands each `ControlDecision.plan` to
-the next `mpc_step`, and nothing else is kept between steps.  The bill is
-stated once, in `sizing.dispatch_costs`.
+carries over from what really happened, not from the plan.
+
+The control QP's layout is stated once, in `_tree`, whose views every
+step fills and reads by position.  Its matrix and row senses are built
+once, for the horizon's full window (`_control_pattern`, kept for the
+last few shapes, so the steps of a year share one), and one fill,
+`_control_qp`, writes every step's costs, bounds and right-hand sides, so
+the objective is stated once, there.  One period map (`_period_map`)
+cuts each shorter window at the end of a run from the full one, and
+shifts each step's start: every step after the first restarts its solve
+from the previous solve's well-centred primal-dual iterate
+(`SolveReport.restart`), moved one period (`_shifted_start`).  `run_year`
+hands each `ControlDecision.plan` to the next `mpc_step`, and nothing
+else is kept between steps.  A warm-started solve that ends other than
+optimal is solved once more cold, and an `OperationError` names the
+period and both outcomes.  The bill is stated once, in
+`sizing.dispatch_costs`.
 """
 
 from __future__ import annotations
@@ -180,8 +185,10 @@ class ControlDecision:
     export): production the plan exports while consumers import, kept out
     of the local allocation.  level is what `settle` fills the period from,
     the expected end-of-year mismatch per consumer before it (e_past + the
-    tail's expected allocation + e_future - promise), and zero at theta = 0,
-    where nothing is tracked and the period settles alone.  plan is the
+    tail's expected allocation + e_future - promise), where the tail's
+    expected allocation is what the control QP's tracking rows state,
+    deliver - the head's split; it is zero at theta = 0, where nothing is
+    tracked and the period settles alone.  plan is the
     control solve's restart point (x, y, zl, zu), its first iterate within
     a relative gap of 1e-2 (`SolveReport.restart`), which the next step
     starts from; None when the solve kept none.
@@ -215,19 +222,22 @@ def _tree(vec, fields, per, tail, scenarios):
             tails[:, fields * tail:].reshape(scenarios, tail, per), vec[end:])
 
 
-def _cut(size, fields, per, longest, tail, scenarios):
-    """The entries of a `longest`-period window's control-QP vector of
-    `size` that a `tail`-period window of the same tree keeps, as indices
-    in that window's `_tree` layout: the head, each scenario's first
-    `tail` periods and the tracking part."""
-    full = _tree(np.arange(size), fields, per, longest, scenarios)
-    cut = np.empty(size - (fields + per) * scenarios * (longest - tail),
+def _period_map(size, fields, per, old_tail, tail, scenarios, first=0):
+    """Where each entry of a `tail`-period window's control-QP vector comes
+    from in an `old_tail`-period one of `size`, as indices in its `_tree`
+    layout: the head, its split and the tracking part map to themselves,
+    and each branch's period k reads old period min(first + k, old_tail -
+    1).  first is 0 for a cut (the end of a run) and 1 for a shift (the
+    next step's start)."""
+    old = _tree(np.arange(size), fields, per, old_tail, scenarios)
+    new = np.empty(size + (fields + per) * scenarios * (tail - old_tail),
                    dtype=np.int64)
-    head, split, tails, splits, track = _tree(cut, fields, per, tail,
+    head, split, tails, splits, track = _tree(new, fields, per, tail,
                                               scenarios)
-    head[:], split[:], track[:] = full[0], full[1], full[4]
-    tails[:], splits[:] = full[2][:, :, :tail], full[3][:, :tail]
-    return cut
+    k = np.minimum(first + np.arange(tail), old_tail - 1)
+    head[:], split[:], track[:] = old[0], old[1], old[4]
+    tails[:], splits[:] = old[2][:, :, k], old[3][:, k]
+    return new
 
 
 @lru_cache(maxsize=8)
@@ -242,16 +252,16 @@ def _control_pattern(n, tail, probabilities, eta, tracked, longest):
     head's SoC variable) and, when tracked, its served-energy rows; one
     tracking row per consumer follows.  Only the `longest` tail, the
     horizon's, is built; a shorter window, as at the end of a run, is that
-    QP restricted to its rows and columns (`_cut`): a tail's rows and
-    variables reach only the periods before them and the head.  Returns a
+    QP restricted to its rows and columns (`_period_map`): a tail's rows
+    and variables reach only the periods before them and the head.  Returns a
     QP whose vectors are placeholders.
     """
     per, w = n if tracked else 0, len(probabilities)
     if tail < longest:
         full = _control_pattern(n, longest, probabilities, eta, tracked,
                                 longest)
-        cols = _cut(full.c.shape[0], 5, per, longest, tail, w)
-        rows = _cut(full.rhs.shape[0], 2 + tracked, 0, longest, tail, w)
+        cols = _period_map(full.c.shape[0], 5, per, longest, tail, w)
+        rows = _period_map(full.rhs.shape[0], 2 + tracked, 0, longest, tail, w)
         return ConvexQuadraticProgram(
             full.c[cols], full.q_diag[cols], full.a[rows][:, cols],
             full.senses[rows], full.rhs[rows], full.lb[cols], full.ub[cols])
@@ -336,17 +346,17 @@ def _control_qp(state, window, spec, config, beta_es_use):
                                   pattern.senses.copy(), rhs, lb, ub)
 
 
-def _shifted_start(previous, window, tracked, shape):
+def _shifted_start(previous, window, tracked):
     """The previous step's restart point, shifted one period, over this
-    step's QP of `shape` (rows, variables).
+    step's QP.
 
     previous is that step's `ControlDecision.plan`, a point (x, y, zl, zu)
-    whose tail length follows from its length.  Each part is shifted
-    through `_tree`'s views, y by the row fields: each tail's period k + 1
-    becomes period k, and the new last period repeats the old last; the
-    tracking part carries over.  The new head's x is the
-    probability-weighted first period of the old tails, and its
-    multipliers are their sum, since each tail's costs carry its
+    whose tail length, and so this step's sizes, follow from its length.
+    Each part is moved by one `_period_map` (first = 1), y by the row
+    fields: each tail's period k + 1 becomes period k, and the new last
+    period repeats the old last; the tracking part carries over.  The new
+    head's x is the probability-weighted first period of the old tails,
+    and its multipliers are their sum, since each tail's costs carry its
     probability.  Returns None, a cold start, for the first step and for
     a window without a tail.
     """
@@ -359,33 +369,23 @@ def _shifted_start(previous, window, tracked, shape):
     old_rows = (2 + tracked) * (1 + w * old_tail) + per
     if rest or old_tail < 1 or previous[1].shape[0] != old_rows:
         raise DomainError("the previous plan does not fit the window")
-    moved = min(tail, old_tail - 1)  # periods moved forward; the last repeats
 
-    def head_sum(weights, firsts):
-        # sum_s weights_s firsts_s in scenario order from 0.0, as a running
-        # sum: a reduction could sum pairwise
-        terms = np.concatenate([np.zeros((1,) + firsts.shape[1:]),
-                                weights[:, None] * firsts])
-        return np.add.accumulate(terms)[-1]
-
-    def shift(old, size, fields, per, weights):
-        # the new head is the old tails' first period at these weights
-        new = np.empty(size)
-        head, split, tails, splits, track = _tree(new, fields, per, tail, w)
-        _, _, old, old_splits, old_track = _tree(old, fields, per, old_tail, w)
-        tails[:, :, :moved], tails[:, :, moved:] = \
-            old[:, :, 1:moved + 1], old[:, :, -1:]
-        splits[:, :moved], splits[:, moved:] = \
-            old_splits[:, 1:moved + 1], old_splits[:, -1:]
-        head[:] = head_sum(weights, old[:, :, 0])
-        split[:] = head_sum(weights, old_splits[:, 0])
-        track[:] = old_track
+    def shift(old, fields, per, weights):
+        new = old[_period_map(old.shape[0], fields, per, old_tail, tail, w, 1)]
+        # the new head is the old tails' first periods (the plan cut to one
+        # period) at these weights, summed in scenario order from 0.0 as a
+        # running sum: a reduction could sum pairwise
+        width = fields + per
+        cut = _period_map(old.shape[0], fields, per, old_tail, 1, w)
+        firsts = old[cut[width:width * (1 + w)]].reshape(w, width)
+        terms = np.vstack([np.zeros(width), weights[:, None] * firsts])
+        new[:width] = np.add.accumulate(terms)[-1]
         return new
 
     x, y, zl, zu = previous
-    (m, size), ones = shape, np.ones(w)
-    return (shift(x, size, 5, per, probs), shift(y, m, 2 + tracked, 0, ones),
-            shift(zl, size, 5, per, ones), shift(zu, size, 5, per, ones))
+    ones = np.ones(w)
+    return (shift(x, 5, per, probs), shift(y, 2 + tracked, 0, ones),
+            shift(zl, 5, per, ones), shift(zu, 5, per, ones))
 
 
 def mpc_step(state, window, spec, config, beta_es_use=0.0, previous=None):
@@ -403,7 +403,9 @@ def mpc_step(state, window, spec, config, beta_es_use=0.0, previous=None):
     previous is the preceding step's `ControlDecision.plan`, or None.  The
     solve restarts from that primal-dual point shifted one period
     (`_shifted_start`), the rolling horizon's warm start, and starts cold
-    on the first step and on a window without a tail.
+    on the first step and on a window without a tail.  A warm-started
+    solve that ends other than optimal is solved once more cold; an
+    `OperationError` says how each solve started and ended.
     """
     n = window.head_loads.shape[0]
     if state.num_consumers != n:
@@ -414,35 +416,33 @@ def mpc_step(state, window, spec, config, beta_es_use=0.0, previous=None):
     cap_p = spec.power_cap_kw * window.delta_hours
     tracked = config.theta > 0.0
     qp = _control_qp(state, window, spec, config, beta_es_use)
-    start = _shifted_start(previous, window, tracked, qp.a.shape)
+    start = _shifted_start(previous, window, tracked)
 
-    # control accuracy: 1e-6 on kWh-scale decisions is micro-Wh; the tail's
-    # split is repaired to exact feasibility below either way
+    # control accuracy: 1e-6 on kWh-scale decisions is micro-Wh
     rep = solve_qp(qp, tol=1e-6, start=start)
+    tried = []
+    if rep.status != "optimal" and start is not None:
+        # a warm point can block (Gondzio & Grothey, SIAM J. Optim. 2008):
+        # the same QP is solved once more, from the cold start
+        tried, rep = [("warm", rep)], solve_qp(qp, tol=1e-6)
     if rep.status != "optimal":
-        raise OperationError(f"control solve ended {rep.status}")
+        raise OperationError("control solve " + ", then ".join(
+            f"started {how} ended {r.status} after {r.iterations} iterations"
+            for how, r in tried + [("cold", rep)]))
 
     # keep the solver's import/export split: simultaneous buy and sell is a
     # deliberate instrument here (it withholds production from the local
     # allocation when consumers are ahead of the promise), so re-deriving
     # the flows from a complementary split would change the plan
-    (c, d, _, gg, gs), _, tails, splits, _ = _tree(
+    (c, d, _, gg, gs), split, _, _, deliver = _tree(
         rep.x, 5, n if tracked else 0, window.tail_periods,
         window.probabilities.shape[0])
     agg = window.head_loads.sum()
     grid_import = np.clip(gg, 0.0, agg)
-    level = np.zeros(n)
-    if tracked:
-        # the tail hands out its repaired split rows at their
-        # probabilities: one repair over every tail's rows
-        tail_agg = window.tail_loads.sum(axis=1)
-        repaired = _repair_rows(
-            splits.reshape(-1, n),
-            (tail_agg - np.clip(tails[:, 3], 0.0, tail_agg)).ravel(),
-            np.tile(window.tail_loads, (splits.shape[0], 1)))
-        tail_expected = window.probabilities \
-            @ repaired.reshape(splits.shape).sum(axis=1)
-        level = state.e_past + tail_expected + state.e_future - state.promise
+    # the tracking rows state deliver_i = split_i + sum_s p_s sum_t
+    # splits_{s,t,i}: the tail's expected allocation is deliver - split
+    level = (state.e_past + (deliver - split) + state.e_future
+             - state.promise) if tracked else np.zeros(n)
     return ControlDecision(
         charge=np.clip(c, 0.0, cap_p), discharge=np.clip(d, 0.0, cap_p),
         withheld=np.minimum(grid_import, np.maximum(gs, 0.0)),
@@ -584,9 +584,12 @@ def run_year(bundle, plan, decision, realized, config,
                 grid_price=bundle.tariff.grid_energy_price[t:tp_end],
                 export_price=bundle.tariff.export_price[t:tp_end],
                 export_tax=bundle.tariff.export_tax[t:tp_end])
-            ctrl = mpc_step(state, window, spec, config,
-                            beta_es_use=bundle.params.beta_es_use,
-                            previous=previous)
+            try:
+                ctrl = mpc_step(state, window, spec, config,
+                                beta_es_use=bundle.params.beta_es_use,
+                                previous=previous)
+            except OperationError as exc:
+                raise OperationError(f"period {t}: {exc}") from exc
             c_plan, d_plan = ctrl.charge, ctrl.discharge
             withheld, level, previous = ctrl.withheld, ctrl.level, ctrl.plan
 

@@ -8,7 +8,7 @@ from pvpool import allocation
 from pvpool.allocation import (AllocationError, _repair_rows, breakeven_prices,
                                gamma_price_map, min_variance_key, net_benefit)
 from pvpool.domain import DomainError, LoadMatrix, check_key
-from pvpool.numerics import solve_qp
+from pvpool.numerics import _Standard, solve_qp
 from pvpool.sizing import SizingEconomics, SizingResult, investor_profit
 
 from oracles import (assert_same_qp, construct_feasible_key, key_qp_by_rows,
@@ -236,8 +236,12 @@ def capture_qps(monkeypatch, module):
     return seen
 
 
-def test_key_qp_blocks_match_row_loop(monkeypatch):
-    # one 5 x 4 instance with interior, surplus (pinned) and empty periods
+def test_key_qp_box_is_the_loads_and_presolve_pins_full_and_empty_rows(
+        monkeypatch):
+    # one 5 x 4 instance with interior, surplus (full) and empty periods:
+    # the key QP bounds every split by [0, load], and the solver's
+    # presolve pins exactly the full rows, at the loads, and the empty
+    # rows, at 0
     rng = np.random.default_rng(61)
     values = rng.uniform(0.2, 2.0, (5, 4))
     totals = values.sum(axis=1)
@@ -245,10 +249,16 @@ def test_key_qp_blocks_match_row_loop(monkeypatch):
     seen = capture_qps(monkeypatch, allocation)
     min_variance_key([served], values, np.array([1.0]))
     target = np.minimum(served, totals)
-    lo = np.where(target[:, None] >= totals[:, None], values, 0.0)
-    hi = np.where(target[:, None] <= 0.0, 0.0, values)
     assert len(seen) == 1
-    assert_same_qp(seen[0], key_qp_by_rows(lo, hi, target))
+    qp = seen[0]
+    assert_same_qp(qp, key_qp_by_rows(np.zeros_like(values), values, target))
+    std = _Standard(qp.c, qp.q_diag, qp.a, qp.senses, qp.rhs, qp.lb, qp.ub)
+    pinned = std.fixed_mask[:values.size].reshape(values.shape)
+    assert pinned.all(axis=1).tolist() == [False, True, True, True, False]
+    assert not pinned[[0, 4]].any() and not std.fixed_mask[values.size:].any()
+    vals = std.fixed_vals[:values.size].reshape(values.shape)
+    assert vals[1:3].tobytes() == values[1:3].tobytes()
+    assert not vals[3].any()
 
 
 def test_min_variance_matches_active_set_oracle():

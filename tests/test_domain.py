@@ -20,6 +20,7 @@ from pvpool.domain import (
     TimeGrid,
     check_dispatch,
     check_key,
+    number_array,
     validate_inputs,
 )
 from pvpool.operation import HorizonWindow, OperationState, settle
@@ -334,10 +335,14 @@ def test_stored_arrays_are_read_only_contiguous_copies():
 
 
 @pytest.mark.parametrize("values", [
-    [[1.0], [1.0, 2.0]], [np.ones((2, 2)), np.ones((2, 3))]],
-    ids=["ragged-lists", "ragged-arrays"])
+    [[1.0], [1.0, 2.0]], [(1.0,), (1.0, 2.0)], [np.ones(1), np.ones(2)],
+    [np.ones((2, 2)), np.ones((2, 3))]],
+    ids=["ragged-lists", "ragged-tuples", "ragged-vectors", "ragged-arrays"])
 def test_ragged_arrays_are_refused(values):
-    # a ragged nesting is no matrix, whether NumPy makes rows of lists of
-    # it or cannot make an array at all
-    with pytest.raises(DomainError, match="load values"):
+    # a ragged nesting is no matrix, whether NumPy makes an array of lists,
+    # tuples or arrays of it or cannot make an array at all
+    with pytest.raises(DomainError,
+                       match="^load values must be a matrix of numbers$"):
         LoadMatrix(values, ("a", "b"))
+    assert number_array(values, "x", 2) == (
+        None, ["x must be a matrix of numbers"])

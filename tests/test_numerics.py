@@ -1,6 +1,7 @@
 """Solver tests: known optima, oracle cross-checks, status classification."""
 
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1250,3 +1251,32 @@ def test_forced_import_row_is_priced_at_the_grid():
     assert rep.y[0] == pytest.approx(0.13)
     assert rep.zu[0] == pytest.approx(0.0) and rep.zl[1] == pytest.approx(0.07)
     assert _dual_violation(pb.qp(), rep) <= 1e-12
+
+
+def _warm_stall():
+    """A control QP (288 x 763) of a year of the tracking controller, 3
+    consumers and 2 scenarios at seed 0, step 7,583, with the start it was
+    given: the previous step's restart point, shifted one period.  Solved
+    from that start at the control tolerance, it ends iteration_limit after
+    29 iterations; the cold start reaches optimal in 7."""
+    data = np.load(Path(__file__).parent / "data" / "warm_stall_control_qp.npz")
+    a = sp.csr_matrix((data["a_data"], data["a_indices"], data["a_indptr"]),
+                      shape=tuple(data["a_shape"]))
+    qp = ConvexQuadraticProgram(data["c"], data["q_diag"], a, data["senses"],
+                                data["rhs"], data["lb"], data["ub"])
+    return qp, tuple(data[name] for name in ("x", "y", "zl", "zu"))
+
+
+def test_captured_warm_stall_solves_cold():
+    # what the control step's cold retry relies on
+    qp, _ = _warm_stall()
+    assert qp.a.shape == (288, 763)
+    assert solve_qp(qp, tol=1e-6).status == "optimal"
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP items 2 and 15: the warm"
+                   " point blocks, or the separate primal and dual step"
+                   " lengths cycle")
+def test_captured_warm_stall_solves_from_its_start():
+    qp, start = _warm_stall()
+    assert solve_qp(qp, tol=1e-6, start=start).status == "optimal"

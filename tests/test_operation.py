@@ -17,8 +17,9 @@ from pvpool.domain import (DomainError, InputBundle, InverterCatalog,
                            TechEconParams, TimeGrid, check_key)
 from pvpool.numerics import solve_qp
 from pvpool.operation import (ALGORITHMS, ControlDecision, HorizonConfig,
-                              HorizonWindow, OperationState, _control_qp,
-                              _shifted_start, mpc_step, run_year, settle)
+                              HorizonWindow, OperationError, OperationState,
+                              _control_qp, _shifted_start, mpc_step,
+                              run_year, settle)
 from pvpool.sizing import (dispatch_costs, pv_production, solve_sizing,
                            split_flows)
 from pvpool.storage import StorageSpec, check_feasible, realize
@@ -578,7 +579,7 @@ def test_shifted_start_moves_the_plan_one_period(theta):
                 -np.arange(1.0, 1.0 + m) ** 1.25,
                 np.arange(1.0, 1.0 + size) ** 0.5,
                 np.arange(1.0, 1.0 + size) ** 0.75)
-        start = _shifted_start(plan, windows[t], tracked, qp.a.shape)
+        start = _shifted_start(plan, windows[t], tracked)
         wants = [_shift_by_loop(plan[0], old_blocks, old_deliver, blocks,
                                 deliver, probs),
                  _shift_by_loop(plan[1], *rows[t - 1], *rows[t], ones),
@@ -589,12 +590,10 @@ def test_shifted_start_moves_the_plan_one_period(theta):
             assert sorted(want) == list(range(count))  # every entry
             assert part.tolist() == [want[i] for i in range(count)]
     # the first step and a head-only window start cold
-    qp = built[0][0]
-    assert _shifted_start(None, windows[0], tracked, qp.a.shape) is None
+    assert _shifted_start(None, windows[0], tracked) is None
     m, size = built[6][0].a.shape
     previous = (np.zeros(size), np.zeros(m), np.zeros(size), np.zeros(size))
-    assert _shifted_start(previous, windows[7], tracked,
-                          built[7][0].a.shape) is None
+    assert _shifted_start(previous, windows[7], tracked) is None
     # a plan of another layout, or whose y does not fit its x, is refused
     other = list(_rolling_windows(0.6 - theta))[0]
     m, size = control_qp_by_rows(*other, 1e-4)[0].a.shape
@@ -603,42 +602,100 @@ def test_shifted_start_moves_the_plan_one_period(theta):
         plan = (np.zeros(bad[0]), np.zeros(bad[1]), np.zeros(bad[0]),
                 np.zeros(bad[0]))
         with pytest.raises(DomainError, match="previous plan"):
-            _shifted_start(plan, windows[1], tracked, built[1][0].a.shape)
+            _shifted_start(plan, windows[1], tracked)
 
 
-def test_tail_expectation_repairs_every_tail_as_the_loop(monkeypatch):
-    # mpc_step repairs the W tails' split rows in one stacked call; on
-    # random plans (splits outside their loads, imports outside [0, load],
-    # so every repair branch runs) its level must equal, byte for byte, a
-    # repair tail by tail over the reference build's blocks
-    rng = np.random.default_rng(41)
-    captured = []
+def test_level_is_what_the_tracking_rows_state(monkeypatch):
+    # the tracking rows state deliver_i = split_i + sum_s p_s sum_t
+    # splits_{s,t,i}, so the level reads the tail's expected allocation off
+    # the solved QP as deliver - split, byte for byte, over the reference
+    # build's blocks; the tails' splits hand out that much to the solve's
+    # tolerance
+    solved = []
 
-    def random_plan(qp, tol, start=None):
+    def solve(qp, tol, start=None):
+        solved.append(solve_qp(qp, tol=tol, start=start))
+        return solved[-1]
+
+    monkeypatch.setattr(operation, "solve_qp", solve)
+    for state, window, spec, config in _rolling_windows(0.6):
+        level = mpc_step(state, window, spec, config, 1e-4).level
+        x = solved[-1].x
+        _, blocks, deliver = control_qp_by_rows(state, window, spec, config,
+                                                1e-4)
+        tail = x[deliver] - x[blocks[0][5]]
+        want = state.e_past + tail + state.e_future - state.promise
+        assert level.tobytes() == want.tobytes()
+        handed = [x[split].reshape(window.tail_loads.shape).sum(axis=0)
+                  for *_, split in blocks[1:]]
+        expected = window.probabilities @ np.array(handed) if handed \
+            else np.zeros_like(tail)
+        assert np.abs(tail - expected).max() <= 1e-6
+
+
+def _failing_solves(monkeypatch, failing):
+    """Make the control solves of operation whose call numbers (from 0) are
+    in `failing` end iteration_limit, after 29 iterations when started
+    warm and 7 when cold; every other one is solved as it is.  Returns the
+    list of starts they were given."""
+    starts = []
+
+    def solve(qp, tol, start=None):
+        starts.append(start)
         rep = solve_qp(qp, tol=tol, start=start)
-        x = rng.uniform(-1.0, 3.0, rep.x.shape[0])
-        x[rng.random(x.shape[0]) < 0.2] = 0.0
-        captured.append(x)
-        return replace(rep, x=x)
+        if len(starts) - 1 in failing:
+            return replace(rep, status="iteration_limit",
+                           iterations=7 if start is None else 29)
+        return rep
 
-    monkeypatch.setattr(operation, "solve_qp", random_plan)
-    for _ in range(20):
-        for state, window, spec, config in _rolling_windows(0.6):
-            if not window.tail_periods:
-                continue
-            level = mpc_step(state, window, spec, config, 1e-4).level
-            x = captured[-1]
-            _, blocks, _ = control_qp_by_rows(state, window, spec, config,
-                                              1e-4)
-            tail_agg = window.tail_loads.sum(axis=1)
-            per_tail = [_repair_rows(
-                x[split].reshape(window.tail_loads.shape),
-                tail_agg - np.clip(x[imports], 0.0, tail_agg),
-                window.tail_loads).sum(axis=0)
-                for _, _, _, imports, _, split in blocks[1:]]
-            want = state.e_past + window.probabilities @ np.array(per_tail) \
-                + state.e_future - state.promise
-            assert level.tobytes() == want.tobytes()
+    monkeypatch.setattr(operation, "solve_qp", solve)
+    return starts
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.6])
+def test_a_failed_warm_control_solve_is_retried_cold(theta, monkeypatch):
+    # a warm point can block: a warm-started control solve that ends other
+    # than optimal is solved once more from the cold start, and the step
+    # returns what a cold step returns
+    steps = list(_rolling_windows(theta))
+    first = mpc_step(*steps[0], 1e-4)
+    cold = mpc_step(*steps[1], 1e-4)
+    starts = _failing_solves(monkeypatch, {0})
+    retried = mpc_step(*steps[1], 1e-4, previous=first.plan)
+    assert [start is None for start in starts] == [False, True]
+    for name in ("charge", "discharge", "withheld", "served", "level"):
+        assert np.asarray(getattr(retried, name)).tobytes() == \
+            np.asarray(getattr(cold, name)).tobytes(), name
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(retried.plan, cold.plan))
+
+
+def test_a_failed_retry_names_both_solves_and_the_period(monkeypatch):
+    steps = list(_rolling_windows(0.6))
+    first = mpc_step(*steps[0], 1e-4)
+    _failing_solves(monkeypatch, {0, 1})
+    with pytest.raises(OperationError) as info:
+        mpc_step(*steps[1], 1e-4, previous=first.plan)
+    assert str(info.value) == (
+        "control solve started warm ended iteration_limit after 29"
+        " iterations, then started cold ended iteration_limit after 7"
+        " iterations")
+    # a cold step has one outcome to give, and is not retried
+    starts = _failing_solves(monkeypatch, {0})
+    with pytest.raises(OperationError, match="^control solve started cold"
+                       " ended iteration_limit after 7 iterations$"):
+        mpc_step(*steps[0], 1e-4)
+    assert starts == [None]
+    # run_year names the period: its first step is cold and passes, the
+    # second is warm and fails, and so does its retry
+    bundle, result, plan = _year_case()
+    starts = _failing_solves(monkeypatch, {1, 2})
+    with pytest.raises(OperationError, match="^period 1: control solve"
+                       " started warm ended iteration_limit after 29"
+                       " iterations, then started cold"):
+        run_year(bundle, plan, result.decision, _realization(bundle, 101),
+                 HorizonConfig(1, 16))
+    assert [start is None for start in starts] == [True, False, True]
 
 
 @pytest.mark.parametrize("algorithm", ["proposed", "mpc_myopic"])
