@@ -53,12 +53,20 @@ kept (_analyse): A', A's sign split [A+ | A-] (each entry of A, in A's
 storage order, in column j when it is positive and n + j otherwise), the
 normal matrix's pattern with its band plan and the map from D^-1 to its
 data, the factor of A A' + 1e-8 I that the least-norm start point solves
-with, and the assembled KKT matrix.  It is keyed by A's exact bytes and
-held for the last few matrices, so the control QPs of a rolling horizon,
-which share one matrix, analyse it once, and a normal-equations solve that
-finds its analysis kept factors only inside its iterations.  A kept
-analysis yields the same numbers as a new one, so no report depends on
-earlier solves.
+with, and the assembled KKT matrix.  It is held for the last few matrices
+and found by an exact match of A (shape and entry count first, then its
+arrays), so the control QPs of a rolling horizon, which share one matrix,
+analyse it once, and a normal-equations solve that finds its analysis kept
+factors only inside its iterations.  A program that `restrict` cut from
+another, A[rows][:, cols] (a rolling horizon's shorter windows at the end
+of a run), carries that recipe on its A, and its analysis is cut from the
+parent's, kept or made again (George & Liu, Computer Solution of Large
+Sparse Positive Definite Systems, 1981): the normal pattern and product
+map are masked from the parent's, the dense columns carried over, and the
+band plan keeps the parent's order and border rows, so only the start
+point's factor is computed.  A kept analysis yields the same numbers as a
+new one, and a cut is always cut, never analysed afresh, so no report
+depends on earlier solves.
 
 One object, _Standard, owns the problem the iterations solve: it adds the
 slacks, presolves, drops the rows presolve left empty (or proves them
@@ -161,10 +169,13 @@ class ConvexQuadraticProgram:
         c = _vector(self.c, "c")
         n = c.shape[0]
         a = self.a if sp.issparse(self.a) else sp.csr_matrix(np.atleast_2d(self.a))
+        restriction = getattr(a, "_restriction", None)
         a = a.tocsr().astype(np.float64)  # a copy, so dropping zeros is local
         # a stored 0.0 is no coefficient: a row holding only such entries is
         # empty to every later test, and none of them meets an infinite bound
         a.eliminate_zeros()
+        if restriction is not None:  # the copy is `restrict`'s cut as well
+            a._restriction = restriction
         # as text of any length, so that no sense is cut down to a known one
         senses = _vector(self.senses, "senses", str)
         unknown = senses[(senses != LE) & (senses != EQ) & (senses != GE)]
@@ -525,7 +536,7 @@ class _Standard:
         x = self._full(x)
         grad = c + qdiag * x
         for rows, cols, coef, up in reversed(self._forced):
-            ratio = (grad[cols] - at[cols] @ y_full) / coef
+            ratio = (grad[cols] - (at @ y_full)[cols]) / coef
             # r_j = coef_j (ratio_j - y_i); an upward row holds its
             # variables where coef_j r_j <= 0, so y_i >= ratio_j, and a
             # downward one where coef_j r_j >= 0, so y_i <= ratio_j
@@ -627,46 +638,58 @@ class _BandPlan:
     by k) and the corner C (k by k), all column-major, with k the border's
     near-dense rows plus the split columns, and the positions and values
     of the split columns' entries of A in B and C.
+
+    The plan of a restriction's normal matrix is not ordered afresh: it
+    `inherit`s (order, nb), its parent plan's order and border rows, those
+    that the restriction keeps.  A principal submatrix of a band in the
+    same order is a band no wider, so its kd is at most the parent's.
     """
 
-    def __init__(self, indptr, indices, kept=None, split_rows=None):
+    def __init__(self, indptr, indices, kept=None, split_rows=None,
+                 inherit=None):
         m = indptr.shape[0] - 1
         count = np.diff(indptr)
         cols = np.repeat(np.arange(m), count)
         self.indptr, self.indices = indptr, indices
+        indices = indices.astype(np.intp)  # NumPy gathers intp faster
         self.diag_pos = np.flatnonzero(indices == cols)
         if kept is None:
             kept = np.ones(indices.shape[0], dtype=bool)
         kept[self.diag_pos] = True
-        dense = _near_dense(count - np.bincount(cols[~kept], minlength=m), m)
-        if dense.all():
-            dense[:] = False  # no band to border: all of it is the band
-        band = np.flatnonzero(~dense)
-        nb = band.shape[0]
-        inner = ~dense[indices] & ~dense[cols] & kept
-        local = np.cumsum(~dense) - 1  # row -> its index among the band rows
-        graph = sp.csr_matrix((np.ones(int(inner.sum())),
-                               (local[indices[inner]], local[cols[inner]])),
-                              shape=(nb, nb))
-        rcm = reverse_cuthill_mckee(graph, symmetric_mode=True)
-        self.order = np.concatenate([band[rcm], np.flatnonzero(dense)])
-        pos = np.empty(m, dtype=np.int64)
+        if inherit is None:
+            dense = _near_dense(
+                count - np.bincount(cols[~kept], minlength=m), m)
+            if dense.all():
+                dense[:] = False  # no band to border: all of it is the band
+            band = np.flatnonzero(~dense)
+            nb = band.shape[0]
+            inner = ~dense[indices] & ~dense[cols] & kept
+            local = np.cumsum(~dense) - 1  # row -> its index among band rows
+            graph = sp.csr_matrix(
+                (np.ones(int(inner.sum())),
+                 (local[indices[inner]], local[cols[inner]])), shape=(nb, nb))
+            rcm = reverse_cuthill_mckee(graph, symmetric_mode=True)
+            self.order = np.concatenate([band[rcm], np.flatnonzero(dense)])
+        else:
+            self.order, nb = inherit
+        pos = np.empty(m, dtype=np.intp)
         pos[self.order] = np.arange(m)
-        row, col = pos[indices], pos[cols]
+        row, col = pos.take(indices), pos.take(cols)
         self.nb, self.border = nb, m - nb
         self.split = c = 0 if split_rows is None else split_rows.shape[0]
         k = self.border + c  # the factor's border: c augmented rows last
         lower = (row >= col) & kept  # one entry of each symmetric pair
-        in_band = lower & (row < nb)
-        self.kd = int((row - col)[in_band].max(initial=0))
-        self.band_src = np.flatnonzero(in_band)
-        self.band_dst = (row - col + col * (self.kd + 1))[in_band]
-        coupling = lower & (col < nb) & (row >= nb)
-        self.border_src = np.flatnonzero(coupling)
-        self.border_dst = (col + (row - nb) * nb)[coupling]
-        corner = lower & (col >= nb)
-        self.corner_src = np.flatnonzero(corner)
-        self.corner_dst = (row - nb + (col - nb) * k)[corner]
+        col_band = col < nb
+        self.band_src = np.flatnonzero(lower & (row < nb))
+        row_of, col_of = row.take(self.band_src), col.take(self.band_src)
+        self.kd = int((row_of - col_of).max(initial=0))
+        self.band_dst = row_of - col_of + col_of * (self.kd + 1)
+        self.border_src = np.flatnonzero(lower & col_band & (row >= nb))
+        self.border_dst = col.take(self.border_src) \
+            + (row.take(self.border_src) - nb) * nb
+        self.corner_src = np.flatnonzero(lower & ~col_band)
+        self.corner_dst = row.take(self.corner_src) - nb \
+            + (col.take(self.corner_src) - nb) * k
         if c:
             # augmented row j, border row m - nb + j, holds split column
             # j's entries of A: in B on the band rows, in C's lower
@@ -930,27 +953,140 @@ class _NormalEquations(_SymmetricFactor):
         return out
 
 
-class _Analysis:
-    """The work on one constraint matrix A that A alone decides.
+def _renumber(kept, size):
+    """The new index of each of `size` indices when only the increasing
+    indices `kept` are kept, and -1 for the others."""
+    new = np.full(size, -1, dtype=np.intp)
+    new[kept] = np.arange(kept.shape[0])
+    return new
 
-    Holds A' and A's sign split [A+ | A-], the m x 2n matrix that keeps
-    each entry in A's storage order, in column j when it is positive and
-    n + j otherwise, for presolve's activity bounds.  Built when a solve
-    first takes that Newton path, it holds the normal-equations band plan
-    with its dense columns and product maps and the factor of the
-    least-norm start point's A A' + 1e-8 I, or the assembled KKT matrix
-    (A's data off the diagonal) with the positions of its diagonal;
-    SuperLU orders that matrix at each factorization.  Everything here
-    follows from A's bytes alone and is only read by the solves.
+
+def _entries(indptr, major):
+    """The storage positions of the entries of the increasing rows (CSR) or
+    columns (CSC) `major`, in order, and where each one's entries start
+    among them."""
+    count = np.diff(indptr).take(major)
+    offset = np.cumsum(count) - count
+    return (np.repeat(indptr.take(major) - offset, count)
+            + np.arange(count.sum()), offset)
+
+
+def _masked_product(pattern, pmap, rows, cols):
+    """The pattern and product map (_normal_product_map) of A[rows][:, cols],
+    masked from A's: the pairs that a kept column makes on two kept rows,
+    and each kept row's diagonal.  rows and cols are increasing, so every
+    slot keeps its place in the sorted order and every column its pairs in
+    theirs, and the map is the one _normal_product_map makes of the
+    restriction, entry for entry.  Only the kept columns' entries are read,
+    so a small cut of a large matrix costs little more than its own size.
+    (Indices are gathered with take and intp arrays, which NumPy serves
+    faster than int32 fancy indexing.)"""
+    entry, offset = _entries(pmap.indptr, cols)
+    read = entry.shape[0]
+    slot = pmap.indices.take(entry)
+    slot_col = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
+    new_row = _renumber(rows, pattern.shape[0])
+    inside = np.flatnonzero(
+        (new_row.take(pattern.indices.take(slot)) >= 0)
+        & (new_row.take(slot_col.take(slot)) >= 0))
+    entry, slot = entry.take(inside), slot.take(inside).astype(np.intp)
+    live = np.zeros(pattern.nnz, dtype=bool)
+    live[slot] = True
+    live[np.flatnonzero(pattern.indices == slot_col).take(rows)] = True
+    live = np.flatnonzero(live)
+    new_slot = np.empty(pattern.nnz, dtype=np.intp)
+    new_slot[live] = np.arange(live.shape[0])
+    # kept slots and entries lie in kept columns, so the ones before a
+    # kept column's first are those of the kept columns before it
+    idx = pattern.indices.dtype
+    return (sp.csc_matrix(
+                (np.zeros(live.shape[0]),
+                 new_row.take(pattern.indices.take(live)).astype(idx),
+                 np.searchsorted(live, np.append(pattern.indptr.take(rows),
+                                                 pattern.nnz)).astype(idx)),
+                shape=(rows.shape[0], rows.shape[0])),
+            sp.csc_matrix(
+                (pmap.data.take(entry), new_slot.take(slot).astype(idx),
+                 np.searchsorted(inside, np.append(offset, read)).astype(idx)),
+                shape=(live.shape[0], cols.shape[0])))
+
+
+def _normal_parts(at, pattern, pmap, columns, inherit=None):
+    """(plan, pmap, split) of _Analysis.normal from the product map of A D
+    A' with the dense columns `columns` split out; inherit is the (order,
+    nb) of the plan or None to order afresh."""
+    kept = split = split_rows = None
+    if columns.shape[0]:
+        per = np.diff(pmap.indptr)
+        own = np.zeros(at.shape[0], dtype=bool)
+        own[columns] = True
+        entry = np.repeat(own, per)  # the map's entries they make
+        rest, mine = np.flatnonzero(~entry), np.flatnonzero(entry)
+        kept = np.zeros(pattern.nnz, dtype=bool)
+        kept[pmap.indices.take(rest).astype(np.intp)] = True
+        slots, slot = np.unique(pmap.indices.take(mine), return_inverse=True)
+        # the columns' map, column by column as they come
+        split = (columns, slots, sp.csc_matrix(
+            (pmap.data.take(mine), slot,
+             np.concatenate([[0], np.cumsum(per.take(columns))])),
+            shape=(slots.shape[0], columns.shape[0])))
+        pmap = sp.csc_matrix(
+            (pmap.data.take(rest), pmap.indices.take(rest),
+             np.concatenate([[0], np.cumsum(np.where(own, 0, per))])),
+            shape=pmap.shape)
+        split_rows = at[columns]
+    return (_BandPlan(pattern.indptr, pattern.indices, kept, split_rows,
+                      inherit), pmap, split)
+
+
+def _same(a, b):
+    """Whether the CSR matrices a and b hold the same entries, stored alike."""
+    return (a.shape == b.shape and a.nnz == b.nnz
+            and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.data, b.data))
+
+
+class _Analysis:
+    """The work on one constraint matrix A that A alone decides, or, for a
+    restriction `restrict` made, A and its recipe.
+
+    Holds A as analysed (a copy, or for a cut the matrix `restrict` made),
+    by which _analyse finds it again, A' and A's sign split [A+ | A-], the
+    m x 2n matrix that keeps each entry in A's storage order, in column j
+    when it is positive and n + j otherwise, for presolve's activity
+    bounds.  Built when a solve first takes that Newton path, it holds the
+    normal-equations band plan with its dense columns and product maps and
+    the factor of the least-norm start point's A A' + 1e-8 I, or the
+    assembled KKT matrix (A's data off the diagonal) with the positions of
+    its diagonal; SuperLU orders that matrix at each factorization.
+    Everything here follows from A (and its recipe) alone and is only read
+    by the solves.
+
+    The normal equations of a restriction A[rows][:, cols] are cut from
+    its parent's analysis, kept or made again: the pattern and product map
+    are masked from the parent's (_masked_product), the dense columns
+    carried over, and the band plan takes the parent's order and border
+    rows, those that are kept, so its band is never wider than the
+    parent's.  Only the start point's factor is computed.  A restriction
+    whose own dense columns are not the parent's carried over (a head-only
+    control window, whose head SoC is on one row) or whose A is no longer
+    the one `restrict` made is analysed afresh.
     """
 
-    def __init__(self, a):
+    def __init__(self, a, restriction=None):
+        self.restriction = restriction
+        # a restriction's normal equations are cut only while its A is the
+        # one `restrict` made, which is then the one kept to be found by
+        self._cut = restriction is not None and _same(a, restriction.a)
+        self.a = a = restriction.a if self._cut else a.copy()
         self.at = a.T.tocsr()
         n = a.shape[1]
         self.split = sp.csr_matrix(
-            (a.data.copy(), np.where(a.data > 0.0, a.indices, a.indices + n),
-             a.indptr.copy()), shape=(a.shape[0], 2 * n))
+            (a.data, np.where(a.data > 0.0, a.indices, a.indices + n),
+             a.indptr), shape=(a.shape[0], 2 * n))
         self._normal = None
+        self._product = None  # (pattern, map) of A D A', for a cut of A
         self._start = None
         self._kkt = None
 
@@ -961,31 +1097,28 @@ class _Analysis:
         what those columns add at the slots of the pattern they reach."""
         if self._normal is None:
             at = self.at
-            pattern, pmap = _normal_product_map(at, at.shape[1])
             columns = _dense_columns(at)
-            kept = split = split_rows = None
-            if columns.shape[0]:
-                per = np.diff(pmap.indptr)
-                own = np.zeros(at.shape[0], dtype=bool)
-                own[columns] = True
-                entry = np.repeat(own, per)  # the map's entries they make
-                kept = np.zeros(pattern.nnz, dtype=bool)
-                kept[pmap.indices[~entry]] = True
-                slots, slot = np.unique(pmap.indices[entry],
-                                        return_inverse=True)
-                split = (columns, slots, sp.csr_matrix(
-                    (pmap.data[entry],
-                     (slot, np.repeat(np.arange(columns.shape[0]),
-                                      per[own]))),
-                    shape=(slots.shape[0], columns.shape[0])))
-                pmap = sp.csc_matrix(
-                    (pmap.data[~entry], pmap.indices[~entry],
-                     np.concatenate([[0], np.cumsum(np.where(own, 0, per))])),
-                    shape=pmap.shape)
-                split_rows = at[columns]
-            self._normal = (_BandPlan(pattern.indptr, pattern.indices, kept,
-                                      split_rows), pmap, split)
+            inherit = self._inherit(columns) if self._cut else None
+            if inherit is None:
+                self._product = _normal_product_map(at, at.shape[1])
+            self._normal = _normal_parts(at, *self._product, columns,
+                                         inherit)
         return self._normal
+
+    def _inherit(self, columns):
+        """For a cut: the parent's band order and border, those rows that are
+        kept, with the product masked from the parent's; None when the
+        cut's dense columns are not the parent's that it keeps."""
+        cut = self.restriction
+        parent = _analyse(cut.parent)
+        plan, _, split = parent.normal()
+        carried = _renumber(cut.cols, parent.at.shape[0]).take(
+            split[0] if split else columns[:0])
+        if not np.array_equal(carried[carried >= 0], columns):
+            return None
+        self._product = _masked_product(*parent._product, cut.rows, cut.cols)
+        order = _renumber(cut.rows, parent.at.shape[1]).take(plan.order)
+        return order[order >= 0], int(np.count_nonzero(order[:plan.nb] >= 0))
 
     def start(self):
         """A A' + 1e-8 I, factored on first use (RuntimeError when even
@@ -1007,22 +1140,84 @@ class _Analysis:
         return self._kkt
 
 
-# key (shape and the bytes of indptr, indices and data) -> _Analysis, oldest
-# first.  A solve reads the same numbers from a kept analysis as from a new
-# one, so its report does not depend on what was solved before it.
+# id -> _Analysis, oldest first, for the last few matrices analysed.  A
+# solve reads the same numbers from a kept analysis as from a new one, so
+# its report does not depend on what was solved before it.
 _ANALYSES = {}
 
 
 def _analyse(a):
-    """The _Analysis of the CSR matrix a, kept for the last few matrices."""
-    key = (a.shape, a.indptr.tobytes(), a.indices.tobytes(), a.data.tobytes())
-    analysis = _ANALYSES.pop(key, None)
-    if analysis is None:
-        analysis = _Analysis(a)
+    """The _Analysis of the CSR matrix a, kept for the last few matrices.
+
+    A kept analysis is found by its matrix, matched exactly (shape and
+    entry count first), and by the recipe the matrix carries, if `restrict`
+    made it: a restriction is never found under a plain matrix's analysis,
+    nor a plain matrix under a restriction's.
+    """
+    restriction = getattr(a, "_restriction", None)
+    for key, analysis in _ANALYSES.items():
+        if analysis.restriction is restriction and _same(analysis.a, a):
+            break
+    else:
+        analysis = _Analysis(a, restriction)
+        key = id(analysis)
         while len(_ANALYSES) >= _ANALYSES_KEPT:
             del _ANALYSES[next(iter(_ANALYSES))]
-    _ANALYSES[key] = analysis
+    _ANALYSES[key] = _ANALYSES.pop(key, analysis)  # the newest last
     return analysis
+
+
+@dataclass(frozen=True, eq=False)
+class _Restriction:
+    """How `restrict` made a matrix: A[rows][:, cols] of the parent program's
+    A, with `a` the matrix it made, against which a matrix that carries
+    this recipe is checked before its analysis is cut."""
+
+    parent: sp.csr_matrix
+    rows: np.ndarray
+    cols: np.ndarray
+    a: sp.csr_matrix
+
+
+def _restricted(a, rows, cols):
+    """A[rows][:, cols] of the CSR matrix a, for increasing rows and cols:
+    each kept row's entries in kept columns, in their stored order (what
+    a[rows][:, cols] gives, in one pass)."""
+    entry, offset = _entries(a.indptr, rows)
+    col = _renumber(cols, a.shape[1]).take(a.indices.take(entry))
+    keep = np.flatnonzero(col >= 0)
+    idx = a.indices.dtype
+    return sp.csr_matrix(
+        (a.data.take(entry.take(keep)), col.take(keep).astype(idx),
+         np.searchsorted(keep, np.append(offset, entry.shape[0])).astype(idx)),
+        shape=(rows.shape[0], cols.shape[0]))
+
+
+def restrict(problem, rows, cols):
+    """The program `problem` on its rows `rows` and variables `cols`, each an
+    increasing array of indices: A[rows][:, cols] and the entries of every
+    vector there.
+
+    The restriction's A carries its recipe (the parent's A, rows and cols),
+    and so do the copies a ConvexQuadraticProgram makes of it, so every
+    solve of a program on it cuts its analysis from the parent's (see
+    _Analysis) instead of analysing it afresh, whichever analyses are kept.
+    A solve whose standard form adds slacks or whose presolve pins a
+    variable solves another matrix, which is analysed afresh.
+    """
+    rows, cols = (np.asarray(v, dtype=np.int64) for v in (rows, cols))
+    for idx, size, name in ((rows, problem.rhs.shape[0], "rows"),
+                            (cols, problem.c.shape[0], "cols")):
+        if idx.ndim != 1 or np.any(np.diff(idx) <= 0) \
+                or (idx.size and (idx[0] < 0 or idx[-1] >= size)):
+            raise NumericsError(f"{name} must be increasing indices below"
+                                f" {size}")
+    a = _restricted(problem.a, rows, cols)
+    cut = ConvexQuadraticProgram(
+        problem.c[cols], problem.q_diag[cols], a, problem.senses[rows],
+        problem.rhs[rows], problem.lb[cols], problem.ub[cols])
+    cut.a._restriction = _Restriction(problem.a, rows, cols, a)
+    return cut
 
 
 _TINY = np.finfo(np.float64).tiny  # the smallest normal double, 2.2e-308

@@ -29,14 +29,16 @@ step fills and reads by position.  Its matrix and row senses are built
 once, for the horizon's full window (`_control_pattern`, kept for the
 last few shapes, so the steps of a year share one), and one fill,
 `_control_qp`, writes every step's costs, bounds and right-hand sides, so
-the objective is stated once, there.  One period map (`_period_map`)
-cuts each shorter window at the end of a run from the full one, and
-shifts each step's start: every step after the first restarts its solve
-from the previous solve's well-centred primal-dual iterate
-(`SolveReport.restart`), moved one period (`_shifted_start`).  `run_year`
-hands each `ControlDecision.plan` to the next `mpc_step`, and nothing
-else is kept between steps.  A warm-started solve that ends other than
-optimal is solved once more cold, and an `OperationError` names the
+the objective is stated once, there.  One period map (`_period_map`,
+kept per shape and read-only) cuts each shorter window at the end of a
+run from the full one, by `numerics.restrict`, so that each such window's
+solve cuts its analysis from the full window's instead of analysing its
+matrix afresh, and shifts each step's start: every step after the first
+restarts its solve from the previous solve's well-centred primal-dual
+iterate (`SolveReport.restart`), moved one period (`_shifted_start`).
+`run_year` hands each `ControlDecision.plan` to the next `mpc_step`, and
+nothing else is kept between steps.  A warm-started solve that ends other
+than optimal is solved once more cold, and an `OperationError` names the
 period and both outcomes.  The bill is stated once, in
 `sizing.dispatch_costs`.
 """
@@ -52,7 +54,8 @@ from .allocation import _repair_rows, _water_fill
 from .domain import (DispatchSeries, DomainError, is_count, is_nonnegative,
                      is_positive, number_array, probability_array,
                      rule_problems, store_numbers)
-from .numerics import ConvexQuadraticProgram, ProblemBuilder, solve_qp
+from .numerics import (ConvexQuadraticProgram, ProblemBuilder, restrict,
+                       solve_qp)
 from .sizing import dispatch_costs, pv_production, split_flows
 from .storage import StorageSpec, realize, recursion_rows
 
@@ -222,13 +225,16 @@ def _tree(vec, fields, per, tail, scenarios):
             tails[:, fields * tail:].reshape(scenarios, tail, per), vec[end:])
 
 
+@lru_cache(maxsize=8)
 def _period_map(size, fields, per, old_tail, tail, scenarios, first=0):
     """Where each entry of a `tail`-period window's control-QP vector comes
     from in an `old_tail`-period one of `size`, as indices in its `_tree`
     layout: the head, its split and the tracking part map to themselves,
     and each branch's period k reads old period min(first + k, old_tail -
     1).  first is 0 for a cut (the end of a run) and 1 for a shift (the
-    next step's start)."""
+    next step's start).  Kept per shape, read-only: the steps of a full
+    window shift their starts by the same two maps, one for the variables
+    and one for the rows."""
     old = _tree(np.arange(size), fields, per, old_tail, scenarios)
     new = np.empty(size + (fields + per) * scenarios * (tail - old_tail),
                    dtype=np.int64)
@@ -237,6 +243,7 @@ def _period_map(size, fields, per, old_tail, tail, scenarios, first=0):
     k = np.minimum(first + np.arange(tail), old_tail - 1)
     head[:], split[:], track[:] = old[0], old[1], old[4]
     tails[:], splits[:] = old[2][:, :, k], old[3][:, k]
+    new.setflags(write=False)
     return new
 
 
@@ -252,19 +259,19 @@ def _control_pattern(n, tail, probabilities, eta, tracked, longest):
     head's SoC variable) and, when tracked, its served-energy rows; one
     tracking row per consumer follows.  Only the `longest` tail, the
     horizon's, is built; a shorter window, as at the end of a run, is that
-    QP restricted to its rows and columns (`_period_map`): a tail's rows
-    and variables reach only the periods before them and the head.  Returns a
-    QP whose vectors are placeholders.
+    QP restricted to its rows and columns (`_period_map`, by
+    `numerics.restrict`, so that its solves cut their analysis from the
+    full window's): a tail's rows and variables reach only the periods
+    before them and the head.  Returns a QP whose vectors are placeholders.
     """
     per, w = n if tracked else 0, len(probabilities)
     if tail < longest:
         full = _control_pattern(n, longest, probabilities, eta, tracked,
                                 longest)
-        cols = _period_map(full.c.shape[0], 5, per, longest, tail, w)
-        rows = _period_map(full.rhs.shape[0], 2 + tracked, 0, longest, tail, w)
-        return ConvexQuadraticProgram(
-            full.c[cols], full.q_diag[cols], full.a[rows][:, cols],
-            full.senses[rows], full.rhs[rows], full.lb[cols], full.ub[cols])
+        return restrict(
+            full, _period_map(full.rhs.shape[0], 2 + tracked, 0, longest,
+                              tail, w),
+            _period_map(full.c.shape[0], 5, per, longest, tail, w))
     w = w if tail else 0
     pb = ProblemBuilder()
     head, split, tails, splits, deliver = _tree(
@@ -375,11 +382,10 @@ def _shifted_start(previous, window, tracked):
         # the new head is the old tails' first periods (the plan cut to one
         # period) at these weights, summed in scenario order from 0.0 as a
         # running sum: a reduction could sum pairwise
-        width = fields + per
-        cut = _period_map(old.shape[0], fields, per, old_tail, 1, w)
-        firsts = old[cut[width:width * (1 + w)]].reshape(w, width)
-        terms = np.vstack([np.zeros(width), weights[:, None] * firsts])
-        new[:width] = np.add.accumulate(terms)[-1]
+        _, _, tails, splits, _ = _tree(old, fields, per, old_tail, w)
+        firsts = np.hstack([tails[:, :, 0], splits[:, 0]])
+        terms = np.vstack([np.zeros(fields + per), weights[:, None] * firsts])
+        new[:fields + per] = np.add.accumulate(terms)[-1]
         return new
 
     x, y, zl, zu = previous

@@ -448,6 +448,75 @@ def test_normal_product_map_matches_sparse_product():
     assert np.abs(got - want.data).max() <= 1e-14 * np.abs(want.data).max()
 
 
+def _random_restriction(rng):
+    """A random sparse matrix (a dense column, an empty one) with random
+    increasing rows and columns to keep."""
+    m, n = rng.integers(1, 40), rng.integers(1, 50)
+    dense = np.where(rng.random((m, n)) < 0.15, rng.normal(size=(m, n)), 0.0)
+    dense[:, 0] = rng.normal(size=m)
+    dense[:, -1] = 0.0
+    rows = np.flatnonzero(rng.random(m) < 0.6)
+    cols = np.flatnonzero(rng.random(n) < 0.6)
+    return sp.csr_matrix(dense), rows, cols
+
+
+def test_masked_product_is_the_restrictions_product_map():
+    # the pattern and map masked from A's are what _normal_product_map
+    # builds for A[rows][:, cols], entry for entry, so the data of the
+    # cut's normal matrix is summed as a fresh analysis sums it
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        a, rows, cols = _random_restriction(rng)
+        cut = a[rows][:, cols]
+        want = numerics._normal_product_map(cut.T.tocsr(), rows.shape[0])
+        analysis = numerics._Analysis(a)
+        analysis.normal()
+        got = numerics._masked_product(*analysis._product, rows, cols)
+        for mat, ref in zip(got, want):
+            assert mat.shape == ref.shape
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(mat, part), getattr(ref, part))
+
+
+def test_restrict_keeps_the_rows_and_columns_it_is_given():
+    rng = np.random.default_rng(32)
+    for _ in range(100):
+        a, rows, cols = _random_restriction(rng)
+        m, n = a.shape
+        problem = ConvexQuadraticProgram(
+            rng.normal(size=n), rng.uniform(0.0, 1.0, n), a,
+            rng.choice(["<=", "==", ">="], m), rng.normal(size=m),
+            -rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n))
+        cut = numerics.restrict(problem, rows, cols)
+        assert numerics._same(cut.a, a[rows][:, cols])
+        for name, idx in (("c", cols), ("q_diag", cols), ("lb", cols),
+                          ("ub", cols), ("senses", rows), ("rhs", rows)):
+            assert np.array_equal(getattr(cut, name),
+                                  getattr(problem, name)[idx])
+        # a program made on the cut's matrix carries its recipe
+        again = ConvexQuadraticProgram(cut.c, cut.q_diag, cut.a, cut.senses,
+                                       cut.rhs, cut.lb, cut.ub)
+        assert again.a._restriction is cut.a._restriction
+    for rows, cols in (([1, 0], [0]), ([0], [0, 0]), ([0], [n])):
+        with pytest.raises(NumericsError):
+            numerics.restrict(problem, rows, cols)
+
+
+def test_a_restriction_is_never_found_under_its_plain_twin():
+    # the same entries, once as a restriction and once plain, are two
+    # analyses: a cut in the parent's band order, and a fresh one
+    a = sp.csr_matrix(np.array([[1.0, 2.0, 0.0, 1.0], [0.0, 1.0, 3.0, 0.0],
+                                [2.0, 0.0, 1.0, 1.0]]))
+    problem = ConvexQuadraticProgram(np.ones(4), 1.0, a, ["=="] * 3,
+                                     np.ones(3), 0.0, 1.0)
+    cut = numerics.restrict(problem, [0, 2], [0, 1, 3])
+    numerics._ANALYSES.clear()
+    kept = numerics._analyse(cut.a)
+    plain = numerics._analyse(sp.csr_matrix(cut.a))
+    assert kept is not plain and kept._cut and not plain._cut
+    assert numerics._analyse(cut.a) is kept
+
+
 @pytest.mark.parametrize("system", ["kkt", "normal"])
 def test_factor_reuses_its_ordering_at_a_new_diagonal(system):
     rng = np.random.default_rng(3)

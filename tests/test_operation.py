@@ -5,10 +5,11 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as hst
 from hypothesis.extra import numpy as hnp
 
-from pvpool import allocation, operation
+from pvpool import allocation, numerics, operation
 from pvpool.allocation import (AllocationError, _repair_rows,
                                min_variance_key)
 from pvpool.domain import (DomainError, InputBundle, InverterCatalog,
@@ -517,6 +518,138 @@ def test_year_builds_one_control_pattern_per_window_shape():
              HorizonConfig(1, 48))
     info = operation._control_pattern.cache_info()
     assert (info.misses, info.hits) == (48, 48 + 47)
+
+
+def _counting(monkeypatch):
+    """Shapes of the matrices whose normal product map is built, and a
+    count of reverse Cuthill-McKee orderings, as the solves run."""
+    built, orderings = [], []
+    product_map = numerics._normal_product_map
+    rcm = numerics.reverse_cuthill_mckee
+
+    def counted_map(at, m):
+        built.append(at.shape[::-1])
+        return product_map(at, m)
+
+    def counted_rcm(*args, **kwargs):
+        orderings.append(1)
+        return rcm(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "_normal_product_map", counted_map)
+    monkeypatch.setattr(numerics, "reverse_cuthill_mckee", counted_rcm)
+    return built, orderings
+
+
+def test_year_analyses_its_control_qp_once(monkeypatch):
+    # 96 periods at a 48-period horizon with a battery: the full window's
+    # control QP is analysed once, and each of the last 47 windows cuts its
+    # analysis from that one, so the run builds one normal product map and
+    # one band ordering (a fresh analysis per window shape made 48 of each)
+    bundle, result, plan = _year_case(t_len=96, n=15, w=3)
+    decision = replace(result.decision, es_power_kw=6.0, es_energy_kwh=12.0,
+                       es_inverter_index=1, es_inverter_capacity_kw=6.0,
+                       es_inverter_cost=1.1)
+    numerics._ANALYSES.clear()
+    operation._control_pattern.cache_clear()
+    built, orderings = _counting(monkeypatch)
+    run_year(bundle, plan, decision, _realization(bundle, 55),
+             HorizonConfig(1, 48))
+    assert len(built) == len(orderings) == 1
+
+
+def _end_windows(w, theta, n=2, horizon=48):
+    """(state, window, spec, config) of the windows of a 48-period horizon
+    with tails of 47 (the full window) down to 0, over w equally likely
+    solar scenarios; every load, forecast and capacity is positive, so
+    presolve pins nothing and each solve's matrix is its QP's."""
+    rng = np.random.default_rng(29)
+    probs = np.full(w, 1.0 / w)
+    loads = rng.uniform(0.2, 2.5, (horizon, n))
+    gen = rng.uniform(0.1, 3.0, (horizon, w))
+    price, lam = rng.uniform(0.1, 0.3, horizon), rng.uniform(0.0, 0.1, horizon)
+    spec = StorageSpec(3.0, 6.0, 0.93, cyclic=False)
+    config = HorizonConfig(1, horizon, theta=theta)
+    for t in range(horizon):
+        state = OperationState(2.5, rng.uniform(0.0, 3.0, n),
+                               rng.uniform(3.0, 6.0, n),
+                               rng.uniform(0.0, 1.0, n))
+        window = HorizonWindow(0.5, loads[t], float(gen[t] @ probs),
+                               loads[t + 1:], gen[t + 1:], probs,
+                               price[t:], lam[t:], np.zeros(horizon - t))
+        yield state, window, spec, config
+
+
+@pytest.mark.parametrize("w", [2, 4, 10, 20])
+@pytest.mark.parametrize("theta", [0.0, 0.6])
+def test_cut_windows_solve_as_their_fresh_analyses_do(w, theta, monkeypatch):
+    # every end-of-run window, tails 46 to 0, is cut from the full
+    # window's analysis: its solve is optimal, its objective that of the
+    # same QP analysed afresh, and its band no wider than the full one's.
+    # Only the head-only window, whose head SoC is on one row, is analysed
+    # afresh, and only where the full window splits that column out (from
+    # 4 scenarios on, W + 1 > 4 rows)
+    steps = list(_end_windows(w, theta))
+    full = numerics._analyse(_control_qp(*steps[0], 1e-4).a)
+    kd = full.normal()[0].kd
+    built, _ = _counting(monkeypatch)
+    for step in steps[1:]:
+        qp = _control_qp(*step, 1e-4)
+        before = len(built)
+        rep = solve_qp(qp, tol=1e-6)
+        assert rep.status == "optimal"
+        head_only = step[1].tail_periods == 0
+        assert len(built) - before == (head_only and w >= 4)
+        assert numerics._analyse(qp.a).normal()[0].kd <= kd
+        fresh = solve_qp(replace(qp, a=sp.csr_matrix(qp.a)), tol=1e-6)
+        assert len(built) - before == 1 + (head_only and w >= 4)
+        assert abs(rep.objective - fresh.objective) \
+            <= 1e-6 * (1.0 + abs(fresh.objective))
+
+
+def _report_bytes(rep):
+    return (rep.status, rep.x.tobytes(), rep.objective, rep.primal_residual,
+            rep.dual_residual, rep.duality_gap, rep.complementarity,
+            rep.iterations, rep.y.tobytes(), rep.zl.tobytes(),
+            rep.zu.tobytes(), *(part.tobytes() for part in rep.restart))
+
+
+def test_a_cut_solve_repeats_whatever_analyses_are_kept(monkeypatch):
+    # a cut window's solve reports the same bytes with no analysis kept,
+    # after unrelated solves evicted its own and its parent's, and with its
+    # own kept; every time its analysis is cut again, never built afresh
+    steps = list(_end_windows(4, 0.6))
+    qp = _control_qp(*steps[27], 1e-4)  # a 20-period tail, cut from 47
+    others = [_control_qp(*step, 1e-4) for step in _end_windows(3, 0.6, 3)]
+    built, _ = _counting(monkeypatch)
+    numerics._ANALYSES.clear()
+    reports = [solve_qp(qp, tol=1e-6)]
+    for other in others[:numerics._ANALYSES_KEPT]:
+        solve_qp(other, tol=1e-6)
+    assert not any(an.restriction is qp.a._restriction
+                   for an in numerics._ANALYSES.values())
+    reports += [solve_qp(qp, tol=1e-6), solve_qp(qp, tol=1e-6)]
+    assert reports[0].status == "optimal"
+    assert len({_report_bytes(rep) for rep in reports}) == 1
+    assert qp.a.shape not in built
+
+
+def test_a_changed_cut_matrix_is_analysed_afresh():
+    # a QP whose cut matrix a caller rewrote is no longer the restriction
+    # its recipe states: its analysis is its own, and its solve that of the
+    # same QP on a plain matrix
+    qp = _control_qp(*list(_end_windows(2, 0.6))[10], 1e-4)
+    qp.a.data[0] *= 1.5
+    assert not numerics._analyse(qp.a)._cut
+    plain = solve_qp(replace(qp, a=sp.csr_matrix(qp.a)), tol=1e-6)
+    assert _report_bytes(solve_qp(qp, tol=1e-6)) == _report_bytes(plain)
+
+
+def test_period_maps_are_kept_read_only():
+    # each step's shift reads the same kept maps; none can be written
+    first = operation._period_map(51, 5, 2, 3, 3, 2, 1)
+    assert operation._period_map(51, 5, 2, 3, 3, 2, 1) is first
+    with pytest.raises(ValueError):
+        first[0] = 1
 
 
 def _shift_by_loop(x, old_blocks, old_track, blocks, track, weights):
