@@ -147,6 +147,24 @@ def _vector(value, name, dtype=np.float64):
     return arr
 
 
+def _frozen(a):
+    """Whether the sparse matrix a is CSR float64, stores no 0.0 and has
+    read-only arrays (`freeze`): a program takes such an A as it is."""
+    return (a.format == "csr" and a.dtype == np.float64
+            and not (a.data.flags.writeable or a.indices.flags.writeable
+                     or a.indptr.flags.writeable)
+            and bool(a.data.all()))
+
+
+def freeze(a):
+    """Make a program's A (CSR float64, no 0.0 stored) read-only in place,
+    so that every program built on it takes it as it is instead of copying
+    it; returns a."""
+    for part in (a.data, a.indices, a.indptr):
+        part.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class ConvexQuadraticProgram:
     """min 0.5 x'diag(q)x + c'x subject to sparse rows and box bounds.
@@ -154,7 +172,9 @@ class ConvexQuadraticProgram:
     The quadratic form is positive semidefinite because every q_i >= 0.  A
     linear program is the case q = 0: q_diag, lb and ub take a scalar for
     every variable, so q_diag=0.0 states one.  c, rhs and senses are 1-d,
-    and lb and ub default to -inf and inf when None.
+    and lb and ub default to -inf and inf when None.  A is kept as a CSR
+    float64 copy without stored zeros, unless it is already one whose
+    arrays are read-only (`freeze`), which is kept as it is.
     """
 
     c: np.ndarray
@@ -169,13 +189,14 @@ class ConvexQuadraticProgram:
         c = _vector(self.c, "c")
         n = c.shape[0]
         a = self.a if sp.issparse(self.a) else sp.csr_matrix(np.atleast_2d(self.a))
-        restriction = getattr(a, "_restriction", None)
-        a = a.tocsr().astype(np.float64)  # a copy, so dropping zeros is local
-        # a stored 0.0 is no coefficient: a row holding only such entries is
-        # empty to every later test, and none of them meets an infinite bound
-        a.eliminate_zeros()
-        if restriction is not None:  # the copy is `restrict`'s cut as well
-            a._restriction = restriction
+        if not _frozen(a):
+            restriction = getattr(a, "_restriction", None)
+            a = a.tocsr().astype(np.float64)  # a copy: dropping zeros is local
+            # a stored 0.0 is no coefficient: a row holding only such entries
+            # is empty to every later test, and none meets an infinite bound
+            a.eliminate_zeros()
+            if restriction is not None:  # the copy is `restrict`'s cut too
+                a._restriction = restriction
         # as text of any length, so that no sense is cut down to a known one
         senses = _vector(self.senses, "senses", str)
         unknown = senses[(senses != LE) & (senses != EQ) & (senses != GE)]
@@ -595,8 +616,8 @@ def _dense_columns(at):
     the control QP's head SoC is from 4 scenarios on (W + 1 rows).  A
     column on c rows makes a c-clique of A D A', which joins the c
     scenario chains it spans, so that reverse Cuthill-McKee bands them
-    together at a half-bandwidth growing with c (3W - 2 for the head SoC,
-    where the chains alone band at 6).  Only a few columns are split:
+    together at a half-bandwidth growing with c (2W - 1 for the head SoC,
+    where the chains alone band at 4).  Only a few columns are split:
     none when more than 8 are that dense, nor when a row has entries in
     those columns alone, since without them its row of the normal matrix
     would be 0.
@@ -1041,25 +1062,26 @@ def _normal_parts(at, pattern, pmap, columns, inherit=None):
 
 def _same(a, b):
     """Whether the CSR matrices a and b hold the same entries, stored alike."""
-    return (a.shape == b.shape and a.nnz == b.nnz
-            and np.array_equal(a.indptr, b.indptr)
-            and np.array_equal(a.indices, b.indices)
-            and np.array_equal(a.data, b.data))
+    return a is b or (a.shape == b.shape and a.nnz == b.nnz
+                      and np.array_equal(a.indptr, b.indptr)
+                      and np.array_equal(a.indices, b.indices)
+                      and np.array_equal(a.data, b.data))
 
 
 class _Analysis:
     """The work on one constraint matrix A that A alone decides, or, for a
     restriction `restrict` made, A and its recipe.
 
-    Holds A as analysed (a copy, or for a cut the matrix `restrict` made),
-    by which _analyse finds it again, A' and A's sign split [A+ | A-], the
-    m x 2n matrix that keeps each entry in A's storage order, in column j
-    when it is positive and n + j otherwise, for presolve's activity
-    bounds.  Built when a solve first takes that Newton path, it holds the
-    normal-equations band plan with its dense columns and product maps and
-    the factor of the least-norm start point's A A' + 1e-8 I, or the
-    assembled KKT matrix (A's data off the diagonal) with the positions of
-    its diagonal; SuperLU orders that matrix at each factorization.
+    Holds A as analysed (a copy, A itself when it is read-only, or for a
+    cut the matrix `restrict` made), by which _analyse finds it again, A'
+    and A's sign split [A+ | A-], the m x 2n matrix that keeps each entry
+    in A's storage order, in column j when it is positive and n + j
+    otherwise, for presolve's activity bounds.  Built when a solve first
+    takes that Newton path, it holds the normal-equations band plan with
+    its dense columns and product maps and the factor of the least-norm
+    start point's A A' + 1e-8 I, or the assembled KKT matrix (A's data off
+    the diagonal) with the positions of its diagonal; SuperLU orders that
+    matrix at each factorization.
     Everything here follows from A (and its recipe) alone and is only read
     by the solves.
 
@@ -1079,7 +1101,8 @@ class _Analysis:
         # a restriction's normal equations are cut only while its A is the
         # one `restrict` made, which is then the one kept to be found by
         self._cut = restriction is not None and _same(a, restriction.a)
-        self.a = a = restriction.a if self._cut else a.copy()
+        self.a = a = restriction.a if self._cut \
+            else a if _frozen(a) else a.copy()
         self.at = a.T.tocsr()
         n = a.shape[1]
         self.split = sp.csr_matrix(
@@ -1198,10 +1221,11 @@ def restrict(problem, rows, cols):
     increasing array of indices: A[rows][:, cols] and the entries of every
     vector there.
 
-    The restriction's A carries its recipe (the parent's A, rows and cols),
-    and so do the copies a ConvexQuadraticProgram makes of it, so every
-    solve of a program on it cuts its analysis from the parent's (see
-    _Analysis) instead of analysing it afresh, whichever analyses are kept.
+    The restriction's A is read-only (`freeze`) and carries its recipe (the
+    parent's A, rows and cols), as does the copy a ConvexQuadraticProgram
+    makes of a writable matrix that carries one, so every solve of a
+    program on it cuts its analysis from the parent's (see _Analysis)
+    instead of analysing it afresh, whichever analyses are kept.
     A solve whose standard form adds slacks or whose presolve pins a
     variable solves another matrix, which is analysed afresh.
     """
@@ -1212,7 +1236,7 @@ def restrict(problem, rows, cols):
                 or (idx.size and (idx[0] < 0 or idx[-1] >= size)):
             raise NumericsError(f"{name} must be increasing indices below"
                                 f" {size}")
-    a = _restricted(problem.a, rows, cols)
+    a = freeze(_restricted(problem.a, rows, cols))
     cut = ConvexQuadraticProgram(
         problem.c[cols], problem.q_diag[cols], a, problem.senses[rows],
         problem.rhs[rows], problem.lb[cols], problem.ub[cols])

@@ -6,11 +6,16 @@ loads with one solar forecast, and its `ControlDecision` holds that
 period's dispatch as scalars and the level its settlement fills from.  It
 solves one convex program over a two-stage scenario tree: the head,
 lifted to a one-period branch with probability 1, and, branching off it,
-one prediction tail per solar scenario.  Every branch
-carries battery and grid dispatch; when the tracking weight theta is
-positive, also an energy split, and a free per-consumer mismatch
-variable, whose weighted squared norm pulls cumulative allocations toward
-the yearly promise, takes the splits at their probabilities.
+one prediction tail per solar scenario.  Every branch period carries
+charge, discharge, SoC, export and served energy, balanced by one row on
+served energy (served + export + charge - discharge = generation): the
+grid import, load - served, is implied by the served energy's box
+[0, load], so it is no variable (the implied free variable that presolve
+substitutes out, Andersen & Andersen, Math. Prog. 1995).  When the
+tracking weight theta is positive, the served energy is split by
+consumer, and a free per-consumer mismatch variable, whose weighted
+squared norm pulls cumulative allocations toward the yearly promise,
+takes the splits at their probabilities.
 
 `run_year` chains the steps over a full trajectory, and every algorithm
 runs one period body: its plan (the MPC's head, or the greedy rule's
@@ -27,7 +32,8 @@ carries over from what really happened, not from the plan.
 The control QP's layout is stated once, in `_tree`, whose views every
 step fills and reads by position.  Its matrix and row senses are built
 once, for the horizon's full window (`_control_pattern`, kept for the
-last few shapes, so the steps of a year share one), and one fill,
+last few shapes, so the steps of a year share one; the matrix is
+read-only, and every step's QP takes it as it is), and one fill,
 `_control_qp`, writes every step's costs, bounds and right-hand sides, so
 the objective is stated once, there.  One period map (`_period_map`,
 kept per shape and read-only) cuts each shorter window at the end of a
@@ -54,8 +60,8 @@ from .allocation import _repair_rows, _water_fill
 from .domain import (DispatchSeries, DomainError, is_count, is_nonnegative,
                      is_positive, number_array, probability_array,
                      rule_problems, store_numbers)
-from .numerics import (ConvexQuadraticProgram, ProblemBuilder, restrict,
-                       solve_qp)
+from .numerics import (ConvexQuadraticProgram, ProblemBuilder, freeze,
+                       restrict, solve_qp)
 from .sizing import dispatch_costs, pv_production, split_flows
 from .storage import StorageSpec, realize, recursion_rows
 
@@ -186,14 +192,16 @@ class ControlDecision:
     charge/discharge/served are the period's energies (kWh scalars) and
     withheld (kWh) the head's simultaneous buy and sell, min(import,
     export): production the plan exports while consumers import, kept out
-    of the local allocation.  level is what `settle` fills the period from,
-    the expected end-of-year mismatch per consumer before it (e_past + the
-    tail's expected allocation + e_future - promise), where the tail's
-    expected allocation is what the control QP's tracking rows state,
-    deliver - the head's split; it is zero at theta = 0, where nothing is
-    tracked and the period settles alone.  plan is the
-    control solve's restart point (x, y, zl, zu), its first iterate within
-    a relative gap of 1e-2 (`SolveReport.restart`), which the next step
+    of the local allocation.  The control QP has no import variable: the
+    import is the head's load less its served energy, clipped to
+    [0, load], and served is load - import.  level is what `settle` fills
+    the period from, the expected end-of-year mismatch per consumer before
+    it (e_past + the tail's expected allocation + e_future - promise),
+    where the tail's expected allocation is what the control QP's tracking
+    rows state, deliver - the head's split; it is zero at theta = 0, where
+    nothing is tracked and the period settles alone.  plan is the control
+    solve's restart point (x, y, zl, zu), its first iterate within a
+    relative gap of 1e-2 (`SolveReport.restart`), which the next step
     starts from; None when the solve kept none.
     """
 
@@ -211,11 +219,13 @@ def _tree(vec, fields, per, tail, scenarios):
     The head, lifted to one period, then one `tail`-period branch per
     scenario: each holds `fields` blocks of one entry per period, then
     `per` entries per period, and the tracking part follows.  Variables:
-    charge, discharge, SoC, import and export, the split (n per period at
-    theta > 0), the n tracking variables.  Rows: balance, SoC recursion
-    and, at theta > 0, served rows, no split, the n tracking rows.  Returns
-    the head's fields and split, the tails' fields (scenarios, fields,
-    tail) and splits (scenarios, tail, per), and the tracking part.
+    charge, discharge, SoC and export, then the served block, which is the
+    split at theta > 0 (n entries per period, consumer i's in [0, load_i])
+    and one aggregate entry in [0, sum of loads] at theta = 0; the n
+    tracking variables at theta > 0.  Rows: balance and SoC recursion, no
+    block, the n tracking rows at theta > 0.  Returns the head's fields
+    and block, the tails' fields (scenarios, fields, tail) and blocks
+    (scenarios, tail, per), and the tracking part.
     """
     width = fields + per
     end = width * (1 + scenarios * tail)
@@ -229,7 +239,7 @@ def _tree(vec, fields, per, tail, scenarios):
 def _period_map(size, fields, per, old_tail, tail, scenarios, first=0):
     """Where each entry of a `tail`-period window's control-QP vector comes
     from in an `old_tail`-period one of `size`, as indices in its `_tree`
-    layout: the head, its split and the tracking part map to themselves,
+    layout: the head, its block and the tracking part map to themselves,
     and each branch's period k reads old period min(first + k, old_tail -
     1).  first is 0 for a cut (the end of a run) and 1 for a shift (the
     next step's start).  Kept per shape, read-only: the steps of a full
@@ -238,11 +248,11 @@ def _period_map(size, fields, per, old_tail, tail, scenarios, first=0):
     old = _tree(np.arange(size), fields, per, old_tail, scenarios)
     new = np.empty(size + (fields + per) * scenarios * (tail - old_tail),
                    dtype=np.int64)
-    head, split, tails, splits, track = _tree(new, fields, per, tail,
+    head, block, tails, blocks, track = _tree(new, fields, per, tail,
                                               scenarios)
     k = np.minimum(first + np.arange(tail), old_tail - 1)
-    head[:], split[:], track[:] = old[0], old[1], old[4]
-    tails[:], splits[:] = old[2][:, :, k], old[3][:, k]
+    head[:], block[:], track[:] = old[0], old[1], old[4]
+    tails[:], blocks[:] = old[2][:, :, k], old[3][:, k]
     new.setflags(write=False)
     return new
 
@@ -255,43 +265,44 @@ def _control_pattern(n, tail, probabilities, eta, tracked, longest):
     scenario probabilities (a tuple), the one-way efficiency eta and
     whether theta > 0 (tracked).  Variables and rows are laid out as
     `_tree` reads them: each branch of the scenario tree has its balance
-    rows, its SoC recursion (`storage.recursion_rows`, a tail's from the
-    head's SoC variable) and, when tracked, its served-energy rows; one
-    tracking row per consumer follows.  Only the `longest` tail, the
-    horizon's, is built; a shorter window, as at the end of a run, is that
-    QP restricted to its rows and columns (`_period_map`, by
-    `numerics.restrict`, so that its solves cut their analysis from the
-    full window's): a tail's rows and variables reach only the periods
-    before them and the head.  Returns a QP whose vectors are placeholders.
+    rows on served energy, with no import variable, and its SoC recursion
+    (`storage.recursion_rows`, a tail's from the head's SoC variable);
+    when tracked, one tracking row per consumer follows.  Only the
+    `longest` tail, the horizon's, is built; a shorter window, as at the
+    end of a run, is that QP restricted to its rows and columns
+    (`_period_map`, by `numerics.restrict`, so that its solves cut their
+    analysis from the full window's): a tail's rows and variables reach
+    only the periods before them and the head.  Returns a QP whose vectors
+    are placeholders and whose matrix is read-only (`numerics.freeze`), so
+    each step's QP takes it without a copy.
     """
-    per, w = n if tracked else 0, len(probabilities)
+    per, w = n if tracked else 1, len(probabilities)
     if tail < longest:
         full = _control_pattern(n, longest, probabilities, eta, tracked,
                                 longest)
         return restrict(
-            full, _period_map(full.rhs.shape[0], 2 + tracked, 0, longest,
-                              tail, w),
-            _period_map(full.c.shape[0], 5, per, longest, tail, w))
+            full, _period_map(full.rhs.shape[0], 2, 0, longest, tail, w),
+            _period_map(full.c.shape[0], 4, per, longest, tail, w))
     w = w if tail else 0
     pb = ProblemBuilder()
-    head, split, tails, splits, deliver = _tree(
-        pb.add_vars((5 + per) * (1 + w * tail) + per), 5, per, tail, w)
-    for (c, d, soc, gg, gs), split_rows, before in [
-            (head[:, None], split[None, :], None),
-            *((fields, rows, head[2]) for fields, rows in zip(tails, splits))]:
-        pb.add_rows(np.column_stack([gg, gs, c, d]), [1.0, -1.0, -1.0, 1.0],
-                    "==", 0.0)
+    head, served, tails, blocks, deliver = _tree(
+        pb.add_vars((4 + per) * (1 + w * tail) + n * tracked), 4, per, tail,
+        w)
+    for (c, d, soc, gs), block, before in [
+            (head[:, None], served[None, :], None),
+            *((fields, cols, head[2]) for fields, cols in zip(tails, blocks))]:
+        pb.add_rows(np.column_stack([block, gs, c, d]),
+                    np.append(np.ones(per + 2), -1.0), "==", 0.0)
         recursion_rows(pb, eta, c, d, soc, before=before)
-        if tracked:
-            # served energy is what the key must hand out: sum_i e_i + gg = l
-            pb.add_rows(np.column_stack([split_rows, gg]), 1.0, "==", 0.0)
     if tracked:
         # deliver_i is consumer i's expected window allocation
         pb.add_rows(np.column_stack(
-            [deliver, split, splits.transpose(2, 0, 1).reshape(n, -1)]),
+            [deliver, served, blocks.transpose(2, 0, 1).reshape(n, -1)]),
             np.concatenate([[1.0, -1.0], np.repeat(-np.array(probabilities),
                                                    tail)]), "==", 0.0)
-    return pb.qp()
+    pattern = pb.qp()
+    freeze(pattern.a)
+    return pattern
 
 
 def _control_qp(state, window, spec, config, beta_es_use):
@@ -299,54 +310,58 @@ def _control_qp(state, window, spec, config, beta_es_use):
 
     The one fill of the window shape's kept pattern (`_control_pattern`),
     written through `_tree`'s views: the head and, at their probabilities,
-    the W tails cost their variables, bound them by the battery's caps and
-    their loads, and set their balance rows to their loads net of their
-    generation and, when theta > 0, their served rows to their loads; the
+    the W tails cost their variables and bound them by the battery's caps
+    and their loads, and set their balance rows to their generation; the
     head's recursion starts from the state's SoC, and theta prices the
-    tracking variables.  At theta = 0 the QP is the dispatch program.
-    Returns a new QP, which shares no array with the pattern.
+    tracking variables.  Served energy costs minus the grid price: the
+    grid bill, price x (load - served), less the constant price x load, so
+    the objective omits sum over branch periods of probability x price x
+    load.  At theta = 0 the QP is the dispatch program.  Returns a new QP
+    on the pattern's read-only matrix, which shares no other array with
+    the pattern.
     """
     n = window.head_loads.shape[0]
     theta = config.theta
     tracked = theta > 0.0
     prob = window.probabilities[:, None]
-    per, tail, w = n if tracked else 0, window.tail_periods, len(prob)
+    per, tail, w = n if tracked else 1, window.tail_periods, len(prob)
     pattern = _control_pattern(n, tail, tuple(window.probabilities.tolist()),
                                spec.efficiency, tracked,
                                max(tail, config.prediction_periods - 1))
     cap_p = spec.power_cap_kw * window.delta_hours
     cap_e = spec.energy_cap_kwh
     export_net = window.export_tax - window.export_price
-    head_agg, tail_agg = window.head_loads.sum(), window.tail_loads.sum(axis=1)
 
     cost, qdiag, lb = (np.zeros(pattern.c.shape[0]) for _ in range(3))
     ub = np.full(pattern.c.shape[0], np.inf)
     rhs = np.zeros(pattern.rhs.shape[0])
-    cost_head, _, cost_tails, _, cost_track = _tree(cost, 5, per, tail, w)
-    ub_head, ub_split, ub_tails, ub_splits, _ = _tree(ub, 5, per, tail, w)
-    rhs_head, _, rhs_tails, _, _ = _tree(rhs, 2 + tracked, 0, tail, w)
-    # charge, discharge, SoC, import and export
-    cost_head[:] = beta_es_use, beta_es_use, 0.0, window.grid_price[0], \
-        export_net[0]
+    cost_head, cost_served, cost_tails, cost_serveds, cost_track = _tree(
+        cost, 4, per, tail, w)
+    ub_head, ub_served, ub_tails, ub_serveds, _ = _tree(ub, 4, per, tail, w)
+    rhs_head, _, rhs_tails, _, _ = _tree(rhs, 2, 0, tail, w)
+    # charge, discharge, SoC and export, then the served block
+    cost_head[:] = beta_es_use, beta_es_use, 0.0, export_net[0]
+    cost_served[:] = -window.grid_price[0]
     cost_tails[:, 0] = cost_tails[:, 1] = prob * beta_es_use
-    cost_tails[:, 3] = prob * window.grid_price[1:]
-    cost_tails[:, 4] = prob * export_net[1:]
-    ub_head[:4] = cap_p, cap_p, cap_e, head_agg
+    cost_tails[:, 3] = prob * export_net[1:]
+    cost_serveds[:] = (-prob * window.grid_price[1:])[:, :, None]
+    ub_head[:3] = cap_p, cap_p, cap_e
     ub_tails[:, :3] = np.array([[cap_p], [cap_p], [cap_e]])
-    ub_tails[:, 3] = tail_agg
-    # balance, SoC recursion (the head's from the state's SoC), served
-    rhs_head[:2] = head_agg - window.head_gen, min(state.soc_kwh, cap_e)
-    rhs_tails[:, 0] = tail_agg - window.tail_gen.T
+    # each consumer's load, or the aggregate load at theta = 0
+    ub_served[:], ub_serveds[:] = (
+        (window.head_loads, window.tail_loads) if tracked else
+        (window.head_loads.sum(), window.tail_loads.sum(axis=1)[:, None]))
+    # balance, SoC recursion (the head's from the state's SoC)
+    rhs_head[:] = window.head_gen, min(state.soc_kwh, cap_e)
+    rhs_tails[:, 0] = window.tail_gen.T
     if tracked:
-        ub_split[:], ub_splits[:] = window.head_loads, window.tail_loads
-        rhs_head[2], rhs_tails[:, 2] = head_agg, tail_agg
         # tracking distance: minimize theta * sum_i (deliver_i + rhs_i)^2.
         # Written with the offset in the linear term so every variable
         # stays at kWh scale; carrying rhs (cumulative promise gap, often
         # hundreds of kWh) inside a variable stalls the solve short of
         # tight tolerances.
-        _tree(lb, 5, per, tail, w)[-1][:] = -np.inf
-        _tree(qdiag, 5, per, tail, w)[-1][:] = 2.0 * theta
+        _tree(lb, 4, per, tail, w)[-1][:] = -np.inf
+        _tree(qdiag, 4, per, tail, w)[-1][:] = 2.0 * theta
         cost_track[:] = 2.0 * theta * (state.e_past + state.e_future
                                        - state.promise)
     return ConvexQuadraticProgram(cost, qdiag, pattern.a,
@@ -371,9 +386,11 @@ def _shifted_start(previous, window, tracked):
     if previous is None or not tail:
         return None
     probs = window.probabilities
-    per, w = window.head_loads.shape[0] if tracked else 0, len(probs)
-    old_tail, rest = divmod(previous[0].shape[0] - 5 - 2 * per, (5 + per) * w)
-    old_rows = (2 + tracked) * (1 + w * old_tail) + per
+    track, w = window.head_loads.shape[0] if tracked else 0, len(probs)
+    per = track or 1
+    old_tail, rest = divmod(previous[0].shape[0] - 4 - per - track,
+                            (4 + per) * w)
+    old_rows = 2 * (1 + w * old_tail) + track
     if rest or old_tail < 1 or previous[1].shape[0] != old_rows:
         raise DomainError("the previous plan does not fit the window")
 
@@ -382,16 +399,16 @@ def _shifted_start(previous, window, tracked):
         # the new head is the old tails' first periods (the plan cut to one
         # period) at these weights, summed in scenario order from 0.0 as a
         # running sum: a reduction could sum pairwise
-        _, _, tails, splits, _ = _tree(old, fields, per, old_tail, w)
-        firsts = np.hstack([tails[:, :, 0], splits[:, 0]])
+        _, _, tails, blocks, _ = _tree(old, fields, per, old_tail, w)
+        firsts = np.hstack([tails[:, :, 0], blocks[:, 0]])
         terms = np.vstack([np.zeros(fields + per), weights[:, None] * firsts])
         new[:fields + per] = np.add.accumulate(terms)[-1]
         return new
 
     x, y, zl, zu = previous
     ones = np.ones(w)
-    return (shift(x, 5, per, probs), shift(y, 2 + tracked, 0, ones),
-            shift(zl, 5, per, ones), shift(zu, 5, per, ones))
+    return (shift(x, 4, per, probs), shift(y, 2, 0, ones),
+            shift(zl, 4, per, ones), shift(zu, 4, per, ones))
 
 
 def mpc_step(state, window, spec, config, beta_es_use=0.0, previous=None):
@@ -399,10 +416,10 @@ def mpc_step(state, window, spec, config, beta_es_use=0.0, previous=None):
 
     Minimizes expected grid cost plus storage wear minus export revenue over
     the window, plus theta times the squared expected mismatch, subject to
-    the energy balance, the storage envelope continuing from the state SoC
-    (each tail scenario branching off the shared head), and the requirement
-    that, when theta > 0, every period's split hands out exactly the locally
-    served energy.  Returns the head period and the level it settles from,
+    the energy balance on served energy and the storage envelope continuing
+    from the state SoC (each tail scenario branching off the shared head);
+    when theta > 0 the served energy is split by consumer, each within its
+    load.  Returns the head period and the level it settles from,
     read through `_tree`'s views of the solution, and the solve's restart
     point as the plan; the objective is stated once, in `_control_qp`.
 
@@ -436,18 +453,18 @@ def mpc_step(state, window, spec, config, beta_es_use=0.0, previous=None):
             f"started {how} ended {r.status} after {r.iterations} iterations"
             for how, r in tried + [("cold", rep)]))
 
-    # keep the solver's import/export split: simultaneous buy and sell is a
-    # deliberate instrument here (it withholds production from the local
-    # allocation when consumers are ahead of the promise), so re-deriving
-    # the flows from a complementary split would change the plan
-    (c, d, _, gg, gs), split, _, _, deliver = _tree(
-        rep.x, 5, n if tracked else 0, window.tail_periods,
+    # keep the solver's served energy and export: simultaneous buy and sell
+    # is a deliberate instrument here (it withholds production from the
+    # local allocation when consumers are ahead of the promise), so
+    # re-deriving the flows from a complementary split would change the plan
+    (c, d, _, gs), served, _, _, deliver = _tree(
+        rep.x, 4, n if tracked else 1, window.tail_periods,
         window.probabilities.shape[0])
     agg = window.head_loads.sum()
-    grid_import = np.clip(gg, 0.0, agg)
-    # the tracking rows state deliver_i = split_i + sum_s p_s sum_t
-    # splits_{s,t,i}: the tail's expected allocation is deliver - split
-    level = (state.e_past + (deliver - split) + state.e_future
+    grid_import = np.clip(agg - served.sum(), 0.0, agg)
+    # the tracking rows state deliver_i = served_i + sum_s p_s sum_t
+    # served_{s,t,i}: the tail's expected allocation is deliver - served
+    level = (state.e_past + (deliver - served) + state.e_future
              - state.promise) if tracked else np.zeros(n)
     return ControlDecision(
         charge=np.clip(c, 0.0, cap_p), discharge=np.clip(d, 0.0, cap_p),

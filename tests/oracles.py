@@ -687,27 +687,99 @@ def random_presolve_problem(rng):
 def control_qp_by_rows(state, window, spec, config, beta_es_use=0.0,
                        with_rows=False):
     """Reference build of the control QP of operation.mpc_step, one row at
-    a time, interleaving each period's balance, state-of-charge and served
-    rows.  Variables come in the same order as in operation._control_qp;
-    the split variables and the served and tracking rows only when
-    theta > 0.  Returns the QP, one (charge, discharge, SoC, import,
-    export, split) index block per branch, head first, and the tracking
-    variables' indices; split and tracking are None at theta = 0.  With
+    a time, on served energy: each period's balance row, served + export +
+    charge - discharge = generation, then its state-of-charge row.
+    Variables come in the same order as in operation._control_qp: per
+    period charge, discharge, SoC and export, then the served block, one
+    entry per consumer in [0, load] at theta > 0 and one aggregate entry
+    in [0, sum of loads] at theta = 0, costing minus the grid price; the
+    tracking variables and rows only when theta > 0.  Returns the QP, one
+    (charge, discharge, SoC, export, served) index block per branch, head
+    first, and the tracking variables' indices (None at theta = 0).  With
     with_rows, it also returns the row index blocks of this build: one
-    (balance, SoC, served) block per branch, head first, and the tracking
-    rows; served and tracking are None at theta = 0."""
+    (balance, SoC) block per branch, head first, and the tracking rows
+    (None at theta = 0)."""
     from pvpool.numerics import ProblemBuilder
 
-    row_blocks, added = [], [0]
-    kinds = 3 if config.theta > 0.0 else 2  # balance, SoC and served rows
+    n = window.head_loads.shape[0]
+    tt = window.tail_periods
+    w = window.probabilities.shape[0]
+    cap_p = spec.power_cap_kw * window.delta_hours
+    cap_e = spec.energy_cap_kwh
+    eta = spec.efficiency
+    tracked = config.theta > 0.0
+    per = n if tracked else 1
+    export_net = window.export_tax - window.export_price
+    # each period's served box: the consumers' loads or their sum
+    head_box = window.head_loads if tracked else [window.head_loads.sum()]
+    tail_box = window.tail_loads if tracked \
+        else window.tail_loads.sum(axis=1)[:, None]
 
-    def next_rows(periods):
-        # one (balance, SoC, served) block over the next periods' rows,
-        # which this build adds period by period
-        rows = added[0] + np.arange(kinds * periods).reshape(periods, kinds)
-        added[0] += kinds * periods
-        row_blocks.append(tuple(rows[:, k] if k < kinds else None
-                                for k in range(3)))
+    pb = ProblemBuilder()
+    blocks, row_blocks, added = [], [], [0]
+
+    def branch(periods, pi, price, net, box, gen, soc_before):
+        c = pb.add_vars(periods, lb=0.0, ub=cap_p, cost=pi * beta_es_use)
+        d = pb.add_vars(periods, lb=0.0, ub=cap_p, cost=pi * beta_es_use)
+        soc = pb.add_vars(periods, lb=0.0, ub=cap_e)
+        gs = pb.add_vars(periods, lb=0.0, cost=pi * net)
+        served = pb.add_vars(periods * per, lb=0.0, ub=np.ravel(box),
+                             cost=np.repeat(-pi * price, per))
+        blocks.append((c, d, soc, gs, served))
+        rows = added[0] + np.arange(2 * periods).reshape(periods, 2)
+        added[0] += 2 * periods
+        row_blocks.append((rows[:, 0], rows[:, 1]))
+        for t in range(periods):
+            pb.add_row(np.concatenate([served[t * per:(t + 1) * per],
+                                       [gs[t], c[t], d[t]]]),
+                       np.append(np.ones(per + 2), -1.0), "==", gen[t])
+            if soc_before is None:  # the head starts from the state's SoC
+                pb.add_row([soc[t], c[t], d[t]], [1.0, -eta, 1.0 / eta],
+                           "==", min(state.soc_kwh, cap_e))
+            else:
+                prev = soc_before if t == 0 else soc[t - 1]
+                pb.add_row([soc[t], prev, c[t], d[t]],
+                           [1.0, -1.0, -eta, 1.0 / eta], "==", 0.0)
+        return soc
+
+    head_soc = branch(1, 1.0, window.grid_price[:1], export_net[:1],
+                      head_box, [window.head_gen], None)
+    for widx in range(w if tt else 0):
+        branch(tt, window.probabilities[widx], window.grid_price[1:],
+               export_net[1:], tail_box, window.tail_gen[:, widx],
+               head_soc[0])
+
+    deliver = track_rows = None
+    if tracked:
+        track_rows = added[0] + np.arange(n)
+        theta = config.theta
+        rhs = state.e_past + state.e_future - state.promise
+        deliver = pb.add_vars(n, lb=-np.inf, ub=np.inf, qdiag=2.0 * theta,
+                              cost=2.0 * theta * rhs)
+        for i in range(n):
+            pb.add_row(
+                np.concatenate([[deliver[i]]]
+                               + [blk[4][i::n] for blk in blocks]),
+                np.concatenate([[1.0, -1.0]]
+                               + [np.full(tt, -window.probabilities[widx])
+                                  for widx in range(len(blocks) - 1)]),
+                "==", 0.0)
+    if with_rows:
+        return pb.qp(), blocks, deliver, row_blocks, track_rows
+    return pb.qp(), blocks, deliver
+
+
+def control_qp_import_form(state, window, spec, config, beta_es_use=0.0):
+    """The control QP of operation.mpc_step in its former import form, one
+    row at a time: each period carries a grid import variable in [0, load]
+    with its cost, balance rows import - export - charge + discharge =
+    load - generation and, when theta > 0, served rows sum_i split_i +
+    import = load, interleaved with the state-of-charge rows.  Its
+    objective exceeds the served-energy form's (control_qp_by_rows) by
+    the constant sum of probability x grid price x load, and its optimal
+    value is that form's plus the constant.  The split variables and the
+    served and tracking rows only when theta > 0."""
+    from pvpool.numerics import ProblemBuilder
 
     n = window.head_loads.shape[0]
     tt = window.tail_periods
@@ -730,8 +802,6 @@ def control_qp_by_rows(state, window, spec, config, beta_es_use=0.0,
                      cost=window.export_tax[:1] - window.export_price[:1])
     ehat = pb.add_vars(n, lb=0.0, ub=window.head_loads) \
         if theta > 0.0 else None
-    blocks = [(c, d, soc, gg, gs, ehat)]
-    next_rows(1)
     pb.add_row([gg[0], gs[0], c[0], d[0]], [1.0, -1.0, -1.0, 1.0],
                "==", head_agg - window.head_gen)
     pb.add_row([soc[0], c[0], d[0]], [1.0, -eta_c, 1.0 / eta_d], "==", soc0)
@@ -754,8 +824,6 @@ def control_qp_by_rows(state, window, spec, config, beta_es_use=0.0,
         if theta > 0.0:
             gw = pb.add_vars(tt * n, lb=0.0, ub=window.tail_loads.ravel())
             tail_gw.append(gw)
-        blocks.append((cw, dw, socw, ggw, gsw, gw))
-        next_rows(tt)
         for t in range(tt):
             pb.add_row([ggw[t], gsw[t], cw[t], dw[t]], [1.0, -1.0, -1.0, 1.0],
                        "==", tail_agg[t] - window.tail_gen[t, widx])
@@ -766,9 +834,7 @@ def control_qp_by_rows(state, window, spec, config, beta_es_use=0.0,
                 pb.add_row(np.concatenate([gw[t * n:(t + 1) * n], [ggw[t]]]),
                            np.ones(n + 1), "==", tail_agg[t])
 
-    deliver = track_rows = None
     if theta > 0.0:
-        track_rows = added[0] + np.arange(n)
         rhs = state.e_past + state.e_future - state.promise
         deliver = pb.add_vars(n, lb=-np.inf, ub=np.inf, qdiag=2.0 * theta,
                               cost=2.0 * theta * rhs)
@@ -780,9 +846,7 @@ def control_qp_by_rows(state, window, spec, config, beta_es_use=0.0,
                 + [np.full(tt, -window.probabilities[widx])
                    for widx in range(len(tail_gw))])
             pb.add_row(idx, coef, "==", 0.0)
-    if with_rows:
-        return pb.qp(), blocks, deliver, row_blocks, track_rows
-    return pb.qp(), blocks, deliver
+    return pb.qp()
 
 
 def construct_feasible_key(served, loads):

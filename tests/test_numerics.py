@@ -563,14 +563,14 @@ def _normal_matrix(kind):
         # 15 consumers, 48 periods, two scenarios: the tracking rows
         # couple every period and form the border; the head's SoC spans 3
         # rows and stays in the normal matrix
-        problem, shape = _control_qp_instance(15, 47), (300, 4, 15, 0)
+        problem, shape = _control_qp_instance(15, 47), (205, 4, 15, 0)
     elif kind in ("control_qp_10", "control_qp_20"):
         # 10 and 20 scenarios: the head's SoC spans W + 1 rows and leaves
         # the normal matrix for one augmented border row, so the scenario
-        # chains band apart at the same width (31 and 61 with the SoC in)
+        # chains band apart at the same width (19 and 39 with the SoC in)
         scenarios = int(kind[-2:])
         problem = _control_qp_instance(15, 47, scenarios=scenarios)
-        shape = (141 * scenarios + 18, 6, 15, 1)
+        shape = (94 * scenarios + 17, 4, 15, 1)
     elif kind == "dispatch_qp_10":
         # the same at theta = 0, the cost-only MPC: no tracking rows, so
         # the border is the augmented row alone (kd 19 with the SoC in)
@@ -857,26 +857,24 @@ def test_restart_is_interior_with_no_guess_where_presolve_acted(battery,
                                                                  sun):
     # the restart iterate lies strictly inside the box with positive
     # multipliers on its bounded sides.  Presolve pins a zero-load
-    # consumer's splits and a zero-capacity battery, whose recursion rows
-    # then lose every variable and are dropped; without sun and battery
-    # the head's balance row forces its import to the load (and its export
-    # to 0), and its served row then the head's splits to 0, so both rows
-    # are dropped too.  Those carry no guess: bound multipliers and row
-    # duals 0.  A re-solve from the restart reaches the optimum
+    # consumer's served energy and a zero-capacity battery, whose recursion
+    # rows then lose every variable and are dropped; without sun and
+    # battery the head's balance row forces its export and served energy
+    # to 0, so it is dropped too.  Those carry no guess: bound multipliers
+    # and row duals 0.  A re-solve from the restart reaches the optimum
     problem = _control_qp_instance(battery=battery, idle=1, sun=sun)
     rep = solve_qp(problem)
     assert rep.status == "optimal"
     x, y, zl, zu = rep.restart
     lb, ub = problem.lb, problem.ub
     pinned = lb == ub
-    # the idle consumer's split in 17 branch periods, and the battery's
-    # charge, discharge and SoC there when it has no capacity
+    # the idle consumer's served energy in 17 branch periods, and the
+    # battery's charge, discharge and SoC there when it has no capacity
     assert pinned.sum() == 17 + 3 * 17 * (battery[0] == 0.0)
     forced = np.zeros_like(pinned)
     if not sun:
-        forced[[3, 4, 5, 6, 7]] = True  # head import, export and splits
-    assert np.all(x[forced] == np.where(np.arange(x.shape[0]) == 3,
-                                        ub, lb)[forced])
+        forced[[3, 4, 5, 6]] = True  # the head's export and served energy
+    assert np.all(x[forced] == lb[forced])
     pinned |= forced
     has_lb = np.isfinite(lb) & ~pinned
     has_ub = np.isfinite(ub) & ~pinned
@@ -886,7 +884,7 @@ def test_restart_is_interior_with_no_guess_where_presolve_acted(battery,
     np.testing.assert_array_equal(x[lb == ub], lb[lb == ub])
     assert not zl[pinned].any() and not zu[pinned].any()
     dropped = (abs(problem.a) @ ~pinned) == 0  # no unpinned variable left
-    assert dropped.sum() == 17 * (battery[0] == 0.0) + 2 * (not sun)
+    assert dropped.sum() == 17 * (battery[0] == 0.0) + (not sun)
     assert not y[dropped].any() and np.all(y[~dropped] != 0.0)
     again = solve_qp(problem, start=rep.restart)
     assert again.status == "optimal"

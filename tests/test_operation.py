@@ -26,8 +26,8 @@ from pvpool.sizing import (dispatch_costs, pv_production, solve_sizing,
 from pvpool.storage import StorageSpec, check_feasible, realize
 
 from oracles import (assert_same_qp, control_qp_by_rows,
-                     greedy_year_by_rule_loop, qp_active_set_minimum,
-                     settle_qp_by_rows)
+                     control_qp_import_form, greedy_year_by_rule_loop,
+                     qp_active_set_minimum, settle_qp_by_rows)
 from test_allocation import _oracle_variance, capture_qps
 
 _ETA = math.sqrt(0.9)  # the one-way efficiency of a 90% round trip
@@ -87,7 +87,7 @@ def _planned_key(decision, state, window, spec, config, beta_es_use=0.0):
     rep = solve_qp(qp, tol=1e-6)
     assert rep.status == "optimal"
     split = control_qp_by_rows(state, window, spec, config,
-                               beta_es_use)[1][0][5]
+                               beta_es_use)[1][0][4]
     return _repair_rows(rep.x[split][None, :], np.array([decision.served]),
                         window.head_loads[None, :])[0]
 
@@ -330,9 +330,13 @@ def test_mpc_matches_grid_search_oracle():
     rep = solve_qp(qp, tol=1e-6)
     assert rep.status == "optimal"
     # the QP carries the tracking offset in its linear term:
-    # theta * |deliver + rhs|^2 = objective terms + theta * |rhs|^2
+    # theta * |deliver + rhs|^2 = objective terms + theta * |rhs|^2, and
+    # bills the grid as minus the price on served energy, which leaves out
+    # the constant sum of probability x price x load (every scenario shares
+    # the tail's loads, so the probabilities sum out)
     rhs = st.e_past + st.e_future - st.promise
-    achieved = rep.objective + theta * float(rhs @ rhs)
+    achieved = rep.objective + theta * float(rhs @ rhs) \
+        + 0.13 * float(head_loads.sum() + tail_loads.sum())
 
     _, _, served_h = split_flows(head_loads.sum(1), np.zeros(1), np.zeros(1),
                                  head_gen)
@@ -440,16 +444,16 @@ def _block_lists(blocks):
 def _layout_blocks(qp, window, theta):
     """The control QP's variable index blocks as `operation._tree` reads
     them over np.arange, in the reference build's order: per branch, head
-    first, (charge, discharge, SoC, import, export, split), and the
-    tracking variables; split and tracking are None at theta = 0."""
+    first, (charge, discharge, SoC, export, served), and the tracking
+    variables, None at theta = 0."""
     n = window.head_loads.shape[0]
-    head, split, tails, splits, track = operation._tree(
-        np.arange(qp.c.shape[0]), 5, n if theta else 0, window.tail_periods,
+    head, served, tails, serveds, track = operation._tree(
+        np.arange(qp.c.shape[0]), 4, n if theta else 1, window.tail_periods,
         window.probabilities.shape[0])
-    branches = [(head[:, None], split)] + list(
-        zip(tails, splits.reshape(splits.shape[0], -1))
+    branches = [(head[:, None], served)] + list(
+        zip(tails, serveds.reshape(serveds.shape[0], -1))
         if window.tail_periods else [])
-    return ([(*fields, part if theta else None) for fields, part in branches],
+    return ([(*fields, part) for fields, part in branches],
             track if theta else None)
 
 
@@ -495,15 +499,18 @@ def test_kept_control_pattern_fills_the_fresh_qp(theta):
 
 
 def test_control_qp_shares_no_array_with_its_pattern():
-    # a caller that writes into a returned QP must not change the next one
+    # a caller that writes into a returned QP must not change the next one:
+    # its vectors are its own, and its matrix is the pattern's, read-only,
+    # so every write to it is refused
     state, window, spec, cfg = next(_rolling_windows(1.0))
     first = _control_qp(state, window, spec, cfg, 1e-4)
     want = _control_qp(state, window, spec, cfg, 1e-4)
     for name in ("c", "q_diag", "lb", "ub", "rhs"):
         getattr(first, name)[:] = 7.0
     first.senses[:] = "<="
-    first.a.data[:] = 7.0
-    first.a.indices[:] = 0
+    for name in ("data", "indices", "indptr"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(first.a, name)[:] = 0
     again = _control_qp(state, window, spec, cfg, 1e-4)
     assert_same_qp(again, want)
 
@@ -634,11 +641,16 @@ def test_a_cut_solve_repeats_whatever_analyses_are_kept(monkeypatch):
 
 
 def test_a_changed_cut_matrix_is_analysed_afresh():
-    # a QP whose cut matrix a caller rewrote is no longer the restriction
-    # its recipe states: its analysis is its own, and its solve that of the
+    # a cut matrix is read-only; a QP on a writable copy that carries its
+    # recipe and that a caller rewrote is no longer the restriction the
+    # recipe states: its analysis is its own, and its solve that of the
     # same QP on a plain matrix
     qp = _control_qp(*list(_end_windows(2, 0.6))[10], 1e-4)
-    qp.a.data[0] *= 1.5
+    changed = qp.a.copy()
+    changed._restriction = qp.a._restriction
+    changed.data[0] *= 1.5
+    qp = replace(qp, a=changed)
+    assert qp.a is not changed and qp.a._restriction is changed._restriction
     assert not numerics._analyse(qp.a)._cut
     plain = solve_qp(replace(qp, a=sp.csr_matrix(qp.a)), tol=1e-6)
     assert _report_bytes(solve_qp(qp, tol=1e-6)) == _report_bytes(plain)
@@ -739,9 +751,9 @@ def test_shifted_start_moves_the_plan_one_period(theta):
 
 
 def test_level_is_what_the_tracking_rows_state(monkeypatch):
-    # the tracking rows state deliver_i = split_i + sum_s p_s sum_t
-    # splits_{s,t,i}, so the level reads the tail's expected allocation off
-    # the solved QP as deliver - split, byte for byte, over the reference
+    # the tracking rows state deliver_i = served_i + sum_s p_s sum_t
+    # served_{s,t,i}, so the level reads the tail's expected allocation off
+    # the solved QP as deliver - served, byte for byte, over the reference
     # build's blocks; the tails' splits hand out that much to the solve's
     # tolerance
     solved = []
@@ -756,7 +768,7 @@ def test_level_is_what_the_tracking_rows_state(monkeypatch):
         x = solved[-1].x
         _, blocks, deliver = control_qp_by_rows(state, window, spec, config,
                                                 1e-4)
-        tail = x[deliver] - x[blocks[0][5]]
+        tail = x[deliver] - x[blocks[0][4]]
         want = state.e_past + tail + state.e_future - state.promise
         assert level.tobytes() == want.tobytes()
         handed = [x[split].reshape(window.tail_loads.shape).sum(axis=0)
@@ -886,9 +898,12 @@ def test_year_reports_repeat_byte_for_byte(algorithm):
 
 def test_theta_zero_control_qp_is_the_dispatch_program():
     # theta = 0 tracks nothing: every branch period carries charge,
-    # discharge, SoC, import and export with its balance and SoC rows, and
-    # nothing else; the theta > 0 QP is that program plus the split and
-    # tracking block
+    # discharge, SoC, export and one aggregate served energy with its
+    # balance and SoC rows, and nothing else.  The theta > 0 QP is that
+    # program with each period's served energy split by consumer, plus the
+    # tracking block: mapping each of a period's n served columns onto the
+    # cost-only program's one gives its A, costs and lower bounds, and the
+    # n boxes sum to its box
     rng = np.random.default_rng(9)
     n, tt, probs = 3, 4, np.array([0.6, 0.4])
     spec = StorageSpec(3.0, 6.0, 0.93, cyclic=False)
@@ -901,30 +916,95 @@ def test_theta_zero_control_qp_is_the_dispatch_program():
     st = OperationState(2.5, rng.uniform(0.0, 3.0, n),
                         rng.uniform(3.0, 6.0, n), rng.uniform(0.0, 1.0, n))
     zero = _control_qp(st, win, spec, HorizonConfig(1, 1 + tt, 0.0), 1e-4)
-    blocks = control_qp_by_rows(st, win, spec, HorizonConfig(1, 1 + tt, 0.0),
-                                1e-4)[1]
     periods = 1 + len(probs) * tt
     assert zero.a.shape == (2 * periods, 5 * periods)
     assert not zero.q_diag.any()
-    assert all(split is None for *_, split in blocks)
-
     tracked = _control_qp(st, win, spec, HorizonConfig(1, 1 + tt, 1.0), 1e-4)
-    blocks = control_qp_by_rows(st, win, spec, HorizonConfig(1, 1 + tt, 1.0),
-                                1e-4)[1]
-    # each branch lays out charge, discharge, SoC, import and export in a row
-    cols = np.concatenate([np.arange(c[0], gs[-1] + 1)
-                           for c, _, _, _, gs, _ in blocks])
-    for name in ("c", "lb", "ub"):
-        np.testing.assert_array_equal(getattr(zero, name),
-                                      getattr(tracked, name)[cols])
-    a = tracked.a.tocsr()
-    dispatch = np.isin(np.arange(a.shape[1]), cols)
-    keep = [i for i in range(a.shape[0])
-            if dispatch[a.indices[a.indptr[i]:a.indptr[i + 1]]].all()]
-    np.testing.assert_array_equal(zero.a.toarray(),
-                                  a[keep][:, cols].toarray())
-    assert list(zero.senses) == [tracked.senses[i] for i in keep]
-    np.testing.assert_array_equal(zero.rhs, np.asarray(tracked.rhs)[keep])
+    assert tracked.a.shape == (2 * periods + n, (4 + n) * periods + n)
+
+    # owner[j]: the cost-only program's column of the tracked column j
+    owner = np.full(tracked.c.shape[0], -1)
+    blocks, track = _layout_blocks(tracked, win, 1.0)
+    for want, got in zip(_layout_blocks(zero, win, 0.0)[0], blocks):
+        for cols, split in zip(want, got):
+            owner[split] = np.repeat(cols, len(split) // len(cols))
+    dispatch = np.flatnonzero(owner >= 0)
+    assert dispatch.tolist() == sorted(set(range(owner.shape[0]))
+                                       - set(track.tolist()))
+    m = zero.a.shape[0]
+    a = tracked.a.toarray()
+    np.testing.assert_array_equal(a[:m, dispatch],
+                                  zero.a.toarray()[:, owner[dispatch]])
+    assert not a[:m, track].any() and not tracked.q_diag[dispatch].any()
+    for name in ("c", "lb"):
+        np.testing.assert_array_equal(getattr(tracked, name)[dispatch],
+                                      getattr(zero, name)[owner[dispatch]])
+    box = np.zeros(zero.c.shape[0])
+    np.add.at(box, owner[dispatch], tracked.ub[dispatch])
+    np.testing.assert_allclose(box, zero.ub, rtol=1e-15)
+    assert list(zero.senses) == list(tracked.senses[:m])
+    np.testing.assert_array_equal(zero.rhs, tracked.rhs[:m])
+
+
+def _random_step(rng, scenarios, tail, theta, n=3):
+    """(state, window, spec, config) of a random control step: n consumers,
+    one of them without load in some periods, `scenarios` solar scenarios
+    of random probability and a `tail`-period tail, a battery that may
+    have no capacity, and random prices."""
+    loads = rng.uniform(0.0, 2.5, (1 + tail, n))
+    loads[rng.random((1 + tail, n)) < 0.2] = 0.0
+    gen = rng.uniform(0.0, 3.0, (1 + tail, scenarios))
+    probs = rng.dirichlet(np.ones(scenarios))
+    power = rng.choice([0.0, rng.uniform(0.5, 4.0)])
+    spec = StorageSpec(power, 2.0 * power, 0.93, cyclic=False)
+    window = HorizonWindow(0.5, loads[0], float(gen[0] @ probs), loads[1:],
+                           gen[1:], probs, rng.uniform(0.1, 0.3, 1 + tail),
+                           rng.uniform(0.0, 0.1, 1 + tail),
+                           rng.uniform(0.0, 0.02, 1 + tail))
+    state = OperationState(rng.uniform(0.0, 2.0 * power),
+                           rng.uniform(0.0, 3.0, n), rng.uniform(3.0, 6.0, n),
+                           rng.uniform(0.0, 1.0, n))
+    return state, window, spec, HorizonConfig(1, 1 + tail, theta=theta)
+
+
+@pytest.mark.parametrize("tail", [0, 1, 5])
+@pytest.mark.parametrize("scenarios", [1, 2, 4, 10])
+@pytest.mark.parametrize("theta", [0.0, 0.6])
+def test_served_energy_form_solves_as_the_import_form(theta, scenarios,
+                                                      tail):
+    # the balance on served energy substitutes the grid import, load -
+    # served, out of the former import form: both are optimal, and their
+    # values differ by the constant sum of probability x grid price x load
+    # that the served-energy form leaves out
+    rng = np.random.default_rng(1000 * scenarios + 10 * tail + int(theta))
+    for _ in range(3):
+        state, window, spec, config = _random_step(rng, scenarios, tail,
+                                                   theta)
+        got = solve_qp(_control_qp(state, window, spec, config, 1e-4),
+                       tol=1e-8)
+        want = solve_qp(control_qp_import_form(state, window, spec, config,
+                                               1e-4), tol=1e-8)
+        assert got.status == want.status == "optimal"
+        price = window.grid_price
+        dropped = price[0] * window.head_loads.sum() + window.probabilities \
+            @ np.full(scenarios, price[1:] @ window.tail_loads.sum(axis=1))
+        assert abs(got.objective + dropped - want.objective) \
+            <= 1e-6 * (1.0 + abs(got.objective))
+
+
+def test_control_qp_has_two_rows_per_branch_period():
+    # each branch period has its balance and SoC rows, and theta > 0 adds
+    # only the n tracking rows: no served rows and no import variable
+    rng = np.random.default_rng(41)
+    for theta in (0.0, 0.6):
+        for scenarios in (1, 2, 4, 10):
+            for tail in (0, 1, 5):
+                step = _random_step(rng, scenarios, tail, theta, n=4)
+                qp = _control_qp(*step, 1e-4)
+                periods, track = 1 + scenarios * tail, 4 * (theta > 0.0)
+                per = track or 1
+                assert qp.a.shape == (2 * periods + track,
+                                      (4 + per) * periods + track)
 
 
 # ---------------------------------------------------------------------------
