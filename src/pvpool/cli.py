@@ -209,6 +209,7 @@ def _year_payload(config, report, consumer_ids):
         "mismatch_pct": report.mismatch_pct,
         "max_abs_mismatch_kwh": report.max_abs_mismatch,
         "cumulative_deficit_kwh": report.cumulative_deficit,
+        "cold_retries": report.cold_retries,
         "costs_eur": {
             "grid_energy": report.grid_energy_cost,
             "fixed": report.fixed_cost,

@@ -20,9 +20,12 @@ box midpoint elsewhere, moved toward A x = b by one least-norm correction
 and pushed strictly inside the box; the duals start at y and at the
 positive bound multipliers (at least 1e-300), and at max(1, 1% of the
 largest cost) where a multiplier is 0.  Each report keeps, as its
-`restart`, the first iterate whose relative gap was at most 1e-2: a
-well-centred point that a neighbouring problem (a rolling horizon's next
-step, shifted, or a re-solve) restarts from.
+`restart`, the first iterate whose relative primal residual, relative dual
+residual and relative gap sum to at most 3e-2: a well-centred point, near
+feasible as well as near the central path, that a neighbouring problem (a
+rolling horizon's next step, shifted, or a re-solve) restarts from.  A warm
+start's gap is small before any Newton step, so the gap alone would hand
+on a start whose rows its solve never met.
 
 Each iteration solves one Newton system, on one of two paths.  The normal
 equations A D^-1 A' serve every problem whose variables all carry a bound
@@ -116,7 +119,9 @@ EQ = "=="
 GE = ">="
 
 _STEP_DAMP = 0.99995  # fraction-to-boundary
-_RESTART_GAP = 1e-2  # relative gap of the iterate a report keeps to restart
+# score (relative residuals plus relative gap) of the iterate a report
+# keeps to restart from; a gap alone would pass an unmoved warm start
+_RESTART_SCORE = 3e-2
 _DIVERGE = 1e14
 _KKT_REFINE_STEPS = 3  # refinement steps on an unpivoted KKT solve
 _KKT_REFINE_TOL = 1e-10  # accepted residual, relative to 1 + |rhs|
@@ -251,9 +256,11 @@ class SolveReport:
     y                 row duals, one per row: d objective / d rhs
     zl, zu            bound multipliers, >= 0: d objective / d lb = zl and
                       d objective / d ub = -zu
-    restart           (x, y, zl, zu): the first iterate whose relative gap
-                      |pobj - dobj| / (1 + |pobj|) was at most 1e-2, for a
-                      neighbouring problem's start; None if none got there
+    restart           (x, y, zl, zu): the first iterate whose score, the
+                      sum of max |Ax - b| / (1 + max |b|), the dual
+                      residual / (1 + max |c|) and |pobj - dobj| /
+                      (1 + |pobj|), was at most 3e-2, for a neighbouring
+                      problem's start; None if none got there
 
     The duals (None when no point is returned) satisfy c + Qx - A'y - zl + zu
     = 0 over the original variables.  Rows and variables that presolve
@@ -1257,7 +1264,7 @@ def _ipm_loop(std, tol, max_iter, guess):
     # nothing, and a bound multiplier says nothing unless it is positive);
     # the cold start says nothing at all.  Returns (x, y, zl, zu,
     # iterations, restart) at the best iterate; restart is the first
-    # iterate within _RESTART_GAP, or None
+    # iterate whose score is within _RESTART_SCORE, or None
     a = std.a
     m, n = a.shape
     c, qdiag, lb, ub = std.c, std.qdiag, std.lb, std.ub
@@ -1354,9 +1361,9 @@ def _ipm_loop(std, tol, max_iter, guess):
         prim_ok = rp_max <= tol * bscale
         dual_ok = rd_max <= tol * (cscale + float(np.abs(qx).max()))
         gap_ok = gap <= tol * (1.0 + abs(pobj))
-        if restart is None and gap <= _RESTART_GAP * (1.0 + abs(pobj)):
-            restart = (x, y, zl, zu)  # each iteration makes new arrays
         score = rp_max / bscale + rd_max / cscale + gap / (1.0 + abs(pobj))
+        if restart is None and score <= _RESTART_SCORE:
+            restart = (x, y, zl, zu)  # each iteration makes new arrays
         if score < 0.95 * best_score:
             stall = 0
         else:

@@ -42,12 +42,14 @@ that each such window's solve cuts its analysis from the full window's
 instead of analysing its matrix afresh (the cut's matrix carries that
 analysis), and shifts each step's start: every step after the first
 restarts its solve from the previous solve's well-centred primal-dual
-iterate (`SolveReport.restart`), moved one period (`_shifted_start`).
-`run_year` hands each `ControlDecision.plan` to the next `mpc_step`, and
-nothing else is kept between steps.  A warm-started solve that ends
-other than optimal is solved once more cold, and an `OperationError`
-names the period and both outcomes.  The bill is stated once, in
-`sizing.dispatch_costs`.
+iterate (`SolveReport.restart`, near its rows as well as near the central
+path: a small gap alone, which an unmoved warm start already has, does
+not qualify), moved one period (`_shifted_start`).  `run_year` hands
+each `ControlDecision.plan` to the next `mpc_step`, and nothing else is
+kept between steps.  A warm-started solve that ends other than optimal is
+solved once more cold, `run_year` counts those retries
+(`YearReport.cold_retries`), and an `OperationError` names the period and
+both outcomes.  The bill is stated once, in `sizing.dispatch_costs`.
 """
 
 from __future__ import annotations
@@ -153,6 +155,7 @@ class HorizonWindow:
     def __post_init__(self):
         errors = rule_problems(self, (
             ("delta_hours", is_positive, "a positive number"),))
+        given_tail = self.tail_loads
         # number_array refuses a head of more dimensions, or a ragged one
         head = store_numbers(self, (("head_loads", 1, 0.0),
                                     ("head_gen", 0, 0.0)))
@@ -167,8 +170,11 @@ class HorizonWindow:
         object.__setattr__(self, "probabilities", probabilities)
         object.__setattr__(self, "delta_hours", float(self.delta_hours))
         n, w = self.head_loads.shape[0], probabilities.shape[0]
-        tt = self.tail_loads.shape[0] if self.tail_loads.size else 0
-        if tt and self.tail_loads.shape[1] != n:
+        # a tail has a period per load row, even a row of no consumers; an
+        # empty vector is no tail (number_array reads it as one row)
+        no_tail = np.shape(given_tail) == (0,)
+        tt = 0 if no_tail else self.tail_loads.shape[0]
+        if not no_tail and self.tail_loads.shape[1] != n:
             errors.append("tail_loads consumer count must match the head")
         # without tail loads there is no tail, so no generation either
         if (tt or self.tail_gen.size) and self.tail_gen.shape != (tt, w):
@@ -202,9 +208,11 @@ class ControlDecision:
     where the tail's expected allocation is what the control QP's tracking
     rows state, deliver - the head's split; it is zero at theta = 0, where
     nothing is tracked and the period settles alone.  plan is the control
-    solve's restart point (x, y, zl, zu), its first iterate within a
-    relative gap of 1e-2 (`SolveReport.restart`), which the next step
-    starts from; None when the solve kept none.
+    solve's restart point (x, y, zl, zu), its first iterate whose relative
+    residuals and gap sum to at most 3e-2 (`SolveReport.restart`), so a
+    point the solve moved near its rows, which the next step starts from;
+    None when the solve kept none.  cold_retry says whether the step's
+    warm-started solve failed and the QP was solved once more cold.
     """
 
     charge: float
@@ -213,6 +221,7 @@ class ControlDecision:
     served: float
     level: np.ndarray
     plan: tuple | None = None
+    cold_retry: bool = False
 
 
 def _tree(vec, fields, per, tail, scenarios):
@@ -469,7 +478,8 @@ def mpc_step(state, window, spec, config, beta_es_use=0.0, previous=None):
     return ControlDecision(
         charge=np.clip(c, 0.0, cap_p), discharge=np.clip(d, 0.0, cap_p),
         withheld=np.minimum(grid_import, np.maximum(gs, 0.0)),
-        served=agg - grid_import, level=level, plan=rep.restart)
+        served=agg - grid_import, level=level, plan=rep.restart,
+        cold_retry=bool(tried))
 
 
 def settle(served, realized_loads, level):
@@ -506,6 +516,9 @@ class YearReport:
     is the end-of-year mismatch.  Costs are totals over the simulated span
     (maintenance prorated by the fraction of a metering year covered); the
     energy, export and utilization terms come from `dispatch_costs`.
+    cold_retries counts the control steps whose warm-started solve failed
+    and was solved once more cold (`ControlDecision.cold_retry`); the
+    greedy rule solves nothing and has 0.
     """
 
     algorithm: str
@@ -523,6 +536,7 @@ class YearReport:
     utilization_cost: float
     maintenance_cost: float
     net_operating_cost: float
+    cold_retries: int
 
     @property
     def end_mismatch(self):
@@ -584,6 +598,7 @@ def run_year(bundle, plan, decision, realized, config,
     soc_series[0] = soc
     e_past = np.zeros(n)
     previous = None  # the last MPC step's plan: the next one starts there
+    cold_retries = 0
     if algorithm == "mpc_myopic":  # cost only: nothing is tracked
         config = replace(config, theta=0.0)
 
@@ -615,6 +630,7 @@ def run_year(bundle, plan, decision, realized, config,
                 raise OperationError(f"period {t}: {exc}") from exc
             c_plan, d_plan = ctrl.charge, ctrl.discharge
             withheld, level, previous = ctrl.withheld, ctrl.level, ctrl.plan
+            cold_retries += ctrl.cold_retry
 
         c_real, d_real, soc = realize(c_plan, d_plan, gen_real[t], soc, spec,
                                       delta)
@@ -654,4 +670,5 @@ def run_year(bundle, plan, decision, realized, config,
         export_revenue=bill.export_revenue, export_tax_cost=bill.export_tax,
         utilization_cost=utilization, maintenance_cost=maintenance,
         net_operating_cost=bill.grid_energy + fixed_cost + bill.export_tax
-        + utilization + maintenance - bill.export_revenue)
+        + utilization + maintenance - bill.export_revenue,
+        cold_retries=cold_retries)

@@ -560,6 +560,7 @@ def test_cli_simulate_key_csv_revalidates(tmp_path, algorithm):
     assert report["algorithm"] == algorithm
     assert len(report["delivered_kwh"]) == 2
     assert report["cumulative_deficit_kwh"] >= 0.0
+    assert report["cold_retries"] == 0  # no control solve needed a retry
     header, mismatch = io._read_table(out / f"mismatch_{algorithm}.csv")
     assert header == ["c01", "c02"]
     assert mismatch.shape == (48, 2)

@@ -879,6 +879,31 @@ def test_solve_qp_takes_any_sign_of_x_and_y_and_zero_multipliers():
     assert _report_bytes(reports[0]) == _report_bytes(reports[1])
 
 
+def test_restart_is_near_its_rows_not_the_pushed_warm_start():
+    # a warm start at the optimum, duals included: pushed inside the box,
+    # its 12 variables at a bound move and its rows miss by about 5% of
+    # max |b|, while the one costly variable, held by its own row, keeps
+    # the relative gap under 1e-2.  The restart is the first iterate whose
+    # relative residuals and gap sum to at most 3e-2, so its rows are met
+    # to 3e-2 of 1 + max |b|; a gap test alone kept the pushed start
+    rng = np.random.default_rng(3)
+    m, n = 4, 16
+    a = rng.uniform(0.5, 1.5, (m, n))
+    b = a @ rng.uniform(0.0, 20.0, n)
+    a = np.block([[a, np.zeros((m, 1))], [np.zeros((1, n)), np.ones((1, 1))]])
+    b = np.append(b, 5.0)
+    c = np.append(rng.uniform(0.0, 1.0, n), 300.0)
+    problem = ConvexQuadraticProgram(c, 1e-3, a, ["=="] * (m + 1), b,
+                                     np.zeros(n + 1), np.full(n + 1, 40.0))
+    opt = solve_qp(problem, tol=1e-9)
+    assert opt.status == "optimal"
+    assert ((opt.x < 1e-6) | (opt.x > 40.0 - 1e-6)).sum() == 12
+    warm = solve_qp(problem, start=(opt.x, opt.y, opt.zl, opt.zu))
+    assert warm.status == "optimal"
+    x = warm.restart[0]
+    assert np.abs(a @ x - b).max() <= 3e-2 * (1.0 + np.abs(b).max())
+
+
 @pytest.mark.parametrize("battery, sun", [((3.0, 6.0), True),
                                          ((0.0, 0.0), True),
                                          ((0.0, 0.0), False)])
