@@ -13,12 +13,15 @@ objective is a probability-weighted sum and scenarios share no constraints,
 so each scenario is one independent QP.  Its split lies in the box
 [0, loads]; the periods that hand out their whole load or nothing are
 pinned by the solver's presolve (its forcing-row rule, in
-`numerics._Standard`), not here.
+`numerics._Standard`), not here.  The scenarios differ only in their
+served energy, which enters only the right-hand side, so one call's QPs
+are one program (`_key_qp`) filled per scenario, on one matrix that
+carries its analysis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -152,26 +155,34 @@ def _water_fill(level, cap, target):
     return np.clip(lam - level, 0.0, cap)
 
 
-def _scenario_key(served, values):
+def _key_qp(values):
+    """The key QP of the (T, n) loads `values`, its right-hand side 0.
+
+    Over the split g (0 <= g <= loads) and one free spread_i per consumer:
+    row t hands out its target, then row i ties spread_i to consumer i's
+    total minus the mean allocation, which the targets fix (`_scenario_key`
+    writes both).  Presolve pins the rows whose target is their whole load
+    (to the loads) or 0 (to 0), which keeps the QP's interior nonempty.
+    """
+    t_len, n = values.shape
+    pb = ProblemBuilder()
+    split = pb.add_vars(t_len * n, ub=values.ravel()).reshape(t_len, n)
+    spread = pb.add_vars(n, lb=-np.inf, ub=np.inf, qdiag=2.0 / n)
+    pb.add_rows(split, 1.0, "==", 0.0)
+    pb.add_rows(np.column_stack([spread, split.T]),
+                np.concatenate([[1.0], -np.ones(t_len)]), "==", 0.0)
+    return pb.qp()
+
+
+def _scenario_key(qp, served, values):
+    """One scenario's key rows: `_key_qp(values)` handing out `served`."""
     t_len, n = values.shape
     target = np.minimum(np.maximum(served, 0.0), values.sum(axis=1))
-    # over the split g (0 <= g <= loads) and one free spread_i per consumer:
-    # row t hands out target_t, then row i ties spread_i to consumer i's
-    # total minus the mean allocation, which the targets fix.  Presolve
-    # pins the rows whose target is their whole load (to the loads) or 0
-    # (to 0), which keeps the QP's interior nonempty
-    pb = ProblemBuilder()
-    gvars = pb.add_vars(t_len * n, ub=values.ravel())
-    spread = pb.add_vars(n, lb=-np.inf, ub=np.inf, qdiag=2.0 / n)
-    split = gvars.reshape(t_len, n)
-    pb.add_rows(split, 1.0, "==", target)
-    pb.add_rows(np.column_stack([spread, split.T]),
-                np.concatenate([[1.0], -np.ones(t_len)]), "==",
-                -(target.sum() / n))
-    rep = solve_qp(pb.qp(), tol=1e-8)
+    rhs = np.concatenate([target, np.full(n, -(target.sum() / n))])
+    rep = solve_qp(replace(qp, rhs=rhs), tol=1e-8)
     if rep.status != "optimal":
         raise AllocationError(f"key subproblem ended {rep.status}")
-    return _repair_rows(rep.x[gvars].reshape(t_len, n), served, values)
+    return _repair_rows(rep.x[:t_len * n].reshape(t_len, n), served, values)
 
 
 def min_variance_key(served_by_scenario, loads, probabilities):
@@ -207,9 +218,10 @@ def min_variance_key(served_by_scenario, loads, probabilities):
     allocations = []
     expected_var = 0.0
     promise = np.zeros(values.shape[1])
+    qp = _key_qp(values)
     for widx in range(n_scen):
         try:
-            rows = _scenario_key(served_rows[widx][0], values)
+            rows = _scenario_key(qp, served_rows[widx][0], values)
         except AllocationError as exc:
             raise AllocationError(f"scenario {widx}: {exc}") from exc
         key = RepartitionKey(rows)

@@ -52,26 +52,26 @@ matrix, and a nonpositive pivot or a solve whose refined residual misses
 is redone with SuperLU's partial pivoting.
 
 The work on a constraint matrix A that A alone decides is done once and
-kept (_analyse): A', A's sign split [A+ | A-] (each entry of A, in A's
-storage order, in column j when it is positive and n + j otherwise), the
-normal matrix's pattern with its band plan and the map from D^-1 to its
-data, the factor of A A' + 1e-8 I that the least-norm start point solves
-with, and the assembled KKT matrix.  Two rules keep a kept analysis
-valid.  A program's A is read-only, so no analysis outlives a change of
-its matrix.  A program that `restrict` cut from another, A[rows][:, cols]
-(a rolling horizon's shorter windows at the end of a run), carries its own
-analysis on its A, cut from the parent's, kept or made again (George &
-Liu, Computer Solution of Large Sparse Positive Definite Systems, 1981):
-the normal pattern and product map are masked from the parent's, the
-dense columns carried over, and the band plan keeps the parent's order
-and border rows, so only the start point's factor is computed.  Every
-other matrix's analysis is held for the last few matrices and found by an
-exact match of A (shape and entry count first, then its arrays), so the
-control QPs of a rolling horizon, which share one matrix, analyse it once,
-and a normal-equations solve that finds its analysis kept factors only
-inside its iterations.  A kept analysis yields the same numbers as a new
-one, and a cut is always cut, never analysed afresh, so no report depends
-on earlier solves.
+kept on A itself (_analyse): A', A's sign split [A+ | A-] (each entry of
+A, in A's storage order, in column j when it is positive and n + j
+otherwise), the normal matrix's pattern with its band plan and the map
+from D^-1 to its data, the factor of A A' + 1e-8 I that the least-norm
+start point solves with, and the assembled KKT matrix.  One rule keeps it
+valid and shared: a program's A is read-only, so no analysis outlives a
+change of its matrix, and programs that share an A object share its
+analysis, so a family of programs on one matrix (a rolling horizon's
+control QPs, a cut pool's dispatch LPs, one call's key QPs) analyses it
+once (George & Liu, Computer Solution of Large Sparse Positive Definite
+Systems, 1981).  An equal matrix that is another object has its own.  A
+program that `restrict` cut from another, A[rows][:, cols] (a rolling
+horizon's shorter windows at the end of a run), carries an analysis cut
+from the parent's: the normal pattern and product map are masked from
+the parent's, the dense columns carried over, and the band plan keeps the
+parent's order and border rows, so only the start point's factor is
+computed.  The matrices a solve makes itself, with slacks or presolve's
+reductions, are private to it and analysed in it.  An analysis made
+earlier yields the same numbers as a new one, and a cut is always cut,
+never analysed afresh, so no report depends on earlier solves.
 
 One object, _Standard, owns the problem the iterations solve: it adds the
 slacks, presolves, drops the rows presolve left empty (or proves them
@@ -182,9 +182,9 @@ class ConvexQuadraticProgram:
     every variable, so q_diag=0.0 states one.  c, rhs and senses are 1-d,
     and lb and ub default to -inf and inf when None.  A is read-only: a
     CSR float64 matrix without stored zeros whose arrays are read-only is
-    kept as it is, with the analysis it carries if `restrict` made it, and
-    any other A is copied into one, so every program built on a program's
-    A shares it, and no analysis kept for it can go stale.
+    kept as it is, with the analysis it carries, and any other A is copied
+    into one.  Programs built on one A object share its analysis (see the
+    module docstring), which cannot go stale.
     """
 
     c: np.ndarray
@@ -375,8 +375,8 @@ class _Standard:
     substituted out and the rows it left empty dropped (`rows` lists the
     rows kept).  `infeasibility` is None or the primal residual of a proof:
     inf for presolve's row-bound test, else the largest |b| of an empty
-    row.  `analysis` is the final A's _Analysis, presolve's own when A is
-    unchanged, or None without rows or with a proof."""
+    row.  `analysis` is the final A's _Analysis, the one presolve read
+    when A is unchanged, or None without rows or with a proof."""
 
     def __init__(self, c, qdiag, a, senses, rhs, lb, ub):
         m, n = a.shape
@@ -397,7 +397,7 @@ class _Standard:
             ub = np.concatenate([ub, np.full(n_slack, np.inf)])
         self.c = c
         self.qdiag = qdiag
-        self.a = a = a.tocsr()
+        self.a = a.tocsr()
         self.b = rhs.copy()
         self.lb = lb
         self.ub = ub
@@ -407,7 +407,7 @@ class _Standard:
         self.infeasibility = None
         self.analysis = None
         self._forced = []  # per pass: (rows, columns, coefficients, upward)
-        presolved = self._presolve()
+        self._presolve()
         if self.infeasibility is not None:
             return
         # a row that presolve left empty must hold on its own
@@ -420,11 +420,10 @@ class _Standard:
             self.a, self.b = self.a[~empty], self.b[~empty]
             self.rows = np.flatnonzero(~empty)
         if self.a.shape[0]:
-            self.analysis = presolved if self.a is a else _analyse(self.a)
+            self.analysis = _analyse(self.a)
 
     def _presolve(self):
-        """Pin variables until fixpoint, then substitute them out; returns
-        the _Analysis of A as it was, None when there was nothing to read.
+        """Pin variables until fixpoint, then substitute them out.
 
         Two rules feed each other: boxes with lb == ub are constants, and a
         row whose bound-implied activity range already touches its
@@ -440,7 +439,7 @@ class _Standard:
         a = self.a
         m = a.shape[0]
         if not (m and a.nnz or np.any(fixed)):
-            return None
+            return
         analysis = _analyse(a)
         # a row that already forced its variables is satisfied up to the
         # forcing tolerance; re-checking it against the (tighter) residual
@@ -491,7 +490,6 @@ class _Standard:
                                  force_up[rows]))
         if np.any(fixed):
             self._apply_reduction(analysis.at, fixed, vals)
-        return analysis
 
     def _apply_reduction(self, at, fixed, vals):
         """Substitute pinned variables into costs, rows and constants."""
@@ -608,7 +606,6 @@ def _solve_boxed_separable(std):
 
 
 _UNPIVOTED = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
-_ANALYSES_KEPT = 8  # presolved constraint matrices whose analysis is kept
 
 
 def _near_dense(count, m):
@@ -1072,34 +1069,26 @@ def _normal_parts(at, pattern, pmap, columns, inherit=None):
                       inherit), pmap, split)
 
 
-def _same(a, b):
-    """Whether the CSR matrices a and b hold the same entries, stored alike."""
-    return a is b or (a.shape == b.shape and a.nnz == b.nnz
-                      and np.array_equal(a.indptr, b.indptr)
-                      and np.array_equal(a.indices, b.indices)
-                      and np.array_equal(a.data, b.data))
-
-
 class _Analysis:
     """The work on one constraint matrix A that A alone decides, and, for a
     restriction `restrict` made, what it was cut from.
 
-    Holds A itself, by which _analyse finds a kept analysis (a program's A is
-    read-only, and _Standard's own matrices are private to one solve, so
-    A cannot change), A' and A's sign split [A+ | A-], the m x 2n matrix
-    that keeps each entry in A's storage order, in column j when it is
-    positive and n + j otherwise, for presolve's activity bounds.  Built
-    when a solve first takes that Newton path, it holds the
-    normal-equations band plan with its dense columns and product maps and
-    the factor of the least-norm start point's A A' + 1e-8 I, or the
-    assembled KKT matrix (A's data off the diagonal) with the positions of
-    its diagonal; SuperLU orders that matrix at each factorization.
+    A carries it (_analyse), and A is read-only: a program's A is, and
+    _Standard's own matrices are private to one solve.  Holds A' and A's
+    sign split [A+ | A-], the m x 2n matrix that keeps each entry in A's
+    storage order, in column j when it is positive and n + j otherwise,
+    for presolve's activity bounds.  Built when a solve first takes that
+    Newton path, it holds the normal-equations band plan with its dense
+    columns and product maps and the factor of the least-norm start
+    point's A A' + 1e-8 I, or the assembled KKT matrix (A's data off the
+    diagonal) with the positions of its diagonal; SuperLU orders that
+    matrix at each factorization.
     Everything here follows from A (and what it was cut from) alone and is
     only read by the solves.
 
     The normal equations of a restriction A[rows][:, cols], whose `_cut`
-    is (the parent's A, rows, cols), are cut from its parent's analysis,
-    kept or made again: the pattern and product map are masked from the
+    is (the parent's A, rows, cols), are cut from the analysis the
+    parent's A carries: the pattern and product map are masked from the
     parent's (_masked_product), the dense columns carried over, and the
     band plan takes the parent's order and border rows, those that are
     kept, so its band is never wider than the parent's.  Only the start
@@ -1109,7 +1098,6 @@ class _Analysis:
     """
 
     def __init__(self, a, cut=None):
-        self.a = a
         self._cut = cut
         self.at = a.T.tocsr()
         n = a.shape[1]
@@ -1171,32 +1159,12 @@ class _Analysis:
         return self._kkt
 
 
-# id -> _Analysis, oldest first, for the last few matrices analysed that
-# `restrict` did not make.  A solve reads the same numbers from a kept
-# analysis as from a new one, so its report does not depend on what was
-# solved before it.
-_ANALYSES = {}
-
-
 def _analyse(a):
-    """The _Analysis of the CSR matrix a: the one it carries if `restrict`
-    made it, else the one kept for it, found by its matrix, matched
-    exactly (shape and entry count first), or a new one, kept for the last
-    few matrices.  A cut's analysis is never kept there, so a plain matrix
-    never finds it, and cuts evict no other matrix's analysis."""
-    own = getattr(a, "_analysis", None)
-    if own is not None:
-        return own
-    for key, analysis in _ANALYSES.items():
-        if _same(analysis.a, a):
-            break
-    else:
-        analysis = _Analysis(a)
-        key = id(analysis)
-        while len(_ANALYSES) >= _ANALYSES_KEPT:
-            del _ANALYSES[next(iter(_ANALYSES))]
-    _ANALYSES[key] = _ANALYSES.pop(key, analysis)  # the newest last
-    return analysis
+    """The _Analysis of the CSR matrix a: the one it carries, made and
+    attached on first use (a cut carries one from `restrict`)."""
+    if getattr(a, "_analysis", None) is None:
+        a._analysis = _Analysis(a)
+    return a._analysis
 
 
 def _restricted(a, rows, cols):
@@ -1218,11 +1186,11 @@ def restrict(problem, rows, cols):
     increasing array of integer indices: A[rows][:, cols] and the entries
     of every vector there.
 
-    The restriction's A carries its own analysis, cut from the parent's
-    when a solve first needs it (see _Analysis), so every solve of a
-    program on that A cuts instead of analysing afresh, whichever analyses
-    are kept.  A solve whose standard form adds slacks or whose presolve
-    pins a variable solves another matrix, which is analysed afresh.
+    The restriction's A carries its own analysis, cut from the one the
+    parent's A carries when a solve first needs it (see _Analysis), so
+    every solve of a program on that A cuts instead of analysing afresh.
+    A solve whose standard form adds slacks or whose presolve pins a
+    variable solves another matrix, private to it and analysed in it.
     """
     rows, cols = _indices(rows, "rows"), _indices(cols, "cols")
     for idx, size, name in ((rows, problem.rhs.shape[0], "rows"),
@@ -1263,8 +1231,8 @@ def _ipm_loop(std, tol, max_iter, guess):
     # point (x, y, zl, zu) over the solved problem (NaN where it says
     # nothing, and a bound multiplier says nothing unless it is positive);
     # the cold start says nothing at all.  Returns (x, y, zl, zu,
-    # iterations, restart) at the best iterate; restart is the first
-    # iterate whose score is within _RESTART_SCORE, or None
+    # iterations, restart): the best iterate, the iterations spent and the
+    # first iterate whose score is within _RESTART_SCORE, or None
     a = std.a
     m, n = a.shape
     c, qdiag, lb, ub = std.c, std.qdiag, std.lb, std.ub
@@ -1334,6 +1302,7 @@ def _ipm_loop(std, tol, max_iter, guess):
 
     best = None
     restart = None
+    it = 0
     best_score = np.inf
     stall = 0
     delta = 1e-10
@@ -1370,9 +1339,9 @@ def _ipm_loop(std, tol, max_iter, guess):
             stall += 1
         if score < best_score:
             best_score = score
-            best = (x, y, zl, zu, it)
+            best = (x, y, zl, zu)
         if prim_ok and dual_ok and gap_ok:
-            best = (x, y, zl, zu, it)
+            best = (x, y, zl, zu)
             break
         if stall > 30 or not np.isfinite(score):
             break
@@ -1473,7 +1442,7 @@ def _ipm_loop(std, tol, max_iter, guess):
         zu = np.maximum(zu + ad * dzu, 1e-300)
         zu[no_ub] = 0.0
 
-    return (*(best or (x, y, zl, zu, 0)), restart)
+    return (*(best or (x, y, zl, zu)), it, restart)
 
 
 def _row_violation(act, senses, rhs):
@@ -1551,6 +1520,11 @@ def solve_qp(problem: ConvexQuadraticProgram, tol: float = 1e-6, max_iter: int =
     keeps), the cold start's value elsewhere.  Without one the solve starts
     from the point that says nothing: x NaN (the box midpoint), y = 0 and
     zl = zu = 0 (the cold start's multipliers).
+
+    The solve reads the analysis that the program's A carries, made on
+    the first solve that needs it: programs that share an A object share
+    its analysis, and a caller that solves many programs on one matrix
+    builds them on one A (see the module docstring).
     """
     if not isinstance(problem, ConvexQuadraticProgram):
         raise NumericsError("solve_qp expects a ConvexQuadraticProgram")

@@ -33,9 +33,10 @@ The control QP's layout is stated once, in `_tree`, whose views every
 step fills and reads by position.  Its matrix and row senses are built
 once, for the horizon's full window (`_control_pattern`, kept for the
 last few shapes, so the steps of a year share one; the matrix is
-read-only, as every program's is, so every step's QP takes it as it is),
-and one fill, `_control_qp`, writes every step's costs, bounds and
-right-hand sides, so the objective is stated once, there.  One period
+read-only, as every program's is, so every step's QP takes it as it is,
+and it holds its analysis, which every step's solve shares), and one
+fill, `_control_qp`, writes every step's costs, bounds and right-hand
+sides, so the objective is stated once, there.  One period
 map (`_period_map`, kept per shape and read-only) cuts each shorter
 window at the end of a run from the full one, by `numerics.restrict`, so
 that each such window's solve cuts its analysis from the full window's
@@ -285,7 +286,9 @@ def _control_pattern(n, tail, probabilities, eta, tracked, longest):
     analysis from the full window's): a tail's rows and variables reach
     only the periods before them and the head.  Returns a QP whose vectors
     are placeholders; its matrix is read-only, as every program's is, so
-    each step's QP takes it without a copy.
+    each step's QP takes it without a copy, and it holds its analysis
+    (`numerics._analyse`), made at the first step's solve and shared by
+    every later one while the pattern is kept.
     """
     per, w = n if tracked else 1, len(probabilities)
     if tail < longest:

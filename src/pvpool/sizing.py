@@ -28,7 +28,7 @@ reports over the simulated span.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -346,9 +346,10 @@ def _dispatch_lp(bundle, alpha, pv, es):
     mpc_step) from its half-full start kappa p_es / 2, and the cyclic end
     s_{T-1} = kappa p_es / 2.  The capacities enter only as bounds and
     right-hand sides: c_t, d_t <= delta p_es, s_t <= kappa p_es, the start
-    and end rows and the balance rhs l_t - delta alpha_t p_pv.  Import never
-    exceeds the load: the battery charges from solar only.  The costs are
-    the scenario's dispatch bill over the span.
+    and end rows and the balance rhs l_t - delta alpha_t p_pv, so every
+    scenario and capacity point has the same matrix.  Import never exceeds
+    the load: the battery charges from solar only.  The costs are the
+    scenario's dispatch bill over the span.
     """
     grid, loads, tariff, params = (bundle.grid, bundle.loads, bundle.tariff,
                                    bundle.params)
@@ -381,49 +382,6 @@ class _Recourse(NamedTuple):
     flows_raw: list  # (raw import, raw surplus) per scenario
 
 
-def _recourse(bundle, pv, es, combo=None):
-    """Solve every scenario's dispatch LP at capacities (pv, es).
-
-    The dual objective is affine in the capacities and, by weak duality,
-    below V_w everywhere, so it is the cut.  Its slope comes from the duals
-    of the rows and bounds the capacities enter: -delta alpha_t on p_pv from
-    the balance rows, and on p_es -delta from each charge and discharge
-    bound, -kappa from each state-of-charge bound and kappa / 2 from the
-    start and end rows.  Its level is the rest: the load against the
-    balance duals and the import bounds.  The planned dispatches are kept
-    as solved; `_build_candidate` realizes them through the battery rule.
-    `combo` names the combination that asked, for the error message.
-    """
-    grid, params = bundle.grid, bundle.params
-    t_len = grid.num_periods
-    delta, kappa = grid.delta_hours, params.kappa
-    n_scen = bundle.scenarios.num_scenarios
-    l_agg = bundle.loads.aggregate()
-    values = np.empty(n_scen)
-    slopes = np.empty((n_scen, 2))
-    levels = np.empty(n_scen)
-    dispatch_raw = []
-    flows_raw = []
-    for widx in range(n_scen):
-        alpha = bundle.scenarios.alphas[:, widx]
-        rep = solve_qp(_dispatch_lp(bundle, alpha, pv, es), tol=_RECOURSE_TOL)
-        if rep.status != "optimal":
-            raise _failure(f"dispatch LP of scenario {widx} at pv {pv:.6g} kW, "
-                           f"es {es:.6g} kW", rep, combo)
-        c, d, gg, gs = np.split(rep.x[:4 * t_len], 4)
-        y, zu = rep.y, rep.zu
-        values[widx] = rep.objective
-        levels[widx] = float(l_agg @ (y[:t_len] - zu[2 * t_len:3 * t_len]))
-        slopes[widx] = (-delta * float(alpha @ y[:t_len]),
-                        -delta * float(zu[:2 * t_len].sum())
-                        - kappa * float(zu[4 * t_len:].sum())
-                        + START_FRACTION * kappa
-                        * float(y[t_len] + y[2 * t_len]))
-        dispatch_raw.append((c, d))
-        flows_raw.append((np.maximum(gg, 0.0), np.maximum(gs, 0.0)))
-    return _Recourse(values, slopes, levels, dispatch_raw, flows_raw)
-
-
 class CutPool:
     """The expected dispatch cost of one bundle, as cuts shared by every
     combination of every `solve_sizing` call that is handed the pool.
@@ -436,7 +394,9 @@ class CutPool:
     subgradients and dispatches, and gives one cut per scenario from the
     dual objective there, V_w(p) >= level_wk + g_wk'p, which touches V_w at
     p_k (the L-shaped method: Van Slyke & Wets, SIAM J. Appl. Math. 1969;
-    Birge & Louveaux, Introduction to Stochastic Programming).
+    Birge & Louveaux, Introduction to Stochastic Programming).  Every
+    dispatch LP of the pool is solved on one matrix, `a`, which carries
+    its analysis.
     """
 
     def __init__(self, bundle):
@@ -447,11 +407,13 @@ class CutPool:
             * bundle.scenarios.probabilities
         self.points = {}  # (pv, es) -> _Recourse, in the order solved
         self._cuts = []  # (w, [slope_pv, slope_es, level]): theta_w >= level + slope'p
+        self.a = _dispatch_lp(bundle, bundle.scenarios.alphas[:, 0], 0.0,
+                              0.0).a
 
     def _evaluate(self, pv, es, combo):
         rec = self.points.get((pv, es))
         if rec is None:
-            rec = self.points[(pv, es)] = _recourse(self.bundle, pv, es, combo)
+            rec = self.points[(pv, es)] = self._recourse(pv, es, combo)
             # a cut equal to a kept one within the tolerance adds nothing to
             # the master but a degenerate row, which stalls its solve
             for widx, (slope, level) in enumerate(zip(rec.slopes, rec.levels)):
@@ -460,6 +422,52 @@ class CutPool:
                            for w, kept in self._cuts):
                     self._cuts.append((widx, cut))
         return rec
+
+    def _recourse(self, pv, es, combo=None):
+        """Solve every scenario's dispatch LP at capacities (pv, es), each
+        on the pool's matrix `a`.
+
+        The dual objective is affine in the capacities and, by weak
+        duality, below V_w everywhere, so it is the cut.  Its slope comes
+        from the duals of the rows and bounds the capacities enter: -delta
+        alpha_t on p_pv from the balance rows, and on p_es -delta from each
+        charge and discharge bound, -kappa from each state-of-charge bound
+        and kappa / 2 from the start and end rows.  Its level is the rest:
+        the load against the balance duals and the import bounds.  The
+        planned dispatches are kept as solved; `_build_candidate` realizes
+        them through the battery rule.  `combo` names the combination that
+        asked, for the error message.
+        """
+        bundle = self.bundle
+        grid, params = bundle.grid, bundle.params
+        t_len = grid.num_periods
+        delta, kappa = grid.delta_hours, params.kappa
+        n_scen = bundle.scenarios.num_scenarios
+        l_agg = bundle.loads.aggregate()
+        values = np.empty(n_scen)
+        slopes = np.empty((n_scen, 2))
+        levels = np.empty(n_scen)
+        dispatch_raw = []
+        flows_raw = []
+        for widx in range(n_scen):
+            alpha = bundle.scenarios.alphas[:, widx]
+            lp = replace(_dispatch_lp(bundle, alpha, pv, es), a=self.a)
+            rep = solve_qp(lp, tol=_RECOURSE_TOL)
+            if rep.status != "optimal":
+                raise _failure(f"dispatch LP of scenario {widx} at pv"
+                               f" {pv:.6g} kW, es {es:.6g} kW", rep, combo)
+            c, d, gg, gs = np.split(rep.x[:4 * t_len], 4)
+            y, zu = rep.y, rep.zu
+            values[widx] = rep.objective
+            levels[widx] = float(l_agg @ (y[:t_len] - zu[2 * t_len:3 * t_len]))
+            slopes[widx] = (-delta * float(alpha @ y[:t_len]),
+                            -delta * float(zu[:2 * t_len].sum())
+                            - kappa * float(zu[4 * t_len:].sum())
+                            + START_FRACTION * kappa
+                            * float(y[t_len] + y[2 * t_len]))
+            dispatch_raw.append((c, d))
+            flows_raw.append((np.maximum(gg, 0.0), np.maximum(gs, 0.0)))
+        return _Recourse(values, slopes, levels, dispatch_raw, flows_raw)
 
     def _bounds(self, combos):
         """Lower bounds on the combinations' costs without an LP: for each,

@@ -3,7 +3,7 @@
 Everything here trades speed for transparency: vertices and active sets are
 enumerated outright, so the answers are trustworthy on tiny instances and
 useless beyond them.  Test modules compare the fast interior-point results
-against these.
+against these.  `record_analyses` lists the analyses the solver makes.
 """
 
 import itertools
@@ -12,10 +12,24 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from pvpool import sizing
+from pvpool import numerics, sizing
 from pvpool.numerics import ProblemBuilder, solve_qp
 
 _FEAS_TOL = 1e-9
+
+
+def record_analyses(monkeypatch):
+    """A list that gets one (matrix, analysis) pair for each analysis the
+    solver makes from now on (`numerics._Analysis`), in order."""
+    made = []
+    init = numerics._Analysis.__init__
+
+    def recording(self, a, cut=None):
+        made.append((a, self))
+        init(self, a, cut)
+
+    monkeypatch.setattr(numerics._Analysis, "__init__", recording)
+    return made
 
 
 def _row_ok(a, sense, b, x, tol=_FEAS_TOL):

@@ -12,7 +12,7 @@ from pvpool.numerics import _Standard, solve_qp
 from pvpool.sizing import SizingEconomics, SizingResult, investor_profit
 
 from oracles import (assert_same_qp, construct_feasible_key, key_qp_by_rows,
-                     qp_active_set_minimum, repair_rows_loop)
+                     qp_active_set_minimum, record_analyses, repair_rows_loop)
 
 from test_sizing import (_params, _tariff, _toy_bundle, _TOY_CATALOG,
                          _decision_stub, _econ_stub)
@@ -259,6 +259,27 @@ def test_key_qp_box_is_the_loads_and_presolve_pins_full_and_empty_rows(
     vals = std.fixed_vals[:values.size].reshape(values.shape)
     assert vals[1:3].tobytes() == values[1:3].tobytes()
     assert not vals[3].any()
+
+
+def test_a_key_call_analyses_its_key_matrix_once(monkeypatch):
+    # one min_variance_key call solves every scenario's key QP on one
+    # matrix, analysed once; a QP whose presolve pins a full or an empty
+    # period (scenario 1 here) solves a reduced matrix of its own,
+    # analysed in that solve
+    rng = np.random.default_rng(62)
+    values = rng.uniform(0.2, 2.0, (5, 4))
+    totals = values.sum(axis=1)
+    served = [share * totals for share in
+              (np.full(5, 0.5), np.array([0.5, 1.0, 0.0, 0.3, 0.7]),
+               np.full(5, 0.8))]
+    seen = capture_qps(monkeypatch, allocation)
+    made = record_analyses(monkeypatch)
+    min_variance_key(served, values, np.full(3, 1.0 / 3.0))
+    key = seen[0].a
+    assert len(seen) == 3 and all(qp.a is key for qp in seen)
+    assert len(made) == 2
+    assert made[0][0] is key and made[1][0] is not key
+    assert made[1][0].shape[1] < key.shape[1]
 
 
 def test_min_variance_matches_active_set_oracle():

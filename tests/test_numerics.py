@@ -1,6 +1,7 @@
 """Solver tests: known optima, oracle cross-checks, status classification."""
 
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from oracles import (
     random_bounded_lp,
     random_box_qp,
     random_presolve_problem,
+    record_analyses,
     row_violation_loop,
     step_to_boundary_masked,
 )
@@ -488,7 +490,10 @@ def test_restrict_keeps_the_rows_and_columns_it_is_given():
             rng.choice(["<=", "==", ">="], m), rng.normal(size=m),
             -rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n))
         cut = numerics.restrict(problem, rows, cols)
-        assert numerics._same(cut.a, a[rows][:, cols])
+        want = a[rows][:, cols]
+        assert cut.a.shape == want.shape
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(cut.a, part), getattr(want, part))
         for name, idx in (("c", cols), ("q_diag", cols), ("lb", cols),
                           ("ub", cols), ("senses", rows), ("rhs", rows)):
             assert np.array_equal(getattr(cut, name),
@@ -539,7 +544,6 @@ def test_a_restriction_is_never_found_under_its_plain_twin():
     problem = ConvexQuadraticProgram(np.ones(4), 1.0, a, ["=="] * 3,
                                      np.ones(3), 0.0, 1.0)
     cut = numerics.restrict(problem, [0, 2], [0, 1, 3])
-    numerics._ANALYSES.clear()
     kept = numerics._analyse(cut.a)
     plain = numerics._analyse(sp.csr_matrix(cut.a))
     assert kept is not plain and kept._cut and not plain._cut
@@ -775,9 +779,11 @@ def _report_bytes(rep):
 
 @pytest.mark.parametrize("kind", ["control_qp", "sizing_lp"])
 def test_kept_analysis_gives_bit_identical_reports(kind, monkeypatch):
-    # a solve that finds its matrix analysed (by an earlier solve of it,
-    # with other matrices analysed since) must report exactly what a solve
-    # that analyses it afresh reports
+    # a second solve of one program, with other matrices analysed since,
+    # finds the analysis its A carries (the control QP's: one analysis for
+    # both solves) or makes again the one of the matrix the solve makes
+    # itself (the master LP's slack form, private to each solve), and
+    # reports exactly what the first solve reported either way
     regs = []  # the regularization of each normal-equations factorization
     factor = numerics._NormalEquations.factor
 
@@ -790,26 +796,47 @@ def test_kept_analysis_gives_bit_identical_reports(kind, monkeypatch):
         problem, path, tol = _control_qp_instance(), "_normal", 1e-6
     else:
         problem, path, tol = _sizing_lp_instance(), "_kkt", 1e-9
+    # on a copy of the matrix, which no earlier solve analysed (the
+    # control QP's pattern is kept across calls, with its analysis)
+    problem = replace(problem, a=problem.a.copy())
     rng = np.random.default_rng(5)
     others = [_lp_from_dense(*random_bounded_lp(rng)) for _ in range(3)]
-    numerics._ANALYSES.clear()
+    made = record_analyses(monkeypatch)
     fresh = solve_qp(problem, tol=tol)
     assert fresh.status == "optimal"
     # the Newton path the case is meant to cover was taken
-    assert any(getattr(an, path) is not None
-               for an in numerics._ANALYSES.values())
+    assert len(made) == 1 and getattr(made[0][1], path) is not None
+    assert (made[0][0] is problem.a) == (kind == "control_qp")
     for other in others:
         solve_qp(other, tol=1e-8)
-    kept = set(map(id, numerics._ANALYSES.values()))
-    starts = regs.count(1e-8)  # the start point's A A' + 1e-8 I
+    count, starts = len(made), regs.count(1e-8)
     again = solve_qp(problem, tol=tol)
-    # no new analysis was made: the solve found every one it needed
-    assert set(map(id, numerics._ANALYSES.values())) <= kept
     assert _report_bytes(again) == _report_bytes(fresh)
+    assert len(made) == count + (kind == "sizing_lp")
     if kind == "control_qp":
-        # the kept analysis holds the start point's factor, so the second
+        # the analysis holds the start point's factor, so the second
         # solve factors only inside its iterations
         assert starts >= 1 and regs.count(1e-8) == starts
+
+
+def test_programs_share_the_analysis_of_the_matrix_object_they_share(
+        monkeypatch):
+    # two programs on one A object share its one analysis; an equal
+    # matrix that is another object gets its own, which gives the same
+    # report to the byte
+    problem = _control_qp_instance()
+    problem = replace(problem, a=problem.a.copy())  # not analysed yet
+    made = record_analyses(monkeypatch)
+    first = solve_qp(problem, tol=1e-6)
+    shifted = replace(problem, rhs=problem.rhs * 1.01)
+    assert shifted.a is problem.a
+    assert solve_qp(shifted, tol=1e-6).status == "optimal"
+    assert [a for a, _ in made] == [problem.a]
+    equal = replace(problem, a=problem.a.copy())
+    assert equal.a is not problem.a
+    assert _report_bytes(solve_qp(equal, tol=1e-6)) == _report_bytes(first)
+    assert len(made) == 2 and made[1][0] is equal.a
+    assert numerics._analyse(equal.a) is not numerics._analyse(problem.a)
 
 
 def test_sizing_master_lp_restarts_from_its_own_restart():
@@ -944,16 +971,6 @@ def test_restart_is_interior_with_no_guess_where_presolve_acted(battery,
     assert again.status == "optimal"
     assert abs(again.objective - rep.objective) \
         <= 1e-6 * (1.0 + abs(rep.objective))
-
-
-def test_analyses_kept_are_bounded():
-    rng = np.random.default_rng(8)
-    numerics._ANALYSES.clear()
-    sizes = []
-    for _ in range(2 * numerics._ANALYSES_KEPT):
-        solve_qp(_lp_from_dense(*random_bounded_lp(rng)), tol=1e-8)
-        sizes.append(len(numerics._ANALYSES))
-    assert max(sizes) == numerics._ANALYSES_KEPT
 
 
 def test_row_violation_matches_sense_loop():
@@ -1379,7 +1396,8 @@ def _warm_stall():
     consumers and 2 scenarios at seed 0, step 7,583, with the start it was
     given: the previous step's restart point, shifted one period.  Solved
     from that start at the control tolerance, it ends iteration_limit after
-    29 iterations; the cold start reaches optimal in 7."""
+    60 iterations at its best iterate, the 29th; the cold start reaches
+    optimal in 7."""
     data = np.load(Path(__file__).parent / "data" / "warm_stall_control_qp.npz")
     a = sp.csr_matrix((data["a_data"], data["a_indices"], data["a_indptr"]),
                       shape=tuple(data["a_shape"]))
@@ -1401,3 +1419,23 @@ def test_captured_warm_stall_solves_cold():
 def test_captured_warm_stall_solves_from_its_start():
     qp, start = _warm_stall()
     assert solve_qp(qp, tol=1e-6, start=start).status == "optimal"
+
+
+def test_a_stalled_solve_reports_the_iterations_it_spent(monkeypatch):
+    # the captured warm stall stops at its 60th iteration, whose stall
+    # test ends the solve before it factors: 59 normal-equations factors
+    # inside the iterations and the start point's make 60.  Its report
+    # keeps the best iterate, the 29th, and counts the 60 spent
+    factors = []
+    factor = numerics._NormalEquations.factor
+
+    def counting(self, dinv, reg=0.0):
+        factors.append(reg)
+        return factor(self, dinv, reg)
+
+    monkeypatch.setattr(numerics._NormalEquations, "factor", counting)
+    qp, start = _warm_stall()  # on a new matrix, not analysed yet
+    rep = solve_qp(qp, tol=1e-6, start=start)
+    assert rep.status == "iteration_limit"
+    assert factors.count(1e-8) == 1
+    assert rep.iterations == len(factors) == 60

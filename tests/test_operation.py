@@ -578,31 +578,11 @@ def test_year_analyses_its_control_qp_once(monkeypatch):
     decision = replace(result.decision, es_power_kw=6.0, es_energy_kwh=12.0,
                        es_inverter_index=1, es_inverter_capacity_kw=6.0,
                        es_inverter_cost=1.1)
-    numerics._ANALYSES.clear()
-    operation._control_pattern.cache_clear()
+    operation._control_pattern.cache_clear()  # a new pattern, unanalysed
     built, orderings = _counting(monkeypatch)
     run_year(bundle, plan, decision, _realization(bundle, 55),
              HorizonConfig(1, 48))
     assert len(built) == len(orderings) == 1
-
-
-def test_a_run_keeps_no_cut_analysis():
-    # the last 47 windows of a run carry their own analyses, cut from the
-    # full window's, so none of them is kept among the plain matrices'
-    # analyses: one kept before the run (a sizing LP's, say) is still found
-    # after it, which 47 kept cuts would have evicted
-    bundle, result, plan = _year_case(t_len=96, n=15, w=3)
-    decision = replace(result.decision, es_power_kw=6.0, es_energy_kwh=12.0,
-                       es_inverter_index=1, es_inverter_capacity_kw=6.0,
-                       es_inverter_cost=1.1)
-    numerics._ANALYSES.clear()
-    operation._control_pattern.cache_clear()
-    before = sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]]))
-    kept = numerics._analyse(before)
-    run_year(bundle, plan, decision, _realization(bundle, 55),
-             HorizonConfig(1, 48))
-    assert numerics._analyse(sp.csr_matrix(before)) is kept
-    assert not any(an._cut for an in numerics._ANALYSES.values())
 
 
 def _end_windows(w, theta, n=2, horizon=48):
@@ -663,32 +643,26 @@ def _report_bytes(rep):
 
 def test_a_cut_solve_repeats_whatever_analyses_are_kept(monkeypatch):
     # a cut window's solve reports the same bytes with nothing analysed
-    # before it, with its parent's analysis evicted by unrelated solves and
-    # the cut made again, and with its own analysis kept on its matrix.
-    # Each cut's analysis is cut, never built afresh, and never enters the
-    # analyses kept for plain matrices
+    # before it, with its own analysis on its matrix, and on the cut made
+    # again from a pattern built afresh, whose full window was analysed
+    # first.  Each cut's analysis is cut from its parent's, never built
+    # afresh
     step = list(_end_windows(4, 0.6))[27]  # a 20-period tail, cut from 47
-    others = [_control_qp(*next(_end_windows(w, 0.6, 3)), 1e-4)
-              for w in range(5, 5 + numerics._ANALYSES_KEPT)]
     built, _ = _counting(monkeypatch)
-    numerics._ANALYSES.clear()
     operation._control_pattern.cache_clear()
     qp = _control_qp(*step, 1e-4)
     reports = [solve_qp(qp, tol=1e-6)]
-    for other in others:  # full windows: plain matrices, kept
-        solve_qp(other, tol=1e-6)
-    parent = numerics._analyse(qp.a)._cut[0]
-    assert all(an.a is not parent for an in numerics._ANALYSES.values())
     operation._control_pattern.cache_clear()
+    full = _control_qp(*next(_end_windows(4, 0.6)), 1e-4)
+    assert solve_qp(full, tol=1e-6).status == "optimal"
     again = _control_qp(*step, 1e-4)
     assert again.a is not qp.a
     reports += [solve_qp(again, tol=1e-6), solve_qp(again, tol=1e-6)]
     assert reports[0].status == "optimal"
     assert len({_report_bytes(rep) for rep in reports}) == 1
     assert qp.a.shape not in built
-    cuts = {id(numerics._analyse(q.a)) for q in (qp, again)}
-    assert len(cuts) == 2
-    assert not cuts & set(map(id, numerics._ANALYSES.values()))
+    assert numerics._analyse(again.a)._cut[0] is full.a
+    assert numerics._analyse(qp.a)._cut[0] is not full.a
 
 
 def test_a_changed_cut_matrix_is_analysed_afresh():

@@ -17,7 +17,8 @@ from pvpool.sizing import (SizingEconomics, SizingError, capex,
                            welfare_objective)
 from pvpool.storage import StorageSpec, check_feasible, soc_trajectory
 
-from oracles import joint_lp_sizing, sizing_point_value, solve_combo
+from oracles import (joint_lp_sizing, record_analyses, sizing_point_value,
+                     solve_combo)
 
 
 def _params(**kw):
@@ -546,18 +547,18 @@ def test_cut_pool_matches_joint_lp_oracle(case):
 def test_recourse_slopes_are_subgradients():
     # V_w is convex and piecewise linear in the capacities, so a
     # subgradient lies between the one-sided difference quotients
-    bundle = _toy_bundle(t_len=6)
+    pool = sizing.CutPool(_toy_bundle(t_len=6))
     step = 1e-3
     for pv, es in [(1.3, 0.4), (2.0, 0.0), (0.0, 0.5), (0.0, 0.0), (3.0, 1.0)]:
-        here = sizing._recourse(bundle, pv, es)
+        here = pool._recourse(pv, es)
         for axis in range(2):
             move = np.eye(2)[axis] * step
-            right = sizing._recourse(bundle, *(np.array([pv, es]) + move))
+            right = pool._recourse(*(np.array([pv, es]) + move))
             slope = here.slopes[:, axis]
             assert np.all(right.values - here.values
                           >= step * slope - 1e-9), (pv, es, axis)
             if (pv, es)[axis] >= step:
-                left = sizing._recourse(bundle, *(np.array([pv, es]) - move))
+                left = pool._recourse(*(np.array([pv, es]) - move))
                 assert np.all(here.values - left.values
                               <= step * slope + 1e-9), (pv, es, axis)
         # the cut touches V_w at the point it was taken
@@ -570,12 +571,13 @@ def test_empty_dispatch_lp_still_prices_pv():
     # load.  A zero balance dual would be dual infeasible and value PV at
     # nothing; postsolve prices each period at the grid price instead
     bundle = _toy_bundle(t_len=4)
-    rec = sizing._recourse(bundle, 0.0, 0.0)
+    pool = sizing.CutPool(bundle)
+    rec = pool._recourse(0.0, 0.0)
     alpha = bundle.scenarios.alphas[:, 0]
     price = bundle.tariff.grid_energy_price
     assert rec.slopes[0, 0] == pytest.approx(-(alpha @ price), rel=1e-12)
     assert rec.slopes[0, 0] < 0.0
-    step = sizing._recourse(bundle, 0.1, 0.0)
+    step = pool._recourse(0.1, 0.0)
     assert step.values[0] - rec.values[0] >= 0.1 * rec.slopes[0, 0] - 1e-12
 
 
@@ -616,6 +618,43 @@ def test_master_failure_names_the_combination_and_cuts(monkeypatch):
     # the combination with the best bound is solved first
     assert "PV inverter 0, storage inverter 0, PV tier 0, subsidy branch 0: " \
         "pv in [0, 3], es in [0, 1]" in message
+
+
+def test_a_sizing_analyses_its_dispatch_matrix_once(monkeypatch):
+    # every dispatch LP of a solve_sizing call is solved on its cut pool's
+    # one matrix, analysed once; a solve whose presolve pins a variable
+    # (at a zero capacity, say) solves a reduced matrix of its own,
+    # analysed in that solve.  (Each master LP solve analyses its own
+    # slack form.)
+    bundle = _toy_bundle(t_len=6)
+    pool = sizing.CutPool(bundle)
+    made = record_analyses(monkeypatch)
+    reduced = []  # per solve: whether its matrix is its own and has rows
+    standard = numerics._Standard.__init__
+
+    def init(self, c, qdiag, a, *rest):
+        standard(self, c, qdiag, a, *rest)
+        reduced.append(self.a is not a and self.analysis is not None)
+
+    solves = []  # per dispatch LP solve: (matrices analysed, reduced)
+
+    def solve(lp, **kwargs):
+        before = len(made)
+        rep = numerics.solve_qp(lp, **kwargs)
+        if lp.a is pool.a:
+            solves.append(([a for a, _ in made[before:]], reduced[-1]))
+        return rep
+
+    monkeypatch.setattr(numerics._Standard, "__init__", init)
+    monkeypatch.setattr(sizing, "solve_qp", solve)
+    solve_sizing(bundle, _TOY_CATALOG, pool=pool)
+    count = sum(own for _, own in solves)
+    assert 0 < count < len(solves) - 1
+    analysed = [a for mats, _ in solves for a in mats]
+    assert len(analysed) == 1 + count
+    assert sum(a is pool.a for a in analysed) == 1
+    for mats, own in solves:
+        assert sum(a is not pool.a for a in mats) == own
 
 
 def test_cut_pool_belongs_to_its_bundle():
