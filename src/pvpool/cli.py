@@ -46,7 +46,7 @@ from .io import (
     write_realized_csv,
     write_solar_csv,
 )
-from .domain import InverterCatalog
+from .domain import InverterCatalog, is_seed
 from .operation import ALGORITHMS, run_year
 from .sizing import CutPool, investor_profit, solve_sizing
 
@@ -94,9 +94,9 @@ def _sizing_payload(config, sizing):
 
 
 def _cmd_gen(args):
-    # the config's seed must load again (ProjectConfig takes unsigned
-    # 64-bit seeds), so nothing is written for another one
-    if not 0 <= args.seed < 2**64:
+    # the config's seed must load again (ProjectConfig takes the seeds
+    # `is_seed` takes), so nothing is written for another one
+    if not is_seed(args.seed):
         raise ValueError(f"--seed must lie in [0, 2**64 - 1], not {args.seed}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

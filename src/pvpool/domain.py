@@ -62,6 +62,18 @@ def is_positive(value):
     return is_number(value) and value > 0
 
 
+def is_seed(value):
+    """A random generator's seed: an unsigned 64-bit integer, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) \
+        and 0 <= value < 2**64
+
+
+def below(values, low):
+    """Where values lie below low by more than rounding noise: the entries
+    under low that `number_array` refuses (it reads the rest as low)."""
+    return np.asarray(values) < low - _NONNEG_TOL
+
+
 def rule_problems(obj, rules):
     """One message per field of obj that breaks its rule; rules holds
     (field name, test, what the value must be) triples."""
@@ -143,12 +155,12 @@ def number_array(value, name, ndim, low=-math.inf, high=math.inf):
         # NaN and infinity reach the extremes, so two reductions see all
         lowest, highest = float(arr.min()), float(arr.max())
         if not (math.isfinite(lowest) and math.isfinite(highest)
-                and lowest >= low - _NONNEG_TOL and highest <= high):
+                and not below(lowest, low) and highest <= high):
             nonfinite = arr[~np.isfinite(arr)]
             if nonfinite.size:
                 bad = float(nonfinite[0])
             else:
-                bad = lowest if lowest < low - _NONNEG_TOL else highest
+                bad = lowest if below(lowest, low) else highest
             return None, [_entry_problem(name, low, high, bad)]
         if lowest <= low:
             np.maximum(arr, low, out=arr)

@@ -39,8 +39,10 @@ from .domain import (
     Tariff,
     TechEconParams,
     TimeGrid,
+    below,
     is_count,
     is_number,
+    is_seed,
     number_array,
     validate_inputs,
 )
@@ -93,6 +95,12 @@ def _read_table(path):
     return header, np.array(rows, dtype=np.float64)
 
 
+def _read_header(path):
+    """The header cells of a CSV table, as `_read_table` reads them."""
+    with Path(path).open(newline="") as fh:
+        return [cell.strip() for cell in next(csv.reader(fh), [])]
+
+
 def _write_table(path, header, values):
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     with Path(path).open("w", newline="") as fh:
@@ -107,18 +115,19 @@ def load_loads_csv(path):
 
     The header row holds consumer ids, each following row one metering
     period in kWh.  The shape must be strictly rectangular and every value
-    numeric and nonnegative.
+    numeric; `LoadMatrix` rules on the values, and a negative load it
+    refuses is named by its line and consumer.
     """
     header, values = _read_table(path)
-    bad = np.argwhere(values < 0)
-    if bad.size:
-        t, i = bad[0]
-        raise DataFileError(
-            f"{path}:{t + 2}: negative load {values[t, i]!r}"
-            f" for consumer {header[i]!r}")
     try:
         return LoadMatrix(values, tuple(header))
     except DomainError as exc:
+        negative = np.argwhere(below(values, 0.0))
+        if negative.size:
+            t, i = negative[0]
+            raise DataFileError(
+                f"{path}:{t + 2}: negative load {float(values[t, i])!r}"
+                f" for consumer {header[i]!r}") from exc
         raise DataFileError(f"{path}: {exc}") from exc
 
 
@@ -470,8 +479,7 @@ class ProjectConfig:
             if not isinstance(payload.get(key), dict):
                 raise DataFileError(f"{path}: missing {key} section")
         seed = payload.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int) \
-                or not 0 <= seed < 2**64:
+        if not is_seed(seed):
             raise DataFileError(f"{path}: seed must be an unsigned 64-bit"
                                 f" integer, not {seed!r}")
         try:
@@ -565,10 +573,19 @@ class ProjectConfig:
         return hashlib.sha256(text.encode()).hexdigest()
 
     def load_realized(self):
+        """The realized trajectory.  Its loads file must head its columns
+        with the consumer ids of the loads file, in the same order."""
         if self.realized_alphas_path is None or self.realized_loads_path is None:
             raise DataFileError(
                 "config lists no realized trajectory files"
                 " (realized_alphas_csv / realized_loads_csv)")
+        ids, realized_ids = (_read_header(p) for p in (self.loads_path,
+                                                       self.realized_loads_path))
+        if realized_ids != ids:
+            raise DataFileError(
+                f"{self.realized_loads_path}: consumer ids"
+                f" {', '.join(realized_ids)} must be those of {self.loads_path},"
+                f" {', '.join(ids)}, in the same order")
         return load_realized_csv(self.realized_alphas_path,
                                  self.realized_loads_path)
 

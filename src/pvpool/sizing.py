@@ -8,12 +8,16 @@ scenario.  The combinations differ only in the capacity box and the linear
 first-stage cost, so their expected dispatch cost is one convex function,
 built once from cuts (the L-shaped method, `CutPool`) out of one small
 dispatch LP per scenario and capacity point; each combination is a
-2-capacity master LP over those cuts.  The chosen capacities' dispatch LPs
-plan each scenario's battery flows, and the plan meets the battery where
-every other plan does, in `storage.realize` (`_build_candidate`).  The
-local energy price p transfers money between investor and consumers without
-changing total welfare, so it never appears in the optimization; price
-arithmetic lives in the allocation module.
+2-capacity master LP over those cuts.  The capacities and the solar enter
+a dispatch LP only as bounds and right-hand sides, so a pool builds one
+dispatch program (`_dispatch_lp`) and each LP is that program with its
+battery caps and solar filled in; each cut reads the duals of the entries
+its LP filled.  The chosen capacities' dispatch LPs plan each scenario's
+battery flows, and the plan meets the battery where every other plan does,
+in `storage.realize` (`_build_candidate`).  The local energy price p
+transfers money between investor and consumers without changing total
+welfare, so it never appears in the optimization; price arithmetic lives
+in the allocation module.
 
 Economics convention: the stored objective is welfare relative to paying the
 whole load from the grid forever, so the no-build optimum scores exactly
@@ -336,39 +340,34 @@ def _failure(subproblem, rep, combo):
         f"{rep.dual_residual:.3g}, gap {rep.duality_gap:.3g}{where})", rep)
 
 
-def _dispatch_lp(bundle, alpha, pv, es):
-    """One scenario's dispatch LP at fixed capacities (pv, es).
+def _dispatch_lp(bundle, eta):
+    """The dispatch program of a cut pool, with no battery and no solar.
 
-    The battery is StorageSpec(p_es, kappa p_es, sqrt(round trip)).
     Variables per period, in blocks of T: charge c_t, discharge d_t, grid
     import, surplus and the state of charge s_t after the period.  Rows: T
-    energy balances, the spec's recursion (`storage.recursion_rows`, as in
-    mpc_step) from its half-full start kappa p_es / 2, and the cyclic end
-    s_{T-1} = kappa p_es / 2.  The capacities enter only as bounds and
-    right-hand sides: c_t, d_t <= delta p_es, s_t <= kappa p_es, the start
-    and end rows and the balance rhs l_t - delta alpha_t p_pv, so every
-    scenario and capacity point has the same matrix.  Import never exceeds
-    the load: the battery charges from solar only.  The costs are the
-    scenario's dispatch bill over the span.
+    energy balances, the recursion of a battery of one-way efficiency eta
+    (`storage.recursion_rows`, as in mpc_step) from a start on its first
+    row's right-hand side, and the cyclic end s_{T-1} = that start.  Import
+    never exceeds the load: the battery charges from solar only.  The costs
+    are a scenario's dispatch bill over the span.  The battery and the solar
+    enter only as bounds and right-hand sides, all 0 here (the balance rhs
+    is the load l_t): every LP of the pool is this program with them filled
+    in (`CutPool._recourse`), on its one matrix.
     """
     grid, loads, tariff, params = (bundle.grid, bundle.loads, bundle.tariff,
                                    bundle.params)
     t_len = grid.num_periods
-    delta = grid.delta_hours
-    spec = StorageSpec(es, params.kappa * es,
-                       math.sqrt(params.es_roundtrip_efficiency))
     l_agg = loads.aggregate()
     pb = ProblemBuilder()
-    c = pb.add_vars(t_len, ub=spec.power_cap_kw * delta, cost=params.beta_es_use)
-    d = pb.add_vars(t_len, ub=spec.power_cap_kw * delta, cost=params.beta_es_use)
+    c = pb.add_vars(t_len, ub=0.0, cost=params.beta_es_use)
+    d = pb.add_vars(t_len, ub=0.0, cost=params.beta_es_use)
     gg = pb.add_vars(t_len, ub=l_agg, cost=tariff.grid_energy_price)
     gs = pb.add_vars(t_len, cost=tariff.export_tax - tariff.export_price)
-    soc = pb.add_vars(t_len, ub=spec.energy_cap_kwh)
+    soc = pb.add_vars(t_len, ub=0.0)
     pb.add_rows(np.column_stack([gg, gs, c, d]), [1.0, -1.0, -1.0, 1.0], "==",
-                l_agg - delta * pv * np.asarray(alpha, dtype=np.float64))
-    recursion_rows(pb, spec.efficiency, c, d, soc,
-                   start=spec.initial_soc_kwh)
-    pb.add_row([soc[-1]], [1.0], "==", spec.initial_soc_kwh)
+                l_agg)
+    recursion_rows(pb, eta, c, d, soc)
+    pb.add_row([soc[-1]], [1.0], "==", 0.0)
     return pb.qp()
 
 
@@ -394,9 +393,10 @@ class CutPool:
     subgradients and dispatches, and gives one cut per scenario from the
     dual objective there, V_w(p) >= level_wk + g_wk'p, which touches V_w at
     p_k (the L-shaped method: Van Slyke & Wets, SIAM J. Appl. Math. 1969;
-    Birge & Louveaux, Introduction to Stochastic Programming).  Every
-    dispatch LP of the pool is solved on one matrix, `a`, which carries
-    its analysis.
+    Birge & Louveaux, Introduction to Stochastic Programming).  The pool
+    keeps one dispatch program, `lp` (`_dispatch_lp`: no battery, no
+    solar), and every dispatch LP it solves is `lp` with its battery caps
+    and solar filled in, on `lp`'s one matrix, which carries its analysis.
     """
 
     def __init__(self, bundle):
@@ -407,8 +407,14 @@ class CutPool:
             * bundle.scenarios.probabilities
         self.points = {}  # (pv, es) -> _Recourse, in the order solved
         self._cuts = []  # (w, [slope_pv, slope_es, level]): theta_w >= level + slope'p
-        self.a = _dispatch_lp(bundle, bundle.scenarios.alphas[:, 0], 0.0,
-                              0.0).a
+        self._eta = math.sqrt(bundle.params.es_roundtrip_efficiency)
+        self.lp = _dispatch_lp(bundle, self._eta)
+        # what `_recourse` fills in `lp` and its cuts read: the charge and
+        # discharge, import and SoC caps; the balance, start and end rows
+        t = grid.num_periods
+        self._power, self._imports = slice(0, 2 * t), slice(2 * t, 3 * t)
+        self._energy, self._balance = slice(4 * t, None), slice(0, t)
+        self._ends = slice(t, None, t)
 
     def _evaluate(self, pv, es, combo):
         rec = self.points.get((pv, es))
@@ -424,47 +430,54 @@ class CutPool:
         return rec
 
     def _recourse(self, pv, es, combo=None):
-        """Solve every scenario's dispatch LP at capacities (pv, es), each
-        on the pool's matrix `a`.
+        """Solve every scenario's dispatch LP at capacities (pv, es).
+
+        Each is the pool's program `lp` filled in: the caps of the battery
+        StorageSpec(es, kappa es, eta), delta es on each charge and
+        discharge and kappa es on each state of charge, its half-full
+        initial charge on the start and end rows, and the scenario's
+        l_t - delta alpha_t pv on the balance rows.
 
         The dual objective is affine in the capacities and, by weak
         duality, below V_w everywhere, so it is the cut.  Its slope comes
-        from the duals of the rows and bounds the capacities enter: -delta
-        alpha_t on p_pv from the balance rows, and on p_es -delta from each
-        charge and discharge bound, -kappa from each state-of-charge bound
-        and kappa / 2 from the start and end rows.  Its level is the rest:
-        the load against the balance duals and the import bounds.  The
-        planned dispatches are kept as solved; `_build_candidate` realizes
-        them through the battery rule.  `combo` names the combination that
-        asked, for the error message.
+        from the duals of the entries it filled, read through the same
+        slices: -delta alpha_t on p_pv from the balance rows, and on p_es
+        -delta from each charge and discharge bound, -kappa from each
+        state-of-charge bound and kappa / 2 from the start and end rows.
+        Its level is the rest: the load against the balance duals and the
+        import bounds.  The planned dispatches are kept as solved;
+        `_build_candidate` realizes them through the battery rule.  `combo`
+        names the combination that asked, for the error message.
         """
         bundle = self.bundle
-        grid, params = bundle.grid, bundle.params
-        t_len = grid.num_periods
-        delta, kappa = grid.delta_hours, params.kappa
+        delta, kappa = bundle.grid.delta_hours, bundle.params.kappa
         n_scen = bundle.scenarios.num_scenarios
         l_agg = bundle.loads.aggregate()
+        spec = StorageSpec(es, kappa * es, self._eta)
+        ub = self.lp.ub.copy()
+        ub[self._power] = spec.power_cap_kw * delta
+        ub[self._energy] = spec.energy_cap_kwh
         values = np.empty(n_scen)
         slopes = np.empty((n_scen, 2))
         levels = np.empty(n_scen)
-        dispatch_raw = []
-        flows_raw = []
+        dispatch_raw, flows_raw = [], []
         for widx in range(n_scen):
             alpha = bundle.scenarios.alphas[:, widx]
-            lp = replace(_dispatch_lp(bundle, alpha, pv, es), a=self.a)
-            rep = solve_qp(lp, tol=_RECOURSE_TOL)
+            rhs = self.lp.rhs.copy()
+            rhs[self._balance] -= delta * pv * alpha
+            rhs[self._ends] = spec.initial_soc_kwh
+            rep = solve_qp(replace(self.lp, ub=ub, rhs=rhs), tol=_RECOURSE_TOL)
             if rep.status != "optimal":
                 raise _failure(f"dispatch LP of scenario {widx} at pv"
                                f" {pv:.6g} kW, es {es:.6g} kW", rep, combo)
-            c, d, gg, gs = np.split(rep.x[:4 * t_len], 4)
+            c, d, gg, gs, _ = np.split(rep.x, 5)
             y, zu = rep.y, rep.zu
             values[widx] = rep.objective
-            levels[widx] = float(l_agg @ (y[:t_len] - zu[2 * t_len:3 * t_len]))
-            slopes[widx] = (-delta * float(alpha @ y[:t_len]),
-                            -delta * float(zu[:2 * t_len].sum())
-                            - kappa * float(zu[4 * t_len:].sum())
-                            + START_FRACTION * kappa
-                            * float(y[t_len] + y[2 * t_len]))
+            levels[widx] = float(l_agg @ (y[self._balance] - zu[self._imports]))
+            slopes[widx] = (-delta * float(alpha @ y[self._balance]),
+                            -delta * float(zu[self._power].sum())
+                            - kappa * float(zu[self._energy].sum())
+                            + START_FRACTION * kappa * float(y[self._ends].sum()))
             dispatch_raw.append((c, d))
             flows_raw.append((np.maximum(gg, 0.0), np.maximum(gs, 0.0)))
         return _Recourse(values, slopes, levels, dispatch_raw, flows_raw)

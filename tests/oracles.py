@@ -308,6 +308,39 @@ def sizing_point_value(bundle, pv_options, es_options, pv_cap, es_pow):
             - pvf * ys * dispatch_cost)
 
 
+def dispatch_lp_at_point(bundle, alpha, pv, es):
+    """One scenario's dispatch LP at fixed capacities (pv, es), built row by
+    row at that point: the reference for the filled copies of a cut pool's
+    program (`sizing.CutPool._recourse`).
+
+    The battery is StorageSpec(es, kappa es, sqrt(round trip)).  Variables
+    per period, in blocks of T: charge, discharge, grid import, surplus and
+    the state of charge after the period.  Rows: T energy balances with
+    rhs l_t - delta alpha_t pv, the spec's recursion from its half-full
+    start and the cyclic end at that start.
+    """
+    from pvpool.storage import StorageSpec, recursion_rows
+    grid, loads, tariff, params = (bundle.grid, bundle.loads, bundle.tariff,
+                                   bundle.params)
+    t_len = grid.num_periods
+    delta = grid.delta_hours
+    spec = StorageSpec(es, params.kappa * es,
+                       math.sqrt(params.es_roundtrip_efficiency))
+    l_agg = loads.aggregate()
+    pb = ProblemBuilder()
+    c = pb.add_vars(t_len, ub=spec.power_cap_kw * delta, cost=params.beta_es_use)
+    d = pb.add_vars(t_len, ub=spec.power_cap_kw * delta, cost=params.beta_es_use)
+    gg = pb.add_vars(t_len, ub=l_agg, cost=tariff.grid_energy_price)
+    gs = pb.add_vars(t_len, cost=tariff.export_tax - tariff.export_price)
+    soc = pb.add_vars(t_len, ub=spec.energy_cap_kwh)
+    pb.add_rows(np.column_stack([gg, gs, c, d]), [1.0, -1.0, -1.0, 1.0], "==",
+                l_agg - delta * pv * np.asarray(alpha, dtype=np.float64))
+    recursion_rows(pb, spec.efficiency, c, d, soc,
+                   start=spec.initial_soc_kwh)
+    pb.add_row([soc[-1]], [1.0], "==", spec.initial_soc_kwh)
+    return pb.qp()
+
+
 def solve_combo(bundle, pv_lo, pv_hi, es_hi, tier_rate, sub_rate, es_lo=0.0):
     """One enumerated combination as one joint LP over capacities and
     dispatch: the reference for the cuts of `sizing.CutPool`.

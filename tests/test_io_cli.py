@@ -79,10 +79,23 @@ def test_loads_csv_non_numeric_cell(tmp_path):
 
 
 def test_loads_csv_negative_value(tmp_path):
+    # the domain's rule decides: the message names the line and consumer
+    # of the entry it refuses, and prints the value as the file states it
     path = tmp_path / "neg.csv"
-    path.write_text("a,b\n1.0,2.0\n3.5,-0.25\n")
-    with pytest.raises(DataFileError, match=r"neg.csv:3.*negative"):
+    path.write_text("a,b\n1.0,2.0\n3.5,-0.5\n")
+    with pytest.raises(DataFileError) as err:
         load_loads_csv(path)
+    assert str(err.value) == f"{path}:3: negative load -0.5 for consumer 'b'"
+
+
+def test_loads_csv_takes_rounding_noise_below_zero_as_zero(tmp_path):
+    # as a LoadMatrix built in code does
+    path = tmp_path / "noise.csv"
+    path.write_text("a,b\n1.0,2.0\n3.5,-1e-12\n")
+    loads = load_loads_csv(path)
+    assert loads.values[1, 1] == 0.0
+    assert loads.values.tobytes() == LoadMatrix(
+        np.array([[1.0, 2.0], [3.5, -1e-12]]), ("a", "b")).values.tobytes()
 
 
 def test_loads_csv_empty_and_header_only(tmp_path):
@@ -358,6 +371,42 @@ def test_project_config_errors(tmp_path):
         with pytest.raises(DataFileError, match="JSON object") as err:
             ProjectConfig.from_file(path)
         assert str(path) in str(err.value)
+
+
+def test_config_seed_is_an_unsigned_64_bit_integer(tmp_path):
+    out = _gen_dir(tmp_path, seed=5)
+    cfg = json.loads((out / "config.json").read_text())
+    path = out / "seeded.json"
+    for seed in (-1, 2**64, True, 1.5):
+        path.write_text(json.dumps(dict(cfg, seed=seed)))
+        with pytest.raises(DataFileError) as err:
+            ProjectConfig.from_file(path)
+        assert str(err.value) == (f"{path}: seed must be an unsigned 64-bit"
+                                  f" integer, not {seed!r}")
+    for seed in (0, 2**64 - 1):
+        path.write_text(json.dumps(dict(cfg, seed=seed)))
+        assert ProjectConfig.from_file(path).seed == seed
+
+
+@pytest.mark.parametrize("header", ["x1,x2", "c02,c01"])
+def test_realized_loads_must_name_the_consumers_of_the_loads(tmp_path, header,
+                                                             capsys):
+    # realized loads are matched to consumers by id, not by column alone
+    out = _gen_dir(tmp_path, seed=6)
+    realized = out / "realized_loads.csv"
+    assert (out / "loads.csv").read_text().splitlines()[0] == "c01,c02"
+    lines = realized.read_text().splitlines(keepends=True)
+    realized.write_text(header + "\n" + "".join(lines[1:]))
+    config = ProjectConfig.from_file(out / "config.json")
+    with pytest.raises(DataFileError) as err:
+        config.load_realized()
+    assert str(err.value) == (
+        f"{realized}: consumer ids {header.replace(',', ', ')} must be those"
+        f" of {out / 'loads.csv'}, c01, c02, in the same order")
+    assert cli_main(["simulate", "--config", str(out / "config.json"),
+                     "--algorithm", "rulebased_myopic"]) == 1
+    assert str(realized) in capsys.readouterr().err
+    assert not (out / "report_rulebased_myopic.json").exists()
 
 
 def _config_with(tmp_path, section, key, value):

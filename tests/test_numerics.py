@@ -591,7 +591,7 @@ def _normal_matrix(kind):
     problem, and the (m, bandwidth, border, split columns) of its band
     plan."""
     from pvpool import sizing
-    from test_sizing import _baseline_bundle
+    from test_sizing import _baseline_bundle, recourse_lps
     if kind == "control_qp":
         # 15 consumers, 48 periods, two scenarios: the tracking rows
         # couple every period and form the border; the head's SoC spans 3
@@ -610,10 +610,10 @@ def _normal_matrix(kind):
         problem = _control_qp_instance(15, 47, scenarios=10, theta=0.0)
         shape = (942, 4, 0, 1)
     elif kind == "dispatch_lp":
-        # one scenario's day at fixed capacities: a band, no border
+        # one scenario's day at fixed capacities, as the cut pool fills
+        # in its program: a band, no border
         bundle, _ = _baseline_bundle(31, 5, 1, 2)
-        problem = sizing._dispatch_lp(bundle, bundle.scenarios.alphas[:, 0],
-                                      20.0, 10.0)
+        problem = recourse_lps(sizing.CutPool(bundle), 20.0, 10.0)[0]
         shape = (97, 2, 0, 0)
     elif kind == "near_dense":
         # 40 rows, each column on 20 of them: every row of A D A' is

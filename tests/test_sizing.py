@@ -17,8 +17,8 @@ from pvpool.sizing import (SizingEconomics, SizingError, capex,
                            welfare_objective)
 from pvpool.storage import StorageSpec, check_feasible, soc_trajectory
 
-from oracles import (joint_lp_sizing, record_analyses, sizing_point_value,
-                     solve_combo)
+from oracles import (assert_same_qp, dispatch_lp_at_point, joint_lp_sizing,
+                     record_analyses, sizing_point_value, solve_combo)
 
 
 def _params(**kw):
@@ -393,6 +393,20 @@ def _sizing_lps(monkeypatch, bundle):
     return lps
 
 
+def recourse_lps(pool, pv, es):
+    """The dispatch LPs `pool._recourse(pv, es)` solves, in scenario order."""
+    lps = []
+
+    def capture(lp, **kwargs):
+        lps.append(lp)
+        return numerics.solve_qp(lp, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sizing, "solve_qp", capture)
+        pool._recourse(pv, es)
+    return lps
+
+
 def _dispatch_lps(lps, bundle):
     """The per-scenario dispatch LPs among `lps` (five columns per period;
     a master LP has two capacities and one column per scenario)."""
@@ -622,10 +636,10 @@ def test_master_failure_names_the_combination_and_cuts(monkeypatch):
 
 def test_a_sizing_analyses_its_dispatch_matrix_once(monkeypatch):
     # every dispatch LP of a solve_sizing call is solved on its cut pool's
-    # one matrix, analysed once; a solve whose presolve pins a variable
-    # (at a zero capacity, say) solves a reduced matrix of its own,
-    # analysed in that solve.  (Each master LP solve analyses its own
-    # slack form.)
+    # one matrix, the pool program's, analysed once; a solve whose presolve
+    # pins a variable (at a zero capacity, say) solves a reduced matrix of
+    # its own, analysed in that solve.  (Each master LP solve analyses its
+    # own slack form.)
     bundle = _toy_bundle(t_len=6)
     pool = sizing.CutPool(bundle)
     made = record_analyses(monkeypatch)
@@ -641,7 +655,7 @@ def test_a_sizing_analyses_its_dispatch_matrix_once(monkeypatch):
     def solve(lp, **kwargs):
         before = len(made)
         rep = numerics.solve_qp(lp, **kwargs)
-        if lp.a is pool.a:
+        if lp.a is pool.lp.a:
             solves.append(([a for a, _ in made[before:]], reduced[-1]))
         return rep
 
@@ -652,9 +666,46 @@ def test_a_sizing_analyses_its_dispatch_matrix_once(monkeypatch):
     assert 0 < count < len(solves) - 1
     analysed = [a for mats, _ in solves for a in mats]
     assert len(analysed) == 1 + count
-    assert sum(a is pool.a for a in analysed) == 1
+    assert sum(a is pool.lp.a for a in analysed) == 1
     for mats, own in solves:
-        assert sum(a is not pool.a for a in mats) == own
+        assert sum(a is not pool.lp.a for a in mats) == own
+
+
+@pytest.mark.parametrize("shape", [(31, 5, 1, 2), (7, 3, 2, 3)])
+def test_recourse_solves_its_pool_program_filled_in(shape):
+    # each dispatch LP is the pool's program with the battery caps and the
+    # scenario's solar filled in: array for array the LP built row by row
+    # at its capacity point, on the pool's one matrix
+    bundle, catalog = _baseline_bundle(*shape)
+    combo = max(sizing._combinations(bundle, catalog),
+                key=lambda c: c.pv_hi * c.es_hi)
+    pool = sizing.CutPool(bundle)
+    alphas = bundle.scenarios.alphas
+    for pv, es in [(0.0, 0.0), (combo.pv_hi, combo.es_hi),
+                   (0.3 * combo.pv_hi, 0.6 * combo.es_hi),
+                   (0.5 * combo.pv_hi, 0.0), (0.0, 0.25 * combo.es_hi)]:
+        lps = recourse_lps(pool, pv, es)
+        assert len(lps) == alphas.shape[1] > 1
+        for widx, lp in enumerate(lps):
+            assert lp.a is pool.lp.a
+            assert_same_qp(lp, dispatch_lp_at_point(bundle, alphas[:, widx],
+                                                    pv, es))
+
+
+def test_a_sizing_builds_its_dispatch_program_once(monkeypatch):
+    # the dispatch LPs of a solve_sizing call fill in its cut pool's one
+    # program; none is built again
+    builds = []
+    build = sizing._dispatch_lp
+
+    def counting(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(sizing, "_dispatch_lp", counting)
+    bundle = _toy_bundle(t_len=6)
+    assert len(_dispatch_lps(_sizing_lps(monkeypatch, bundle), bundle)) > 1
+    assert len(builds) == 1
 
 
 def test_cut_pool_belongs_to_its_bundle():

@@ -11,11 +11,11 @@ from pvpool.domain import DomainError, TimeGrid
 from pvpool.numerics import ConvexQuadraticProgram, solve_qp
 from pvpool.operation import (HorizonConfig, HorizonWindow, OperationState,
                               _control_qp)
-from pvpool.sizing import _dispatch_lp
+from pvpool.sizing import CutPool
 from pvpool.storage import StorageSpec, check_feasible, soc_trajectory
 
 from oracles import control_qp_by_rows, soc_recursion_rows
-from test_sizing import _toy_bundle
+from test_sizing import _toy_bundle, recourse_lps
 
 
 def _spec(**kwargs):
@@ -141,13 +141,14 @@ def test_reference_rows_match_control_qp():
 
 def test_reference_rows_match_dispatch_lp():
     # the sizing LP's battery is the cyclic spec of its capacities, so the
-    # reference's closing row is checked too
+    # reference's closing row is checked too: on the LP the cut pool solves
+    # at (1.5, 0.7), its program filled in
     t_len, es = 4, 0.7
     bundle = _toy_bundle(t_len=t_len)
     params = bundle.params
     spec = StorageSpec(es, params.kappa * es,
                        math.sqrt(params.es_roundtrip_efficiency))
-    lp = _dispatch_lp(bundle, bundle.scenarios.alphas[:, 0], 1.5, es)
+    [lp] = recourse_lps(CutPool(bundle), 1.5, es)
     # charge, discharge, import, surplus and SoC blocks of t_len each
     cols = np.concatenate([np.arange(2 * t_len),
                            np.arange(4 * t_len, 5 * t_len)])
