@@ -36,18 +36,11 @@ a solve whose primal residual a normal-equations step grew.  The matrix is
 positive definite or quasidefinite, so both paths factor it without
 pivoting in an order fixed by its pattern alone (_SymmetricFactor).  The
 normal matrix is factored by LAPACK as a band and a dense border: its
-near-dense rows go last, the rest in reverse Cuthill-McKee order, and the
-border is eliminated through a small Schur complement.  A few dense
-columns of A, a column on more than 4 rows such as the control QP's
-shared head state of charge, whose rows A D^-1 A' would join in a clique
-that widens the band, are taken out of it and carried in the border as
-one augmented row [a_j; -1/d_j] each (Andersen, ACM TOMS 1996); the Schur
-corner is then quasidefinite, a positive block for the near-dense rows
-and a negative one for the dense columns, each factored by its own
-Cholesky.  Refinement and the pivoted fallback still test against the
-whole A D^-1 A'.  The KKT matrix is
-factored by SuperLU, which orders it by minimum degree on its pattern at
-each factorization.  On either path each solve is refined against the
+near-dense rows (a control QP's tracking rows) go last, the rest in
+reverse Cuthill-McKee order, and the border is eliminated through a
+small positive definite Schur complement.  The KKT matrix is factored by
+SuperLU, which orders it by minimum degree on its pattern at each
+factorization.  On either path each solve is refined against the
 matrix, and a nonpositive pivot or a solve whose refined residual misses
 is redone with SuperLU's partial pivoting.
 
@@ -64,14 +57,14 @@ control QPs, a cut pool's dispatch LPs, one call's key QPs) analyses it
 once (George & Liu, Computer Solution of Large Sparse Positive Definite
 Systems, 1981).  An equal matrix that is another object has its own.  A
 program that `restrict` cut from another, A[rows][:, cols] (a rolling
-horizon's shorter windows at the end of a run), carries an analysis cut
-from the parent's: the normal pattern and product map are masked from
-the parent's, the dense columns carried over, and the band plan keeps the
-parent's order and border rows, so only the start point's factor is
-computed.  The matrices a solve makes itself, with slacks or presolve's
-reductions, are private to it and analysed in it.  An analysis made
-earlier yields the same numbers as a new one, and a cut is always cut,
-never analysed afresh, so no report depends on earlier solves.
+horizon's shorter windows at the end of a run, down to the head alone),
+carries an analysis cut from the parent's: the normal pattern and product
+map are masked from the parent's, and the band plan keeps the parent's
+order and border rows, so only the start point's factor is computed.
+The matrices a solve makes itself, with slacks or presolve's reductions,
+are private to it and analysed in it.  An analysis made earlier yields
+the same numbers as a new one, and a cut is always cut, never analysed
+afresh, so no report depends on earlier solves.
 
 One object, _Standard, owns the problem the iterations solve: it adds the
 slacks, presolves, drops the rows presolve left empty (or proves them
@@ -109,8 +102,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import (dpbtrf, dpbtrs, dpotrf, dpotrs, dtbtrs,
-                                 dtrtrs)
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs, dtbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
@@ -466,10 +458,8 @@ class _Standard:
                 & ~settled
             forcing = np.flatnonzero(force_up | force_dn)
             # the forcing rows' entries on free variables, in storage order
-            count = a.indptr[forcing + 1] - a.indptr[forcing]
-            entry = np.repeat(a.indptr[forcing] - np.cumsum(count) + count,
-                              count) + np.arange(count.sum())
-            rr = np.repeat(forcing, count)
+            entry = _entries(a.indptr, forcing)[0]
+            rr = np.repeat(forcing, np.diff(a.indptr).take(forcing))
             free = ~fixed[a.indices[entry]]
             if not np.any(free):
                 break
@@ -615,33 +605,6 @@ def _near_dense(count, m):
     return count > max(32, m // 8)
 
 
-_SPLIT_ROWS = 4  # a column of A on more rows than this is dense
-_SPLIT_MOST = 8  # dense columns leave A D A' while there are this few
-
-
-def _dense_columns(at):
-    """The columns of A (rows of at) that leave the normal matrix for
-    augmented rows of its factor's border: those on more than 4 rows, as
-    the control QP's head SoC is from 4 scenarios on (W + 1 rows).  A
-    column on c rows makes a c-clique of A D A', which joins the c
-    scenario chains it spans, so that reverse Cuthill-McKee bands them
-    together at a half-bandwidth growing with c (2W - 1 for the head SoC,
-    where the chains alone band at 4).  Only a few columns are split:
-    none when more than 8 are that dense, nor when a row has entries in
-    those columns alone, since without them its row of the normal matrix
-    would be 0.
-    """
-    count = np.diff(at.indptr)
-    dense = count > _SPLIT_ROWS
-    if not 0 < np.count_nonzero(dense) <= _SPLIT_MOST:
-        return np.zeros(0, dtype=np.int64)
-    own = np.repeat(dense, count)
-    rows = np.bincount(at.indices[~own], minlength=at.shape[1])
-    if np.any(rows[at.indices[own]] == 0):
-        return np.zeros(0, dtype=np.int64)
-    return np.flatnonzero(dense)
-
-
 class _BandPlan:
     """The normal matrix's symmetric CSC pattern (sorted, every diagonal
     entry stored), split into a band and a dense border.
@@ -652,22 +615,14 @@ class _BandPlan:
     Cuthill-McKee order, which gathers them into a band of half-bandwidth
     kd.  Block-angular matrices of this shape are what structure-exploiting
     interior-point solvers factor as a band and a small Schur complement
-    (Gondzio & Grothey, Comput. Manag. Sci. 2009).
-
-    A few dense columns of A (`split`, see _dense_columns) are taken out of
-    the normal matrix and enter the border as one augmented row each,
-    [a_j; -1/d_j] (Andersen, ACM TOMS 1996): the plan then reads only the
-    entries `kept`, those that some other column of A makes (and the
-    diagonal), so a column spanning W + 1 scenario chains no longer makes
-    a clique that the band must hold.  `split_rows` holds those columns of
-    A as the rows of a CSR matrix, and `split` counts them.  The border
-    puts the near-dense rows first and the augmented rows after them.
+    (Gondzio & Grothey, Comput. Manag. Sci. 2009).  A control QP's head
+    SoC, on W + 1 rows, joins its W scenario chains in the band (kd 19 at
+    10 scenarios), and its border is the n tracking rows, none at theta 0.
 
     The plan reads only the pattern and holds gather indices from its data
     into LAPACK's lower band storage (kd + 1 by nb), the border block B (nb
     by k) and the corner C (k by k), all column-major, with k the border's
-    near-dense rows plus the split columns, and the positions and values
-    of the split columns' entries of A in B and C.
+    rows.
 
     The plan of a restriction's normal matrix is not ordered afresh: it
     `inherit`s (order, nb), its parent plan's order and border rows, those
@@ -675,25 +630,20 @@ class _BandPlan:
     same order is a band no wider, so its kd is at most the parent's.
     """
 
-    def __init__(self, indptr, indices, kept=None, split_rows=None,
-                 inherit=None):
+    def __init__(self, indptr, indices, inherit=None):
         m = indptr.shape[0] - 1
         count = np.diff(indptr)
         cols = np.repeat(np.arange(m), count)
         self.indptr, self.indices = indptr, indices
         indices = indices.astype(np.intp)  # NumPy gathers intp faster
         self.diag_pos = np.flatnonzero(indices == cols)
-        if kept is None:
-            kept = np.ones(indices.shape[0], dtype=bool)
-        kept[self.diag_pos] = True
         if inherit is None:
-            dense = _near_dense(
-                count - np.bincount(cols[~kept], minlength=m), m)
+            dense = _near_dense(count, m)
             if dense.all():
                 dense[:] = False  # no band to border: all of it is the band
             band = np.flatnonzero(~dense)
             nb = band.shape[0]
-            inner = ~dense[indices] & ~dense[cols] & kept
+            inner = ~dense[indices] & ~dense[cols]
             local = np.cumsum(~dense) - 1  # row -> its index among band rows
             graph = sp.csr_matrix(
                 (np.ones(int(inner.sum())),
@@ -706,9 +656,7 @@ class _BandPlan:
         pos[self.order] = np.arange(m)
         row, col = pos.take(indices), pos.take(cols)
         self.nb, self.border = nb, m - nb
-        self.split = c = 0 if split_rows is None else split_rows.shape[0]
-        k = self.border + c  # the factor's border: c augmented rows last
-        lower = (row >= col) & kept  # one entry of each symmetric pair
+        lower = row >= col  # one entry of each symmetric pair
         col_band = col < nb
         self.band_src = np.flatnonzero(lower & (row < nb))
         row_of, col_of = row.take(self.band_src), col.take(self.band_src)
@@ -719,19 +667,7 @@ class _BandPlan:
             + (row.take(self.border_src) - nb) * nb
         self.corner_src = np.flatnonzero(lower & ~col_band)
         self.corner_dst = row.take(self.corner_src) - nb \
-            + (col.take(self.corner_src) - nb) * k
-        if c:
-            # augmented row j, border row m - nb + j, holds split column
-            # j's entries of A: in B on the band rows, in C's lower
-            # triangle on the near-dense rows, and -1/d_j on C's diagonal
-            row = pos[split_rows.indices]
-            j = m - nb + np.repeat(np.arange(c), np.diff(split_rows.indptr))
-            on_band = row < nb
-            self.split_coupling = ((row + j * nb)[on_band],
-                                   split_rows.data[on_band])
-            self.split_corner = ((j + (row - nb) * k)[~on_band],
-                                 split_rows.data[~on_band])
-            self.split_diag = (m - nb + np.arange(c)) * (k + 1)
+            + (col.take(self.corner_src) - nb) * self.border
 
 
 class _SymmetricFactor:
@@ -877,53 +813,34 @@ def _normal_product_map(at, m):
 
 class _NormalEquations(_SymmetricFactor):
     """The normal matrix A D A' + reg I, positive definite for reg > 0 or
-    A of full row rank; its band plan and product maps come from the
-    analysis of A.  `mat` is always that whole matrix: refinement, the
-    Newton step's residual check and the pivoted fallback test against it.
+    A of full row rank; its band plan and product map come from the
+    analysis of A.  `mat` is that matrix: refinement, the Newton step's
+    residual check and the pivoted fallback test against it.
 
-    It is factored by LAPACK as a band and a dense border.  The plan's
-    split columns j leave A D A' for augmented rows [a_j; -1/d_j]
-    (Andersen, ACM TOMS 1996), so the matrix factored is, in the plan's
-    order, [[A11, B], [B', C]]: A11 is the band of the normal matrix
-    without those columns, and the border holds its near-dense rows, then
-    the augmented rows.  A11 = L L' (dpbtrf), W = L^-1 B (dtbtrs) and
-    S = C - W'W.  Without split columns S is positive definite, S = Ls Ls'
-    (dpotrf).  With them S = [[P, G'], [G, -N]] is quasidefinite, a
-    positive block for the near-dense rows and a negative one for the
-    augmented rows, and each block is factored by its own Cholesky:
-    P = Lp Lp', Y = Lp^-1 G' and N + Y'Y = Ln Ln', so that S = Ls diag(I,
-    -I) Ls' with Ls = [[Lp, 0], [Y', Ln]] (Vanderbei, SIAM J. Optim.
-    1995).  A solve runs forward through L, through the corner and back
-    through L'; the augmented rows' right-hand side is 0 and their
-    unknowns are dropped.
+    It is factored by LAPACK as a band and a dense border: in the plan's
+    order it is [[A11, B], [B', C]], with A11 the band and the border the
+    near-dense rows.  A11 = L L' (dpbtrf), W = L^-1 B (dtbtrs) and the
+    Schur complement S = C - W'W, positive definite as the whole matrix
+    is, is S = Ls Ls' (dpotrf).  A solve runs forward through L, through
+    the corner and back through L'.
     """
 
     def __init__(self, analysis):
-        self.plan, self.pmap, self._split = analysis.normal()
+        self.plan, self.pmap = analysis.normal()
         super().__init__(self.plan.indptr, self.plan.indices,
                          np.zeros(self.pmap.shape[0]))
-        self._l = self._w = self._ls = self._data = self._negative = None
+        self._l = self._w = self._ls = None
 
     def factor(self, dinv, reg=0.0):
-        plan = self.plan
         data = self.pmap @ dinv
         if reg:
-            data[plan.diag_pos] += reg
-        self._data = data  # the factor's: without the split columns
-        if plan.split:
-            # the whole matrix adds each split column's a_j d_j a_j'
-            columns, slots, split_map = self._split
-            dsplit = dinv[columns]
-            data = data.copy()
-            data[slots] += split_map @ dsplit
-            self._negative = -1.0 / dsplit
+            data[self.plan.diag_pos] += reg
         self.mat.data = data
         super().factor()
 
     def _factor(self):
-        plan, data = self.plan, self._data
-        nb, c = plan.nb, plan.split
-        k = plan.border + c
+        plan, data = self.plan, self.mat.data
+        nb, k = plan.nb, plan.border
         band = np.zeros((plan.kd + 1) * nb)
         band[plan.band_dst] = data[plan.band_src]
         self._l, info = dpbtrf(band.reshape((plan.kd + 1, nb), order="F"),
@@ -933,51 +850,25 @@ class _NormalEquations(_SymmetricFactor):
         coupling, corner = np.zeros(nb * k), np.zeros(k * k)
         coupling[plan.border_dst] = data[plan.border_src]
         corner[plan.corner_dst] = data[plan.corner_src]
-        if c:
-            coupling[plan.split_coupling[0]] = plan.split_coupling[1]
-            corner[plan.split_corner[0]] = plan.split_corner[1]
-            corner[plan.split_diag] = self._negative
         self._w = dtbtrs(self._l, coupling.reshape((nb, k), order="F"),
                          uplo="L", overwrite_b=1)[0]
         corner = corner.reshape((k, k), order="F")
         corner -= self._w.T @ self._w
-        if not c:
-            self._ls, info = dpotrf(corner, lower=1, clean=0, overwrite_a=1)
-            return info == 0
-        # the quasidefinite corner [[P, G'], [G, -N]], lower triangle only
-        r = plan.border
-        self._ls = np.zeros((k, k), order="F")
-        if r:
-            lp, info = dpotrf(corner[:r, :r], lower=1)
-            if info:
-                return False
-            y = dtrtrs(lp, corner[r:, :r].T, lower=1)[0]
-            self._ls[:r, :r], self._ls[r:, :r] = lp, y.T
-            corner[r:, r:] -= y.T @ y
-        self._ls[r:, r:], info = dpotrf(-corner[r:, r:], lower=1)
+        self._ls, info = dpotrf(corner, lower=1, clean=0, overwrite_a=1)
         return info == 0
 
     def _direct(self, rhs):
         plan = self.plan
         ordered = rhs[plan.order]
-        c = plan.split
-        if not plan.border + c:
+        if not plan.border:
             sol = dpbtrs(self._l, ordered, lower=1, overwrite_b=1)[0]
         else:
             fwd = dtbtrs(self._l, ordered[:plan.nb], uplo="L")[0]
-            tail = np.concatenate([ordered[plan.nb:], np.zeros(c)]) \
-                - self._w.T @ fwd
-            if not c:
-                tail = dpotrs(self._ls, tail, lower=1, overwrite_b=1)[0]
-            else:
-                # Ls diag(I, -I) Ls' t = tail
-                tail = dtrtrs(self._ls, tail, lower=1, overwrite_b=1)[0]
-                tail[plan.border:] = -tail[plan.border:]
-                tail = dtrtrs(self._ls, tail, lower=1, trans=1,
-                              overwrite_b=1)[0]
+            tail = dpotrs(self._ls, ordered[plan.nb:] - self._w.T @ fwd,
+                          lower=1, overwrite_b=1)[0]
             head = dtbtrs(self._l, fwd - self._w @ tail, uplo="L",
                           trans="T", overwrite_b=1)[0]
-            sol = np.concatenate([head, tail[:plan.border]])
+            sol = np.concatenate([head, tail])
         out = np.empty_like(rhs)
         out[plan.order] = sol
         return out
@@ -1041,34 +932,6 @@ def _masked_product(pattern, pmap, rows, cols):
                 shape=(live.shape[0], cols.shape[0])))
 
 
-def _normal_parts(at, pattern, pmap, columns, inherit=None):
-    """(plan, pmap, split) of _Analysis.normal from the product map of A D
-    A' with the dense columns `columns` split out; inherit is the (order,
-    nb) of the plan or None to order afresh."""
-    kept = split = split_rows = None
-    if columns.shape[0]:
-        per = np.diff(pmap.indptr)
-        own = np.zeros(at.shape[0], dtype=bool)
-        own[columns] = True
-        entry = np.repeat(own, per)  # the map's entries they make
-        rest, mine = np.flatnonzero(~entry), np.flatnonzero(entry)
-        kept = np.zeros(pattern.nnz, dtype=bool)
-        kept[pmap.indices.take(rest).astype(np.intp)] = True
-        slots, slot = np.unique(pmap.indices.take(mine), return_inverse=True)
-        # the columns' map, column by column as they come
-        split = (columns, slots, sp.csc_matrix(
-            (pmap.data.take(mine), slot,
-             np.concatenate([[0], np.cumsum(per.take(columns))])),
-            shape=(slots.shape[0], columns.shape[0])))
-        pmap = sp.csc_matrix(
-            (pmap.data.take(rest), pmap.indices.take(rest),
-             np.concatenate([[0], np.cumsum(np.where(own, 0, per))])),
-            shape=pmap.shape)
-        split_rows = at[columns]
-    return (_BandPlan(pattern.indptr, pattern.indices, kept, split_rows,
-                      inherit), pmap, split)
-
-
 class _Analysis:
     """The work on one constraint matrix A that A alone decides, and, for a
     restriction `restrict` made, what it was cut from.
@@ -1078,23 +941,21 @@ class _Analysis:
     sign split [A+ | A-], the m x 2n matrix that keeps each entry in A's
     storage order, in column j when it is positive and n + j otherwise,
     for presolve's activity bounds.  Built when a solve first takes that
-    Newton path, it holds the normal-equations band plan with its dense
-    columns and product maps and the factor of the least-norm start
-    point's A A' + 1e-8 I, or the assembled KKT matrix (A's data off the
-    diagonal) with the positions of its diagonal; SuperLU orders that
-    matrix at each factorization.
-    Everything here follows from A (and what it was cut from) alone and is
-    only read by the solves.
+    Newton path, it holds the normal-equations band plan with its product
+    map and the factor of the least-norm start point's A A' + 1e-8 I, or
+    the assembled KKT matrix (A's data off the diagonal) with the
+    positions of its diagonal; SuperLU orders that matrix at each
+    factorization.  Everything here follows from A (and what it was cut
+    from) alone and is only read by the solves.
 
     The normal equations of a restriction A[rows][:, cols], whose `_cut`
     is (the parent's A, rows, cols), are cut from the analysis the
     parent's A carries: the pattern and product map are masked from the
-    parent's (_masked_product), the dense columns carried over, and the
-    band plan takes the parent's order and border rows, those that are
-    kept, so its band is never wider than the parent's.  Only the start
-    point's factor is computed.  A restriction whose own dense columns are
-    not the parent's carried over (a head-only control window, whose head
-    SoC is on one row) is analysed afresh.
+    parent's (_masked_product), and the band plan takes the parent's order
+    and border rows, those that are kept, so its band is never wider than
+    the parent's.  Only the start point's factor is computed.  Every
+    restriction is cut so, whichever rows and columns it keeps (a
+    head-only control window, whose head SoC is on one row, included).
     """
 
     def __init__(self, a, cut=None):
@@ -1110,34 +971,26 @@ class _Analysis:
         self._kkt = None
 
     def normal(self):
-        """(plan, pmap, split): the band plan of A D A', the map from D to
-        the data of A D A' without the split columns (_dense_columns), and
-        None or split = (columns, slots, map), whose map @ D[columns] is
-        what those columns add at the slots of the pattern they reach."""
+        """(plan, pmap): the band plan of A D A' and the map from D to its
+        data.  A cut's pattern and map are masked from the parent's, and its
+        plan inherits the parent's band order and border, those rows that
+        are kept."""
         if self._normal is None:
-            at = self.at
-            columns = _dense_columns(at)
-            inherit = self._inherit(columns) if self._cut else None
-            if inherit is None:
-                self._product = _normal_product_map(at, at.shape[1])
-            self._normal = _normal_parts(at, *self._product, columns,
-                                         inherit)
+            inherit = None
+            if self._cut:
+                parent_a, rows, cols = self._cut
+                parent = _analyse(parent_a)
+                plan = parent.normal()[0]
+                self._product = _masked_product(*parent._product, rows, cols)
+                order = _renumber(rows, parent.at.shape[1]).take(plan.order)
+                inherit = (order[order >= 0],
+                           int(np.count_nonzero(order[:plan.nb] >= 0)))
+            else:
+                self._product = _normal_product_map(self.at, self.at.shape[1])
+            pattern, pmap = self._product
+            self._normal = (_BandPlan(pattern.indptr, pattern.indices,
+                                      inherit), pmap)
         return self._normal
-
-    def _inherit(self, columns):
-        """For a cut: the parent's band order and border, those rows that are
-        kept, with the product masked from the parent's; None when the
-        cut's dense columns are not the parent's that it keeps."""
-        parent_a, rows, cols = self._cut
-        parent = _analyse(parent_a)
-        plan, _, split = parent.normal()
-        carried = _renumber(cols, parent.at.shape[0]).take(
-            split[0] if split else columns[:0])
-        if not np.array_equal(carried[carried >= 0], columns):
-            return None
-        self._product = _masked_product(*parent._product, rows, cols)
-        order = _renumber(rows, parent.at.shape[1]).take(plan.order)
-        return order[order >= 0], int(np.count_nonzero(order[:plan.nb] >= 0))
 
     def start(self):
         """A A' + 1e-8 I, factored on first use (RuntimeError when even
@@ -1187,8 +1040,10 @@ def restrict(problem, rows, cols):
     of every vector there.
 
     The restriction's A carries its own analysis, cut from the one the
-    parent's A carries when a solve first needs it (see _Analysis), so
-    every solve of a program on that A cuts instead of analysing afresh.
+    parent's A carries when a solve first needs it (see _Analysis): its
+    normal matrix keeps the parent's band order and border, whichever rows
+    and columns are kept, so every solve of a program on that A cuts
+    instead of analysing afresh.
     A solve whose standard form adds slacks or whose presolve pins a
     variable solves another matrix, private to it and analysed in it.
     """

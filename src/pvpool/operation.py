@@ -39,7 +39,8 @@ fill, `_control_qp`, writes every step's costs, bounds and right-hand
 sides, so the objective is stated once, there.  One period
 map (`_period_map`, kept per shape and read-only) cuts each shorter
 window at the end of a run from the full one, by `numerics.restrict`, so
-that each such window's solve cuts its analysis from the full window's
+that each such window's solve, the head-only one's included, cuts its
+analysis from the full window's, in the full window's band order,
 instead of analysing its matrix afresh (the cut's matrix carries that
 analysis), and shifts each step's start: every step after the first
 restarts its solve from the previous solve's well-centred primal-dual

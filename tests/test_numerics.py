@@ -588,49 +588,47 @@ def test_factor_reuses_its_ordering_at_a_new_diagonal(system):
 
 def _normal_matrix(kind):
     """The standard-form constraint matrix the solver sees for one kind of
-    problem, and the (m, bandwidth, border, split columns) of its band
-    plan."""
+    problem, and the (m, bandwidth, border) of its band plan."""
     from pvpool import sizing
     from test_sizing import _baseline_bundle, recourse_lps
     if kind == "control_qp":
         # 15 consumers, 48 periods, two scenarios: the tracking rows
         # couple every period and form the border; the head's SoC spans 3
-        # rows and stays in the normal matrix
-        problem, shape = _control_qp_instance(15, 47), (205, 4, 15, 0)
+        # rows and joins the two scenario chains in the band
+        problem, shape = _control_qp_instance(15, 47), (205, 4, 15)
     elif kind in ("control_qp_10", "control_qp_20"):
-        # 10 and 20 scenarios: the head's SoC spans W + 1 rows and leaves
-        # the normal matrix for one augmented border row, so the scenario
-        # chains band apart at the same width (19 and 39 with the SoC in)
+        # 10 and 20 scenarios: the head's SoC spans W + 1 rows and joins
+        # the W scenario chains in the band, at half-bandwidth 2W - 1; the
+        # border is the 15 tracking rows
         scenarios = int(kind[-2:])
         problem = _control_qp_instance(15, 47, scenarios=scenarios)
-        shape = (94 * scenarios + 17, 4, 15, 1)
+        shape = (94 * scenarios + 17, 2 * scenarios - 1, 15)
     elif kind == "dispatch_qp_10":
         # the same at theta = 0, the cost-only MPC: no tracking rows, so
-        # the border is the augmented row alone (kd 19 with the SoC in)
+        # no border, and the same band
         problem = _control_qp_instance(15, 47, scenarios=10, theta=0.0)
-        shape = (942, 4, 0, 1)
+        shape = (942, 19, 0)
     elif kind == "dispatch_lp":
         # one scenario's day at fixed capacities, as the cut pool fills
         # in its program: a band, no border
         bundle, _ = _baseline_bundle(31, 5, 1, 2)
         problem = recourse_lps(sizing.CutPool(bundle), 20.0, 10.0)[0]
-        shape = (97, 2, 0, 0)
+        shape = (97, 2, 0)
     elif kind == "near_dense":
         # 40 rows, each column on 20 of them: every row of A D A' is
-        # near-dense, so there is no band to border and all of it is band;
-        # every column is dense, too many to split
+        # near-dense, so there is no band to border and all of it is band
         rng = np.random.default_rng(6)
         dense = np.zeros((40, 120))
         for j in range(120):
             dense[rng.choice(40, 20, replace=False), j] = rng.normal(size=20)
-        return sp.csr_matrix(dense), (40, 39, 0, 0)
+        return sp.csr_matrix(dense), (40, 39, 0)
     else:
         # a key QP over 48 periods and 15 consumers: the period rows are
         # a diagonal band, the consumer rows the border
         rng = np.random.default_rng(4)
         hi = rng.uniform(0.1, 2.0, (48, 15))
         problem = key_qp_by_rows(np.zeros_like(hi), hi, 0.5 * hi.sum(axis=1))
-        shape = (63, 0, 15, 0)
+        shape = (63, 0, 15)
     std = numerics._Standard(problem.c, problem.q_diag, problem.a,
                              problem.senses, problem.rhs, problem.lb,
                              problem.ub)
@@ -644,7 +642,7 @@ def test_band_and_border_factor_matches_spsolve(kind):
     a, shape = _normal_matrix(kind)
     fac = numerics._NormalEquations(numerics._Analysis(a))
     plan = fac.plan
-    assert (a.shape[0], plan.kd, plan.border, plan.split) == shape
+    assert (a.shape[0], plan.kd, plan.border) == shape
     # the border holds the near-dense rows, last; the rest is banded
     counts = np.diff(plan.indptr)[plan.order]
     assert np.all(numerics._near_dense(counts[plan.nb:], a.shape[0]))
@@ -654,7 +652,6 @@ def test_band_and_border_factor_matches_spsolve(kind):
     for scale in (1.0, 1e6):
         d = rng.uniform(0.01, 100.0, a.shape[1]) * scale
         fac.factor(d)
-        # mat is the whole A D A', split columns included
         whole = a @ sp.diags(d) @ a.T
         assert abs(fac.mat - whole).max() <= 1e-14 * abs(whole).max()
         rhs = rng.normal(size=a.shape[0])
@@ -664,28 +661,6 @@ def test_band_and_border_factor_matches_spsolve(kind):
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
         # the residual the solve keeps is that of the solution it returned
         assert np.array_equal(fac.residual, rhs - fac.mat @ got)
-
-
-def test_dense_column_factor_falls_back_to_pivoting():
-    # column 0 spans all six rows and leaves the normal matrix for an
-    # augmented row; rows 2 and 3 agree on every other column, so A D A'
-    # without it is singular while the whole A D A' is not.  The unpivoted
-    # factor fails and the solve is SuperLU's, pivoted, on the whole matrix
-    dense = np.zeros((6, 7))
-    dense[:, 0] = np.arange(1.0, 7.0)
-    dense[[0, 1, 4, 5], [1, 2, 5, 6]] = 1.0
-    dense[2:4, 3:5] = 1.0
-    a = sp.csr_matrix(dense)
-    fac = numerics._NormalEquations(numerics._Analysis(a))
-    assert fac.plan.split == 1
-    rng = np.random.default_rng(5)
-    for scale in (1.0, 1e6):
-        fac.factor(rng.uniform(0.5, 2.0, a.shape[1]) * scale)
-        rhs = rng.normal(size=a.shape[0])
-        got = fac.solve(rhs)
-        want = spsolve(fac.mat.tocsc(), rhs)
-        assert fac.pivoted is not None and fac.residual is None
-        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("eps, route, objective", [

@@ -569,12 +569,14 @@ def _counting(monkeypatch):
     return built, orderings
 
 
-def test_year_analyses_its_control_qp_once(monkeypatch):
+@pytest.mark.parametrize("w", [3, 4])
+def test_year_analyses_its_control_qp_once(w, monkeypatch):
     # 96 periods at a 48-period horizon with a battery: the full window's
     # control QP is analysed once, and each of the last 47 windows cuts its
-    # analysis from that one, so the run builds one normal product map and
-    # one band ordering (a fresh analysis per window shape made 48 of each)
-    bundle, result, plan = _year_case(t_len=96, n=15, w=3)
+    # analysis from that one, the head-only window included, so the run
+    # builds one normal product map and one band ordering (a fresh
+    # analysis per window shape made 48 of each)
+    bundle, result, plan = _year_case(t_len=96, n=15, w=w)
     decision = replace(result.decision, es_power_kw=6.0, es_energy_kwh=12.0,
                        es_inverter_index=1, es_inverter_capacity_kw=6.0,
                        es_inverter_cost=1.1)
@@ -610,12 +612,11 @@ def _end_windows(w, theta, n=2, horizon=48):
 @pytest.mark.parametrize("w", [2, 4, 10, 20])
 @pytest.mark.parametrize("theta", [0.0, 0.6])
 def test_cut_windows_solve_as_their_fresh_analyses_do(w, theta, monkeypatch):
-    # every end-of-run window, tails 46 to 0, is cut from the full
-    # window's analysis: its solve is optimal, its objective that of the
-    # same QP analysed afresh, and its band no wider than the full one's.
-    # Only the head-only window, whose head SoC is on one row, is analysed
-    # afresh, and only where the full window splits that column out (from
-    # 4 scenarios on, W + 1 > 4 rows)
+    # every end-of-run window, tails 46 to 0, the head-only one included,
+    # is cut from the full window's analysis: no window builds a normal
+    # product map of its own, its solve is optimal, its objective that of
+    # the same QP analysed afresh, and its band no wider than the full
+    # one's
     steps = list(_end_windows(w, theta))
     full = numerics._analyse(_control_qp(*steps[0], 1e-4).a)
     kd = full.normal()[0].kd
@@ -625,11 +626,10 @@ def test_cut_windows_solve_as_their_fresh_analyses_do(w, theta, monkeypatch):
         before = len(built)
         rep = solve_qp(qp, tol=1e-6)
         assert rep.status == "optimal"
-        head_only = step[1].tail_periods == 0
-        assert len(built) - before == (head_only and w >= 4)
+        assert len(built) == before
         assert numerics._analyse(qp.a).normal()[0].kd <= kd
         fresh = solve_qp(replace(qp, a=sp.csr_matrix(qp.a)), tol=1e-6)
-        assert len(built) - before == 1 + (head_only and w >= 4)
+        assert len(built) - before == 1
         assert abs(rep.objective - fresh.objective) \
             <= 1e-6 * (1.0 + abs(fresh.objective))
 
