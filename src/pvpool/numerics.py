@@ -19,13 +19,18 @@ says nothing (x NaN, the rest 0).  x is taken where it is a number and the
 box midpoint elsewhere, moved toward A x = b by one least-norm correction
 and pushed strictly inside the box; the duals start at y and at the
 positive bound multipliers (at least 1e-300), and at max(1, 1% of the
-largest cost) where a multiplier is 0.  Each report keeps, as its
-`restart`, the first iterate whose relative primal residual, relative dual
-residual and relative gap sum to at most 3e-2: a well-centred point, near
-feasible as well as near the central path, that a neighbouring problem (a
-rolling horizon's next step, shifted, or a re-solve) restarts from.  A warm
-start's gap is small before any Newton step, so the gap alone would hand
-on a start whose rows its solve never met.
+largest cost) where a multiplier is 0.  A caller's start, one that gives
+x, then has every bounded side's multiplier raised by 0.5 s'z / sum(s),
+with the slacks s measured at the pushed x (Mehrotra, SIAM J. Optim.
+1992): the push moves x off the bounds its multipliers were kept for, and
+unshifted, many pairs s z start far below the central path and cut the
+first steps short.  The cold start is not shifted.  Each report keeps, as
+its `restart`, the first iterate whose relative primal residual, relative
+dual residual and relative gap sum to at most 1e-2: a well-centred point,
+near feasible as well as near the central path, that a neighbouring
+problem (a rolling horizon's next step, shifted, or a re-solve) restarts
+from.  A warm start's gap is small before any Newton step, so the gap
+alone would hand on a start whose rows its solve never met.
 
 Each iteration solves one Newton system, on one of two paths.  The normal
 equations A D^-1 A' serve every problem whose variables all carry a bound
@@ -112,8 +117,10 @@ GE = ">="
 
 _STEP_DAMP = 0.99995  # fraction-to-boundary
 # score (relative residuals plus relative gap) of the iterate a report
-# keeps to restart from; a gap alone would pass an unmoved warm start
-_RESTART_SCORE = 3e-2
+# keeps to restart from; a gap alone would pass an unmoved warm start.
+# With the start's multipliers shifted, a later, better-centred restart
+# pays: 1e-2 took fewer control iterations than 3e-2
+_RESTART_SCORE = 1e-2
 _DIVERGE = 1e14
 _KKT_REFINE_STEPS = 3  # refinement steps on an unpivoted KKT solve
 _KKT_REFINE_TOL = 1e-10  # accepted residual, relative to 1 + |rhs|
@@ -251,7 +258,7 @@ class SolveReport:
     restart           (x, y, zl, zu): the first iterate whose score, the
                       sum of max |Ax - b| / (1 + max |b|), the dual
                       residual / (1 + max |c|) and |pobj - dobj| /
-                      (1 + |pobj|), was at most 3e-2, for a neighbouring
+                      (1 + |pobj|), was at most 1e-2, for a neighbouring
                       problem's start; None if none got there
 
     The duals (None when no point is returned) satisfy c + Qx - A'y - zl + zu
@@ -1002,13 +1009,29 @@ class _Analysis:
         return self._start
 
     def kkt(self):
+        """(mat, diag_pos): [[I, A'], [A, I]] in CSC with sorted indices,
+        and the positions of its diagonal in mat.data.
+
+        Built from its parts' arrays: column j < n holds its identity
+        entry, then column j of A (row j of A', shifted by n), and column
+        n + i holds row i of A, then its identity entry, so each column's
+        rows are already increasing."""
         if self._kkt is None:
-            n, m = self.at.shape
-            mat = sp.bmat([[sp.identity(n), self.at], [self.at.T, sp.identity(m)]],
-                          format="csc")
-            mat.sort_indices()
-            cols = np.repeat(np.arange(n + m), np.diff(mat.indptr))
-            self._kkt = (mat, np.flatnonzero(mat.indices == cols))
+            at, a = self.at, self.at.tocsc()  # A' by columns is A by rows
+            n, m = at.shape
+            indptr = np.zeros(n + m + 1, dtype=np.int64)
+            np.cumsum(np.concatenate([np.diff(at.indptr), np.diff(a.indptr)])
+                      + 1, out=indptr[1:])
+            diag = np.concatenate([indptr[:n], indptr[n + 1:] - 1])
+            off = np.ones(indptr[-1], dtype=bool)
+            off[diag] = False
+            indices = np.empty(indptr[-1], dtype=np.int64)
+            data = np.ones(indptr[-1])
+            indices[diag] = np.arange(n + m)
+            indices[off] = np.concatenate([at.indices + n, a.indices])
+            data[off] = np.concatenate([at.data, a.data])
+            mat = sp.csc_matrix((data, indices, indptr), shape=(n + m, n + m))
+            self._kkt = (mat, diag)
         return self._kkt
 
 
@@ -1154,6 +1177,16 @@ def _ipm_loop(std, tol, max_iter, guess):
     zl, zu = (np.where(z > 0.0, np.maximum(z, 1e-300), z0) for z in guess[2:])
     zl[no_lb] = 0.0
     zu[no_ub] = 0.0
+    if nu and not np.isnan(guess[0]).all():
+        # a caller's x was pushed off the bounds its multipliers were kept
+        # for, leaving pairs s z far below the central path: every bounded
+        # side's multiplier rises by 0.5 s'z / sum(s) at the pushed x
+        # (Mehrotra, SIAM J. Optim. 1992); the cold start keeps its own
+        sl, su = (x - lb)[has_lb], (ub - x)[has_ub]
+        shift = 0.5 * float(sl @ zl[has_lb] + su @ zu[has_ub]) \
+            / float(sl.sum() + su.sum())
+        zl[has_lb] += shift
+        zu[has_ub] += shift
 
     best = None
     restart = None
@@ -1372,9 +1405,12 @@ def solve_qp(problem: ConvexQuadraticProgram, tol: float = 1e-6, max_iter: int =
     midpoint, and the same least-norm correction toward the rows and push
     inside the box follow; y is taken as given, and each bound multiplier
     where it is positive (raised to 1e-300, the floor every iterate
-    keeps), the cold start's value elsewhere.  Without one the solve starts
-    from the point that says nothing: x NaN (the box midpoint), y = 0 and
-    zl = zu = 0 (the cold start's multipliers).
+    keeps), the cold start's value elsewhere.  Every bounded side's
+    multiplier is then raised by 0.5 s'z / sum(s) at the pushed x, which
+    brings the start near the central path (see the module docstring).
+    Without one the solve starts from the point that says nothing: x NaN
+    (the box midpoint), y = 0 and zl = zu = 0 (the cold start's
+    multipliers), unshifted.
 
     The solve reads the analysis that the program's A carries, made on
     the first solve that needs it: programs that share an A object share

@@ -46,7 +46,9 @@ analysis), and shifts each step's start: every step after the first
 restarts its solve from the previous solve's well-centred primal-dual
 iterate (`SolveReport.restart`, near its rows as well as near the central
 path: a small gap alone, which an unmoved warm start already has, does
-not qualify), moved one period (`_shifted_start`).  `run_year` hands
+not qualify), moved one period (`_shifted_start`); the solve pushes its x
+inside the box and shifts its bound multipliers by 0.5 s'z / sum(s)
+there, so the start stays near the central path.  `run_year` hands
 each `ControlDecision.plan` to the next `mpc_step`, and nothing else is
 kept between steps.  A warm-started solve that ends other than optimal is
 solved once more cold, `run_year` counts those retries
@@ -211,8 +213,9 @@ class ControlDecision:
     rows state, deliver - the head's split; it is zero at theta = 0, where
     nothing is tracked and the period settles alone.  plan is the control
     solve's restart point (x, y, zl, zu), its first iterate whose relative
-    residuals and gap sum to at most 3e-2 (`SolveReport.restart`), so a
-    point the solve moved near its rows, which the next step starts from;
+    residuals and gap sum to at most 1e-2 (`SolveReport.restart`), so a
+    point the solve moved near its rows, which the next step starts from
+    (its bound multipliers shifted toward the central path, `solve_qp`);
     None when the solve kept none.  cold_retry says whether the step's
     warm-started solve failed and the QP was solved once more cold.
     """

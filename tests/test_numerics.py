@@ -827,6 +827,32 @@ def test_sizing_master_lp_restarts_from_its_own_restart():
         <= 1e-9 * (1.0 + abs(cold.objective))
 
 
+@pytest.mark.parametrize("kind", ["sizing_lp", "dispatch_lp"])
+def test_kkt_matrix_is_its_block_assembly(kind):
+    # the analysis builds [[I, A'], [A, I]] from the arrays of A and A';
+    # it is sp.bmat's assembly with sorted indices, entry for entry, and
+    # its diagonal lies where that one's does (the master LP's slack
+    # form, on the KKT path, and a dispatch LP's standard form)
+    if kind == "sizing_lp":
+        problem = _sizing_lp_instance()
+        a = numerics._Standard(problem.c, problem.q_diag, problem.a,
+                               problem.senses, problem.rhs, problem.lb,
+                               problem.ub).a
+    else:
+        a = _normal_matrix(kind)[0]
+    mat, diag = numerics._Analysis(a).kkt()
+    at = a.T.tocsr()
+    n, m = at.shape
+    want = sp.bmat([[sp.identity(n), at], [at.T, sp.identity(m)]],
+                   format="csc")
+    want.sort_indices()
+    assert mat.shape == want.shape == (n + m, n + m)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(mat, part), getattr(want, part))
+    cols = np.repeat(np.arange(n + m), np.diff(want.indptr))
+    assert np.array_equal(diag, np.flatnonzero(want.indices == cols))
+
+
 def test_solve_qp_without_start_is_bit_identical():
     # start=None is the cold start, bit for bit, duals included
     problem = _control_qp_instance()
@@ -886,8 +912,8 @@ def test_restart_is_near_its_rows_not_the_pushed_warm_start():
     # its 12 variables at a bound move and its rows miss by about 5% of
     # max |b|, while the one costly variable, held by its own row, keeps
     # the relative gap under 1e-2.  The restart is the first iterate whose
-    # relative residuals and gap sum to at most 3e-2, so its rows are met
-    # to 3e-2 of 1 + max |b|; a gap test alone kept the pushed start
+    # relative residuals and gap sum to at most 1e-2, so its rows are met
+    # to 1e-2 of 1 + max |b|; a gap test alone kept the pushed start
     rng = np.random.default_rng(3)
     m, n = 4, 16
     a = rng.uniform(0.5, 1.5, (m, n))
@@ -903,7 +929,7 @@ def test_restart_is_near_its_rows_not_the_pushed_warm_start():
     warm = solve_qp(problem, start=(opt.x, opt.y, opt.zl, opt.zu))
     assert warm.status == "optimal"
     x = warm.restart[0]
-    assert np.abs(a @ x - b).max() <= 3e-2 * (1.0 + np.abs(b).max())
+    assert np.abs(a @ x - b).max() <= 1e-2 * (1.0 + np.abs(b).max())
 
 
 @pytest.mark.parametrize("battery, sun", [((3.0, 6.0), True),
@@ -1370,9 +1396,10 @@ def _warm_stall():
     """A control QP (288 x 763) of a year of the tracking controller, 3
     consumers and 2 scenarios at seed 0, step 7,583, with the start it was
     given: the previous step's restart point, shifted one period.  Solved
-    from that start at the control tolerance, it ends iteration_limit after
-    60 iterations at its best iterate, the 29th; the cold start reaches
-    optimal in 7."""
+    from that start at the control tolerance with the start's bound
+    multipliers as given, it ended iteration_limit after 60 iterations at
+    its best iterate, the 29th; with them shifted toward the central path
+    it reaches optimal in 12, and the cold start in 7."""
     data = np.load(Path(__file__).parent / "data" / "warm_stall_control_qp.npz")
     a = sp.csr_matrix((data["a_data"], data["a_indices"], data["a_indptr"]),
                       shape=tuple(data["a_shape"]))
@@ -1388,19 +1415,19 @@ def test_captured_warm_stall_solves_cold():
     assert solve_qp(qp, tol=1e-6).status == "optimal"
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP items 2 and 15: the warm"
-                   " point blocks, or the separate primal and dual step"
-                   " lengths cycle")
 def test_captured_warm_stall_solves_from_its_start():
+    # the start's bound multipliers are shifted toward the central path at
+    # its pushed x; kept as given, they stalled the solve after 60
+    # iterations
     qp, start = _warm_stall()
     assert solve_qp(qp, tol=1e-6, start=start).status == "optimal"
 
 
 def test_a_stalled_solve_reports_the_iterations_it_spent(monkeypatch):
-    # the captured warm stall stops at its 60th iteration, whose stall
-    # test ends the solve before it factors: 59 normal-equations factors
-    # inside the iterations and the start point's make 60.  Its report
-    # keeps the best iterate, the 29th, and counts the 60 spent
+    # the captured warm stall, held to 5 of the 12 iterations it needs
+    # from its start: each iteration factors the normal equations once,
+    # and the start point's factor (regularized by 1e-8) comes before
+    # them.  The report counts the 5 spent, one per factor inside them
     factors = []
     factor = numerics._NormalEquations.factor
 
@@ -1410,7 +1437,7 @@ def test_a_stalled_solve_reports_the_iterations_it_spent(monkeypatch):
 
     monkeypatch.setattr(numerics._NormalEquations, "factor", counting)
     qp, start = _warm_stall()  # on a new matrix, not analysed yet
-    rep = solve_qp(qp, tol=1e-6, start=start)
+    rep = solve_qp(qp, tol=1e-6, max_iter=5, start=start)
     assert rep.status == "iteration_limit"
-    assert factors.count(1e-8) == 1
-    assert rep.iterations == len(factors) == 60
+    assert factors[0] == 1e-8 and factors.count(1e-8) == 1
+    assert rep.iterations == len(factors) - 1 == 5
