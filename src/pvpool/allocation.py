@@ -168,9 +168,9 @@ def _key_qp(values):
     pb = ProblemBuilder()
     split = pb.add_vars(t_len * n, ub=values.ravel()).reshape(t_len, n)
     spread = pb.add_vars(n, lb=-np.inf, ub=np.inf, qdiag=2.0 / n)
-    pb.add_rows(split, 1.0, "==", 0.0)
+    pb.add_rows(split, 1.0, 0.0)
     pb.add_rows(np.column_stack([spread, split.T]),
-                np.concatenate([[1.0], -np.ones(t_len)]), "==", 0.0)
+                np.concatenate([[1.0], -np.ones(t_len)]), 0.0)
     return pb.qp()
 
 

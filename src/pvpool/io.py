@@ -10,6 +10,8 @@ known keys, CSV rows of numbers.  The `domain` types rule on every value,
 and each refusal comes back as a DataFileError that names the file and,
 in a config, the section.
 
+Every file is read as UTF-8, a leading byte-order mark dropped (Excel's
+"CSV UTF-8" export writes one), and written as UTF-8 without one.
 Numbers are written at repr precision, so a write/read trip reproduces each
 float64 exactly and reports produced from the same config and seed are
 byte-identical.  The same holds for the plan file (`write_plan_json`), which
@@ -66,7 +68,7 @@ def _read_table(path):
     parse as numbers.  Errors name the file and 1-based line.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = [cell.strip() for cell in next(reader)]
@@ -97,13 +99,13 @@ def _read_table(path):
 
 def _read_header(path):
     """The header cells of a CSV table, as `_read_table` reads them."""
-    with Path(path).open(newline="") as fh:
+    with Path(path).open(newline="", encoding="utf-8-sig") as fh:
         return [cell.strip() for cell in next(csv.reader(fh), [])]
 
 
 def _write_table(path, header, values):
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    with Path(path).open("w", newline="") as fh:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in values:
@@ -221,7 +223,7 @@ def dump_json(path, payload):
     text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text + "\n")
+        tmp.write_text(text + "\n", encoding="utf-8")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -233,7 +235,7 @@ def load_catalog_json(path):
     and names a bad one (`pv_options[j]`); the error names the file."""
     path = Path(path)
     try:
-        payload = json.loads(path.read_text())
+        payload = json.loads(path.read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise DataFileError(f"{path}: {exc}") from exc
     try:
@@ -283,7 +285,7 @@ def load_plan_json(path, digest, bundle):
     """
     path = Path(path)
     try:
-        payload = json.loads(path.read_text())
+        payload = json.loads(path.read_text(encoding="utf-8-sig"))
     except FileNotFoundError:
         return None
     except json.JSONDecodeError as exc:
@@ -463,7 +465,7 @@ class ProjectConfig:
     def from_file(cls, path):
         path = Path(path)
         try:
-            payload = json.loads(path.read_text())
+            payload = json.loads(path.read_text(encoding="utf-8-sig"))
         except FileNotFoundError:
             raise DataFileError(f"{path}: no such config file") from None
         except json.JSONDecodeError as exc:

@@ -5,14 +5,15 @@ one primal-dual interior-point core (Mehrotra predictor-corrector).
 Problems are stated as
 
     min                    0.5 x'Qx + c'x
-    s.t.                   a_i'x  (<=, ==, >=)  rhs_i
+    s.t.                   A x = rhs
                            lb <= x <= ub
 
 with Q = diag(q), q >= 0; a linear program is q = 0, as in OOQP (Gertz &
 Wright, ACM TOMS 2003).  Variance objectives reach this form through
 auxiliary spread variables tied to the allocations by equality rows.
-Inequality rows get slack variables internally, so the core only ever sees
-equality rows plus box bounds.  Every solve is deterministic: identical
+This is the form the core solves: a program states equality rows only, and
+an inequality row is written with a slack or surplus variable of its own
+(as the sizing master's cuts are).  Every solve is deterministic: identical
 inputs, the start included, produce bit-identical reports.  Every solve
 starts from a point (x, y, zl, zu), a caller's or the cold start's, which
 says nothing (x NaN, the rest 0).  x is taken where it is a number and the
@@ -66,15 +67,15 @@ horizon's shorter windows at the end of a run, down to the head alone),
 carries an analysis cut from the parent's: the normal pattern and product
 map are masked from the parent's, and the band plan keeps the parent's
 order and border rows, so only the start point's factor is computed.
-The matrices a solve makes itself, with slacks or presolve's reductions,
-are private to it and analysed in it.  An analysis made earlier yields
-the same numbers as a new one, and a cut is always cut, never analysed
-afresh, so no report depends on earlier solves.
+The matrices presolve's reductions make are private to their solve and
+analysed in it.  An analysis made earlier yields the same numbers as a
+new one, and a cut is always cut, never analysed afresh, so no report
+depends on earlier solves.
 
-One object, _Standard, owns the problem the iterations solve: it adds the
-slacks, presolves, drops the rows presolve left empty (or proves them
+One object, _Standard, owns the problem the iterations solve: it
+presolves, drops the rows presolve left empty (or proves them
 inconsistent) and holds the analysis of the final A.  Presolve reads the
-sign split of the standard form's A.  Each of its passes forms every row's
+sign split of the program's A.  Each of its passes forms every row's
 activity bounds as two products with the free variables' bounds u and l
 (a pinned variable's terms read 0), max = A+ u + A- l and min = A+ l +
 A- u, each row's terms summed in A's storage order, and reads A's entries
@@ -111,10 +112,6 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs, dtbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
-LE = "<="
-EQ = "=="
-GE = ">="
-
 _STEP_DAMP = 0.99995  # fraction-to-boundary
 # score (relative residuals plus relative gap) of the iterate a report
 # keeps to restart from; a gap alone would pass an unmoved warm start.
@@ -145,9 +142,9 @@ def _per_var(value, count, what="per-variable vector"):
     return arr.copy()
 
 
-def _vector(value, name, dtype=np.float64):
-    """value as a 1-d array; any other shape is refused by name."""
-    arr = np.asarray(value, dtype=dtype)
+def _vector(value, name):
+    """value as a 1-d float array; any other shape is refused by name."""
+    arr = np.asarray(value, dtype=np.float64)
     if arr.ndim != 1:
         raise NumericsError(f"{name} has shape {arr.shape}, expected a vector")
     return arr
@@ -174,22 +171,23 @@ def _read_only(a):
 
 @dataclass(frozen=True)
 class ConvexQuadraticProgram:
-    """min 0.5 x'diag(q)x + c'x subject to sparse rows and box bounds.
+    """min 0.5 x'diag(q)x + c'x subject to A x = rhs and box bounds.
 
-    The quadratic form is positive semidefinite because every q_i >= 0.  A
-    linear program is the case q = 0: q_diag, lb and ub take a scalar for
-    every variable, so q_diag=0.0 states one.  c, rhs and senses are 1-d,
-    and lb and ub default to -inf and inf when None.  A is read-only: a
-    CSR float64 matrix without stored zeros whose arrays are read-only is
-    kept as it is, with the analysis it carries, and any other A is copied
-    into one.  Programs built on one A object share its analysis (see the
-    module docstring), which cannot go stale.
+    Every row is an equality: an inequality row is stated with a slack or
+    surplus variable of its own, bounded below by 0.  The quadratic form is
+    positive semidefinite because every q_i >= 0.  A linear program is the
+    case q = 0: q_diag, lb and ub take a scalar for every variable, so
+    q_diag=0.0 states one.  c and rhs are 1-d, and lb and ub default to
+    -inf and inf when None.  A is read-only: a CSR float64 matrix without
+    stored zeros whose arrays are read-only is kept as it is, with the
+    analysis it carries, and any other A is copied into one.  Programs
+    built on one A object share its analysis (see the module docstring),
+    which cannot go stale.
     """
 
     c: np.ndarray
     q_diag: np.ndarray
     a: sp.csr_matrix
-    senses: np.ndarray
     rhs: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
@@ -205,24 +203,17 @@ class ConvexQuadraticProgram:
             a.eliminate_zeros()
             for part in (a.data, a.indices, a.indptr):
                 part.setflags(write=False)
-        # as text of any length, so that no sense is cut down to a known one
-        senses = _vector(self.senses, "senses", str)
-        unknown = senses[(senses != LE) & (senses != EQ) & (senses != GE)]
-        if unknown.size:
-            raise NumericsError(f"unknown sense {str(unknown[0])!r}")
-        senses = senses.astype("U2")
         q = _per_var(self.q_diag, n, "q_diag")
         rhs = _vector(self.rhs, "rhs")
         lb = _per_var(-np.inf if self.lb is None else self.lb, n, "lb")
         ub = _per_var(np.inf if self.ub is None else self.ub, n, "ub")
-        for name, value in (("c", c), ("q_diag", q), ("a", a),
-                            ("senses", senses), ("rhs", rhs), ("lb", lb),
-                            ("ub", ub)):
+        for name, value in (("c", c), ("q_diag", q), ("a", a), ("rhs", rhs),
+                            ("lb", lb), ("ub", ub)):
             object.__setattr__(self, name, value)
         if a.shape[1] != n:
             raise NumericsError("constraint matrix and objective dimension mismatch")
-        if senses.shape[0] != a.shape[0] or rhs.shape[0] != a.shape[0]:
-            raise NumericsError("senses/rhs length must equal the number of rows")
+        if rhs.shape[0] != a.shape[0]:
+            raise NumericsError("rhs length must equal the number of rows")
         if not np.isfinite(c).all() or not np.isfinite(a.data).all() or not np.isfinite(rhs).all():
             raise NumericsError("objective, matrix and rhs entries must be finite")
         if not np.isfinite(q).all() or np.any(q < 0):
@@ -247,7 +238,8 @@ class SolveReport:
                       before any iteration (see the module docstring)
     x                 primal point (None when infeasible or unbounded)
     objective         objective value
-    primal_residual   max absolute violation over rows and bounds
+    primal_residual   max absolute violation over rows (|Ax - rhs|) and
+                      bounds
     dual_residual     stationarity residual, inf-norm
     duality_gap       |primal objective - dual objective|
     complementarity   max |slack * multiplier|
@@ -290,11 +282,12 @@ class SolveReport:
 class ProblemBuilder:
     """Incremental assembly of a program with named variable blocks.
 
-    A row's indices must be integers and match its coefficients in length
+    Every row is an equality, sum_k coeffs_k x_indices_k = rhs; a caller
+    writes an inequality with a variable of its own for the slack.  A
+    row's indices must be integers and match its coefficients in length
     when it is added; they must name existing variables when qp()
-    assembles the program, which also checks senses and finiteness.  A
-    program whose variables all keep the default qdiag of 0 is a linear
-    program.
+    assembles the program, which also checks finiteness.  A program whose
+    variables all keep the default qdiag of 0 is a linear program.
     """
 
     def __init__(self):
@@ -305,7 +298,6 @@ class ProblemBuilder:
         self._row_idx = []
         self._row_coef = []
         self._row_len = []
-        self._senses = []
         self._rhs = []
         self._n = 0
 
@@ -319,15 +311,15 @@ class ProblemBuilder:
         self._n += count
         return idx
 
-    def add_row(self, indices, coeffs, sense, rhs):
+    def add_row(self, indices, coeffs, rhs):
         """Append one row."""
         idx = _indices(indices, "indices")
         coef = np.asarray(coeffs, dtype=np.float64)
         if idx.ndim != 1 or coef.shape != idx.shape:
             raise NumericsError("row indices and coefficients must be 1-d and matching")
-        self.add_rows(idx[None], coef[None], sense, float(rhs))
+        self.add_rows(idx[None], coef[None], float(rhs))
 
-    def add_rows(self, indices, coeffs, sense, rhs):
+    def add_rows(self, indices, coeffs, rhs):
         """Append one row per line of the (k, w) index array `indices`.
 
         coeffs broadcasts against indices (a length-w vector gives every
@@ -345,7 +337,6 @@ class ProblemBuilder:
         self._row_idx.append(idx.ravel())
         self._row_coef.append(coef.ravel())
         self._row_len.extend([width] * k)
-        self._senses.extend([sense] * k)
         self._rhs.extend(rhs.tolist())
 
     def qp(self):
@@ -361,42 +352,27 @@ class ProblemBuilder:
         cost, qd, lb, ub = (np.concatenate([np.zeros(0), *parts]) for parts in
                             (self._cost, self._qdiag, self._lb, self._ub))
         return ConvexQuadraticProgram(
-            cost, qd, a, np.asarray(self._senses, dtype=str),
-            np.asarray(self._rhs, dtype=np.float64), lb, ub)
+            cost, qd, a, np.asarray(self._rhs, dtype=np.float64), lb, ub)
 
 
 # ---------------------------------------------------------------------------
 # standard form and presolve
 
 class _Standard:
-    """The problem the iterations solve: min 0.5 x'Qx + c'x, A x = b,
-    lb <= x <= ub, with a slack per inequality row, presolve's pins
-    substituted out and the rows it left empty dropped (`rows` lists the
-    rows kept).  `infeasibility` is None or the primal residual of a proof:
-    inf for presolve's row-bound test, else the largest |b| of an empty
-    row.  `analysis` is the final A's _Analysis, the one presolve read
-    when A is unchanged, or None without rows or with a proof."""
+    """The problem the iterations solve: the program min 0.5 x'Qx + c'x,
+    A x = b, lb <= x <= ub, with presolve's pins substituted out and the
+    rows it left empty dropped (`rows` lists the rows kept).
+    `infeasibility` is None or the primal residual of a proof: inf for
+    presolve's row-bound test, else the largest |b| of an empty row.
+    `analysis` is the final A's _Analysis, the one presolve read when A is
+    unchanged, or None without rows or with a proof."""
 
-    def __init__(self, c, qdiag, a, senses, rhs, lb, ub):
-        m, n = a.shape
-        n_slack = int(np.sum(senses != EQ))
-        self.n_orig = n
-        self.m = m
+    def __init__(self, c, qdiag, a, rhs, lb, ub):
+        self.m = a.shape[0]
         self.obj_const = 0.0
-        if n_slack:
-            # one slack per inequality row, in row order: +1 on <=, -1 on >=
-            rows = np.flatnonzero(senses != EQ)
-            s_block = sp.csr_matrix(
-                (np.where(senses[rows] == LE, 1.0, -1.0),
-                 (rows, n + np.arange(n_slack))), shape=(m, n + n_slack))
-            a = sp.hstack([a, sp.csr_matrix((m, n_slack))], format="csr") + s_block
-            c = np.concatenate([c, np.zeros(n_slack)])
-            qdiag = np.concatenate([qdiag, np.zeros(n_slack)])
-            lb = np.concatenate([lb, np.zeros(n_slack)])
-            ub = np.concatenate([ub, np.full(n_slack, np.inf)])
         self.c = c
         self.qdiag = qdiag
-        self.a = a.tocsr()
+        self.a = a
         self.b = rhs.copy()
         self.lb = lb
         self.ub = ub
@@ -503,9 +479,9 @@ class _Standard:
         self.fixed_mask = fixed
         self.fixed_vals = vals
 
-    def _full(self, reduced, pinned=None):
-        """reduced over every variable, slacks included: presolve's pinned
-        variables read their values, or `pinned` when it is given."""
+    def expand(self, reduced, pinned=None):
+        """reduced over every variable: presolve's pinned variables read
+        their values, or `pinned` when it is given."""
         if self.fixed_mask is None:
             return reduced
         full = self.fixed_vals.copy() if pinned is None \
@@ -519,31 +495,20 @@ class _Standard:
         full[slice(None) if self.rows is None else self.rows] = y
         return full
 
-    def expand(self, x_reduced):
-        return self._full(x_reduced)[: self.n_orig]
-
     def reduce(self, x, y, zl, zu):
         """A start (x, y, zl, zu) over the original problem in the solved
-        one's order: presolve's pinned variables and dropped rows drop out,
-        and slacks read NaN, no guess."""
-        keep = self.fixed_mask
-
-        def solved(v):
-            full = np.full(self.c.shape[0] if keep is None
-                           else keep.shape[0], np.nan)
-            full[: self.n_orig] = v
-            return full if keep is None else full[~keep]
-
-        return (solved(x), y if self.rows is None else y[self.rows],
-                solved(zl), solved(zu))
+        one's order: presolve's pinned variables and dropped rows drop
+        out."""
+        free = slice(None) if self.fixed_mask is None else ~self.fixed_mask
+        return (x[free], y if self.rows is None else y[self.rows], zl[free],
+                zu[free])
 
     def lift(self, x, y, zl, zu):
         """An iterate of the solved problem over the original one, which
         `reduce` takes back: x expanded, y 0 on the dropped rows, and the
         bound multipliers 0, no guess, on presolve's pinned variables."""
-        return (self.expand(x), self._rows_full(y),
-                self._full(zl, 0.0)[: self.n_orig],
-                self._full(zu, 0.0)[: self.n_orig])
+        return (self.expand(x), self._rows_full(y), self.expand(zl, 0.0),
+                self.expand(zu, 0.0))
 
     def duals(self, x, y, zl, zu):
         """Postsolve: the row duals and the bound multipliers of the original
@@ -559,9 +524,9 @@ class _Standard:
         """
         y_full = self._rows_full(y)
         if self.fixed_mask is None:
-            return y_full, zl[: self.n_orig], zu[: self.n_orig]
+            return y_full, zl, zu
         at, c, qdiag = self._unreduced
-        x = self._full(x)
+        x = self.expand(x)
         grad = c + qdiag * x
         for rows, cols, coef, up in reversed(self._forced):
             ratio = (grad[cols] - (at @ y_full)[cols]) / coef
@@ -578,7 +543,7 @@ class _Standard:
         zu_full = np.where(fixed, np.maximum(-red, 0.0), 0.0)
         zl_full[~fixed] = zl
         zu_full[~fixed] = zu
-        return y_full, zl_full[: self.n_orig], zu_full[: self.n_orig]
+        return y_full, zl_full, zu_full
 
 
 def _solve_boxed_separable(std):
@@ -1067,8 +1032,8 @@ def restrict(problem, rows, cols):
     normal matrix keeps the parent's band order and border, whichever rows
     and columns are kept, so every solve of a program on that A cuts
     instead of analysing afresh.
-    A solve whose standard form adds slacks or whose presolve pins a
-    variable solves another matrix, private to it and analysed in it.
+    A solve whose presolve pins a variable or drops a row solves another
+    matrix, private to it and analysed in it.
     """
     rows, cols = _indices(rows, "rows"), _indices(cols, "cols")
     for idx, size, name in ((rows, problem.rhs.shape[0], "rows"),
@@ -1079,8 +1044,8 @@ def restrict(problem, rows, cols):
                                 f" {size}")
     cut = ConvexQuadraticProgram(
         problem.c[cols], problem.q_diag[cols],
-        _restricted(problem.a, rows, cols), problem.senses[rows],
-        problem.rhs[rows], problem.lb[cols], problem.ub[cols])
+        _restricted(problem.a, rows, cols), problem.rhs[rows],
+        problem.lb[cols], problem.ub[cols])
     cut.a._analysis = _Analysis(cut.a, (problem.a, rows, cols))
     return cut
 
@@ -1135,8 +1100,8 @@ def _ipm_loop(std, tol, max_iter, guess):
     kkt_path = bool(np.any(~has_lb & ~has_ub & (qdiag == 0.0)))
 
     # starting point: the guess's x where it says something (a warm start),
-    # the box midpoint elsewhere (slacks, and every variable of a cold
-    # start); then push that least-squares-ish point strictly inside the box
+    # the box midpoint elsewhere (every variable of a cold start); then
+    # push that least-squares-ish point strictly inside the box
     x = np.where(has_lb, np.where(has_ub, 0.5 * (lb + ub), lb + 1.0),
                  np.where(has_ub, ub - 1.0, 0.0))
     x = np.where(np.isnan(guess[0]), x, guess[0])
@@ -1333,15 +1298,6 @@ def _ipm_loop(std, tol, max_iter, guess):
     return (*(best or (x, y, zl, zu)), it, restart)
 
 
-def _row_violation(act, senses, rhs):
-    """Per-row violation of act (sense) rhs; a NaN activity on an
-    inequality row reads 0, as Python's max(0.0, nan) does."""
-    excess = act - rhs
-    return np.where(senses == LE, np.fmax(excess, 0.0),
-                    np.where(senses == GE, np.fmax(-excess, 0.0),
-                             np.abs(excess)))
-
-
 def _finish(problem, std, x, y, zl, zu, iterations, restart, tol):
     """The report of a point of the solved problem, from the iterations or
     the closed form: mapped back to the original problem, its residuals
@@ -1352,17 +1308,15 @@ def _finish(problem, std, x, y, zl, zu, iterations, restart, tol):
     that produced the point.
     """
     xo = std.expand(x)
-    a, senses, rhs = problem.a, problem.senses, problem.rhs
-    act = a @ xo if a.shape[0] else np.zeros(0)
-    viol = _row_violation(act, senses, rhs)
+    viol = np.abs(problem.a @ xo - problem.rhs)
     bviol = np.maximum(np.maximum(problem.lb - xo, xo - problem.ub), 0.0)
     # a violation that is not finite (at an infinite or NaN x) is not
     # measured; the others are >= 0, so 0 in its place leaves the max
     bviol = np.where(np.isfinite(bviol), bviol, 0.0)
-    primal_residual = float(max(viol.max() if len(viol) else 0.0,
+    primal_residual = float(max(viol.max(initial=0.0),
                                 bviol.max(initial=0.0)))
 
-    c_int = std.c  # internal (slack-extended, presolved) objective
+    c_int = std.c  # internal (presolved) objective
     qx = std.qdiag * x
     m = std.a.shape[0]
     rd = qx + c_int - (std.analysis.at @ y if m else 0.0) - zl + zu
@@ -1430,8 +1384,8 @@ def solve_qp(problem: ConvexQuadraticProgram, tol: float = 1e-6, max_iter: int =
             raise NumericsError("start must be a point (x, y, zl, zu) of"
                                 " finite values, one per variable, row,"
                                 " variable and variable, zl and zu >= 0")
-    std = _Standard(problem.c, problem.q_diag, problem.a, problem.senses,
-                    problem.rhs, problem.lb, problem.ub)
+    std = _Standard(problem.c, problem.q_diag, problem.a, problem.rhs,
+                    problem.lb, problem.ub)
     if std.infeasibility is not None:
         return SolveReport("infeasible", None, np.nan, std.infeasibility,
                            np.inf, np.inf, np.inf, 0)

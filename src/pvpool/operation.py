@@ -30,8 +30,8 @@ MPC), or from zero for the greedy rule.  The battery's state of charge
 carries over from what really happened, not from the plan.
 
 The control QP's layout is stated once, in `_tree`, whose views every
-step fills and reads by position.  Its matrix and row senses are built
-once, for the horizon's full window (`_control_pattern`, kept for the
+step fills and reads by position.  Its matrix (every row an equality) is
+built once, for the horizon's full window (`_control_pattern`, kept for the
 last few shapes, so the steps of a year share one; the matrix is
 read-only, as every program's is, so every step's QP takes it as it is,
 and it holds its analysis, which every step's solve shares), and one
@@ -310,14 +310,14 @@ def _control_pattern(n, tail, probabilities, eta, tracked, longest):
             (head[:, None], served[None, :], None),
             *((fields, cols, head[2]) for fields, cols in zip(tails, blocks))]:
         pb.add_rows(np.column_stack([block, gs, c, d]),
-                    np.append(np.ones(per + 2), -1.0), "==", 0.0)
+                    np.append(np.ones(per + 2), -1.0), 0.0)
         recursion_rows(pb, eta, c, d, soc, before=before)
     if tracked:
         # deliver_i is consumer i's expected window allocation
         pb.add_rows(np.column_stack(
             [deliver, served, blocks.transpose(2, 0, 1).reshape(n, -1)]),
             np.concatenate([[1.0, -1.0], np.repeat(-np.array(probabilities),
-                                                   tail)]), "==", 0.0)
+                                                   tail)]), 0.0)
     return pb.qp()
 
 
@@ -380,8 +380,7 @@ def _control_qp(state, window, spec, config, beta_es_use):
         _tree(qdiag, 4, per, tail, w)[-1][:] = 2.0 * theta
         cost_track[:] = 2.0 * theta * (state.e_past + state.e_future
                                        - state.promise)
-    return ConvexQuadraticProgram(cost, qdiag, pattern.a, pattern.senses,
-                                  rhs, lb, ub)
+    return ConvexQuadraticProgram(cost, qdiag, pattern.a, rhs, lb, ub)
 
 
 def _shifted_start(previous, window, tracked):

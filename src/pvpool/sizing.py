@@ -364,10 +364,9 @@ def _dispatch_lp(bundle, eta):
     gg = pb.add_vars(t_len, ub=l_agg, cost=tariff.grid_energy_price)
     gs = pb.add_vars(t_len, cost=tariff.export_tax - tariff.export_price)
     soc = pb.add_vars(t_len, ub=0.0)
-    pb.add_rows(np.column_stack([gg, gs, c, d]), [1.0, -1.0, -1.0, 1.0], "==",
-                l_agg)
+    pb.add_rows(np.column_stack([gg, gs, c, d]), [1.0, -1.0, -1.0, 1.0], l_agg)
     recursion_rows(pb, eta, c, d, soc)
-    pb.add_row([soc[-1]], [1.0], "==", 0.0)
+    pb.add_row([soc[-1]], [1.0], 0.0)
     return pb.qp()
 
 
@@ -501,10 +500,14 @@ class CutPool:
         """min first-stage cost + sum_w w pi_w theta_w over the box, each
         theta_w above every cut of scenario w.
 
-        The cut variables carry the combination's fixed cost, shifted by
-        fixed / sum_w w pi_w, so the objective is the combination's whole
-        cost and the relative tolerance is that of `_candidate_beats`; the
-        capacity and recourse terms alone can nearly cancel.
+        Variables: the capacities p = (pv, es), one theta_w per scenario,
+        then one surplus s_k >= 0 per cut, without cost, in the pool's cut
+        order.  Cut k, of scenario w, is the equality row theta_w - g_k'p -
+        s_k = level_k + shift.  The cut variables carry the combination's
+        fixed cost, shifted by fixed / sum_w w pi_w, so the objective is the
+        combination's whole cost and the relative tolerance is that of
+        `_candidate_beats`; the capacity and recourse terms alone can nearly
+        cancel.
         """
         shift = combo.fixed / float(self.weights.sum())
         scen = np.array([w for w, _ in self._cuts])
@@ -515,10 +518,12 @@ class CutPool:
                           ub=[combo.pv_hi, combo.es_hi],
                           cost=[combo.pv_rate, combo.es_rate])
         theta = pb.add_vars(self.weights.shape[0], lb=-np.inf, cost=self.weights)
+        surplus = pb.add_vars(len(scen))
         pb.add_rows(np.column_stack([theta[scen],
-                                     np.broadcast_to(cap, (len(scen), 2))]),
-                    np.column_stack([np.ones(len(scen)), -slopes]), ">=",
-                    levels + shift)
+                                     np.broadcast_to(cap, (len(scen), 2)),
+                                     surplus]),
+                    np.column_stack([np.ones(len(scen)), -slopes,
+                                     -np.ones(len(scen))]), levels + shift)
         return pb.qp()
 
     def _minimize(self, combo, incumbent=None):

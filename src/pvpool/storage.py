@@ -64,24 +64,24 @@ class StorageSpec:
         return START_FRACTION * self.energy_cap_kwh
 
 
-def recursion_rows(pb, eta, c, d, soc, start=0.0, before=None):
+def recursion_rows(pb, eta, c, d, soc, before=None):
     """Write the state-of-charge rows of one block of periods into `pb`.
 
     c, d and soc index the block's charge, discharge and state-of-charge
     variables, soc_t being the state after period t, and eta is the
     battery's one-way efficiency.  Each row is
     soc_t - soc_{t-1} - eta c_t + d_t / eta = 0.  The first period starts
-    from the constant `start` on the right-hand side or, when `before`
-    names a variable, from that variable (a scenario tail branching off the
-    head).
+    from a constant that the caller writes on its right-hand side, 0 here,
+    or, when `before` names a variable, from that variable (a scenario tail
+    branching off the head).
     """
     chain = [1.0, -1.0, -eta, 1.0 / eta]
     if before is None:
-        pb.add_row([soc[0], c[0], d[0]], [1.0, -eta, 1.0 / eta], "==", start)
+        pb.add_row([soc[0], c[0], d[0]], [1.0, -eta, 1.0 / eta], 0.0)
     else:
-        pb.add_row([soc[0], before, c[0], d[0]], chain, "==", 0.0)
+        pb.add_row([soc[0], before, c[0], d[0]], chain, 0.0)
     pb.add_rows(np.column_stack([soc[1:], soc[:-1], c[1:], d[1:]]), chain,
-                "==", 0.0)
+                0.0)
 
 
 def soc_trajectory(spec, charge, discharge):

@@ -8,12 +8,13 @@ against these.  `record_analyses` lists the analyses the solver makes.
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from pvpool import numerics, sizing
-from pvpool.numerics import ProblemBuilder, solve_qp
+from pvpool.numerics import ConvexQuadraticProgram, ProblemBuilder, solve_qp
 
 _FEAS_TOL = 1e-9
 
@@ -30,6 +31,30 @@ def record_analyses(monkeypatch):
 
     monkeypatch.setattr(numerics._Analysis, "__init__", recording)
     return made
+
+
+def with_slacks(problem, senses):
+    """`problem` with its rows read as `senses` ("<=", "==" or ">=", one
+    per row), restated as equality rows: one slack variable per inequality
+    row, in row order, appended after the program's variables with
+    coefficient +1 on "<=" and -1 on ">=", bounds [0, inf) and no cost.
+    Every other row, variable and entry keeps its place, so x[:n] is the
+    original variables."""
+    senses = np.asarray(senses, dtype=str)
+    assert senses.shape == problem.rhs.shape
+    assert np.isin(senses, ["<=", "==", ">="]).all(), senses
+    rows = np.flatnonzero(senses != "==")
+    (m, n), k = problem.a.shape, rows.shape[0]
+    if not k:
+        return problem
+    slacks = sp.csr_matrix((np.where(senses[rows] == "<=", 1.0, -1.0),
+                            (rows, n + np.arange(k))), shape=(m, n + k))
+    a = sp.hstack([problem.a, sp.csr_matrix((m, k))], format="csr") + slacks
+    zeros = np.zeros(k)
+    return ConvexQuadraticProgram(
+        np.append(problem.c, zeros), np.append(problem.q_diag, zeros), a,
+        problem.rhs, np.append(problem.lb, zeros),
+        np.append(problem.ub, np.full(k, np.inf)))
 
 
 def _row_ok(a, sense, b, x, tol=_FEAS_TOL):
@@ -333,12 +358,14 @@ def dispatch_lp_at_point(bundle, alpha, pv, es):
     gg = pb.add_vars(t_len, ub=l_agg, cost=tariff.grid_energy_price)
     gs = pb.add_vars(t_len, cost=tariff.export_tax - tariff.export_price)
     soc = pb.add_vars(t_len, ub=spec.energy_cap_kwh)
-    pb.add_rows(np.column_stack([gg, gs, c, d]), [1.0, -1.0, -1.0, 1.0], "==",
+    pb.add_rows(np.column_stack([gg, gs, c, d]), [1.0, -1.0, -1.0, 1.0],
                 l_agg - delta * pv * np.asarray(alpha, dtype=np.float64))
-    recursion_rows(pb, spec.efficiency, c, d, soc,
-                   start=spec.initial_soc_kwh)
-    pb.add_row([soc[-1]], [1.0], "==", spec.initial_soc_kwh)
-    return pb.qp()
+    recursion_rows(pb, spec.efficiency, c, d, soc)
+    pb.add_row([soc[-1]], [1.0], spec.initial_soc_kwh)
+    lp = pb.qp()
+    rhs = lp.rhs.copy()
+    rhs[t_len] = spec.initial_soc_kwh  # the recursion's first row: the start
+    return replace(lp, rhs=rhs)
 
 
 def solve_combo(bundle, pv_lo, pv_hi, es_hi, tier_rate, sub_rate, es_lo=0.0):
@@ -408,6 +435,7 @@ def joint_sizing_lp(bundle, pv_lo, pv_hi, es_hi, tier_rate, sub_rate, es_lo=0.0)
     sub_factor = sizing.subsidy_present_value(1.0, params)
 
     pb = ProblemBuilder()
+    senses = []
     p_pv = pb.add_vars(1, lb=pv_lo, ub=pv_hi,
                        cost=tier_rate + pvf * params.beta_mnt - sub_factor * sub_rate)
     p_es = pb.add_vars(1, lb=es_lo, ub=es_hi, cost=params.beta_es * kappa)
@@ -430,18 +458,21 @@ def joint_sizing_lp(bundle, pv_lo, pv_hi, es_hi, tier_rate, sub_rate, es_lo=0.0)
         soc = pb.add_vars(t_len, lb=0.0)
         pb.add_rows(np.column_stack([gg, gs, c, d, pv_col]),
                     np.column_stack([ones, -ones, -ones, ones, delta * alpha]),
-                    "==", l_agg)
-        pb.add_rows(np.column_stack([c, es_col]), [1.0, -delta], "<=", 0.0)
-        pb.add_rows(np.column_stack([d, es_col]), [1.0, -delta], "<=", 0.0)
+                    l_agg)
+        pb.add_rows(np.column_stack([c, es_col]), [1.0, -delta], 0.0)
+        pb.add_rows(np.column_stack([d, es_col]), [1.0, -delta], 0.0)
         prev = np.concatenate([p_es, soc[:-1]])
         pb.add_rows(np.column_stack([soc, prev, c, d]),
                     np.column_stack([ones, prev_coef, -eta * ones, ones / eta]),
-                    "==", 0.0)
-        pb.add_rows(np.column_stack([soc, es_col]), [1.0, -kappa], "<=", 0.0)
-        pb.add_row([soc[-1], p_es[0]], [1.0, -0.5 * kappa], "==", 0.0)
+                    0.0)
+        pb.add_rows(np.column_stack([soc, es_col]), [1.0, -kappa], 0.0)
+        pb.add_row([soc[-1], p_es[0]], [1.0, -0.5 * kappa], 0.0)
+        # balance, charge and discharge caps, recursion, energy cap, end
+        senses += ["=="] * t_len + ["<="] * (2 * t_len) + ["=="] * t_len \
+            + ["<="] * t_len + ["=="]
         per_scenario.append((c, d, gg, gs))
 
-    return pb.qp(), p_pv, p_es, per_scenario
+    return with_slacks(pb.qp(), senses), p_pv, p_es, per_scenario
 
 
 def joint_lp_sizing(bundle, catalog, pv_capacity_fixed=None, es_power_fixed=None):
@@ -485,19 +516,6 @@ def repair_rows_loop(raw, served, values):
     return np.clip(out, 0.0, values)
 
 
-def row_violation_loop(act, senses, rhs):
-    """Sense-by-sense reference for numerics._row_violation."""
-    viol = np.zeros(len(rhs))
-    for i, s in enumerate(senses):
-        if s == "<=":
-            viol[i] = max(0.0, act[i] - rhs[i])
-        elif s == ">=":
-            viol[i] = max(0.0, rhs[i] - act[i])
-        else:
-            viol[i] = abs(act[i] - rhs[i])
-    return viol
-
-
 def step_to_boundary_masked(value, rate, unbounded, damp):
     """Masked-divide reference for numerics._step_to_boundary: the ratio
     value / rate only where rate < 0, -inf elsewhere and on unbounded."""
@@ -528,25 +546,15 @@ def boxed_separable_by_loop(c, q, lb, ub):
     return x
 
 
-def _standard_rows(a, senses, lb, ub):
-    """The standard form's rows of a canonical CSR matrix, one list of
-    (column, coefficient) per row in storage order, and its bounds: each
-    inequality row gets a slack, +1 on <= and -1 on >=, in [0, inf),
-    stored after the row's own entries."""
-    m, n = a.shape
-    rows = [list(zip(a.indices[a.indptr[i]:a.indptr[i + 1]].tolist(),
+def _rows(a):
+    """The rows of a canonical CSR matrix, one list of (column,
+    coefficient) per row in storage order."""
+    return [list(zip(a.indices[a.indptr[i]:a.indptr[i + 1]].tolist(),
                      a.data[a.indptr[i]:a.indptr[i + 1]].tolist()))
-            for i in range(m)]
-    lb, ub = [float(v) for v in lb], [float(v) for v in ub]
-    for i in range(m):
-        if senses[i] != "==":
-            rows[i].append((len(lb), 1.0 if senses[i] == "<=" else -1.0))
-            lb.append(0.0)
-            ub.append(math.inf)
-    return rows, lb, ub
+            for i in range(a.shape[0])]
 
 
-def presolve_by_rows(a, senses, rhs, lb, ub):
+def presolve_by_rows(a, rhs, lb, ub):
     """Presolve of numerics._Standard, one row and one entry at a time.
 
     a is a canonical CSR matrix.  Each pass sums, for every row, its
@@ -562,10 +570,11 @@ def presolve_by_rows(a, senses, rhs, lb, ub):
     variables; the passes stop when no forcing row holds a free variable.
 
     Returns (infeasible, fixed, vals, passes): fixed and vals over the
-    standard form's variables, and per pass the tuples (row, column,
-    coefficient, upward) of the variables it pinned, by column.
+    variables, and per pass the tuples (row, column, coefficient, upward)
+    of the variables it pinned, by column.
     """
-    rows, lb, ub = _standard_rows(a, senses, lb, ub)
+    rows = _rows(a)
+    lb, ub = [float(v) for v in lb], [float(v) for v in ub]
     fixed = [lo == hi for lo, hi in zip(lb, ub)]
     vals = [lo if pin else 0.0 for lo, pin in zip(lb, fixed)]
     settled = [False] * len(rows)
@@ -610,7 +619,7 @@ def presolve_by_rows(a, senses, rhs, lb, ub):
     return False, fixed, vals, passes
 
 
-def postsolve_by_rows(a, senses, c, qdiag, fixed, vals, passes, x, y, zl, zu):
+def postsolve_by_rows(a, c, qdiag, fixed, vals, passes, x, y, zl, zu):
     """Postsolve of numerics._Standard.duals, one entry at a time, from
     presolve_by_rows's pins and passes and a point (x, y, zl, zu) of the
     reduced problem (y over every row).
@@ -623,18 +632,16 @@ def postsolve_by_rows(a, senses, c, qdiag, fixed, vals, passes, x, y, zl, zu):
     to zl when positive and to zu when negative.  Returns (y, zl, zu) over
     the original rows and variables.
     """
-    n = a.shape[1]
-    rows, _, _ = _standard_rows(a, senses, [0.0] * n, [0.0] * n)
+    rows = _rows(a)
     if not any(fixed):
-        return [float(v) for v in y], list(zl[:n]), list(zu[:n])
+        return [float(v) for v in y], list(zl), list(zu)
     free = [j for j, pin in enumerate(fixed) if not pin]
     x_full = list(vals)
     for j, v in zip(free, x):
         x_full[j] = float(v)
     y = [float(v) for v in y]
-    # slacks cost nothing
-    c = [float(v) for v in c] + [0.0] * (len(fixed) - n)
-    qdiag = [float(v) for v in qdiag] + [0.0] * (len(fixed) - n)
+    c = [float(v) for v in c]
+    qdiag = [float(v) for v in qdiag]
 
     def reduced(j):
         column = 0.0
@@ -659,12 +666,13 @@ def postsolve_by_rows(a, senses, c, qdiag, fixed, vals, passes, x, y, zl, zu):
             zl_full[j], zu_full[j] = max(r, 0.0), max(-r, 0.0)
     for j, lo, hi in zip(free, zl, zu):
         zl_full[j], zu_full[j] = float(lo), float(hi)
-    return y, zl_full[:n], zu_full[:n]
+    return y, zl_full, zu_full
 
 
 def random_presolve_problem(rng):
-    """A small problem for presolve, as the fields (c, qdiag, a, senses,
-    rhs, lb, ub) of a ConvexQuadraticProgram, with a canonical CSR a.
+    """A small problem for presolve, (problem, n): a ConvexQuadraticProgram
+    with a canonical CSR a, its rows drawn with senses and stated with
+    slacks (`with_slacks`), and n, its variables before the slacks.
 
     Coefficients of both signs; boxes, one-sided and free variables, and
     variables fixed by lb == ub.  Rows are drawn one at a time, and each
@@ -685,8 +693,11 @@ def random_presolve_problem(rng):
     senses, rhs = [], []
     flip = {"==": "==", "<=": ">=", ">=": "<="}
     for i in range(m):
-        _, fixed, vals, _ = presolve_by_rows(sp.csr_matrix(dense[:i]),
-                                             senses[:i], rhs, lb, ub)
+        drawn = with_slacks(ConvexQuadraticProgram(np.zeros(n), 0.0,
+                                                   dense[:i], rhs, lb, ub),
+                            senses)
+        _, fixed, vals, _ = presolve_by_rows(drawn.a, drawn.rhs, drawn.lb,
+                                             drawn.ub)
         mode = rng.choice(["inside", "top", "bottom", "beyond", "twin",
                            "pinned"], p=[0.25, 0.25, 0.25, 0.08, 0.1, 0.07])
         if mode == "twin" and i:
@@ -727,8 +738,8 @@ def random_presolve_problem(rng):
         rhs.append(float(pinned + value))
     c = rng.normal(size=n)
     qdiag = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 2.0, n), 0.0)
-    return (c, qdiag, sp.csr_matrix(dense), np.array(senses), np.array(rhs),
-            lb, ub)
+    return with_slacks(ConvexQuadraticProgram(c, qdiag, dense, rhs, lb, ub),
+                       senses), n
 
 
 def control_qp_by_rows(state, window, spec, config, beta_es_use=0.0,
@@ -779,14 +790,14 @@ def control_qp_by_rows(state, window, spec, config, beta_es_use=0.0,
         for t in range(periods):
             pb.add_row(np.concatenate([served[t * per:(t + 1) * per],
                                        [gs[t], c[t], d[t]]]),
-                       np.append(np.ones(per + 2), -1.0), "==", gen[t])
+                       np.append(np.ones(per + 2), -1.0), gen[t])
             if soc_before is None:  # the head starts from the state's SoC
                 pb.add_row([soc[t], c[t], d[t]], [1.0, -eta, 1.0 / eta],
-                           "==", min(state.soc_kwh, cap_e))
+                           min(state.soc_kwh, cap_e))
             else:
                 prev = soc_before if t == 0 else soc[t - 1]
                 pb.add_row([soc[t], prev, c[t], d[t]],
-                           [1.0, -1.0, -eta, 1.0 / eta], "==", 0.0)
+                           [1.0, -1.0, -eta, 1.0 / eta], 0.0)
         return soc
 
     head_soc = branch(1, 1.0, window.grid_price[:1], export_net[:1],
@@ -810,7 +821,7 @@ def control_qp_by_rows(state, window, spec, config, beta_es_use=0.0,
                 np.concatenate([[1.0, -1.0]]
                                + [np.full(tt, -window.probabilities[widx])
                                   for widx in range(len(blocks) - 1)]),
-                "==", 0.0)
+                0.0)
     if with_rows:
         return pb.qp(), blocks, deliver, row_blocks, track_rows
     return pb.qp(), blocks, deliver
@@ -850,11 +861,10 @@ def control_qp_import_form(state, window, spec, config, beta_es_use=0.0):
     ehat = pb.add_vars(n, lb=0.0, ub=window.head_loads) \
         if theta > 0.0 else None
     pb.add_row([gg[0], gs[0], c[0], d[0]], [1.0, -1.0, -1.0, 1.0],
-               "==", head_agg - window.head_gen)
-    pb.add_row([soc[0], c[0], d[0]], [1.0, -eta_c, 1.0 / eta_d], "==", soc0)
+               head_agg - window.head_gen)
+    pb.add_row([soc[0], c[0], d[0]], [1.0, -eta_c, 1.0 / eta_d], soc0)
     if theta > 0.0:
-        pb.add_row(np.concatenate([ehat, [gg[0]]]), np.ones(n + 1), "==",
-                   head_agg)
+        pb.add_row(np.concatenate([ehat, [gg[0]]]), np.ones(n + 1), head_agg)
 
     tail_gw = []
     for widx in range(w if tt else 0):
@@ -873,13 +883,13 @@ def control_qp_import_form(state, window, spec, config, beta_es_use=0.0):
             tail_gw.append(gw)
         for t in range(tt):
             pb.add_row([ggw[t], gsw[t], cw[t], dw[t]], [1.0, -1.0, -1.0, 1.0],
-                       "==", tail_agg[t] - window.tail_gen[t, widx])
+                       tail_agg[t] - window.tail_gen[t, widx])
             prev = soc[0] if t == 0 else socw[t - 1]
             pb.add_row([socw[t], prev, cw[t], dw[t]],
-                       [1.0, -1.0, -eta_c, 1.0 / eta_d], "==", 0.0)
+                       [1.0, -1.0, -eta_c, 1.0 / eta_d], 0.0)
             if theta > 0.0:
                 pb.add_row(np.concatenate([gw[t * n:(t + 1) * n], [ggw[t]]]),
-                           np.ones(n + 1), "==", tail_agg[t])
+                           np.ones(n + 1), tail_agg[t])
 
     if theta > 0.0:
         rhs = state.e_past + state.e_future - state.promise
@@ -892,7 +902,7 @@ def control_qp_import_form(state, window, spec, config, beta_es_use=0.0):
                 [[1.0, -1.0]]
                 + [np.full(tt, -window.probabilities[widx])
                    for widx in range(len(tail_gw))])
-            pb.add_row(idx, coef, "==", 0.0)
+            pb.add_row(idx, coef, 0.0)
     return pb.qp()
 
 
@@ -918,7 +928,6 @@ def assert_same_qp(got, want):
     """Bit-for-bit equality of two assembled QPs, rows in the same order."""
     for name in ("c", "q_diag", "lb", "ub", "rhs"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-    assert list(got.senses) == list(want.senses)
     assert got.a.shape == want.a.shape
     for name in ("indptr", "indices", "data"):
         assert getattr(got.a, name).tobytes() == getattr(want.a, name).tobytes(), name
@@ -932,10 +941,10 @@ def _split_qp_by_rows(values, lb, ub, target, qdiag, cost, rhs):
     evars = pb.add_vars(t_len * n, lb=lb, ub=ub)
     aux = pb.add_vars(n, lb=-np.inf, ub=np.inf, qdiag=qdiag, cost=cost)
     for t in range(t_len):
-        pb.add_row(evars[t * n:(t + 1) * n], np.ones(n), "==", target[t])
+        pb.add_row(evars[t * n:(t + 1) * n], np.ones(n), target[t])
     for i in range(n):
         pb.add_row(np.concatenate([[aux[i]], evars[i::n]]),
-                   np.concatenate([[1.0], -np.ones(t_len)]), "==", rhs)
+                   np.concatenate([[1.0], -np.ones(t_len)]), rhs)
     return pb.qp()
 
 
@@ -960,7 +969,7 @@ def soc_recursion_rows(spec, t_len, delta_hours):
     s_t is the state of charge after period t, tied to the one before by
     s_t - s_{t-1} - eta c_t + d_t / eta = 0 from s_{-1} = the initial
     charge; a cyclic spec adds s_{T-1} = the initial charge.  Returns dense
-    (coeffs, sense, rhs) rows plus the bounds 0 <= c, d <= power cap * delta
+    (coeffs, "==", rhs) rows plus the bounds 0 <= c, d <= power cap * delta
     and 0 <= s <= energy cap.
     """
     n = 3 * t_len

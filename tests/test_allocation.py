@@ -252,7 +252,7 @@ def test_key_qp_box_is_the_loads_and_presolve_pins_full_and_empty_rows(
     assert len(seen) == 1
     qp = seen[0]
     assert_same_qp(qp, key_qp_by_rows(np.zeros_like(values), values, target))
-    std = _Standard(qp.c, qp.q_diag, qp.a, qp.senses, qp.rhs, qp.lb, qp.ub)
+    std = _Standard(qp.c, qp.q_diag, qp.a, qp.rhs, qp.lb, qp.ub)
     pinned = std.fixed_mask[:values.size].reshape(values.shape)
     assert pinned.all(axis=1).tolist() == [False, True, True, True, False]
     assert not pinned[[0, 4]].any() and not std.fixed_mask[values.size:].any()

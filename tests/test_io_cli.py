@@ -319,6 +319,49 @@ def _gen_dir(tmp_path, seed=3, consumers=2, days=1, scenarios=2,
     return out
 
 
+def test_files_with_a_byte_order_mark_load_as_the_originals(tmp_path):
+    # Excel's "CSV UTF-8" export starts each file with a UTF-8 byte-order
+    # mark: the config, the loads (whose first consumer id it would
+    # otherwise prefix), the solar probability row, the realized files,
+    # the catalog and a plan then load as the originals do
+    out = _gen_dir(tmp_path)
+    assert cli_main(["size", "--config", str(out / "config.json")]) == 0
+    marked = tmp_path / "marked"
+    marked.mkdir()
+    for path in out.iterdir():
+        (marked / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    configs = [ProjectConfig.from_file(d / "config.json")
+               for d in (out, marked)]
+    fields = [f.name for f in dataclasses.fields(ProjectConfig)
+              if not f.name.endswith("path")]
+    assert [getattr(configs[1], f) for f in fields] \
+        == [getattr(configs[0], f) for f in fields]
+    (bundle, catalog), (again, again_catalog) = (c.load_inputs()
+                                                 for c in configs)
+    assert again.loads.consumer_ids == bundle.loads.consumer_ids
+    assert again_catalog == catalog
+    for got, want in ((again.loads.values, bundle.loads.values),
+                      (again.scenarios.alphas, bundle.scenarios.alphas),
+                      (again.scenarios.probabilities,
+                       bundle.scenarios.probabilities)):
+        assert got.tobytes() == want.tobytes()
+    realized = [c.load_realized() for c in configs]
+    for name in ("alphas", "loads"):
+        assert getattr(realized[1], name).tobytes() \
+            == getattr(realized[0], name).tobytes()
+    digest = configs[0].plan_digest()
+    plans = [load_plan_json(d / "plan.json", digest, bundle)
+             for d in (out, marked)]
+    assert plans[0] is not None
+    assert (plans[1].decision, plans[1].objective, plans[1].economics) \
+        == (plans[0].decision, plans[0].objective, plans[0].economics)
+    for got, want in zip(plans[1].dispatches, plans[0].dispatches,
+                         strict=True):
+        for field in dataclasses.fields(want):
+            assert getattr(got, field.name).tobytes() \
+                == getattr(want, field.name).tobytes()
+
+
 def test_project_config_loads_generated_bundle(tmp_path):
     out = _gen_dir(tmp_path)
     config = ProjectConfig.from_file(out / "config.json")

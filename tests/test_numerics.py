@@ -28,26 +28,28 @@ from oracles import (
     random_box_qp,
     random_presolve_problem,
     record_analyses,
-    row_violation_loop,
     step_to_boundary_masked,
+    with_slacks,
 )
 
 
-def _dense_rows(rows, n):
-    """Dense (coeffs, sense, rhs) triples as (matrix, senses, rhs)."""
-    a = np.array([r[0] for r in rows], dtype=float).reshape(len(rows), n)
-    return a, [r[1] for r in rows], [r[2] for r in rows]
+def _from_dense(c, q, rows, lb, ub):
+    """The program min 0.5 x'diag(q)x + c'x over dense (coeffs, sense, rhs)
+    rows and the box, each inequality row with its slack (`with_slacks`)."""
+    a = np.array([r[0] for r in rows], dtype=float).reshape(len(rows), len(c))
+    return with_slacks(ConvexQuadraticProgram(c, q, a, [r[2] for r in rows],
+                                              lb, ub), [r[1] for r in rows])
 
 
 def _lp_from_dense(c, rows, lb, ub):
-    return ConvexQuadraticProgram(c, 0.0, *_dense_rows(rows, len(c)), lb, ub)
+    return _from_dense(c, 0.0, rows, lb, ub)
 
 
 def test_lp_covering_row():
     pb = ProblemBuilder()
     idx = pb.add_vars(2, lb=0.0, ub=np.inf, cost=1.0)
-    pb.add_row(idx, [1.0, 1.0], ">=", 1.0)
-    rep = solve_qp(pb.qp(), tol=1e-8)
+    pb.add_row(idx, [1.0, 1.0], 1.0)
+    rep = solve_qp(with_slacks(pb.qp(), [">="]), tol=1e-8)
     assert rep.status == "optimal"
     assert rep.objective == pytest.approx(1.0, abs=1e-8)
 
@@ -55,9 +57,9 @@ def test_lp_covering_row():
 def test_lp_mixed_senses():
     pb = ProblemBuilder()
     idx = pb.add_vars(3, lb=0.0, ub=10.0, cost=[2.0, 3.0, 1.0])
-    pb.add_row(idx, [1.0, 1.0, 1.0], ">=", 5.0)
-    pb.add_row(idx[:2], [1.0, -1.0], "<=", 2.0)
-    rep = solve_qp(pb.qp(), tol=1e-8)
+    pb.add_row(idx, [1.0, 1.0, 1.0], 5.0)
+    pb.add_row(idx[:2], [1.0, -1.0], 2.0)
+    rep = solve_qp(with_slacks(pb.qp(), [">=", "<="]), tol=1e-8)
     assert rep.status == "optimal"
     # cheapest cover puts everything on the third variable
     assert rep.objective == pytest.approx(5.0, abs=1e-7)
@@ -66,8 +68,8 @@ def test_lp_mixed_senses():
 def test_lp_infeasible():
     pb = ProblemBuilder()
     idx = pb.add_vars(1, lb=0.0, ub=1.0, cost=1.0)
-    pb.add_row(idx, [1.0], ">=", 2.0)
-    rep = solve_qp(pb.qp(), tol=1e-8)
+    pb.add_row(idx, [1.0], 2.0)
+    rep = solve_qp(with_slacks(pb.qp(), [">="]), tol=1e-8)
     assert rep.status == "infeasible"
     assert rep.x is None
 
@@ -85,7 +87,7 @@ def test_lp_unbounded_through_row():
     # reports iteration_limit, never a certified optimum
     pb = ProblemBuilder()
     idx = pb.add_vars(2, lb=0.0, ub=np.inf, cost=[-1.0, 0.0])
-    pb.add_row(idx, [1.0, -1.0], "==", 0.0)
+    pb.add_row(idx, [1.0, -1.0], 0.0)
     rep = solve_qp(pb.qp(), tol=1e-8)
     assert rep.status == "iteration_limit"
 
@@ -94,9 +96,9 @@ def test_lp_redundant_equalities():
     # three scaled copies of the same row; normal equations are singular
     pb = ProblemBuilder()
     idx = pb.add_vars(2, lb=0.0, ub=10.0, cost=[1.0, 1.0])
-    pb.add_row(idx, [1.0, 1.0], "==", 3.0)
-    pb.add_row(idx, [2.0, 2.0], "==", 6.0)
-    pb.add_row(idx, [0.5, 0.5], "==", 1.5)
+    pb.add_row(idx, [1.0, 1.0], 3.0)
+    pb.add_row(idx, [2.0, 2.0], 6.0)
+    pb.add_row(idx, [0.5, 0.5], 1.5)
     rep = solve_qp(pb.qp(), tol=1e-10)
     assert rep.status == "optimal"
     assert rep.objective == pytest.approx(3.0, abs=1e-8)
@@ -105,8 +107,8 @@ def test_lp_redundant_equalities():
 def _inconsistent_duplicate_rows_lp():
     pb = ProblemBuilder()
     idx = pb.add_vars(2, lb=0.0, ub=10.0, cost=[1.0, 1.0])
-    pb.add_row(idx, [1.0, 1.0], "==", 3.0)
-    pb.add_row(idx, [1.0, 1.0], "==", 4.0)
+    pb.add_row(idx, [1.0, 1.0], 3.0)
+    pb.add_row(idx, [1.0, 1.0], 4.0)
     return pb.qp()
 
 
@@ -121,8 +123,8 @@ def test_lp_fixed_variables_presolved():
     pb = ProblemBuilder()
     free = pb.add_vars(1, lb=0.0, ub=5.0, cost=1.0)
     pinned = pb.add_vars(1, lb=2.0, ub=2.0, cost=10.0)
-    pb.add_row(np.concatenate([free, pinned]), [1.0, 1.0], ">=", 3.0)
-    rep = solve_qp(pb.qp(), tol=1e-8)
+    pb.add_row(np.concatenate([free, pinned]), [1.0, 1.0], 3.0)
+    rep = solve_qp(with_slacks(pb.qp(), [">="]), tol=1e-8)
     assert rep.status == "optimal"
     assert rep.x[1] == pytest.approx(2.0)
     assert rep.objective == pytest.approx(1.0 * 1.0 + 10.0 * 2.0, abs=1e-7)
@@ -133,7 +135,7 @@ def test_lp_free_variable_kkt_path():
     pb = ProblemBuilder()
     x = pb.add_vars(1, lb=-np.inf, ub=np.inf, cost=1.0)
     y = pb.add_vars(1, lb=-3.0, ub=5.0, cost=0.0)
-    pb.add_row(np.concatenate([x, y]), [1.0, -1.0], "==", 0.0)
+    pb.add_row(np.concatenate([x, y]), [1.0, -1.0], 0.0)
     rep = solve_qp(pb.qp(), tol=1e-8)
     assert rep.status == "optimal"
     assert rep.objective == pytest.approx(-3.0, abs=1e-7)
@@ -142,7 +144,7 @@ def test_lp_free_variable_kkt_path():
 def test_lp_empty_row_consistency():
     pb = ProblemBuilder()
     x = pb.add_vars(1, lb=0.0, ub=1.0, cost=1.0)
-    pb.add_row(x, [0.0], "==", 1.0)
+    pb.add_row(x, [0.0], 1.0)
     rep = solve_qp(pb.qp(), tol=1e-8)
     assert rep.status == "infeasible"
     assert rep.iterations == 0
@@ -167,7 +169,7 @@ def test_lp_vertex_oracle_agreement():
 def test_qp_projection_onto_plane():
     pb = ProblemBuilder()
     idx = pb.add_vars(2, lb=-np.inf, ub=np.inf, cost=0.0, qdiag=2.0)
-    pb.add_row(idx, [1.0, 1.0], "==", 2.0)
+    pb.add_row(idx, [1.0, 1.0], 2.0)
     rep = solve_qp(pb.qp())
     assert rep.status == "optimal"
     np.testing.assert_allclose(rep.x, [1.0, 1.0], atol=1e-6)
@@ -188,8 +190,8 @@ def test_qp_spread_penalty_hits_bound():
     pb = ProblemBuilder()
     idx = pb.add_vars(2, lb=0.0, ub=[1.0, 5.0], cost=0.0)
     spread = pb.add_vars(1, lb=-np.inf, ub=np.inf, qdiag=0.5)
-    pb.add_row(idx, [1.0, 1.0], "==", 3.0)
-    pb.add_row(np.concatenate([spread, idx]), [1.0, -1.0, 1.0], "==", 0.0)
+    pb.add_row(idx, [1.0, 1.0], 3.0)
+    pb.add_row(np.concatenate([spread, idx]), [1.0, -1.0, 1.0], 0.0)
     rep = solve_qp(pb.qp())
     assert rep.status == "optimal"
     np.testing.assert_allclose(rep.x[idx], [1.0, 2.0], atol=1e-6)
@@ -203,7 +205,7 @@ def test_qp_active_set_oracle_agreement():
         if instance is None:
             continue
         c, q, rows, lb, ub = instance
-        qp = ConvexQuadraticProgram(c, q, *_dense_rows(rows, len(c)), lb, ub)
+        qp = _from_dense(c, q, rows, lb, ub)
         rep = solve_qp(qp, tol=1e-8)
         ref, _ = qp_active_set_minimum(c, q, rows, lb, ub)
         if ref is None:
@@ -217,8 +219,9 @@ def test_qp_warm_start_reaches_the_oracle_optimum():
     # a start only moves where the iterations begin: from a guess outside
     # the box with random row duals and positive bound multipliers, with a
     # pinned variable on every third instance (presolve drops it from the
-    # guess) and inequality rows (whose slacks start as without a guess),
-    # every solve reaches the active-set optimum
+    # guess) and inequality rows (whose slacks start at the box midpoint
+    # with multipliers 0, as the cold start's do), every solve reaches the
+    # active-set optimum
     rng = np.random.default_rng(7)
     duals = np.random.default_rng(11)  # keeps rng's instances as they were
     solved = 0
@@ -230,11 +233,12 @@ def test_qp_warm_start_reaches_the_oracle_optimum():
         if k % 3 == 0:
             lb, ub = lb.copy(), ub.copy()
             lb[0] = ub[0] = 0.5 * ub[0]
-        qp = ConvexQuadraticProgram(c, q, *_dense_rows(rows, len(c)), lb, ub)
-        start = (rng.uniform(-1.0, 3.0, len(c)),
+        qp = _from_dense(c, q, rows, lb, ub)
+        k = qp.c.shape[0] - len(c)  # the slacks, in [0, inf)
+        start = (np.append(rng.uniform(-1.0, 3.0, len(c)), np.ones(k)),
                  duals.normal(size=qp.rhs.shape[0]),
-                 duals.uniform(0.01, 10.0, len(c)),
-                 duals.uniform(0.01, 10.0, len(c)))
+                 np.append(duals.uniform(0.01, 10.0, len(c)), np.zeros(k)),
+                 np.append(duals.uniform(0.01, 10.0, len(c)), np.zeros(k)))
         rep = solve_qp(qp, tol=1e-8, start=start)
         ref, _ = qp_active_set_minimum(c, q, rows, lb, ub)
         if ref is None:
@@ -248,7 +252,7 @@ def test_qp_warm_start_reaches_the_oracle_optimum():
 
 def test_qp_rejects_negative_diagonal():
     with pytest.raises(NumericsError):
-        ConvexQuadraticProgram([0.0], [-1.0], np.zeros((0, 1)), [], [],
+        ConvexQuadraticProgram([0.0], [-1.0], np.zeros((0, 1)), [],
                                lb=[0.0], ub=[1.0])
 
 
@@ -259,70 +263,38 @@ def _one_var_builder():
 
 
 def test_constraint_validation():
-    # an unknown sense and a NaN coefficient are refused when the program
-    # is made, mismatched lengths as soon as the row is added
+    # a NaN coefficient is refused when the program is made, mismatched
+    # lengths as soon as the row is added
+    with pytest.raises(NumericsError):
+        _one_var_builder().add_row([0, 1], [1.0], 0.0)
+    with pytest.raises(NumericsError):
+        _one_var_builder().add_rows([[0, 0]], [1.0, 2.0, 3.0], 0.0)
+    with pytest.raises(NumericsError):
+        _one_var_builder().add_rows([0, 0], [1.0], 0.0)
     pb = _one_var_builder()
-    pb.add_row([0], [1.0], "<", 0.0)
+    pb.add_row([0], [np.nan], 0.0)
     with pytest.raises(NumericsError):
         pb.qp()
     with pytest.raises(NumericsError):
-        _one_var_builder().add_row([0, 1], [1.0], "<=", 0.0)
+        ConvexQuadraticProgram([1.0], 0.0, [[np.nan]], [0.0], [0.0], [1.0])
     with pytest.raises(NumericsError):
-        _one_var_builder().add_rows([[0, 0]], [1.0, 2.0, 3.0], "<=", 0.0)
-    with pytest.raises(NumericsError):
-        _one_var_builder().add_rows([0, 0], [1.0], "<=", 0.0)
-    pb = _one_var_builder()
-    pb.add_row([0], [np.nan], "<=", 0.0)
-    with pytest.raises(NumericsError):
-        pb.qp()
-    with pytest.raises(NumericsError):
-        ConvexQuadraticProgram([1.0], 0.0, [[1.0]], ["<"], [0.0], [0.0],
-                               [1.0])
-    with pytest.raises(NumericsError):
-        ConvexQuadraticProgram([1.0], 0.0, [[np.nan]], ["<="], [0.0], [0.0],
-                               [1.0])
-    with pytest.raises(NumericsError):
-        ConvexQuadraticProgram([1.0], 0.0, [[1.0]], ["<=", "<="], [0.0],
-                               [0.0], [1.0])
-
-
-@pytest.mark.parametrize("sense", [">=x", "<=junk", "== ", "<", "=", ""])
-def test_a_sense_is_exactly_one_of_the_three(sense):
-    # a longer sense is not cut down to a known one, in a program or in
-    # a builder's row, and the error names it
-    with pytest.raises(NumericsError, match=f"unknown sense '{sense}'"):
-        ConvexQuadraticProgram([1.0], 0.0, [[1.0]], np.array([sense]), [1.0],
-                               [0.0], [2.0])
-    pb = _one_var_builder()
-    pb.add_row([0], [1.0], sense, 1.0)
-    with pytest.raises(NumericsError, match=f"unknown sense '{sense}'"):
-        pb.qp()
-    pb = _one_var_builder()
-    pb.add_rows([[0]], [1.0], sense, [1.0])
-    with pytest.raises(NumericsError, match=f"unknown sense '{sense}'"):
-        pb.qp()
-    # the three known senses are taken, from an array of any text width
-    senses = np.array(["<=", "==", ">="], dtype="U8")
-    problem = ConvexQuadraticProgram([1.0], 0.0, [[1.0]] * 3, senses,
-                                     [2.0, 1.0, 0.0], [0.0], [3.0])
-    assert problem.senses.tolist() == ["<=", "==", ">="]
-    assert solve_qp(problem, tol=1e-8).status == "optimal"
+        ConvexQuadraticProgram([1.0], 0.0, [[1.0]], [0.0, 0.0], [0.0], [1.0])
 
 
 def test_program_validation():
     with pytest.raises(NumericsError):
-        ConvexQuadraticProgram([1.0], 0.0, [[1.0]], ["<="], [1.0], lb=[2.0],
+        ConvexQuadraticProgram([1.0], 0.0, [[1.0]], [1.0], lb=[2.0],
                                ub=[1.0])
     # a row on variable 3 of a one-variable program
     with pytest.raises(NumericsError):
-        ConvexQuadraticProgram([1.0], 0.0, np.zeros((1, 4)), ["<="], [1.0],
-                               [0.0], [1.0])
-    # c, senses and rhs are vectors; another shape is refused by name
-    # before it reaches NumPy or SciPy
+        ConvexQuadraticProgram([1.0], 0.0, np.zeros((1, 4)), [1.0], [0.0],
+                               [1.0])
+    # c and rhs are vectors; another shape is refused by name before it
+    # reaches NumPy or SciPy
     rows = np.eye(4)
-    fields = {"c": np.ones(4), "senses": ["<="] * 4, "rhs": np.ones(4)}
+    fields = {"c": np.ones(4), "rhs": np.ones(4)}
     for name, bad in (("rhs", np.ones((4, 1))), ("c", np.ones((4, 1))),
-                      ("c", 1.0), ("senses", [["<="]] * 4)):
+                      ("c", 1.0)):
         with pytest.raises(NumericsError, match=f"^{name} has shape"):
             ConvexQuadraticProgram(**dict(fields, **{name: bad}), q_diag=0.0,
                                    a=rows, lb=0.0, ub=1.0)
@@ -336,21 +308,21 @@ def test_program_validation():
                                    ub=1.0)
     for bad in ([3], [-1]):
         pb = _one_var_builder()
-        pb.add_row(bad, [1.0], "<=", 1.0)
+        pb.add_row(bad, [1.0], 1.0)
         with pytest.raises(NumericsError):
             pb.qp()
         pb = _one_var_builder()
-        pb.add_rows([bad], [1.0], "<=", 1.0)
+        pb.add_rows([bad], [1.0], 1.0)
         with pytest.raises(NumericsError):
             pb.qp()
     # a variable pinned at an infinite bound has no value; presolve used
     # to pin it there and return NaN objectives
     with pytest.raises(NumericsError, match="inf"):
-        solve_qp(ConvexQuadraticProgram([1.0], 0.0, np.zeros((0, 1)), [], [],
+        solve_qp(ConvexQuadraticProgram([1.0], 0.0, np.zeros((0, 1)), [],
                                         [np.inf], [np.inf]), tol=1e-8)
     with pytest.raises(NumericsError, match="inf"):
         solve_qp(ConvexQuadraticProgram([1.0, 1.0], 0.0, [[1.0, 1.0]],
-                                        ["<="], [1.0], [-np.inf, 0.0],
+                                        [1.0], [-np.inf, 0.0],
                                         [-np.inf, 1.0]), tol=1e-8)
 
 
@@ -359,8 +331,8 @@ def test_builder_offset_splice():
     pb = ProblemBuilder()
     pb.add_vars(1, lb=0.0, ub=9.0, cost=0.0)
     block = pb.add_vars(1, lb=0.0, ub=9.0, cost=-1.0)
-    pb.add_rows(block[:, None], [1.0], "<=", 2.0)
-    rep = solve_qp(pb.qp(), tol=1e-8)
+    pb.add_rows(block[:, None], [1.0], 2.0)
+    rep = solve_qp(with_slacks(pb.qp(), ["<="]), tol=1e-8)
     assert rep.status == "optimal"
     assert rep.x[1] == pytest.approx(2.0, abs=1e-8)
 
@@ -392,16 +364,15 @@ def test_add_rows_matches_row_by_row():
     block, single = ProblemBuilder(), ProblemBuilder()
     for pb in (block, single):
         pb.add_vars(6, lb=0.0, ub=1.0, cost=1.0)
-        pb.add_row([0, 5], [1.0, 1.0], "<=", 1.5)
-    block.add_rows(idx, coef, ">=", rhs)
-    block.add_rows(idx[:2], [1.0, -1.0, 2.0], "==", 0.5)
+        pb.add_row([0, 5], [1.0, 1.0], 1.5)
+    block.add_rows(idx, coef, rhs)
+    block.add_rows(idx[:2], [1.0, -1.0, 2.0], 0.5)
     for k in range(4):
-        single.add_row(idx[k], coef[k], ">=", rhs[k])
+        single.add_row(idx[k], coef[k], rhs[k])
     for k in range(2):
-        single.add_row(idx[k], [1.0, -1.0, 2.0], "==", 0.5)
+        single.add_row(idx[k], [1.0, -1.0, 2.0], 0.5)
     got, want = block.qp(), single.qp()
     assert (got.a != want.a).nnz == 0
-    assert list(got.senses) == list(want.senses)
     assert got.rhs.tobytes() == want.rhs.tobytes()
 
 
@@ -421,8 +392,8 @@ def test_kkt_pivoted_fallback_still_certifies(monkeypatch):
     x = pb.add_vars(1, lb=-np.inf, ub=np.inf, cost=1.0)  # forces the kkt path
     y = pb.add_vars(2, lb=[-3.0, 0.0], ub=[5.0, 4.0], cost=[0.0, 1.0])
     xy = np.concatenate([x, y])
-    pb.add_row(xy, [1.0, -1.0, 1.0], "==", 1.0)
-    pb.add_row(xy, [2.0, -2.0, 2.0], "==", 2.0)
+    pb.add_row(xy, [1.0, -1.0, 1.0], 1.0)
+    pb.add_row(xy, [2.0, -2.0, 2.0], 2.0)
     rep = solve_qp(pb.qp(), tol=1e-8)
     assert fallbacks
     assert rep.status == "optimal"
@@ -487,21 +458,21 @@ def test_restrict_keeps_the_rows_and_columns_it_is_given():
         m, n = a.shape
         problem = ConvexQuadraticProgram(
             rng.normal(size=n), rng.uniform(0.0, 1.0, n), a,
-            rng.choice(["<=", "==", ">="], m), rng.normal(size=m),
-            -rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n))
+            rng.normal(size=m), -rng.uniform(0.0, 1.0, n),
+            rng.uniform(0.0, 1.0, n))
         cut = numerics.restrict(problem, rows, cols)
         want = a[rows][:, cols]
         assert cut.a.shape == want.shape
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(cut.a, part), getattr(want, part))
         for name, idx in (("c", cols), ("q_diag", cols), ("lb", cols),
-                          ("ub", cols), ("senses", rows), ("rhs", rows)):
+                          ("ub", cols), ("rhs", rows)):
             assert np.array_equal(getattr(cut, name),
                                   getattr(problem, name)[idx])
         # a program made on the cut's matrix keeps that very matrix, and
         # with it the analysis cut from the parent's
-        again = ConvexQuadraticProgram(cut.c, cut.q_diag, cut.a, cut.senses,
-                                       cut.rhs, cut.lb, cut.ub)
+        again = ConvexQuadraticProgram(cut.c, cut.q_diag, cut.a, cut.rhs,
+                                       cut.lb, cut.ub)
         assert again.a is cut.a
         assert numerics._analyse(again.a) is numerics._analyse(cut.a)
         assert numerics._analyse(cut.a)._cut
@@ -515,8 +486,8 @@ def test_index_arrays_must_be_integers():
     # as the indices 0 and 1; an empty list, which NumPy makes float64,
     # names no index and is taken
     a = sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]]))
-    problem = ConvexQuadraticProgram(np.ones(3), 1.0, a, ["=="] * 2,
-                                     np.ones(2), 0.0, 1.0)
+    problem = ConvexQuadraticProgram(np.ones(3), 1.0, a, np.ones(2), 0.0,
+                                     1.0)
     for rows, cols, name in (([0.7], [0, 1], "rows"),
                              ([0], [0.2, 1.9], "cols"),
                              ([False, True], [0, 1], "rows"),
@@ -528,11 +499,11 @@ def test_index_arrays_must_be_integers():
     pb.add_vars(2)
     for indices in ([0.6, 1.2], [True, True]):
         with pytest.raises(NumericsError, match="indices must be integers"):
-            pb.add_row(indices, [1.0, 1.0], "<=", 1.0)
+            pb.add_row(indices, [1.0, 1.0], 1.0)
     with pytest.raises(NumericsError, match="indices must be integers"):
-        pb.add_rows(np.array([[0.0, 1.0]]), 1.0, "<=", 1.0)
-    pb.add_row([], [], "<=", 1.0)
-    pb.add_row(np.array([0, 1], dtype=np.uint8), [1.0, 1.0], "<=", 1.0)
+        pb.add_rows(np.array([[0.0, 1.0]]), 1.0, 1.0)
+    pb.add_row([], [], 1.0)
+    pb.add_row(np.array([0, 1], dtype=np.uint8), [1.0, 1.0], 1.0)
     assert pb.qp().a.toarray().tolist() == [[0.0, 0.0], [1.0, 1.0]]
 
 
@@ -541,8 +512,8 @@ def test_a_restriction_is_never_found_under_its_plain_twin():
     # analyses: a cut in the parent's band order, and a fresh one
     a = sp.csr_matrix(np.array([[1.0, 2.0, 0.0, 1.0], [0.0, 1.0, 3.0, 0.0],
                                 [2.0, 0.0, 1.0, 1.0]]))
-    problem = ConvexQuadraticProgram(np.ones(4), 1.0, a, ["=="] * 3,
-                                     np.ones(3), 0.0, 1.0)
+    problem = ConvexQuadraticProgram(np.ones(4), 1.0, a, np.ones(3), 0.0,
+                                     1.0)
     cut = numerics.restrict(problem, [0, 2], [0, 1, 3])
     kept = numerics._analyse(cut.a)
     plain = numerics._analyse(sp.csr_matrix(cut.a))
@@ -587,8 +558,8 @@ def test_factor_reuses_its_ordering_at_a_new_diagonal(system):
 
 
 def _normal_matrix(kind):
-    """The standard-form constraint matrix the solver sees for one kind of
-    problem, and the (m, bandwidth, border) of its band plan."""
+    """The constraint matrix the solver sees for one kind of problem,
+    after presolve, and the (m, bandwidth, border) of its band plan."""
     from pvpool import sizing
     from test_sizing import _baseline_bundle, recourse_lps
     if kind == "control_qp":
@@ -630,8 +601,7 @@ def _normal_matrix(kind):
         problem = key_qp_by_rows(np.zeros_like(hi), hi, 0.5 * hi.sum(axis=1))
         shape = (63, 0, 15)
     std = numerics._Standard(problem.c, problem.q_diag, problem.a,
-                             problem.senses, problem.rhs, problem.lb,
-                             problem.ub)
+                             problem.rhs, problem.lb, problem.ub)
     return std.a, shape
 
 
@@ -692,8 +662,8 @@ def test_normal_path_fallbacks_still_certify(monkeypatch, eps, route,
     pb = ProblemBuilder()
     x = pb.add_vars(3, lb=[0.0, -1.0, 0.0], ub=[4.0, 3.0, 2.0],
                     cost=[1.0, -1.0, 0.5], qdiag=[1.0, 2.0, 0.5])
-    pb.add_row(x, a, "==", float(a @ x0))
-    pb.add_row(x, a2, "==", float(a2 @ x0))
+    pb.add_row(x, a, float(a @ x0))
+    pb.add_row(x, a2, float(a2 @ x0))
     rep = solve_qp(pb.qp(), tol=1e-8)
     assert rep.status == "optimal"
     assert rep.objective == pytest.approx(objective, abs=1e-7)
@@ -755,10 +725,9 @@ def _report_bytes(rep):
 @pytest.mark.parametrize("kind", ["control_qp", "sizing_lp"])
 def test_kept_analysis_gives_bit_identical_reports(kind, monkeypatch):
     # a second solve of one program, with other matrices analysed since,
-    # finds the analysis its A carries (the control QP's: one analysis for
-    # both solves) or makes again the one of the matrix the solve makes
-    # itself (the master LP's slack form, private to each solve), and
-    # reports exactly what the first solve reported either way
+    # finds the analysis its A carries (one analysis for both solves; the
+    # master LP's surplus columns are its own) and reports exactly what
+    # the first solve reported
     regs = []  # the regularization of each normal-equations factorization
     factor = numerics._NormalEquations.factor
 
@@ -781,13 +750,13 @@ def test_kept_analysis_gives_bit_identical_reports(kind, monkeypatch):
     assert fresh.status == "optimal"
     # the Newton path the case is meant to cover was taken
     assert len(made) == 1 and getattr(made[0][1], path) is not None
-    assert (made[0][0] is problem.a) == (kind == "control_qp")
+    assert made[0][0] is problem.a
     for other in others:
         solve_qp(other, tol=1e-8)
     count, starts = len(made), regs.count(1e-8)
     again = solve_qp(problem, tol=tol)
     assert _report_bytes(again) == _report_bytes(fresh)
-    assert len(made) == count + (kind == "sizing_lp")
+    assert len(made) == count
     if kind == "control_qp":
         # the analysis holds the start point's factor, so the second
         # solve factors only inside its iterations
@@ -831,13 +800,12 @@ def test_sizing_master_lp_restarts_from_its_own_restart():
 def test_kkt_matrix_is_its_block_assembly(kind):
     # the analysis builds [[I, A'], [A, I]] from the arrays of A and A';
     # it is sp.bmat's assembly with sorted indices, entry for entry, and
-    # its diagonal lies where that one's does (the master LP's slack
-    # form, on the KKT path, and a dispatch LP's standard form)
+    # its diagonal lies where that one's does (the master LP with its
+    # surplus columns, on the KKT path, and a dispatch LP after presolve)
     if kind == "sizing_lp":
         problem = _sizing_lp_instance()
         a = numerics._Standard(problem.c, problem.q_diag, problem.a,
-                               problem.senses, problem.rhs, problem.lb,
-                               problem.ub).a
+                               problem.rhs, problem.lb, problem.ub).a
     else:
         a = _normal_matrix(kind)[0]
     mat, diag = numerics._Analysis(a).kkt()
@@ -921,8 +889,8 @@ def test_restart_is_near_its_rows_not_the_pushed_warm_start():
     a = np.block([[a, np.zeros((m, 1))], [np.zeros((1, n)), np.ones((1, 1))]])
     b = np.append(b, 5.0)
     c = np.append(rng.uniform(0.0, 1.0, n), 300.0)
-    problem = ConvexQuadraticProgram(c, 1e-3, a, ["=="] * (m + 1), b,
-                                     np.zeros(n + 1), np.full(n + 1, 40.0))
+    problem = ConvexQuadraticProgram(c, 1e-3, a, b, np.zeros(n + 1),
+                                     np.full(n + 1, 40.0))
     opt = solve_qp(problem, tol=1e-9)
     assert opt.status == "optimal"
     assert ((opt.x < 1e-6) | (opt.x > 40.0 - 1e-6)).sum() == 12
@@ -974,18 +942,6 @@ def test_restart_is_interior_with_no_guess_where_presolve_acted(battery,
         <= 1e-6 * (1.0 + abs(rep.objective))
 
 
-def test_row_violation_matches_sense_loop():
-    rng = np.random.default_rng(9)
-    senses = rng.choice(["<=", "==", ">="], 50).astype("U2")
-    rhs = rng.normal(size=50)
-    act = rhs + rng.normal(size=50)
-    act[:3] = np.nan
-    senses[:3] = ["<=", "==", ">="]
-    want = row_violation_loop(act, senses, rhs)
-    np.testing.assert_array_equal(numerics._row_violation(act, senses, rhs),
-                                  want)
-
-
 def test_presolve_matches_the_row_loop():
     # presolve's activity bounds come from products with A's sign split;
     # on small random problems (coefficients of both signs, infinite and
@@ -996,12 +952,11 @@ def test_presolve_matches_the_row_loop():
     rng = np.random.default_rng(24)
     seen = Counter()
     for _ in range(400):
-        problem = ConvexQuadraticProgram(*random_presolve_problem(rng))
+        problem, n = random_presolve_problem(rng)
         std = numerics._Standard(problem.c, problem.q_diag, problem.a,
-                                 problem.senses, problem.rhs, problem.lb,
-                                 problem.ub)
+                                 problem.rhs, problem.lb, problem.ub)
         infeasible, fixed, vals, passes = presolve_by_rows(
-            problem.a, problem.senses, problem.rhs, problem.lb, problem.ub)
+            problem.a, problem.rhs, problem.lb, problem.ub)
         # presolve's proof has an infinite residual, an empty row's not
         assert (std.infeasibility == np.inf) == infeasible
         if infeasible:
@@ -1022,13 +977,11 @@ def test_presolve_matches_the_row_loop():
         kept = np.arange(len(y)) if std.rows is None else std.rows
         y_full = np.zeros_like(y)
         y_full[kept] = y[kept]
-        want = postsolve_by_rows(problem.a, problem.senses, problem.c,
-                                 problem.q_diag, fixed, vals, passes,
-                                 x, y_full, zl, zu)
+        want = postsolve_by_rows(problem.a, problem.c, problem.q_diag, fixed,
+                                 vals, passes, x, y_full, zl, zu)
         seen["dropped row"] += len(kept) < len(y)
         for part, reference in zip(std.duals(x, y[kept], zl, zu), want):
             assert part.tolist() == reference
-        n = problem.c.shape[0]
         seen["box pin"] += bool(np.any(problem.lb == problem.ub))
         seen["cascade"] += len(passes) >= 2
         for done in passes:
@@ -1057,8 +1010,8 @@ def test_boxed_separable_equals_the_coordinate_loop():
         lb[rng.random(n) < 0.2] = -np.inf
         ub[rng.random(n) < 0.2] = np.inf
         ub[(ub == 0.0) & (rng.random(n) < 0.5)] = -0.0
-        std = numerics._Standard(c, q, sp.csr_matrix((0, n)),
-                                 np.array([], dtype="U2"), np.zeros(0), lb, ub)
+        std = numerics._Standard(c, q, sp.csr_matrix((0, n)), np.zeros(0), lb,
+                                 ub)
         want = boxed_separable_by_loop(std.c, std.qdiag, std.lb, std.ub)
         got = numerics._solve_boxed_separable(std)
         if want is None:
@@ -1118,7 +1071,7 @@ def _feasible_equality_qp(seed):
                       qdiag=rng.uniform(0.0, 2.0, n))
     for _ in range(int(rng.integers(1, 5))):
         a = rng.normal(size=n)
-        pb.add_row(idx, a, "==", float(a @ x0))
+        pb.add_row(idx, a, float(a @ x0))
     return pb.qp()
 
 
@@ -1152,19 +1105,15 @@ def test_report_residuals_recomputable():
     lp = _lp_from_dense(c, rows, lb, ub)
     rep = solve_qp(lp, tol=1e-10)
     assert rep.status == "optimal"
+    # every row is an equality, each inequality's slack included
     worst = 0.0
-    for a, s, b in rows:
-        v = float(np.asarray(a) @ rep.x)
-        if s == "<=":
-            worst = max(worst, v - b)
-        elif s == ">=":
-            worst = max(worst, b - v)
-        else:
-            worst = max(worst, abs(v - b))
-    worst = max(worst, float(np.max(lb - rep.x, initial=0.0)))
-    worst = max(worst, float(np.max(rep.x - ub, initial=0.0)))
-    assert rep.primal_residual == pytest.approx(max(worst, 0.0), abs=1e-12)
-    assert rep.objective == pytest.approx(float(np.asarray(c) @ rep.x), abs=1e-9)
+    for a, b in zip(lp.a.toarray(), lp.rhs):
+        worst = max(worst, abs(float(a @ rep.x) - b))
+    worst = max(worst, float(np.max(lp.lb - rep.x, initial=0.0)))
+    worst = max(worst, float(np.max(rep.x - lp.ub, initial=0.0)))
+    assert rep.primal_residual == pytest.approx(worst, abs=1e-12)
+    assert rep.objective == pytest.approx(
+        float(np.asarray(c) @ rep.x[:len(c)]), abs=1e-9)
 
 
 def test_solver_is_deterministic():
@@ -1193,14 +1142,16 @@ def test_dispatch_shaped_lp():
     ch = pb.add_vars(horizon, lb=0.0, ub=p_max, cost=0.0)
     di = pb.add_vars(horizon, lb=0.0, ub=p_max, cost=0.0)
     soc = pb.add_vars(horizon + 1, lb=0.0, ub=e_max, cost=0.0)
+    senses = []
     for t in range(horizon):
         pb.add_row([gg[t], gs[t], ch[t], di[t]], [1.0, -1.0, -1.0, 1.0],
-                   "==", load[t] - pv[t])
+                   load[t] - pv[t])
         pb.add_row([soc[t + 1], soc[t], ch[t], di[t]],
-                   [1.0, -1.0, -eff, 1.0 / eff], "==", 0.0)
-        pb.add_row([gg[t]], [1.0], "<=", load[t])
-    pb.add_row([soc[0], soc[horizon]], [1.0, -1.0], "==", 0.0)
-    rep = solve_qp(pb.qp(), tol=1e-9)
+                   [1.0, -1.0, -eff, 1.0 / eff], 0.0)
+        pb.add_row([gg[t]], [1.0], load[t])
+        senses += ["==", "==", "<="]
+    pb.add_row([soc[0], soc[horizon]], [1.0, -1.0], 0.0)
+    rep = solve_qp(with_slacks(pb.qp(), senses + ["=="]), tol=1e-9)
     assert rep.status == "optimal"
     assert rep.primal_residual < 1e-9
     # import and export never overlap at the optimum
@@ -1210,7 +1161,7 @@ def test_dispatch_shaped_lp():
 def test_forcing_row_pins_variables_without_iterations():
     pb = ProblemBuilder()
     x = pb.add_vars(2, lb=0.0, ub=1.0, cost=[3.0, -2.0])
-    pb.add_row(x, [1.0, 1.0], "==", 2.0)
+    pb.add_row(x, [1.0, 1.0], 2.0)
     rep = solve_qp(pb.qp(), tol=1e-8)
     assert rep.status == "optimal"
     assert np.allclose(rep.x, [1.0, 1.0])
@@ -1220,8 +1171,8 @@ def test_forcing_row_pins_variables_without_iterations():
 def test_forcing_rows_cascade():
     pb = ProblemBuilder()
     x = pb.add_vars(3, lb=0.0, ub=[1.0, 1.0, 3.0], cost=1.0)
-    pb.add_row(x[:2], [1.0, 1.0], "==", 2.0)
-    pb.add_row(x[1:], [1.0, 1.0], "==", 1.0)
+    pb.add_row(x[:2], [1.0, 1.0], 2.0)
+    pb.add_row(x[1:], [1.0, 1.0], 1.0)
     rep = solve_qp(pb.qp(), tol=1e-8)
     assert rep.status == "optimal"
     assert np.allclose(rep.x, [1.0, 1.0, 0.0])
@@ -1231,7 +1182,7 @@ def test_forcing_rows_cascade():
 def test_forcing_detects_excluded_rhs():
     pb = ProblemBuilder()
     x = pb.add_vars(2, lb=0.0, ub=1.0)
-    pb.add_row(x, [1.0, 1.0], "==", 3.0)
+    pb.add_row(x, [1.0, 1.0], 3.0)
     rep = solve_qp(pb.qp(), tol=1e-8)
     assert rep.status == "infeasible"
     assert rep.iterations == 0
@@ -1244,7 +1195,7 @@ def test_equality_pinned_variable_qp():
     # only the presolve can hand this to the interior-point method
     pb = ProblemBuilder()
     x = pb.add_vars(1, lb=0.0, ub=2.78, qdiag=2.0)
-    pb.add_row(x, [1.0], "==", 2.78)
+    pb.add_row(x, [1.0], 2.78)
     rep = solve_qp(pb.qp())
     assert rep.status == "optimal"
     assert rep.x[0] == pytest.approx(2.78, abs=1e-12)
@@ -1256,7 +1207,7 @@ def test_forced_import_with_no_battery():
     pb = ProblemBuilder()
     gg = pb.add_vars(1, lb=0.0, ub=load, cost=0.13)
     gs = pb.add_vars(1, lb=0.0, cost=-0.06)
-    pb.add_row(np.concatenate([gg, gs]), [1.0, -1.0], "==", load)
+    pb.add_row(np.concatenate([gg, gs]), [1.0, -1.0], load)
     rep = solve_qp(pb.qp(), tol=1e-8)
     assert rep.status == "optimal"
     assert rep.x[0] == pytest.approx(load)
@@ -1270,7 +1221,7 @@ def test_forcing_near_boundary_target_stays_feasible():
     # pass must treat that row as settled rather than contradictory
     pb = ProblemBuilder()
     x = pb.add_vars(2, lb=0.0, ub=1.0, cost=1.0)
-    pb.add_row(x, [1.0, 1.0], "==", 2.0 - 2e-10)
+    pb.add_row(x, [1.0, 1.0], 2.0 - 2e-10)
     rep = solve_qp(pb.qp(), tol=1e-8)
     assert rep.status == "optimal"
     assert np.allclose(rep.x, [1.0, 1.0], atol=1e-8)
@@ -1278,25 +1229,23 @@ def test_forcing_near_boundary_target_stays_feasible():
     assert rep.primal_residual == pytest.approx(2e-10, rel=1e-6)
 
 
-def _dual_violation(problem, rep, qdiag=0.0):
+def _dual_violation(problem, rep):
     """Worst breach of the optimality conditions by a report's duals:
-    stationarity, the signs the row senses and bound sides allow,
-    complementarity, and the gap between the primal and the dual objective
-    (relative)."""
+    stationarity, the signs the bound sides allow, complementarity, and
+    the gap between the primal and the dual objective (relative).  Every
+    row is an equality, so an inequality's dual sign is its slack's
+    stationarity with a nonnegative multiplier."""
     x, y, zl, zu = rep.x, rep.y, rep.zl, rep.zu
-    stat = problem.c + qdiag * x - problem.a.T @ y - zl + zu
-    senses = np.asarray(problem.senses)
-    sign = np.where(senses == "<=", np.maximum(y, 0.0),
-                    np.where(senses == ">=", np.maximum(-y, 0.0), 0.0))
-    slack = np.where(senses == "==", 0.0, np.abs(problem.a @ x - problem.rhs))
+    qx = problem.q_diag * x
+    stat = problem.c + qx - problem.a.T @ y - zl + zu
     has_lb, has_ub = np.isfinite(problem.lb), np.isfinite(problem.ub)
     side = np.concatenate([zl[~has_lb], zu[~has_ub]])
-    comp = np.concatenate([np.abs(y) * slack, zl[has_lb] * (x - problem.lb)[has_lb],
+    comp = np.concatenate([zl[has_lb] * (x - problem.lb)[has_lb],
                            zu[has_ub] * (problem.ub - x)[has_ub]])
     dual_obj = problem.rhs @ y + problem.lb[has_lb] @ zl[has_lb] \
-        - problem.ub[has_ub] @ zu[has_ub] - 0.5 * (qdiag * x) @ x
+        - problem.ub[has_ub] @ zu[has_ub] - 0.5 * qx @ x
     gap = abs(dual_obj - rep.objective) / (1.0 + abs(rep.objective))
-    return max(np.abs(stat).max(), sign.max(initial=0.0), comp.max(initial=0.0),
+    return max(np.abs(stat).max(), comp.max(initial=0.0),
                side.max(initial=0.0), np.min(np.concatenate([zl, zu]),
                                             initial=0.0) * -1.0, gap)
 
@@ -1340,10 +1289,10 @@ def test_duals_certify_random_qps():
         if drawn is None:
             continue
         c, q, rows, lb, ub = drawn
-        problem = ConvexQuadraticProgram(c, q, *_dense_rows(rows, len(c)), lb, ub)
+        problem = _from_dense(c, q, rows, lb, ub)
         rep = solve_qp(problem, tol=1e-9)
         assert rep.status == "optimal"
-        assert _dual_violation(problem, rep, q) <= 1e-6
+        assert _dual_violation(problem, rep) <= 1e-6
 
 
 def test_duals_match_highs_marginals():
@@ -1354,8 +1303,8 @@ def test_duals_match_highs_marginals():
         c, rows, lb, ub = random_bounded_lp(rng, max_vars=5, max_rows=4)
         problem = _lp_from_dense(c, rows, lb, ub)
         rep = solve_qp(problem, tol=1e-9)
-        a, senses, rhs = _dense_rows(rows, len(c))
-        senses = np.asarray(senses)
+        a = np.array([r[0] for r in rows]).reshape(len(rows), len(c))
+        senses, rhs = np.array([r[1] for r in rows]), [r[2] for r in rows]
         ineq = senses != "=="
         flip = np.where(senses[ineq] == ">=", -1.0, 1.0)
         ref = linprog(c, A_ub=a[ineq] * flip[:, None], b_ub=np.asarray(rhs)[ineq] * flip,
@@ -1372,8 +1321,9 @@ def test_duals_match_highs_marginals():
         want[~ineq] = ref.eqlin.marginals
         # at a nondegenerate vertex the duals are unique
         assert np.allclose(rep.y, want, atol=1e-6)
-        assert np.allclose(rep.zl, ref.lower.marginals, atol=1e-6)
-        assert np.allclose(rep.zu, -ref.upper.marginals, atol=1e-6)
+        n = len(c)  # the slacks' multipliers follow
+        assert np.allclose(rep.zl[:n], ref.lower.marginals, atol=1e-6)
+        assert np.allclose(rep.zu[:n], -ref.upper.marginals, atol=1e-6)
     assert compared > 100
 
 
@@ -1384,7 +1334,7 @@ def test_forced_import_row_is_priced_at_the_grid():
     pb = ProblemBuilder()
     gg = pb.add_vars(1, lb=0.0, ub=load, cost=0.13)
     gs = pb.add_vars(1, lb=0.0, cost=-0.06)
-    pb.add_row(np.concatenate([gg, gs]), [1.0, -1.0], "==", load)
+    pb.add_row(np.concatenate([gg, gs]), [1.0, -1.0], load)
     rep = solve_qp(pb.qp(), tol=1e-8)
     assert rep.iterations == 0
     assert rep.y[0] == pytest.approx(0.13)
@@ -1403,8 +1353,8 @@ def _warm_stall():
     data = np.load(Path(__file__).parent / "data" / "warm_stall_control_qp.npz")
     a = sp.csr_matrix((data["a_data"], data["a_indices"], data["a_indptr"]),
                       shape=tuple(data["a_shape"]))
-    qp = ConvexQuadraticProgram(data["c"], data["q_diag"], a, data["senses"],
-                                data["rhs"], data["lb"], data["ub"])
+    qp = ConvexQuadraticProgram(data["c"], data["q_diag"], a, data["rhs"],
+                                data["lb"], data["ub"])
     return qp, tuple(data[name] for name in ("x", "y", "zl", "zu"))
 
 

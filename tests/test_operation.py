@@ -387,15 +387,15 @@ def test_mpc_matches_grid_search_oracle():
 
 
 def _row_bytes(qp):
-    """The QP's rows in order, each as its (indices, data, sense, rhs)
-    bytes with its entries in column order."""
+    """The QP's rows in order, each as its (indices, data, rhs) bytes with
+    its entries in column order."""
     a = qp.a.tocsr()
     rows = []
     for i in range(a.shape[0]):
         span = slice(a.indptr[i], a.indptr[i + 1])
         order = np.argsort(a.indices[span], kind="stable")
         rows.append((a.indices[span][order].astype(np.int64).tobytes(),
-                     a.data[span][order].tobytes(), str(qp.senses[i]),
+                     a.data[span][order].tobytes(),
                      qp.rhs[i:i + 1].tobytes()))
     return rows
 
@@ -529,7 +529,6 @@ def test_control_qp_shares_no_array_with_its_pattern():
     want = _control_qp(state, window, spec, cfg, 1e-4)
     for name in ("c", "q_diag", "lb", "ub", "rhs"):
         getattr(first, name)[:] = 7.0
-    first.senses[:] = "<="
     for name in ("data", "indices", "indptr"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(first.a, name)[:] = 0
@@ -1006,7 +1005,6 @@ def test_theta_zero_control_qp_is_the_dispatch_program():
     box = np.zeros(zero.c.shape[0])
     np.add.at(box, owner[dispatch], tracked.ub[dispatch])
     np.testing.assert_allclose(box, zero.ub, rtol=1e-15)
-    assert list(zero.senses) == list(tracked.senses[:m])
     np.testing.assert_array_equal(zero.rhs, tracked.rhs[:m])
 
 

@@ -516,6 +516,57 @@ def test_master_rounds_converge_at_seed_1013():
     assert res.decision.pv_capacity_kw >= 0.0
 
 
+@pytest.mark.parametrize("seed", [0, 31])
+def test_master_lp_matches_highs_on_its_cuts(seed):
+    # the master LP alone, at the pipeline-day shape: after a solve_sizing,
+    # the master of the chosen combination and of the widest box (the
+    # last) is solved by solve_qp and, on the same cuts written as A_ub
+    # rows theta_w - g'p >= level + shift, by HiGHS.  Each cut's surplus
+    # comes after the theta block, one per cut in the pool's order, with
+    # coefficient -1, no cost and [0, inf); a wrong sign would state
+    # theta_w below its cuts, another problem
+    from scipy.optimize import linprog
+    bundle, catalog = _baseline_bundle(seed, 15, 1, 2)
+    pool = sizing.CutPool(bundle)
+    decision = solve_sizing(bundle, catalog, pool=pool).decision
+    combos = list(sizing._combinations(bundle, catalog))
+    [chosen] = [c for c in combos
+                if (c.pv_opt[0], c.es_opt[0]) == (decision.pv_inverter_index,
+                                                  decision.es_inverter_index)
+                and c.pv_lo <= decision.pv_capacity_kw <= c.pv_hi]
+    w = pool.weights.shape[0]
+    scen = np.array([widx for widx, _ in pool._cuts])
+    cuts = np.array([cut for _, cut in pool._cuts])
+    k = cuts.shape[0]
+    for combo in (chosen, combos[-1]):
+        lp = pool._master(combo)
+        assert lp.c.shape[0] == 2 + w + k
+        surplus = lp.a.toarray()[:, 2 + w:]
+        np.testing.assert_array_equal(surplus, -np.eye(k))
+        assert not lp.c[2 + w:].any() and not lp.lb[2 + w:].any()
+        assert np.all(lp.ub[2 + w:] == np.inf)
+        rep = numerics.solve_qp(lp, tol=sizing._TOL)
+        assert rep.status == "optimal"
+        shift = combo.fixed / float(pool.weights.sum())
+        a_ub = np.zeros((k, 2 + w))
+        a_ub[:, :2] = cuts[:, :2]
+        a_ub[np.arange(k), 2 + scen] = -1.0
+        ref = linprog(np.concatenate([[combo.pv_rate, combo.es_rate],
+                                      pool.weights]),
+                      A_ub=a_ub, b_ub=-(cuts[:, 2] + shift),
+                      bounds=[(combo.pv_lo, combo.pv_hi),
+                              (combo.es_lo, combo.es_hi)] + [(None, None)] * w,
+                      method="highs")
+        assert ref.status == 0, ref.message
+        assert abs(rep.objective - ref.fun) <= sizing._TOL * abs(ref.fun)
+        # the capacities, to the fuzz that `_minimize` snaps away
+        np.testing.assert_allclose(rep.x[:2], ref.x[:2], rtol=1e-7, atol=1e-7)
+        # each surplus is its cut's excess at the master's point
+        np.testing.assert_allclose(
+            rep.x[2 + w:], rep.x[2 + scen] - cuts[:, :2] @ rep.x[:2]
+            - cuts[:, 2] - shift, rtol=0.0, atol=1e-6)
+
+
 def _toy_instances():
     """Every toy sizing instance of this module, with its catalog."""
     rng = np.random.default_rng(23)
@@ -638,8 +689,8 @@ def test_a_sizing_analyses_its_dispatch_matrix_once(monkeypatch):
     # every dispatch LP of a solve_sizing call is solved on its cut pool's
     # one matrix, the pool program's, analysed once; a solve whose presolve
     # pins a variable (at a zero capacity, say) solves a reduced matrix of
-    # its own, analysed in that solve.  (Each master LP solve analyses its
-    # own slack form.)
+    # its own, analysed in that solve.  (Each master LP is a program of its
+    # own, on a matrix of its own, with its cuts' surplus columns.)
     bundle = _toy_bundle(t_len=6)
     pool = sizing.CutPool(bundle)
     made = record_analyses(monkeypatch)

@@ -166,7 +166,6 @@ def _assert_reference_chain(prog, cols, spec, t_len, delta_hours):
     np.testing.assert_array_equal(a[np.ix_(chain, others)], 0.0)
     np.testing.assert_array_equal(a[np.ix_(chain, cols)],
                                   np.array([r for r, _, _ in rows]))
-    assert list(prog.senses[chain]) == [s for _, s, _ in rows]
     np.testing.assert_array_equal(prog.rhs[chain], [b for _, _, b in rows])
     np.testing.assert_array_equal(prog.lb[cols], lb)
     np.testing.assert_array_equal(prog.ub[cols], ub)
@@ -176,7 +175,6 @@ def _recursion_lp(spec, t_len, delta_hours, cost_cd):
     rows, lb, ub = soc_recursion_rows(spec, t_len, delta_hours)
     cost = np.concatenate([cost_cd, np.zeros(t_len)])
     return ConvexQuadraticProgram(cost, 0.0, np.array([a for a, _, _ in rows]),
-                                  [s for _, s, _ in rows],
                                   [b for _, _, b in rows], lb, ub)
 
 
