@@ -362,6 +362,57 @@ def test_files_with_a_byte_order_mark_load_as_the_originals(tmp_path):
                 == getattr(want, field.name).tobytes()
 
 
+def _every_command(config, dest):
+    """Run size, allocate, the three simulate algorithms and sweep on one
+    config, writing into dest."""
+    config, dest = str(config), str(dest)
+    assert cli_main(["size", "--config", config, "--out", dest]) == 0
+    assert cli_main(["allocate", "--config", config, "--out", dest]) == 0
+    for algorithm in ("proposed", "mpc_myopic", "rulebased_myopic"):
+        assert cli_main(["simulate", "--config", config, "--out", dest,
+                         "--algorithm", algorithm]) == 0
+    assert cli_main(["sweep", "--config", config, "--out", dest,
+                     "--capacities", "0,12"]) == 0
+
+
+def test_every_command_on_marked_inputs_writes_the_same_reports(tmp_path):
+    # the tier-1 twin of CI's byte-order-mark step: every input re-saved
+    # with a mark, every command's report is byte for byte the original's;
+    # only the plan's digest moves, as it names the input files' bytes
+    out = _gen_dir(tmp_path, seed=12)
+    marked = tmp_path / "marked"
+    marked.mkdir()
+    for path in out.iterdir():
+        (marked / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    runs = [tmp_path / "plain_out", tmp_path / "marked_out"]
+    for source, dest in zip((out, marked), runs):
+        _every_command(source / "config.json", dest)
+    names = sorted(p.name for p in runs[0].iterdir())
+    assert names == sorted(p.name for p in runs[1].iterdir())
+    assert len(names) > 10
+    for name in names:
+        if name == "plan.json":
+            plans = [json.loads((d / name).read_text()) for d in runs]
+            assert plans[1].pop("digest") != plans[0].pop("digest")
+            assert plans[1] == plans[0]
+            continue
+        assert (runs[1] / name).read_bytes() == (runs[0] / name).read_bytes(), name
+
+
+def test_written_files_are_ascii_without_a_byte_order_mark(tmp_path):
+    # files are written as UTF-8 without a mark; what gen and every
+    # command write is ASCII, so it reads the same in any encoding
+    out = _gen_dir(tmp_path, seed=13, small_catalog=False)
+    dest = tmp_path / "reports"
+    _every_command(out / "config.json", dest)
+    written = sorted(out.iterdir()) + sorted(dest.iterdir())
+    assert len(written) > 15
+    for path in written:
+        data = path.read_bytes()
+        assert not data.startswith(b"\xef\xbb\xbf"), path.name
+        assert data.isascii(), path.name
+
+
 def test_project_config_loads_generated_bundle(tmp_path):
     out = _gen_dir(tmp_path)
     config = ProjectConfig.from_file(out / "config.json")

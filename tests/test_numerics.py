@@ -1116,6 +1116,54 @@ def test_report_residuals_recomputable():
         float(np.asarray(c) @ rep.x[:len(c)]), abs=1e-9)
 
 
+def test_primal_residual_is_measured_on_the_original_rows():
+    # every row is an equality, so the residual is max |a_i x - b_i| over
+    # the program's own rows and its box: a row that presolve dropped and
+    # a column it fixed count too, at an optimum, at a point that stopped
+    # short and at the stall of two rows that contradict each other
+    rng = np.random.default_rng(17)
+    for trial in range(20):
+        n = int(rng.integers(3, 8))
+        lb = rng.uniform(-2.0, 0.0, n)
+        ub = lb + rng.uniform(0.5, 4.0, n)
+        ub[0] = lb[0]  # fixed, so presolve takes it out
+        x0 = lb + rng.uniform(0.0, 1.0, n) * (ub - lb)
+        rows = [(np.array([2.0] + [0.0] * (n - 1)), 2.0 * lb[0])]
+        for _ in range(int(rng.integers(1, 4))):
+            a = rng.normal(size=n)
+            rows.append((a, float(a @ x0)))
+        # the last row again, through the box's midpoint: each row alone
+        # leaves presolve nothing to prove, together they contradict
+        a = rows[-1][0]
+        again = (a, float(a @ (0.5 * (lb + ub))))
+        gap = abs(again[1] - rows[-1][1])
+        programs = []
+        for extra, max_iter, status in (
+                ([], 10 ** 6, "optimal"), ([], 2, "iteration_limit"),
+                ([again], 60, "iteration_limit")):
+            pb = ProblemBuilder()
+            idx = pb.add_vars(n, lb=lb, ub=ub, cost=rng.normal(size=n),
+                              qdiag=rng.uniform(0.0, 1.0, n))
+            for a, b in rows + extra:
+                nz = np.flatnonzero(a)  # the first row is on x_0 alone
+                pb.add_row(idx[nz], a[nz], b)
+            programs.append((pb.qp(), max_iter, status))
+        for qp, max_iter, status in programs:
+            std = numerics._Standard(qp.c, qp.q_diag, qp.a, qp.rhs, qp.lb,
+                                     qp.ub)
+            assert std.fixed_mask[0] and 0 not in std.rows
+            rep = solve_qp(qp, tol=1e-9, max_iter=max_iter)
+            assert rep.status == status, trial
+            worst = 0.0
+            for a, b in zip(qp.a.toarray(), qp.rhs):
+                worst = max(worst, abs(float(a @ rep.x) - b))
+            worst = max(worst, float(np.max(qp.lb - rep.x, initial=0.0)),
+                        float(np.max(rep.x - qp.ub, initial=0.0)))
+            assert rep.primal_residual == pytest.approx(worst, abs=1e-12)
+        # no point is nearer than half the gap to both contradicting rows
+        assert rep.primal_residual >= 0.5 * gap - 1e-12, trial
+
+
 def test_solver_is_deterministic():
     rng = np.random.default_rng(99)
     c, rows, lb, ub = random_bounded_lp(rng)

@@ -516,29 +516,31 @@ def test_master_rounds_converge_at_seed_1013():
     assert res.decision.pv_capacity_kw >= 0.0
 
 
-@pytest.mark.parametrize("seed", [0, 31])
+@pytest.mark.parametrize("seed", [0, 31, 410117])
 def test_master_lp_matches_highs_on_its_cuts(seed):
     # the master LP alone, at the pipeline-day shape: after a solve_sizing,
-    # the master of the chosen combination and of the widest box (the
-    # last) is solved by solve_qp and, on the same cuts written as A_ub
-    # rows theta_w - g'p >= level + shift, by HiGHS.  Each cut's surplus
-    # comes after the theta block, one per cut in the pool's order, with
-    # coefficient -1, no cost and [0, inf); a wrong sign would state
-    # theta_w below its cuts, another problem
+    # the master of each combination whose box holds the chosen plan (at
+    # seed 410117 four, two of them pinning the PV capacity) and of the
+    # widest box (the last) is solved by solve_qp and, on the same cuts
+    # written as A_ub rows theta_w - g'p >= level + shift, by HiGHS.  Each
+    # cut's surplus comes after the theta block, one per cut in the pool's
+    # order, with coefficient -1, no cost and [0, inf); a wrong sign would
+    # state theta_w below its cuts, another problem
     from scipy.optimize import linprog
     bundle, catalog = _baseline_bundle(seed, 15, 1, 2)
     pool = sizing.CutPool(bundle)
     decision = solve_sizing(bundle, catalog, pool=pool).decision
     combos = list(sizing._combinations(bundle, catalog))
-    [chosen] = [c for c in combos
-                if (c.pv_opt[0], c.es_opt[0]) == (decision.pv_inverter_index,
-                                                  decision.es_inverter_index)
-                and c.pv_lo <= decision.pv_capacity_kw <= c.pv_hi]
+    chosen = [c for c in combos
+              if (c.pv_opt[0], c.es_opt[0]) == (decision.pv_inverter_index,
+                                                decision.es_inverter_index)
+              and c.pv_lo <= decision.pv_capacity_kw <= c.pv_hi]
     w = pool.weights.shape[0]
     scen = np.array([widx for widx, _ in pool._cuts])
     cuts = np.array([cut for _, cut in pool._cuts])
     k = cuts.shape[0]
-    for combo in (chosen, combos[-1]):
+    assert chosen
+    for combo in chosen + combos[-1:]:
         lp = pool._master(combo)
         assert lp.c.shape[0] == 2 + w + k
         surplus = lp.a.toarray()[:, 2 + w:]
