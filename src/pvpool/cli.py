@@ -5,9 +5,10 @@ config (except gen, which writes one) and emits JSON reports plus CSV time
 series into the output directory.  Exit codes: 0 success, 1 runtime error
 with a diagnostic on stderr, 2 usage error.
 
-The plan (the sizing result with its per-scenario dispatches) is solved
-once and kept as `plan.json` in the output directory.  `size` always solves
-it and rewrites the file; running `size` again is how to refresh it.
+The plan is solved once and kept as `plan.json` in the output directory:
+the sizing decision and each scenario's battery schedule, from which
+`sizing.plan_result` remakes every flow and money figure.  `size` always
+solves it and rewrites the file; running `size` again is how to refresh it.
 `allocate`, `simulate` and `sweep` reuse the file when its digest matches
 the loads, solar and catalog files and the config's grid, tariff and
 tech_econ settings; otherwise they solve the plan and write the file for

@@ -14,8 +14,11 @@ Every file is read as UTF-8, a leading byte-order mark dropped (Excel's
 "CSV UTF-8" export writes one), and written as UTF-8 without one.
 Numbers are written at repr precision, so a write/read trip reproduces each
 float64 exactly and reports produced from the same config and seed are
-byte-identical.  The same holds for the plan file (`write_plan_json`), which
-stores a whole sizing result so later commands need not solve it again.
+byte-identical.  The plan file (`write_plan_json`) stores what sizing
+decided, so later commands need not solve it again: the decision, the flags
+of its planning solution and each scenario's realized charge and discharge.
+`sizing.plan_result` remakes every flow and money figure from them, bit for
+bit, as sizing made them.
 """
 
 import csv
@@ -30,7 +33,6 @@ import numpy as np
 
 from . import __version__
 from .domain import (
-    DispatchSeries,
     DomainError,
     InverterCatalog,
     LoadMatrix,
@@ -43,13 +45,12 @@ from .domain import (
     TimeGrid,
     below,
     is_count,
-    is_number,
     is_seed,
     number_array,
     validate_inputs,
 )
 from .operation import HorizonConfig
-from .sizing import SizingEconomics, SizingResult
+from .sizing import plan_result
 
 
 class DataFileError(ValueError):
@@ -256,32 +257,36 @@ def write_catalog_json(path, catalog):
 
 
 # ---------------------------------------------------------------------------
-# The plan: a sizing result with the digest of the inputs it was solved from
+# The plan: what sizing decided, with the digest of the inputs it was solved
+# from
 
-PLAN_FORMAT = 2  # part of the digest; bump when the stored values change
+PLAN_FORMAT = 3  # part of the digest; bump when the stored values change
 
 
 def write_plan_json(path, sizing, digest):
-    """Store a SizingResult: decision, economics, objective, flags,
-    scenario probabilities and every dispatch array, at repr precision."""
+    """Store what a SizingResult decided: the decision, the flags of its
+    planning solution and each scenario's realized charge and discharge,
+    one row per scenario, at repr precision.  `load_plan_json` remakes the
+    flows, economics and objective from them (`sizing.plan_result`)."""
     dump_json(path, {
         "digest": digest,
         "decision": asdict(sizing.decision),
-        "economics": asdict(sizing.economics),
-        "objective": sizing.objective,
         "flags": list(sizing.flags),
-        "probabilities": sizing.probabilities,
-        "dispatches": [asdict(d) for d in sizing.dispatches],
+        "charge": [d.charge for d in sizing.dispatches],
+        "discharge": [d.discharge for d in sizing.dispatches],
     })
 
 
 def load_plan_json(path, digest, bundle):
-    """Inverse of write_plan_json for the inputs named by `digest`.
+    """Inverse of write_plan_json for the inputs named by `digest`: the
+    SizingResult that `sizing.plan_result` makes of the stored decision,
+    schedules and flags over `bundle`.
 
     Returns None when there is no plan at `path` or it was solved from
     other inputs (another digest).  A plan with the right digest that is
-    malformed or does not fit `bundle` (scenario count, period count,
-    probabilities) raises DataFileError.
+    malformed (a decision `SizingDecision` refuses, flags that are not a
+    list of text, a schedule that is not a scenarios x periods array of
+    nonnegative numbers for `bundle`) raises DataFileError.
     """
     path = Path(path)
     try:
@@ -294,41 +299,26 @@ def load_plan_json(path, digest, bundle):
         raise DataFileError(f"{path}: a plan is a JSON object")
     if payload.get("digest") != digest:
         return None
-    scen, t_len = bundle.scenarios, bundle.grid.num_periods
     try:
         decision = SizingDecision(**payload["decision"])
-        figures = asdict(SizingEconomics(**payload["economics"]))
-        objective = payload["objective"]
-        probabilities, problems = number_array(payload["probabilities"],
-                                               "probabilities", 1)
-        dispatches = tuple(
-            DispatchSeries(**d)
-            for d in payload["dispatches"])
-        flags = tuple(str(f) for f in payload["flags"])
+        flags = payload["flags"]
+        checked = [number_array(payload[name], name, 2, 0.0)
+                   for name in ("charge", "discharge")]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataFileError(
             f"{path}: malformed plan: {type(exc).__name__}: {exc}") from exc
-    # every figure is a number by domain's rule: no text, no bool
-    problems += [f"economics.{k} must be a number, not {v!r}"
-                 for k, v in figures.items() if not is_number(v)]
-    if not is_number(objective):
-        problems.append(f"objective must be a number, not {objective!r}")
+    problems = [problem for _, more in checked for problem in more]
+    if not (isinstance(flags, list) and all(isinstance(f, str) for f in flags)):
+        problems.append(f"flags must be a list of text, not {flags!r}")
     if problems:
         raise DataFileError(f"{path}: malformed plan: {'; '.join(problems)}")
-    if len(dispatches) != scen.num_scenarios \
-            or not np.array_equal(probabilities, scen.probabilities):
+    shape = (bundle.scenarios.num_scenarios, bundle.grid.num_periods)
+    if any(arr.shape != shape for arr, _ in checked):
         raise DataFileError(
-            f"{path}: plan has {len(dispatches)} scenarios and probabilities"
-            f" {probabilities.tolist()}, the inputs have {scen.num_scenarios}"
-            f" and {scen.probabilities.tolist()}")
-    if any(d.num_periods != t_len for d in dispatches):
-        raise DataFileError(
-            f"{path}: plan dispatches do not span the {t_len} input periods")
-    return SizingResult(decision, dispatches, scen.probabilities,
-                        float(objective),
-                        SizingEconomics(**{k: float(v)
-                                           for k, v in figures.items()}),
-                        flags)
+            f"{path}: plan schedules must be the inputs' {shape[0]}"
+            f" scenarios x {shape[1]} periods")
+    (charge, _), (discharge, _) = checked
+    return plan_result(bundle, decision, zip(charge, discharge), flags)
 
 
 # ---------------------------------------------------------------------------

@@ -31,13 +31,15 @@ carries over from what really happened, not from the plan.
 
 The control QP's layout is stated once, in `_tree`, whose views every
 step fills and reads by position.  Its matrix (every row an equality) is
-built once, for the horizon's full window (`_control_pattern`, kept for the
-last few shapes, so the steps of a year share one; the matrix is
-read-only, as every program's is, so every step's QP takes it as it is,
-and it holds its analysis, which every step's solve shares), and one
-fill, `_control_qp`, writes every step's costs, bounds and right-hand
-sides, so the objective is stated once, there.  One period
-map (`_period_map`, kept per shape and read-only) cuts each shorter
+built once, for the horizon's full window (`_control_pattern`: the
+horizon's full window is kept, so the steps of a year, and of every later
+year in the process, share one; shorter windows are cut at their step; the
+matrix is read-only, as every program's is, so every step's QP takes it as
+it is, and it holds its analysis, which every step's solve shares), and
+one fill, `_control_qp`, writes every step's costs, bounds and right-hand
+sides, so the objective is stated once, there.  `run_year` cuts the
+horizon to the run, so no window is laid out longer than the run.  One
+period map (`_period_map`, kept per shape and read-only) cuts each shorter
 window at the end of a run from the full one, by `numerics.restrict`, so
 that each such window's solve, the head-only one's included, cuts its
 analysis from the full window's, in the full window's band order,
@@ -274,8 +276,8 @@ def _period_map(size, fields, per, old_tail, tail, scenarios, first=0):
 
 
 @lru_cache(maxsize=8)
-def _control_pattern(n, tail, probabilities, eta, tracked, longest):
-    """The control QP of one window shape, without its data.
+def _control_pattern(n, tail, probabilities, eta, tracked):
+    """The control QP of the horizon's full window, without its data.
 
     The shape is all that enters the matrix: n, the tail length, the
     scenario probabilities (a tuple), the one-way efficiency eta and
@@ -283,25 +285,15 @@ def _control_pattern(n, tail, probabilities, eta, tracked, longest):
     `_tree` reads them: each branch of the scenario tree has its balance
     rows on served energy, with no import variable, and its SoC recursion
     (`storage.recursion_rows`, a tail's from the head's SoC variable);
-    when tracked, one tracking row per consumer follows.  Only the
-    `longest` tail, the horizon's, is built; a shorter window, as at the
-    end of a run, is that QP restricted to its rows and columns
-    (`_period_map`, by `numerics.restrict`, so that its solves cut their
-    analysis from the full window's): a tail's rows and variables reach
-    only the periods before them and the head.  Returns a QP whose vectors
-    are placeholders; its matrix is read-only, as every program's is, so
-    each step's QP takes it without a copy, and it holds its analysis
+    when tracked, one tracking row per consumer follows.  Only the full
+    window is kept; a shorter one, as at the end of a run, is cut from it
+    at its step (`_control_qp`).  Returns a QP whose vectors are
+    placeholders; its matrix is read-only, as every program's is, so each
+    step's QP takes it without a copy, and it holds its analysis
     (`numerics._analyse`), made at the first step's solve and shared by
-    every later one while the pattern is kept.
+    every later one, and by every later run's, while the pattern is kept.
     """
-    per, w = n if tracked else 1, len(probabilities)
-    if tail < longest:
-        full = _control_pattern(n, longest, probabilities, eta, tracked,
-                                longest)
-        return restrict(
-            full, _period_map(full.rhs.shape[0], 2, 0, longest, tail, w),
-            _period_map(full.c.shape[0], 4, per, longest, tail, w))
-    w = w if tail else 0
+    per, w = n if tracked else 1, len(probabilities) if tail else 0
     pb = ProblemBuilder()
     head, served, tails, blocks, deliver = _tree(
         pb.add_vars((4 + per) * (1 + w * tail) + n * tracked), 4, per, tail,
@@ -324,7 +316,10 @@ def _control_pattern(n, tail, probabilities, eta, tracked, longest):
 def _control_qp(state, window, spec, config, beta_es_use):
     """The control QP of `mpc_step`.
 
-    The one fill of the window shape's kept pattern (`_control_pattern`),
+    The one fill of the horizon's kept pattern (`_control_pattern`), or of
+    a shorter window's cut from it (`_period_map`, by `numerics.restrict`,
+    so that its solves cut their analysis from the full window's: a tail's
+    rows and variables reach only the periods before them and the head),
     written through `_tree`'s views: the head and, at their probabilities,
     the W tails cost their variables and bound them by the battery's caps
     and their loads, and set their balance rows to their generation; the
@@ -341,9 +336,14 @@ def _control_qp(state, window, spec, config, beta_es_use):
     tracked = theta > 0.0
     prob = window.probabilities[:, None]
     per, tail, w = n if tracked else 1, window.tail_periods, len(prob)
-    pattern = _control_pattern(n, tail, tuple(window.probabilities.tolist()),
-                               spec.efficiency, tracked,
-                               max(tail, config.prediction_periods - 1))
+    longest = config.prediction_periods - 1
+    pattern = _control_pattern(n, longest,
+                               tuple(window.probabilities.tolist()),
+                               spec.efficiency, tracked)
+    if tail < longest:
+        pattern = restrict(
+            pattern, _period_map(pattern.rhs.shape[0], 2, 0, longest, tail, w),
+            _period_map(pattern.c.shape[0], 4, per, longest, tail, w))
     cap_p = spec.power_cap_kw * window.delta_hours
     cap_e = spec.energy_cap_kwh
     export_net = window.export_tax - window.export_price
@@ -605,6 +605,9 @@ def run_year(bundle, plan, decision, realized, config,
     e_past = np.zeros(n)
     previous = None  # the last MPC step's plan: the next one starts there
     cold_retries = 0
+    # a window never reaches past the run, so no longer one is laid out
+    config = replace(config, prediction_periods=min(config.prediction_periods,
+                                                    t_total))
     if algorithm == "mpc_myopic":  # cost only: nothing is tracked
         config = replace(config, theta=0.0)
 

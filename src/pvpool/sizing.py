@@ -14,7 +14,10 @@ dispatch program (`_dispatch_lp`) and each LP is that program with its
 battery caps and solar filled in; each cut reads the duals of the entries
 its LP filled.  The chosen capacities' dispatch LPs plan each scenario's
 battery flows, and the plan meets the battery where every other plan does,
-in `storage.realize` (`_build_candidate`).  The local energy price p
+in `storage.realize`: `plan_result`, the one constructor of a
+`SizingResult`, realizes each scenario's schedule and derives the flows,
+economics and objective, for each candidate and for a plan read back from
+its file (`io.load_plan_json`).  The local energy price p
 transfers money between investor and consumers without changing total
 welfare, so it never appears in the optimization; price arithmetic lives
 in the allocation module.
@@ -115,7 +118,7 @@ def dispatch_costs(dispatch, tariff):
 
 @dataclass(frozen=True)
 class SizingEconomics:
-    """Money flows of a plan, all derived from the stored dispatches.
+    """Money flows of a plan, all derived from its realized dispatches.
 
     capex_* are one-time EUR; annual_* are expected EUR per year after
     scaling the modeled span up to a full year; subsidy_amount is the grant
@@ -371,13 +374,15 @@ def _dispatch_lp(bundle, eta):
 
 
 class _Recourse(NamedTuple):
-    """The dispatch LPs of every scenario at one capacity point."""
+    """The dispatch LPs of every scenario at one capacity point: the cut
+    data, and what a plan at that point takes from them (`plan_result`),
+    the planned schedules and the flags of their import/export overlaps."""
 
     values: np.ndarray  # V_w: each scenario's dispatch bill over the span
     slopes: np.ndarray  # (W, 2): a subgradient g_w of V_w in (p_pv, p_es)
     levels: np.ndarray  # the dual objective is levels_w + g_w'(p_pv, p_es)
     dispatch_raw: list  # planned (charge, discharge) per scenario
-    flows_raw: list  # (raw import, raw surplus) per scenario
+    flags: tuple  # each scenario period whose planned import and export overlap
 
 
 class CutPool:
@@ -444,9 +449,11 @@ class CutPool:
         -delta from each charge and discharge bound, -kappa from each
         state-of-charge bound and kappa / 2 from the start and end rows.
         Its level is the rest: the load against the balance duals and the
-        import bounds.  The planned dispatches are kept as solved;
-        `_build_candidate` realizes them through the battery rule.  `combo`
-        names the combination that asked, for the error message.
+        import bounds.  The planned dispatches are kept as solved, and
+        `plan_result` realizes them through the battery rule; each period
+        whose planned import and export overlap is flagged here, so the
+        flows themselves are not kept.  `combo` names the combination that
+        asked, for the error message.
         """
         bundle = self.bundle
         delta, kappa = bundle.grid.delta_hours, bundle.params.kappa
@@ -459,7 +466,7 @@ class CutPool:
         values = np.empty(n_scen)
         slopes = np.empty((n_scen, 2))
         levels = np.empty(n_scen)
-        dispatch_raw, flows_raw = [], []
+        dispatch_raw, flags = [], []
         for widx in range(n_scen):
             alpha = bundle.scenarios.alphas[:, widx]
             rhs = self.lp.rhs.copy()
@@ -478,8 +485,8 @@ class CutPool:
                             - kappa * float(zu[self._energy].sum())
                             + START_FRACTION * kappa * float(y[self._ends].sum()))
             dispatch_raw.append((c, d))
-            flows_raw.append((np.maximum(gg, 0.0), np.maximum(gs, 0.0)))
-        return _Recourse(values, slopes, levels, dispatch_raw, flows_raw)
+            flags += _overlap_flags(widx, gg, gs)
+        return _Recourse(values, slopes, levels, dispatch_raw, tuple(flags))
 
     def _bounds(self, combos):
         """Lower bounds on the combinations' costs without an LP: for each,
@@ -562,29 +569,34 @@ class CutPool:
                           f"({combo})")
 
 
-def _build_candidate(bundle, pv_cap, es_pow, dispatch_raw, flows_raw,
-                     pv_opt, es_opt):
-    """The sizing result at a combination's capacities: each scenario's
-    planned (charge, discharge) realized period by period by
-    `storage.realize` from the half-full battery, and the flows, economics
-    and objective of the realized dispatches."""
-    grid, loads, scen, _, params = (bundle.grid, bundle.loads, bundle.scenarios,
-                                    bundle.tariff, bundle.params)
-    pv_idx, pv_inv_cap, pv_inv_cost = pv_opt
-    es_idx, es_inv_cap, es_inv_cost = es_opt
-    decision = SizingDecision(
-        pv_capacity_kw=pv_cap, es_power_kw=es_pow,
-        es_energy_kwh=params.kappa * es_pow,
-        pv_inverter_index=pv_idx, pv_inverter_capacity_kw=pv_inv_cap,
-        pv_inverter_cost=pv_inv_cost,
-        es_inverter_index=es_idx, es_inverter_capacity_kw=es_inv_cap,
-        es_inverter_cost=es_inv_cost)
+def _overlap_flags(widx, grid_import, surplus):
+    """One flag per period where scenario widx's planned import and export
+    (their positive parts) overlap by more than `_OVERLAP_TOL` kWh."""
+    overlap = np.minimum(np.maximum(grid_import, 0.0), np.maximum(surplus, 0.0))
+    return [f"scenario {widx} period {t}: import/export overlap "
+            f"{overlap[t]:.6g} kWh in the planning solution"
+            for t in np.flatnonzero(overlap > _OVERLAP_TOL)]
+
+
+def plan_result(bundle, decision, schedules, flags):
+    """The sizing result of `decision` with each scenario's (charge,
+    discharge) schedule, in scenario order, and the flags of its planning
+    solution.
+
+    Each schedule is realized period by period by `storage.realize` from
+    the half-full battery, and the flows, economics and objective follow
+    from the realized dispatches.  The one constructor of `SizingResult`:
+    `solve_sizing` makes each candidate from its dispatch LPs' plans, and
+    `io.load_plan_json` remakes a stored plan from its realized schedules,
+    which realize to themselves bit for bit.
+    """
+    grid, scen, params = bundle.grid, bundle.scenarios, bundle.params
     spec = StorageSpec.from_sizing(decision, params)
-    l_agg = loads.aggregate()
+    l_agg = bundle.loads.aggregate()
     dispatches = []
-    flags = []
-    for widx, (c_plan, d_plan) in enumerate(dispatch_raw):
-        gen = pv_production(scen.alphas[:, widx], pv_cap, grid.delta_hours)
+    for widx, (c_plan, d_plan) in enumerate(schedules):
+        gen = pv_production(scen.alphas[:, widx], decision.pv_capacity_kw,
+                            grid.delta_hours)
         steps = [(0.0, 0.0, spec.initial_soc_kwh)]  # the start, then each period
         for c, d, g in zip(c_plan.tolist(), d_plan.tolist(), gen.tolist()):
             steps.append(realize(c, d, g, steps[-1][2], spec, grid.delta_hours))
@@ -592,16 +604,20 @@ def _build_candidate(bundle, pv_cap, es_pow, dispatch_raw, flows_raw,
         grid_import, surplus, served = split_flows(l_agg, cv[1:], dv[1:], gen)
         dispatches.append(DispatchSeries(cv[1:], dv[1:], gen, grid_import,
                                          surplus, served, soc))
-        raw_gg, raw_gs = flows_raw[widx]
-        overlap = np.minimum(raw_gg, raw_gs)
-        for t in np.flatnonzero(overlap > _OVERLAP_TOL):
-            flags.append(
-                f"scenario {widx} period {t}: import/export overlap "
-                f"{overlap[t]:.6g} kWh in the planning solution")
     economics = _economics_for(decision, dispatches, bundle)
-    objective = welfare_objective(economics, params)
     return SizingResult(decision, tuple(dispatches), scen.probabilities,
-                        objective, economics, tuple(flags))
+                        welfare_objective(economics, params), economics,
+                        tuple(flags))
+
+
+def _build_candidate(bundle, pv_cap, es_pow, schedules, flags, pv_opt,
+                     es_opt):
+    """The sizing result (`plan_result`) of a combination's inverters, each
+    an (index, capacity, cost) option, at its capacities, from the planned
+    schedules and flags there."""
+    decision = SizingDecision(pv_cap, es_pow, bundle.params.kappa * es_pow,
+                              *pv_opt, *es_opt)
+    return plan_result(bundle, decision, schedules, flags)
 
 
 def solve_sizing(bundle, catalog, pv_capacity_fixed=None, es_power_fixed=None,
@@ -651,7 +667,7 @@ def solve_sizing(bundle, catalog, pv_capacity_fixed=None, es_power_fixed=None,
             continue
         rec = pool.points[point]
         found[idx] = _build_candidate(bundle, *point, rec.dispatch_raw,
-                                      rec.flows_raw, combo.pv_opt, combo.es_opt)
+                                      rec.flags, combo.pv_opt, combo.es_opt)
         if incumbent is None or -found[idx].objective < incumbent:
             incumbent = -found[idx].objective
     best = None

@@ -31,9 +31,11 @@ class StorageSpec:
 
     power_cap_kw limits charge and discharge each period, energy_cap_kwh the
     stored energy.  efficiency is the one-way efficiency of charge and of
-    discharge alike.  The battery starts half full; cyclic=True requires the
-    final state of charge to return to the start, which stops a simulated
-    year from minting energy out of its starting charge.
+    discharge alike.  The battery starts half full.  cyclic=True asks
+    `check_feasible` to require the final state of charge to return to the
+    start, as the sizing dispatch LP's end row does; only `check_feasible`
+    reads it, and `run_year` operates a battery with cyclic=False, whose
+    year may end at another charge.
     """
 
     power_cap_kw: float

@@ -383,7 +383,7 @@ def solve_combo(bundle, pv_lo, pv_hi, es_hi, tier_rate, sub_rate, es_lo=0.0):
     uses), so rows and nonzeros grow linearly in T.
 
     Returns (pv_capacity, es_power, [(charge, discharge) per scenario],
-    [(raw import, raw surplus) per scenario]) at the optimum.
+    the import/export overlap flags of every scenario) at the optimum.
     """
     lp, p_pv, p_es, per_scenario = joint_sizing_lp(
         bundle, pv_lo, pv_hi, es_hi, tier_rate, sub_rate, es_lo)
@@ -408,13 +408,13 @@ def solve_combo(bundle, pv_lo, pv_hi, es_hi, tier_rate, sub_rate, es_lo=0.0):
         es_pow = es_lo
         limit = 0.0
     dispatch_raw = []
-    flows_raw = []
-    for c, d, gg, gs in per_scenario:
+    flags = []
+    for widx, (c, d, gg, gs) in enumerate(per_scenario):
         cv = np.clip(x[c], 0.0, limit)
         dv = np.clip(x[d], 0.0, limit)
         dispatch_raw.append((cv, dv))
-        flows_raw.append((np.maximum(x[gg], 0.0), np.maximum(x[gs], 0.0)))
-    return pv_cap, es_pow, dispatch_raw, flows_raw
+        flags += sizing._overlap_flags(widx, x[gg], x[gs])
+    return pv_cap, es_pow, dispatch_raw, flags
 
 
 def joint_sizing_lp(bundle, pv_lo, pv_hi, es_hi, tier_rate, sub_rate, es_lo=0.0):
@@ -484,10 +484,10 @@ def joint_lp_sizing(bundle, catalog, pv_capacity_fixed=None, es_power_fixed=None
                                       es_power_fixed):
         tier_rate = sizing._pv_brackets(params)[combo.tier][2]
         sub_rate = sizing._subsidy_branches(params)[combo.branch][2]
-        pv_cap, es_pow, draw, fraw = solve_combo(
+        pv_cap, es_pow, draw, flags = solve_combo(
             bundle, combo.pv_lo, combo.pv_hi, combo.es_hi, tier_rate, sub_rate,
             combo.es_lo)
-        cand = sizing._build_candidate(bundle, pv_cap, es_pow, draw, fraw,
+        cand = sizing._build_candidate(bundle, pv_cap, es_pow, draw, flags,
                                        combo.pv_opt, combo.es_opt)
         key = (-cand.objective, cand.economics.capex_total,
                cand.decision.pv_capacity_kw)

@@ -33,7 +33,7 @@ from pvpool.io import (
     write_realized_csv,
     write_solar_csv,
 )
-from pvpool.sizing import solve_sizing
+from pvpool.sizing import SizingError, solve_sizing
 
 
 # ---------------------------------------------------------------------------
@@ -851,6 +851,24 @@ def _base_solves(monkeypatch):
     return calls
 
 
+@pytest.mark.xfail(strict=True, raises=SizingError,
+                   reason="ROADMAP item 8(b): a pinned point's master LP"
+                   " ends iteration_limit")
+def test_sweep_sizes_every_capacity_at_8_consumers(tmp_path):
+    # gen --consumers 8 --days 2 --scenarios 3 (seed 0), on which size,
+    # allocate and simulate pass: today sweep's 149.4 kW point ends
+    # "master LP over 102 cut points (122 cuts) ended iteration_limit"
+    # (PV inverter 2).  The handler runs without cli_main, so the error
+    # is raised, not printed.  A fix writes both sweep files
+    out = tmp_path / "eight"
+    assert cli_main(["gen", "--seed", "0", "--out", str(out), "--consumers",
+                     "8", "--days", "2", "--scenarios", "3"]) == 0
+    args = cli._build_parser().parse_args(
+        ["sweep", "--config", str(out / "config.json")])
+    assert args.handler(args) == 0
+    assert (out / "sweep_capacity.csv").exists()
+
+
 def test_plan_json_roundtrip_bit_exact(tmp_path):
     out = _gen_dir(tmp_path, seed=17)
     config = ProjectConfig.from_file(out / "config.json")
@@ -941,6 +959,26 @@ def test_cold_and_warm_commands_write_identical_reports(tmp_path):
             assert (cold / name).read_bytes() == (warm / name).read_bytes(), name
 
 
+def test_a_horizon_past_the_run_changes_no_file(tmp_path):
+    # a run of T periods never looks past its end, so a horizon of 5T
+    # lays out, and solves, the same windows as one of T: every file that
+    # simulate writes is byte for byte the same
+    out = _gen_dir(tmp_path, seed=21, prediction_periods=48)
+    config = json.loads((out / "config.json").read_text())
+    runs = [tmp_path / "horizon48", tmp_path / "horizon240"]
+    for dest, horizon in zip(runs, (48, 240)):
+        config["horizon"]["prediction_periods"] = horizon
+        (out / "config.json").write_text(json.dumps(config, sort_keys=True))
+        for algorithm in ("proposed", "mpc_myopic"):
+            assert cli_main(["simulate", "--config", str(out / "config.json"),
+                             "--out", str(dest), "--algorithm", algorithm]) == 0
+    names = sorted(p.name for p in runs[0].iterdir())
+    assert names == sorted(p.name for p in runs[1].iterdir())
+    assert len(names) == 9
+    for name in names:
+        assert (runs[1] / name).read_bytes() == (runs[0] / name).read_bytes(), name
+
+
 def test_malformed_plan_with_matching_digest_is_an_error(tmp_path, capsys):
     out = _gen_dir(tmp_path, seed=16)
     config = str(out / "config.json")
@@ -949,19 +987,23 @@ def test_malformed_plan_with_matching_digest_is_an_error(tmp_path, capsys):
     good = json.loads(plan_path.read_text())
 
     def drop_key(p):
-        del p["economics"]
+        del p["discharge"]
 
     def drop_scenario(p):
-        p["dispatches"].pop()
+        p["charge"].pop()
 
     def short_series(p):
-        p["dispatches"][0]["charge"].pop()
+        p["discharge"][0].pop()
 
-    def other_probabilities(p):
-        p["probabilities"] = [0.5, 0.5]
+    def one_row(p):
+        p["charge"] = p["charge"][0]
 
-    for corrupt in (drop_key, drop_scenario, short_series,
-                    other_probabilities):
+    def text_flags(p):
+        # text is no list of flags: read as one, each character was a flag
+        p["flags"] = "scenario 0 period 3"
+
+    for corrupt in (drop_key, drop_scenario, short_series, one_row,
+                    text_flags):
         bad = json.loads(json.dumps(good))
         corrupt(bad)
         plan_path.write_text(json.dumps(bad))
@@ -977,9 +1019,9 @@ def test_malformed_plan_with_matching_digest_is_an_error(tmp_path, capsys):
 
 
 def test_plan_figures_must_be_numbers(tmp_path, capsys):
-    # a plan whose digest matches but whose figures are text or a bool is
-    # malformed: float() once took "123.5" and True, and allocate priced
-    # the plan from an objective of 1.0
+    # a plan whose digest matches but whose schedules hold text, a bool or
+    # a negative entry is malformed: float() once took "123.5" and True,
+    # and allocate priced the plan from an objective of 1.0
     out = _gen_dir(tmp_path, seed=19)
     config = out / "config.json"
     assert cli_main(["size", "--config", str(config)]) == 0
@@ -988,23 +1030,24 @@ def test_plan_figures_must_be_numbers(tmp_path, capsys):
     digest = good["digest"]
     bundle = ProjectConfig.from_file(config).load_inputs()[0]
 
-    def text_figure(p):
-        p["economics"]["capex_pv"] = str(p["economics"]["capex_pv"])
+    def text_entry(p):
+        p["charge"][0][5] = str(p["charge"][0][5])
 
-    def bool_objective(p):
-        p["objective"] = True
+    def bool_entry(p):
+        p["discharge"][1][7] = True
 
     def both(p):
-        text_figure(p)
-        bool_objective(p)
+        text_entry(p)
+        bool_entry(p)
 
-    def text_probability(p):
-        p["probabilities"][0] = str(p["probabilities"][0])
+    def negative_entry(p):
+        p["charge"][1][3] = -0.25
 
-    for corrupt, names in ((text_figure, ["economics.capex_pv"]),
-                           (bool_objective, ["objective"]),
-                           (both, ["economics.capex_pv", "objective"]),
-                           (text_probability, ["probabilities"])):
+    text, flag = ("charge must be finite and nonnegative, not '",
+                  "discharge must be finite and nonnegative, not True")
+    for corrupt, names in ((text_entry, [text]), (bool_entry, [flag]),
+                           (both, [text, flag]),
+                           (negative_entry, ["negative charge: "])):
         bad = json.loads(json.dumps(good))
         corrupt(bad)
         plan_path.write_text(json.dumps(bad))

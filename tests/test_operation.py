@@ -494,16 +494,17 @@ def test_layout_views_name_the_reference_blocks(theta):
 
 @pytest.mark.parametrize("theta", [0.0, 0.6])
 def test_kept_control_pattern_fills_the_fresh_qp(theta):
-    # the steps of a rolling span fill one kept pattern per window shape;
-    # each QP must be the one a fresh pattern gives, and the row-by-row
-    # reference build, array by array and byte for byte
+    # the steps of a rolling span fill one kept pattern, the horizon's full
+    # window, or a shorter window cut from it; each QP must be the one a
+    # fresh pattern gives, and the row-by-row reference build, array by
+    # array and byte for byte
     steps = list(_rolling_windows(theta))
     operation._control_pattern.cache_clear()
     kept = [_control_qp(*step, 1e-4) for step in steps]
     info = operation._control_pattern.cache_info()
-    # tails of 3, 2, 1 and 0; the three shorter ones are cut from the
-    # kept 3-period pattern, a hit each
-    assert (info.misses, info.hits) == (4, 7)
+    # tails of 3, 2, 1 and 0; the 3-period pattern is built once, and each
+    # step, the three shorter ones included, is a hit after that
+    assert (info.misses, info.hits) == (1, 7)
     for step, qp in zip(steps, kept):
         operation._control_pattern.cache_clear()
         fresh = _control_qp(*step, 1e-4)
@@ -537,15 +538,16 @@ def test_control_qp_shares_no_array_with_its_pattern():
 
 
 def test_year_builds_one_control_pattern_per_window_shape():
-    # 96 periods at a 48-period horizon: 49 steps share the full window's
-    # shape, and each of the last 47 has a shorter tail of its own, cut
-    # from the full window's kept pattern (one more hit each)
+    # 96 periods at a 48-period horizon: one pattern, the full window's, is
+    # built; 49 steps take it as it is, and each of the last 47 cuts its
+    # shorter tail from it at its own step (a hit each), so the 47 shapes
+    # used once a run never evict it
     bundle, result, plan = _year_case(t_len=96, n=15, w=3)
     operation._control_pattern.cache_clear()
     run_year(bundle, plan, result.decision, _realization(bundle, 55),
              HorizonConfig(1, 48))
     info = operation._control_pattern.cache_info()
-    assert (info.misses, info.hits) == (48, 48 + 47)
+    assert (info.misses, info.hits, info.currsize) == (1, 95, 1)
 
 
 def _counting(monkeypatch):
@@ -584,6 +586,29 @@ def test_year_analyses_its_control_qp_once(w, monkeypatch):
     run_year(bundle, plan, decision, _realization(bundle, 55),
              HorizonConfig(1, 48))
     assert len(built) == len(orderings) == 1
+
+
+def test_a_second_year_analyses_no_control_qp(monkeypatch):
+    # the full window's pattern is kept across runs, and its analysis with
+    # it: after a year of proposed and one of mpc_myopic (another pattern),
+    # a second year of proposed in the same process builds no normal
+    # product map and no band ordering, and repeats the first.  When the
+    # end-of-run shapes were kept beside the full windows, mpc_myopic's
+    # evicted proposed's, which was then analysed again
+    bundle, result, plan = _year_case(t_len=96, n=15, w=3)
+    decision = replace(result.decision, es_power_kw=6.0, es_energy_kwh=12.0,
+                       es_inverter_index=1, es_inverter_capacity_kw=6.0,
+                       es_inverter_cost=1.1)
+    realized = _realization(bundle, 55)
+    operation._control_pattern.cache_clear()
+    first, _ = (run_year(bundle, plan, decision, realized,
+                         HorizonConfig(1, 48), algorithm=algorithm)
+                for algorithm in ("proposed", "mpc_myopic"))
+    built, orderings = _counting(monkeypatch)
+    again = run_year(bundle, plan, decision, realized, HorizonConfig(1, 48))
+    assert built == orderings == []
+    for name in ("keys", "mismatch_series"):
+        assert getattr(again, name).tobytes() == getattr(first, name).tobytes()
 
 
 def _end_windows(w, theta, n=2, horizon=48):

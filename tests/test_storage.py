@@ -6,13 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from pvpool.domain import DomainError, TimeGrid
 from pvpool.numerics import ConvexQuadraticProgram, solve_qp
 from pvpool.operation import (HorizonConfig, HorizonWindow, OperationState,
                               _control_qp)
 from pvpool.sizing import CutPool
-from pvpool.storage import StorageSpec, check_feasible, soc_trajectory
+from pvpool.storage import StorageSpec, check_feasible, realize, soc_trajectory
 
 from oracles import control_qp_by_rows, soc_recursion_rows
 from test_sizing import _toy_bundle, recourse_lps
@@ -293,3 +294,36 @@ def test_spec_cyclic_is_a_bool(cyclic):
     # True and NaN as a cyclic battery
     with pytest.raises(DomainError, match="cyclic"):
         StorageSpec(1.0, 5.0, 0.9, cyclic=cyclic)
+
+
+def _schedules(periods):
+    """Generation and a planned (charge, discharge) of `periods` entries:
+    plans reach below zero, as a solver's can, and past every cap."""
+    energy = hst.one_of(hst.floats(-1e-3, 12.0), hst.sampled_from(
+        [0.0, -0.0, 5e-324, 1e-12, 2.5, 5.0]))
+    return hst.tuples(*(hst.lists(energy, min_size=periods, max_size=periods)
+                        for _ in range(3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=hst.builds(StorageSpec, hst.floats(0.0, 10.0),
+                       hst.floats(0.0, 20.0), hst.floats(0.5, 1.0)),
+       delta=hst.sampled_from([0.25, 0.5, 1.0]),
+       case=hst.integers(1, 48).flatmap(_schedules))
+def test_realize_keeps_a_realized_schedule(spec, delta, case):
+    # a plan file stores each scenario's realized schedule, and loading it
+    # realizes that schedule again: from the same start, the battery rule
+    # returns every charge, discharge and state of charge bit for bit
+    gen, charge, discharge = case
+    gen = [abs(g) for g in gen]  # generation is never negative
+
+    def realized(charge, discharge):
+        soc, steps = spec.initial_soc_kwh, []
+        for c, d, g in zip(charge, discharge, gen):
+            c, d, soc = realize(c, d, g, soc, spec, delta)
+            steps.append((c, d, soc))
+        return np.array(steps)
+
+    first = realized(charge, discharge)
+    again = realized(first[:, 0].tolist(), first[:, 1].tolist())
+    assert again.tobytes() == first.tobytes()
