@@ -62,15 +62,15 @@ analysis, so a family of programs on one matrix (a rolling horizon's
 control QPs, a cut pool's dispatch LPs, one call's key QPs) analyses it
 once (George & Liu, Computer Solution of Large Sparse Positive Definite
 Systems, 1981).  An equal matrix that is another object has its own.  A
-program that `restrict` cut from another, A[rows][:, cols] (a rolling
+matrix that `restrict` cut from a program's, A[rows][:, cols] (a rolling
 horizon's shorter windows at the end of a run, down to the head alone),
-carries an analysis cut from the parent's: the normal pattern and product
-map are masked from the parent's, and the band plan keeps the parent's
-order and border rows, so only the start point's factor is computed.
-The matrices presolve's reductions make are private to their solve and
-analysed in it.  An analysis made earlier yields the same numbers as a
-new one, and a cut is always cut, never analysed afresh, so no report
-depends on earlier solves.
+is made with its analysis, cut from the parent's in the same call: the
+normal pattern and product map are masked from the parent's, and the
+band plan keeps the parent's order and border rows, so only the start
+point's factor is left to compute.  The matrices presolve's reductions
+make are private to their solve and analysed in it.  An analysis made
+earlier yields the same numbers as a new one, and a cut is always cut,
+never analysed afresh, so no report depends on earlier solves.
 
 One object, _Standard, owns the problem the iterations solve: it
 presolves, drops the rows presolve left empty (or proves them
@@ -864,40 +864,39 @@ def _entries(indptr, major):
             + np.arange(count.sum()), offset)
 
 
-def _masked_product(pattern, pmap, rows, cols):
-    """The pattern and product map (_normal_product_map) of A[rows][:, cols],
-    masked from A's: the pairs that a kept column makes on two kept rows,
-    and each kept row's diagonal.  rows and cols are increasing, so every
-    slot keeps its place in the sorted order and every column its pairs in
-    theirs, and the map is the one _normal_product_map makes of the
-    restriction, entry for entry.  Only the kept columns' entries are read,
-    so a small cut of a large matrix costs little more than its own size.
-    (Indices are gathered with take and intp arrays, which NumPy serves
-    faster than int32 fancy indexing.)"""
+def _masked_product(indptr, indices, pmap, rows, cols):
+    """The pattern (indptr, indices) and product map (_normal_product_map)
+    of A[rows][:, cols], masked from A's pattern arrays, `indptr` and
+    `indices` (a band plan's), and its map: the pairs that a kept column
+    makes on two kept rows, and each kept row's diagonal.  rows and cols
+    are increasing, so every slot keeps its place in the sorted order and
+    every column its pairs in theirs, and the result is the one
+    _normal_product_map makes of the restriction, entry for entry.  Only
+    the kept columns' entries are read, so a small cut of a large matrix
+    costs little more than its own size.  (Indices are gathered with take
+    and intp arrays, which NumPy serves faster than int32 fancy
+    indexing.)"""
     entry, offset = _entries(pmap.indptr, cols)
-    read = entry.shape[0]
+    read, m, nnz = entry.shape[0], indptr.shape[0] - 1, indices.shape[0]
     slot = pmap.indices.take(entry)
-    slot_col = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
-    new_row = _renumber(rows, pattern.shape[0])
+    slot_col = np.repeat(np.arange(m), np.diff(indptr))
+    new_row = _renumber(rows, m)
     inside = np.flatnonzero(
-        (new_row.take(pattern.indices.take(slot)) >= 0)
+        (new_row.take(indices.take(slot)) >= 0)
         & (new_row.take(slot_col.take(slot)) >= 0))
     entry, slot = entry.take(inside), slot.take(inside).astype(np.intp)
-    live = np.zeros(pattern.nnz, dtype=bool)
+    live = np.zeros(nnz, dtype=bool)
     live[slot] = True
-    live[np.flatnonzero(pattern.indices == slot_col).take(rows)] = True
+    live[np.flatnonzero(indices == slot_col).take(rows)] = True
     live = np.flatnonzero(live)
-    new_slot = np.empty(pattern.nnz, dtype=np.intp)
+    new_slot = np.empty(nnz, dtype=np.intp)
     new_slot[live] = np.arange(live.shape[0])
     # kept slots and entries lie in kept columns, so the ones before a
     # kept column's first are those of the kept columns before it
-    idx = pattern.indices.dtype
-    return (sp.csc_matrix(
-                (np.zeros(live.shape[0]),
-                 new_row.take(pattern.indices.take(live)).astype(idx),
-                 np.searchsorted(live, np.append(pattern.indptr.take(rows),
-                                                 pattern.nnz)).astype(idx)),
-                shape=(rows.shape[0], rows.shape[0])),
+    idx = indices.dtype
+    return (np.searchsorted(live, np.append(indptr.take(rows),
+                                            nnz)).astype(idx),
+            new_row.take(indices.take(live)).astype(idx),
             sp.csc_matrix(
                 (pmap.data.take(entry), new_slot.take(slot).astype(idx),
                  np.searchsorted(inside, np.append(offset, read)).astype(idx)),
@@ -905,8 +904,7 @@ def _masked_product(pattern, pmap, rows, cols):
 
 
 class _Analysis:
-    """The work on one constraint matrix A that A alone decides, and, for a
-    restriction `restrict` made, what it was cut from.
+    """The work on one constraint matrix A that A alone decides.
 
     A carries it (_analyse), and A is read-only: a program's A is, and
     _Standard's own matrices are private to one solve.  Holds A' and A's
@@ -917,51 +915,30 @@ class _Analysis:
     map and the factor of the least-norm start point's A A' + 1e-8 I, or
     the assembled KKT matrix (A's data off the diagonal) with the
     positions of its diagonal; SuperLU orders that matrix at each
-    factorization.  Everything here follows from A (and what it was cut
-    from) alone and is only read by the solves.
+    factorization.  Everything here follows from A alone and is only read
+    by the solves.
 
-    The normal equations of a restriction A[rows][:, cols], whose `_cut`
-    is (the parent's A, rows, cols), are cut from the analysis the
-    parent's A carries: the pattern and product map are masked from the
-    parent's (_masked_product), and the band plan takes the parent's order
-    and border rows, those that are kept, so its band is never wider than
-    the parent's.  Only the start point's factor is computed.  Every
-    restriction is cut so, whichever rows and columns it keeps (a
-    head-only control window, whose head SoC is on one row, included).
+    `normal` is the (plan, pmap) that `normal()` returns, when it is made
+    with A: `restrict` gives a cut its plan and map, cut from its
+    parent's.  Without it, `normal()` builds them from A itself.
     """
 
-    def __init__(self, a, cut=None):
-        self._cut = cut
+    def __init__(self, a, normal=None):
         self.at = a.T.tocsr()
         n = a.shape[1]
         self.split = sp.csr_matrix(
             (a.data, np.where(a.data > 0.0, a.indices, a.indices + n),
              a.indptr), shape=(a.shape[0], 2 * n))
-        self._normal = None
-        self._product = None  # (pattern, map) of A D A', for a cut of A
+        self._normal = normal
         self._start = None
         self._kkt = None
 
     def normal(self):
         """(plan, pmap): the band plan of A D A' and the map from D to its
-        data.  A cut's pattern and map are masked from the parent's, and its
-        plan inherits the parent's band order and border, those rows that
-        are kept."""
+        data, made on first use unless A came with them."""
         if self._normal is None:
-            inherit = None
-            if self._cut:
-                parent_a, rows, cols = self._cut
-                parent = _analyse(parent_a)
-                plan = parent.normal()[0]
-                self._product = _masked_product(*parent._product, rows, cols)
-                order = _renumber(rows, parent.at.shape[1]).take(plan.order)
-                inherit = (order[order >= 0],
-                           int(np.count_nonzero(order[:plan.nb] >= 0)))
-            else:
-                self._product = _normal_product_map(self.at, self.at.shape[1])
-            pattern, pmap = self._product
-            self._normal = (_BandPlan(pattern.indptr, pattern.indices,
-                                      inherit), pmap)
+            pattern, pmap = _normal_product_map(self.at, self.at.shape[1])
+            self._normal = (_BandPlan(pattern.indptr, pattern.indices), pmap)
         return self._normal
 
     def start(self):
@@ -1008,45 +985,49 @@ def _analyse(a):
     return a._analysis
 
 
-def _restricted(a, rows, cols):
-    """A[rows][:, cols] of the CSR matrix a, for increasing rows and cols:
-    each kept row's entries in kept columns, in their stored order (what
-    a[rows][:, cols] gives, in one pass)."""
-    entry, offset = _entries(a.indptr, rows)
-    col = _renumber(cols, a.shape[1]).take(a.indices.take(entry))
-    keep = np.flatnonzero(col >= 0)
-    idx = a.indices.dtype
-    return sp.csr_matrix(
-        (a.data.take(entry.take(keep)), col.take(keep).astype(idx),
-         np.searchsorted(keep, np.append(offset, entry.shape[0])).astype(idx)),
-        shape=(rows.shape[0], cols.shape[0]))
+def restrict(a, rows, cols):
+    """A[rows][:, cols] of a program's read-only CSR matrix `a`, for rows
+    and cols each an increasing array of integer indices: each kept row's
+    entries in kept columns, in their stored order, made in one pass and
+    read-only, so a program takes it as it is.
 
-
-def restrict(problem, rows, cols):
-    """The program `problem` on its rows `rows` and variables `cols`, each an
-    increasing array of integer indices: A[rows][:, cols] and the entries
-    of every vector there.
-
-    The restriction's A carries its own analysis, cut from the one the
-    parent's A carries when a solve first needs it (see _Analysis): its
-    normal matrix keeps the parent's band order and border, whichever rows
-    and columns are kept, so every solve of a program on that A cuts
-    instead of analysing afresh.
-    A solve whose presolve pins a variable or drops a row solves another
+    The cut carries an analysis made here from the one `a` carries (see
+    _Analysis): its normal pattern and product map are masked from the
+    parent plan's (_masked_product), and its band plan keeps the parent's
+    order and border rows, those that are kept, so its band is never
+    wider than the parent's and only the start point's factor is left to
+    compute.  Every cut is made so, whichever rows and columns it keeps (a
+    head-only control window, whose head SoC is on one row, included).  A
+    solve whose presolve pins a variable or drops a row solves another
     matrix, private to it and analysed in it.
     """
+    if not (sp.issparse(a) and _read_only(a)):
+        raise NumericsError("restrict takes a program's read-only matrix")
     rows, cols = _indices(rows, "rows"), _indices(cols, "cols")
-    for idx, size, name in ((rows, problem.rhs.shape[0], "rows"),
-                            (cols, problem.c.shape[0], "cols")):
+    for idx, size, name in ((rows, a.shape[0], "rows"),
+                            (cols, a.shape[1], "cols")):
         if idx.ndim != 1 or np.any(np.diff(idx) <= 0) \
                 or (idx.size and (idx[0] < 0 or idx[-1] >= size)):
             raise NumericsError(f"{name} must be increasing indices below"
                                 f" {size}")
-    cut = ConvexQuadraticProgram(
-        problem.c[cols], problem.q_diag[cols],
-        _restricted(problem.a, rows, cols), problem.rhs[rows],
-        problem.lb[cols], problem.ub[cols])
-    cut.a._analysis = _Analysis(cut.a, (problem.a, rows, cols))
+    entry, offset = _entries(a.indptr, rows)
+    col = _renumber(cols, a.shape[1]).take(a.indices.take(entry))
+    keep = np.flatnonzero(col >= 0)
+    idx = a.indices.dtype
+    cut = sp.csr_matrix(
+        (a.data.take(entry.take(keep)), col.take(keep).astype(idx),
+         np.searchsorted(keep, np.append(offset, entry.shape[0])).astype(idx)),
+        shape=(rows.shape[0], cols.shape[0]))
+    for part in (cut.data, cut.indices, cut.indptr):
+        part.setflags(write=False)
+    plan, pmap = _analyse(a).normal()
+    indptr, indices, pmap = _masked_product(plan.indptr, plan.indices, pmap,
+                                            rows, cols)
+    order = _renumber(rows, a.shape[0]).take(plan.order)
+    inherit = (order[order >= 0],
+               int(np.count_nonzero(order[:plan.nb] >= 0)))
+    cut._analysis = _Analysis(cut, (_BandPlan(indptr, indices, inherit),
+                                    pmap))
     return cut
 
 

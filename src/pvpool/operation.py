@@ -29,28 +29,26 @@ tail expectation held fixed, as the QP's own tracking rows state it
 MPC), or from zero for the greedy rule.  The battery's state of charge
 carries over from what really happened, not from the plan.
 
-The control QP's layout is stated once, in `_tree`, whose views every
-step fills and reads by position.  Its matrix (every row an equality) is
-built once, for the horizon's full window (`_control_pattern`: the
-horizon's full window is kept, so the steps of a year, and of every later
-year in the process, share one; shorter windows are cut at their step; the
-matrix is read-only, as every program's is, so every step's QP takes it as
-it is, and it holds its analysis, which every step's solve shares), and
-one fill, `_control_qp`, writes every step's costs, bounds and right-hand
-sides, so the objective is stated once, there.  `run_year` cuts the
-horizon to the run, so no window is laid out longer than the run.  One
+The control QP's layout is stated once, in `_tree`, whose views every step
+fills and reads by position.  Its matrix (every row an equality) is what
+the steps keep: `_control_pattern` builds it once, for the horizon's full
+window, and keeps it, so the steps of a year, and of every later year in
+the process, share one matrix and the analysis it holds.  The matrix is
+read-only, as every program's is, so every step's QP takes it as it is,
+and one fill, `_control_qp`, writes every step's costs, bounds and
+right-hand sides, so the objective is stated once, there.  `run_year` cuts
+the horizon to the run, so no window is laid out longer than the run.  One
 period map (`_period_map`, kept per shape and read-only) cuts each shorter
-window at the end of a run from the full one, by `numerics.restrict`, so
-that each such window's solve, the head-only one's included, cuts its
-analysis from the full window's, in the full window's band order,
-instead of analysing its matrix afresh (the cut's matrix carries that
-analysis), and shifts each step's start: every step after the first
-restarts its solve from the previous solve's well-centred primal-dual
-iterate (`SolveReport.restart`, near its rows as well as near the central
-path: a small gap alone, which an unmoved warm start already has, does
-not qualify), moved one period (`_shifted_start`); the solve pushes its x
-inside the box and shifts its bound multipliers by 0.5 s'z / sum(s)
-there, so the start stays near the central path.  `run_year` hands
+window's matrix at the end of a run from the full one, by
+`numerics.restrict`, which cuts its analysis from the full window's in the
+same call, in the full window's band order, so no window, the head-only
+one included, is analysed afresh, and shifts each step's start: every step
+after the first restarts its solve from the previous solve's well-centred
+primal-dual iterate (`SolveReport.restart`, near its rows as well as near
+the central path: a small gap alone, which an unmoved warm start already
+has, does not qualify), moved one period (`_shifted_start`); the solve
+pushes its x inside the box and shifts its bound multipliers by 0.5 s'z /
+sum(s) there, so the start stays near the central path.  `run_year` hands
 each `ControlDecision.plan` to the next `mpc_step`, and nothing else is
 kept between steps.  A warm-started solve that ends other than optimal is
 solved once more cold, `run_year` counts those retries
@@ -277,7 +275,7 @@ def _period_map(size, fields, per, old_tail, tail, scenarios, first=0):
 
 @lru_cache(maxsize=8)
 def _control_pattern(n, tail, probabilities, eta, tracked):
-    """The control QP of the horizon's full window, without its data.
+    """The constraint matrix of the horizon's full control window.
 
     The shape is all that enters the matrix: n, the tail length, the
     scenario probabilities (a tuple), the one-way efficiency eta and
@@ -287,11 +285,11 @@ def _control_pattern(n, tail, probabilities, eta, tracked):
     (`storage.recursion_rows`, a tail's from the head's SoC variable);
     when tracked, one tracking row per consumer follows.  Only the full
     window is kept; a shorter one, as at the end of a run, is cut from it
-    at its step (`_control_qp`).  Returns a QP whose vectors are
-    placeholders; its matrix is read-only, as every program's is, so each
-    step's QP takes it without a copy, and it holds its analysis
-    (`numerics._analyse`), made at the first step's solve and shared by
-    every later one, and by every later run's, while the pattern is kept.
+    at its step (`_control_qp`).  Returns the window's matrix, read-only
+    as every program's is, so each step's QP takes it without a copy; it
+    holds its analysis (`numerics._analyse`), made at the first step's
+    solve (or first cut) and shared by every later one, and by every later
+    run's, while the pattern is kept.
     """
     per, w = n if tracked else 1, len(probabilities) if tail else 0
     pb = ProblemBuilder()
@@ -310,26 +308,26 @@ def _control_pattern(n, tail, probabilities, eta, tracked):
             [deliver, served, blocks.transpose(2, 0, 1).reshape(n, -1)]),
             np.concatenate([[1.0, -1.0], np.repeat(-np.array(probabilities),
                                                    tail)]), 0.0)
-    return pb.qp()
+    return pb.qp().a
 
 
 def _control_qp(state, window, spec, config, beta_es_use):
     """The control QP of `mpc_step`.
 
-    The one fill of the horizon's kept pattern (`_control_pattern`), or of
+    The one fill of the horizon's kept matrix (`_control_pattern`), or of
     a shorter window's cut from it (`_period_map`, by `numerics.restrict`,
-    so that its solves cut their analysis from the full window's: a tail's
-    rows and variables reach only the periods before them and the head),
-    written through `_tree`'s views: the head and, at their probabilities,
-    the W tails cost their variables and bound them by the battery's caps
-    and their loads, and set their balance rows to their generation; the
-    head's recursion starts from the state's SoC, and theta prices the
-    tracking variables.  Served energy costs minus the grid price: the
-    grid bill, price x (load - served), less the constant price x load, so
-    the objective omits sum over branch periods of probability x price x
-    load.  At theta = 0 the QP is the dispatch program.  Returns a new QP
-    on the pattern's read-only matrix, which shares no other array with
-    the pattern.
+    which cuts its analysis from the full window's with it: a tail's rows
+    and variables reach only the periods before them and the head), whose
+    shape gives every vector's length.  Written through `_tree`'s views:
+    the head and, at their probabilities, the W tails cost their
+    variables and bound them by the battery's caps and their loads, and
+    set their balance rows to their generation; the head's recursion
+    starts from the state's SoC, and theta prices the tracking variables.
+    Served energy costs minus the grid price: the grid bill, price x
+    (load - served), less the constant price x load, so the objective
+    omits sum over branch periods of probability x price x load.  At
+    theta = 0 the QP is the dispatch program.  Returns a new QP on that
+    read-only matrix, whose vectors are its own.
     """
     n = window.head_loads.shape[0]
     theta = config.theta
@@ -337,20 +335,18 @@ def _control_qp(state, window, spec, config, beta_es_use):
     prob = window.probabilities[:, None]
     per, tail, w = n if tracked else 1, window.tail_periods, len(prob)
     longest = config.prediction_periods - 1
-    pattern = _control_pattern(n, longest,
-                               tuple(window.probabilities.tolist()),
-                               spec.efficiency, tracked)
+    a = _control_pattern(n, longest, tuple(window.probabilities.tolist()),
+                         spec.efficiency, tracked)
     if tail < longest:
-        pattern = restrict(
-            pattern, _period_map(pattern.rhs.shape[0], 2, 0, longest, tail, w),
-            _period_map(pattern.c.shape[0], 4, per, longest, tail, w))
+        a = restrict(a, _period_map(a.shape[0], 2, 0, longest, tail, w),
+                     _period_map(a.shape[1], 4, per, longest, tail, w))
     cap_p = spec.power_cap_kw * window.delta_hours
     cap_e = spec.energy_cap_kwh
     export_net = window.export_tax - window.export_price
 
-    cost, qdiag, lb = (np.zeros(pattern.c.shape[0]) for _ in range(3))
-    ub = np.full(pattern.c.shape[0], np.inf)
-    rhs = np.zeros(pattern.rhs.shape[0])
+    cost, qdiag, lb = (np.zeros(a.shape[1]) for _ in range(3))
+    ub = np.full(a.shape[1], np.inf)
+    rhs = np.zeros(a.shape[0])
     cost_head, cost_served, cost_tails, cost_serveds, cost_track = _tree(
         cost, 4, per, tail, w)
     ub_head, ub_served, ub_tails, ub_serveds, _ = _tree(ub, 4, per, tail, w)
@@ -380,7 +376,7 @@ def _control_qp(state, window, spec, config, beta_es_use):
         _tree(qdiag, 4, per, tail, w)[-1][:] = 2.0 * theta
         cost_track[:] = 2.0 * theta * (state.e_past + state.e_future
                                        - state.promise)
-    return ConvexQuadraticProgram(cost, qdiag, pattern.a, rhs, lb, ub)
+    return ConvexQuadraticProgram(cost, qdiag, a, rhs, lb, ub)
 
 
 def _shifted_start(previous, window, tracked):

@@ -33,6 +33,7 @@ from pvpool.io import (
     write_realized_csv,
     write_solar_csv,
 )
+from pvpool.operation import OperationError
 from pvpool.sizing import SizingError, solve_sizing
 
 
@@ -867,6 +868,30 @@ def test_sweep_sizes_every_capacity_at_8_consumers(tmp_path):
         ["sweep", "--config", str(out / "config.json")])
     assert args.handler(args) == 0
     assert (out / "sweep_capacity.csv").exists()
+
+
+@pytest.mark.xfail(strict=True, raises=OperationError,
+                   reason="ROADMAP item 2: a cold control solve at a"
+                   " one-period horizon ends iteration_limit")
+def test_one_period_horizon_simulates_at_8_consumers(tmp_path):
+    # CI's horizon data set, gen --consumers 8 --days 2 --scenarios 3
+    # (seed 0), with the horizon {"prediction_periods": 1, "theta": 1}:
+    # today simulate's proposed run raises "period 16: control solve
+    # started cold ended iteration_limit after 51 iterations".  The
+    # handlers run without cli_main, so the error is raised, not printed.
+    # A fix writes the report
+    out = tmp_path / "eight"
+    assert cli_main(["gen", "--seed", "0", "--out", str(out), "--consumers",
+                     "8", "--days", "2", "--scenarios", "3"]) == 0
+    path = out / "config.json"
+    config = json.loads(path.read_text())
+    config["horizon"] = {"prediction_periods": 1, "theta": 1.0}
+    path.write_text(json.dumps(config, indent=2))
+    for command in (["size"], ["simulate", "--algorithm", "proposed"]):
+        args = cli._build_parser().parse_args(
+            [*command, "--config", str(path)])
+        assert args.handler(args) == 0
+    assert (out / "report_proposed.json").exists()
 
 
 def test_plan_json_roundtrip_bit_exact(tmp_path):

@@ -433,22 +433,35 @@ def _random_restriction(rng):
     return sp.csr_matrix(dense), rows, cols
 
 
+def _program_matrix(a):
+    """a as a program keeps it: a read-only copy without stored zeros."""
+    return ConvexQuadraticProgram(np.zeros(a.shape[1]), 0.0, a,
+                                  np.zeros(a.shape[0]), None, None).a
+
+
 def test_masked_product_is_the_restrictions_product_map():
-    # the pattern and map masked from A's are what _normal_product_map
-    # builds for A[rows][:, cols], entry for entry, so the data of the
-    # cut's normal matrix is summed as a fresh analysis sums it
+    # the pattern and map masked from A's plan and map are what
+    # _normal_product_map builds for A[rows][:, cols], entry for entry, so
+    # the data of the cut's normal matrix is summed as a fresh analysis
+    # sums it; the cut that restrict makes carries that pattern and map
     rng = np.random.default_rng(31)
     for _ in range(200):
         a, rows, cols = _random_restriction(rng)
         cut = a[rows][:, cols]
-        want = numerics._normal_product_map(cut.T.tocsr(), rows.shape[0])
-        analysis = numerics._Analysis(a)
-        analysis.normal()
-        got = numerics._masked_product(*analysis._product, rows, cols)
-        for mat, ref in zip(got, want):
-            assert mat.shape == ref.shape
+        pattern, want = numerics._normal_product_map(cut.T.tocsr(),
+                                                     rows.shape[0])
+        plan, pmap = numerics._Analysis(a).normal()
+        kept = numerics._analyse(
+            numerics.restrict(_program_matrix(a), rows, cols)).normal()
+        for indptr, indices, got in (
+                numerics._masked_product(plan.indptr, plan.indices, pmap,
+                                         rows, cols),
+                (kept[0].indptr, kept[0].indices, kept[1])):
+            assert np.array_equal(indptr, pattern.indptr)
+            assert np.array_equal(indices, pattern.indices)
+            assert got.shape == want.shape
             for part in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(mat, part), getattr(ref, part))
+                assert np.array_equal(getattr(got, part), getattr(want, part))
 
 
 def test_restrict_keeps_the_rows_and_columns_it_is_given():
@@ -456,29 +469,31 @@ def test_restrict_keeps_the_rows_and_columns_it_is_given():
     for _ in range(100):
         a, rows, cols = _random_restriction(rng)
         m, n = a.shape
-        problem = ConvexQuadraticProgram(
-            rng.normal(size=n), rng.uniform(0.0, 1.0, n), a,
-            rng.normal(size=m), -rng.uniform(0.0, 1.0, n),
-            rng.uniform(0.0, 1.0, n))
-        cut = numerics.restrict(problem, rows, cols)
+        parent = _program_matrix(a)
+        cut = numerics.restrict(parent, rows, cols)
         want = a[rows][:, cols]
-        assert cut.a.shape == want.shape
+        assert cut.shape == want.shape
         for part in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(cut.a, part), getattr(want, part))
-        for name, idx in (("c", cols), ("q_diag", cols), ("lb", cols),
-                          ("ub", cols), ("rhs", rows)):
-            assert np.array_equal(getattr(cut, name),
-                                  getattr(problem, name)[idx])
-        # a program made on the cut's matrix keeps that very matrix, and
-        # with it the analysis cut from the parent's
-        again = ConvexQuadraticProgram(cut.c, cut.q_diag, cut.a, cut.rhs,
-                                       cut.lb, cut.ub)
-        assert again.a is cut.a
-        assert numerics._analyse(again.a) is numerics._analyse(cut.a)
-        assert numerics._analyse(cut.a)._cut
-    for rows, cols in (([1, 0], [0]), ([0], [0, 0]), ([0], [n])):
-        with pytest.raises(NumericsError):
-            numerics.restrict(problem, rows, cols)
+            assert np.array_equal(getattr(cut, part), getattr(want, part))
+            assert not getattr(cut, part).flags.writeable
+        # a program made on the cut keeps that very matrix, and with it
+        # the analysis cut from the parent's, in the parent's band order
+        again = ConvexQuadraticProgram(
+            rng.normal(size=cols.shape[0]), 1.0, cut,
+            rng.normal(size=rows.shape[0]), -1.0, 1.0)
+        assert again.a is cut
+        assert numerics._analyse(again.a) is numerics._analyse(cut)
+        order = numerics._renumber(rows, m).take(
+            numerics._analyse(parent).normal()[0].order)
+        assert np.array_equal(numerics._analyse(cut).normal()[0].order,
+                              order[order >= 0])
+    for rows, cols in (([1, 0], [0]), ([0], [0, 0]), ([0], [n]),
+                       ([-1], [0])):
+        with pytest.raises(NumericsError, match="increasing indices"):
+            numerics.restrict(parent, rows, cols)
+    # only a program's matrix carries an analysis that cannot go stale
+    with pytest.raises(NumericsError, match="read-only matrix"):
+        numerics.restrict(a, [0], [0])
 
 
 def test_index_arrays_must_be_integers():
@@ -493,8 +508,8 @@ def test_index_arrays_must_be_integers():
                              ([False, True], [0, 1], "rows"),
                              ([0], np.array([True, False, True]), "cols")):
         with pytest.raises(NumericsError, match=f"{name} must be integers"):
-            numerics.restrict(problem, rows, cols)
-    assert numerics.restrict(problem, [], [0, 2]).a.shape == (0, 2)
+            numerics.restrict(problem.a, rows, cols)
+    assert numerics.restrict(problem.a, [], [0, 2]).shape == (0, 2)
     pb = ProblemBuilder()
     pb.add_vars(2)
     for indices in ([0.6, 1.2], [True, True]):
@@ -509,16 +524,18 @@ def test_index_arrays_must_be_integers():
 
 def test_a_restriction_is_never_found_under_its_plain_twin():
     # the same entries, once as a restriction and once plain, are two
-    # analyses: a cut in the parent's band order, and a fresh one
+    # analyses: a cut, made with its normal plan in the parent's band
+    # order, and a fresh one, which has to make its own
     a = sp.csr_matrix(np.array([[1.0, 2.0, 0.0, 1.0], [0.0, 1.0, 3.0, 0.0],
                                 [2.0, 0.0, 1.0, 1.0]]))
     problem = ConvexQuadraticProgram(np.ones(4), 1.0, a, np.ones(3), 0.0,
                                      1.0)
-    cut = numerics.restrict(problem, [0, 2], [0, 1, 3])
-    kept = numerics._analyse(cut.a)
-    plain = numerics._analyse(sp.csr_matrix(cut.a))
-    assert kept is not plain and kept._cut and not plain._cut
-    assert numerics._analyse(cut.a) is kept
+    cut = numerics.restrict(problem.a, [0, 2], [0, 1, 3])
+    kept = numerics._analyse(cut)
+    plain = numerics._analyse(sp.csr_matrix(cut))
+    assert kept is not plain
+    assert kept._normal is not None and plain._normal is None
+    assert numerics._analyse(cut) is kept
 
 
 @pytest.mark.parametrize("system", ["kkt", "normal"])

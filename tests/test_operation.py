@@ -666,11 +666,12 @@ def _report_bytes(rep):
 
 
 def test_a_cut_solve_repeats_whatever_analyses_are_kept(monkeypatch):
-    # a cut window's solve reports the same bytes with nothing analysed
+    # a cut window's solve reports the same bytes with nothing solved
     # before it, with its own analysis on its matrix, and on the cut made
-    # again from a pattern built afresh, whose full window was analysed
+    # again from a pattern built afresh, whose full window was solved
     # first.  Each cut's analysis is cut from its parent's, never built
-    # afresh
+    # afresh: the two full windows are the only matrices whose normal
+    # product map is built
     step = list(_end_windows(4, 0.6))[27]  # a 20-period tail, cut from 47
     built, _ = _counting(monkeypatch)
     operation._control_pattern.cache_clear()
@@ -684,23 +685,25 @@ def test_a_cut_solve_repeats_whatever_analyses_are_kept(monkeypatch):
     reports += [solve_qp(again, tol=1e-6), solve_qp(again, tol=1e-6)]
     assert reports[0].status == "optimal"
     assert len({_report_bytes(rep) for rep in reports}) == 1
-    assert qp.a.shape not in built
-    assert numerics._analyse(again.a)._cut[0] is full.a
-    assert numerics._analyse(qp.a)._cut[0] is not full.a
+    assert built == [full.a.shape] * 2
 
 
-def test_a_changed_cut_matrix_is_analysed_afresh():
-    # a cut matrix is read-only, and a copy of it carries no analysis: a
-    # QP on a writable copy that a caller rewrote takes it as a plain
-    # read-only copy, whose analysis is its own, and solves as the same QP
-    # on a plain matrix
+def test_a_changed_cut_matrix_is_analysed_afresh(monkeypatch):
+    # a cut matrix is read-only and comes with its analysis, and a copy of
+    # it carries none: its normal plan and map are made afresh.  A QP on a
+    # writable copy that a caller rewrote takes it as a plain read-only
+    # copy, whose analysis is its own, and solves as the same QP on a
+    # plain matrix
     cut = _control_qp(*list(_end_windows(2, 0.6))[10], 1e-4)
-    assert not numerics._analyse(cut.a.copy())._cut
+    built, orderings = _counting(monkeypatch)
+    assert numerics._analyse(cut.a).normal() \
+        is not numerics._analyse(cut.a.copy()).normal()
+    assert built == [cut.a.shape] and len(orderings) == 1
     changed = cut.a.copy()
     changed.data[0] *= 1.5
     qp = replace(cut, a=changed)
     assert qp.a is not changed and not qp.a.data.flags.writeable
-    assert not numerics._analyse(qp.a)._cut
+    assert getattr(qp.a, "_analysis", None) is None
     plain = solve_qp(replace(qp, a=sp.csr_matrix(qp.a)), tol=1e-6)
     assert _report_bytes(solve_qp(qp, tol=1e-6)) == _report_bytes(plain)
 

@@ -517,6 +517,20 @@ def test_master_rounds_converge_at_seed_1013():
 
 
 @pytest.mark.xfail(strict=True, raises=SizingError,
+                   reason="ROADMAP item 8(a): the master's stopping test is"
+                   " relative to a total whose first-stage and recourse"
+                   " terms nearly cancel")
+def test_master_rounds_converge_at_seed_31_over_two_days():
+    # the CI-sized shape, 15 consumers, two days, three scenarios: today
+    # "no convergence after 200 master rounds (PV inverter 3, storage
+    # inverter 3, PV tier 1, subsidy branch 1 ...)".  A fix chooses
+    # capacities
+    bundle, catalog = _baseline_bundle(31, 15, 2, 3)
+    res = solve_sizing(bundle, catalog)
+    assert res.decision.pv_capacity_kw >= 0.0
+
+
+@pytest.mark.xfail(strict=True, raises=SizingError,
                    reason="ROADMAP item 8(b): a master LP ends"
                    " iteration_limit with its residuals near 1e-9")
 def test_master_lp_converges_at_seed_7():
