@@ -1083,9 +1083,12 @@ def _ipm_loop(std, tol, max_iter, guess):
     # starting point: the guess's x where it says something (a warm start),
     # the box midpoint elsewhere (every variable of a cold start); then
     # push that least-squares-ish point strictly inside the box
-    x = np.where(has_lb, np.where(has_ub, 0.5 * (lb + ub), lb + 1.0),
-                 np.where(has_ub, ub - 1.0, 0.0))
-    x = np.where(np.isnan(guess[0]), x, guess[0])
+    x = guess[0]
+    blank = np.isnan(x)
+    if blank.any():
+        x = np.where(blank, np.where(has_lb, np.where(has_ub, 0.5 * (lb + ub),
+                                                      lb + 1.0),
+                                     np.where(has_ub, ub - 1.0, 0.0)), x)
     kkt = None
 
     def kkt_factor(dtil, delta):  # assembled when the path first needs it
@@ -1131,8 +1134,10 @@ def _ipm_loop(std, tol, max_iter, guess):
         sl, su = (x - lb)[has_lb], (ub - x)[has_ub]
         shift = 0.5 * float(sl @ zl[has_lb] + su @ zu[has_ub]) \
             / float(sl.sum() + su.sum())
-        zl[has_lb] += shift
-        zu[has_ub] += shift
+        zl += shift
+        zl[no_lb] = 0.0
+        zu += shift
+        zu[no_ub] = 0.0
 
     best = None
     restart = None
