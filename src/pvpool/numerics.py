@@ -421,10 +421,13 @@ class _Standard:
         # tolerance on a later pass would fabricate an infeasibility
         settled = np.zeros(m, dtype=bool)
         while m and a.nnz:
-            # a pinned variable's terms read 0 and its value moves to b
-            free_lb = np.where(fixed, 0.0, lb)
-            free_ub = np.where(fixed, 0.0, ub)
-            b_eff = self.b - a @ vals
+            # a pinned variable's terms read 0 and its value moves to b;
+            # with nothing pinned these are lb, ub and b exactly
+            free_lb, free_ub, b_eff = lb, ub, self.b
+            if np.any(fixed):
+                free_lb = np.where(fixed, 0.0, lb)
+                free_ub = np.where(fixed, 0.0, ub)
+                b_eff = self.b - a @ vals
             # a row with infinite terms of both signs sums to NaN, which,
             # as an infinite bound would, fails every test below
             max_act = analysis.split @ np.concatenate([free_ub, free_lb])
