@@ -849,14 +849,6 @@ class _NormalEquations(_SymmetricFactor):
         return out
 
 
-def _renumber(kept, size):
-    """The new index of each of `size` indices when only the increasing
-    indices `kept` are kept, and -1 for the others."""
-    new = np.full(size, -1, dtype=np.intp)
-    new[kept] = np.arange(kept.shape[0])
-    return new
-
-
 def _entries(indptr, major):
     """The storage positions of the entries of the increasing rows (CSR) or
     columns (CSC) `major`, in order, and where each one's entries start
@@ -865,45 +857,6 @@ def _entries(indptr, major):
     offset = np.cumsum(count) - count
     return (np.repeat(indptr.take(major) - offset, count)
             + np.arange(count.sum()), offset)
-
-
-def _masked_product(indptr, indices, pmap, rows, cols):
-    """The pattern (indptr, indices) and product map (_normal_product_map)
-    of A[rows][:, cols], masked from A's pattern arrays, `indptr` and
-    `indices` (a band plan's), and its map: the pairs that a kept column
-    makes on two kept rows, and each kept row's diagonal.  rows and cols
-    are increasing, so every slot keeps its place in the sorted order and
-    every column its pairs in theirs, and the result is the one
-    _normal_product_map makes of the restriction, entry for entry.  Only
-    the kept columns' entries are read, so a small cut of a large matrix
-    costs little more than its own size.  (Indices are gathered with take
-    and intp arrays, which NumPy serves faster than int32 fancy
-    indexing.)"""
-    entry, offset = _entries(pmap.indptr, cols)
-    read, m, nnz = entry.shape[0], indptr.shape[0] - 1, indices.shape[0]
-    slot = pmap.indices.take(entry)
-    slot_col = np.repeat(np.arange(m), np.diff(indptr))
-    new_row = _renumber(rows, m)
-    inside = np.flatnonzero(
-        (new_row.take(indices.take(slot)) >= 0)
-        & (new_row.take(slot_col.take(slot)) >= 0))
-    entry, slot = entry.take(inside), slot.take(inside).astype(np.intp)
-    live = np.zeros(nnz, dtype=bool)
-    live[slot] = True
-    live[np.flatnonzero(indices == slot_col).take(rows)] = True
-    live = np.flatnonzero(live)
-    new_slot = np.empty(nnz, dtype=np.intp)
-    new_slot[live] = np.arange(live.shape[0])
-    # kept slots and entries lie in kept columns, so the ones before a
-    # kept column's first are those of the kept columns before it
-    idx = indices.dtype
-    return (np.searchsorted(live, np.append(indptr.take(rows),
-                                            nnz)).astype(idx),
-            new_row.take(indices.take(live)).astype(idx),
-            sp.csc_matrix(
-                (pmap.data.take(entry), new_slot.take(slot).astype(idx),
-                 np.searchsorted(inside, np.append(offset, read)).astype(idx)),
-                shape=(live.shape[0], cols.shape[0])))
 
 
 class _Analysis:
@@ -926,8 +879,8 @@ class _Analysis:
     parent's.  Without it, `normal()` builds them from A itself.
     """
 
-    def __init__(self, a, normal=None):
-        self.at = a.T.tocsr()
+    def __init__(self, a, normal=None, at=None):
+        self.at = a.T.tocsr() if at is None else at
         n = a.shape[1]
         self.split = sp.csr_matrix(
             (a.data, np.where(a.data > 0.0, a.indices, a.indices + n),
@@ -988,49 +941,72 @@ def _analyse(a):
     return a._analysis
 
 
-def restrict(a, rows, cols):
-    """A[rows][:, cols] of a program's read-only CSR matrix `a`, for rows
-    and cols each an increasing array of integer indices: each kept row's
-    entries in kept columns, in their stored order, made in one pass and
-    read-only, so a program takes it as it is.
+def _leading(indptr, major, keep):
+    """The first `major` rows (CSR) or columns (CSC) of a compressed matrix
+    of `indptr`, each with its entries that the mask `keep`, over their
+    indptr[major] entries, marks, in their stored order: the new indptr
+    and the kept entries' positions."""
+    count = np.zeros(keep.shape[0] + 1, dtype=indptr.dtype)
+    np.cumsum(keep, out=count[1:])
+    return count.take(indptr[:major + 1]), np.flatnonzero(keep)
 
-    The cut carries an analysis made here from the one `a` carries (see
-    _Analysis): its normal pattern and product map are masked from the
-    parent plan's (_masked_product), and its band plan keeps the parent's
-    order and border rows, those that are kept, so its band is never
-    wider than the parent's and only the start point's factor is left to
-    compute.  Every cut is made so, whichever rows and columns it keeps (a
-    head-only control window, whose head SoC is on one row, included).  A
-    solve whose presolve pins a variable or drops a row solves another
-    matrix, private to it and analysed in it.
+
+def _block(mat, major, minor):
+    """The leading block of the compressed matrix `mat`: its first `major`
+    rows (CSR) or columns (CSC), each with its entries at indices below
+    `minor`."""
+    indptr, kept = _leading(mat.indptr, major,
+                            mat.indices[:mat.indptr[major]] < minor)
+    shape = (major, minor) if mat.format == "csr" else (minor, major)
+    return type(mat)((mat.data.take(kept), mat.indices.take(kept), indptr),
+                     shape=shape)
+
+
+def restrict(a, rows, cols):
+    """The leading block A[:rows, :cols] of a program's read-only CSR
+    matrix `a`: its first `rows` rows, each with its entries in the first
+    `cols` columns, in their stored order, read-only, so a program takes
+    it as it is.
+
+    The cut carries an analysis made here by truncating the one `a`
+    carries (see _Analysis): A' is its leading block; the normal pattern
+    is the parent's leading principal block, and the product map the
+    parent's leading columns on the slots that block keeps.  When no two
+    kept rows meet only in dropped columns, as in a control window laid
+    out period by period, these are the pattern and map that
+    `_normal_product_map` makes of the cut, entry for entry; otherwise the
+    pattern also holds the pairs that read 0.  The band plan keeps the
+    parent's order and border rows, those that are kept, so its band is
+    never wider than the parent's and only the start point's factor is
+    left to compute.  A solve whose presolve pins a variable or drops a
+    row solves another matrix, private to it and analysed in it.
     """
     if not (sp.issparse(a) and _read_only(a)):
         raise NumericsError("restrict takes a program's read-only matrix")
-    rows, cols = _indices(rows, "rows"), _indices(cols, "cols")
-    for idx, size, name in ((rows, a.shape[0], "rows"),
-                            (cols, a.shape[1], "cols")):
-        if idx.ndim != 1 or np.any(np.diff(idx) <= 0) \
-                or (idx.size and (idx[0] < 0 or idx[-1] >= size)):
-            raise NumericsError(f"{name} must be increasing indices below"
-                                f" {size}")
-    entry, offset = _entries(a.indptr, rows)
-    col = _renumber(cols, a.shape[1]).take(a.indices.take(entry))
-    keep = np.flatnonzero(col >= 0)
-    idx = a.indices.dtype
-    cut = sp.csr_matrix(
-        (a.data.take(entry.take(keep)), col.take(keep).astype(idx),
-         np.searchsorted(keep, np.append(offset, entry.shape[0])).astype(idx)),
-        shape=(rows.shape[0], cols.shape[0]))
+    if not (0 <= rows <= a.shape[0] and 0 <= cols <= a.shape[1]):
+        raise NumericsError(f"a leading block of {a.shape} cannot have"
+                            f" {rows} rows and {cols} columns")
+    cut = _block(a, rows, cols)
     for part in (cut.data, cut.indices, cut.indptr):
         part.setflags(write=False)
-    plan, pmap = _analyse(a).normal()
-    indptr, indices, pmap = _masked_product(plan.indptr, plan.indices, pmap,
-                                            rows, cols)
-    order = _renumber(rows, a.shape[0]).take(plan.order)
-    inherit = (order[order >= 0],
-               int(np.count_nonzero(order[:plan.nb] >= 0)))
-    cut._analysis = _Analysis(cut, (_BandPlan(indptr, indices, inherit),
-                                    pmap))
+    analysis = _analyse(a)
+    plan, pmap = analysis.normal()
+    # the slots of the parent's normal pattern in its leading principal
+    # block, and each one's place among them
+    kept = np.zeros(plan.indices.shape[0], dtype=bool)
+    kept[:plan.indptr[rows]] = plan.indices[:plan.indptr[rows]] < rows
+    indptr, slots = _leading(plan.indptr, rows, kept[:plan.indptr[rows]])
+    place = np.cumsum(kept, dtype=pmap.indices.dtype) - 1
+    map_ptr, entry = _leading(pmap.indptr, cols,
+                              kept.take(pmap.indices[:pmap.indptr[cols]]))
+    pmap = sp.csc_matrix((pmap.data.take(entry),
+                          place.take(pmap.indices.take(entry)), map_ptr),
+                         shape=(slots.shape[0], cols))
+    order = plan.order[plan.order < rows]
+    nb = int(np.count_nonzero(plan.order[:plan.nb] < rows))
+    cut._analysis = _Analysis(
+        cut, (_BandPlan(indptr, plan.indices.take(slots), (order, nb)), pmap),
+        _block(analysis.at, cols, rows))
     return cut
 
 

@@ -232,45 +232,30 @@ class ControlDecision:
 def _tree(vec, fields, per, tail, scenarios):
     """Writable views of a control-QP vector by the scenario tree's layout.
 
-    The head, lifted to one period, then one `tail`-period branch per
-    scenario: each holds `fields` blocks of one entry per period, then
-    `per` entries per period, and the tracking part follows.  Variables:
-    charge, discharge, SoC and export, then the served block, which is the
-    split at theta > 0 (n entries per period, consumer i's in [0, load_i])
-    and one aggregate entry in [0, sum of loads] at theta = 0; the n
-    tracking variables at theta > 0.  Rows: balance and SoC recursion, no
-    block, the n tracking rows at theta > 0.  Returns the head's fields
-    and block, the tails' fields (scenarios, fields, tail) and blocks
-    (scenarios, tail, per), and the tracking part.
+    Period by period: the tracking part, then the head, lifted to a
+    one-period branch, then one block per tail period across all
+    scenarios.  A period's block holds `fields` fields of one entry per
+    scenario, field by field, then `per` entries per scenario, scenario by
+    scenario; the head's is that block of one scenario.  The tracking part
+    is what comes before the head: the n tracking variables or rows at
+    theta > 0, nothing at theta = 0.  Variables: charge, discharge, SoC
+    and export, then the served block, which is the split at theta > 0 (n
+    entries per scenario, consumer i's in [0, load_i]) and one aggregate
+    entry in [0, sum of loads] at theta = 0.  Rows: SoC recursion and
+    balance, no block.  So a window with a shorter tail is the leading
+    part of a longer one, and moving a plan one period is moving whole
+    period blocks.  Returns the head's fields and block, the tails' fields
+    (scenarios, fields, tail) and blocks (scenarios, tail, per), and the
+    tracking part.
     """
     width = fields + per
-    end = width * (1 + scenarios * tail)
-    tails = vec[width:end].reshape(scenarios, width * tail)
-    return (vec[:fields], vec[fields:width],
-            tails[:, :fields * tail].reshape(scenarios, fields, tail),
-            tails[:, fields * tail:].reshape(scenarios, tail, per), vec[end:])
-
-
-@lru_cache(maxsize=8)
-def _period_map(size, fields, per, old_tail, tail, scenarios, first=0):
-    """Where each entry of a `tail`-period window's control-QP vector comes
-    from in an `old_tail`-period one of `size`, as indices in its `_tree`
-    layout: the head, its block and the tracking part map to themselves,
-    and each branch's period k reads old period min(first + k, old_tail -
-    1).  first is 0 for a cut (the end of a run) and 1 for a shift (the
-    next step's start).  Kept per shape, read-only: the steps of a full
-    window shift their starts by the same two maps, one for the variables
-    and one for the rows."""
-    old = _tree(np.arange(size), fields, per, old_tail, scenarios)
-    new = np.empty(size + (fields + per) * scenarios * (tail - old_tail),
-                   dtype=np.int64)
-    head, block, tails, blocks, track = _tree(new, fields, per, tail,
-                                              scenarios)
-    k = np.minimum(first + np.arange(tail), old_tail - 1)
-    head[:], block[:], track[:] = old[0], old[1], old[4]
-    tails[:], blocks[:] = old[2][:, :, k], old[3][:, k]
-    new.setflags(write=False)
-    return new
+    lead = vec.shape[0] - width * (1 + scenarios * tail)
+    periods = vec[lead + width:].reshape(tail, width * scenarios)
+    return (vec[lead:lead + fields], vec[lead + fields:lead + width],
+            periods[:, :fields * scenarios].reshape(
+                tail, fields, scenarios).transpose(2, 1, 0),
+            periods[:, fields * scenarios:].reshape(
+                tail, scenarios, per).transpose(1, 0, 2), vec[:lead])
 
 
 @lru_cache(maxsize=8)
@@ -280,35 +265,45 @@ def _control_pattern(n, tail, probabilities, eta, tracked):
     The shape is all that enters the matrix: n, the tail length, the
     scenario probabilities (a tuple), the one-way efficiency eta and
     whether theta > 0 (tracked).  Variables and rows are laid out as
-    `_tree` reads them: each branch of the scenario tree has its balance
-    rows on served energy, with no import variable, and its SoC recursion
-    (`storage.recursion_rows`, a tail's from the head's SoC variable);
-    when tracked, one tracking row per consumer follows.  Only the full
-    window is kept; a shorter one, as at the end of a run, is cut from it
-    at its step (`_control_qp`).  Returns the window's matrix, read-only
-    as every program's is, so each step's QP takes it without a copy; it
-    holds its analysis (`numerics._analyse`), made at the first step's
-    solve (or first cut) and shared by every later one, and by every later
-    run's, while the pattern is kept.
+    `_tree` reads them: when tracked, one tracking row per consumer comes
+    first; each branch of the scenario tree has its SoC recursion
+    (`storage.recursion_rows`, a tail's from the head's SoC variable) and
+    its balance rows on served energy, with no import variable, built
+    branch by branch and put in the layout's order by one permutation.
+    Only the full window is kept; a shorter one, as at the end of a run,
+    is its leading block, cut at its step (`_control_qp`).  Returns the
+    window's matrix, read-only as every program's is, so each step's QP
+    takes it without a copy; it holds its analysis (`numerics._analyse`),
+    made at the first step's solve (or first cut) and shared by every
+    later one, and by every later run's, while the pattern is kept.
     """
     per, w = n if tracked else 1, len(probabilities) if tail else 0
     pb = ProblemBuilder()
     head, served, tails, blocks, deliver = _tree(
-        pb.add_vars((4 + per) * (1 + w * tail) + n * tracked), 4, per, tail,
+        pb.add_vars(n * tracked + (4 + per) * (1 + w * tail)), 4, per, tail,
         w)
-    for (c, d, soc, gs), block, before in [
-            (head[:, None], served[None, :], None),
-            *((fields, cols, head[2]) for fields, cols in zip(tails, blocks))]:
-        pb.add_rows(np.column_stack([block, gs, c, d]),
-                    np.append(np.ones(per + 2), -1.0), 0.0)
-        recursion_rows(pb, eta, c, d, soc, before=before)
     if tracked:
         # deliver_i is consumer i's expected window allocation
         pb.add_rows(np.column_stack(
             [deliver, served, blocks.transpose(2, 0, 1).reshape(n, -1)]),
             np.concatenate([[1.0, -1.0], np.repeat(-np.array(probabilities),
                                                    tail)]), 0.0)
-    return pb.qp().a
+    for (c, d, soc, gs), block, before in [
+            (head[:, None], served[None, :], None),
+            *((fields, cols, head[2]) for fields, cols in zip(tails, blocks))]:
+        pb.add_rows(np.column_stack([block, gs, c, d]),
+                    np.append(np.ones(per + 2), -1.0), 0.0)
+        recursion_rows(pb, eta, c, d, soc, before=before)
+    # where each row built goes in the layout: a branch's balance rows,
+    # then its recursion rows
+    head, _, tails, _, track = _tree(
+        np.arange(n * tracked + 2 * (1 + w * tail)), 2, 0, tail, w)
+    built = np.concatenate([track, head[::-1],
+                            *(rows[::-1].ravel() for rows in tails)])
+    a = pb.qp().a[np.argsort(built)]
+    for part in (a.data, a.indices, a.indptr):
+        part.setflags(write=False)
+    return a
 
 
 def _control_qp(state, window, spec, config, beta_es_use):
@@ -338,8 +333,9 @@ def _control_qp(state, window, spec, config, beta_es_use):
     a = _control_pattern(n, longest, tuple(window.probabilities.tolist()),
                          spec.efficiency, tracked)
     if tail < longest:
-        a = restrict(a, _period_map(a.shape[0], 2, 0, longest, tail, w),
-                     _period_map(a.shape[1], 4, per, longest, tail, w))
+        lead = n * tracked
+        a = restrict(a, lead + 2 * (1 + w * tail),
+                     lead + (4 + per) * (1 + w * tail))
     cap_p = spec.power_cap_kw * window.delta_hours
     cap_e = spec.energy_cap_kwh
     export_net = window.export_tax - window.export_price
@@ -363,9 +359,9 @@ def _control_qp(state, window, spec, config, beta_es_use):
     ub_served[:], ub_serveds[:] = (
         (window.head_loads, window.tail_loads) if tracked else
         (window.head_loads.sum(), window.tail_loads.sum(axis=1)[:, None]))
-    # balance, SoC recursion (the head's from the state's SoC)
-    rhs_head[:] = window.head_gen, min(state.soc_kwh, cap_e)
-    rhs_tails[:, 0] = window.tail_gen.T
+    # SoC recursion (the head's from the state's SoC), balance
+    rhs_head[:] = min(state.soc_kwh, cap_e), window.head_gen
+    rhs_tails[:, 1] = window.tail_gen.T
     if tracked:
         # tracking distance: minimize theta * sum_i (deliver_i + rhs_i)^2.
         # Written with the offset in the linear term so every variable
@@ -385,13 +381,13 @@ def _shifted_start(previous, window, tracked):
 
     previous is that step's `ControlDecision.plan`, a point (x, y, zl, zu)
     whose tail length, and so this step's sizes, follow from its length.
-    Each part is moved by one `_period_map` (first = 1), y by the row
-    fields: each tail's period k + 1 becomes period k, and the new last
-    period repeats the old last; the tracking part carries over.  The new
-    head's x is the probability-weighted first period of the old tails,
-    and its multipliers are their sum, since each tail's costs carry its
-    probability.  Returns None, a cold start, for the first step and for
-    a window without a tail.
+    In `_tree`'s layout each part moves by whole period blocks, y by the
+    row fields: tail period k takes old period k + 1, and a tail as long
+    as the old one repeats the old last period; the tracking part carries
+    over.  The new head's x is the probability-weighted first period of
+    the old tails, and its multipliers are their sum, since each tail's
+    costs carry its probability.  Returns None, a cold start, for the
+    first step and for a window without a tail.
     """
     tail = window.tail_periods
     if previous is None or not tail:
@@ -404,16 +400,23 @@ def _shifted_start(previous, window, tracked):
     old_rows = 2 * (1 + w * old_tail) + track
     if rest or old_tail < 1 or previous[1].shape[0] != old_rows:
         raise DomainError("the previous plan does not fit the window")
+    moved = min(tail, old_tail - 1)  # the periods that take a later one
 
     def shift(old, fields, per, weights):
-        new = old[_period_map(old.shape[0], fields, per, old_tail, tail, w, 1)]
+        block = (fields + per) * w
+        start = old.shape[0] - block * old_tail  # the tails' first period
+        new = np.empty(start + block * tail)
+        new[:start] = old[:start]
+        new[start:start + block * moved] = old[start + block:
+                                               start + block * (moved + 1)]
+        new[start + block * moved:].reshape(-1, block)[:] = old[-block:]
         # the new head is the old tails' first periods (the plan cut to one
         # period) at these weights, summed in scenario order from 0.0 as a
         # running sum: a reduction could sum pairwise
         _, _, tails, blocks, _ = _tree(old, fields, per, old_tail, w)
         firsts = np.hstack([tails[:, :, 0], blocks[:, 0]])
         terms = np.vstack([np.zeros(fields + per), weights[:, None] * firsts])
-        new[:fields + per] = np.add.accumulate(terms)[-1]
+        new[start - fields - per:start] = np.add.accumulate(terms)[-1]
         return new
 
     x, y, zl, zu = previous

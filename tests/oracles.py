@@ -744,24 +744,29 @@ def random_presolve_problem(rng):
 
 def control_qp_by_rows(state, window, spec, config, beta_es_use=0.0,
                        with_rows=False):
-    """Reference build of the control QP of operation.mpc_step, one row at
-    a time, on served energy: each period's balance row, served + export +
-    charge - discharge = generation, then its state-of-charge row.
-    Variables come in the same order as in operation._control_qp: per
-    period charge, discharge, SoC and export, then the served block, one
-    entry per consumer in [0, load] at theta > 0 and one aggregate entry
-    in [0, sum of loads] at theta = 0, costing minus the grid price; the
-    tracking variables and rows only when theta > 0.  Returns the QP, one
-    (charge, discharge, SoC, export, served) index block per branch, head
-    first, and the tracking variables' indices (None at theta = 0).  With
-    with_rows, it also returns the row index blocks of this build: one
-    (balance, SoC) block per branch, head first, and the tracking rows
-    (None at theta = 0)."""
+    """Reference build of the control QP of operation.mpc_step, one
+    variable and one row at a time, on served energy, period by period as
+    operation._control_qp lays it out.  Variables: at theta > 0 the n
+    tracking variables first; the head's charge, discharge, SoC and export,
+    then its served block; then, for each tail period, the charge of every
+    scenario, then their discharge, SoC and export, then every scenario's
+    served block.  A served block is one entry per consumer in [0, load] at
+    theta > 0 and one aggregate entry in [0, sum of loads] at theta = 0,
+    costing minus the grid price.  Rows: at theta > 0 the n tracking rows
+    first; the head's state-of-charge row, then its balance row, served +
+    export + charge - discharge = generation; then, for each tail period,
+    every scenario's state-of-charge row, then every scenario's balance
+    row.  Returns the QP, one (charge, discharge, SoC, export, served)
+    index block per branch, head first, and the tracking variables'
+    indices (None at theta = 0).  With with_rows, it also returns the row
+    index blocks of this build: one (balance, SoC) block per branch, head
+    first, and the tracking rows (None at theta = 0)."""
     from pvpool.numerics import ProblemBuilder
 
     n = window.head_loads.shape[0]
     tt = window.tail_periods
-    w = window.probabilities.shape[0]
+    w = window.probabilities.shape[0] if tt else 0
+    probs = window.probabilities
     cap_p = spec.power_cap_kw * window.delta_hours
     cap_e = spec.energy_cap_kwh
     eta = spec.efficiency
@@ -774,54 +779,80 @@ def control_qp_by_rows(state, window, spec, config, beta_es_use=0.0,
         else window.tail_loads.sum(axis=1)[:, None]
 
     pb = ProblemBuilder()
-    blocks, row_blocks, added = [], [], [0]
-
-    def branch(periods, pi, price, net, box, gen, soc_before):
-        c = pb.add_vars(periods, lb=0.0, ub=cap_p, cost=pi * beta_es_use)
-        d = pb.add_vars(periods, lb=0.0, ub=cap_p, cost=pi * beta_es_use)
-        soc = pb.add_vars(periods, lb=0.0, ub=cap_e)
-        gs = pb.add_vars(periods, lb=0.0, cost=pi * net)
-        served = pb.add_vars(periods * per, lb=0.0, ub=np.ravel(box),
-                             cost=np.repeat(-pi * price, per))
-        blocks.append((c, d, soc, gs, served))
-        rows = added[0] + np.arange(2 * periods).reshape(periods, 2)
-        added[0] += 2 * periods
-        row_blocks.append((rows[:, 0], rows[:, 1]))
-        for t in range(periods):
-            pb.add_row(np.concatenate([served[t * per:(t + 1) * per],
-                                       [gs[t], c[t], d[t]]]),
-                       np.append(np.ones(per + 2), -1.0), gen[t])
-            if soc_before is None:  # the head starts from the state's SoC
-                pb.add_row([soc[t], c[t], d[t]], [1.0, -eta, 1.0 / eta],
-                           min(state.soc_kwh, cap_e))
-            else:
-                prev = soc_before if t == 0 else soc[t - 1]
-                pb.add_row([soc[t], prev, c[t], d[t]],
-                           [1.0, -1.0, -eta, 1.0 / eta], 0.0)
-        return soc
-
-    head_soc = branch(1, 1.0, window.grid_price[:1], export_net[:1],
-                      head_box, [window.head_gen], None)
-    for widx in range(w if tt else 0):
-        branch(tt, window.probabilities[widx], window.grid_price[1:],
-               export_net[1:], tail_box, window.tail_gen[:, widx],
-               head_soc[0])
-
-    deliver = track_rows = None
+    deliver = None
     if tracked:
-        track_rows = added[0] + np.arange(n)
         theta = config.theta
-        rhs = state.e_past + state.e_future - state.promise
+        offset = state.e_past + state.e_future - state.promise
         deliver = pb.add_vars(n, lb=-np.inf, ub=np.inf, qdiag=2.0 * theta,
-                              cost=2.0 * theta * rhs)
-        for i in range(n):
-            pb.add_row(
-                np.concatenate([[deliver[i]]]
+                              cost=2.0 * theta * offset)
+
+    def field_var(f, pi, net):
+        """A branch period's charge (f = 0), discharge, SoC or export."""
+        ub, cost = ((cap_p, pi * beta_es_use), (cap_p, pi * beta_es_use),
+                    (cap_e, 0.0), (np.inf, pi * net))[f]
+        return int(pb.add_vars(1, lb=0.0, ub=ub, cost=cost)[0])
+
+    def served_vars(pi, price, box):
+        return pb.add_vars(per, lb=0.0, ub=np.ravel(box), cost=-pi * price)
+
+    head = [field_var(f, 1.0, export_net[0]) for f in range(4)]
+    blocks = [(*(np.array([v]) for v in head),
+               served_vars(1.0, window.grid_price[0], head_box))]
+    fields = np.zeros((w, 4, tt), dtype=np.int64)
+    served = np.zeros((w, tt, per), dtype=np.int64)
+    for t in range(tt):
+        # each field across the scenarios, then each scenario's served block
+        for f in range(4):
+            for s in range(w):
+                fields[s, f, t] = field_var(f, probs[s], export_net[1 + t])
+        for s in range(w):
+            served[s, t] = served_vars(probs[s], window.grid_price[1 + t],
+                                       tail_box[t])
+    blocks += [(*fields[s], served[s].ravel()) for s in range(w)]
+
+    added = [0]
+
+    def row(indices, coeffs, rhs):
+        pb.add_row(indices, coeffs, rhs)
+        added[0] += 1
+        return added[0] - 1
+
+    track_rows = None
+    if tracked:
+        # deliver_i = served_i + sum_s p_s sum_t served_{s,t,i}
+        track_rows = np.array([
+            row(np.concatenate([[deliver[i]]]
                                + [blk[4][i::n] for blk in blocks]),
                 np.concatenate([[1.0, -1.0]]
-                               + [np.full(tt, -window.probabilities[widx])
-                                  for widx in range(len(blocks) - 1)]),
+                               + [np.full(tt, -probs[s]) for s in range(w)]),
                 0.0)
+            for i in range(n)])
+
+    def soc_row(c, d, soc, before):
+        if before is None:  # the head starts from the state's SoC
+            return row([soc, c, d], [1.0, -eta, 1.0 / eta],
+                       min(state.soc_kwh, cap_e))
+        return row([soc, before, c, d], [1.0, -1.0, -eta, 1.0 / eta], 0.0)
+
+    def balance_row(c, d, gs, split, gen):
+        return row(np.concatenate([split, [gs, c, d]]),
+                   np.append(np.ones(per + 2), -1.0), gen)
+
+    c, d, soc, gs = head
+    head_soc = soc_row(c, d, soc, None)
+    head_balance = balance_row(c, d, gs, blocks[0][4], window.head_gen)
+    rows = np.zeros((w, 2, tt), dtype=np.int64)  # (balance, SoC) per branch
+    for t in range(tt):
+        for s in range(w):
+            before = soc if t == 0 else fields[s, 2, t - 1]
+            rows[s, 1, t] = soc_row(fields[s, 0, t], fields[s, 1, t],
+                                    fields[s, 2, t], before)
+        for s in range(w):
+            rows[s, 0, t] = balance_row(fields[s, 0, t], fields[s, 1, t],
+                                        fields[s, 3, t], served[s, t],
+                                        window.tail_gen[t, s])
+    row_blocks = [(np.array([head_balance]), np.array([head_soc]))] \
+        + [tuple(rows[s]) for s in range(w)]
     if with_rows:
         return pb.qp(), blocks, deliver, row_blocks, track_rows
     return pb.qp(), blocks, deliver

@@ -421,95 +421,64 @@ def test_normal_product_map_matches_sparse_product():
     assert np.abs(got - want.data).max() <= 1e-14 * np.abs(want.data).max()
 
 
-def _random_restriction(rng):
-    """A random sparse matrix (a dense column, an empty one) with random
-    increasing rows and columns to keep."""
-    m, n = rng.integers(1, 40), rng.integers(1, 50)
-    dense = np.where(rng.random((m, n)) < 0.15, rng.normal(size=(m, n)), 0.0)
-    dense[:, 0] = rng.normal(size=m)
-    dense[:, -1] = 0.0
-    rows = np.flatnonzero(rng.random(m) < 0.6)
-    cols = np.flatnonzero(rng.random(n) < 0.6)
-    return sp.csr_matrix(dense), rows, cols
-
-
-def _program_matrix(a):
-    """a as a program keeps it: a read-only copy without stored zeros."""
-    return ConvexQuadraticProgram(np.zeros(a.shape[1]), 0.0, a,
-                                  np.zeros(a.shape[0]), None, None).a
-
-
-def test_masked_product_is_the_restrictions_product_map():
-    # the pattern and map masked from A's plan and map are what
-    # _normal_product_map builds for A[rows][:, cols], entry for entry, so
-    # the data of the cut's normal matrix is summed as a fresh analysis
-    # sums it; the cut that restrict makes carries that pattern and map
-    rng = np.random.default_rng(31)
-    for _ in range(200):
-        a, rows, cols = _random_restriction(rng)
-        cut = a[rows][:, cols]
-        pattern, want = numerics._normal_product_map(cut.T.tocsr(),
-                                                     rows.shape[0])
-        plan, pmap = numerics._Analysis(a).normal()
-        kept = numerics._analyse(
-            numerics.restrict(_program_matrix(a), rows, cols)).normal()
-        for indptr, indices, got in (
-                numerics._masked_product(plan.indptr, plan.indices, pmap,
-                                         rows, cols),
-                (kept[0].indptr, kept[0].indices, kept[1])):
-            assert np.array_equal(indptr, pattern.indptr)
-            assert np.array_equal(indices, pattern.indices)
-            assert got.shape == want.shape
-            for part in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(got, part), getattr(want, part))
-
-
-def test_restrict_keeps_the_rows_and_columns_it_is_given():
-    rng = np.random.default_rng(32)
-    for _ in range(100):
-        a, rows, cols = _random_restriction(rng)
-        m, n = a.shape
-        parent = _program_matrix(a)
-        cut = numerics.restrict(parent, rows, cols)
-        want = a[rows][:, cols]
+@pytest.mark.parametrize("w", [1, 2, 4, 10])
+@pytest.mark.parametrize("tracked", [False, True])
+def test_a_leading_block_is_the_shorter_window(w, tracked):
+    # laid out period by period, the control window with a k-period tail
+    # is the leading block of the full window, for every k down to the
+    # head alone: the cut is entry for entry the window laid out for that
+    # tail, read-only, and its analysis, truncated from the full window's,
+    # holds the normal pattern, product map and A' that the cut's own
+    # would, with the full window's band order and border rows, those kept
+    from pvpool import operation
+    n, tail = 3, 6
+    probs = tuple(np.full(w, 1.0 / w).tolist())
+    full = operation._control_pattern(n, tail, probs, 0.93, tracked)
+    lead, per = n * tracked, n if tracked else 1
+    parent = numerics._analyse(full).normal()[0]
+    for k in range(tail + 1):
+        cut = numerics.restrict(full, lead + 2 * (1 + w * k),
+                                lead + (4 + per) * (1 + w * k))
+        want = operation._control_pattern(n, k, probs, 0.93, tracked)
         assert cut.shape == want.shape
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(cut, part), getattr(want, part))
             assert not getattr(cut, part).flags.writeable
-        # a program made on the cut keeps that very matrix, and with it
-        # the analysis cut from the parent's, in the parent's band order
-        again = ConvexQuadraticProgram(
-            rng.normal(size=cols.shape[0]), 1.0, cut,
-            rng.normal(size=rows.shape[0]), -1.0, 1.0)
+        # a program made on the cut keeps that very matrix and its analysis
+        again = ConvexQuadraticProgram(np.zeros(cut.shape[1]), 1.0, cut,
+                                       np.zeros(cut.shape[0]), -1.0, 1.0)
         assert again.a is cut
-        assert numerics._analyse(again.a) is numerics._analyse(cut)
-        order = numerics._renumber(rows, m).take(
-            numerics._analyse(parent).normal()[0].order)
-        assert np.array_equal(numerics._analyse(cut).normal()[0].order,
-                              order[order >= 0])
-    for rows, cols in (([1, 0], [0]), ([0], [0, 0]), ([0], [n]),
-                       ([-1], [0])):
-        with pytest.raises(NumericsError, match="increasing indices"):
-            numerics.restrict(parent, rows, cols)
+        analysis = numerics._analyse(cut)
+        assert numerics._analyse(again.a) is analysis
+        plan, pmap = analysis.normal()
+        pattern, product = numerics._normal_product_map(cut.T.tocsr(),
+                                                        cut.shape[0])
+        assert np.array_equal(plan.indptr, pattern.indptr)
+        assert np.array_equal(plan.indices, pattern.indices)
+        assert pmap.shape == product.shape
+        for made, fresh in ((pmap, product), (analysis.at, cut.T.tocsr())):
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(made, part),
+                                      getattr(fresh, part))
+        kept = parent.order < cut.shape[0]
+        assert np.array_equal(plan.order, parent.order[kept])
+        assert plan.nb == np.count_nonzero(kept[:parent.nb])
+    for rows, cols in ((full.shape[0] + 1, 1), (1, -1)):
+        with pytest.raises(NumericsError, match="leading block"):
+            numerics.restrict(full, rows, cols)
     # only a program's matrix carries an analysis that cannot go stale
     with pytest.raises(NumericsError, match="read-only matrix"):
-        numerics.restrict(a, [0], [0])
+        numerics.restrict(full.copy(), 1, 1)
 
 
 def test_index_arrays_must_be_integers():
     # a cast to int64 would truncate a float index and read a boolean mask
     # as the indices 0 and 1; an empty list, which NumPy makes float64,
-    # names no index and is taken
+    # names no index and is taken.  A leading block of no rows is a cut too
     a = sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]]))
     problem = ConvexQuadraticProgram(np.ones(3), 1.0, a, np.ones(2), 0.0,
                                      1.0)
-    for rows, cols, name in (([0.7], [0, 1], "rows"),
-                             ([0], [0.2, 1.9], "cols"),
-                             ([False, True], [0, 1], "rows"),
-                             ([0], np.array([True, False, True]), "cols")):
-        with pytest.raises(NumericsError, match=f"{name} must be integers"):
-            numerics.restrict(problem.a, rows, cols)
-    assert numerics.restrict(problem.a, [], [0, 2]).shape == (0, 2)
+    assert numerics.restrict(problem.a, 0, 2).shape == (0, 2)
     pb = ProblemBuilder()
     pb.add_vars(2)
     for indices in ([0.6, 1.2], [True, True]):
@@ -530,7 +499,7 @@ def test_a_restriction_is_never_found_under_its_plain_twin():
                                 [2.0, 0.0, 1.0, 1.0]]))
     problem = ConvexQuadraticProgram(np.ones(4), 1.0, a, np.ones(3), 0.0,
                                      1.0)
-    cut = numerics.restrict(problem.a, [0, 2], [0, 1, 3])
+    cut = numerics.restrict(problem.a, 2, 3)
     kept = numerics._analyse(cut)
     plain = numerics._analyse(sp.csr_matrix(cut))
     assert kept is not plain
@@ -584,18 +553,20 @@ def _normal_matrix(kind):
         # couple every period and form the border; the head's SoC spans 3
         # rows and joins the two scenario chains in the band
         problem, shape = _control_qp_instance(15, 47), (205, 4, 15)
-    elif kind in ("control_qp_10", "control_qp_20"):
-        # 10 and 20 scenarios: the head's SoC spans W + 1 rows and joins
-        # the W scenario chains in the band, at half-bandwidth 2W - 1; the
-        # border is the 15 tracking rows
-        scenarios = int(kind[-2:])
-        problem = _control_qp_instance(15, 47, scenarios=scenarios)
-        shape = (94 * scenarios + 17, 2 * scenarios - 1, 15)
-    elif kind == "dispatch_qp_10":
-        # the same at theta = 0, the cost-only MPC: no tracking rows, so
-        # no border, and the same band
-        problem = _control_qp_instance(15, 47, scenarios=10, theta=0.0)
-        shape = (942, 19, 0)
+    elif kind.startswith(("control_qp_", "dispatch_qp_")):
+        # W scenarios of equal probability: the head's SoC spans W + 1 rows
+        # and joins the W scenario chains in the band, each period's W
+        # recursion rows before its W balance rows, at half-bandwidth
+        # 2W - 1 from W = 3 (4 at W = 2); the border is the 15 tracking
+        # rows, none at theta = 0 (dispatch_qp), the cost-only MPC.  Laid
+        # out scenario by scenario, the window had the same m and border
+        # and kd 4, 8, 19 and 39 at W = 2, 4, 10 and 20
+        scenarios = int(kind.rsplit("_", 1)[1])
+        tracked = kind.startswith("control")
+        problem = _control_qp_instance(15, 47, scenarios=scenarios,
+                                       theta=float(tracked))
+        shape = (94 * scenarios + 2 + 15 * tracked,
+                 4 if scenarios == 2 else 2 * scenarios - 1, 15 * tracked)
     elif kind == "dispatch_lp":
         # one scenario's day at fixed capacities, as the cut pool fills
         # in its program: a band, no border
@@ -622,9 +593,10 @@ def _normal_matrix(kind):
     return std.a, shape
 
 
-@pytest.mark.parametrize("kind", ["control_qp", "dispatch_lp", "key_qp",
-                                  "near_dense", "control_qp_10",
-                                  "control_qp_20", "dispatch_qp_10"])
+@pytest.mark.parametrize("kind", [
+    "control_qp", "dispatch_lp", "key_qp", "near_dense", "control_qp_10",
+    "control_qp_20", "dispatch_qp_10", "control_qp_4",
+    "dispatch_qp_2", "dispatch_qp_4", "dispatch_qp_20"])
 def test_band_and_border_factor_matches_spsolve(kind):
     a, shape = _normal_matrix(kind)
     fac = numerics._NormalEquations(numerics._Analysis(a))
@@ -939,8 +911,11 @@ def test_restart_is_interior_with_no_guess_where_presolve_acted(battery,
     # battery's charge, discharge and SoC there when it has no capacity
     assert pinned.sum() == 17 + 3 * 17 * (battery[0] == 0.0)
     forced = np.zeros_like(pinned)
-    if not sun:
-        forced[[3, 4, 5, 6]] = True  # the head's export and served energy
+    if not sun:  # the head's export and served energy, by the layout
+        from pvpool.operation import _tree
+        (*_, export), served, *_ = _tree(np.arange(problem.c.shape[0]), 4,
+                                         3, 8, 2)
+        forced[[export, *served]] = True
     assert np.all(x[forced] == lb[forced])
     pinned |= forced
     has_lb = np.isfinite(lb) & ~pinned

@@ -133,10 +133,10 @@ def test_reference_rows_match_control_qp():
                         np.ones(n))
     cfg = HorizonConfig(1, t_len, theta=0.0)
     qp = _control_qp(st, win, spec, cfg, 0.0)
-    _, [(c, d, *_), (cw, dw, *_)], _ = control_qp_by_rows(st, win, spec, cfg,
-                                                          0.0)
-    # each branch lays out its charge, discharge and SoC blocks in a row
-    cols = np.concatenate([c, cw, d, dw, d + 1, dw + (t_len - 1)])
+    _, [(c, d, soc, *_), (cw, dw, socw, *_)], _ = control_qp_by_rows(
+        st, win, spec, cfg, 0.0)
+    # the branch's charge, discharge and SoC columns, head first
+    cols = np.concatenate([c, cw, d, dw, soc, socw])
     _assert_reference_chain(qp, cols, spec, t_len, 0.5)
 
 
