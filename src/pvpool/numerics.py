@@ -62,12 +62,14 @@ analysis, so a family of programs on one matrix (a rolling horizon's
 control QPs, a cut pool's dispatch LPs, one call's key QPs) analyses it
 once (George & Liu, Computer Solution of Large Sparse Positive Definite
 Systems, 1981).  An equal matrix that is another object has its own.  A
-matrix that `restrict` cut from a program's, A[rows][:, cols] (a rolling
-horizon's shorter windows at the end of a run, down to the head alone),
-is made with its analysis, cut from the parent's in the same call: the
-normal pattern and product map are masked from the parent's, and the
-band plan keeps the parent's order and border rows, so only the start
-point's factor is left to compute.  The matrices presolve's reductions
+leading block that `restrict` cut from a program's matrix, A[:r, :c] (a
+rolling horizon's shorter windows at the end of a run, down to the head
+alone, laid out period by period), is made with its analysis, truncated
+from the parent's in the same call: A' is its leading block, the normal
+pattern the parent's leading principal block and the product map the
+parent's leading columns, and the band plan keeps the parent's order and
+border rows, so only the start point's factor is left to compute.  The
+matrices presolve's reductions
 make are private to their solve and analysed in it.  An analysis made
 earlier yields the same numbers as a new one, and a cut is always cut,
 never analysed afresh, so no report depends on earlier solves.
@@ -874,9 +876,10 @@ class _Analysis:
     factorization.  Everything here follows from A alone and is only read
     by the solves.
 
-    `normal` is the (plan, pmap) that `normal()` returns, when it is made
-    with A: `restrict` gives a cut its plan and map, cut from its
-    parent's.  Without it, `normal()` builds them from A itself.
+    `normal` is the (plan, pmap) that `normal()` returns, and `at` A',
+    when they are made with A: `restrict` gives a cut its plan, map and
+    A', truncated from its parent's.  Without them, `normal()` builds the
+    plan and map from A itself, and A' is A transposed.
     """
 
     def __init__(self, a, normal=None, at=None):
@@ -941,27 +944,6 @@ def _analyse(a):
     return a._analysis
 
 
-def _leading(indptr, major, keep):
-    """The first `major` rows (CSR) or columns (CSC) of a compressed matrix
-    of `indptr`, each with its entries that the mask `keep`, over their
-    indptr[major] entries, marks, in their stored order: the new indptr
-    and the kept entries' positions."""
-    count = np.zeros(keep.shape[0] + 1, dtype=indptr.dtype)
-    np.cumsum(keep, out=count[1:])
-    return count.take(indptr[:major + 1]), np.flatnonzero(keep)
-
-
-def _block(mat, major, minor):
-    """The leading block of the compressed matrix `mat`: its first `major`
-    rows (CSR) or columns (CSC), each with its entries at indices below
-    `minor`."""
-    indptr, kept = _leading(mat.indptr, major,
-                            mat.indices[:mat.indptr[major]] < minor)
-    shape = (major, minor) if mat.format == "csr" else (minor, major)
-    return type(mat)((mat.data.take(kept), mat.indices.take(kept), indptr),
-                     shape=shape)
-
-
 def restrict(a, rows, cols):
     """The leading block A[:rows, :cols] of a program's read-only CSR
     matrix `a`: its first `rows` rows, each with its entries in the first
@@ -986,27 +968,20 @@ def restrict(a, rows, cols):
     if not (0 <= rows <= a.shape[0] and 0 <= cols <= a.shape[1]):
         raise NumericsError(f"a leading block of {a.shape} cannot have"
                             f" {rows} rows and {cols} columns")
-    cut = _block(a, rows, cols)
+    cut = a[:rows, :cols]
     for part in (cut.data, cut.indices, cut.indptr):
         part.setflags(write=False)
     analysis = _analyse(a)
     plan, pmap = analysis.normal()
-    # the slots of the parent's normal pattern in its leading principal
-    # block, and each one's place among them
-    kept = np.zeros(plan.indices.shape[0], dtype=bool)
-    kept[:plan.indptr[rows]] = plan.indices[:plan.indptr[rows]] < rows
-    indptr, slots = _leading(plan.indptr, rows, kept[:plan.indptr[rows]])
-    place = np.cumsum(kept, dtype=pmap.indices.dtype) - 1
-    map_ptr, entry = _leading(pmap.indptr, cols,
-                              kept.take(pmap.indices[:pmap.indptr[cols]]))
-    pmap = sp.csc_matrix((pmap.data.take(entry),
-                          place.take(pmap.indices.take(entry)), map_ptr),
-                         shape=(slots.shape[0], cols))
+    # the leading principal block of the normal pattern, whose data are
+    # the parent's slots it keeps, in their order
+    slots = sp.csc_matrix((np.arange(plan.indices.shape[0]), plan.indices,
+                           plan.indptr), shape=(a.shape[0],) * 2)[:rows, :rows]
     order = plan.order[plan.order < rows]
     nb = int(np.count_nonzero(plan.order[:plan.nb] < rows))
     cut._analysis = _Analysis(
-        cut, (_BandPlan(indptr, plan.indices.take(slots), (order, nb)), pmap),
-        _block(analysis.at, cols, rows))
+        cut, (_BandPlan(slots.indptr, slots.indices, (order, nb)),
+              pmap[:, :cols][slots.data]), analysis.at[:cols, :rows])
     return cut
 
 

@@ -30,25 +30,26 @@ MPC), or from zero for the greedy rule.  The battery's state of charge
 carries over from what really happened, not from the plan.
 
 The control QP's layout is stated once, in `_tree`, whose views every step
-fills and reads by position.  Its matrix (every row an equality) is what
-the steps keep: `_control_pattern` builds it once, for the horizon's full
-window, and keeps it, so the steps of a year, and of every later year in
-the process, share one matrix and the analysis it holds.  The matrix is
-read-only, as every program's is, so every step's QP takes it as it is,
-and one fill, `_control_qp`, writes every step's costs, bounds and
-right-hand sides, so the objective is stated once, there.  `run_year` cuts
-the horizon to the run, so no window is laid out longer than the run.  One
-period map (`_period_map`, kept per shape and read-only) cuts each shorter
-window's matrix at the end of a run from the full one, by
-`numerics.restrict`, which cuts its analysis from the full window's in the
-same call, in the full window's band order, so no window, the head-only
-one included, is analysed afresh, and shifts each step's start: every step
-after the first restarts its solve from the previous solve's well-centred
-primal-dual iterate (`SolveReport.restart`, near its rows as well as near
-the central path: a small gap alone, which an unmoved warm start already
-has, does not qualify), moved one period (`_shifted_start`); the solve
-pushes its x inside the box and shifts its bound multipliers by 0.5 s'z /
-sum(s) there, so the start stays near the central path.  `run_year` hands
+fills and reads by position: period by period, the tracking part, then the
+head, then each tail period's block across all scenarios.  Its matrix
+(every row an equality) is what the steps keep: `_control_pattern` builds
+it once, for the horizon's full window, and keeps it, so the steps of a
+year, and of every later year in the process, share one matrix and the
+analysis it holds.  The matrix is read-only, as every program's is, so
+every step's QP takes it as it is, and one fill, `_control_qp`, writes
+every step's costs, bounds and right-hand sides, so the objective is
+stated once, there.  `run_year` cuts the horizon to the run, so no window
+is laid out longer than the run.  A shorter window at the end of a run is
+the full window's leading block, which `numerics.restrict` cuts from two
+lengths with its analysis, truncated from the full window's and in its
+band order, so no window, the head-only one included, is analysed afresh.
+Every step after the first restarts its solve from the previous solve's
+well-centred primal-dual iterate (`SolveReport.restart`, near its rows as
+well as near the central path: a small gap alone, which an unmoved warm
+start already has, does not qualify), moved one period block
+(`_shifted_start`); the solve pushes its x inside the box and shifts its
+bound multipliers by 0.5 s'z / sum(s) there, so the start stays near the
+central path.  `run_year` hands
 each `ControlDecision.plan` to the next `mpc_step`, and nothing else is
 kept between steps.  A warm-started solve that ends other than optimal is
 solved once more cold, `run_year` counts those retries
@@ -310,10 +311,10 @@ def _control_qp(state, window, spec, config, beta_es_use):
     """The control QP of `mpc_step`.
 
     The one fill of the horizon's kept matrix (`_control_pattern`), or of
-    a shorter window's cut from it (`_period_map`, by `numerics.restrict`,
-    which cuts its analysis from the full window's with it: a tail's rows
-    and variables reach only the periods before them and the head), whose
-    shape gives every vector's length.  Written through `_tree`'s views:
+    a shorter window's, its leading block (`numerics.restrict`, which
+    truncates the full window's analysis with it: a tail period's rows and
+    variables reach only the periods before them, the head and the
+    tracking part), whose shape gives every vector's length.  Written through `_tree`'s views:
     the head and, at their probabilities, the W tails cost their
     variables and bound them by the battery's caps and their loads, and
     set their balance rows to their generation; the head's recursion
