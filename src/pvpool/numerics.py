@@ -69,10 +69,10 @@ from the parent's in the same call: A' is its leading block, the normal
 pattern the parent's leading principal block and the product map the
 parent's leading columns, and the band plan keeps the parent's order and
 border rows, so only the start point's factor is left to compute.  The
-matrices presolve's reductions
-make are private to their solve and analysed in it.  An analysis made
-earlier yields the same numbers as a new one, and a cut is always cut,
-never analysed afresh, so no report depends on earlier solves.
+matrices presolve's reductions make are private to their solve and
+analysed in it.  An analysis made earlier yields the same numbers as a
+new one, and a cut is always cut, never analysed afresh, so no report
+depends on earlier solves.
 
 One object, _Standard, owns the problem the iterations solve: it
 presolves, drops the rows presolve left empty (or proves them
