@@ -973,15 +973,25 @@ def restrict(a, rows, cols):
         part.setflags(write=False)
     analysis = _analyse(a)
     plan, pmap = analysis.normal()
-    # the leading principal block of the normal pattern, whose data are
-    # the parent's slots it keeps, in their order
-    slots = sp.csc_matrix((np.arange(plan.indices.shape[0]), plan.indices,
-                           plan.indptr), shape=(a.shape[0],) * 2)[:rows, :rows]
+    # the parent's slots in the normal pattern's leading principal block,
+    # in their order, and each one's place among them (-1 for the others)
+    slots = np.flatnonzero(plan.indices[:plan.indptr[rows]] < rows)
+    place = np.full(plan.indices.shape[0], -1, dtype=pmap.indices.dtype)
+    place[slots] = np.arange(slots.shape[0])
+    # the product map's first `cols` columns, on those slots; a line's kept
+    # entries start after those of the lines before it
+    entry = np.flatnonzero(place.take(pmap.indices[:pmap.indptr[cols]]) >= 0)
+    pmap = sp.csc_matrix(
+        (pmap.data.take(entry), place.take(pmap.indices.take(entry)),
+         np.searchsorted(entry, pmap.indptr[:cols + 1]).astype(
+             pmap.indptr.dtype)), shape=(slots.shape[0], cols))
+    indptr = np.searchsorted(slots, plan.indptr[:rows + 1])
     order = plan.order[plan.order < rows]
     nb = int(np.count_nonzero(plan.order[:plan.nb] < rows))
     cut._analysis = _Analysis(
-        cut, (_BandPlan(slots.indptr, slots.indices, (order, nb)),
-              pmap[:, :cols][slots.data]), analysis.at[:cols, :rows])
+        cut, (_BandPlan(indptr.astype(plan.indptr.dtype),
+                        plan.indices.take(slots), (order, nb)), pmap),
+        analysis.at[:cols, :rows])
     return cut
 
 
