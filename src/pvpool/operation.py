@@ -295,8 +295,8 @@ def _control_pattern(n, tail, probabilities, eta, tracked):
         pb.add_rows(np.column_stack([block, gs, c, d]),
                     np.append(np.ones(per + 2), -1.0), 0.0)
         recursion_rows(pb, eta, c, d, soc, before=before)
-    # where each row built goes in the layout: a branch's balance rows,
-    # then its recursion rows
+    # where each row built goes in the layout: the tracking rows, then each
+    # branch's balance rows and its recursion rows
     head, _, tails, _, track = _tree(
         np.arange(n * tracked + 2 * (1 + w * tail)), 2, 0, tail, w)
     built = np.concatenate([track, head[::-1],
